@@ -7,14 +7,7 @@
 //! session is discarded, and the next attempt connects fresh — so the retry
 //! loop doubles as the reconnect loop.
 //!
-//! The original one-request-per-connection exchange survives as
-//! [`oneshot_request`]: connect (with timeout), send one line, read one
-//! line, close. It costs a TCP handshake per request but never has a
-//! half-consumed stream to resynchronise — it remains the right tool for
-//! one-off probes (the failover layer's half-open `HEALTH` check uses it)
-//! and is the baseline the `bench_load` harness compares sessions against.
-//!
-//! Either way, a response is accepted only if it ends in `\n`: the line
+//! A response is accepted only if it ends in `\n`: the line
 //! protocol makes every chaos fault (truncation, mid-response disconnect,
 //! stalled partial write) detectable as a missing newline, which is what
 //! lets the retry layer promise *zero wrong scores* — damaged replies are
@@ -26,8 +19,7 @@ use crate::error::ClientError;
 use crate::session::Session;
 use crate::stats::ClientStats;
 use rmpi_obs::MetricsRegistry;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,50 +59,6 @@ impl ClientConfig {
         self.backoff.seed = seed;
         self
     }
-}
-
-/// One attempt on the wire, connection-per-request style: connect, send
-/// `line`, read one `\n`-terminated response line, classify it, close.
-///
-/// This is the legacy (pre-session) exchange, kept public for one-off
-/// probes and as the baseline for benchmarking pipelined sessions against.
-pub fn oneshot_request(
-    addr: SocketAddr,
-    cfg: &ClientConfig,
-    line: &str,
-) -> Result<String, ClientError> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(ClientError::Connect)?;
-    stream
-        .set_read_timeout(Some(cfg.read_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(cfg.write_timeout)))
-        .map_err(ClientError::Io)?;
-    let _ = stream.set_nodelay(true);
-    stream.write_all(line.as_bytes()).map_err(ClientError::Io)?;
-    stream.write_all(b"\n").map_err(ClientError::Io)?;
-
-    // read until newline or EOF; a reply without its newline is damage
-    let mut buf = Vec::with_capacity(256);
-    let mut chunk = [0u8; 4096];
-    let complete = loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break false,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if chunk[..n].contains(&b'\n') {
-                    break true;
-                }
-            }
-            Err(e) => return Err(ClientError::Io(e)),
-        }
-    };
-    if !complete {
-        return Err(ClientError::TruncatedResponse);
-    }
-    let newline = buf.iter().position(|&b| b == b'\n').expect("checked above");
-    let text = String::from_utf8_lossy(&buf[..newline]);
-    let text = text.trim_end_matches('\r');
-    classify_response(text)
 }
 
 /// Split a response line into the `OK` payload or a classified error.
@@ -273,37 +221,29 @@ impl Client {
     pub fn stats(&self) -> &ClientStats {
         &self.stats
     }
+}
 
-    /// Open a **new** pipelined session to this client's endpoint, for
-    /// callers that want to drive the session API directly (sharing it
-    /// across threads, `score_many`, ...). Independent of the client's own
-    /// cached session; no retry policy applies to it.
-    pub fn session(&self) -> Result<Session, ClientError> {
-        let session = Session::connect(self.addr, &self.cfg)?;
-        self.stats.sessions_opened.inc();
-        Ok(session)
+/// One attempt over the session cached in `slot`, (re)connecting first if it
+/// is absent or dead; the caller stops waiting for the response after `wait`.
+/// A transport-level failure empties the slot so the next attempt reconnects
+/// — which is how the retry loops double as reconnect loops.
+pub(crate) fn attempt_over(
+    slot: &mut Option<Session>,
+    addr: SocketAddr,
+    cfg: &ClientConfig,
+    stats: &ClientStats,
+    line: &str,
+    wait: Duration,
+) -> Result<String, ClientError> {
+    if !slot.as_ref().is_some_and(Session::is_alive) {
+        *slot = Some(Session::connect(addr, cfg)?);
+        stats.sessions_opened.inc();
     }
-
-    /// The client's cached session, (re)connecting if absent or dead.
-    fn live_session(&mut self) -> Result<&Session, ClientError> {
-        if !self.session.as_ref().is_some_and(|s| s.is_alive()) {
-            self.session = Some(Session::connect(self.addr, &self.cfg)?);
-            self.stats.sessions_opened.inc();
-        }
-        Ok(self.session.as_ref().expect("just ensured"))
+    let result = slot.as_ref().expect("just ensured").request_timeout(line, wait);
+    if result.as_ref().is_err_and(is_transport_error) {
+        *slot = None;
     }
-
-    /// One attempt over the cached session. On a transport-level failure
-    /// the session is discarded so the next attempt reconnects.
-    fn attempt(&mut self, line: &str) -> Result<String, ClientError> {
-        let result = self.live_session()?.request(line);
-        if let Err(e) = &result {
-            if is_transport_error(e) {
-                self.session = None;
-            }
-        }
-        result
-    }
+    result
 }
 
 /// Whether an error means the *connection* is suspect (as opposed to a
@@ -326,7 +266,15 @@ impl ProtocolClient for Client {
         let t0 = Instant::now();
         let mut attempts: u32 = 1;
         loop {
-            match self.attempt(line) {
+            let attempt = attempt_over(
+                &mut self.session,
+                self.addr,
+                &self.cfg,
+                &self.stats,
+                line,
+                self.cfg.read_timeout,
+            );
+            match attempt {
                 Ok(payload) => {
                     self.budget.record_success();
                     self.backoff.reset();
@@ -380,18 +328,6 @@ mod tests {
         assert_eq!(parse_ranked("").unwrap(), vec![]);
         assert!(parse_ranked("3").is_err());
         assert_eq!(score_line(&[(0, 1, 2), (3, 4, 5)]), "SCORE 0 1 2 3 4 5");
-    }
-
-    #[test]
-    fn connect_refused_is_a_retryable_connect_error() {
-        // bind then drop: the port is (momentarily) nobody's → refused
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let err = oneshot_request(addr, &ClientConfig::default(), "PING").unwrap_err();
-        assert!(matches!(err, ClientError::Connect(_)), "{err}");
-        assert!(err.is_retryable());
     }
 
     #[test]

@@ -19,14 +19,14 @@
 use crate::backoff::Backoff;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::budget::RetryBudget;
-use crate::client::{is_transport_error, oneshot_request, ClientConfig, ProtocolClient};
+use crate::client::{attempt_over, ClientConfig, ProtocolClient};
 use crate::error::ClientError;
 use crate::session::Session;
 use crate::stats::ClientStats;
 use rmpi_obs::MetricsRegistry;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Failover knobs: the per-attempt client config plus the breaker shape
 /// applied to every endpoint.
@@ -118,10 +118,12 @@ impl FailoverClient {
                 continue;
             }
             if was_open {
-                // half-open: one probe decides. The probe is a one-shot
-                // exchange on purpose: it must judge the *endpoint*, not
+                // half-open: one probe decides. The probe opens a session of
+                // its own on purpose: it must judge the *endpoint*, not
                 // whatever state a cached session is in.
-                match oneshot_request(self.endpoints[idx].addr, &self.cfg, "HEALTH") {
+                let probe = Session::connect(self.endpoints[idx].addr, &self.cfg)
+                    .and_then(|session| session.health());
+                match probe {
                     Ok(_) => self.endpoints[idx].breaker.record_success(),
                     Err(_) => {
                         if self.endpoints[idx].breaker.record_failure(Instant::now()) {
@@ -134,35 +136,6 @@ impl FailoverClient {
             return Some(idx);
         }
         None
-    }
-
-    /// One attempt against endpoint `idx` over its cached session,
-    /// (re)connecting first if the cache is empty or dead. Transport-level
-    /// failures invalidate the cache. With a `wait`, the caller stops
-    /// waiting for this attempt's response after that long (v2 sessions;
-    /// the v1 fallback keeps the socket clock).
-    fn attempt_on(
-        &mut self,
-        idx: usize,
-        line: &str,
-        wait: Option<Duration>,
-    ) -> Result<String, ClientError> {
-        if !self.endpoints[idx].session.as_ref().is_some_and(|s| s.is_alive()) {
-            let session = Session::connect(self.endpoints[idx].addr, &self.cfg)?;
-            self.stats.sessions_opened.inc();
-            self.endpoints[idx].session = Some(session);
-        }
-        let session = self.endpoints[idx].session.as_ref().expect("just ensured");
-        let result = match wait {
-            Some(wait) => session.request_timeout(line, wait),
-            None => session.request(line),
-        };
-        if let Err(e) = &result {
-            if is_transport_error(e) {
-                self.endpoints[idx].session = None;
-            }
-        }
-        result
     }
 
     /// Like [`ProtocolClient::request_line`], but under an absolute
@@ -252,7 +225,18 @@ impl FailoverClient {
                 }
                 None => line,
             };
-            match self.attempt_on(idx, attempt_line, remaining) {
+            // with a deadline, the caller stops waiting for this attempt's
+            // response when the budget is spent
+            let endpoint = &mut self.endpoints[idx];
+            let attempt = attempt_over(
+                &mut endpoint.session,
+                endpoint.addr,
+                &self.cfg,
+                &self.stats,
+                attempt_line,
+                remaining.unwrap_or(self.cfg.read_timeout),
+            );
+            match attempt {
                 Ok(payload) => {
                     self.endpoints[idx].breaker.record_success();
                     self.budget.record_success();
@@ -312,10 +296,11 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    /// A controllable fake replica: answers `OK pong` to every line while
-    /// `healthy`; when unhealthy it drops new connections without answering
-    /// **and** cuts established ones at their next request, so cached
-    /// sessions die too (as a real crashed replica's would).
+    /// A controllable fake replica: negotiates protocol v2 and answers
+    /// `OK pong` to every tagged line while `healthy`; when unhealthy it
+    /// drops new connections without answering **and** cuts established
+    /// ones at their next request, so cached sessions die too (as a real
+    /// crashed replica's would).
     struct FakeReplica {
         addr: SocketAddr,
         healthy: Arc<AtomicBool>,
@@ -346,7 +331,7 @@ mod tests {
                         if !h.load(Ordering::SeqCst) {
                             break; // cut mid-session: the client sees truncation
                         }
-                        if writeln!(conn, "OK pong").is_err() {
+                        if writeln!(conn, "{}", pong(&line)).is_err() {
                             break;
                         }
                         line.clear();
@@ -368,6 +353,15 @@ mod tests {
             if let Some(t) = self.thread.take() {
                 let _ = t.join();
             }
+        }
+    }
+
+    /// The fake servers' answer to one line: the hello for the `PROTO 2`
+    /// probe, `OK pong` under the request's own tag for everything else.
+    fn pong(line: &str) -> String {
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["ID", tag, ..] => format!("ID {tag} OK pong"),
+            _ => "OK proto=2".to_owned(),
         }
     }
 
@@ -466,18 +460,19 @@ mod tests {
                 let mut reader = BufReader::new(conn.try_clone().unwrap());
                 let mut conn = conn;
                 let mut line = String::new();
-                // answer the PROTO probe with a non-v2 frame: v1 fallback
                 if reader.read_line(&mut line).map(|n| n == 0).unwrap_or(true) {
                     continue;
                 }
-                if writeln!(conn, "OK v1").is_err() {
+                if writeln!(conn, "{}", pong(&line)).is_err() {
                     continue;
                 }
                 line.clear();
                 if reader.read_line(&mut line).map(|n| n == 0).unwrap_or(true) {
                     continue;
                 }
-                server_lines.lock().unwrap().push(line.trim_end().to_owned());
+                // the request without its `ID <n>` tag
+                let request = line.split_whitespace().skip(2).collect::<Vec<_>>().join(" ");
+                server_lines.lock().unwrap().push(request);
                 served += 1;
                 if served <= 2 {
                     // burn some budget, then cut the connection so the
@@ -485,7 +480,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(20));
                     continue; // conn drops here
                 }
-                writeln!(conn, "OK pong").unwrap();
+                writeln!(conn, "{}", pong(&line)).unwrap();
                 return;
             }
         });

@@ -24,8 +24,7 @@
 //!   small [`ClientPool`] of reusable sessions.
 //! - [`Client`]: one endpoint, timeouts on connect/read/write, retry loop.
 //!   Requests ride a cached [`Session`] (reopened transparently after
-//!   transport failures); the legacy connection-per-request path survives
-//!   as [`client::oneshot_request`].
+//!   transport failures) — the one client transport.
 //! - [`FailoverClient`]: a replica set with sticky endpoint preference,
 //!   breaker-gated failover and `HEALTH`-probed readmission, with one
 //!   cached session per endpoint.
@@ -48,7 +47,7 @@ pub mod stats;
 pub use backoff::{Backoff, BackoffConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use budget::{BudgetConfig, RetryBudget};
-pub use client::{oneshot_request, Client, ClientConfig, ProtocolClient};
+pub use client::{Client, ClientConfig, ProtocolClient};
 pub use error::ClientError;
 pub use failover::{FailoverClient, FailoverConfig};
 pub use session::{ClientPool, PooledSession, Session};

@@ -24,14 +24,13 @@
 //!   ([`crate::Client`], [`crate::FailoverClient`]) do this automatically
 //!   because `SessionClosed` is retryable.
 //!
-//! # v1 fallback
+//! # Handshake
 //!
-//! [`Session::connect`] probes with `PROTO 2`. A server that answers
-//! anything other than `OK proto=2` (but answers with a *complete* frame)
-//! is assumed to speak plain v1; the session keeps the persistent
-//! connection but serializes requests on it (one in flight at a time).
-//! Connection reuse still saves the per-request TCP handshake; only the
-//! pipelining is lost.
+//! [`Session::connect`] sends `PROTO 2` and requires `OK proto=2` back. Any
+//! other complete frame is classified like any response: the `ERR server
+//! overloaded` / `ERR too many connections` line a shedding server writes at
+//! accept time becomes that typed, retryable server error, and anything else
+//! is a protocol error. There is no second transport to fall back to.
 
 use crate::client::{classify_response, parse_ranked, parse_scores, score_line, ClientConfig};
 use crate::error::ClientError;
@@ -41,6 +40,9 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+
+/// Where one in-flight request's outcome arrives.
+type Waiter = mpsc::Receiver<Result<String, ClientError>>;
 
 /// State shared between a session's callers and its reader thread.
 #[derive(Debug)]
@@ -92,26 +94,6 @@ impl Core {
     }
 }
 
-/// v1-fallback I/O: the persistent connection without tags, so requests are
-/// serialized end-to-end under one lock.
-#[derive(Debug)]
-struct V1Io {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-#[derive(Debug)]
-enum Mode {
-    V2 {
-        writer: Mutex<TcpStream>,
-        next_tag: AtomicU64,
-        reader: Option<std::thread::JoinHandle<()>>,
-    },
-    V1 {
-        io: Mutex<V1Io>,
-    },
-}
-
 /// One persistent, pipelining connection to a server (see module docs).
 /// All request methods take `&self`: a `Session` is safe to share across
 /// threads, and sharing is how concurrent requests coalesce into the
@@ -121,14 +103,17 @@ pub struct Session {
     addr: SocketAddr,
     read_timeout: Duration,
     core: Arc<Core>,
-    mode: Mode,
+    writer: Mutex<TcpStream>,
+    next_tag: AtomicU64,
+    reader: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Session {
-    /// Connect and negotiate. Sends `PROTO 2`; `OK proto=2` starts a
-    /// pipelined v2 session, any other complete frame falls back to a
-    /// serialized v1 session on the same connection. An incomplete or
-    /// missing handshake frame fails (retryable).
+    /// Connect and negotiate. Sends `PROTO 2`; `OK proto=2` starts the
+    /// pipelined session. Any other complete frame fails `connect` with its
+    /// classification — a shedding server's `ERR too many connections` is a
+    /// transient server error — and an incomplete or missing frame fails as
+    /// transport damage (retryable).
     pub fn connect(addr: SocketAddr, cfg: &ClientConfig) -> Result<Session, ClientError> {
         let stream =
             TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(ClientError::Connect)?;
@@ -141,35 +126,29 @@ impl Session {
         writer.write_all(b"PROTO 2\n").map_err(ClientError::Io)?;
         let mut reader = BufReader::new(stream);
         let hello = read_frame(&mut reader)?;
+        if hello != "OK proto=2" {
+            classify_response(&hello)?;
+            return Err(ClientError::Protocol(hello));
+        }
         let core = Arc::new(Core::new());
-        let mode = if hello == "OK proto=2" {
-            let reader_core = Arc::clone(&core);
-            let handle = std::thread::Builder::new()
-                .name("rmpi-session-reader".into())
-                .spawn(move || reader_loop(reader, reader_core))
-                .map_err(ClientError::Io)?;
-            Mode::V2 {
-                writer: Mutex::new(writer),
-                next_tag: AtomicU64::new(1),
-                reader: Some(handle),
-            }
-        } else {
-            Mode::V1 { io: Mutex::new(V1Io { reader, writer }) }
-        };
-        Ok(Session { addr, read_timeout: cfg.read_timeout, core, mode })
+        let reader_core = Arc::clone(&core);
+        let handle = std::thread::Builder::new()
+            .name("rmpi-session-reader".into())
+            .spawn(move || reader_loop(reader, reader_core))
+            .map_err(ClientError::Io)?;
+        Ok(Session {
+            addr,
+            read_timeout: cfg.read_timeout,
+            core,
+            writer: Mutex::new(writer),
+            next_tag: AtomicU64::new(1),
+            reader: Some(handle),
+        })
     }
 
     /// The endpoint this session is connected to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Negotiated protocol version: 2 (pipelined) or 1 (fallback).
-    pub fn proto_version(&self) -> u32 {
-        match self.mode {
-            Mode::V2 { .. } => 2,
-            Mode::V1 { .. } => 1,
-        }
     }
 
     /// Whether the session can still serve requests. A dead session never
@@ -179,32 +158,19 @@ impl Session {
     }
 
     /// Send one request line and wait for its response payload. Safe to
-    /// call from many threads at once; on a v2 session the requests share
-    /// the wire concurrently.
+    /// call from many threads at once; the requests share the wire
+    /// concurrently.
     pub fn request(&self, line: &str) -> Result<String, ClientError> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let (tag, rx) = self.submit_v2(writer, next_tag, line)?;
-                self.wait_v2(tag, rx)
-            }
-            Mode::V1 { io } => self.request_v1(io, line),
-        }
+        self.request_timeout(line, self.read_timeout)
     }
 
     /// Like [`Session::request`], but waits at most `timeout` for **this**
     /// request's response instead of the session-wide read timeout. A
     /// timeout deregisters the waiter (a late reply is dropped) and does
-    /// not kill the session — exactly as with the session-wide clock. On a
-    /// v1-fallback session the socket's read timeout is fixed at connect,
-    /// so the serialized path keeps the session-wide clock.
+    /// not kill the session — exactly as with the session-wide clock.
     pub fn request_timeout(&self, line: &str, timeout: Duration) -> Result<String, ClientError> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let (tag, rx) = self.submit_v2(writer, next_tag, line)?;
-                self.wait_v2_for(tag, rx, timeout)
-            }
-            Mode::V1 { io } => self.request_v1(io, line),
-        }
+        let (tag, rx) = self.submit(line)?;
+        self.wait_for(tag, rx, timeout)
     }
 
     /// `DEADLINE <ms> SCORE h r t [...]` under a per-request wait of
@@ -225,48 +191,33 @@ impl Session {
     }
 
     /// Send many request lines and collect per-line results in submission
-    /// order. On a v2 session all lines are written back-to-back (one
-    /// buffered write) and sit in flight together — this is the client edge
-    /// of the server's cross-connection micro-batcher.
+    /// order. All lines are written back-to-back (one buffered write) and
+    /// sit in flight together — this is the client edge of the server's
+    /// cross-connection micro-batcher.
     pub fn request_many(&self, lines: &[&str]) -> Vec<Result<String, ClientError>> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let submitted: Vec<_> = {
-                    // register every waiter, then push all frames in one
-                    // write: the server can start answering out of order
-                    // while later frames are still in the kernel buffer
-                    let mut buffer = String::new();
-                    let mut waiters = Vec::with_capacity(lines.len());
-                    for line in lines {
-                        if self.core.is_dead() {
-                            waiters.push(Err(self.core.closed_error()));
-                            continue;
-                        }
-                        let tag = next_tag.fetch_add(1, Ordering::Relaxed);
-                        let (tx, rx) = mpsc::sync_channel(1);
-                        self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
-                        buffer.push_str(&format!("ID {tag} {line}\n"));
-                        waiters.push(Ok((tag, rx)));
-                    }
-                    if !buffer.is_empty() {
-                        let mut w = writer.lock().expect("session writer lock");
-                        if let Err(e) = w.write_all(buffer.as_bytes()) {
-                            // die() hands every registered waiter its error
-                            self.core.die(&format!("write failed: {e}"));
-                        }
-                    }
-                    waiters
-                };
-                submitted
-                    .into_iter()
-                    .map(|w| match w {
-                        Ok((tag, rx)) => self.wait_v2(tag, rx),
-                        Err(e) => Err(e),
-                    })
-                    .collect()
+        // register every waiter, then push all frames in one write: the
+        // server can start answering out of order while later frames are
+        // still in the kernel buffer
+        let mut buffer = String::new();
+        let waiters: Vec<_> = lines
+            .iter()
+            .map(|line| {
+                let (tag, rx) = self.register()?;
+                buffer.push_str(&format!("ID {tag} {line}\n"));
+                Ok((tag, rx))
+            })
+            .collect();
+        if !buffer.is_empty() {
+            let mut w = self.writer.lock().expect("session writer lock");
+            if let Err(e) = w.write_all(buffer.as_bytes()) {
+                // die() hands every registered waiter its error
+                self.core.die(&format!("write failed: {e}"));
             }
-            Mode::V1 { io } => lines.iter().map(|line| self.request_v1(io, line)).collect(),
         }
+        waiters
+            .into_iter()
+            .map(|w| w.and_then(|(tag, rx)| self.wait_for(tag, rx, self.read_timeout)))
+            .collect()
     }
 
     /// `SCORE h r t` → the served (bit-exact) score of one triple.
@@ -319,18 +270,19 @@ impl Session {
         self.request("HEALTH")
     }
 
-    fn submit_v2(
-        &self,
-        writer: &Mutex<TcpStream>,
-        next_tag: &AtomicU64,
-        line: &str,
-    ) -> Result<(u64, mpsc::Receiver<Result<String, ClientError>>), ClientError> {
+    /// Claim a tag and register its waiter, unless the session is dead.
+    fn register(&self) -> Result<(u64, Waiter), ClientError> {
         if self.core.is_dead() {
             return Err(self.core.closed_error());
         }
-        let tag = next_tag.fetch_add(1, Ordering::Relaxed);
+        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::sync_channel(1);
         self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
+        Ok((tag, rx))
+    }
+
+    fn submit(&self, line: &str) -> Result<(u64, Waiter), ClientError> {
+        let (tag, rx) = self.register()?;
         // the reader may have died between the liveness check and the
         // insert; its drain has already run, so clean up our own slot
         if self.core.is_dead() {
@@ -341,7 +293,7 @@ impl Session {
             return Ok((tag, rx));
         }
         {
-            let mut w = writer.lock().expect("session writer lock");
+            let mut w = self.writer.lock().expect("session writer lock");
             if let Err(e) = w.write_all(format!("ID {tag} {line}\n").as_bytes()) {
                 self.core.inflight.lock().expect("session inflight lock").remove(&tag);
                 self.core.die(&format!("write failed: {e}"));
@@ -351,20 +303,7 @@ impl Session {
         Ok((tag, rx))
     }
 
-    fn wait_v2(
-        &self,
-        tag: u64,
-        rx: mpsc::Receiver<Result<String, ClientError>>,
-    ) -> Result<String, ClientError> {
-        self.wait_v2_for(tag, rx, self.read_timeout)
-    }
-
-    fn wait_v2_for(
-        &self,
-        tag: u64,
-        rx: mpsc::Receiver<Result<String, ClientError>>,
-        timeout: Duration,
-    ) -> Result<String, ClientError> {
+    fn wait_for(&self, tag: u64, rx: Waiter, timeout: Duration) -> Result<String, ClientError> {
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -385,56 +324,23 @@ impl Session {
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.core.closed_error()),
         }
     }
-
-    fn request_v1(&self, io: &Mutex<V1Io>, line: &str) -> Result<String, ClientError> {
-        if self.core.is_dead() {
-            return Err(self.core.closed_error());
-        }
-        let mut io = io.lock().expect("session v1 io lock");
-        if self.core.is_dead() {
-            return Err(self.core.closed_error());
-        }
-        if let Err(e) = io.writer.write_all(format!("{line}\n").as_bytes()) {
-            self.core.die(&format!("write failed: {e}"));
-            return Err(ClientError::Io(e));
-        }
-        match read_frame(&mut io.reader) {
-            Ok(frame) => classify_response(&frame),
-            Err(e) => {
-                // the response was lost (or is late): without tags the
-                // stream cannot be resynchronised, so the session is done
-                self.core.die(&format!("v1 response lost: {e}"));
-                Err(e)
-            }
-        }
-    }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.core.die("session dropped");
-        match &mut self.mode {
-            Mode::V2 { writer, reader, .. } => {
-                // unblock the reader's read_line immediately, then join it
-                if let Ok(w) = writer.get_mut() {
-                    let _ = w.shutdown(Shutdown::Both);
-                }
-                if let Some(handle) = reader.take() {
-                    let _ = handle.join();
-                }
-            }
-            Mode::V1 { io } => {
-                if let Ok(io) = io.get_mut() {
-                    let _ = io.writer.shutdown(Shutdown::Both);
-                }
-            }
+        // unblock the reader's read_line immediately, then join it
+        if let Ok(w) = self.writer.get_mut() {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+        if let Some(handle) = self.reader.take() {
+            let _ = handle.join();
         }
     }
 }
 
 /// Read one complete `\n`-terminated frame. A line without its newline is
-/// damage ([`ClientError::TruncatedResponse`]), exactly as in the one-shot
-/// path.
+/// damage ([`ClientError::TruncatedResponse`]).
 fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
     let mut line = String::new();
     match reader.read_line(&mut line) {
@@ -450,9 +356,9 @@ fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> 
     }
 }
 
-/// Split a v2 response line `ID <tag> <frame...>` into tag and frame.
-/// Returns `None` for untagged lines (which are session-fatal on a v2
-/// stream — the server only answers untagged when it cannot attribute).
+/// Split a response line `ID <tag> <frame...>` into tag and frame. Returns
+/// `None` for untagged lines (which are session-fatal — the server only
+/// answers untagged when it cannot attribute).
 fn parse_tagged_response(line: &str) -> Option<(u64, &str)> {
     let rest = line.strip_prefix("ID")?;
     if !rest.starts_with(|c: char| c.is_ascii_whitespace()) {
@@ -464,7 +370,7 @@ fn parse_tagged_response(line: &str) -> Option<(u64, &str)> {
     Some((tag, frame.trim_start()))
 }
 
-/// The v2 demultiplexer: one thread per session, routing tagged response
+/// The demultiplexer: one thread per session, routing tagged response
 /// lines into their waiters' channels, and converting every transport
 /// failure into one `die()` that resolves all in-flight requests.
 fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
@@ -528,8 +434,7 @@ fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
 /// sessions and discards dead ones.
 ///
 /// For most callers one shared `Session` is enough (it pipelines); the pool
-/// is for callers that want bounded head-of-line sharing or v1-fallback
-/// endpoints (where a session serializes requests).
+/// is for callers that want bounded head-of-line sharing.
 #[derive(Debug)]
 pub struct ClientPool {
     addr: SocketAddr,
@@ -685,26 +590,6 @@ mod tests {
         (addr, handle)
     }
 
-    /// A plain v1 server that answers `OK echo:<line>` to everything —
-    /// including the `PROTO 2` probe, which forces the fallback path.
-    fn v1_echo_server() -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (conn, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut conn = conn;
-            let mut line = String::new();
-            while reader.read_line(&mut line).map(|n| n > 0).unwrap_or(false) {
-                if writeln!(conn, "OK echo:{}", line.trim_end()).is_err() {
-                    return;
-                }
-                line.clear();
-            }
-        });
-        (addr, handle)
-    }
-
     #[test]
     fn tagged_response_parsing() {
         assert_eq!(parse_tagged_response("ID 7 OK pong"), Some((7, "OK pong")));
@@ -745,7 +630,6 @@ mod tests {
         });
 
         let session = Arc::new(Session::connect(addr, &cfg()).unwrap());
-        assert_eq!(session.proto_version(), 2);
         let results = session.request_many(&["PING", "HEALTH"]);
         assert_eq!(results[0].as_deref().unwrap(), "reply-to:PING");
         assert_eq!(results[1].as_deref().unwrap(), "reply-to:HEALTH");
@@ -753,16 +637,56 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A server that answers the `PROTO 2` probe with `hello` and hangs up.
+    fn hello_server(hello: &'static str) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            let mut conn = conn;
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line.trim_end(), "PROTO 2");
+            writeln!(conn, "{hello}").unwrap();
+        });
+        (addr, handle)
+    }
+
     #[test]
-    fn v1_fallback_keeps_the_connection_and_serializes() {
-        let (addr, server) = v1_echo_server();
-        let session = Session::connect(addr, &cfg()).unwrap();
-        assert_eq!(session.proto_version(), 1, "echo server does not negotiate v2");
-        assert!(session.is_alive());
-        assert_eq!(session.request("PING").unwrap(), "echo:PING");
-        assert_eq!(session.request("HEALTH").unwrap(), "echo:HEALTH");
-        drop(session);
+    fn a_handshake_answer_other_than_the_hello_fails_connect_with_its_classification() {
+        // what a server at its connection cap writes at accept time: typed
+        // and retryable, not a session whose first request dies
+        let (addr, server) = hello_server("ERR too many connections");
+        let err = Session::connect(addr, &cfg()).unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Server { message, transient: true }
+                if message == "too many connections"),
+            "{err}"
+        );
+        assert!(err.is_retryable());
         server.join().unwrap();
+        // a definitive rejection stays fatal, and a stray `OK` is not a hello
+        let (addr, server) = hello_server("ERR bad request: unknown command \"PROTO\"");
+        let err = Session::connect(addr, &cfg()).unwrap_err();
+        assert!(matches!(err, ClientError::Server { transient: false, .. }), "{err}");
+        server.join().unwrap();
+        let (addr, server) = hello_server("OK pong");
+        let err = Session::connect(addr, &cfg()).unwrap_err();
+        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn connect_refused_is_a_retryable_connect_error() {
+        // bind then drop: the port is (momentarily) nobody's → refused
+        let addr = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let err = Session::connect(addr, &ClientConfig::default()).unwrap_err();
+        assert!(matches!(err, ClientError::Connect(_)), "{err}");
+        assert!(err.is_retryable());
     }
 
     #[test]

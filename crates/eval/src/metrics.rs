@@ -11,9 +11,7 @@ pub fn average_precision(scored: &[(f32, bool)]) -> f64 {
     }
     let mut sorted: Vec<(f32, bool)> = scored.to_vec();
     // descending by score; among ties, negatives first (pessimistic)
-    sorted.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-    });
+    sorted.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut hits = 0usize;
     let mut ap = 0.0f64;
     for (k, (_, label)) in sorted.iter().enumerate() {
@@ -80,6 +78,15 @@ mod tests {
         let scored = vec![(0.5, true), (0.5, false), (0.5, false)];
         // ordering: -, -, + -> AP = 1/3
         assert!((average_precision(&scored) - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ap_orders_nan_scores_totally_instead_of_inconsistently() {
+        // `total_cmp` puts a positive NaN above every number: a diverged
+        // model's NaN-scored negatives push the positive down, deterministically
+        let scored: Vec<(f32, bool)> =
+            (0..40).map(|i| (if i % 2 == 0 { f32::NAN } else { i as f32 }, i == 39)).collect();
+        assert!((average_precision(&scored) - 1.0 / 21.0).abs() < 1e-12);
     }
 
     #[test]

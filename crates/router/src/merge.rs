@@ -7,14 +7,17 @@
 //!    change its score.
 //! 2. [`shard_slices`] partitions the candidate list into disjoint,
 //!    covering, contiguous slices — every candidate is scored exactly once.
-//! 3. [`merge_ranked`] orders `(entity, score)` pairs with **the same
-//!    comparator** the serving engine's `RANK` uses (descending score, ties
-//!    toward the smaller entity id) and truncates to `k`.
+//! 3. [`merge_ranked`] orders `(entity, score)` pairs with **the
+//!    comparator** the serving engine's `RANK` uses — the same function, not
+//!    a copy (descending score, ties toward the smaller entity id) — and
+//!    truncates to `k`.
 //!
 //! Therefore the merged top-k over any set of scored slices is bit-identical
 //! to ranking the union of those slices in one place. When a shard is lost,
 //! the merge over the survivors is exactly the offline ranking of the
 //! surviving candidate subset — no wrong entries, no duplicates.
+
+use rmpi_serve::rank_top_k;
 
 /// Split `candidates` into `n` contiguous slices whose lengths differ by at
 /// most one (the first `len % n` slices carry the extra element). Slices are
@@ -34,18 +37,13 @@ pub fn shard_slices(candidates: &[u32], n: usize) -> Vec<&[u32]> {
     out
 }
 
-/// Order `(entity, score)` pairs best-first and truncate to `k`, with the
-/// exact comparator of the serving engine's `RANK`: descending score,
-/// ties broken toward the smaller entity id. `NaN` scores are dropped
-/// before sorting: the engine never serves them, so a `NaN` can only be a
-/// damaged shard reply — and it must be *removed* rather than compared,
-/// because no placement of `NaN` yields a total order under the engine's
-/// comparator, and an inconsistent comparator can panic `sort_by`.
-pub fn merge_ranked(mut entries: Vec<(u32, f32)>, k: usize) -> Vec<(u32, f32)> {
-    entries.retain(|&(_, score)| !score.is_nan());
-    entries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN filtered above").then(a.0.cmp(&b.0)));
-    entries.truncate(k);
-    entries
+/// Order `(entity, score)` pairs best-first and truncate to `k` — a call to
+/// the serving engine's own [`rank_top_k`], so the merge cannot drift from
+/// a replica's `RANK`: `NaN` scores (which the engine never serves, so they
+/// can only be a damaged shard reply) are dropped, then descending score
+/// under `f32::total_cmp`, ties toward the smaller entity id.
+pub fn merge_ranked(entries: Vec<(u32, f32)>, k: usize) -> Vec<(u32, f32)> {
+    rank_top_k(entries, k)
 }
 
 #[cfg(test)]
@@ -98,6 +96,36 @@ mod tests {
         ];
         let merged = merge_ranked(entries, usize::MAX);
         assert_eq!(merged, vec![(1, 1.5), (4, 1.5), (3, -0.5), (6, f32::NEG_INFINITY)]);
+    }
+
+    /// The router's merge and the engine's `RANK` are one comparator: over
+    /// `NaN`, signed zeros and infinities both produce the same total order.
+    #[test]
+    fn merge_agrees_with_the_engine_comparator_on_nan_signed_zero_and_infinities() {
+        use rmpi_kg::EntityId;
+        let scores =
+            [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5, -f32::NAN, 0.0, 1.5];
+        let entries: Vec<(u32, f32)> = (0u32..).zip(scores).collect();
+        let merged = merge_ranked(entries.clone(), usize::MAX);
+        let bits = |ranked: &[(u32, f32)]| -> Vec<(u32, u32)> {
+            ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+        };
+        // +0.0 ranks above -0.0 (`total_cmp`), equal scores by ascending id
+        let expected = [
+            (3, f32::INFINITY),
+            (5, 1.5),
+            (8, 1.5),
+            (1, 0.0),
+            (7, 0.0),
+            (2, -0.0),
+            (4, f32::NEG_INFINITY),
+        ];
+        assert_eq!(bits(&merged), bits(&expected));
+        let engine_side =
+            rank_top_k(entries.iter().map(|&(e, s)| (EntityId(e), s)).collect(), usize::MAX);
+        let engine_side: Vec<(u32, f32)> = engine_side.into_iter().map(|(e, s)| (e.0, s)).collect();
+        assert_eq!(bits(&engine_side), bits(&merged));
+        assert_eq!(bits(&merge_ranked(entries, 3)), bits(&expected[..3]));
     }
 
     #[test]

@@ -152,8 +152,6 @@ pub enum RouterError {
     },
     /// Even under [`PartialPolicy::Partial`] nothing answered.
     NoCoverage,
-    /// A malformed request reached the router front end.
-    BadRequest(String),
 }
 
 impl std::fmt::Display for RouterError {
@@ -166,7 +164,6 @@ impl std::fmt::Display for RouterError {
                 write!(f, "shards lost mid-rank: {lost}/{total} ({last})")
             }
             RouterError::NoCoverage => write!(f, "no shard answered"),
-            RouterError::BadRequest(msg) => write!(f, "bad request: {msg}"),
         }
     }
 }
@@ -623,7 +620,6 @@ mod tests {
         assert_eq!(RouterError::DeadlineExpired.to_string(), "deadline expired");
         let e = RouterError::ShardsLost { lost: 1, total: 3, last: "connect: refused".into() };
         assert!(e.to_string().contains("1/3"), "{e}");
-        assert!(RouterError::BadRequest("nope".into()).to_string().starts_with("bad request:"));
     }
 
     #[test]

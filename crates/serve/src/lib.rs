@@ -12,12 +12,15 @@
 //!   `rank_tails` queries through a seeded LRU cache of extracted subgraphs,
 //!   sharding batches across an `rmpi-runtime` thread pool. Served scores
 //!   are bit-identical to offline `RmpiModel::score` with the same seed.
-//! - [`server`]: a dependency-free TCP front end speaking a line-delimited
-//!   protocol ([`protocol`]), with a bounded queue (backpressure via
-//!   `ERR server overloaded`), per-request deadlines, graceful shutdown, and
-//!   hardened connection handling — bounded request lines ([`lineio`]),
+//! - [`lineserver`]: the one dependency-free TCP connection loop, speaking a
+//!   line-delimited protocol ([`protocol`]) on behalf of a [`Handler`]:
+//!   bounded queue (backpressure via `ERR server overloaded`), per-request
+//!   deadlines, prompt shutdown, per-line panic isolation and hardened
+//!   connection handling — bounded request lines ([`lineio`]), `TCP_NODELAY`,
 //!   read/write socket timeouts, idle-connection reaping and a
-//!   concurrent-connection cap.
+//!   concurrent-connection cap. [`server`] instantiates it over an
+//!   [`Engine`] behind the cross-connection micro-batcher ([`batcher`]);
+//!   `rmpi-router` instantiates it over its scatter-gather core.
 //!
 //! Throughput, latency and cache-hit metrics are registry-backed
 //! ([`ServeStats`] holds `rmpi-obs` counter/histogram handles): the legacy
@@ -39,6 +42,7 @@ pub mod bundledir;
 pub mod engine;
 pub mod error;
 pub mod lineio;
+pub mod lineserver;
 pub mod protocol;
 pub mod server;
 pub mod stats;
@@ -47,9 +51,13 @@ pub use batcher::{BatchConfig, Batcher};
 pub use bundle::{load_bundle, load_bundle_file, save_bundle, save_bundle_file, Bundle};
 pub use bundledir::{load_bundle_dir, save_bundle_dir, scrub_bundle_dir, DIR_MANIFEST_NAME};
 pub use engine::{
-    BatchItem, BatchOutcome, Engine, EngineConfig, GraphBackend, ModelSnapshot, SCORE_FAILPOINT,
+    rank_top_k, BatchItem, BatchOutcome, Engine, EngineConfig, GraphBackend, ModelSnapshot,
+    SCORE_FAILPOINT,
 };
 pub use error::ServeError;
+pub use lineserver::{
+    serve_lines, Answer, Call, Handler, LineStats, Reply, ServerConfig, ServerHandle,
+};
 pub use protocol::{parse_request, parse_tagged, Request};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use server::serve;
 pub use stats::ServeStats;

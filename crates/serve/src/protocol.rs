@@ -17,12 +17,12 @@
 //! ```
 //!
 //! `SCORE` accepts any number of triples on one line — that is the batched
-//! entry point: the server hands the whole batch to
-//! [`crate::Engine::score_batch`], which shards it across the worker pool.
-//! Scores are formatted with Rust's shortest-round-trip `f32` formatting, so
-//! a client parsing them back gets the bit-exact served value.
+//! entry point: the whole line becomes one item of a micro-batch
+//! ([`crate::batcher`]). Scores are formatted with Rust's
+//! shortest-round-trip `f32` formatting, so a client parsing them back gets
+//! the bit-exact served value.
 //!
-//! # Protocol v2: pipelined, tagged exchanges
+//! # Framing: v1 and v2
 //!
 //! A connection starts in v1: strictly one in-order response per request
 //! line. Sending `PROTO 2` (answered `OK proto=2`) switches the connection
@@ -41,9 +41,15 @@
 //! Tags are opaque `u64`s echoed verbatim; uniqueness among a connection's
 //! in-flight requests is the client's job (the server never interprets
 //! them). [`parse_tagged`] / [`format_tagged`] implement the framing.
+//!
+//! In either framing a request may start with `DEADLINE <ms>`, the caller's
+//! remaining end-to-end budget ([`split_deadline`]): routers decrement it
+//! hop by hop, the micro-batcher flushes early for it and sheds the request
+//! once it has expired.
 
 use crate::error::ServeError;
 use rmpi_kg::{EntityId, RelationId, Triple};
+use std::time::Duration;
 
 /// A parsed protocol request.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -199,6 +205,43 @@ pub fn format_tagged(tag: u64, response: &str) -> String {
     format!("ID {tag} {response}")
 }
 
+/// Split an optional `DEADLINE <ms> ` prefix off a request line. The hint is
+/// advisory budget propagation: a missing or malformed hint leaves the line
+/// untouched, so the normal parser reports malformed requests.
+pub fn split_deadline(line: &str) -> (Option<Duration>, &str) {
+    let Some(rest) = line.strip_prefix("DEADLINE") else {
+        return (None, line);
+    };
+    if !rest.starts_with(|c: char| c.is_ascii_whitespace()) {
+        return (None, line);
+    }
+    let rest = rest.trim_start();
+    let Some((ms, tail)) = rest.split_once(|c: char| c.is_ascii_whitespace()) else {
+        return (None, line);
+    };
+    match ms.parse::<u64>() {
+        Ok(ms) => (Some(Duration::from_millis(ms)), tail.trim_start()),
+        Err(_) => (None, line),
+    }
+}
+
+/// The metric label for a request line's verb (`<front end>.wire.<verb>.us`).
+/// Unknown or malformed commands share one `other` histogram so hostile
+/// input cannot grow the registry unboundedly.
+pub fn wire_verb(line: &str) -> &'static str {
+    match line.split_whitespace().next() {
+        Some("PING") => "ping",
+        Some("SCORE") => "score",
+        Some("RANK") => "rank",
+        Some("STATS") => "stats",
+        Some("METRICS") => "metrics",
+        Some("HEALTH") => "health",
+        Some("RELOAD") => "reload",
+        Some("PROTO") => "proto",
+        _ => "other",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +323,19 @@ mod tests {
         assert_eq!(parse_tagged("  ID  42  PING ").unwrap(), (42, "PING"));
         assert_eq!(parse_tagged(&format!("ID {} PING", u64::MAX)).unwrap(), (u64::MAX, "PING"));
         assert_eq!(format_tagged(7, "OK pong"), "ID 7 OK pong");
+    }
+
+    #[test]
+    fn deadline_prefix_parsing() {
+        let (budget, rest) = split_deadline("DEADLINE 40 SCORE 0 1 2");
+        assert_eq!(budget, Some(Duration::from_millis(40)));
+        assert_eq!(rest, "SCORE 0 1 2");
+        // no hint, malformed hint, or a hint with nothing after it: the
+        // line passes through untouched for the normal parser to judge
+        assert_eq!(split_deadline("SCORE 0 1 2"), (None, "SCORE 0 1 2"));
+        assert_eq!(split_deadline("DEADLINE x SCORE 0"), (None, "DEADLINE x SCORE 0"));
+        assert_eq!(split_deadline("DEADLINE 40"), (None, "DEADLINE 40"));
+        assert_eq!(split_deadline("DEADLINES 1 2"), (None, "DEADLINES 1 2"));
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! through the shared [`rmpi_obs::json`] writer.
 
 use rmpi_obs::json::JsonObject;
-use rmpi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use rmpi_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Counters and histograms shared by the engine and the TCP front end.
-/// Clones share the same underlying storage.
+/// Counters and histograms shared by the engine and the TCP front end. The
+/// front end's counters are the line server's own
+/// ([`crate::lineserver::LineStats`] under the `serve` prefix); the ones the
+/// legacy `STATS` payload reports are mirrored here by name. Clones share
+/// the same underlying storage.
 #[derive(Clone, Debug)]
 pub struct ServeStats {
     registry: Arc<MetricsRegistry>,
@@ -53,19 +56,10 @@ pub struct ServeStats {
     /// `serve.rejected_conn_limit.count` — connections shed at the
     /// concurrent-connection cap.
     pub rejected_conn_limit: Counter,
-    /// `serve.sock_config_failures.count` — accepted sockets dropped because
-    /// their read/write timeouts could not be set (serving an unbounded
-    /// socket is worse than shedding the connection).
-    pub sock_config_failures: Counter,
     /// `serve.score.us` — per-call scoring latency (`score`/`score_batch`).
     pub score_latency: Histogram,
     /// `serve.rank.us` — per-call ranking latency.
     pub rank_latency: Histogram,
-    /// `serve.queue_wait.us` — time jobs sat in the connection queue.
-    pub queue_wait: Histogram,
-    /// `serve.queue_depth.count` — connection-queue depth after the last
-    /// enqueue/dequeue.
-    pub queue_depth: Gauge,
 }
 
 impl ServeStats {
@@ -93,11 +87,8 @@ impl ServeStats {
             rejected_overlong: registry.counter("serve.rejected_overlong.count"),
             idle_closed: registry.counter("serve.idle_closed.count"),
             rejected_conn_limit: registry.counter("serve.rejected_conn_limit.count"),
-            sock_config_failures: registry.counter("serve.sock_config_failures.count"),
             score_latency: registry.histogram("serve.score.us"),
             rank_latency: registry.histogram("serve.rank.us"),
-            queue_wait: registry.histogram("serve.queue_wait.us"),
-            queue_depth: registry.gauge("serve.queue_depth.count"),
             registry,
         }
     }
@@ -105,11 +96,6 @@ impl ServeStats {
     /// The registry these handles record into.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Per-verb wire latency histogram: `serve.wire.<verb>.us`.
-    pub fn wire_latency(&self, verb: &str) -> Histogram {
-        self.registry.histogram(&format!("serve.wire.{verb}.us"))
     }
 
     /// Record one `score`/`score_batch` engine call that scored `scored`
@@ -252,13 +238,5 @@ mod tests {
         let dump = s.registry().to_json();
         assert!(dump.contains("\"serve.wire_requests.count\": 1"), "{dump}");
         assert!(dump.contains("\"serve.score.us\""), "{dump}");
-    }
-
-    #[test]
-    fn per_verb_wire_histograms_register_on_demand() {
-        let s = fresh();
-        s.wire_latency("ping").record(7);
-        assert!(s.registry().contains("serve.wire.ping.us"));
-        assert_eq!(s.wire_latency("ping").count(), 1);
     }
 }

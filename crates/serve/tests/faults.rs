@@ -3,12 +3,15 @@
 //!
 //! Every test holds `failpoint::exclusive()` for its whole body — some arm
 //! global failpoints and the others drive concurrent scoring that must not
-//! observe them.
+//! observe them. Tests that arm the scoring failpoint live here and not
+//! among the crate's unit tests for the same reason: failpoints are
+//! process-wide, and the unit tests score without taking the lock.
 
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_kg::{KnowledgeGraph, Triple};
 use rmpi_serve::{
-    load_bundle_file, save_bundle_file, serve, Engine, EngineConfig, ServerConfig, SCORE_FAILPOINT,
+    load_bundle_file, save_bundle_file, serve, BatchItem, Engine, EngineConfig, ServeError,
+    ServerConfig, SCORE_FAILPOINT,
 };
 use rmpi_testutil::failpoint::{self, Action};
 use std::io::{BufRead, BufReader, Write};
@@ -46,6 +49,16 @@ fn engine_for_bundle(path: &Path) -> Engine {
         bundle.model,
         toy_graph(),
         EngineConfig { seed: 9, cache_capacity: 64, threads: 2 },
+        Arc::new(rmpi_obs::MetricsRegistry::new()),
+    )
+}
+
+/// An engine over the toy graph with counters of its own.
+fn toy_engine() -> Engine {
+    Engine::with_registry(
+        model(0),
+        toy_graph(),
+        EngineConfig { seed: 9, cache_capacity: 8, threads: 2 },
         Arc::new(rmpi_obs::MetricsRegistry::new()),
     )
 }
@@ -241,4 +254,44 @@ fn wire_request_panic_answers_err_internal_and_connection_survives() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn run_batch_panic_fails_every_item_but_not_the_engine() {
+    let _lock = failpoint::exclusive();
+    let engine = toy_engine();
+    let items = vec![
+        BatchItem::Score(vec![PROBES[0]]),
+        BatchItem::Rank { head: PROBES[0].head, relation: PROBES[0].relation, k: 2 },
+    ];
+    failpoint::arm(SCORE_FAILPOINT, Action::Panic("flush blew up".into()));
+    let out = engine.run_batch(&items);
+    failpoint::disarm_all();
+    assert!(out.iter().all(|r| matches!(r, Err(ServeError::Internal(_)))), "{out:?}");
+    // the engine and pool survive the poisoned flush
+    let healthy = engine.run_batch(&items);
+    assert!(healthy.iter().all(|r| r.is_ok()), "{healthy:?}");
+}
+
+#[test]
+fn injected_score_panic_is_an_internal_error_not_a_crash() {
+    let _lock = failpoint::exclusive();
+    let engine = toy_engine();
+    let t = PROBES[0];
+
+    failpoint::arm(SCORE_FAILPOINT, Action::Panic("score blew up".into()));
+    let err = engine.score(t).unwrap_err();
+    assert!(matches!(err, ServeError::Internal(_)), "{err}");
+    assert!(err.to_string().contains("score blew up"), "{err}");
+
+    failpoint::arm(SCORE_FAILPOINT, Action::Panic("batch blew up".into()));
+    let err = engine.score_batch(&[t]).unwrap_err();
+    assert!(matches!(err, ServeError::Internal(_)), "{err}");
+    failpoint::disarm_all();
+
+    assert_eq!(engine.stats().internal_errors.get(), 2);
+    // the engine (and its pool) keep working after both panics
+    let healthy = engine.score(t).unwrap();
+    assert!(healthy.is_finite());
+    assert_eq!(engine.score_batch(&[t]).unwrap(), vec![healthy]);
 }

@@ -113,10 +113,6 @@ fn main() {
     for (i, score) in scores.iter().enumerate() {
         assert_eq!(score.to_bits(), reference[i].to_bits(), "pipelined score must match");
     }
-    println!(
-        "pipelined burst: {} scores over one proto v{} connection",
-        scores.len(),
-        session.proto_version()
-    );
+    println!("pipelined burst: {} scores over one connection", scores.len());
     replica_b.shutdown();
 }

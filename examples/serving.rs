@@ -89,12 +89,7 @@ fn main() {
     for (served, direct) in scores.iter().zip(&reference) {
         assert_eq!(served.to_bits(), direct.to_bits(), "wire scores must match the engine");
     }
-    println!(
-        "wire: {} pipelined scores over one proto v{} connection at {}",
-        scores.len(),
-        session.proto_version(),
-        server.addr()
-    );
+    println!("wire: {} pipelined scores over one connection at {}", scores.len(), server.addr());
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }

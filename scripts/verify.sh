@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== benchmark: rmpi_perf compiles against the libraries, wiring + BENCHMARK.json tests =="
+cargo test -q -p rmpi-bench --bin rmpi_perf
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -74,9 +77,6 @@ cargo test -q -p rmpi-client --lib
 echo "== chaos soak: faulty replicas, pipelined sessions, mid-pipeline cuts, zero wrong scores =="
 cargo test -q -p rmpi-client --test soak
 
-echo "== edge load smoke: oneshot vs session vs pipelined, micro-batcher coalescing evidence =="
-cargo run --release -q -p rmpi-bench --bin bench_load -- --smoke >/dev/null
-
 echo "== observability: instrumented train + serve + resilience counters, present and nonzero =="
 cargo test -q --test observability
 
@@ -89,7 +89,7 @@ cargo run --release -q -p rmpi-bench --bin bench_chaos -- --requests 30 --rates 
 echo "== disk-fault smoke: retried transients, checksum-caught bit flips, degraded mode =="
 cargo run --release -q -p rmpi-bench --bin bench_diskfault -- --smoke >/dev/null
 
-echo "== router chaos: shard kill mid-rank -> bit-identical partial top-k, hedging, fail policy =="
+echo "== router: chaos (shard kill mid-rank -> bit-identical partial top-k, hedging), front-end conformance =="
 cargo test -q -p rmpi-router
 
 echo "== router smoke: availability + rank coverage vs single-shard fault rate, standby rescue =="

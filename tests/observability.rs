@@ -175,80 +175,73 @@ fn hardening_and_retry_layers_populate_the_resilience_counters() {
     };
 
     // --- server hardening counters ----------------------------------------
+    // the connection cap: one held connection, then a second that must be
+    // shed with `ERR too many connections`. The idle timeout is long so the
+    // held connection cannot be reaped (and its slot freed) mid-phase, and
+    // the round trip proves it is admitted before the second one arrives.
+    let mut capped = serve(
+        engine(),
+        ServerConfig {
+            max_connections: 1,
+            idle_timeout: Duration::from_secs(60),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("capped server");
+    let base = registry.counter("serve.rejected_conn_limit.count").get();
+    let mut held = TcpStream::connect(capped.addr()).expect("held connection");
+    let mut held_reader = BufReader::new(held.try_clone().expect("clone"));
+    assert_eq!(query(&mut held, &mut held_reader, "PING"), "OK pong");
+    let shed = TcpStream::connect(capped.addr()).expect("shed connection");
+    let mut line = String::new();
+    BufReader::new(shed).read_line(&mut line).expect("read the shed answer");
+    assert_eq!(line.trim_end(), "ERR too many connections");
+    assert!(await_counter("serve.rejected_conn_limit.count", base + 1) > base);
+    capped.shutdown();
+
+    // no cap from here on, so neither of the next two connections can be shed
     let mut hardened = serve(
         engine(),
         ServerConfig {
-            workers: 2,
             max_line_len: 64,
             idle_timeout: Duration::from_millis(150),
-            max_connections: 1,
             ..ServerConfig::default()
         },
     )
     .expect("hardened server");
 
-    // the connection cap: one held connection, then a second that must be
-    // shed with `ERR too many connections`
-    let base = registry.counter("serve.rejected_conn_limit.count").get();
-    let held = TcpStream::connect(hardened.addr()).expect("held connection");
-    let mut rejections = 0;
-    while rejections == 0 {
-        let shed = TcpStream::connect(hardened.addr()).expect("shed connection");
-        let mut line = String::new();
-        // the held connection races its way from the accept queue to a
-        // worker; until it counts as active, extra connections are admitted
-        // (and closed unanswered when dropped) rather than shed
-        if BufReader::new(shed).read_line(&mut line).unwrap_or(0) > 0 {
-            assert_eq!(line.trim_end(), "ERR too many connections");
-            rejections += 1;
-        }
-    }
-    assert!(await_counter("serve.rejected_conn_limit.count", base + 1) > base);
-    drop(held);
-
-    // an overlong request line: rejected, counted, connection closed (the
-    // dropped held connection releases its slot asynchronously, so a few
-    // early attempts may still be shed by the cap — retry those)
+    // an overlong request line: rejected, counted, connection closed. One
+    // write, newline included: the server has read every byte we sent when
+    // it closes, so the close cannot turn into a reset that eats the answer.
     let base = registry.counter("serve.rejected_overlong.count").get();
-    let response = loop {
-        let mut stream = TcpStream::connect(hardened.addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        stream.write_all(&[b'A'; 200]).expect("send overlong");
-        stream.write_all(b"\n").expect("send newline");
-        let mut response = String::new();
-        BufReader::new(stream).read_line(&mut response).expect("read rejection");
-        if response.trim_end() != "ERR too many connections" {
-            break response;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let mut stream = TcpStream::connect(hardened.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut overlong = vec![b'A'; 200];
+    overlong.push(b'\n');
+    stream.write_all(&overlong).expect("send overlong");
+    let mut response = String::new();
+    BufReader::new(stream).read_line(&mut response).expect("read rejection");
     assert_eq!(response.trim_end(), "ERR request too long (over 64 bytes)");
     assert!(await_counter("serve.rejected_overlong.count", base + 1) > base);
 
     // an idle connection: reaped by the read timeout, counted, EOF for us
-    // (a shed connection is told `ERR too many connections` first; an
-    // admitted-then-reaped one sees EOF with no bytes at all)
     let base = registry.counter("serve.idle_closed.count").get();
-    loop {
-        let idle = TcpStream::connect(hardened.addr()).expect("idle connection");
-        idle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let mut buf = [0u8; 64];
-        if (&idle).read(&mut buf).expect("read on idle connection") == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let idle = TcpStream::connect(hardened.addr()).expect("idle connection");
+    idle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut buf = [0u8; 64];
+    assert_eq!((&idle).read(&mut buf).expect("read on idle connection"), 0);
     assert!(await_counter("serve.idle_closed.count", base + 1) > base);
     hardened.shutdown();
 
     // --- client retry-layer counters ---------------------------------------
-    // a dead endpoint (bound then dropped: connections are refused) first in
-    // the list, a live replica second: the first request must retry, fail
-    // over, and trip the dead endpoint's breaker — one event on each counter
-    let dead = {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.local_addr().expect("addr")
-    };
+    // a dead endpoint first in the list, a live replica second: the first
+    // request must retry, fail over, and trip the dead endpoint's breaker —
+    // one event on each counter. The dead address is the local end of a
+    // connected socket: nothing listens there, so connections are refused,
+    // and no concurrently running test can bind it while `occupant` lives.
+    let parked = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let occupant = TcpStream::connect(parked.local_addr().expect("addr")).expect("occupy");
+    let dead = occupant.local_addr().expect("addr");
     let mut live = serve(engine(), ServerConfig::default()).expect("live server");
     let (retries, failovers, trips) = (
         registry.counter("client.retries.count").get(),
@@ -291,4 +284,5 @@ fn hardening_and_retry_layers_populate_the_resilience_counters() {
         assert!(dump.contains(&format!("\"{name}\"")), "dump lost {name}");
     }
     live.shutdown();
+    drop(occupant);
 }
