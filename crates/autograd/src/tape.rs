@@ -17,7 +17,9 @@
 //! corresponding gradient summed on the way back. That is the only broadcast
 //! the models need (scalar gates and attention weights).
 
+use crate::counters;
 use crate::grad::GradBuffer;
+use crate::kernels::dot_chunked;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -35,6 +37,7 @@ enum Op {
     Scale(Var, f32),
     AddScalar(Var),
     MatMul(Var, Var),
+    MatMulNt(Var, Var),
     MatVec(Var, Var),
     VecMat(Var, Var),
     Dot(Var, Var),
@@ -43,6 +46,8 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Softmax(Var),
+    SegmentSoftmax { logits: Var, members: Vec<usize>, offsets: Vec<usize> },
+    SegmentSum { rows: Var, weights: Option<Var>, members: Vec<usize>, offsets: Vec<usize> },
     Sum(Var),
     Mean(Var),
     Concat(Vec<Var>),
@@ -168,6 +173,17 @@ impl Tape {
         self.push(Op::MatMul(a, b), v)
     }
 
+    /// `a · bᵀ` with `b` stored un-transposed: `(m,k) x (n,k)ᵀ -> (m,n)`.
+    ///
+    /// Row `j` of the result is bit-identical to `matvec(b, a[j])`: both are
+    /// one [`dot_chunked`](crate::kernels) per element over the same two
+    /// contiguous rows, operands swapped — which is what lets a batch of
+    /// per-row `matvec`s collapse into one product without moving a score.
+    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
+        let v = self.value(a).matmul_nt(self.value(b));
+        self.push(Op::MatMulNt(a, b), v)
+    }
+
     /// Matrix-vector product `(m,k) x [k] -> [m]`.
     pub fn matvec(&mut self, a: Var, x: Var) -> Var {
         let v = self.value(a).matvec(self.value(x));
@@ -227,6 +243,86 @@ impl Tape {
         let z: f32 = exps.iter().sum();
         let v = Tensor::vector(exps.into_iter().map(|e| e / z).collect());
         self.push(Op::Softmax(a), v)
+    }
+
+    // ------------------------------------------------------------- segmented ops
+
+    /// [`Tape::softmax`] applied independently to each segment of a gathered
+    /// logit vector.
+    ///
+    /// Element `e` of the result (length `members.len()`) belongs to the
+    /// segment `s` with `offsets[s] <= e < offsets[s + 1]` and is the softmax,
+    /// over that segment, of `logits[members[e]]`. An index may repeat within
+    /// and across segments; empty segments contribute nothing. Each segment
+    /// runs the rank-1 softmax's exact arithmetic (max by fold, `exp(v − max)`,
+    /// left-fold normaliser, divide), so the values are bit-identical to
+    /// gathering the segment and calling [`Tape::softmax`] on it.
+    pub fn segment_softmax(&mut self, logits: Var, members: &[usize], offsets: &[usize]) -> Var {
+        let x = self.value(logits);
+        assert_eq!(x.shape().len(), 1, "segment_softmax requires rank-1 logits");
+        check_segments(members, offsets, x.len());
+        let x = x.data();
+        let mut out = vec![0.0f32; members.len()];
+        for seg in offsets.windows(2) {
+            let (idx, out) = (&members[seg[0]..seg[1]], &mut out[seg[0]..seg[1]]);
+            let max = idx.iter().map(|&i| x[i]).fold(f32::NEG_INFINITY, f32::max);
+            for (o, &i) in out.iter_mut().zip(idx) {
+                *o = (x[i] - max).exp();
+            }
+            let z: f32 = out.iter().sum();
+            for o in out.iter_mut() {
+                *o /= z;
+            }
+        }
+        let op =
+            Op::SegmentSoftmax { logits, members: members.to_vec(), offsets: offsets.to_vec() };
+        self.push(op, Tensor::vector(out))
+    }
+
+    /// Per-segment weighted row sum: row `s` of the `(segments, d)` result is
+    /// `Σ_e w[e] · rows[members[e]]` over `offsets[s] <= e < offsets[s + 1]`,
+    /// with `w` all ones when `weights` is `None`.
+    ///
+    /// Each segment accumulates from zero in member order and skips members
+    /// whose weight is exactly zero — [`Tape::vecmat`]'s arithmetic, so row
+    /// `s` is bit-identical to `vecmat(w[segment], stack(rows[members]))`. An
+    /// empty segment yields a zero row; a row index may repeat within and
+    /// across segments.
+    pub fn segment_sum(
+        &mut self,
+        rows: Var,
+        weights: Option<Var>,
+        members: &[usize],
+        offsets: &[usize],
+    ) -> Var {
+        let t = self.value(rows);
+        let d = t.cols();
+        check_segments(members, offsets, t.rows());
+        let w = weights.map(|w| self.value(w));
+        if let Some(w) = w {
+            assert_eq!(w.shape(), &[members.len()], "segment_sum needs one weight per member");
+        }
+        counters::record(
+            2 * (members.len() * d) as u64,
+            4 * (members.len() * (d + 1) + (offsets.len() - 1) * d) as u64,
+        );
+        let mut out = vec![0.0f32; (offsets.len() - 1) * d];
+        if d > 0 {
+            for (seg, acc) in offsets.windows(2).zip(out.chunks_exact_mut(d)) {
+                for (e, &m) in (seg[0]..).zip(&members[seg[0]..seg[1]]) {
+                    let a = w.map_or(1.0, |w| w.data()[e]);
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, b) in acc.iter_mut().zip(t.row(m)) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+        let op =
+            Op::SegmentSum { rows, weights, members: members.to_vec(), offsets: offsets.to_vec() };
+        self.push(op, Tensor::matrix(offsets.len() - 1, d, out))
     }
 
     // ----------------------------------------------------------------- reductions
@@ -392,6 +488,12 @@ impl Tape {
                     accumulate(&mut grads, *a, g.matmul_nt(vb));
                     accumulate(&mut grads, *b, va.matmul_tn(&g));
                 }
+                Op::MatMulNt(a, b) => {
+                    let (va, vb) = (self.value(*a), self.value(*b));
+                    // c = a·bᵀ: grad_a = g·b and grad_b = gᵀ·a
+                    accumulate(&mut grads, *a, g.matmul(vb));
+                    accumulate(&mut grads, *b, g.matmul_tn(va));
+                }
                 Op::MatVec(a, x) => {
                     let (va, vx) = (self.value(*a), self.value(*x));
                     // y = A x: dA_ij = g_i * x_j ; dx = A^T g
@@ -478,6 +580,54 @@ impl Tape {
                     let gd =
                         g.data().iter().zip(s.data()).map(|(&gi, &si)| si * (gi - inner)).collect();
                     accumulate(&mut grads, *a, Tensor::vector(gd));
+                }
+                Op::SegmentSoftmax { logits, members, offsets } => {
+                    // the rank-1 softmax rule per segment, scattered back to
+                    // the gathered positions
+                    let (s, g) = (node.value.data(), g.data());
+                    let mut t = Tensor::zeros(self.value(*logits).shape());
+                    let gd = t.data_mut();
+                    for seg in offsets.windows(2) {
+                        let r = seg[0]..seg[1];
+                        let inner: f32 =
+                            g[r.clone()].iter().zip(&s[r.clone()]).map(|(&gi, &si)| gi * si).sum();
+                        for e in r {
+                            gd[members[e]] += s[e] * (g[e] - inner);
+                        }
+                    }
+                    accumulate(&mut grads, *logits, t);
+                }
+                Op::SegmentSum { rows, weights, members, offsets } => {
+                    // out_s = Σ w_e · rows[m_e]: d rows[m_e] += w_e · g_s and
+                    // d w_e = g_s · rows[m_e]
+                    let vr = self.value(*rows);
+                    let d = vr.cols();
+                    let w = weights.map(|w| self.value(w).data());
+                    counters::record(
+                        (2 + 2 * w.is_some() as u64) * (members.len() * d) as u64,
+                        4 * (2 * members.len() * d + g.len()) as u64,
+                    );
+                    let mut dr = Tensor::zeros(vr.shape());
+                    let mut dw = w.map(|_| vec![0.0f32; members.len()]);
+                    if d > 0 {
+                        for (seg, gs) in offsets.windows(2).zip(g.data().chunks_exact(d)) {
+                            for (e, &m) in (seg[0]..).zip(&members[seg[0]..seg[1]]) {
+                                let a = w.map_or(1.0, |w| w[e]);
+                                if a != 0.0 {
+                                    for (o, &gv) in dr.row_mut(m).iter_mut().zip(gs) {
+                                        *o += a * gv;
+                                    }
+                                }
+                                if let Some(dw) = &mut dw {
+                                    dw[e] = dot_chunked(gs, vr.row(m));
+                                }
+                            }
+                        }
+                    }
+                    accumulate(&mut grads, *rows, dr);
+                    if let (Some(wv), Some(dw)) = (weights, dw) {
+                        accumulate(&mut grads, *wv, Tensor::vector(dw));
+                    }
                 }
                 Op::Sum(a) => {
                     let va = self.value(*a);
@@ -579,6 +729,19 @@ impl BackwardScratch {
     pub fn capacity(&self) -> usize {
         self.grads.capacity()
     }
+}
+
+/// Validate a segment layout: `offsets` is a non-decreasing partition of
+/// `0..members.len()` and every member indexes below `bound`.
+fn check_segments(members: &[usize], offsets: &[usize], bound: usize) {
+    assert_eq!(offsets.first(), Some(&0), "segment offsets must start at 0");
+    assert_eq!(
+        offsets.last(),
+        Some(&members.len()),
+        "segment offsets must end at the member count"
+    );
+    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "segment offsets must not decrease");
+    assert!(members.iter().all(|&m| m < bound), "segment member out of range (bound {bound})");
 }
 
 fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {
@@ -860,6 +1023,198 @@ mod tests {
                 let b = tape.param(store, store.get("b").unwrap());
                 let c = tape.matmul(a, b);
                 let t = tape.tanh(c);
+                tape.sum(t)
+            },
+        );
+    }
+
+    /// Segment layout shared by the segmented-op tests: an empty segment, a
+    /// one-member segment, a row repeated within a segment (2, 2) and across
+    /// segments (0, 3).
+    const MEMBERS: [usize; 8] = [0, 3, 1, 2, 2, 4, 3, 0];
+    const OFFSETS: [usize; 6] = [0, 2, 2, 3, 6, 8];
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn segment_softmax_is_softmax_per_segment_bit_for_bit() {
+        for logits in [
+            vec![0.3, -1.2, 2.5, 0.7, -0.4],
+            vec![1.5; 5],                       // all equal
+            vec![1e4, -1e4, 1e4, -1e4, 0.0],    // exp underflows to exactly 0
+            vec![-1e4, -1e4, -1e4, -1e4, -1e4], // all far below zero
+        ] {
+            let mut tape = Tape::new();
+            let x = tape.constant(Tensor::vector(logits.clone()));
+            let seg = tape.segment_softmax(x, &MEMBERS, &OFFSETS);
+            let got = tape.value(seg).data().to_vec();
+            assert_eq!(got.len(), MEMBERS.len());
+            assert!(got.iter().all(|v| v.is_finite()), "{logits:?} -> {got:?}");
+            for w in OFFSETS.windows(2).filter(|w| w[0] < w[1]) {
+                let picked: Vec<f32> = MEMBERS[w[0]..w[1]].iter().map(|&i| logits[i]).collect();
+                let p = tape.constant(Tensor::vector(picked));
+                let want = tape.softmax(p);
+                assert_eq!(
+                    bits(&got[w[0]..w[1]]),
+                    bits(tape.value(want).data()),
+                    "segment {w:?} of {logits:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_sum_is_vecmat_per_segment_bit_for_bit() {
+        let rows: Vec<f32> = (0..5 * 3).map(|i| ((i * 37 % 19) as f32 - 9.0) / 7.0).collect();
+        // attention-like weights with an exact zero (vecmat skips it)
+        let att = vec![0.25, 0.75, 1.0, 0.5, 0.0, 0.5, 0.125, 0.875];
+        for weights in [None, Some(att)] {
+            let mut tape = Tape::new();
+            let r = tape.constant(Tensor::matrix(5, 3, rows.clone()));
+            let w = weights.clone().map(|w| tape.constant(Tensor::vector(w)));
+            let out = tape.segment_sum(r, w, &MEMBERS, &OFFSETS);
+            assert_eq!(tape.value(out).shape(), &[OFFSETS.len() - 1, 3]);
+            for (s, seg) in OFFSETS.windows(2).enumerate() {
+                let got = tape.value(out).row(s).to_vec();
+                if seg[0] == seg[1] {
+                    assert_eq!(got, vec![0.0; 3], "empty segment is a zero row");
+                    continue;
+                }
+                let picked = tape.gather(r, &MEMBERS[seg[0]..seg[1]]);
+                let wv = match &weights {
+                    Some(w) => w[seg[0]..seg[1]].to_vec(),
+                    None => vec![1.0; seg[1] - seg[0]],
+                };
+                let wv = tape.constant(Tensor::vector(wv));
+                let want = tape.vecmat(wv, picked);
+                assert_eq!(bits(&got), bits(tape.value(want).data()), "segment {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_nt_is_the_stack_of_per_row_matvecs_bit_for_bit() {
+        // shapes around the 8-lane chunk of the dot kernel
+        for (m, k, n) in [(1, 1, 1), (4, 7, 3), (5, 8, 8), (3, 9, 2), (6, 32, 32), (2, 33, 5)] {
+            let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 23) as f32 - 11.0) / 13.0).collect();
+            let b: Vec<f32> = (0..n * k).map(|i| ((i * 53 % 29) as f32 - 14.0) / 17.0).collect();
+            let mut tape = Tape::new();
+            let av = tape.constant(Tensor::matrix(m, k, a));
+            let bv = tape.constant(Tensor::matrix(n, k, b));
+            let prod = tape.matmul_nt(av, bv);
+            let per_row: Vec<Var> = (0..m)
+                .map(|j| {
+                    let x = tape.row(av, j);
+                    tape.matvec(bv, x)
+                })
+                .collect();
+            let stacked = tape.stack(&per_row);
+            assert_eq!(tape.value(prod).shape(), &[m, n]);
+            assert_eq!(
+                bits(tape.value(prod).data()),
+                bits(tape.value(stacked).data()),
+                "{m}x{k} · ({n}x{k})ᵀ"
+            );
+        }
+    }
+
+    #[test]
+    fn segment_sum_reports_its_work() {
+        let before = crate::counters::snapshot();
+        let mut tape = Tape::new();
+        let r = tape.constant(Tensor::zeros(&[5, 3]));
+        tape.segment_sum(r, None, &MEMBERS, &OFFSETS);
+        let after = crate::counters::snapshot();
+        // >= (not ==): parallel tests in this binary also issue kernel calls
+        assert!(after.flops >= before.flops + 2 * 8 * 3, "2·E·dim flops");
+        assert!(after.bytes > before.bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment offsets must end at the member count")]
+    fn segment_layout_is_validated() {
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::vector(vec![0.0; 3]));
+        tape.segment_softmax(x, &[0, 1, 2], &[0, 2]);
+    }
+
+    #[test]
+    fn gradcheck_matmul_nt() {
+        let a: Vec<f32> = (0..5 * 9).map(|i| ((i * 37 % 19) as f32 - 9.0) / 23.0).collect();
+        let b: Vec<f32> = (0..3 * 9).map(|i| ((i * 53 % 17) as f32 - 8.0) / 19.0).collect();
+        check_gradients(
+            &[("a", Tensor::matrix(5, 9, a)), ("b", Tensor::matrix(3, 9, b))],
+            |tape, store| {
+                let a = tape.param(store, store.get("a").unwrap());
+                let b = tape.param(store, store.get("b").unwrap());
+                let c = tape.matmul_nt(a, b);
+                let t = tape.tanh(c);
+                tape.sum(t)
+            },
+        );
+    }
+
+    #[test]
+    fn gradcheck_segment_softmax() {
+        check_gradients(
+            &[
+                ("x", Tensor::vector(vec![0.3, -0.5, 0.8, 0.1, -0.2])),
+                ("mix", Tensor::vector(vec![0.9, -0.4, 0.3, 0.7, -0.6, 0.2, 0.5, -0.8])),
+            ],
+            |tape, store| {
+                let x = tape.param(store, store.get("x").unwrap());
+                let mix = tape.param(store, store.get("mix").unwrap());
+                let s = tape.segment_softmax(x, &MEMBERS, &OFFSETS);
+                // a non-uniform read-out: softmax rows sum to one, so a plain
+                // sum would have zero gradient everywhere
+                let m = tape.mul(s, mix);
+                tape.sum(m)
+            },
+        );
+    }
+
+    #[test]
+    fn gradcheck_segment_sum_with_and_without_weights() {
+        let rows: Vec<f32> = (0..5 * 3).map(|i| ((i * 37 % 19) as f32 - 9.0) / 11.0).collect();
+        for weighted in [false, true] {
+            check_gradients(
+                &[
+                    ("rows", Tensor::matrix(5, 3, rows.clone())),
+                    ("w", Tensor::vector(vec![0.2, 0.8, 1.0, 0.5, 0.3, 0.2, 0.6, 0.4])),
+                ],
+                |tape, store| {
+                    let r = tape.param(store, store.get("rows").unwrap());
+                    let w = tape.param(store, store.get("w").unwrap());
+                    let out = tape.segment_sum(r, weighted.then_some(w), &MEMBERS, &OFFSETS);
+                    let t = tape.tanh(out);
+                    tape.sum(t)
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn gradcheck_batched_attention_block() {
+        // gather → matmul_nt → logits → segmented softmax → segmented sum: the
+        // shape of one (layer, edge type) of relational message passing
+        let h: Vec<f32> = (0..5 * 3).map(|i| ((i * 41 % 17) as f32 - 8.0) / 13.0).collect();
+        check_gradients(
+            &[
+                ("h", Tensor::matrix(5, 3, h)),
+                ("w", Tensor::matrix(3, 3, vec![0.5, -0.1, 0.2, 0.3, 0.4, -0.2, 0.1, 0.0, 0.6])),
+            ],
+            |tape, store| {
+                let h = tape.param(store, store.get("h").unwrap());
+                let w = tape.param(store, store.get("w").unwrap());
+                let q = tape.row(h, 0);
+                let dots = tape.matvec(h, q);
+                let logits = tape.leaky_relu(dots, 0.2);
+                let msgs = tape.matmul_nt(h, w);
+                let att = tape.segment_softmax(logits, &MEMBERS, &OFFSETS);
+                let out = tape.segment_sum(msgs, Some(att), &MEMBERS, &OFFSETS);
+                let t = tape.tanh(out);
                 tape.sum(t)
             },
         );

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use rmpi_core::config::{RelationInit, RmpiConfig};
-use rmpi_core::encode::RelationEncoder;
+use rmpi_core::encode::{RelationEncoder, RelationTable};
 use rmpi_core::sample::prepare_sample;
 use rmpi_core::{Mode, ScoringModel};
 use rmpi_kg::{GraphAccess, RelationId, Triple};
@@ -50,14 +50,16 @@ pub fn correlate_target(
     store: &ParamStore,
     weights: &CorrelationWeights,
     rv: &RelViewGraph,
-    h0: &std::collections::HashMap<RelationId, Var>,
+    h0: &RelationTable,
     target_rel: RelationId,
     dim: usize,
 ) -> Var {
+    // one rank-1 var per distinct relation, shared by every edge that carries it
+    let rows: Vec<Var> = (0..h0.len()).map(|i| tape.row(h0.h0, i)).collect();
     let mut groups: [Vec<Var>; NUM_EDGE_TYPES] = Default::default();
     for e in rv.incoming(TARGET_NODE) {
         let rel = rv.nodes[e.src].relation;
-        groups[e.etype.index()].push(h0[&rel]);
+        groups[e.etype.index()].push(rows[h0.row(rel)]);
     }
     let mut acc: Option<Var> = None;
     for (etype, members) in groups.iter().enumerate() {
@@ -74,7 +76,7 @@ pub fn correlate_target(
             None => summed,
         });
     }
-    let h_t0 = h0[&target_rel];
+    let h_t0 = rows[h0.row(target_rel)];
     match acc {
         Some(a) => {
             let act = tape.relu(a);
@@ -145,7 +147,7 @@ impl ScoringModel for TactBaseModel {
         let sample = prepare_sample(graph, target, &self.cfg, mode, rng);
         let mut rels: Vec<RelationId> = sample.relview.nodes.iter().map(|n| n.relation).collect();
         rels.push(target.relation);
-        let h0 = self.encoder.encode(tape, &self.store, &rels);
+        let h0 = self.encoder.encode_table(tape, &self.store, &rels);
         let h = correlate_target(
             tape,
             &self.store,
@@ -230,7 +232,7 @@ impl ScoringModel for TactModel {
         let rsample = prepare_sample(graph, target, &self.rmpi_cfg, mode, rng);
         let mut rels: Vec<RelationId> = rsample.relview.nodes.iter().map(|n| n.relation).collect();
         rels.push(target.relation);
-        let h0 = self.rel_encoder.encode(tape, &self.store, &rels);
+        let h0 = self.rel_encoder.encode_table(tape, &self.store, &rels);
         let rt_corr = correlate_target(
             tape,
             &self.store,

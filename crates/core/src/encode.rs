@@ -5,9 +5,8 @@ use crate::config::RmpiConfig;
 use rand::rngs::StdRng;
 use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use rmpi_kg::RelationId;
-use std::collections::HashMap;
 
-/// Produces initial embeddings for relation ids on a tape.
+/// Produces the initial relation features of a sample on a tape.
 #[derive(Clone, Debug)]
 pub enum RelationEncoder {
     /// Rows of a learnable `(num_relations, dim)` table.
@@ -69,35 +68,69 @@ impl RelationEncoder {
         }
     }
 
-    /// Record `h^0` vars for each distinct relation in `rels`.
-    pub fn encode(
+    /// Record the initial-feature table of one sample: one `h^0` row per
+    /// *distinct* relation in `rels`, so relation nodes that share a label
+    /// share a row. Random init gathers the rows of the embedding parameter;
+    /// schema init projects the gathered schema vectors through
+    /// `sem · W2ᵀ · W1ᵀ` (Eq. 10) — per row the same chunked dots as
+    /// `W1 (W2 sem)`, so the features are bit-identical to projecting each
+    /// relation on its own.
+    pub fn encode_table(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         rels: &[RelationId],
-    ) -> HashMap<RelationId, Var> {
+    ) -> RelationTable {
         let mut distinct: Vec<RelationId> = rels.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let mut out = HashMap::with_capacity(distinct.len());
-        match self {
+        let h0 = match self {
             RelationEncoder::Random { emb } => {
                 let table = tape.param(store, *emb);
-                for r in distinct {
-                    out.insert(r, tape.row(table, r.index()));
-                }
+                let rows: Vec<usize> = distinct.iter().map(|r| r.index()).collect();
+                tape.gather(table, &rows)
             }
             RelationEncoder::Schema { onto, w1, w2 } => {
-                let w1v = tape.param(store, *w1);
-                let w2v = tape.param(store, *w2);
-                for r in distinct {
-                    let sem = tape.constant(Tensor::vector(onto.row(r.index()).to_vec()));
-                    let hidden = tape.matvec(w2v, sem);
-                    out.insert(r, tape.matvec(w1v, hidden));
+                let mut sem = Vec::with_capacity(distinct.len() * onto.cols());
+                for r in &distinct {
+                    sem.extend_from_slice(onto.row(r.index()));
                 }
+                let sem = tape.constant(Tensor::matrix(distinct.len(), onto.cols(), sem));
+                let w2v = tape.param(store, *w2);
+                let hidden = tape.matmul_nt(sem, w2v);
+                let w1v = tape.param(store, *w1);
+                tape.matmul_nt(hidden, w1v)
             }
-        }
-        out
+        };
+        RelationTable { h0, rels: distinct }
+    }
+}
+
+/// The `(distinct relations, dim)` initial-feature matrix of one sample, with
+/// the relation → row lookup.
+#[derive(Clone, Debug)]
+pub struct RelationTable {
+    /// The table itself: row `i` is `h^0` of the `i`-th distinct relation.
+    pub h0: Var,
+    /// The distinct relations, ascending — row order of `h0`.
+    rels: Vec<RelationId>,
+}
+
+impl RelationTable {
+    /// Row of `rel` in [`RelationTable::h0`]. Panics if `rel` was not among
+    /// the relations the table was encoded for.
+    pub fn row(&self, rel: RelationId) -> usize {
+        self.rels.binary_search(&rel).expect("relation was not encoded into this table")
+    }
+
+    /// Number of rows (distinct relations).
+    pub fn len(&self) -> usize {
+        self.rels.len()
+    }
+
+    /// `true` when no relation was encoded.
+    pub fn is_empty(&self) -> bool {
+        self.rels.is_empty()
     }
 }
 
@@ -113,10 +146,16 @@ mod tests {
         let enc = RelationEncoder::new_random(&mut store, 5, 8, &mut rng);
         assert_eq!(enc.num_relations(&store), 5);
         let mut tape = Tape::new();
-        let m = enc.encode(&mut tape, &store, &[RelationId(2), RelationId(2), RelationId(0)]);
-        assert_eq!(m.len(), 2);
+        let t = enc.encode_table(&mut tape, &store, &[RelationId(2), RelationId(2), RelationId(0)]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(tape.value(t.h0).shape(), &[2, 8]);
         let emb = store.get("rel_emb").unwrap();
-        assert_eq!(tape.value(m[&RelationId(2)]).data(), store.value(emb).row(2));
+        for r in [0u32, 2] {
+            assert_eq!(
+                tape.value(t.h0).row(t.row(RelationId(r))),
+                store.value(emb).row(r as usize)
+            );
+        }
     }
 
     #[test]
@@ -125,11 +164,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let onto = Tensor::matrix(3, 10, (0..30).map(|i| i as f32 * 0.1).collect());
         let cfg = RmpiConfig { dim: 4, ..Default::default() };
-        let enc = RelationEncoder::new_schema(&mut store, onto, &cfg, &mut rng);
+        let enc = RelationEncoder::new_schema(&mut store, onto.clone(), &cfg, &mut rng);
         assert_eq!(enc.num_relations(&store), 3);
         let mut tape = Tape::new();
-        let m = enc.encode(&mut tape, &store, &[RelationId(1)]);
-        assert_eq!(tape.value(m[&RelationId(1)]).shape(), &[4]);
+        let t = enc.encode_table(&mut tape, &store, &[RelationId(1), RelationId(2)]);
+        assert_eq!(tape.value(t.h0).shape(), &[2, 4]);
+        // each row is bit-identical to projecting that relation on its own
+        let w1 = tape.param(&store, store.get("onto_w1").unwrap());
+        let w2 = tape.param(&store, store.get("onto_w2").unwrap());
+        for r in [1usize, 2] {
+            let sem = tape.constant(Tensor::vector(onto.row(r).to_vec()));
+            let hidden = tape.matvec(w2, sem);
+            let alone = tape.matvec(w1, hidden);
+            let row = tape.value(t.h0).row(t.row(RelationId(r as u32))).to_vec();
+            assert_eq!(row, tape.value(alone).data(), "relation {r}");
+        }
     }
 
     #[test]
@@ -141,8 +190,8 @@ mod tests {
         let cfg = RmpiConfig { dim: 3, ..Default::default() };
         let enc = RelationEncoder::new_schema(&mut store, onto, &cfg, &mut rng);
         let mut tape = Tape::new();
-        let m = enc.encode(&mut tape, &store, &[RelationId(0)]);
-        let loss = tape.sum(m[&RelationId(0)]);
+        let t = enc.encode_table(&mut tape, &store, &[RelationId(0)]);
+        let loss = tape.sum(t.h0);
         tape.backward(loss, &mut store);
         let g1 = store.grad(store.get("onto_w1").unwrap()).norm();
         let g2 = store.grad(store.get("onto_w2").unwrap()).norm();
@@ -150,12 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn distinct_relations_have_distinct_embeddings() {
+    fn distinct_relations_have_distinct_rows() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(3);
         let enc = RelationEncoder::new_random(&mut store, 4, 16, &mut rng);
         let mut tape = Tape::new();
-        let m = enc.encode(&mut tape, &store, &[RelationId(0), RelationId(1)]);
-        assert_ne!(tape.value(m[&RelationId(0)]).data(), tape.value(m[&RelationId(1)]).data());
+        let t = enc.encode_table(&mut tape, &store, &[RelationId(1), RelationId(0)]);
+        let (r0, r1) = (t.row(RelationId(0)), t.row(RelationId(1)));
+        assert_ne!(r0, r1);
+        assert_ne!(tape.value(t.h0).row(r0), tape.value(t.h0).row(r1));
     }
 }

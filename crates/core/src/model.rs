@@ -240,14 +240,14 @@ impl RmpiModel {
             self.num_relations
         );
 
-        // every relation whose h^0 the pass needs
+        // every relation whose h^0 the pass needs, one table row each
         let mut rels: Vec<RelationId> = sample.relview.nodes.iter().map(|n| n.relation).collect();
         rels.extend_from_slice(&sample.disclosing_rels);
         rels.push(target.relation);
-        let h0_map = self.encoder.encode(tape, &self.store, &rels);
+        let table = self.encoder.encode_table(tape, &self.store, &rels);
 
-        let h0: Vec<Option<Var>> =
-            sample.relview.nodes.iter().map(|n| Some(h0_map[&n.relation])).collect();
+        let row_of: Vec<usize> =
+            sample.relview.nodes.iter().map(|n| table.row(n.relation)).collect();
         let h_rt = relational_message_passing(
             tape,
             &self.store,
@@ -255,24 +255,23 @@ impl RmpiModel {
             AttentionConfig { enabled: self.cfg.ta, leaky_slope: self.cfg.leaky_slope },
             &sample.relview,
             &sample.schedule,
-            &h0,
-            self.cfg.dim,
+            table.h0,
+            &row_of,
         );
 
         let w = tape.param(&self.store, self.score_w);
         let mut fused = match self.ne_weights {
             Some(ne) => {
-                let h_t0 = h0_map[&target.relation];
-                let neighbors: Vec<Var> =
-                    sample.disclosing_rels.iter().map(|r| h0_map[r]).collect();
+                let neighbor_rows: Vec<usize> =
+                    sample.disclosing_rels.iter().map(|&r| table.row(r)).collect();
                 let h_d = disclosing_aggregate(
                     tape,
                     &self.store,
                     ne,
-                    h_t0,
-                    &neighbors,
+                    table.h0,
+                    table.row(target.relation),
+                    &neighbor_rows,
                     self.cfg.leaky_slope,
-                    self.cfg.dim,
                 );
                 match self.cfg.fusion {
                     Fusion::Sum => tape.add(h_rt, h_d),

@@ -25,29 +25,36 @@ impl NeWeights {
 }
 
 /// Eq. 13–14: attention-weighted aggregation of the disclosing one-hop
-/// neighbour embeddings. `h_target0` and `neighbors0` are initial (`h^0`)
-/// representations. Returns a zero vector when the neighbourhood is empty.
+/// neighbour embeddings. `h0` is the sample's `(rows, dim)` initial-feature
+/// table; `target_row` and `neighbor_rows` pick the target relation's and the
+/// neighbour relations' rows of it. Returns a zero vector when the
+/// neighbourhood is empty.
+///
+/// All neighbours go through `W^d` in one `X · W^dᵀ` product and their logits
+/// through one `matvec` — per neighbour the same chunked dots as transforming
+/// and scoring each on its own.
 pub fn disclosing_aggregate(
     tape: &mut Tape,
     store: &ParamStore,
     weights: NeWeights,
-    h_target0: Var,
-    neighbors0: &[Var],
+    h0: Var,
+    target_row: usize,
+    neighbor_rows: &[usize],
     leaky_slope: f32,
-    dim: usize,
 ) -> Var {
-    if neighbors0.is_empty() {
+    if neighbor_rows.is_empty() {
+        let dim = tape.value(h0).cols();
         return tape.constant(Tensor::zeros(&[dim]));
     }
     let wd = tape.param(store, weights.wd);
+    let h_target0 = tape.row(h0, target_row);
     let q = tape.matvec(wd, h_target0);
-    let transformed: Vec<Var> = neighbors0.iter().map(|&n| tape.matvec(wd, n)).collect();
-    let logits: Vec<Var> = transformed.iter().map(|&t| tape.dot(q, t)).collect();
-    let cat = tape.concat(&logits);
-    let act = tape.leaky_relu(cat, leaky_slope);
+    let neighbors0 = tape.gather(h0, neighbor_rows);
+    let transformed = tape.matmul_nt(neighbors0, wd);
+    let logits = tape.matvec(transformed, q);
+    let act = tape.leaky_relu(logits, leaky_slope);
     let att = tape.softmax(act);
-    let stacked = tape.stack(&transformed);
-    let pooled = tape.vecmat(att, stacked);
+    let pooled = tape.vecmat(att, transformed);
     tape.relu(pooled)
 }
 
@@ -63,8 +70,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let w = NeWeights::new(&mut store, 4, &mut rng);
         let mut tape = Tape::new();
-        let t0 = tape.constant(Tensor::vector(vec![1.0; 4]));
-        let out = disclosing_aggregate(&mut tape, &store, w, t0, &[], 0.2, 4);
+        let h0 = tape.constant(Tensor::matrix(1, 4, vec![1.0; 4]));
+        let out = disclosing_aggregate(&mut tape, &store, w, h0, 0, &[], 0.2);
         assert_eq!(tape.value(out).data(), &[0.0; 4]);
     }
 
@@ -74,10 +81,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let w = NeWeights::new(&mut store, 5, &mut rng);
         let mut tape = Tape::new();
-        let t0 = tape.constant(init::normal(&[5], 1.0, &mut rng));
-        let n1 = tape.constant(init::normal(&[5], 1.0, &mut rng));
-        let n2 = tape.constant(init::normal(&[5], 1.0, &mut rng));
-        let out = disclosing_aggregate(&mut tape, &store, w, t0, &[n1, n2], 0.2, 5);
+        let h0 = tape.constant(init::normal(&[3, 5], 1.0, &mut rng));
+        let out = disclosing_aggregate(&mut tape, &store, w, h0, 0, &[1, 2], 0.2);
         let v = tape.value(out);
         assert_eq!(v.shape(), &[5]);
         assert!(v.data().iter().all(|&x| x >= 0.0), "ReLU output must be nonnegative");
@@ -100,10 +105,13 @@ mod tests {
         let wd = store.create("ne_wd", eye);
         let w = NeWeights { wd };
         let mut tape = Tape::new();
-        let t0 = tape.constant(Tensor::vector(vec![2.0, 0.0, 0.0, 0.0]));
-        let similar = tape.constant(Tensor::vector(vec![2.0, 0.0, 0.0, 0.0]));
-        let orthogonal = tape.constant(Tensor::vector(vec![0.0, 2.0, 0.0, 0.0]));
-        let out = disclosing_aggregate(&mut tape, &store, w, t0, &[similar, orthogonal], 0.2, dim);
+        // rows: target, a neighbour equal to it, an orthogonal neighbour
+        let h0 = tape.constant(Tensor::matrix(
+            3,
+            dim,
+            vec![2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+        ));
+        let out = disclosing_aggregate(&mut tape, &store, w, h0, 0, &[1, 2], 0.2);
         let v = tape.value(out);
         assert!(v.data()[0] > v.data()[1], "similar neighbour should dominate: {v:?}");
     }
@@ -116,16 +124,14 @@ mod tests {
                     "ne_wd",
                     Tensor::matrix(3, 3, vec![0.5, -0.1, 0.2, 0.3, 0.4, -0.2, 0.1, 0.0, 0.6]),
                 ),
-                ("t0", Tensor::vector(vec![0.4, -0.3, 0.2])),
-                ("n0", Tensor::vector(vec![0.1, 0.5, -0.4])),
-                ("n1", Tensor::vector(vec![-0.2, 0.3, 0.7])),
+                // rows: target, two neighbours
+                ("h0", Tensor::matrix(3, 3, vec![0.4, -0.3, 0.2, 0.1, 0.5, -0.4, -0.2, 0.3, 0.7])),
             ],
             |tape, store| {
                 let w = NeWeights { wd: store.get("ne_wd").unwrap() };
-                let t0 = tape.param(store, store.get("t0").unwrap());
-                let n0 = tape.param(store, store.get("n0").unwrap());
-                let n1 = tape.param(store, store.get("n1").unwrap());
-                let out = disclosing_aggregate(tape, store, w, t0, &[n0, n1], 0.2, 3);
+                let h0 = tape.param(store, store.get("h0").unwrap());
+                // a neighbour sharing the target's own relation row is legal
+                let out = disclosing_aggregate(tape, store, w, h0, 0, &[1, 2, 0], 0.2);
                 let s = tape.sigmoid(out);
                 tape.sum(s)
             },

@@ -25,6 +25,9 @@ cargo test -q
 echo "== determinism: threads=1 vs threads=4 vs threads=0 =="
 cargo test -q -p rmpi-core --test parallel_determinism
 
+echo "== message-passing oracle: batched forward vs per-message reference, scores bit-identical =="
+cargo test -q -p rmpi-core --test message_passing_oracle
+
 echo "== extraction equivalence: CSR + dense-scratch path vs reference (proptest) =="
 cargo test -q -p rmpi-subgraph --test proptests
 
@@ -47,7 +50,7 @@ echo "== scrub smoke: integrity pass over the store the bench just built =="
 cargo run --release -q -p rmpi-bench --bin rmpi_scrub -- "$SCRUB_DIR" >/dev/null
 rm -rf "$(dirname "$SCRUB_DIR")"
 
-echo "== worker pool unit tests =="
+echo "== worker pool: unit tests + fault-injected shards (own process) =="
 cargo test -q -p rmpi-runtime
 
 echo "== serving layer: bundle + engine + protocol + micro-batcher unit tests =="
