@@ -137,7 +137,6 @@ impl MakerLiteModel {
         // mean embedding of *seen* relations neighbouring the target node
         let neighbor_rels: Vec<RelationId> = rv
             .incoming(TARGET_NODE)
-            .iter()
             .map(|e| rv.nodes[e.src].relation)
             .filter(|r| self.seen.contains(r) && *r != rel)
             .collect();

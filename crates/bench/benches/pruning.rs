@@ -5,7 +5,10 @@
 //! The final layer only feeds the target's read-out, so it aggregates into
 //! the target alone under either schedule: the unpruned arm differs from the
 //! pruned one in layers `1..K−1`, where it updates every node instead of the
-//! nodes within `K − k` hops of the target.
+//! nodes within `K − k` hops of the target. The relation view stores no
+//! edges, so the unpruned arm also pays for enumerating every node's
+//! in-edges — the whole line graph, once per layer — where the pruned arm
+//! enumerates only what it reads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

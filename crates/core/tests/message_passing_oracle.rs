@@ -94,13 +94,12 @@ fn oracle_score_on_tape(model: &RmpiModel, tape: &mut Tape, sample: &SampleInput
         let h_target_prev = h[TARGET_NODE];
         let mut updates: Vec<(usize, Var)> = Vec::new();
         for node in sample.schedule.active_nodes(layer) {
-            let incoming = rv.incoming(node);
-            if incoming.is_empty() {
+            if rv.incoming(node).next().is_none() {
                 continue; // nothing to aggregate; representation carries over
             }
             let is_final_target = layer == cfg.num_layers && node == TARGET_NODE;
             let mut groups: [Vec<usize>; NUM_EDGE_TYPES] = Default::default();
-            for e in incoming {
+            for e in rv.incoming(node) {
                 groups[e.etype.index()].push(e.src);
             }
             let mut type_sums: Vec<Var> = Vec::new();

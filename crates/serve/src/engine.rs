@@ -145,7 +145,7 @@ impl Default for EngineConfig {
 /// only valid for that model's hop radius. They swap together or not at all.
 struct ModelState {
     model: RmpiModel,
-    cache: Mutex<LruCache<SampleInput>>,
+    cache: Mutex<LruCache<Arc<SampleInput>>>,
 }
 
 impl ModelState {
@@ -523,10 +523,11 @@ impl Engine {
     /// verified bytes. A miss while degraded is rejected without touching
     /// the disk; a miss that *confirms* corruption flips the engine into
     /// degraded mode.
-    fn prepared(&self, state: &ModelState, target: Triple) -> Result<SampleInput, ServeError> {
+    fn prepared(&self, state: &ModelState, target: Triple) -> Result<Arc<SampleInput>, ServeError> {
         let key = SubgraphKey::new(target, state.model.config().hop);
         if let Some(sample) = state.cache.lock().expect("cache lock").get(&key) {
-            return Ok(sample.clone());
+            // a reference-count bump under the lock, not a copy of the sample
+            return Ok(Arc::clone(sample));
         }
         if self.is_degraded() {
             return Err(
@@ -537,14 +538,14 @@ impl Engine {
         // key duplicate work but produce identical samples, so correctness
         // (and bit-parity) is unaffected
         let sample = match self.backend.prepare(&state.model, target, self.seed) {
-            Ok(sample) => sample,
+            Ok(sample) => Arc::new(sample),
             Err(e) if e.is_corruption() => {
                 self.enter_degraded(&e.to_string());
                 return Err(self.degraded_reject(e.to_string()));
             }
             Err(e) => return Err(self.internal(e.to_string())),
         };
-        state.cache.lock().expect("cache lock").insert(key, sample.clone());
+        state.cache.lock().expect("cache lock").insert(key, Arc::clone(&sample));
         Ok(sample)
     }
 

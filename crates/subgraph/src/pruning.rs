@@ -33,10 +33,10 @@ impl PruningSchedule {
             if d == k {
                 continue;
             }
-            for e in rv.incoming(cur) {
-                if dist[e.src] == usize::MAX {
-                    dist[e.src] = d + 1;
-                    q.push_back(e.src);
+            for src in rv.in_neighbors(cur) {
+                if dist[src] == usize::MAX {
+                    dist[src] = d + 1;
+                    q.push_back(src);
                 }
             }
         }

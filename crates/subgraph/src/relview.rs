@@ -76,9 +76,8 @@ impl RelEdgeType {
     }
 
     /// Allocation-free [`Self::classify`]: the (at most two) applicable types
-    /// in a fixed array plus the valid count. This is the form the relation
-    /// view transform calls once per co-incident edge pair — the quadratic
-    /// inner loop of the build.
+    /// in a fixed array, in index order, plus the valid count. This is the
+    /// form [`RelViewGraph::incoming`] calls once per enumerated source.
     #[inline]
     pub fn classify_packed(a: Triple, b: Triple) -> ([RelEdgeType; 2], usize) {
         let hh = a.head == b.head;
@@ -135,55 +134,111 @@ pub struct RelInEdge {
     pub etype: RelEdgeType,
 }
 
+/// A `[start, end)` run of [`RelViewGraph`]'s incidence list: one entity's
+/// group.
+type Run = (u32, u32);
+
 /// The relation-view graph R(G) of a subgraph, with the target triple as
 /// node 0.
 ///
-/// Incoming adjacency is stored CSR-style — one flat edge array plus one
-/// offset array — rather than a `Vec<Vec<_>>`: building the view costs a
-/// constant number of allocations instead of one per relation node, and a
-/// node's incoming slice is a contiguous read.
+/// The view is *implicit*: the line graph's edge count is quadratic in entity
+/// degree and a pruned K-layer forward reads only the in-edges of nodes
+/// within K−1 hops of the target, so no edge is ever stored. A node's typed
+/// in-neighbours are exactly the other members of its head's and its tail's
+/// incidence groups; [`Self::incoming`] enumerates them from the sorted
+/// `(entity, node)` list on demand. Heap size is three arrays of one or two
+/// entries per node, whatever the degree distribution.
 #[derive(Clone, Debug)]
 pub struct RelViewGraph {
     /// Nodes (target first, then the subgraph edges in sorted order).
     pub nodes: Vec<RelNode>,
-    /// All incoming edges, grouped by destination node, each group sorted by
-    /// `(src, etype)`.
-    edges: Vec<RelInEdge>,
-    /// `edges[offsets[i]..offsets[i + 1]]` are node `i`'s incoming edges.
-    offsets: Vec<usize>,
+    /// `(entity, node)` for every node endpoint (a self-loop contributes one
+    /// entry), sorted: each entity's group is a contiguous run with its nodes
+    /// in ascending index order.
+    incidence: Vec<(EntityId, u32)>,
+    /// Per node, the runs of its head's and its tail's group. The tail run
+    /// is empty for a self-loop, whose only group is its head's.
+    groups: Vec<[Run; 2]>,
 }
 
 /// Index of the target relation node.
 pub const TARGET_NODE: usize = 0;
 
-/// Smallest entity shared by both triples' endpoint sets (the triples are
-/// known to share at least one).
-#[inline]
-fn first_shared_entity(a: Triple, b: Triple) -> EntityId {
-    let mut min: Option<EntityId> = None;
-    for x in [a.head, a.tail] {
-        if (x == b.head || x == b.tail) && min.map_or(true, |m| x < m) {
-            min = Some(x);
+/// What an exhausted run compares as in [`InNeighbors`]' merge: above every
+/// node index (`from_subgraph` indexes nodes in `u32`).
+const EXHAUSTED: u32 = u32::MAX;
+
+/// Iterator over one node's distinct in-neighbours in ascending order; see
+/// [`RelViewGraph::in_neighbors`].
+#[derive(Clone, Debug)]
+pub struct InNeighbors<'a> {
+    dst: u32,
+    by_head: &'a [(EntityId, u32)],
+    by_tail: &'a [(EntityId, u32)],
+}
+
+impl Iterator for InNeighbors<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            // merge the two ascending runs; a source in both (parallel or
+            // anti-parallel to `dst`) is consumed from both and visited once
+            let a = self.by_head.first().map_or(EXHAUSTED, |p| p.1);
+            let b = self.by_tail.first().map_or(EXHAUSTED, |p| p.1);
+            let src = a.min(b);
+            if src == EXHAUSTED {
+                return None;
+            }
+            self.by_head = &self.by_head[usize::from(a == src)..];
+            self.by_tail = &self.by_tail[usize::from(b == src)..];
+            if src != self.dst {
+                return Some(src as usize);
+            }
         }
     }
-    min.expect("triples from one incidence group share an entity")
+}
+
+/// Iterator over one node's incoming edges, sorted by `(src, etype)`; see
+/// [`RelViewGraph::incoming`].
+#[derive(Clone, Debug)]
+pub struct Incoming<'a> {
+    sources: InNeighbors<'a>,
+    nodes: &'a [RelNode],
+    dst_triple: Triple,
+    /// Second type of the source just yielded (two basic patterns hold at
+    /// once when one of the pair is a self-loop).
+    pending: Option<RelInEdge>,
+}
+
+impl Iterator for Incoming<'_> {
+    type Item = RelInEdge;
+
+    fn next(&mut self) -> Option<RelInEdge> {
+        if let Some(e) = self.pending.take() {
+            return Some(e);
+        }
+        let src = self.sources.next()?;
+        let (types, n) = RelEdgeType::classify_packed(self.nodes[src].triple, self.dst_triple);
+        debug_assert!(n >= 1, "members of one incidence group share an entity");
+        if n == 2 {
+            self.pending = Some(RelInEdge { src, etype: types[1] });
+        }
+        Some(RelInEdge { src, etype: types[0] })
+    }
 }
 
 impl RelViewGraph {
-    /// Build R(G) for `sg`, inserting the target triple as node 0.
+    /// Build R(G) for `sg`, inserting the target triple as node 0. Three
+    /// allocations and one sort of `2 · nodes` pairs, independent of how many
+    /// edges the view has.
     pub fn from_subgraph(sg: &Subgraph) -> Self {
         let mut nodes = Vec::with_capacity(sg.triples.len() + 1);
         nodes.push(RelNode { triple: sg.target, relation: sg.target.relation });
         for &t in &sg.triples {
             nodes.push(RelNode { triple: t, relation: t.relation });
         }
-        // (dst, edge) pairs, flattened; sorted into CSR form at the end
-        let mut flat: Vec<(u32, RelInEdge)> = Vec::new();
 
-        // group nodes by incident entity so we only examine co-incident
-        // pairs. A flat (entity, node) incidence list sorted once replaces
-        // the per-entity map: groups are contiguous runs, iterated in
-        // ascending entity order, with zero per-entity allocations.
         let mut incidence: Vec<(EntityId, u32)> = Vec::with_capacity(2 * nodes.len());
         for (i, n) in nodes.iter().enumerate() {
             incidence.push((n.triple.head, i as u32));
@@ -193,56 +248,18 @@ impl RelViewGraph {
         }
         incidence.sort_unstable();
 
+        let mut groups = vec![[(0, 0); 2]; nodes.len()];
         let mut g0 = 0;
         while g0 < incidence.len() {
             let entity = incidence[g0].0;
             let g1 = g0 + incidence[g0..].iter().take_while(|p| p.0 == entity).count();
-            let group = &incidence[g0..g1];
-            for (pos, &(_, i)) in group.iter().enumerate() {
-                for &(_, j) in &group[pos + 1..] {
-                    let (a, b) = ((i.min(j)) as usize, (i.max(j)) as usize);
-                    let (ta, tb) = (nodes[a].triple, nodes[b].triple);
-                    // a pair sharing two entities shows up in two groups;
-                    // process it only in the group of its smallest shared
-                    // entity (exact dedup without a seen-pairs set)
-                    if first_shared_entity(ta, tb) != entity {
-                        continue;
-                    }
-                    // edge a -> b of type et means messages flow a -> b:
-                    // record as incoming edge of b
-                    let (types, n) = RelEdgeType::classify_packed(ta, tb);
-                    for &et in &types[..n] {
-                        flat.push((b as u32, RelInEdge { src: a, etype: et }));
-                    }
-                    let (types, n) = RelEdgeType::classify_packed(tb, ta);
-                    for &et in &types[..n] {
-                        flat.push((a as u32, RelInEdge { src: b, etype: et }));
-                    }
-                }
+            for &(_, i) in &incidence[g0..g1] {
+                let side = usize::from(nodes[i as usize].triple.head != entity);
+                groups[i as usize][side] = (g0 as u32, g1 as u32);
             }
             g0 = g1;
         }
-        // counting-sort scatter groups edges by destination in O(E); the
-        // per-node sort then fixes message order regardless of discovery
-        // order, which keeps f32 aggregation (and therefore scores)
-        // bit-reproducible
-        let mut offsets = vec![0usize; nodes.len() + 1];
-        for (dst, _) in &flat {
-            offsets[*dst as usize + 1] += 1;
-        }
-        for i in 0..nodes.len() {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut edges = vec![RelInEdge { src: 0, etype: RelEdgeType::HH }; flat.len()];
-        for &(dst, e) in &flat {
-            edges[cursor[dst as usize]] = e;
-            cursor[dst as usize] += 1;
-        }
-        for i in 0..nodes.len() {
-            edges[offsets[i]..offsets[i + 1]].sort_unstable_by_key(|e| (e.src, e.etype.index()));
-        }
-        RelViewGraph { nodes, edges, offsets }
+        RelViewGraph { nodes, incidence, groups }
     }
 
     /// Number of relation nodes (entity-view edges + target).
@@ -250,26 +267,51 @@ impl RelViewGraph {
         self.nodes.len()
     }
 
-    /// Total number of directed typed edges.
+    /// Total number of directed typed edges, counted by enumerating every
+    /// node's incoming edges: O(E), for reports and checks, not hot paths.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        (0..self.num_nodes()).map(|dst| self.incoming(dst).count()).sum()
     }
 
-    /// Incoming neighbours of `node`.
-    pub fn incoming(&self, node: usize) -> &[RelInEdge] {
-        &self.edges[self.offsets[node]..self.offsets[node + 1]]
+    /// The distinct nodes with an edge into `node` (those sharing an entity
+    /// with it, itself excluded) in ascending order, without allocating and
+    /// without classifying the connection — all a traversal needs.
+    pub fn in_neighbors(&self, node: usize) -> InNeighbors<'_> {
+        let [(h0, h1), (t0, t1)] = self.groups[node];
+        InNeighbors {
+            dst: node as u32,
+            by_head: &self.incidence[h0 as usize..h1 as usize],
+            by_tail: &self.incidence[t0 as usize..t1 as usize],
+        }
+    }
+
+    /// Incoming edges of `node` in ascending `(src, etype)` order, without
+    /// allocating.
+    ///
+    /// That order is what fixes the f32 aggregation order (and therefore
+    /// every score bit) downstream. It falls out of the layout: both runs
+    /// list their nodes in ascending index order, the merge visits each
+    /// distinct source once, and [`RelEdgeType::classify_packed`] emits a
+    /// pair's types in index order.
+    pub fn incoming(&self, node: usize) -> Incoming<'_> {
+        Incoming {
+            sources: self.in_neighbors(node),
+            nodes: &self.nodes,
+            dst_triple: self.nodes[node].triple,
+            pending: None,
+        }
     }
 
     /// All `(dst, incoming edge)` pairs, grouped by destination.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (usize, &RelInEdge)> {
-        (0..self.num_nodes()).flat_map(move |dst| self.incoming(dst).iter().map(move |e| (dst, e)))
+    pub fn iter_edges(&self) -> impl Iterator<Item = (usize, RelInEdge)> + '_ {
+        (0..self.num_nodes()).flat_map(move |dst| self.incoming(dst).map(move |e| (dst, e)))
     }
 
     /// The distinct relations labelling the one-hop incoming neighbourhood of
     /// the target node.
     pub fn target_neighbor_relations(&self) -> Vec<RelationId> {
         let mut rels: Vec<RelationId> =
-            self.incoming(TARGET_NODE).iter().map(|e| self.nodes[e.src].relation).collect();
+            self.incoming(TARGET_NODE).map(|e| self.nodes[e.src].relation).collect();
         rels.sort_unstable();
         rels.dedup();
         rels
@@ -362,7 +404,7 @@ mod tests {
         ]);
         let sg = enclosing_subgraph(&g, Triple::new(0u32, 9u32, 3u32), 2);
         let rv = RelViewGraph::from_subgraph(&sg);
-        assert!(!rv.incoming(TARGET_NODE).is_empty());
+        assert!(rv.incoming(TARGET_NODE).next().is_some());
         let rels = rv.target_neighbor_relations();
         assert!(rels.contains(&RelationId(0)));
         assert!(rels.contains(&RelationId(1)));
@@ -374,7 +416,7 @@ mod tests {
         let sg = enclosing_subgraph(&g, Triple::new(0u32, 1u32, 1u32), 2);
         let rv = RelViewGraph::from_subgraph(&sg);
         assert_eq!(rv.num_nodes(), 1);
-        assert!(rv.incoming(TARGET_NODE).is_empty());
+        assert!(rv.incoming(TARGET_NODE).next().is_none());
         assert!(rv.target_neighbor_relations().is_empty());
     }
 

@@ -6,14 +6,37 @@
 //! `disclosing_subgraph_into` never touch the allocator again. The test
 //! counts allocator calls with a process-global counting allocator, so it
 //! lives in its own test binary (a `#[global_allocator]` applies to every
-//! test in the binary) and the measured section runs on this thread only.
+//! test in the binary) and the tests take turns (`exclusive`).
+//!
+//! The implicit relation view makes the same kind of promise — nothing per
+//! edge, nothing per node — and its guards live here too.
 
 use rmpi_kg::{CsrGraph, KnowledgeGraph, Triple};
-use rmpi_subgraph::{disclosing_subgraph_into, enclosing_subgraph_into, ExtractScratch, Subgraph};
+use rmpi_subgraph::{
+    disclosing_subgraph_into, enclosing_subgraph_into, ExtractScratch, RelViewGraph, Subgraph,
+};
+// the process-wide test lock: the allocation counter is process-global and
+// the harness runs tests on parallel threads, so every test here holds it
+// for its whole body
+use rmpi_testutil::failpoint::exclusive;
 use rmpi_testutil::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// Allocation events of one run of `f`, as the minimum over a few runs: `f`
+/// is deterministic, and whatever else the process does meanwhile (the
+/// harness starting the next test's thread) can only add to a reading.
+fn allocations_of(mut f: impl FnMut()) -> u64 {
+    (0..5)
+        .map(|_| {
+            let before = ALLOC.allocations();
+            f();
+            ALLOC.allocations() - before
+        })
+        .min()
+        .expect("at least one run")
+}
 
 /// Deterministic pseudo-random multigraph: `n_triples` edges over
 /// `n_entities` entities and `n_relations` relations.
@@ -40,6 +63,7 @@ fn targets(n_entities: u32, count: usize, seed: u32) -> Vec<Triple> {
 
 #[test]
 fn steady_state_extraction_is_allocation_free() {
+    let _turn = exclusive();
     let g = build_graph(300, 12, 2400, 1);
     let csr = CsrGraph::from_graph(&g);
     let ts = targets(300, 64, 2);
@@ -86,6 +110,7 @@ fn steady_state_extraction_is_allocation_free() {
 
 #[test]
 fn thread_local_wrapper_reaches_steady_state() {
+    let _turn = exclusive();
     // The convenience wrappers allocate only for the returned Subgraph's own
     // buffers — growth of the thread-local scratch stops after warm-up. This
     // bounds, rather than zeroes, their steady-state traffic: the point is
@@ -103,4 +128,38 @@ fn thread_local_wrapper_reaches_steady_state() {
     // each call allocates the output Subgraph's three Vecs (plus their
     // growth); a regression that re-grows scratch would blow well past this
     assert!(per_call < 32, "wrapper steady state allocates {per_call} times per call");
+}
+
+/// A subgraph-shaped input of exactly `n_edges` edges, dense enough (40
+/// entities) that the relation view has tens of edges per node.
+fn subgraph_of(n_edges: usize) -> Subgraph {
+    let g = build_graph(40, 6, 400, 5);
+    let mut sg = Subgraph::empty(Triple::new(0u32, 99u32, 1u32));
+    sg.triples = g.triples()[..n_edges].to_vec();
+    sg
+}
+
+#[test]
+fn enumerating_a_relation_view_is_allocation_free() {
+    let _turn = exclusive();
+    let rv = RelViewGraph::from_subgraph(&subgraph_of(300));
+    let mut edges = 0usize;
+    let allocations = allocations_of(|| {
+        edges = (0..rv.num_nodes()).map(|dst| rv.incoming(dst).count()).sum();
+    });
+    assert!(edges > 10 * rv.num_nodes(), "only {edges} edges — workload degenerate");
+    assert_eq!(allocations, 0, "enumerating {edges} edges allocated {allocations} times");
+}
+
+#[test]
+fn relation_view_build_and_clone_allocate_per_array_not_per_edge() {
+    let _turn = exclusive();
+    let (small, large) = (subgraph_of(30), subgraph_of(300));
+    let build_small = allocations_of(|| drop(RelViewGraph::from_subgraph(&small)));
+    let build_large = allocations_of(|| drop(RelViewGraph::from_subgraph(&large)));
+    assert_eq!(build_small, build_large, "allocations must not grow with the subgraph");
+    assert_eq!(build_large, 3, "nodes, incidence list, group runs");
+
+    let rv = RelViewGraph::from_subgraph(&large);
+    assert_eq!(allocations_of(|| drop(rv.clone())), 3, "a clone is its three arrays");
 }

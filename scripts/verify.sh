@@ -22,6 +22,12 @@ cargo build --release
 echo "== cargo test -q (tier-1: root package) =="
 cargo test -q
 
+# 2 s is twice the shortest run in which all 16 rank queries are answered
+# (the answer check's coverage floor); writes only under target/bench/
+echo "== benchmark smoke: traced rank_cold — replay asserts, answer check, stage reconciliation =="
+cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
+  --workload rank_cold --seed 1 --seconds 2 --trace 1 >/dev/null
+
 echo "== determinism: threads=1 vs threads=4 vs threads=0 =="
 cargo test -q -p rmpi-core --test parallel_determinism
 
@@ -31,7 +37,10 @@ cargo test -q -p rmpi-core --test message_passing_oracle
 echo "== extraction equivalence: CSR + dense-scratch path vs reference (proptest) =="
 cargo test -q -p rmpi-subgraph --test proptests
 
-echo "== zero-allocation steady state: counting allocator over warm extraction =="
+echo "== relation-view oracle: implicit incoming() vs the materialised line graph, exact order (proptest) =="
+cargo test -q -p rmpi-subgraph --test relview_oracle
+
+echo "== zero-allocation steady state: counting allocator over warm extraction and the relation view =="
 cargo test -q -p rmpi-subgraph --test zero_alloc
 
 echo "== kernel micro-bench smoke: matmuls, reductions, scratch backward (10 ms window) =="
