@@ -5,7 +5,9 @@
 //! The interruption is a panic raised from the `TrainEvent::BatchEnd`
 //! callback (the main training thread), which unwinds out of
 //! `Trainer::train` exactly like a crash would: no teardown code runs, only
-//! what was already durably checkpointed survives.
+//! what was already durably checkpointed survives. One case repeats the
+//! cycle with a real `SIGKILL` in a child process, where not even unwinding
+//! or buffered writes of the dying process can help.
 
 use rmpi_core::trainer::{CheckpointConfig, Trainer};
 use rmpi_core::{
@@ -133,6 +135,62 @@ fn kill_mid_epoch_then_resume_is_bit_identical() {
         assert_params_identical(&reference, &survivor, &format!("threads={threads}"));
         std::fs::remove_dir_all(&root).unwrap();
     }
+}
+
+/// Child-mode marker: when set, this test binary was re-executed to train
+/// into the checkpoint root it names and `kill -9` itself mid-epoch-1.
+const CHILD_ENV: &str = "RMPI_CRASH_RESUME_CHILD";
+
+/// Inert in a normal run; see [`real_sigkill_mid_epoch_then_resume_is_bit_identical`].
+#[test]
+fn sigkill_child_entry() {
+    let Ok(root) = std::env::var(CHILD_ENV) else { return };
+    let (graph, targets, valid) = tiny_data();
+    Trainer::new(train_cfg(2))
+        .with_checkpointing(CheckpointConfig::new(&root))
+        .on_event(|ev| {
+            if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
+                // a genuine SIGKILL: no unwinding, no Drop, no flushes
+                let pid = std::process::id().to_string();
+                let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
+                std::process::abort(); // unreachable unless `kill` is missing
+            }
+        })
+        .train(&mut fresh_model(), &graph, &targets, &valid);
+    // surviving to here exits 0, which fails the parent's signal assertion
+}
+
+#[test]
+fn real_sigkill_mid_epoch_then_resume_is_bit_identical() {
+    use std::os::unix::process::ExitStatusExt;
+    let (graph, targets, valid) = tiny_data();
+    let cfg = train_cfg(2);
+    let mut reference = fresh_model();
+    let full = Trainer::new(cfg).train(&mut reference, &graph, &targets, &valid);
+
+    // What the panic-based cases cannot show: nothing buffered in the dying
+    // process is needed, only what `rename` made durable before the kill.
+    let root = tmp_dir("sigkill");
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["sigkill_child_entry", "--exact", "--test-threads=1"])
+        .env(CHILD_ENV, &root)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn crash child");
+    assert_eq!(status.signal(), Some(9), "the child must die of its own SIGKILL, got {status}");
+
+    let mut survivor = fresh_model();
+    let resumed = Trainer::new(cfg).resume_latest(&root).unwrap().train(
+        &mut survivor,
+        &graph,
+        &targets,
+        &valid,
+    );
+    assert_eq!(resumed.resumed_from, Some(1));
+    assert_reports_match(&full, &resumed, "sigkill");
+    assert_params_identical(&reference, &survivor, "sigkill");
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]

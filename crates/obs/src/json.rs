@@ -1,5 +1,5 @@
 //! The workspace's shared single-line JSON writer. Serve's STATS output,
-//! the registry's METRICS dump, and the `BENCH_*.json` emitters all route
+//! the registry's METRICS dump and the router's `STATS` line all route
 //! through this module so escaping and number formatting live in one place.
 //!
 //! Output shape is fixed: `{"key": value, "other": value}` — `": "` after

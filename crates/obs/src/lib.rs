@@ -9,7 +9,7 @@
 //!   `p99` summaries, safe to hammer from any number of threads;
 //! * [`Span`] — scoped timers that record into a histogram on drop, driven
 //!   by a [`Clock`] that is either real (monotonic) or manual (tests);
-//! * [`json`] — the shared single-line JSON writer every stats/metrics/bench
+//! * [`json`] — the shared single-line JSON writer every stats/metrics
 //!   emitter in the workspace routes through.
 //!
 //! # Naming scheme

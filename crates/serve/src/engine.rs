@@ -1071,10 +1071,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn transient_read_faults_are_retried_not_degraded() {
+    /// Score `requests` uncached targets through an engine whose store reads
+    /// pass through `chaos`; every `Ok` must equal the clean engine's score
+    /// in `to_bits()`. Returns the failures, whether the engine ended up
+    /// degraded, and the registry the faulty reader charged.
+    fn replay_under_disk_faults(
+        chaos: rmpi_testutil::chaosfile::ChaosFileConfig,
+        requests: u32,
+    ) -> (Vec<ServeError>, bool, Arc<rmpi_obs::MetricsRegistry>) {
         use rmpi_store::{build_from_graph, ReadMode, StoreConfig, StoreOptions, StoreReader};
-        use rmpi_testutil::chaosfile::ChaosFileConfig;
         let graph = store_test_graph();
         let dir =
             std::env::temp_dir().join(format!("rmpi-engine-transient-{}", std::process::id()));
@@ -1095,12 +1100,7 @@ mod tests {
         let registry = Arc::new(rmpi_obs::MetricsRegistry::new());
         let opts = StoreOptions {
             mode: ReadMode::Stream { cache_blocks: 1 },
-            chaos: Some(ChaosFileConfig {
-                seed: 7,
-                transient_rate: 0.2,
-                delay: std::time::Duration::ZERO,
-                ..ChaosFileConfig::default()
-            }),
+            chaos: Some(chaos),
             ..StoreOptions::default()
         };
         let faulty_reader = Arc::new(StoreReader::open_opts(&dir, opts, &registry).unwrap());
@@ -1111,14 +1111,51 @@ mod tests {
             Arc::clone(&registry),
         );
 
-        let targets: Vec<Triple> =
-            (0..12u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
-        for &t in &targets {
-            assert_eq!(faulty.score(t).unwrap(), clean.score(t).unwrap(), "{t:?}");
+        let mut failures = Vec::new();
+        for i in 0..requests {
+            let t = Triple::new(i % 5, i % 6, (i + 1) % 5);
+            match faulty.score(t) {
+                Ok(s) => assert_eq!(s.to_bits(), clean.score(t).unwrap().to_bits(), "{t:?}"),
+                Err(e) => failures.push(e),
+            }
         }
-        assert!(!faulty.is_degraded(), "transient faults must never degrade the engine");
-        let dump = registry.to_json();
-        assert!(dump.contains("\"store.read_retries.count\""), "{dump}");
         std::fs::remove_dir_all(&dir).unwrap();
+        (failures, faulty.is_degraded(), registry)
+    }
+
+    #[test]
+    fn transient_read_faults_are_retried_not_degraded() {
+        use rmpi_testutil::chaosfile::ChaosFileConfig;
+        let quiet =
+            ChaosFileConfig { delay: std::time::Duration::ZERO, ..ChaosFileConfig::default() };
+
+        // one read in five fails: the bounded retry hides every fault
+        let (failures, degraded, registry) =
+            replay_under_disk_faults(ChaosFileConfig { seed: 7, transient_rate: 0.2, ..quiet }, 12);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(!degraded, "transient faults must never degrade the engine");
+        assert!(registry.counter("store.read_retries.count").get() > 0);
+
+        // the availability floor `RetryConfig::default()` is sized for
+        let requests = 240;
+        let (failures, degraded, _) = replay_under_disk_faults(
+            ChaosFileConfig { seed: 17, transient_rate: 0.10, ..quiet },
+            requests,
+        );
+        assert!(
+            failures.len() as u32 * 100 <= requests,
+            "{} of {requests} failed at a 10% fault rate: below the 99% floor",
+            failures.len()
+        );
+        assert!(!degraded, "transient faults must never degrade the engine");
+
+        // bit flips in flight: the block checksums turn every one into a
+        // re-read or a refusal, never a different score
+        let (failures, _, registry) = replay_under_disk_faults(
+            ChaosFileConfig { seed: 527, corrupt_rate: 0.05, ..quiet },
+            requests,
+        );
+        assert!(failures.iter().all(|e| matches!(e, ServeError::Degraded(_))), "{failures:?}");
+        assert!(registry.counter("store.checksum_retries.count").get() > 0, "no flip was drawn");
     }
 }

@@ -9,9 +9,8 @@
 //!   (`pread`), so RSS is `index + cache` regardless of graph size. This is
 //!   the mode the acceptance criteria measure.
 //! * [`ReadMode::Resident`]: segment bytes are loaded (and checksum-verified)
-//!   up front. Same code paths, zero read syscalls after open — the
-//!   baseline the bench compares against, and a reasonable choice for
-//!   small graphs.
+//!   up front. Same code paths, zero read syscalls after open — a
+//!   reasonable choice for graphs that fit in RAM.
 //!
 //! `mmap` was considered and rejected: it needs either a platform syscall
 //! shim or an external crate (the build is offline/dependency-free), makes
@@ -62,7 +61,8 @@ pub struct RetryConfig {
 impl Default for RetryConfig {
     fn default() -> Self {
         // At a 10% transient-fault rate, 4 attempts leave ~1e-4 residual
-        // failure per block read — the bench_diskfault availability floor.
+        // failure per block read — the 99% availability floor asserted by
+        // rmpi-serve's `transient_read_faults_are_retried_not_degraded`.
         RetryConfig { attempts: 4, backoff: Duration::from_micros(500) }
     }
 }

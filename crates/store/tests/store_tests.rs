@@ -4,7 +4,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmpi_kg::{CsrGraph, EntityId, Triple};
-use rmpi_store::{build_from_sorted, ReadMode, StoreBuilder, StoreConfig, StoreError, StoreReader};
+use rmpi_store::{
+    build_from_sorted, scrub_store, ReadMode, StoreBuilder, StoreConfig, StoreError, StoreReader,
+};
 use std::path::PathBuf;
 
 fn temp_store(tag: &str) -> PathBuf {
@@ -167,6 +169,29 @@ fn corrupted_segment_rejected_with_file_name() {
     // …and resident open refuses outright.
     let err = StoreReader::open(&dir, ReadMode::Resident).unwrap_err();
     assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn scrub_is_clean_on_a_fresh_store_and_names_exactly_the_damaged_segment() {
+    let dir = temp_store("scrub");
+    let cfg = StoreConfig { seg_records: 512, ..StoreConfig::default() };
+    build_from_sorted(&dir, cfg, random_triples(6, 2000, 100, 6)).unwrap();
+    let report = scrub_store(&dir).unwrap();
+    assert!(report.is_clean(), "{:?}", report.corrupt_sections());
+    // MANIFEST + index + 4 forward + 4 inverse segments
+    assert_eq!(report.sections.len(), 10);
+
+    // One flipped data bit: the pass keeps going and blames one file only.
+    let victim = dir.join("inv-00002.seg");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&victim, &bytes).unwrap();
+    let report = scrub_store(&dir).unwrap();
+    let bad: Vec<&str> = report.corrupt_sections().iter().map(|s| s.file.as_str()).collect();
+    assert_eq!(bad, ["inv-00002.seg"]);
+    assert_eq!(report.sections.len(), 10, "the other sections are still reported, as ok");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -20,7 +20,7 @@
 //!
 //! Decisions come from a SplitMix64 stream keyed by `(seed, call index)`,
 //! so a single-threaded driver sees an identical fault sequence on every
-//! run — benches can assert exact invariants instead of probabilities.
+//! run — tests can assert exact invariants instead of probabilities.
 
 use std::fs::File;
 use std::io;

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Release build + tier-1 test suite + thread-count determinism check.
+# Lints + release build + tier-1 test suite + the per-crate robustness suites,
+# and a final check that the run changed no file git can see.
 #
 # Usage: scripts/verify.sh
 # Run from the repository root (or anywhere inside it).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# compared with the end state by the last step
+tree_before="$(git status --porcelain)"
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -46,23 +50,15 @@ cargo test -q -p rmpi-subgraph --test zero_alloc
 echo "== kernel micro-bench smoke: matmuls, reductions, scratch backward (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 
-echo "== store: tiny on-disk world, extraction equivalence (proptest), corruption rejection =="
+echo "== store: tiny on-disk world, extraction equivalence (proptest), corruption rejection, scrub =="
 cargo test -q -p rmpi-store
 cargo test -q -p rmpi-core stream::
 cargo test -q --test store_stack
 
-echo "== store bench smoke: build + seek + scan + extract on a tiny world (10 ms scale) =="
-SCRUB_DIR="$(mktemp -d)/world.store"
-cargo run --release -q -p rmpi-bench --bin bench_store -- --smoke --dir "$SCRUB_DIR" >/dev/null
-
-echo "== scrub smoke: integrity pass over the store the bench just built =="
-cargo run --release -q -p rmpi-bench --bin rmpi_scrub -- "$SCRUB_DIR" >/dev/null
-rm -rf "$(dirname "$SCRUB_DIR")"
-
 echo "== worker pool: unit tests + fault-injected shards (own process) =="
 cargo test -q -p rmpi-runtime
 
-echo "== serving layer: bundle + engine + protocol + micro-batcher unit tests =="
+echo "== serving layer: bundle + engine (disk-fault floors) + protocol + micro-batcher unit tests =="
 cargo test -q -p rmpi-serve --lib
 
 echo "== serve smoke test: ephemeral-port server, scripted query batch, offline parity =="
@@ -71,7 +67,7 @@ cargo test -q -p rmpi-serve --test serving
 echo "== fault suite: divergence guards, worker panics, checkpoint write failures =="
 cargo test -q -p rmpi-core --test fault_injection
 
-echo "== crash-resume suite: kill mid-epoch, resume, bit-identical at every thread count =="
+echo "== crash-resume suite: panic and real SIGKILL mid-epoch, resume, bit-identical at every thread count =="
 cargo test -q -p rmpi-core --test crash_resume
 
 echo "== serve fault suite: hot reload atomicity, panic isolation, byte-offset diagnostics =="
@@ -92,19 +88,15 @@ cargo test -q -p rmpi-client --test soak
 echo "== observability: instrumented train + serve + resilience counters, present and nonzero =="
 cargo test -q --test observability
 
-echo "== crash-recovery smoke: train -> SIGKILL mid-epoch -> resume -> metrics bit-identical =="
-cargo run --release -q -p rmpi-bench --bin bench_resume
-
-echo "== chaos smoke: availability under injected faults, failover to a healthy standby =="
-cargo run --release -q -p rmpi-bench --bin bench_chaos -- --requests 30 --rates 0.0,0.25
-
-echo "== disk-fault smoke: retried transients, checksum-caught bit flips, degraded mode =="
-cargo run --release -q -p rmpi-bench --bin bench_diskfault -- --smoke >/dev/null
-
 echo "== router: chaos (shard kill mid-rank -> bit-identical partial top-k, hedging), front-end conformance =="
 cargo test -q -p rmpi-router
 
-echo "== router smoke: availability + rank coverage vs single-shard fault rate, standby rescue =="
-cargo run --release -q -p rmpi-bench --bin bench_router -- --smoke
+echo "== clean tree: the run left git status as it found it =="
+tree_after="$(git status --porcelain)"
+if [ "$tree_before" != "$tree_after" ]; then
+  echo "verify.sh: the run changed what git sees (< before, > after):" >&2
+  diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+  exit 1
+fi
 
 echo "verify.sh: all checks passed"
