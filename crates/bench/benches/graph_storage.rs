@@ -1,10 +1,14 @@
 //! Criterion bench: Vec-of-Vecs adjacency vs CSR arenas for the
-//! adjacency-scan workload subgraph extraction is bound by.
+//! adjacency-scan workload subgraph extraction is bound by, and the store's
+//! 2-hop pin on a fresh view vs the per-thread recycled one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
 use rmpi_datasets::world::GraphGenConfig;
 use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph};
+use rmpi_store::{
+    build_from_sorted, with_thread_view, NeighborhoodView, ReadMode, StoreConfig, StoreReader,
+};
 
 fn bench_storage(c: &mut Criterion) {
     let world = Family::Fb.world();
@@ -19,7 +23,7 @@ fn bench_storage(c: &mut Criterion) {
         },
     );
     let vecg = KnowledgeGraph::from_triples(triples.clone());
-    let csrg = CsrGraph::from_triples(triples);
+    let csrg = CsrGraph::from_graph(&vecg);
     let n = vecg.num_entities() as u32;
 
     let mut group = c.benchmark_group("graph_storage");
@@ -51,7 +55,40 @@ fn bench_storage(c: &mut Criterion) {
             acc
         })
     });
+
+    // The same graph on disk, block cache warm: what a store-backed engine
+    // pays per cold query before extraction starts.
+    let dir = std::env::temp_dir().join(format!("rmpi-bench-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    build_from_sorted(&dir, StoreConfig::default(), triples.iter().copied()).expect("build store");
+    let reader = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 64 }).expect("open");
+    let pairs: Vec<(EntityId, EntityId)> =
+        triples.iter().step_by(triples.len() / 64 + 1).map(|t| (t.head, t.tail)).collect();
+    group.bench_with_input(BenchmarkId::new("pin_2hop", "fresh_view"), &reader, |b, reader| {
+        b.iter(|| {
+            let mut edges = 0usize;
+            for &(u, v) in &pairs {
+                let mut view = NeighborhoodView::new(reader);
+                view.pin(u, v, 2).expect("pin");
+                edges += view.pinned_edges();
+            }
+            edges
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("pin_2hop", "recycled_view"), &reader, |b, reader| {
+        b.iter(|| {
+            let mut edges = 0usize;
+            for &(u, v) in &pairs {
+                edges += with_thread_view(reader, |view| {
+                    view.pin(u, v, 2).expect("pin");
+                    view.pinned_edges()
+                });
+            }
+            edges
+        })
+    });
     group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(benches, bench_storage);

@@ -128,15 +128,20 @@ pub fn disclosing_one_hop_relations<G: GraphAccess + ?Sized>(
     let mut rels: Vec<RelationId> = Vec::new();
     let endpoints = if u == v { &[u][..] } else { &[u, v][..] };
     for &e in endpoints {
-        for edge in graph.out_edges(e).iter().chain(graph.in_edges(e)) {
+        // each edge spells out its own triple: an out-edge of `e` is
+        // `(e, r, n)`, an in-edge `(n, r, e)` — no look-up by index
+        let outgoing = graph.out_edges(e).iter().map(|edge| (edge, e, edge.neighbor));
+        let incoming = graph.in_edges(e).iter().map(|edge| (edge, edge.neighbor, e));
+        for (edge, head, tail) in outgoing.chain(incoming) {
             if hop == 0 && edge.neighbor != u && edge.neighbor != v {
                 continue;
             }
-            let t = graph.triple(edge.triple_idx);
+            let t = Triple { head, relation: edge.relation, tail };
+            debug_assert_eq!(t, graph.triple(edge.triple_idx), "edge disagrees with its triple");
             if t == target {
                 continue;
             }
-            rels.push(t.relation);
+            rels.push(edge.relation);
         }
     }
     rels.sort_unstable();

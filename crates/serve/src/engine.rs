@@ -48,7 +48,7 @@ use rmpi_core::{RmpiModel, SampleInput, ScoringModel};
 use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph, RelationId, Triple};
 use rmpi_obs::MetricsRegistry;
 use rmpi_runtime::{panic_message, ThreadPool};
-use rmpi_store::{NeighborhoodView, StoreError, StoreReader};
+use rmpi_store::{StoreError, StoreReader};
 use rmpi_subgraph::{LruCache, SubgraphKey};
 use rmpi_testutil::failpoint;
 use std::ops::Deref;
@@ -233,11 +233,12 @@ impl GraphBackend {
     ) -> Result<SampleInput, StoreError> {
         match self {
             GraphBackend::Memory { csr, .. } => Ok(model.prepare_eval_sample(csr, target, seed)),
-            GraphBackend::Store(reader) => {
-                let mut view = NeighborhoodView::new(reader);
+            // the view's storage is this worker thread's, kept across
+            // flushes and handed back even when the pin fails half-way
+            GraphBackend::Store(reader) => rmpi_store::with_thread_view(reader, |view| {
                 view.pin(target.head, target.tail, model.context_radius())?;
-                Ok(model.prepare_eval_sample(&view, target, seed))
-            }
+                Ok(model.prepare_eval_sample(&*view, target, seed))
+            }),
         }
     }
 }
@@ -1071,18 +1072,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Score `requests` uncached targets through an engine whose store reads
-    /// pass through `chaos`; every `Ok` must equal the clean engine's score
-    /// in `to_bits()`. Returns the failures, whether the engine ended up
-    /// degraded, and the registry the faulty reader charged.
-    fn replay_under_disk_faults(
-        chaos: rmpi_testutil::chaosfile::ChaosFileConfig,
-        requests: u32,
-    ) -> (Vec<ServeError>, bool, Arc<rmpi_obs::MetricsRegistry>) {
-        use rmpi_store::{build_from_graph, ReadMode, StoreConfig, StoreOptions, StoreReader};
+    /// A clean engine and one whose store reads go through `opts` (chaos,
+    /// retry policy), both uncached and single-threaded over the same tiny
+    /// store under a `tag`-named directory, plus the registry the faulty
+    /// reader charges. The caller removes the directory.
+    fn clean_and_faulty_engines(
+        tag: &str,
+        opts: rmpi_store::StoreOptions,
+    ) -> (std::path::PathBuf, Engine, Engine, Arc<rmpi_obs::MetricsRegistry>) {
+        use rmpi_store::{build_from_graph, ReadMode, StoreConfig, StoreReader};
         let graph = store_test_graph();
-        let dir =
-            std::env::temp_dir().join(format!("rmpi-engine-transient-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("rmpi-engine-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         build_from_graph(&dir, StoreConfig::default(), &graph).unwrap();
 
@@ -1098,11 +1098,6 @@ mod tests {
             Arc::new(rmpi_obs::MetricsRegistry::new()),
         );
         let registry = Arc::new(rmpi_obs::MetricsRegistry::new());
-        let opts = StoreOptions {
-            mode: ReadMode::Stream { cache_blocks: 1 },
-            chaos: Some(chaos),
-            ..StoreOptions::default()
-        };
         let faulty_reader = Arc::new(StoreReader::open_opts(&dir, opts, &registry).unwrap());
         let faulty = Engine::with_backend(
             mk_model(),
@@ -1110,7 +1105,24 @@ mod tests {
             cfg,
             Arc::clone(&registry),
         );
+        (dir, clean, faulty, registry)
+    }
 
+    /// Score `requests` uncached targets through an engine whose store reads
+    /// pass through `chaos`; every `Ok` must equal the clean engine's score
+    /// in `to_bits()`. Returns the failures, whether the engine ended up
+    /// degraded, and the registry the faulty reader charged.
+    fn replay_under_disk_faults(
+        chaos: rmpi_testutil::chaosfile::ChaosFileConfig,
+        requests: u32,
+    ) -> (Vec<ServeError>, bool, Arc<rmpi_obs::MetricsRegistry>) {
+        use rmpi_store::{ReadMode, StoreOptions};
+        let opts = StoreOptions {
+            mode: ReadMode::Stream { cache_blocks: 1 },
+            chaos: Some(chaos),
+            ..StoreOptions::default()
+        };
+        let (dir, clean, faulty, registry) = clean_and_faulty_engines("transient", opts);
         let mut failures = Vec::new();
         for i in 0..requests {
             let t = Triple::new(i % 5, i % 6, (i + 1) % 5);
@@ -1121,6 +1133,58 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
         (failures, faulty.is_degraded(), registry)
+    }
+
+    /// `threads: 1` scores inline, so every request below runs on this
+    /// thread and pins into the same recycled view. With one read attempt a
+    /// transient fault fails the pin it lands in — usually past the first
+    /// entity, the store's two files alternating through a one-block cache —
+    /// and what that pin had loaded must not leak into the next.
+    #[test]
+    fn a_pin_that_fails_half_way_leaves_the_recycled_view_usable() {
+        use rmpi_store::{ReadMode, RetryConfig, StoreOptions};
+        use rmpi_testutil::chaosfile::ChaosFileConfig;
+        let opts = StoreOptions {
+            mode: ReadMode::Stream { cache_blocks: 1 },
+            retry: RetryConfig { attempts: 1, ..RetryConfig::default() },
+            chaos: Some(ChaosFileConfig {
+                seed: 23,
+                transient_rate: 0.15,
+                delay: std::time::Duration::ZERO,
+                ..ChaosFileConfig::default()
+            }),
+        };
+        let (dir, clean, faulty, registry) = clean_and_faulty_engines("failed-pin", opts);
+        // the first answer within a bounded number of tries: each try draws
+        // fresh fault decisions, so a given pin gets through soon enough
+        let eventually = |t: Triple| -> f32 {
+            (0..200).find_map(|_| faulty.score(t).ok()).expect("200 pins in a row failed")
+        };
+        let mut failed_pins = 0;
+        for i in 0..60u32 {
+            let t = Triple::new(i % 5, i % 6, (i + 1) % 5);
+            match faulty.score(t) {
+                Ok(s) => assert_eq!(s.to_bits(), clean.score(t).unwrap().to_bits(), "{t:?}"),
+                Err(e) => {
+                    assert!(matches!(e, ServeError::Internal(_)), "{e}");
+                    failed_pins += 1;
+                    // the same triple, then a different one, right behind
+                    // the failed pin on the same worker
+                    let other = Triple::new((i + 2) % 5, (i + 1) % 6, (i + 4) % 5);
+                    for t in [t, other] {
+                        assert_eq!(
+                            eventually(t).to_bits(),
+                            clean.score(t).unwrap().to_bits(),
+                            "{t:?} after a failed pin"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(failed_pins > 0, "no pin drew a fault: the test exercised nothing");
+        assert!(!faulty.is_degraded(), "transient faults must never degrade the engine");
+        assert!(registry.counter("store.read_errors.count").get() >= failed_pins);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

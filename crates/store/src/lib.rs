@@ -34,9 +34,10 @@
 //! [`StoreReader`] answers point queries through a small block cache
 //! ([`ReadMode::Stream`]) or from fully resident segment bytes
 //! ([`ReadMode::Resident`]); whole-graph sweeps stream segments
-//! sequentially either way. [`NeighborhoodView`] pins a k-hop
-//! neighbourhood into RAM and then implements `GraphAccess`, which is how
-//! `ExtractScratch`-based subgraph extraction runs against disk unchanged.
+//! sequentially either way. [`NeighborhoodView`] pins what a k-hop
+//! extraction reads into RAM and then implements `GraphAccess`, which is how
+//! `ExtractScratch`-based subgraph extraction runs against disk unchanged;
+//! [`with_thread_view`] lends out one whose storage is recycled per thread.
 
 mod builder;
 mod format;
@@ -56,7 +57,7 @@ pub use format::{
 pub use manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 pub use reader::{ReadMode, RetryConfig, StoreOptions, StoreReader, PREAD_FAILPOINT};
 pub use scrub::{scrub_store, ScrubReport, ScrubSection};
-pub use view::NeighborhoodView;
+pub use view::{with_thread_view, NeighborhoodView};
 
 use std::fmt;
 use std::io;

@@ -12,6 +12,7 @@ use rmpi_store::{
     StoreReader,
 };
 use rmpi_subgraph::{disclosing_subgraph, enclosing_subgraph};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn arb_world() -> impl Strategy<Value = (Vec<Triple>, Triple)> {
@@ -73,29 +74,42 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The pin contract, against the CSR: out-edges of every entity within
+    /// `k` undirected hops of a source, in-edges of those within `k - 1` and
+    /// of the sources themselves, and nothing else.
     #[test]
     fn pinned_view_adjacency_matches_csr(
-        (triples, _target) in arb_world(),
-        k in 1usize..3,
-        probe in 0u32..24,
+        (triples, target) in arb_world(),
+        k in 0usize..4,
     ) {
         let (dir, reader) = store_for(&triples);
         let csr = CsrGraph::from_triples(triples);
+        let (u, v) = (target.head, target.tail);
         let mut view = NeighborhoodView::new(&reader);
-        view.pin(EntityId(probe), EntityId(probe), k).unwrap();
-        // The pin sources themselves must serve full CSR-identical slices.
-        prop_assert_eq!(view.out_edges(EntityId(probe)), csr.out_edges(EntityId(probe)));
-        prop_assert_eq!(view.in_edges(EntityId(probe)), csr.in_edges(EntityId(probe)));
-        // …and so must every 1-hop neighbour (pinned at k >= 1).
-        for edge in csr.out_edges(EntityId(probe)).iter().chain(csr.in_edges(EntityId(probe))) {
-            let n = edge.neighbor;
-            prop_assert_eq!(view.out_edges(n), csr.out_edges(n), "out({})", n);
-            prop_assert_eq!(view.in_edges(n), csr.in_edges(n), "in({})", n);
+        view.pin(u, v, k).unwrap();
+
+        let depth = depths_from(&csr, &[u, v], k);
+        let (mut entities, mut edges) = (0usize, 0usize);
+        for (&e, &d) in &depth {
+            entities += 1;
+            prop_assert_eq!(view.out_edges(e), csr.out_edges(e), "out({}) at depth {}", e, d);
+            edges += csr.out_edges(e).len();
+            if d < k || e == u || e == v {
+                prop_assert_eq!(view.in_edges(e), csr.in_edges(e), "in({}) at depth {}", e, d);
+                edges += csr.in_edges(e).len();
+            }
         }
-        // Trait-level scalars agree regardless of the pin.
+        prop_assert_eq!(view.pinned_entities(), entities, "pinned exactly the k-hop ball");
+        prop_assert_eq!(view.pinned_edges(), edges, "shell in-edges are not loaded");
+
+        // Scalars, degrees and triple look-ups agree regardless of the pin.
         prop_assert_eq!(GraphAccess::num_entities(&view), GraphAccess::num_entities(&csr));
         prop_assert_eq!(GraphAccess::num_triples(&view), GraphAccess::num_triples(&csr));
         prop_assert_eq!(GraphAccess::num_relations(&view), GraphAccess::num_relations(&csr));
+        // every id the worlds draw from, and two past the id space
+        for e in (0..26u32).map(EntityId) {
+            prop_assert_eq!(GraphAccess::degree(&view, e), GraphAccess::degree(&csr, e), "{}", e);
+        }
         for idx in 0..GraphAccess::num_triples(&csr) {
             prop_assert_eq!(GraphAccess::triple(&view, idx), GraphAccess::triple(&csr, idx));
         }
@@ -161,6 +175,53 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Undirected hop distance from the nearer of `sources`, for every entity
+/// within `k` hops — the plain-BFS statement of which entities a pin covers.
+fn depths_from(csr: &CsrGraph, sources: &[EntityId], k: usize) -> BTreeMap<EntityId, usize> {
+    let mut depth: BTreeMap<EntityId, usize> = sources.iter().map(|&s| (s, 0)).collect();
+    let mut frontier: Vec<EntityId> = depth.keys().copied().collect();
+    for d in 1..=k {
+        let mut next = Vec::new();
+        for &e in &frontier {
+            for edge in csr.out_edges(e).iter().chain(csr.in_edges(e)) {
+                if let Entry::Vacant(unseen) = depth.entry(edge.neighbor) {
+                    unseen.insert(d);
+                    next.push(edge.neighbor);
+                }
+            }
+        }
+        frontier = next;
+    }
+    depth
+}
+
+/// The chain `0 -> 1 -> 2` pinned around entity 0 at radius 1: entity 1 is
+/// the shell, entity 2 is outside.
+#[cfg(debug_assertions)]
+fn chain_pinned_at_radius_one(read: impl FnOnce(&NeighborhoodView<'_>)) {
+    let (dir, reader) = store_for(&[Triple::new(0u32, 0u32, 1u32), Triple::new(1u32, 0u32, 2u32)]);
+    let mut view = NeighborhoodView::new(&reader);
+    view.pin(EntityId(0), EntityId(0), 1).unwrap();
+    assert_eq!(view.out_edges(EntityId(1)).len(), 1, "the shell serves its out-edges");
+    // the store directory goes first: `read` is expected to panic
+    std::fs::remove_dir_all(&dir).unwrap();
+    read(&view);
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "outermost shell")]
+fn reading_in_edges_of_the_shell_panics_in_debug_builds() {
+    chain_pinned_at_radius_one(|view| assert!(view.in_edges(EntityId(1)).is_empty()));
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "outside the pinned neighbourhood")]
+fn reading_outside_the_pin_panics_in_debug_builds() {
+    chain_pinned_at_radius_one(|view| assert!(view.in_edges(EntityId(2)).is_empty()));
 }
 
 /// Open `dir` and read every adjacency surface the store serves — out/in

@@ -139,6 +139,7 @@ pub fn enclosing_subgraph_into<G: GraphAccess + ?Sized>(
         scratch.mark_incident(t.head.0);
         scratch.mark_incident(t.tail.0);
     }
+    // `kept` comes back ascending, so `entities` is built sorted
     out.entities.clear();
     for i in 0..scratch.kept.len() {
         let e = scratch.kept[i];
@@ -146,7 +147,6 @@ pub fn enclosing_subgraph_into<G: GraphAccess + ?Sized>(
             out.entities.push(EntityId(e));
         }
     }
-    out.entities.sort_unstable();
     fill_distances(scratch, k, out);
     out.target = target;
 }
@@ -181,39 +181,48 @@ pub fn disclosing_subgraph_into<G: GraphAccess + ?Sized>(
     scratch.mark_kept(u.0);
     scratch.mark_kept(v.0);
     collect_edges(g, target, scratch, &mut out.triples);
+    // `kept` comes back ascending, so `entities` is built sorted
     out.entities.clear();
-    for i in 0..scratch.kept.len() {
-        out.entities.push(EntityId(scratch.kept[i]));
-    }
-    out.entities.sort_unstable();
+    out.entities.extend(scratch.kept.iter().map(|&e| EntityId(e)));
     fill_distances(scratch, k, out);
     out.target = target;
 }
 
 /// Every edge of `g` whose endpoints are both kept, except edges equal to
-/// `target`, sorted. Scanning out-edges of distinct entities visits each
-/// triple index at most once (a triple's head is unique), so no dedup set
-/// is needed.
+/// `target`, sorted — by construction, not by a final sort. The kept ids are
+/// sorted first (a few hundred), heads are swept in ascending order and only
+/// each head's own run is sorted: `Triple` orders by head first, so the
+/// concatenation of sorted runs under ascending heads *is* the sorted output.
+/// Each triple is read off the edge being looked at — an out-edge of `e` to
+/// `n` under `r` is `(e, r, n)` — so the sweep never goes back to the graph
+/// for it. Scanning out-edges of distinct entities visits each triple index
+/// at most once (a triple's head is unique), so no dedup set is needed.
+/// Leaves `scratch.kept` ascending.
 fn collect_edges<G: GraphAccess + ?Sized>(
     g: &G,
     target: Triple,
-    scratch: &ExtractScratch,
+    scratch: &mut ExtractScratch,
     out: &mut Vec<Triple>,
 ) {
     out.clear();
+    scratch.kept.sort_unstable();
     for &e in &scratch.kept {
+        let run = out.len();
         for edge in g.out_edges(EntityId(e)) {
             if !scratch.is_kept(edge.neighbor.0) {
                 continue;
             }
-            let t = g.triple(edge.triple_idx);
+            let t = Triple { head: EntityId(e), relation: edge.relation, tail: edge.neighbor };
+            debug_assert_eq!(t, g.triple(edge.triple_idx), "out-edge disagrees with its triple");
             if t == target {
                 continue;
             }
             out.push(t);
         }
+        // adjacency is in triple-index order, which is sorted only when the
+        // graph was built from sorted input
+        out[run..].sort_unstable();
     }
-    out.sort_unstable();
 }
 
 /// Fill `out.dists` with BFS distances (capped at k+1) for `out.entities`.

@@ -37,7 +37,8 @@ pub struct ExtractScratch {
     pub(crate) queue_u: Vec<u32>,
     /// Visit-order list of the tail BFS (doubles as its queue).
     pub(crate) queue_v: Vec<u32>,
-    /// The retained entity set, in insertion order.
+    /// The retained entity set: in insertion order while it is being marked,
+    /// ascending once the edge sweep has run.
     pub(crate) kept: Vec<u32>,
 }
 

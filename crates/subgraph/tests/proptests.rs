@@ -120,6 +120,74 @@ proptest! {
 // same (entity, dist_u, dist_v) rows — on the Vec-of-Vecs backend AND on the
 // CSR arenas, across random graphs, targets and hop counts. `k in 0..4`
 // deliberately includes the hop-0 degenerate case.
+
+/// Worlds that make the edge sweep's per-head sort do real work: a few
+/// distinct triples over a small id space, each repeated up to four times,
+/// in an input order shuffled by sort keys drawn alongside. Adjacency is in
+/// input order on both backends, so a head's run arrives neither sorted nor
+/// free of duplicates.
+fn arb_shuffled_duplicate_heavy_world() -> impl Strategy<Value = (KnowledgeGraph, Triple)> {
+    let copies = prop::collection::vec(any::<u32>(), 1..5);
+    (
+        prop::collection::vec(((0u32..10, 0u32..4, 0u32..10), copies), 1..40),
+        (0u32..10, 0u32..4, 0u32..10),
+    )
+        .prop_map(|(edges, (h, r, t))| {
+            let mut keyed: Vec<(u32, Triple)> = edges
+                .into_iter()
+                .flat_map(|((a, rel, b), keys)| {
+                    keys.into_iter().map(move |key| (key, Triple::new(a, rel, b)))
+                })
+                .collect();
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            let triples = keyed.into_iter().map(|(_, t)| t).collect();
+            (KnowledgeGraph::from_triples(triples), Triple::new(h, r, t))
+        })
+}
+
+/// Both extractions of `target` at radius `k`, on both RAM backends, equal
+/// the reference field for field, and come out sorted.
+fn assert_matches_reference(
+    g: &KnowledgeGraph,
+    target: Triple,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let csr = rmpi_kg::CsrGraph::from_graph(g);
+    let want_en = rmpi_subgraph::extraction::reference::enclosing_subgraph(g, target, k);
+    let want_di = rmpi_subgraph::extraction::reference::disclosing_subgraph(g, target, k);
+
+    for (label, got_en, got_di) in [
+        ("vec", enclosing_subgraph(g, target, k), disclosing_subgraph(g, target, k)),
+        ("csr", enclosing_subgraph(&csr, target, k), disclosing_subgraph(&csr, target, k)),
+    ] {
+        prop_assert_eq!(&got_en.triples, &want_en.triples, "enclosing triples ({})", label);
+        prop_assert_eq!(&got_en.entities, &want_en.entities, "enclosing entities ({})", label);
+        prop_assert_eq!(
+            got_en.distance_rows(),
+            want_en.distance_rows(),
+            "enclosing distances ({})",
+            label
+        );
+        prop_assert_eq!(&got_di.triples, &want_di.triples, "disclosing triples ({})", label);
+        prop_assert_eq!(&got_di.entities, &want_di.entities, "disclosing entities ({})", label);
+        prop_assert_eq!(
+            got_di.distance_rows(),
+            want_di.distance_rows(),
+            "disclosing distances ({})",
+            label
+        );
+        for sg in [&got_en, &got_di] {
+            prop_assert!(sg.triples.windows(2).all(|w| w[0] <= w[1]), "triples sorted ({})", label);
+            prop_assert!(
+                sg.entities.windows(2).all(|w| w[0] < w[1]),
+                "entities strictly ascending ({})",
+                label
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn dense_extraction_matches_reference(
@@ -128,27 +196,16 @@ proptest! {
         include_target in any::<bool>(),
     ) {
         let g = if include_target { g.with_extra_triples(&[target]) } else { g };
-        let csr = rmpi_kg::CsrGraph::from_graph(&g);
+        assert_matches_reference(&g, target, k)?;
+    }
 
-        let want_en = rmpi_subgraph::extraction::reference::enclosing_subgraph(&g, target, k);
-        let want_di = rmpi_subgraph::extraction::reference::disclosing_subgraph(&g, target, k);
-
-        for (label, got_en, got_di) in [
-            ("vec", enclosing_subgraph(&g, target, k), disclosing_subgraph(&g, target, k)),
-            ("csr", enclosing_subgraph(&csr, target, k), disclosing_subgraph(&csr, target, k)),
-        ] {
-            prop_assert_eq!(&got_en.triples, &want_en.triples, "enclosing triples ({})", label);
-            prop_assert_eq!(&got_en.entities, &want_en.entities, "enclosing entities ({})", label);
-            prop_assert_eq!(
-                got_en.distance_rows(), want_en.distance_rows(),
-                "enclosing distances ({})", label
-            );
-            prop_assert_eq!(&got_di.triples, &want_di.triples, "disclosing triples ({})", label);
-            prop_assert_eq!(&got_di.entities, &want_di.entities, "disclosing entities ({})", label);
-            prop_assert_eq!(
-                got_di.distance_rows(), want_di.distance_rows(),
-                "disclosing distances ({})", label
-            );
-        }
+    #[test]
+    fn shuffled_duplicate_heavy_worlds_match_reference_and_come_out_sorted(
+        (g, target) in arb_shuffled_duplicate_heavy_world(),
+        k in 0usize..4,
+        include_target in any::<bool>(),
+    ) {
+        let g = if include_target { g.with_extra_triples(&[target, target]) } else { g };
+        assert_matches_reference(&g, target, k)?;
     }
 }

@@ -64,6 +64,8 @@ fn targets(n_entities: u32, count: usize, seed: u32) -> Vec<Triple> {
 #[test]
 fn steady_state_extraction_is_allocation_free() {
     let _turn = exclusive();
+    // adjacency is in `build_graph`'s random input order, so the edge sweep's
+    // in-place sorts (the kept ids, then each head's run) all have work to do
     let g = build_graph(300, 12, 2400, 1);
     let csr = CsrGraph::from_graph(&g);
     let ts = targets(300, 64, 2);
@@ -85,6 +87,7 @@ fn steady_state_extraction_is_allocation_free() {
 
     let before = ALLOC.allocations();
     let mut checksum = 0usize;
+    let mut sorted = true;
     for &t in &ts {
         for k in 0..=2usize {
             enclosing_subgraph_into(&csr, t, k, &mut scratch, &mut out);
@@ -95,11 +98,13 @@ fn steady_state_extraction_is_allocation_free() {
             checksum += out.num_edges();
             disclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
             checksum += out.num_edges();
+            sorted &= out.triples.windows(2).all(|w| w[0] <= w[1]);
         }
     }
     let allocations = ALLOC.allocations() - before;
 
     assert!(checksum > 0, "extractions produced no output — workload degenerate");
+    assert!(sorted, "the sweep's output must come out sorted");
     assert_eq!(
         allocations,
         0,

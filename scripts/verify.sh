@@ -32,6 +32,13 @@ echo "== benchmark smoke: traced rank_cold — replay asserts, answer check, sta
 cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
   --workload rank_cold --seed 1 --seconds 2 --trace 1 >/dev/null
 
+# the store-backed cold path end to end: pin on the worker's recycled view,
+# sorted edge sweep, every answer checked against offline scoring; 2 s passes
+# the sample floors, and the store it builds lives under target/bench/
+echo "== benchmark smoke: traced store_cold — pin + extraction over the on-disk store, answer check =="
+cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
+  --workload store_cold --seed 1 --seconds 2 --trace 1 >/dev/null
+
 echo "== determinism: threads=1 vs threads=4 vs threads=0 =="
 cargo test -q -p rmpi-core --test parallel_determinism
 
@@ -50,7 +57,7 @@ cargo test -q -p rmpi-subgraph --test zero_alloc
 echo "== kernel micro-bench smoke: matmuls, reductions, scratch backward (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 
-echo "== store: tiny on-disk world, extraction equivalence (proptest), corruption rejection, scrub =="
+echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
 cargo test -q -p rmpi-store
 cargo test -q -p rmpi-core stream::
 cargo test -q --test store_stack
