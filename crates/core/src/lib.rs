@@ -30,11 +30,19 @@ pub mod stream;
 pub mod trainer;
 pub mod traits;
 
+// The integration suites' fixtures, shared with the unit tests; they name
+// this crate as an outside caller would.
+#[cfg(test)]
+extern crate self as rmpi_core;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub use checkpoint::{latest_checkpoint, load_checkpoint, save_checkpoint, TrainCheckpoint};
 pub use config::{Fusion, RelationInit, RmpiConfig};
 pub use model::{ModelAssemblyError, RmpiModel};
 pub use sample::SampleInput;
-pub use stream::{train_streaming, IndexPermutation, StreamReport};
+pub use stream::{train_streaming, IndexPermutation};
 pub use trainer::{
     train_model, CheckpointConfig, DivergencePolicy, TrainConfig, TrainEvent, TrainReport, Trainer,
 };

@@ -1,51 +1,42 @@
-//! Out-of-core training: the same loop as [`crate::trainer`], fed from an
-//! on-disk [`rmpi_store::StoreReader`] instead of an in-memory graph.
+//! Out-of-core training: an on-disk [`StoreReader`] as a source for the one
+//! loop in [`crate::trainer`] ([`crate::Trainer::train_store`]).
 //!
-//! Two things change when the graph no longer fits in RAM:
+//! The store source differs from the in-memory one in two answers, and only
+//! those:
 //!
-//! * **The target list is the store itself.** Every stored triple is a
-//!   training target, addressed by its record index. Shuffling a
+//! * **Order — the target list is the store itself.** Every stored triple is
+//!   a training target, addressed by its record index. Shuffling a
 //!   ten-million-element index vector per epoch would cost 80 MB, so the
 //!   epoch order comes from a seeded *format-preserving permutation*
 //!   ([`IndexPermutation`]: a four-round Feistel network over the smallest
 //!   even-bit domain covering the index range, cycle-walked back into
 //!   `[0, n)`). O(1) memory, deterministic in `(seed, epoch)`, and every
 //!   index appears exactly once per epoch.
-//! * **Adjacency is pinned per sample.** Each worker owns a reusable
-//!   [`NeighborhoodView`]; before scoring a target it pins the
-//!   [`ScoringModel::context_radius`]-hop neighbourhood of the target's
-//!   endpoints, so `score_on_tape` sees exactly the subgraph it would have
-//!   read from an in-memory CSR. Peak memory is bounded by the pinned
-//!   neighbourhood, the block cache and the model — never by graph size.
+//! * **Pin — adjacency is loaded per score.** Before each of a sample's two
+//!   scores the source pins the [`ScoringModel::context_radius`]-hop
+//!   neighbourhood of that triple's endpoints into the worker thread's
+//!   recycled view ([`with_thread_view`]), so `score_on_tape` sees exactly
+//!   the subgraph it would have read from an in-memory CSR. Peak memory is
+//!   bounded by the pinned neighbourhood, the block cache and the model —
+//!   never by graph size. Negatives are filtered against the reader, which
+//!   needs no pin.
 //!
-//! Everything else — gradient accumulation, the ordered fold, Adam, the
-//! margin loss, per-sample RNG keying via
-//! [`mix_seed`]`(seed, stream, sample_key(epoch, pos))` — is shared with the
-//! in-memory trainer, which keeps the streaming loop **bit-identical across
-//! thread counts** for the same reasons (see `trainer` module docs). The
-//! validation pass draws the identical RNG sequence per sample as
-//! `trainer::try_validation_accuracy`, so streaming validation reproduces
-//! the in-memory accuracy exactly (a unit test pins this).
-//!
-//! Divergence handling is the skip-batch policy only: a non-finite loss or
-//! gradient norm drops that batch's gradients, as does a worker panic. The
-//! richer policies (rollback, clip-and-warn) live with the checkpointing
-//! driver in [`crate::trainer`].
+//! Everything else — batching, per-sample RNG keying, the ordered fold, Adam,
+//! validation, early stopping, checkpoints and resume, every
+//! [`crate::DivergencePolicy`], [`crate::TrainEvent`]s — is the loop's, so it
+//! cannot differ: store-backed training is bit-identical across thread
+//! counts, resumes bit-identically after a crash, and equals in-memory
+//! training over the same triples in the same order (a unit test below pins
+//! the last, `tests/{parallel_determinism,crash_resume}.rs` the others). A
+//! store read that fails in a worker panics with the store's error and so
+//! fails that batch ([`crate::TrainEvent::BatchFailed`]), not the run.
 
-use crate::loss::margin_ranking_loss;
-use crate::trainer::{rng_stream, sample_key, step, TrainConfig};
-use crate::traits::{Mode, ScoringModel};
+use crate::trainer::{trainer_metrics, TrainConfig, TrainReport, TrainSource, Trainer};
+use crate::traits::ScoringModel;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rmpi_autograd::optim::Adam;
-use rmpi_autograd::{BackwardScratch, GradBuffer, Tape};
-use rmpi_kg::Triple;
-use rmpi_obs::{Counter, Histogram};
-use rmpi_runtime::{mix_seed, PoolError, ThreadPool};
-use rmpi_store::{NeighborhoodView, StoreReader};
+use rmpi_kg::{GraphAccess, Triple};
+use rmpi_store::{with_thread_view, StoreReader};
 use rmpi_subgraph::NegativeSampler;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// SplitMix64 finaliser: the Feistel round function's mixer.
@@ -109,232 +100,59 @@ impl IndexPermutation {
     }
 }
 
-/// `stream_trainer.*` metric handles, resolved once per process.
-struct StreamMetrics {
-    /// `stream_trainer.pin.us` — per-sample neighbourhood pinning (all IO).
-    pin: Histogram,
-    /// `stream_trainer.samples.count` — samples whose gradients were folded.
-    samples: Counter,
-    /// `stream_trainer.batches.count` — batches processed (any outcome).
-    batches: Counter,
-    /// `stream_trainer.batches_skipped.count` — non-finite or panicked
-    /// batches dropped.
-    batches_skipped: Counter,
-    /// `stream_trainer.epochs.count` — epochs completed.
-    epochs: Counter,
-}
+impl TrainSource for StoreReader {
+    type Order = IndexPermutation;
 
-fn stream_metrics() -> &'static StreamMetrics {
-    static METRICS: OnceLock<StreamMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = rmpi_obs::global();
-        StreamMetrics {
-            pin: reg.histogram("stream_trainer.pin.us"),
-            samples: reg.counter("stream_trainer.samples.count"),
-            batches: reg.counter("stream_trainer.batches.count"),
-            batches_skipped: reg.counter("stream_trainer.batches_skipped.count"),
-            epochs: reg.counter("stream_trainer.epochs.count"),
-        }
-    })
-}
+    fn num_targets(&self) -> usize {
+        self.num_triples()
+    }
 
-/// What happened during a streaming run.
-#[derive(Clone, Debug, Default)]
-pub struct StreamReport {
-    /// Mean margin loss per epoch.
-    pub epoch_losses: Vec<f32>,
-    /// Validation pairwise ranking accuracy per epoch.
-    pub valid_accuracy: Vec<f32>,
-    /// Epoch whose parameters were kept (0-based).
-    pub best_epoch: usize,
-    /// Batches dropped (non-finite loss/gradients or worker panic).
-    pub skipped_batches: usize,
-    /// Samples whose gradients reached the optimiser.
-    pub samples: usize,
-}
+    fn epoch_order(&self, seed: u64) -> IndexPermutation {
+        IndexPermutation::new(self.num_triples() as u64, seed)
+    }
 
-impl StreamReport {
-    /// Final (restored) validation accuracy.
-    pub fn best_accuracy(&self) -> f32 {
-        self.valid_accuracy.get(self.best_epoch).copied().unwrap_or(0.0)
+    fn target(&self, order: &IndexPermutation, pos: usize) -> Triple {
+        self.triple_at(order.apply(pos as u64))
+            .unwrap_or_else(|e| panic!("store read failed (target): {e}"))
+    }
+
+    fn sampler(&self) -> NegativeSampler {
+        NegativeSampler::from_pool(self.present_entities())
+    }
+
+    fn corrupt(&self, sampler: &NegativeSampler, pos: Triple, rng: &mut StdRng) -> Triple {
+        // membership tests go to the reader, whatever is pinned — here, nothing
+        with_thread_view(self, |view| sampler.corrupt(pos, &*view, rng))
+    }
+
+    fn with_graph<R>(
+        &self,
+        target: Triple,
+        radius: usize,
+        f: impl FnOnce(&dyn GraphAccess) -> R,
+    ) -> R {
+        with_thread_view(self, |view| {
+            let pin_start = Instant::now();
+            view.pin(target.head, target.tail, radius)
+                .unwrap_or_else(|e| panic!("store read failed (pin): {e}"));
+            trainer_metrics().pin.record_duration(pin_start.elapsed());
+            f(&*view)
+        })
     }
 }
 
 /// Train `model` on every triple of the store; `valid` steers early stopping
 /// and the best-snapshot restore exactly as in [`crate::trainer::train_model`].
 ///
-/// Honoured [`TrainConfig`] fields: `epochs`, `batch_size`, `lr`, `margin`,
-/// `max_samples_per_epoch`, `grad_clip`, `patience`, `max_valid_samples`,
-/// `seed`, `threads`. `divergence` is fixed to skip-batch semantics (see the
-/// module docs). Bit-identical across `threads` values.
+/// Equivalent to `Trainer::new(*cfg).train_store(...)` — no checkpointing, no
+/// callback. Bit-identical across `threads` values.
 pub fn train_streaming<M: ScoringModel + Sync>(
     model: &mut M,
     reader: &StoreReader,
     valid: &[Triple],
     cfg: &TrainConfig,
-) -> StreamReport {
-    let n = reader.num_triples() as u64;
-    assert!(n > 0, "no training targets in the store");
-    assert!(cfg.batch_size > 0, "batch_size must be positive");
-    let sampler = NegativeSampler::from_pool(reader.present_entities());
-    let pool = ThreadPool::new(cfg.threads);
-    let radius = model.context_radius();
-    let mut adam = Adam::new(cfg.lr);
-    let mut report = StreamReport::default();
-    let mut best_acc = f32::NEG_INFINITY;
-    let mut best_store = model.param_store().clone();
-    let mut since_best = 0usize;
-    let metrics = stream_metrics();
-
-    for epoch in 0..cfg.epochs {
-        let perm = IndexPermutation::new(n, mix_seed(cfg.seed, rng_stream::SHUFFLE, epoch as u64));
-        let take = if cfg.max_samples_per_epoch > 0 {
-            n.min(cfg.max_samples_per_epoch as u64) as usize
-        } else {
-            n as usize
-        };
-
-        let mut epoch_loss = 0.0f64;
-        let mut counted = 0usize;
-        model.param_store_mut().zero_grad();
-        let mut base = 0usize;
-        while base < take {
-            let len = cfg.batch_size.min(take - base);
-            let results: Result<Vec<(f32, GradBuffer)>, PoolError> = {
-                let model: &M = model;
-                let sampler = &sampler;
-                pool.try_map_init(
-                    len,
-                    || (Tape::new(), NeighborhoodView::new(reader)),
-                    |(tape, view), i| {
-                        let idx = perm.apply((base + i) as u64);
-                        let pos = reader.triple_at(idx).expect("store read failed (target)");
-                        let mut rng = StdRng::seed_from_u64(mix_seed(
-                            cfg.seed,
-                            rng_stream::TRAIN,
-                            sample_key(epoch, base + i),
-                        ));
-                        // Same draw order as the in-memory loop: corrupt
-                        // first (membership tests bypass the pin), then
-                        // score positive and negative.
-                        let neg = sampler.corrupt(pos, &*view, &mut rng);
-                        tape.reset();
-                        let pin_start = Instant::now();
-                        view.pin(pos.head, pos.tail, radius).expect("store read failed (pin)");
-                        metrics.pin.record_duration(pin_start.elapsed());
-                        let sp = model.score_on_tape(tape, &*view, pos, Mode::Train, &mut rng);
-                        let pin_start = Instant::now();
-                        view.pin(neg.head, neg.tail, radius).expect("store read failed (pin)");
-                        metrics.pin.record_duration(pin_start.elapsed());
-                        let sn = model.score_on_tape(tape, &*view, neg, Mode::Train, &mut rng);
-                        let loss = margin_ranking_loss(tape, sp, sn, cfg.margin);
-                        let mut buf = GradBuffer::new();
-                        rmpi_runtime::with_scratch(|scratch: &mut BackwardScratch| {
-                            tape.backward_into_with(loss, scratch, &mut buf);
-                        });
-                        (tape.value(loss).item(), buf)
-                    },
-                )
-            };
-            metrics.batches.inc();
-            let results = match results {
-                Ok(r) => r,
-                Err(_) => {
-                    report.skipped_batches += 1;
-                    metrics.batches_skipped.inc();
-                    model.param_store_mut().zero_grad();
-                    base += len;
-                    continue;
-                }
-            };
-            // Ordered reduce — same addition sequence at any thread count.
-            for (_, buf) in &results {
-                buf.add_to(model.param_store_mut());
-            }
-            let losses_finite = results.iter().all(|(l, _)| l.is_finite());
-            let grad_norm = model.param_store().grad_norm();
-            if losses_finite && grad_norm.is_finite() {
-                epoch_loss += results.iter().map(|(l, _)| *l as f64).sum::<f64>();
-                counted += results.len();
-                metrics.samples.add(results.len() as u64);
-                step(model, &mut adam, cfg, len);
-            } else {
-                report.skipped_batches += 1;
-                metrics.batches_skipped.inc();
-                model.param_store_mut().zero_grad();
-            }
-            base += len;
-        }
-        report.samples += counted;
-        let mean_loss = if counted == 0 { 0.0 } else { (epoch_loss / counted as f64) as f32 };
-        report.epoch_losses.push(mean_loss);
-
-        let acc = streaming_accuracy(model, reader, valid, cfg, &pool, epoch as u64).unwrap_or(0.0);
-        report.valid_accuracy.push(acc);
-        if acc > best_acc {
-            best_acc = acc;
-            best_store = model.param_store().clone();
-            report.best_epoch = epoch;
-            since_best = 0;
-        } else {
-            since_best += 1;
-        }
-        metrics.epochs.inc();
-        if cfg.patience > 0 && since_best >= cfg.patience {
-            break;
-        }
-    }
-    *model.param_store_mut() = best_store;
-    report
-}
-
-/// Pairwise ranking accuracy over `valid`, scored against pinned
-/// neighbourhoods. Per-sample RNG keying matches the in-memory
-/// `try_validation_accuracy` exactly, so for the same model and validation
-/// set the two backends report the same number. Worker panics surface as
-/// `Err`; the epoch then records accuracy 0.
-pub fn streaming_accuracy<M: ScoringModel + Sync>(
-    model: &M,
-    reader: &StoreReader,
-    valid: &[Triple],
-    cfg: &TrainConfig,
-    pool: &ThreadPool,
-    epoch: u64,
-) -> Result<f32, PoolError> {
-    if valid.is_empty() {
-        return Ok(0.0);
-    }
-    let sampler = NegativeSampler::from_pool(reader.present_entities());
-    let mut subset: Vec<Triple> = valid.to_vec();
-    let mut shuffle_rng =
-        StdRng::seed_from_u64(mix_seed(cfg.seed, rng_stream::VALID_SHUFFLE, epoch));
-    subset.shuffle(&mut shuffle_rng);
-    if cfg.max_valid_samples > 0 {
-        subset.truncate(cfg.max_valid_samples);
-    }
-    let radius = model.context_radius();
-    let wins: u32 = pool
-        .try_map_init(
-            subset.len(),
-            || NeighborhoodView::new(reader),
-            |view, i| {
-                let pos = subset[i];
-                let mut rng = StdRng::seed_from_u64(mix_seed(
-                    cfg.seed,
-                    rng_stream::VALID,
-                    sample_key(epoch as usize, i),
-                ));
-                let neg = sampler.corrupt(pos, &*view, &mut rng);
-                view.pin(pos.head, pos.tail, radius).expect("store read failed (pin)");
-                let sp = model.score(&*view, pos, &mut rng);
-                view.pin(neg.head, neg.tail, radius).expect("store read failed (pin)");
-                let sn = model.score(&*view, neg, &mut rng);
-                u32::from(sp > sn)
-            },
-        )?
-        .iter()
-        .sum();
-    Ok(wins as f32 / subset.len() as f32)
+) -> TrainReport {
+    Trainer::new(*cfg).train_store(model, reader, valid)
 }
 
 #[cfg(test)]
@@ -342,43 +160,8 @@ mod tests {
     use super::*;
     use crate::config::RmpiConfig;
     use crate::model::RmpiModel;
+    use crate::test_common::{tiny_data, tiny_store};
     use rmpi_autograd::ParamStore;
-    use rmpi_datasets::world::{GraphGenConfig, WorldConfig};
-    use rmpi_datasets::World;
-    use rmpi_kg::KnowledgeGraph;
-    use rmpi_store::{build_from_graph, ReadMode, StoreConfig};
-    use std::path::PathBuf;
-
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rmpi-stream-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn tiny_data() -> (KnowledgeGraph, Vec<Triple>) {
-        let world = World::new(WorldConfig {
-            comp_groups: 2,
-            long_groups: 0,
-            inv_groups: 1,
-            sym_groups: 0,
-            sub_groups: 0,
-            noise_relations: 0,
-            ..Default::default()
-        });
-        let groups: Vec<usize> = (0..world.groups().len()).collect();
-        let triples = world.generate_triples(
-            &groups,
-            &GraphGenConfig {
-                num_entities: 120,
-                num_base_triples: 420,
-                noise_frac: 0.0,
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        let split = rmpi_kg::split_triples(&triples, 0.15, 0.0, 3);
-        (KnowledgeGraph::from_triples(split.train), split.valid)
-    }
 
     #[test]
     fn index_permutation_is_a_bijection() {
@@ -404,10 +187,8 @@ mod tests {
 
     #[test]
     fn streaming_training_is_thread_count_invariant_and_learns() {
-        let (graph, valid) = tiny_data();
-        let dir = temp_store("threads");
-        build_from_graph(&dir, StoreConfig::default(), &graph).unwrap();
-        let reader = rmpi_store::StoreReader::open(&dir, ReadMode::default()).unwrap();
+        let (_, _, valid) = tiny_data();
+        let (dir, reader) = tiny_store("threads");
         let cfg = TrainConfig {
             epochs: 3,
             max_samples_per_epoch: 120,
@@ -436,28 +217,6 @@ mod tests {
         );
         assert!(r1.best_accuracy() > 0.5, "accuracy {:?}", r1.valid_accuracy);
         assert_eq!(r1.skipped_batches, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streaming_validation_matches_in_memory_exactly() {
-        let (graph, valid) = tiny_data();
-        let dir = temp_store("validation");
-        build_from_graph(&dir, StoreConfig::default(), &graph).unwrap();
-        let reader =
-            rmpi_store::StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 8 }).unwrap();
-        let model = RmpiModel::new(RmpiConfig { dim: 8, ..Default::default() }, 8, 3);
-        let cfg = TrainConfig { max_valid_samples: 50, seed: 11, ..Default::default() };
-        let pool = ThreadPool::sequential();
-        let csr = rmpi_kg::CsrGraph::from_graph(&graph);
-        for epoch in [0u64, 1, 5] {
-            let streamed = streaming_accuracy(&model, &reader, &valid, &cfg, &pool, epoch).unwrap();
-            let resident = crate::trainer::try_validation_accuracy(
-                &model, &graph, &csr, &valid, &cfg, &pool, epoch,
-            )
-            .unwrap();
-            assert_eq!(streamed, resident, "epoch {epoch}");
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

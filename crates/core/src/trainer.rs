@@ -6,6 +6,19 @@
 //! once per batch. Validation tracks the pairwise ranking accuracy on held-
 //! out triples; the best parameter snapshot is restored at the end.
 //!
+//! # One loop, two sources
+//!
+//! There is one loop, `Trainer::run`, generic over a crate-private
+//! `TrainSource` that answers only what in-memory and out-of-core training
+//! differ in: how many targets there are, which target sits at position `i`
+//! of an epoch, the negative sampler, and the graph one sample is scored
+//! against. [`Trainer::train`] feeds it a [`KnowledgeGraph`] and a target
+//! slice (seeded shuffle in RAM, one [`CsrGraph`] for every sample);
+//! [`Trainer::train_store`] feeds it a [`StoreReader`] (see
+//! [`crate::stream`]). Batching, RNG keying, the ordered fold, the optimiser
+//! step, validation, early stopping and every layer under "Fault tolerance"
+//! below cannot differ between the two, because they exist once.
+//!
 //! # Data parallelism
 //!
 //! Each minibatch is sharded across a [`ThreadPool`] ([`TrainConfig::threads`]
@@ -22,7 +35,7 @@
 //!
 //! # Fault tolerance
 //!
-//! [`Trainer`] wraps the same loop with three safety layers (`DESIGN.md` §9):
+//! [`Trainer`] wraps the loop with three safety layers (`DESIGN.md` §9):
 //!
 //! * **Crash-safe checkpoints** — [`Trainer::with_checkpointing`] writes a
 //!   [`crate::checkpoint::TrainCheckpoint`] at epoch boundaries.
@@ -34,8 +47,9 @@
 //!   checks the batch losses and the global gradient norm for non-finite
 //!   values and applies the configured [`DivergencePolicy`].
 //! * **Panic isolation** — batch fan-out uses
-//!   [`ThreadPool::try_map_init`]; a worker panic fails only that batch
-//!   (reported as [`TrainEvent::BatchFailed`]) and training continues.
+//!   [`ThreadPool::try_map_init`]; a worker panic — a failed store read
+//!   included — fails only that batch (reported as
+//!   [`TrainEvent::BatchFailed`]) and training continues.
 //!
 //! Progress and every fault decision surface through the [`TrainEvent`]
 //! callback channel ([`Trainer::on_event`]).
@@ -49,9 +63,10 @@ use rand::SeedableRng;
 use rmpi_autograd::io::CheckpointError;
 use rmpi_autograd::optim::{Adam, AdamState};
 use rmpi_autograd::{BackwardScratch, GradBuffer, ParamStore, Tape, Tensor};
-use rmpi_kg::{CsrGraph, KnowledgeGraph, Triple};
+use rmpi_kg::{CsrGraph, GraphAccess, KnowledgeGraph, Triple};
 use rmpi_obs::{Counter, Histogram};
 use rmpi_runtime::{mix_seed, PoolError, ThreadPool};
+use rmpi_store::StoreReader;
 use rmpi_subgraph::NegativeSampler;
 use rmpi_testutil::failpoint;
 use std::path::{Path, PathBuf};
@@ -66,10 +81,8 @@ pub const LOSS_FAILPOINT: &str = "trainer::loss";
 pub const GRAD_FAILPOINT: &str = "trainer::grad";
 
 /// RNG stream ids for [`mix_seed`] — one per independent use of randomness,
-/// so draws in one stream can never alias draws in another. Shared with the
-/// store-backed loop in [`crate::stream`] so that a sample at the same
-/// `(epoch, position)` draws identically under either backend.
-pub(crate) mod rng_stream {
+/// so draws in one stream can never alias draws in another.
+mod rng_stream {
     /// Per-epoch shuffling of the training targets.
     pub const SHUFFLE: u64 = 1;
     /// Per-sample training randomness (negative sampling + dropout).
@@ -82,7 +95,7 @@ pub(crate) mod rng_stream {
 
 /// Pack `(epoch, position)` into one 64-bit per-sample key. Positions are
 /// bounded by the dataset size, far below 2^40.
-pub(crate) fn sample_key(epoch: usize, pos: usize) -> u64 {
+fn sample_key(epoch: usize, pos: usize) -> u64 {
     ((epoch as u64) << 40) | pos as u64
 }
 
@@ -91,10 +104,14 @@ pub(crate) fn sample_key(epoch: usize, pos: usize) -> u64 {
 /// relaxed atomic recording (see `DESIGN.md` §10). Purely observational:
 /// nothing here feeds back into computation, so training stays bit-identical
 /// across thread counts with instrumentation on.
-struct TrainerMetrics {
+pub(crate) struct TrainerMetrics {
     /// `trainer.forward.us` — per-sample forward passes (positive +
-    /// negative scoring and the loss node).
+    /// negative scoring and the loss node; on the store source, the two
+    /// pins as well).
     forward: Histogram,
+    /// `trainer.pin.us` — one neighbourhood pin of the store source (all its
+    /// IO), training and validation alike; never recorded from RAM.
+    pub(crate) pin: Histogram,
     /// `trainer.backward.us` — per-sample backward passes.
     backward: Histogram,
     /// `trainer.optim_step.us` — per-batch Adam steps (incl. clipping).
@@ -109,11 +126,13 @@ struct TrainerMetrics {
     epochs: Counter,
     /// `trainer.batches.count` — batches processed (any outcome).
     batches: Counter,
-    /// `trainer.samples.count` — samples whose gradients were computed.
+    /// `trainer.samples.count` — samples of every batch whose workers all
+    /// returned: gradients computed, whether or not the batch then stepped.
     samples: Counter,
     /// `trainer.batches_skipped.count` — divergence-guard skips.
     batches_skipped: Counter,
-    /// `trainer.batches_failed.count` — worker-panic batch drops.
+    /// `trainer.batches_failed.count` — batches dropped because a worker
+    /// panicked or a store read failed.
     batches_failed: Counter,
     /// `trainer.batches_sanitized.count` — clip-and-warn sanitisations.
     batches_sanitized: Counter,
@@ -123,12 +142,13 @@ struct TrainerMetrics {
     rollbacks: Counter,
 }
 
-fn trainer_metrics() -> &'static TrainerMetrics {
+pub(crate) fn trainer_metrics() -> &'static TrainerMetrics {
     static METRICS: OnceLock<TrainerMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = rmpi_obs::global();
         TrainerMetrics {
             forward: reg.histogram("trainer.forward.us"),
+            pin: reg.histogram("trainer.pin.us"),
             backward: reg.histogram("trainer.backward.us"),
             optim_step: reg.histogram("trainer.optim_step.us"),
             checkpoint_write: reg.histogram("trainer.checkpoint_write.us"),
@@ -155,8 +175,8 @@ pub enum DivergencePolicy {
     /// Zero the non-finite gradient entries, then step with what remains.
     ClipAndWarn,
     /// Restore parameters and optimiser state from the last epoch boundary
-    /// and multiply the learning rate by `lr_decay`. Falls back to skipping
-    /// the batch when no boundary snapshot exists yet.
+    /// (the start of the run, before the first) and multiply the learning
+    /// rate by `lr_decay`.
     Rollback {
         /// Multiplied into the Adam learning rate on every rollback.
         lr_decay: f32,
@@ -208,13 +228,14 @@ pub enum TrainEvent {
         /// Batch index within the epoch.
         batch: usize,
     },
-    /// A worker panicked while processing this batch; the batch was dropped.
+    /// A worker panicked while processing this batch — on the store source,
+    /// that includes a failed read; the batch was dropped.
     BatchFailed {
         /// Epoch index.
         epoch: usize,
         /// Batch index within the epoch.
         batch: usize,
-        /// The worker's panic message.
+        /// The worker's panic message (a store failure names its error).
         message: String,
     },
     /// The clip-and-warn policy zeroed non-finite gradient entries.
@@ -389,6 +410,84 @@ impl TrainReport {
     }
 }
 
+/// What [`Trainer::run`] asks of its training data: everything in-memory and
+/// out-of-core training differ in, and nothing else. Implemented by
+/// `MemorySource` here and by [`StoreReader`] in [`crate::stream`]; the loop
+/// is monomorphised per source, so nothing on the per-sample path is a new
+/// dynamic call. A failed read is a panic naming the error: inside a worker
+/// it fails that batch, like any other worker panic.
+pub(crate) trait TrainSource: Sync {
+    /// One epoch's visiting order.
+    type Order: Sync;
+
+    /// How many training targets there are.
+    fn num_targets(&self) -> usize;
+
+    /// The visiting order selected by `seed` (one per epoch).
+    fn epoch_order(&self, seed: u64) -> Self::Order;
+
+    /// The target at position `pos` of `order`.
+    fn target(&self, order: &Self::Order, pos: usize) -> Triple;
+
+    /// The negative sampler over the source's entities; built once per run.
+    fn sampler(&self) -> NegativeSampler;
+
+    /// One corrupted negative for `pos`, filtered against the source's facts.
+    fn corrupt(&self, sampler: &NegativeSampler, pos: Triple, rng: &mut StdRng) -> Triple;
+
+    /// Lend `f` the graph `target` is scored against: at least the
+    /// `radius`-hop neighbourhood of its endpoints.
+    fn with_graph<R>(
+        &self,
+        target: Triple,
+        radius: usize,
+        f: impl FnOnce(&dyn GraphAccess) -> R,
+    ) -> R;
+}
+
+/// A graph and a target slice in RAM: targets shuffled per epoch, the one
+/// CSR lent to every sample as it is.
+struct MemorySource<'a> {
+    graph: &'a KnowledgeGraph,
+    csr: CsrGraph,
+    targets: &'a [Triple],
+}
+
+impl TrainSource for MemorySource<'_> {
+    type Order = Vec<Triple>;
+
+    fn num_targets(&self) -> usize {
+        self.targets.len()
+    }
+
+    fn epoch_order(&self, seed: u64) -> Vec<Triple> {
+        let mut order = self.targets.to_vec();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        order
+    }
+
+    fn target(&self, order: &Vec<Triple>, pos: usize) -> Triple {
+        order[pos]
+    }
+
+    fn sampler(&self) -> NegativeSampler {
+        NegativeSampler::from_graph(self.graph)
+    }
+
+    fn corrupt(&self, sampler: &NegativeSampler, pos: Triple, rng: &mut StdRng) -> Triple {
+        sampler.corrupt(pos, self.graph, rng)
+    }
+
+    fn with_graph<R>(
+        &self,
+        _target: Triple,
+        _radius: usize,
+        f: impl FnOnce(&dyn GraphAccess) -> R,
+    ) -> R {
+        f(&self.csr)
+    }
+}
+
 /// Train `model` on `targets` against `graph`; `valid` steers early stopping.
 ///
 /// Equivalent to `Trainer::new(*cfg).train(...)` — no checkpointing, no
@@ -470,22 +569,48 @@ impl<'cb> Trainer<'cb> {
         self
     }
 
-    /// Run the training loop. See [`train_model`] for the underlying
-    /// algorithm and the module docs for the fault-tolerance layers.
+    /// Train on `targets` against the in-memory `graph`. See [`train_model`]
+    /// for the algorithm and the module docs for the fault-tolerance layers.
     pub fn train<M: ScoringModel + Sync>(
-        mut self,
+        self,
         model: &mut M,
         graph: &KnowledgeGraph,
         targets: &[Triple],
         valid: &[Triple],
     ) -> TrainReport {
-        let cfg = self.cfg;
-        assert!(!targets.is_empty(), "no training targets");
-        assert!(cfg.batch_size > 0, "batch_size must be positive");
-        let sampler = NegativeSampler::from_graph(graph);
         // All per-sample scoring walks adjacency through the CSR arenas
         // (contiguous, no per-entity Vec indirection); built once per run.
-        let csr = CsrGraph::from_graph(graph);
+        self.run(model, &MemorySource { graph, csr: CsrGraph::from_graph(graph), targets }, valid)
+    }
+
+    /// Train on every triple of the on-disk store behind `reader` — the same
+    /// loop as [`Trainer::train`], checkpoints, resume, divergence policies
+    /// and events included (see [`crate::stream`] for what the store source
+    /// does differently). Peak memory is bounded by the pinned neighbourhoods,
+    /// the block cache and the model, never by graph size.
+    pub fn train_store<M: ScoringModel + Sync>(
+        self,
+        model: &mut M,
+        reader: &StoreReader,
+        valid: &[Triple],
+    ) -> TrainReport {
+        self.run(model, reader, valid)
+    }
+
+    /// The one training loop.
+    pub(crate) fn run<M: ScoringModel + Sync, S: TrainSource>(
+        mut self,
+        model: &mut M,
+        source: &S,
+        valid: &[Triple],
+    ) -> TrainReport {
+        let cfg = self.cfg;
+        let n = source.num_targets();
+        assert!(n > 0, "no training targets");
+        assert!(cfg.batch_size > 0, "batch_size must be positive");
+        let take = if cfg.max_samples_per_epoch > 0 { n.min(cfg.max_samples_per_epoch) } else { n };
+        let sampler = source.sampler();
+        let radius = model.context_radius();
         let pool = ThreadPool::new(cfg.threads);
         let mut adam = Adam::new(cfg.lr);
         let mut report = TrainReport::default();
@@ -542,36 +667,34 @@ impl<'cb> Trainer<'cb> {
             if cfg.patience > 0 && since_best >= cfg.patience {
                 break;
             }
-            let mut order: Vec<Triple> = targets.to_vec();
-            let mut shuffle_rng =
-                StdRng::seed_from_u64(mix_seed(cfg.seed, rng_stream::SHUFFLE, epoch as u64));
-            order.shuffle(&mut shuffle_rng);
-            if cfg.max_samples_per_epoch > 0 {
-                order.truncate(cfg.max_samples_per_epoch);
-            }
+            let order = source.epoch_order(mix_seed(cfg.seed, rng_stream::SHUFFLE, epoch as u64));
 
             let mut epoch_loss = 0.0f64;
             let mut counted = 0usize;
             model.param_store_mut().zero_grad();
-            for (batch_idx, batch) in order.chunks(cfg.batch_size).enumerate() {
-                let base = batch_idx * cfg.batch_size;
+            for (batch_idx, base) in (0..take).step_by(cfg.batch_size).enumerate() {
+                let batch_len = cfg.batch_size.min(take - base);
                 // Fan the batch out: each worker reuses one tape across its
                 // shard and returns (loss, gradient buffer) per sample. The
-                // model and graph are only read.
+                // model and source are only read.
                 let results: Result<Vec<(f32, GradBuffer)>, PoolError> = {
                     let model: &M = model;
-                    pool.try_map_init(batch.len(), Tape::new, |tape, i| {
-                        let pos = batch[i];
+                    pool.try_map_init(batch_len, Tape::new, |tape, i| {
+                        let pos = source.target(&order, base + i);
                         let mut rng = StdRng::seed_from_u64(mix_seed(
                             cfg.seed,
                             rng_stream::TRAIN,
                             sample_key(epoch, base + i),
                         ));
-                        let neg = sampler.corrupt(pos, graph, &mut rng);
+                        let neg = source.corrupt(&sampler, pos, &mut rng);
                         tape.reset();
                         let forward_start = Instant::now();
-                        let sp = model.score_on_tape(tape, &csr, pos, Mode::Train, &mut rng);
-                        let sn = model.score_on_tape(tape, &csr, neg, Mode::Train, &mut rng);
+                        let sp = source.with_graph(pos, radius, |g| {
+                            model.score_on_tape(tape, g, pos, Mode::Train, &mut rng)
+                        });
+                        let sn = source.with_graph(neg, radius, |g| {
+                            model.score_on_tape(tape, g, neg, Mode::Train, &mut rng)
+                        });
                         let loss = margin_ranking_loss(tape, sp, sn, cfg.margin);
                         metrics.forward.record_duration(forward_start.elapsed());
                         let mut buf = GradBuffer::new();
@@ -586,8 +709,9 @@ impl<'cb> Trainer<'cb> {
                 let results = match results {
                     Ok(r) => r,
                     Err(e) => {
-                        // A panicking worker poisons only its batch: drop any
-                        // partial gradients and keep training.
+                        // A panicking worker (a failed store read included)
+                        // poisons only its batch: drop any partial gradients
+                        // and keep training.
                         report.skipped_batches += 1;
                         metrics.batches_failed.inc();
                         metrics.batches.inc();
@@ -615,7 +739,7 @@ impl<'cb> Trainer<'cb> {
                 if losses_finite && grad_norm.is_finite() {
                     epoch_loss += batch_loss;
                     counted += results.len();
-                    step(model, &mut adam, &cfg, batch.len());
+                    step(model, &mut adam, &cfg, batch_len);
                 } else {
                     metrics.nonfinite.inc();
                     emit(TrainEvent::NonFinite {
@@ -642,27 +766,22 @@ impl<'cb> Trainer<'cb> {
                                     counted += 1;
                                 }
                             }
-                            step(model, &mut adam, &cfg, batch.len());
+                            step(model, &mut adam, &cfg, batch_len);
                         }
                         DivergencePolicy::Rollback { lr_decay } => {
-                            if let Some((params, state, boundary)) = last_good.as_ref() {
-                                *model.param_store_mut() = params.clone();
-                                adam.restore_state(state.clone());
-                                adam.lr *= lr_decay;
-                                report.rollbacks += 1;
-                                metrics.rollbacks.inc();
-                                emit(TrainEvent::RolledBack {
-                                    epoch,
-                                    batch: batch_idx,
-                                    restored_epoch: *boundary,
-                                    lr: adam.lr,
-                                });
-                            } else {
-                                report.skipped_batches += 1;
-                                metrics.batches_skipped.inc();
-                                model.param_store_mut().zero_grad();
-                                emit(TrainEvent::BatchSkipped { epoch, batch: batch_idx });
-                            }
+                            let (params, state, boundary) =
+                                last_good.as_ref().expect("kept under the rollback policy");
+                            *model.param_store_mut() = params.clone();
+                            adam.restore_state(state.clone());
+                            adam.lr *= lr_decay;
+                            report.rollbacks += 1;
+                            metrics.rollbacks.inc();
+                            emit(TrainEvent::RolledBack {
+                                epoch,
+                                batch: batch_idx,
+                                restored_epoch: *boundary,
+                                lr: adam.lr,
+                            });
                         }
                         DivergencePolicy::Abort => {
                             report.aborted = true;
@@ -678,15 +797,21 @@ impl<'cb> Trainer<'cb> {
             report.epoch_losses.push(mean_loss);
 
             let validation_start = Instant::now();
-            let acc =
-                match try_validation_accuracy(model, graph, &csr, valid, &cfg, &pool, epoch as u64)
-                {
-                    Ok(acc) => acc,
-                    Err(e) => {
-                        emit(TrainEvent::ValidationFailed { epoch, message: e.to_string() });
-                        0.0
-                    }
-                };
+            let acc = match validation_accuracy(
+                model,
+                source,
+                &sampler,
+                valid,
+                &cfg,
+                &pool,
+                epoch as u64,
+            ) {
+                Ok(acc) => acc,
+                Err(e) => {
+                    emit(TrainEvent::ValidationFailed { epoch, message: e.to_string() });
+                    0.0
+                }
+            };
             metrics.validation.record_duration(validation_start.elapsed());
             report.valid_accuracy.push(acc);
             if acc > best_acc {
@@ -796,12 +921,7 @@ fn maybe_poison_grads(store: &mut ParamStore) {
     }
 }
 
-pub(crate) fn step<M: ScoringModel>(
-    model: &mut M,
-    adam: &mut Adam,
-    cfg: &TrainConfig,
-    batch_len: usize,
-) {
+fn step<M: ScoringModel>(model: &mut M, adam: &mut Adam, cfg: &TrainConfig, batch_len: usize) {
     let step_start = Instant::now();
     let store = model.param_store_mut();
     // average over the batch
@@ -825,10 +945,10 @@ pub(crate) fn step<M: ScoringModel>(
 ///
 /// Candidate scoring fans out over the pool; each win is an integer, so the
 /// sum is order-independent and the result thread-count-invariant.
-pub(crate) fn try_validation_accuracy<M: ScoringModel + Sync>(
+fn validation_accuracy<M: ScoringModel + Sync, S: TrainSource>(
     model: &M,
-    graph: &KnowledgeGraph,
-    csr: &CsrGraph,
+    source: &S,
+    sampler: &NegativeSampler,
     valid: &[Triple],
     cfg: &TrainConfig,
     pool: &ThreadPool,
@@ -837,7 +957,6 @@ pub(crate) fn try_validation_accuracy<M: ScoringModel + Sync>(
     if valid.is_empty() {
         return Ok(0.0);
     }
-    let sampler = NegativeSampler::from_graph(graph);
     let mut subset: Vec<Triple> = valid.to_vec();
     let mut shuffle_rng =
         StdRng::seed_from_u64(mix_seed(cfg.seed, rng_stream::VALID_SHUFFLE, epoch));
@@ -845,6 +964,7 @@ pub(crate) fn try_validation_accuracy<M: ScoringModel + Sync>(
     if cfg.max_valid_samples > 0 {
         subset.truncate(cfg.max_valid_samples);
     }
+    let radius = model.context_radius();
     let wins: u32 = pool
         .try_map_indexed(subset.len(), |i| {
             let pos = subset[i];
@@ -853,8 +973,10 @@ pub(crate) fn try_validation_accuracy<M: ScoringModel + Sync>(
                 rng_stream::VALID,
                 sample_key(epoch as usize, i),
             ));
-            let neg = sampler.corrupt(pos, graph, &mut rng);
-            u32::from(model.score(csr, pos, &mut rng) > model.score(csr, neg, &mut rng))
+            let neg = source.corrupt(sampler, pos, &mut rng);
+            let sp = source.with_graph(pos, radius, |g| model.score(g, pos, &mut rng));
+            let sn = source.with_graph(neg, radius, |g| model.score(g, neg, &mut rng));
+            u32::from(sp > sn)
         })?
         .iter()
         .sum();
@@ -866,37 +988,9 @@ mod tests {
     use super::*;
     use crate::config::RmpiConfig;
     use crate::model::RmpiModel;
-    use rmpi_datasets::world::{GraphGenConfig, WorldConfig};
-    use rmpi_datasets::World;
+    use crate::stream::IndexPermutation;
+    use crate::test_common::{tiny_data, tiny_store};
     use std::cell::RefCell;
-
-    /// A tiny planted-rule world where composition conclusions are perfectly
-    /// learnable from the enclosing subgraph.
-    fn tiny_data() -> (KnowledgeGraph, Vec<Triple>, Vec<Triple>) {
-        let world = World::new(WorldConfig {
-            comp_groups: 2,
-            long_groups: 0,
-            inv_groups: 1,
-            sym_groups: 0,
-            sub_groups: 0,
-            noise_relations: 0,
-            ..Default::default()
-        });
-        let groups: Vec<usize> = (0..world.groups().len()).collect();
-        let triples = world.generate_triples(
-            &groups,
-            &GraphGenConfig {
-                num_entities: 120,
-                num_base_triples: 420,
-                noise_frac: 0.0,
-                seed: 5,
-                ..Default::default()
-            },
-        );
-        let split = rmpi_kg::split_triples(&triples, 0.15, 0.0, 3);
-        let graph = KnowledgeGraph::from_triples(split.train.clone());
-        (graph, split.train, split.valid)
-    }
 
     #[test]
     fn training_reduces_loss_and_beats_chance() {
@@ -957,11 +1051,12 @@ mod tests {
         };
         let report = train_model(&mut model, &graph, &targets, &valid, &cfg);
         // re-evaluating with restored params reproduces the best epoch's accuracy signal
-        let csr = CsrGraph::from_graph(&graph);
-        let acc = try_validation_accuracy(
+        let source =
+            MemorySource { graph: &graph, csr: CsrGraph::from_graph(&graph), targets: &targets };
+        let acc = validation_accuracy(
             &model,
-            &graph,
-            &csr,
+            &source,
+            &source.sampler(),
             &valid,
             &cfg,
             &ThreadPool::sequential(),
@@ -1010,5 +1105,83 @@ mod tests {
             !events.iter().any(|e| matches!(e, TrainEvent::CheckpointSaved { .. })),
             "no checkpointing configured"
         );
+    }
+
+    /// The RAM source made to visit its targets the way the store does: the
+    /// sorted record order under the store's [`IndexPermutation`].
+    struct RecordOrder<'a>(MemorySource<'a>);
+
+    impl TrainSource for RecordOrder<'_> {
+        type Order = IndexPermutation;
+
+        fn num_targets(&self) -> usize {
+            self.0.num_targets()
+        }
+
+        fn epoch_order(&self, seed: u64) -> IndexPermutation {
+            IndexPermutation::new(self.0.targets.len() as u64, seed)
+        }
+
+        fn target(&self, order: &IndexPermutation, pos: usize) -> Triple {
+            self.0.targets[order.apply(pos as u64) as usize]
+        }
+
+        fn sampler(&self) -> NegativeSampler {
+            self.0.sampler()
+        }
+
+        fn corrupt(&self, sampler: &NegativeSampler, pos: Triple, rng: &mut StdRng) -> Triple {
+            self.0.corrupt(sampler, pos, rng)
+        }
+
+        fn with_graph<R>(
+            &self,
+            target: Triple,
+            radius: usize,
+            f: impl FnOnce(&dyn GraphAccess) -> R,
+        ) -> R {
+            self.0.with_graph(target, radius, f)
+        }
+    }
+
+    /// Store == memory, for training and validation alike: given the same
+    /// visiting order the two sources must be indistinguishable to the loop.
+    #[test]
+    fn store_source_trains_bit_identically_to_memory_in_record_order() {
+        let (graph, _, valid) = tiny_data();
+        let (dir, reader) = tiny_store("oracle");
+        let mut records = graph.triples().to_vec();
+        records.sort_unstable();
+        let memory = RecordOrder(MemorySource {
+            graph: &graph,
+            csr: CsrGraph::from_graph(&graph),
+            targets: &records,
+        });
+        let cfg = TrainConfig {
+            epochs: 2,
+            max_samples_per_epoch: 64,
+            max_valid_samples: 50,
+            patience: 0,
+            seed: 11,
+            ..Default::default()
+        };
+        let mk =
+            || RmpiModel::new(RmpiConfig { dim: 8, edge_dropout: 0.2, ..Default::default() }, 8, 3);
+
+        let mut from_memory = mk();
+        let in_memory = Trainer::new(cfg).run(&mut from_memory, &memory, &valid);
+        let mut from_store = mk();
+        let on_disk = Trainer::new(cfg).train_store(&mut from_store, &reader, &valid);
+
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&in_memory.epoch_losses), bits(&on_disk.epoch_losses));
+        assert_eq!(bits(&in_memory.valid_accuracy), bits(&on_disk.valid_accuracy));
+        assert_eq!(in_memory.valid_accuracy.len(), 2);
+        let (a, b) = (from_memory.param_store(), from_store.param_store());
+        assert_eq!(a.len(), b.len());
+        for id in a.ids() {
+            assert_eq!(bits(a.value(id).data()), bits(b.value(id).data()), "{:?}", a.name(id));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! Kill-and-resume pinning: a training run interrupted mid-epoch and resumed
 //! from its last checkpoint must finish **bit-identical** to a run that was
-//! never interrupted — at every thread count.
+//! never interrupted — at every thread count, over the in-memory source and
+//! the store source alike.
 //!
 //! The interruption is a panic raised from the `TrainEvent::BatchEnd`
 //! callback (the main training thread), which unwinds out of
@@ -9,42 +10,16 @@
 //! cycle with a real `SIGKILL` in a child process, where not even unwinding
 //! or buffered writes of the dying process can help.
 
+mod common;
+
+use common::{for_each_source, tiny_data};
 use rmpi_core::trainer::{CheckpointConfig, Trainer};
 use rmpi_core::{
     latest_checkpoint, load_checkpoint, RmpiConfig, RmpiModel, ScoringModel, TrainConfig,
     TrainEvent, TrainReport,
 };
-use rmpi_datasets::world::{GraphGenConfig, WorldConfig};
-use rmpi_datasets::World;
-use rmpi_kg::{KnowledgeGraph, Triple};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-
-fn tiny_data() -> (KnowledgeGraph, Vec<Triple>, Vec<Triple>) {
-    let world = World::new(WorldConfig {
-        comp_groups: 2,
-        long_groups: 0,
-        inv_groups: 1,
-        sym_groups: 0,
-        sub_groups: 0,
-        noise_relations: 0,
-        ..Default::default()
-    });
-    let groups: Vec<usize> = (0..world.groups().len()).collect();
-    let triples = world.generate_triples(
-        &groups,
-        &GraphGenConfig {
-            num_entities: 120,
-            num_base_triples: 420,
-            noise_frac: 0.0,
-            seed: 5,
-            ..Default::default()
-        },
-    );
-    let split = rmpi_kg::split_triples(&triples, 0.15, 0.0, 3);
-    let graph = KnowledgeGraph::from_triples(split.train.clone());
-    (graph, split.train, split.valid)
-}
+use std::path::{Path, PathBuf};
 
 fn fresh_model() -> RmpiModel {
     RmpiModel::new(RmpiConfig { dim: 8, ..Default::default() }, 8, 11)
@@ -89,52 +64,73 @@ fn assert_reports_match(full: &TrainReport, resumed: &TrainReport, what: &str) {
     assert_eq!(full.best_epoch, resumed.best_epoch, "{what}: best epoch");
 }
 
+/// The optimiser state a run ended with, read back from its last checkpoint:
+/// step count, learning rate and both moment vectors as bits.
+fn final_adam_state(root: &Path) -> (u64, u32, Vec<Vec<u32>>) {
+    let ck =
+        load_checkpoint(latest_checkpoint(root).unwrap().expect("a final checkpoint")).unwrap();
+    let moments = ck.adam_m.iter().chain(&ck.adam_v);
+    let bits = moments.map(|t| t.data().iter().map(|x| x.to_bits()).collect()).collect();
+    (ck.adam_t, ck.adam_lr.to_bits(), bits)
+}
+
 #[test]
 fn kill_mid_epoch_then_resume_is_bit_identical() {
-    let (graph, targets, valid) = tiny_data();
-    for threads in [1, 2, 4] {
-        let cfg = train_cfg(threads);
+    for_each_source("crash-mid", |source, valid| {
+        for threads in [1, 2, 4] {
+            let cfg = train_cfg(threads);
+            let what = format!("{} source, threads={threads}", source.name());
 
-        // Reference: the run that never crashes.
-        let mut reference = fresh_model();
-        let full = Trainer::new(cfg).train(&mut reference, &graph, &targets, &valid);
-        assert_eq!(full.epoch_losses.len(), 3);
+            // Reference: the run that never crashes.
+            let full_root = tmp_dir(&format!("full-{}-{threads}", source.name()));
+            let mut reference = fresh_model();
+            let full = source.train(
+                Trainer::new(cfg).with_checkpointing(CheckpointConfig::new(&full_root)),
+                &mut reference,
+                valid,
+            );
+            assert_eq!(full.epoch_losses.len(), 3);
 
-        // Crashing run: checkpoint every epoch, die in the middle of epoch 1
-        // (after epoch 0's checkpoint landed, with epoch 1 half done).
-        let root = tmp_dir(&format!("mid-{threads}"));
-        let mut victim = fresh_model();
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            Trainer::new(cfg)
-                .with_checkpointing(CheckpointConfig::new(&root))
-                .on_event(|ev| {
-                    if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
-                        panic!("simulated crash mid-epoch");
-                    }
-                })
-                .train(&mut victim, &graph, &targets, &valid)
-        }));
-        assert!(crashed.is_err(), "the injected crash must unwind out of train()");
-        let ckpt_dir = latest_checkpoint(&root)
-            .unwrap()
-            .expect("epoch 0 checkpoint must have been written before the crash");
-        assert_eq!(load_checkpoint(&ckpt_dir).unwrap().next_epoch, 1);
+            // Crashing run: checkpoint every epoch, die in the middle of epoch 1
+            // (after epoch 0's checkpoint landed, with epoch 1 half done).
+            let root = tmp_dir(&format!("mid-{}-{threads}", source.name()));
+            let mut victim = fresh_model();
+            let crashed = catch_unwind(AssertUnwindSafe(|| {
+                let trainer = Trainer::new(cfg)
+                    .with_checkpointing(CheckpointConfig::new(&root))
+                    .on_event(|ev| {
+                        if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
+                            panic!("simulated crash mid-epoch");
+                        }
+                    });
+                source.train(trainer, &mut victim, valid)
+            }));
+            assert!(crashed.is_err(), "the injected crash must unwind out of train()");
+            let ckpt_dir = latest_checkpoint(&root)
+                .unwrap()
+                .expect("epoch 0 checkpoint must have been written before the crash");
+            assert_eq!(load_checkpoint(&ckpt_dir).unwrap().next_epoch, 1);
 
-        // Resume: a fresh process would construct the model the same way,
-        // then continue from the newest checkpoint.
-        let mut survivor = fresh_model();
-        let resumed = Trainer::new(cfg).resume_latest(&root).unwrap().train(
-            &mut survivor,
-            &graph,
-            &targets,
-            &valid,
-        );
+            // Resume: a fresh process would construct the model the same way,
+            // then continue from the newest checkpoint.
+            let mut survivor = fresh_model();
+            let resumed = source.train(
+                Trainer::new(cfg)
+                    .with_checkpointing(CheckpointConfig::new(&root))
+                    .resume_latest(&root)
+                    .unwrap(),
+                &mut survivor,
+                valid,
+            );
 
-        assert_eq!(resumed.resumed_from, Some(1), "threads={threads}");
-        assert_reports_match(&full, &resumed, &format!("threads={threads}"));
-        assert_params_identical(&reference, &survivor, &format!("threads={threads}"));
-        std::fs::remove_dir_all(&root).unwrap();
-    }
+            assert_eq!(resumed.resumed_from, Some(1), "{what}");
+            assert_reports_match(&full, &resumed, &what);
+            assert_params_identical(&reference, &survivor, &what);
+            assert_eq!(final_adam_state(&full_root), final_adam_state(&root), "{what}: Adam state");
+            std::fs::remove_dir_all(&root).unwrap();
+            std::fs::remove_dir_all(&full_root).unwrap();
+        }
+    });
 }
 
 /// Child-mode marker: when set, this test binary was re-executed to train

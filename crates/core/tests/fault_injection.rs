@@ -1,47 +1,24 @@
-//! Divergence-guard and panic-isolation behaviour under injected faults.
+//! Divergence-guard and panic-isolation behaviour under injected faults —
+//! numerical, worker panics, checkpoint writes, and a store that fails reads.
 //!
 //! Every test arms global failpoints, so each takes the process-wide
 //! `failpoint::exclusive()` lock for its whole body — they serialise against
 //! each other, and running them in their own test binary keeps the armed
 //! failpoints away from the ordinary unit tests.
 
+mod common;
+
+use common::{for_each_source, tiny_data, tiny_store};
 use rmpi_core::trainer::{CheckpointConfig, Trainer, GRAD_FAILPOINT, LOSS_FAILPOINT};
 use rmpi_core::{
     latest_checkpoint, load_checkpoint, DivergencePolicy, RmpiConfig, RmpiModel, ScoringModel,
     TrainConfig, TrainEvent,
 };
-use rmpi_datasets::world::{GraphGenConfig, WorldConfig};
-use rmpi_datasets::World;
-use rmpi_kg::{KnowledgeGraph, Triple};
+use rmpi_store::{ReadMode, RetryConfig, StoreOptions, StoreReader};
+use rmpi_testutil::chaosfile::ChaosFileConfig;
 use rmpi_testutil::failpoint::{self, Action};
 use std::cell::RefCell;
 use std::path::PathBuf;
-
-fn tiny_data() -> (KnowledgeGraph, Vec<Triple>, Vec<Triple>) {
-    let world = World::new(WorldConfig {
-        comp_groups: 2,
-        long_groups: 0,
-        inv_groups: 1,
-        sym_groups: 0,
-        sub_groups: 0,
-        noise_relations: 0,
-        ..Default::default()
-    });
-    let groups: Vec<usize> = (0..world.groups().len()).collect();
-    let triples = world.generate_triples(
-        &groups,
-        &GraphGenConfig {
-            num_entities: 120,
-            num_base_triples: 420,
-            noise_frac: 0.0,
-            seed: 5,
-            ..Default::default()
-        },
-    );
-    let split = rmpi_kg::split_triples(&triples, 0.15, 0.0, 3);
-    let graph = KnowledgeGraph::from_triples(split.train.clone());
-    (graph, split.train, split.valid)
-}
 
 fn fresh_model() -> RmpiModel {
     RmpiModel::new(RmpiConfig { dim: 8, ..Default::default() }, 8, 31)
@@ -137,13 +114,13 @@ fn nan_grads_under_clip_and_warn_are_sanitized_and_stepped() {
 #[test]
 fn rollback_policy_restores_epoch_boundary_and_decays_lr() {
     let _lock = failpoint::exclusive();
-    let (graph, targets, valid) = tiny_data();
-    let mut model = fresh_model();
-    let cfg = TrainConfig { epochs: 3, ..train_cfg(DivergencePolicy::Rollback { lr_decay: 0.5 }) };
-    let events: RefCell<Vec<TrainEvent>> = RefCell::new(Vec::new());
-    // poison a gradient in epoch 1, after the epoch-0 boundary snapshot exists
-    let report = Trainer::new(cfg)
-        .on_event(|ev| {
+    for_each_source("rollback", |source, valid| {
+        let mut model = fresh_model();
+        let cfg =
+            TrainConfig { epochs: 3, ..train_cfg(DivergencePolicy::Rollback { lr_decay: 0.5 }) };
+        let events: RefCell<Vec<TrainEvent>> = RefCell::new(Vec::new());
+        // poison a gradient in epoch 1, after the epoch-0 boundary snapshot exists
+        let trainer = Trainer::new(cfg).on_event(|ev| {
             match ev {
                 TrainEvent::EpochEnd { epoch: 0, .. } => {
                     failpoint::arm(GRAD_FAILPOINT, Action::Nan)
@@ -152,44 +129,51 @@ fn rollback_policy_restores_epoch_boundary_and_decays_lr() {
                 _ => {}
             }
             events.borrow_mut().push(ev.clone());
-        })
-        .train(&mut model, &graph, &targets, &valid);
-    failpoint::disarm_all();
+        });
+        let report = source.train(trainer, &mut model, valid);
+        failpoint::disarm_all();
 
-    assert_eq!(report.rollbacks, 1);
-    assert_eq!(report.epoch_losses.len(), 3, "training continues after the rollback");
-    let events = events.into_inner();
-    let rolled = events
-        .iter()
-        .find_map(|e| match e {
-            TrainEvent::RolledBack { epoch, restored_epoch, lr, .. } => {
-                Some((*epoch, *restored_epoch, *lr))
-            }
-            _ => None,
-        })
-        .expect("a RolledBack event must be emitted");
-    assert_eq!(rolled.0, 1, "divergence hit in epoch 1");
-    assert_eq!(rolled.1, 1, "restored to the epoch-1 boundary snapshot");
-    assert!(
-        (rolled.2 - cfg.lr * 0.5).abs() < 1e-12,
-        "learning rate must decay by the configured factor: {}",
-        rolled.2
-    );
+        let what = source.name();
+        assert_eq!(report.rollbacks, 1, "{what}");
+        assert_eq!(report.epoch_losses.len(), 3, "{what}: training continues after the rollback");
+        let events = events.into_inner();
+        let rolled = events
+            .iter()
+            .find_map(|e| match e {
+                TrainEvent::RolledBack { epoch, restored_epoch, lr, .. } => {
+                    Some((*epoch, *restored_epoch, *lr))
+                }
+                _ => None,
+            })
+            .expect("a RolledBack event must be emitted");
+        assert_eq!(rolled.0, 1, "{what}: divergence hit in epoch 1");
+        assert_eq!(rolled.1, 1, "{what}: restored to the epoch-1 boundary snapshot");
+        assert!(
+            (rolled.2 - cfg.lr * 0.5).abs() < 1e-12,
+            "{what}: learning rate must decay by the configured factor: {}",
+            rolled.2
+        );
+    });
 }
 
 #[test]
 fn abort_policy_stops_training_immediately() {
     let _lock = failpoint::exclusive();
-    let (graph, targets, valid) = tiny_data();
-    let mut model = fresh_model();
-    failpoint::arm(LOSS_FAILPOINT, Action::Nan);
-    let report = Trainer::new(train_cfg(DivergencePolicy::Abort))
-        .train(&mut model, &graph, &targets, &valid);
-    failpoint::disarm_all();
+    for_each_source("abort", |source, valid| {
+        let mut model = fresh_model();
+        failpoint::arm(LOSS_FAILPOINT, Action::Nan);
+        let report =
+            source.train(Trainer::new(train_cfg(DivergencePolicy::Abort)), &mut model, valid);
+        failpoint::disarm_all();
 
-    assert!(report.aborted);
-    assert!(report.epoch_losses.is_empty(), "aborted in the first batch, before any epoch ended");
-    assert_eq!(report.skipped_batches, 0);
+        let what = source.name();
+        assert!(report.aborted, "{what}");
+        assert!(
+            report.epoch_losses.is_empty(),
+            "{what}: aborted in the first batch, before any epoch ended"
+        );
+        assert_eq!(report.skipped_batches, 0, "{what}");
+    });
 }
 
 #[test]
@@ -222,6 +206,74 @@ fn worker_panic_fails_only_its_batch() {
         )),
         "the panic message must surface in the event"
     );
+}
+
+/// A flaky disk under the store source: with one read attempt and a one-block
+/// cache, a share of the positioned reads fail all through the run. Each
+/// failure must cost exactly its batch, and loudly: dropped silently, a store
+/// that fails every read would "train" to the end.
+#[test]
+fn store_read_failure_fails_only_its_batch_and_names_the_error() {
+    let _lock = failpoint::exclusive();
+    let (_, _, valid) = tiny_data();
+    let (dir, _clean) = tiny_store("read-fault");
+    let opts = StoreOptions {
+        mode: ReadMode::Stream { cache_blocks: 1 },
+        retry: RetryConfig { attempts: 1, ..RetryConfig::default() },
+        chaos: Some(ChaosFileConfig {
+            seed: 3,
+            transient_rate: 0.002,
+            delay: std::time::Duration::ZERO,
+            ..ChaosFileConfig::default()
+        }),
+    };
+    let flaky = StoreReader::open_opts(&dir, opts, rmpi_obs::global()).unwrap();
+    // one worker: the chaos file's decisions are keyed by call order
+    let cfg = TrainConfig { batch_size: 8, threads: 1, ..train_cfg(DivergencePolicy::SkipBatch) };
+    let failed_before = rmpi_obs::global().counter("trainer.batches_failed.count").get();
+    let mut model = fresh_model();
+    let untrained = model.param_store().clone();
+    let outcomes: RefCell<Vec<Option<String>>> = RefCell::new(Vec::new());
+    let failure: RefCell<Option<String>> = RefCell::new(None);
+    let report = Trainer::new(cfg)
+        .on_event(|ev| match ev {
+            TrainEvent::BatchFailed { message, .. } => {
+                *failure.borrow_mut() = Some(message.clone())
+            }
+            TrainEvent::BatchEnd { .. } => outcomes.borrow_mut().push(failure.borrow_mut().take()),
+            _ => {}
+        })
+        .train_store(&mut model, &flaky, &valid);
+
+    // per batch, in order: the failure message, or `None` for a clean one
+    let outcomes = outcomes.into_inner();
+    assert_eq!(outcomes.len(), 12, "2 epochs of 48 samples at batch 8: {outcomes:?}");
+    let failed: Vec<&String> = outcomes.iter().flatten().collect();
+    assert!(!failed.is_empty(), "no read drew a fault: the test exercised nothing");
+    for message in &failed {
+        assert!(
+            message.contains("store read failed") && message.contains("store io error"),
+            "the event must name the store error: {message}"
+        );
+    }
+    assert_eq!(report.skipped_batches, failed.len());
+    assert_eq!(
+        rmpi_obs::global().counter("trainer.batches_failed.count").get() - failed_before,
+        failed.len() as u64
+    );
+    let first_failure = outcomes.iter().position(Option::is_some).unwrap();
+    assert!(
+        outcomes[first_failure..].iter().any(Option::is_none),
+        "clean batches after a failed one must still step: {outcomes:?}"
+    );
+    assert_eq!(report.epoch_losses.len(), 2, "training runs to completion");
+    assert!(report.epoch_losses.iter().all(|l| l.is_finite() && *l > 0.0));
+    let store = model.param_store();
+    assert!(
+        store.ids().any(|id| store.value(id).data() != untrained.value(id).data()),
+        "the clean batches must have stepped the optimiser"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,41 +1,16 @@
 //! Thread-count invariance: training with 1 worker and with 4 workers must
-//! produce *bit-identical* parameters and reports. This is the contract the
+//! produce *bit-identical* parameters and reports, whichever source the loop
+//! is fed (in-memory graph or on-disk store). This is the contract the
 //! data-parallel engine promises (DESIGN.md, "Threading model") — per-sample
 //! RNG streams plus ordered gradient reduction make the schedule invisible.
 
-use rmpi_core::{train_model, RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport};
-use rmpi_datasets::world::{GraphGenConfig, WorldConfig};
-use rmpi_datasets::World;
-use rmpi_kg::{KnowledgeGraph, Triple};
+mod common;
 
-fn tiny_data() -> (KnowledgeGraph, Vec<Triple>, Vec<Triple>) {
-    let world = World::new(WorldConfig {
-        comp_groups: 2,
-        long_groups: 0,
-        inv_groups: 1,
-        sym_groups: 0,
-        sub_groups: 0,
-        noise_relations: 0,
-        ..Default::default()
-    });
-    let groups: Vec<usize> = (0..world.groups().len()).collect();
-    let triples = world.generate_triples(
-        &groups,
-        &GraphGenConfig {
-            num_entities: 100,
-            num_base_triples: 320,
-            noise_frac: 0.0,
-            seed: 8,
-            ..Default::default()
-        },
-    );
-    let split = rmpi_kg::split_triples(&triples, 0.15, 0.0, 3);
-    let graph = KnowledgeGraph::from_triples(split.train.clone());
-    (graph, split.train, split.valid)
-}
+use common::{for_each_source, Source};
+use rmpi_core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport, Trainer};
+use rmpi_kg::Triple;
 
-fn train_with(threads: usize) -> (RmpiModel, TrainReport) {
-    let (graph, targets, valid) = tiny_data();
+fn train_with(source: &Source<'_>, valid: &[Triple], threads: usize) -> (RmpiModel, TrainReport) {
     let mut model =
         RmpiModel::new(RmpiConfig { dim: 10, edge_dropout: 0.2, ..Default::default() }, 8, 42);
     let cfg = TrainConfig {
@@ -48,37 +23,42 @@ fn train_with(threads: usize) -> (RmpiModel, TrainReport) {
         threads,
         ..Default::default()
     };
-    let report = train_model(&mut model, &graph, &targets, &valid, &cfg);
+    let report = source.train(Trainer::new(cfg), &mut model, valid);
     (model, report)
 }
 
 #[test]
 fn thread_count_does_not_change_results() {
-    let (m1, r1) = train_with(1);
-    let (m4, r4) = train_with(4);
+    for_each_source("determinism-4", |source, valid| {
+        let (m1, r1) = train_with(source, valid, 1);
+        let (m4, r4) = train_with(source, valid, 4);
+        let what = source.name();
 
-    assert_eq!(r1.epoch_losses, r4.epoch_losses, "epoch losses must match bit-for-bit");
-    assert_eq!(r1.valid_accuracy, r4.valid_accuracy, "validation accuracies must match");
-    assert_eq!(r1.best_epoch, r4.best_epoch);
+        assert_eq!(r1.epoch_losses, r4.epoch_losses, "{what}: epoch losses must match bit-for-bit");
+        assert_eq!(r1.valid_accuracy, r4.valid_accuracy, "{what}: validation accuracies");
+        assert_eq!(r1.best_epoch, r4.best_epoch, "{what}");
 
-    let (s1, s4) = (m1.param_store(), m4.param_store());
-    assert_eq!(s1.len(), s4.len());
-    for id in s1.ids() {
-        assert_eq!(
-            s1.value(id).data(),
-            s4.value(id).data(),
-            "parameter {:?} diverged between 1 and 4 threads",
-            s1.name(id)
-        );
-    }
+        let (s1, s4) = (m1.param_store(), m4.param_store());
+        assert_eq!(s1.len(), s4.len());
+        for id in s1.ids() {
+            assert_eq!(
+                s1.value(id).data(),
+                s4.value(id).data(),
+                "{what}: parameter {:?} diverged between 1 and 4 threads",
+                s1.name(id)
+            );
+        }
+    });
 }
 
 #[test]
 fn zero_threads_resolves_to_all_cores_and_stays_deterministic() {
-    let (m1, r1) = train_with(1);
-    let (m0, r0) = train_with(0);
-    assert_eq!(r1.epoch_losses, r0.epoch_losses);
-    for id in m1.param_store().ids() {
-        assert_eq!(m1.param_store().value(id).data(), m0.param_store().value(id).data());
-    }
+    for_each_source("determinism-0", |source, valid| {
+        let (m1, r1) = train_with(source, valid, 1);
+        let (m0, r0) = train_with(source, valid, 0);
+        assert_eq!(r1.epoch_losses, r0.epoch_losses, "{}", source.name());
+        for id in m1.param_store().ids() {
+            assert_eq!(m1.param_store().value(id).data(), m0.param_store().value(id).data());
+        }
+    });
 }

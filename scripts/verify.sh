@@ -39,7 +39,7 @@ echo "== benchmark smoke: traced store_cold — pin + extraction over the on-dis
 cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
   --workload store_cold --seed 1 --seconds 2 --trace 1 >/dev/null
 
-echo "== determinism: threads=1 vs threads=4 vs threads=0 =="
+echo "== determinism: threads=1 vs threads=4 vs threads=0, in-memory source and store source =="
 cargo test -q -p rmpi-core --test parallel_determinism
 
 echo "== message-passing oracle: batched forward vs per-message reference, scores bit-identical =="
@@ -59,8 +59,10 @@ RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 
 echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
 cargo test -q -p rmpi-store
-cargo test -q -p rmpi-core stream::
 cargo test -q --test store_stack
+
+echo "== one training loop: store source == memory source in record order (bit-identical), store source across thread counts, epoch permutation is a bijection =="
+cargo test -q -p rmpi-core --lib -- store_source_trains_bit_identically stream::
 
 echo "== worker pool: unit tests + fault-injected shards (own process) =="
 cargo test -q -p rmpi-runtime
@@ -71,10 +73,10 @@ cargo test -q -p rmpi-serve --lib
 echo "== serve smoke test: ephemeral-port server, scripted query batch, offline parity =="
 cargo test -q -p rmpi-serve --test serving
 
-echo "== fault suite: divergence guards, worker panics, checkpoint write failures =="
+echo "== fault suite: divergence guards (rollback + abort on both sources), worker panics, store read faults, checkpoint write failures =="
 cargo test -q -p rmpi-core --test fault_injection
 
-echo "== crash-resume suite: panic and real SIGKILL mid-epoch, resume, bit-identical at every thread count =="
+echo "== crash-resume suite: panic mid-epoch on both sources and real SIGKILL, resume, bit-identical at every thread count =="
 cargo test -q -p rmpi-core --test crash_resume
 
 echo "== serve fault suite: hot reload atomicity, panic isolation, byte-offset diagnostics =="
