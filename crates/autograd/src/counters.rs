@@ -10,11 +10,17 @@
 //!
 //! Byte counts are *algorithmic* traffic — each operand counted once, output
 //! counted read+write for accumulating kernels — not measured cache misses.
+//!
+//! A third counter, [`param_copies`], counts parameter values copied because
+//! a tape still held them when the store was written (the copy-on-write
+//! fallback of [`crate::ParamStore`]); a training loop that resets or drops
+//! its tapes before stepping keeps it at zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FLOPS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static PARAM_COPIES: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the kernel counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -30,6 +36,16 @@ pub struct KernelCounters {
 pub(crate) fn record(flops: u64, bytes: u64) {
     FLOPS.fetch_add(flops, Ordering::Relaxed);
     BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
+
+/// Record one parameter value copied on write.
+pub(crate) fn record_param_copy() {
+    PARAM_COPIES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Parameter values copied on write since process start (never reset).
+pub fn param_copies() -> u64 {
+    PARAM_COPIES.load(Ordering::Relaxed)
 }
 
 /// Current cumulative counters.

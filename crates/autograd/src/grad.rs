@@ -33,14 +33,22 @@ impl GradBuffer {
 
     /// Add `delta` into the slot for `id` (taking ownership avoids a copy
     /// for the first — usually only — contribution).
-    pub fn add_assign(&mut self, id: ParamId, delta: Tensor) {
+    pub fn add_assign(&mut self, id: ParamId, mut delta: Tensor) {
+        self.add_from(id, &mut delta);
+    }
+
+    /// [`GradBuffer::add_assign`] that takes `delta`'s storage only for a
+    /// first contribution (leaving `delta` empty) and reads it otherwise —
+    /// the backward pass's recycled gradient slots lose a buffer once per
+    /// parameter, not once per use.
+    pub(crate) fn add_from(&mut self, id: ParamId, delta: &mut Tensor) {
         let i = id.index();
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
         match &mut self.slots[i] {
-            Some(existing) => existing.axpy(1.0, &delta),
-            slot @ None => *slot = Some(delta),
+            Some(existing) => existing.axpy(1.0, delta),
+            slot @ None => *slot = Some(std::mem::take(delta)),
         }
     }
 

@@ -6,10 +6,13 @@
 //! softmax, concat/stack/gather, reductions, dropout), reverse-mode gradients
 //! and the Adam optimiser. This crate implements exactly that:
 //!
-//! * [`Tensor`] — shape + row-major `Vec<f32>` storage with checked ops;
+//! * [`Tensor`] — inline shape + row-major `Vec<f32>` storage with checked ops;
 //! * [`Tape`] — a gradient tape: forward calls record nodes, [`Tape::backward`]
-//!   walks them in reverse and routes gradients into a [`ParamStore`];
-//! * [`ParamStore`] — named trainable parameters with accumulated gradients;
+//!   walks them in reverse and routes gradients into a [`ParamStore`]; a
+//!   reset tape keeps its node storage, so a warm forward allocates nothing;
+//! * [`ParamStore`] — named trainable parameters with accumulated gradients,
+//!   shared with the tapes that read them and copied on write only while a
+//!   tape still holds them;
 //! * [`optim`] — SGD and Adam;
 //! * [`init`] — Xavier/uniform/normal initialisers;
 //! * [`gradcheck`] — central-finite-difference gradient verification used
@@ -35,6 +38,7 @@
 //!     let sq = tape.mul(d, d);
 //!     let loss = tape.sum(sq);
 //!     tape.backward(loss, &mut store);
+//!     drop(tape); // a tape still alive here would make the step copy `x`
 //!     opt.step(&mut store);
 //! }
 //! assert!((store.value(x).item() - 3.0).abs() < 1e-3);
@@ -57,5 +61,5 @@ pub use io::{
     CheckpointError,
 };
 pub use params::{ParamId, ParamStore};
-pub use tape::{BackwardScratch, Tape, Var};
+pub use tape::{BackwardScratch, Retained, Tape, Var};
 pub use tensor::Tensor;

@@ -1,16 +1,33 @@
 //! Gradient tape: eager forward evaluation with recorded ops, reverse-mode
 //! backward pass.
 //!
-//! A [`Tape`] is built per forward pass (per training sample) — or reused
-//! across samples via [`Tape::reset`], which keeps the node arena's capacity.
 //! Every op method computes its value immediately and records a node;
 //! [`Tape::backward_into`] seeds the loss gradient, walks the nodes in
 //! reverse and writes parameter gradients into a detached [`GradBuffer`]
 //! (so the whole pass needs only `&ParamStore` and can run on any worker
 //! thread). [`Tape::backward`] is the single-threaded convenience wrapper
-//! that folds the buffer straight into a store. Tapes are cheap `Vec`s — no
-//! `Rc`/`RefCell` graph plumbing — because subgraph models rebuild the graph
-//! for every sample anyway.
+//! that folds the buffer straight into a store. Tapes are flat `Vec`s of
+//! nodes — no `Rc`/`RefCell` graph plumbing — because subgraph models
+//! rebuild the graph for every sample anyway.
+//!
+//! # Memory
+//!
+//! A tape owns its memory and allocates only while it grows.
+//! [`Tape::param`] records a shared handle to the store's value instead of
+//! a copy (see [`ParamStore`]'s module docs for what that means for a write
+//! while the tape is alive). [`Tape::reset`] ends a recording but keeps its
+//! storage: the node table; the index record, one `Vec` every node appends
+//! its integer operands to (gather rows, segment members and offsets,
+//! concat/stack parts, dropout flags); and every value buffer, handed back
+//! to spares sorted into power-of-two size classes that the next recording's
+//! nodes draw from. Each class settles at the most buffers of its size one
+//! recording holds at once, so what a tape keeps is bounded by a recording's
+//! high-water mark, not by how many recordings it made or how they varied;
+//! once warm, a forward allocates nothing. Constants are copied into a spare
+//! ([`Tape::constant_with`] fills it in place), so no buffer is handed in
+//! from outside and the storage never turns over. Backward draws its
+//! gradient tensors from spares of the same kind in a [`BackwardScratch`].
+//! [`Tape::retained`] reports what is kept.
 //!
 //! Binary elementwise ops (`add`, `sub`, `mul`) support one special broadcast:
 //! a one-element operand is broadcast against the other side, with the
@@ -22,13 +39,30 @@ use crate::grad::GradBuffer;
 use crate::kernels::dot_chunked;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
+use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Var(usize);
 
-#[derive(Clone, Debug)]
+/// A run of the tape's index record ([`Tape`]'s `index`).
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn of(self, index: &[usize]) -> &[usize] {
+        &index[self.start..self.end]
+    }
+}
+
+/// A node's operation. Variable-length operands are runs of the tape's
+/// index record.
+#[derive(Clone, Copy, Debug, Default)]
 enum Op {
+    #[default]
     Constant,
     Param(ParamId),
     Add(Var, Var),
@@ -46,86 +80,260 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Softmax(Var),
-    SegmentSoftmax { logits: Var, members: Vec<usize>, offsets: Vec<usize> },
-    SegmentSum { rows: Var, weights: Option<Var>, members: Vec<usize>, offsets: Vec<usize> },
+    SegmentSoftmax {
+        logits: Var,
+        members: Span,
+        offsets: Span,
+    },
+    SegmentSum {
+        rows: Var,
+        weights: Option<Var>,
+        members: Span,
+        offsets: Span,
+    },
     Sum(Var),
     Mean(Var),
-    Concat(Vec<Var>),
-    Stack(Vec<Var>),
+    /// The parts' node indices.
+    Concat(Span),
+    /// The rows' node indices.
+    Stack(Span),
     Row(Var, usize),
-    Gather(Var, Vec<usize>),
+    Gather(Var, Span),
     Index(Var, usize),
     Transpose(Var),
-    Dropout(Var, Vec<f32>),
+    /// One keep flag (1) or drop flag (0) per element.
+    Dropout {
+        input: Var,
+        keep: f32,
+        mask: Span,
+    },
 }
 
+/// One recorded node. Its slot outlives the recording: the next one
+/// overwrites it, after the value buffer went back to the tape's spares.
+#[derive(Default)]
 struct Node {
     op: Op,
+    /// The value of every node but a `Param` node, in a buffer drawn from
+    /// the spares.
     value: Tensor,
+    /// A `Param` node's value: the store's own, shared.
+    param: Option<Arc<Tensor>>,
+}
+
+impl Node {
+    fn value(&self) -> &Tensor {
+        self.param.as_deref().unwrap_or(&self.value)
+    }
+}
+
+/// The value of `v` among the recorded nodes.
+fn val(recorded: &[Node], v: Var) -> &Tensor {
+    recorded[v.0].value()
+}
+
+/// What a [`Tape`] keeps between recordings ([`Tape::retained`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Retained {
+    /// Node slots: the longest recording's node count.
+    pub slots: usize,
+    /// Heap buffers kept: the values (in use or spare) and the index record.
+    pub buffers: usize,
+    /// Bytes held: node table, spare lists and buffer capacities.
+    pub bytes: usize,
+}
+
+/// Free buffers by size class: class `c` holds buffers of at least `2^c`
+/// elements — what a finished recording hands back and the next one draws
+/// from.
+///
+/// A request for `n` elements takes a buffer of its class, `n` rounded up to
+/// a power of two, or allocates one of exactly that size; a returned buffer
+/// joins the class its capacity covers. Each class therefore settles at the
+/// most buffers of its size one recording holds at once, and once every kind
+/// of recording has been seen the spares stop changing: taking and giving
+/// are a push and a pop, with no search and no growth.
+#[derive(Debug)]
+struct Spare<T>(Vec<Vec<Vec<T>>>);
+
+impl<T> Default for Spare<T> {
+    fn default() -> Self {
+        Spare(Vec::new())
+    }
+}
+
+impl<T> Spare<T> {
+    /// An empty buffer with room for `n` elements.
+    fn take(&mut self, n: usize) -> Vec<T> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let class = n.next_power_of_two().trailing_zeros() as usize;
+        self.0.get_mut(class).and_then(Vec::pop).unwrap_or_else(|| Vec::with_capacity(1 << class))
+    }
+
+    /// Keep `buf`'s storage for a later [`Spare::take`].
+    fn give(&mut self, mut buf: Vec<T>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        let class = buf.capacity().ilog2() as usize;
+        if self.0.len() <= class {
+            self.0.resize_with(class + 1, Vec::new);
+        }
+        self.0[class].push(buf);
+    }
+
+    /// Buffers kept and their bytes.
+    fn retained(&self) -> (usize, usize) {
+        let classes = self.0.iter();
+        let buffers: usize = classes.clone().map(Vec::len).sum();
+        let elements: usize = classes.clone().flatten().map(Vec::capacity).sum();
+        let lists: usize = classes.map(Vec::capacity).sum();
+        (buffers, elements * std::mem::size_of::<T>() + lists * std::mem::size_of::<Vec<T>>())
+    }
 }
 
 /// The gradient tape. See module docs.
 #[derive(Default)]
 pub struct Tape {
+    /// `nodes[..len]` is the current recording; the slots past it are kept
+    /// for the next one.
     nodes: Vec<Node>,
+    len: usize,
+    /// Value buffers between recordings.
+    spare: Spare<f32>,
+    /// The recording's integer operands, appended node by node: gather
+    /// rows, segment members and offsets, concat/stack parts, dropout flags.
+    index: Vec<usize>,
 }
 
 impl Tape {
     /// A fresh, empty tape.
     pub fn new() -> Self {
-        Tape { nodes: Vec::with_capacity(256) }
+        Tape { nodes: Vec::with_capacity(64), ..Tape::default() }
     }
 
-    fn push(&mut self, op: Op, value: Tensor) -> Var {
-        self.nodes.push(Node { op, value });
-        Var(self.nodes.len() - 1)
+    /// Record one node of `len` value elements: the slot at the next
+    /// position gets a spare buffer with room for them, then `f` reads its
+    /// inputs from the recorded nodes, fills the slot and names the op.
+    fn record(&mut self, len: usize, f: impl FnOnce(&[Node], &mut Node) -> Op) -> Var {
+        if self.len == self.nodes.len() {
+            self.nodes.push(Node::default());
+        }
+        let (recorded, free) = self.nodes.split_at_mut(self.len);
+        let node = &mut free[0];
+        // empty unless an earlier recording panicked half-way through it
+        let left = std::mem::replace(node.value.storage(), self.spare.take(len));
+        self.spare.give(left);
+        node.op = f(recorded, node);
+        self.len += 1;
+        Var(self.len - 1)
+    }
+
+    /// Append `items` to the index record.
+    fn push_index(&mut self, items: impl IntoIterator<Item = usize>) -> Span {
+        let start = self.index.len();
+        self.index.extend(items);
+        Span { start, end: self.index.len() }
+    }
+
+    /// Element count of `v`'s value.
+    fn len_of(&self, v: Var) -> usize {
+        self.value(v).len()
+    }
+
+    /// Last dimension of `v`'s value (its columns, or a vector's length).
+    fn last_dim(&self, v: Var) -> usize {
+        self.value(v).shape().last().copied().unwrap_or(0)
     }
 
     /// The current value of a variable.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        val(&self.nodes[..self.len], v)
     }
 
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// `true` when the tape has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
-    /// Drop all recorded nodes but keep the arena's capacity, so one tape can
-    /// be reused across the samples of a batch without reallocating.
+    /// End the recording: drop every node and release the parameter handles
+    /// it holds, but keep the node storage for the next recording (module
+    /// docs). Reset or drop a tape before an optimiser step, or the step
+    /// copies the parameters it recorded.
     pub fn reset(&mut self) {
-        self.nodes.clear();
+        for node in &mut self.nodes[..self.len] {
+            node.param = None;
+            self.spare.give(std::mem::take(node.value.storage()));
+        }
+        self.len = 0;
+        self.index.clear();
+    }
+
+    /// The storage this tape keeps for reuse.
+    pub fn retained(&self) -> Retained {
+        let (spares, spare_bytes) = self.spare.retained();
+        let values = self.nodes.iter().filter(|n| n.value.capacity_bytes() > 0);
+        let value_bytes: usize = self.nodes.iter().map(|n| n.value.capacity_bytes()).sum();
+        let index_bytes = self.index.capacity() * std::mem::size_of::<usize>();
+        Retained {
+            slots: self.nodes.len(),
+            buffers: spares + values.count() + usize::from(index_bytes > 0),
+            bytes: self.nodes.capacity() * std::mem::size_of::<Node>()
+                + spare_bytes
+                + value_bytes
+                + index_bytes,
+        }
     }
 
     // ------------------------------------------------------------------ leaves
 
-    /// Record a non-trainable constant.
+    /// Record a non-trainable constant (copied into the node's own storage).
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push(Op::Constant, value)
+        self.constant_with(value.shape(), |data| data.extend_from_slice(value.data()))
     }
 
-    /// Record a trainable parameter (value copied from the store).
+    /// Record a non-trainable constant of `shape` whose elements `fill`
+    /// appends to the node's emptied buffer — the allocation-free way to
+    /// record one.
+    pub fn constant_with(&mut self, shape: &[usize], fill: impl FnOnce(&mut Vec<f32>)) -> Var {
+        let want: usize = shape.iter().product();
+        self.record(want, |_, node| {
+            let data = node.value.refill(shape);
+            fill(data);
+            assert_eq!(data.len(), want, "constant of shape {shape:?} filled with {}", data.len());
+            Op::Constant
+        })
+    }
+
+    /// Record a trainable parameter: a shared handle to the store's value,
+    /// read in place.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(Op::Param(id), store.value(id).clone())
+        self.record(0, |_, node| {
+            node.param = Some(Arc::clone(store.shared(id)));
+            Op::Param(id)
+        })
     }
 
     // --------------------------------------------------------- elementwise ops
 
-    fn bcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    /// `f(a, b)` elementwise into `out`, with the one-element broadcast.
+    fn bcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32, out: &mut Tensor) {
         if a.shape() == b.shape() {
-            let data = a.data().iter().zip(b.data()).map(|(&x, &y)| f(x, y)).collect();
-            Tensor::matrix_or_vector(a.shape(), data)
+            out.refill(a.shape()).extend(a.data().iter().zip(b.data()).map(|(&x, &y)| f(x, y)));
         } else if b.len() == 1 {
             let s = b.data()[0];
-            a.map(|x| f(x, s))
+            a.map_into(|x| f(x, s), out);
         } else if a.len() == 1 {
             let s = a.data()[0];
-            b.map(|y| f(s, y))
+            b.map_into(|y| f(s, y), out);
         } else {
             panic!(
                 "shape mismatch {:?} vs {:?} (only scalar broadcast supported)",
@@ -137,40 +345,56 @@ impl Tape {
 
     /// `a + b` (same shape, or one side a one-element tensor).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = Self::bcast(self.value(a), self.value(b), |x, y| x + y);
-        self.push(Op::Add(a, b), v)
+        let len = self.len_of(a).max(self.len_of(b));
+        self.record(len, |n, node| {
+            Self::bcast(val(n, a), val(n, b), |x, y| x + y, &mut node.value);
+            Op::Add(a, b)
+        })
     }
 
     /// `a - b` (same broadcast rule as [`Tape::add`]).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = Self::bcast(self.value(a), self.value(b), |x, y| x - y);
-        self.push(Op::Sub(a, b), v)
+        let len = self.len_of(a).max(self.len_of(b));
+        self.record(len, |n, node| {
+            Self::bcast(val(n, a), val(n, b), |x, y| x - y, &mut node.value);
+            Op::Sub(a, b)
+        })
     }
 
     /// Elementwise `a * b` (same broadcast rule as [`Tape::add`]).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = Self::bcast(self.value(a), self.value(b), |x, y| x * y);
-        self.push(Op::Mul(a, b), v)
+        let len = self.len_of(a).max(self.len_of(b));
+        self.record(len, |n, node| {
+            Self::bcast(val(n, a), val(n, b), |x, y| x * y, &mut node.value);
+            Op::Mul(a, b)
+        })
     }
 
     /// `c * a` for a compile-time constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).scale(c);
-        self.push(Op::Scale(a, c), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(|x| x * c, &mut node.value);
+            Op::Scale(a, c)
+        })
     }
 
     /// `a + c` elementwise for a constant `c`.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).map(|x| x + c);
-        self.push(Op::AddScalar(a), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(|x| x + c, &mut node.value);
+            Op::AddScalar(a)
+        })
     }
 
     // ------------------------------------------------------------ linear algebra
 
     /// Matrix product `(m,k) x (k,n)`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(Op::MatMul(a, b), v)
+        let len = self.value(a).rows() * self.last_dim(b);
+        self.record(len, |n, node| {
+            val(n, a).matmul_into(val(n, b), &mut node.value);
+            Op::MatMul(a, b)
+        })
     }
 
     /// `a · bᵀ` with `b` stored un-transposed: `(m,k) x (n,k)ᵀ -> (m,n)`.
@@ -180,69 +404,94 @@ impl Tape {
     /// contiguous rows, operands swapped — which is what lets a batch of
     /// per-row `matvec`s collapse into one product without moving a score.
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul_nt(self.value(b));
-        self.push(Op::MatMulNt(a, b), v)
+        let len = self.value(a).rows() * self.value(b).rows();
+        self.record(len, |n, node| {
+            val(n, a).matmul_nt_into(val(n, b), &mut node.value);
+            Op::MatMulNt(a, b)
+        })
     }
 
     /// Matrix-vector product `(m,k) x [k] -> [m]`.
     pub fn matvec(&mut self, a: Var, x: Var) -> Var {
-        let v = self.value(a).matvec(self.value(x));
-        self.push(Op::MatVec(a, x), v)
+        self.record(self.value(a).rows(), |n, node| {
+            val(n, a).matvec_into(val(n, x), &mut node.value);
+            Op::MatVec(a, x)
+        })
     }
 
     /// Vector-matrix product `[k] x (k,n) -> [n]`.
     pub fn vecmat(&mut self, x: Var, a: Var) -> Var {
-        let v = self.value(x).vecmat(self.value(a));
-        self.push(Op::VecMat(x, a), v)
+        self.record(self.last_dim(a), |n, node| {
+            val(n, x).vecmat_into(val(n, a), &mut node.value);
+            Op::VecMat(x, a)
+        })
     }
 
     /// Dot product of two rank-1 variables, as a one-element tensor.
     pub fn dot(&mut self, x: Var, y: Var) -> Var {
-        let v = Tensor::scalar(self.value(x).dot(self.value(y)));
-        self.push(Op::Dot(x, y), v)
+        self.record(1, |n, node| {
+            let d = val(n, x).dot(val(n, y));
+            node.value.refill(&[1]).push(d);
+            Op::Dot(x, y)
+        })
     }
 
     /// Transpose of a rank-2 variable.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
-        self.push(Op::Transpose(a), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).transpose_into(&mut node.value);
+            Op::Transpose(a)
+        })
     }
 
     // ---------------------------------------------------------------- activations
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(Op::Relu(a), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(|x| x.max(0.0), &mut node.value);
+            Op::Relu(a)
+        })
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let v = self.value(a).map(|x| if x >= 0.0 { x } else { slope * x });
-        self.push(Op::LeakyRelu(a, slope), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(|x| if x >= 0.0 { x } else { slope * x }, &mut node.value);
+            Op::LeakyRelu(a, slope)
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(Op::Sigmoid(a), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(|x| 1.0 / (1.0 + (-x).exp()), &mut node.value);
+            Op::Sigmoid(a)
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        self.push(Op::Tanh(a), v)
+        self.record(self.len_of(a), |n, node| {
+            val(n, a).map_into(f32::tanh, &mut node.value);
+            Op::Tanh(a)
+        })
     }
 
     /// Numerically stable softmax over a rank-1 variable.
     pub fn softmax(&mut self, a: Var) -> Var {
-        let x = self.value(a);
-        assert_eq!(x.shape().len(), 1, "softmax requires rank 1");
-        let max = x.data().iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = x.data().iter().map(|&v| (v - max).exp()).collect();
-        let z: f32 = exps.iter().sum();
-        let v = Tensor::vector(exps.into_iter().map(|e| e / z).collect());
-        self.push(Op::Softmax(a), v)
+        self.record(self.len_of(a), |n, node| {
+            let x = val(n, a);
+            assert_eq!(x.shape().len(), 1, "softmax requires rank 1");
+            let max = x.data().iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let out = node.value.refill(x.shape());
+            out.extend(x.data().iter().map(|&v| (v - max).exp()));
+            let z: f32 = out.iter().sum();
+            for o in out.iter_mut() {
+                *o /= z;
+            }
+            Op::Softmax(a)
+        })
     }
 
     // ------------------------------------------------------------- segmented ops
@@ -258,25 +507,27 @@ impl Tape {
     /// left-fold normaliser, divide), so the values are bit-identical to
     /// gathering the segment and calling [`Tape::softmax`] on it.
     pub fn segment_softmax(&mut self, logits: Var, members: &[usize], offsets: &[usize]) -> Var {
-        let x = self.value(logits);
-        assert_eq!(x.shape().len(), 1, "segment_softmax requires rank-1 logits");
-        check_segments(members, offsets, x.len());
-        let x = x.data();
-        let mut out = vec![0.0f32; members.len()];
-        for seg in offsets.windows(2) {
-            let (idx, out) = (&members[seg[0]..seg[1]], &mut out[seg[0]..seg[1]]);
-            let max = idx.iter().map(|&i| x[i]).fold(f32::NEG_INFINITY, f32::max);
-            for (o, &i) in out.iter_mut().zip(idx) {
-                *o = (x[i] - max).exp();
+        let (member_span, offset_span) =
+            (self.push_index(members.iter().copied()), self.push_index(offsets.iter().copied()));
+        self.record(members.len(), |n, node| {
+            let x = val(n, logits);
+            assert_eq!(x.shape().len(), 1, "segment_softmax requires rank-1 logits");
+            check_segments(members, offsets, x.len());
+            let x = x.data();
+            let out = node.value.refill_with(&[members.len()], 0.0);
+            for seg in offsets.windows(2) {
+                let (idx, out) = (&members[seg[0]..seg[1]], &mut out[seg[0]..seg[1]]);
+                let max = idx.iter().map(|&i| x[i]).fold(f32::NEG_INFINITY, f32::max);
+                for (o, &i) in out.iter_mut().zip(idx) {
+                    *o = (x[i] - max).exp();
+                }
+                let z: f32 = out.iter().sum();
+                for o in out.iter_mut() {
+                    *o /= z;
+                }
             }
-            let z: f32 = out.iter().sum();
-            for o in out.iter_mut() {
-                *o /= z;
-            }
-        }
-        let op =
-            Op::SegmentSoftmax { logits, members: members.to_vec(), offsets: offsets.to_vec() };
-        self.push(op, Tensor::vector(out))
+            Op::SegmentSoftmax { logits, members: member_span, offsets: offset_span }
+        })
     }
 
     /// Per-segment weighted row sum: row `s` of the `(segments, d)` result is
@@ -295,49 +546,58 @@ impl Tape {
         members: &[usize],
         offsets: &[usize],
     ) -> Var {
-        let t = self.value(rows);
-        let d = t.cols();
-        check_segments(members, offsets, t.rows());
-        let w = weights.map(|w| self.value(w));
-        if let Some(w) = w {
-            assert_eq!(w.shape(), &[members.len()], "segment_sum needs one weight per member");
-        }
-        counters::record(
-            2 * (members.len() * d) as u64,
-            4 * (members.len() * (d + 1) + (offsets.len() - 1) * d) as u64,
-        );
-        let mut out = vec![0.0f32; (offsets.len() - 1) * d];
-        if d > 0 {
-            for (seg, acc) in offsets.windows(2).zip(out.chunks_exact_mut(d)) {
-                for (e, &m) in (seg[0]..).zip(&members[seg[0]..seg[1]]) {
-                    let a = w.map_or(1.0, |w| w.data()[e]);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, b) in acc.iter_mut().zip(t.row(m)) {
-                        *o += a * b;
+        let len = offsets.len().saturating_sub(1) * self.last_dim(rows);
+        let (member_span, offset_span) =
+            (self.push_index(members.iter().copied()), self.push_index(offsets.iter().copied()));
+        self.record(len, |n, node| {
+            let t = val(n, rows);
+            let d = t.cols();
+            check_segments(members, offsets, t.rows());
+            let w = weights.map(|w| val(n, w));
+            if let Some(w) = w {
+                assert_eq!(w.shape(), &[members.len()], "segment_sum needs one weight per member");
+            }
+            counters::record(
+                2 * (members.len() * d) as u64,
+                4 * (members.len() * (d + 1) + (offsets.len() - 1) * d) as u64,
+            );
+            let out = node.value.refill_with(&[offsets.len() - 1, d], 0.0);
+            if d > 0 {
+                for (seg, acc) in offsets.windows(2).zip(out.chunks_exact_mut(d)) {
+                    for (e, &m) in (seg[0]..).zip(&members[seg[0]..seg[1]]) {
+                        let a = w.map_or(1.0, |w| w.data()[e]);
+                        if a == 0.0 {
+                            continue;
+                        }
+                        for (o, b) in acc.iter_mut().zip(t.row(m)) {
+                            *o += a * b;
+                        }
                     }
                 }
             }
-        }
-        let op =
-            Op::SegmentSum { rows, weights, members: members.to_vec(), offsets: offsets.to_vec() };
-        self.push(op, Tensor::matrix(offsets.len() - 1, d, out))
+            Op::SegmentSum { rows, weights, members: member_span, offsets: offset_span }
+        })
     }
 
     // ----------------------------------------------------------------- reductions
 
     /// Sum of all elements, as a one-element tensor.
     pub fn sum(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum());
-        self.push(Op::Sum(a), v)
+        self.record(1, |n, node| {
+            let s = val(n, a).sum();
+            node.value.refill(&[1]).push(s);
+            Op::Sum(a)
+        })
     }
 
     /// Mean of all elements, as a one-element tensor.
     pub fn mean(&mut self, a: Var) -> Var {
-        let t = self.value(a);
-        let v = Tensor::scalar(t.sum() / t.len() as f32);
-        self.push(Op::Mean(a), v)
+        self.record(1, |n, node| {
+            let t = val(n, a);
+            let m = t.sum() / t.len() as f32;
+            node.value.refill(&[1]).push(m);
+            Op::Mean(a)
+        })
     }
 
     // -------------------------------------------------------------- restructuring
@@ -345,51 +605,69 @@ impl Tape {
     /// Concatenate rank-1 variables into one longer vector.
     pub fn concat(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat of zero vars");
-        let mut data = Vec::new();
-        for &p in parts {
-            let t = self.value(p);
-            assert_eq!(t.shape().len(), 1, "concat requires rank-1 inputs");
-            data.extend_from_slice(t.data());
-        }
-        self.push(Op::Concat(parts.to_vec()), Tensor::vector(data))
+        let len = parts.iter().map(|&p| self.len_of(p)).sum();
+        let span = self.push_index(parts.iter().map(|p| p.0));
+        self.record(len, |n, node| {
+            let mut total = 0;
+            for &p in parts {
+                let t = val(n, p);
+                assert_eq!(t.shape().len(), 1, "concat requires rank-1 inputs");
+                total += t.len();
+            }
+            let data = node.value.refill(&[total]);
+            for &p in parts {
+                data.extend_from_slice(val(n, p).data());
+            }
+            Op::Concat(span)
+        })
     }
 
     /// Stack `n` rank-1 variables of length `d` into an `(n, d)` matrix.
     pub fn stack(&mut self, rows: &[Var]) -> Var {
         assert!(!rows.is_empty(), "stack of zero vars");
-        let d = self.value(rows[0]).len();
-        let mut data = Vec::with_capacity(rows.len() * d);
-        for &r in rows {
-            let t = self.value(r);
-            assert_eq!(t.shape(), &[d], "stack rows must share length {d}");
-            data.extend_from_slice(t.data());
-        }
-        self.push(Op::Stack(rows.to_vec()), Tensor::matrix(rows.len(), d, data))
+        let span = self.push_index(rows.iter().map(|r| r.0));
+        self.record(rows.len() * self.len_of(rows[0]), |n, node| {
+            let d = val(n, rows[0]).len();
+            let data = node.value.refill(&[rows.len(), d]);
+            for &r in rows {
+                let t = val(n, r);
+                assert_eq!(t.shape(), &[d], "stack rows must share length {d}");
+                data.extend_from_slice(t.data());
+            }
+            Op::Stack(span)
+        })
     }
 
     /// Select row `i` of a rank-2 variable as a vector.
     pub fn row(&mut self, m: Var, i: usize) -> Var {
-        let v = Tensor::vector(self.value(m).row(i).to_vec());
-        self.push(Op::Row(m, i), v)
+        self.record(self.last_dim(m), |n, node| {
+            let row = val(n, m).row(i);
+            node.value.refill(&[row.len()]).extend_from_slice(row);
+            Op::Row(m, i)
+        })
     }
 
     /// Select multiple rows of a rank-2 variable (embedding lookup). Repeated
     /// indices are allowed; their gradients scatter-add.
     pub fn gather(&mut self, m: Var, indices: &[usize]) -> Var {
-        let t = self.value(m);
-        let c = t.cols();
-        let mut data = Vec::with_capacity(indices.len() * c);
-        for &i in indices {
-            data.extend_from_slice(t.row(i));
-        }
-        let v = Tensor::matrix(indices.len(), c, data);
-        self.push(Op::Gather(m, indices.to_vec()), v)
+        let span = self.push_index(indices.iter().copied());
+        self.record(indices.len() * self.last_dim(m), |n, node| {
+            let t = val(n, m);
+            let data = node.value.refill(&[indices.len(), t.cols()]);
+            for &i in indices {
+                data.extend_from_slice(t.row(i));
+            }
+            Op::Gather(m, span)
+        })
     }
 
     /// Select element `i` of a rank-1 variable, as a one-element tensor.
     pub fn index(&mut self, x: Var, i: usize) -> Var {
-        let v = Tensor::scalar(self.value(x).data()[i]);
-        self.push(Op::Index(x, i), v)
+        self.record(1, |n, node| {
+            let v = val(n, x).data()[i];
+            node.value.refill(&[1]).push(v);
+            Op::Index(x, i)
+        })
     }
 
     /// Inverted dropout: elements are zeroed with probability `rate` and the
@@ -397,14 +675,18 @@ impl Tape {
     /// for the backward pass. `rate == 0` records a pass-through node.
     pub fn dropout<R: rand::Rng>(&mut self, a: Var, rate: f32, rng: &mut R) -> Var {
         assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0,1)");
-        let t = self.value(a);
-        let keep = 1.0 - rate;
-        let mask: Vec<f32> = (0..t.len())
-            .map(|_| if rate > 0.0 && rng.gen::<f32>() < rate { 0.0 } else { 1.0 / keep })
-            .collect();
-        let data = t.data().iter().zip(&mask).map(|(x, m)| x * m).collect();
-        let v = Tensor::matrix_or_vector(t.shape(), data);
-        self.push(Op::Dropout(a, mask), v)
+        let (len, keep) = (self.len_of(a), 1.0 - rate);
+        let mask = self
+            .push_index((0..len).map(|_| usize::from(!(rate > 0.0 && rng.gen::<f32>() < rate))));
+        let out = self.record(len, |n, node| {
+            val(n, a).map_into(|x| x, &mut node.value);
+            Op::Dropout { input: a, keep, mask }
+        });
+        let Tape { nodes, index, .. } = self;
+        for (x, &kept) in nodes[out.0].value.data_mut().iter_mut().zip(mask.of(index)) {
+            *x *= dropout_scale(kept, keep);
+        }
+        out
     }
 
     // ------------------------------------------------------------------ backward
@@ -436,185 +718,206 @@ impl Tape {
         self.backward_into_with(loss, &mut scratch, out);
     }
 
-    /// [`Tape::backward_into`] with a caller-owned node-gradient table.
+    /// [`Tape::backward_into`] with caller-owned gradient storage.
     ///
-    /// The scratch's backing vector is reused across calls (a backward pass
-    /// leaves every slot empty), so repeated passes over same-sized tapes
-    /// skip the per-call table allocation. The gradient values produced are
-    /// bit-identical to [`Tape::backward_into`]: the walk order and the
-    /// accumulation order do not depend on the scratch's history.
+    /// The scratch keeps the gradient storage of earlier passes and reuses
+    /// it (a pass leaves no gradient live), so repeated passes over similar
+    /// tapes allocate only the parameter gradients they hand to `out`. The
+    /// gradient values produced are bit-identical to
+    /// [`Tape::backward_into`]: the walk order and the accumulation order do
+    /// not depend on the scratch's history.
     pub fn backward_into_with(
         &self,
         loss: Var,
         scratch: &mut BackwardScratch,
         out: &mut GradBuffer,
     ) {
-        assert_eq!(self.value(loss).len(), 1, "backward seed must be a one-element tensor");
-        let mut grads = std::mem::take(&mut scratch.grads);
-        grads.clear();
-        grads.resize_with(loss.0 + 1, || None);
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        let (nodes, index) = (&self.nodes[..self.len], &self.index[..]);
+        assert_eq!(val(nodes, loss).len(), 1, "backward seed must be a one-element tensor");
+        let BackwardScratch { grads, live, spare, tmp, tmp_w } = scratch;
+        if grads.len() <= loss.0 {
+            grads.resize_with(loss.0 + 1, Tensor::default);
+        }
+        live.clear();
+        live.resize(loss.0 + 1, false);
+        *grads[loss.0].storage() = spare.take(1);
+        grads[loss.0].refill(&[1]).push(1.0);
+        live[loss.0] = true;
 
         for i in (0..=loss.0).rev() {
-            let g = match grads[i].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            let node = &self.nodes[i];
-            match &node.op {
+            if !std::mem::replace(&mut live[i], false) {
+                continue;
+            }
+            let (below, at) = grads.split_at_mut(i);
+            let g = &mut at[0];
+            let mut sink = Sink { nodes, grads: below, live: &mut live[..i], spare: &mut *spare };
+            let node = &nodes[i];
+            let v = |x: Var| val(nodes, x);
+            match node.op {
                 Op::Constant => {}
-                Op::Param(id) => out.add_assign(*id, g),
-                Op::Add(a, b) => {
-                    self.bcast_back(&mut grads, *a, &g, 1.0);
-                    self.bcast_back(&mut grads, *b, &g, 1.0);
+                Op::Param(id) => {
+                    // a first contribution hands `g`'s storage to `out`; a new
+                    // buffer of its size replaces it, so the spares keep their
+                    // shape and the next pass finds every size it needs
+                    let size = g.storage().capacity();
+                    out.add_from(id, g);
+                    if g.storage().capacity() == 0 {
+                        *g.storage() = Vec::with_capacity(size);
+                    }
                 }
-                Op::Sub(a, b) => {
-                    self.bcast_back(&mut grads, *a, &g, 1.0);
-                    self.bcast_back(&mut grads, *b, &g, -1.0);
+                Op::Add(a, b) | Op::Sub(a, b) => {
+                    let sign_b = if matches!(node.op, Op::Sub(..)) { -1.0 } else { 1.0 };
+                    for (t, sign) in [(a, 1.0), (b, sign_b)] {
+                        sink.add_bcast(t, tmp, |d| g.map_into(|x| x * sign, d));
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
-                    let ga = Self::bcast(&g, vb, |x, y| x * y);
-                    let gb = Self::bcast(&g, va, |x, y| x * y);
-                    self.bcast_back_tensor(&mut grads, *a, ga);
-                    self.bcast_back_tensor(&mut grads, *b, gb);
+                    sink.add_bcast(a, tmp, |d| Self::bcast(g, v(b), |x, y| x * y, d));
+                    sink.add_bcast(b, tmp, |d| Self::bcast(g, v(a), |x, y| x * y, d));
                 }
-                Op::Scale(a, c) => accumulate(&mut grads, *a, g.scale(*c)),
-                Op::AddScalar(a) => accumulate(&mut grads, *a, g),
+                Op::Scale(a, c) => sink.add(a, tmp, |d| g.map_into(|x| x * c, d)),
+                Op::AddScalar(a) => sink.put(a, g),
                 Op::MatMul(a, b) => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
                     // grad_a = g·bᵀ and grad_b = aᵀ·g via the transpose-free
                     // blocked kernels (no intermediate transpose allocation).
-                    accumulate(&mut grads, *a, g.matmul_nt(vb));
-                    accumulate(&mut grads, *b, va.matmul_tn(&g));
+                    sink.add(a, tmp, |d| g.matmul_nt_into(v(b), d));
+                    sink.add(b, tmp, |d| v(a).matmul_tn_into(g, d));
                 }
                 Op::MatMulNt(a, b) => {
-                    let (va, vb) = (self.value(*a), self.value(*b));
                     // c = a·bᵀ: grad_a = g·b and grad_b = gᵀ·a
-                    accumulate(&mut grads, *a, g.matmul(vb));
-                    accumulate(&mut grads, *b, g.matmul_tn(va));
+                    sink.add(a, tmp, |d| g.matmul_into(v(b), d));
+                    sink.add(b, tmp, |d| g.matmul_tn_into(v(a), d));
                 }
                 Op::MatVec(a, x) => {
-                    let (va, vx) = (self.value(*a), self.value(*x));
+                    let (va, vx) = (v(a), v(x));
                     // y = A x: dA_ij = g_i * x_j ; dx = A^T g
                     let (m, k) = (va.rows(), va.cols());
-                    let mut da = vec![0.0f32; m * k];
-                    for r in 0..m {
-                        let gi = g.data()[r];
-                        if gi != 0.0 {
-                            for c in 0..k {
-                                da[r * k + c] = gi * vx.data()[c];
+                    sink.add(a, tmp, |d| {
+                        let da = d.refill_with(&[m, k], 0.0);
+                        for r in 0..m {
+                            let gi = g.data()[r];
+                            if gi != 0.0 {
+                                for c in 0..k {
+                                    da[r * k + c] = gi * vx.data()[c];
+                                }
                             }
                         }
-                    }
-                    accumulate(&mut grads, *a, Tensor::matrix(m, k, da));
+                    });
                     // dx = Aᵀg computed as the row-combination g·A — walks A
                     // by contiguous rows instead of materialising Aᵀ.
-                    accumulate(&mut grads, *x, g.vecmat(va));
+                    sink.add(x, tmp, |d| g.vecmat_into(va, d));
                 }
                 Op::VecMat(x, a) => {
-                    let (vx, va) = (self.value(*x), self.value(*a));
+                    let (vx, va) = (v(x), v(a));
                     // y = x A: dx = A g ; dA_ij = x_i * g_j
-                    accumulate(&mut grads, *x, va.matvec(&g));
+                    sink.add(x, tmp, |d| va.matvec_into(g, d));
                     let (k, n) = (va.rows(), va.cols());
-                    let mut da = vec![0.0f32; k * n];
-                    for r in 0..k {
-                        let xi = vx.data()[r];
-                        if xi != 0.0 {
-                            for c in 0..n {
-                                da[r * n + c] = xi * g.data()[c];
+                    sink.add(a, tmp, |d| {
+                        let da = d.refill_with(&[k, n], 0.0);
+                        for r in 0..k {
+                            let xi = vx.data()[r];
+                            if xi != 0.0 {
+                                for c in 0..n {
+                                    da[r * n + c] = xi * g.data()[c];
+                                }
                             }
                         }
-                    }
-                    accumulate(&mut grads, *a, Tensor::matrix(k, n, da));
+                    });
                 }
                 Op::Dot(x, y) => {
                     let s = g.item();
-                    let (vx, vy) = (self.value(*x), self.value(*y));
-                    accumulate(&mut grads, *x, vy.scale(s));
-                    accumulate(&mut grads, *y, vx.scale(s));
+                    sink.add(x, tmp, |d| v(y).map_into(|e| e * s, d));
+                    sink.add(y, tmp, |d| v(x).map_into(|e| e * s, d));
                 }
                 Op::Relu(a) => {
-                    let va = self.value(*a);
-                    let gd = g
-                        .data()
-                        .iter()
-                        .zip(va.data())
-                        .map(|(&gi, &x)| if x > 0.0 { gi } else { 0.0 })
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::matrix_or_vector(va.shape(), gd));
+                    let va = v(a);
+                    sink.add(a, tmp, |d| {
+                        d.refill(va.shape()).extend(
+                            g.data()
+                                .iter()
+                                .zip(va.data())
+                                .map(|(&gi, &x)| if x > 0.0 { gi } else { 0.0 }),
+                        )
+                    });
                 }
                 Op::LeakyRelu(a, slope) => {
-                    let va = self.value(*a);
-                    let gd = g
-                        .data()
-                        .iter()
-                        .zip(va.data())
-                        .map(|(&gi, &x)| if x >= 0.0 { gi } else { gi * slope })
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::matrix_or_vector(va.shape(), gd));
+                    let va = v(a);
+                    sink.add(a, tmp, |d| {
+                        d.refill(va.shape()).extend(g.data().iter().zip(va.data()).map(
+                            |(&gi, &x)| {
+                                if x >= 0.0 {
+                                    gi
+                                } else {
+                                    gi * slope
+                                }
+                            },
+                        ))
+                    });
                 }
                 Op::Sigmoid(a) => {
-                    let out = &node.value;
-                    let gd = g
-                        .data()
-                        .iter()
-                        .zip(out.data())
-                        .map(|(&gi, &s)| gi * s * (1.0 - s))
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::matrix_or_vector(out.shape(), gd));
+                    let out = node.value();
+                    sink.add(a, tmp, |d| {
+                        d.refill(out.shape()).extend(
+                            g.data().iter().zip(out.data()).map(|(&gi, &s)| gi * s * (1.0 - s)),
+                        )
+                    });
                 }
                 Op::Tanh(a) => {
-                    let out = &node.value;
-                    let gd = g
-                        .data()
-                        .iter()
-                        .zip(out.data())
-                        .map(|(&gi, &t)| gi * (1.0 - t * t))
-                        .collect();
-                    accumulate(&mut grads, *a, Tensor::matrix_or_vector(out.shape(), gd));
+                    let out = node.value();
+                    sink.add(a, tmp, |d| {
+                        d.refill(out.shape()).extend(
+                            g.data().iter().zip(out.data()).map(|(&gi, &t)| gi * (1.0 - t * t)),
+                        )
+                    });
                 }
                 Op::Softmax(a) => {
-                    let s = &node.value;
+                    let s = node.value();
                     let inner: f32 = g.data().iter().zip(s.data()).map(|(&gi, &si)| gi * si).sum();
-                    let gd =
-                        g.data().iter().zip(s.data()).map(|(&gi, &si)| si * (gi - inner)).collect();
-                    accumulate(&mut grads, *a, Tensor::vector(gd));
+                    sink.add(a, tmp, |d| {
+                        d.refill(&[g.len()]).extend(
+                            g.data().iter().zip(s.data()).map(|(&gi, &si)| si * (gi - inner)),
+                        )
+                    });
                 }
                 Op::SegmentSoftmax { logits, members, offsets } => {
                     // the rank-1 softmax rule per segment, scattered back to
                     // the gathered positions
-                    let (s, g) = (node.value.data(), g.data());
-                    let mut t = Tensor::zeros(self.value(*logits).shape());
-                    let gd = t.data_mut();
-                    for seg in offsets.windows(2) {
-                        let r = seg[0]..seg[1];
-                        let inner: f32 =
-                            g[r.clone()].iter().zip(&s[r.clone()]).map(|(&gi, &si)| gi * si).sum();
-                        for e in r {
-                            gd[members[e]] += s[e] * (g[e] - inner);
+                    let (members, offsets) = (members.of(index), offsets.of(index));
+                    let (s, g) = (node.value().data(), g.data());
+                    sink.add(logits, tmp, |d| {
+                        let gd = d.refill_with(v(logits).shape(), 0.0);
+                        for seg in offsets.windows(2) {
+                            let r = seg[0]..seg[1];
+                            let inner: f32 = g[r.clone()]
+                                .iter()
+                                .zip(&s[r.clone()])
+                                .map(|(&gi, &si)| gi * si)
+                                .sum();
+                            for e in r {
+                                gd[members[e]] += s[e] * (g[e] - inner);
+                            }
                         }
-                    }
-                    accumulate(&mut grads, *logits, t);
+                    });
                 }
                 Op::SegmentSum { rows, weights, members, offsets } => {
                     // out_s = Σ w_e · rows[m_e]: d rows[m_e] += w_e · g_s and
                     // d w_e = g_s · rows[m_e]
-                    let vr = self.value(*rows);
+                    let (members, offsets) = (members.of(index), offsets.of(index));
+                    let vr = v(rows);
                     let d = vr.cols();
-                    let w = weights.map(|w| self.value(w).data());
+                    let w = weights.map(|w| v(w).data());
                     counters::record(
                         (2 + 2 * w.is_some() as u64) * (members.len() * d) as u64,
                         4 * (2 * members.len() * d + g.len()) as u64,
                     );
-                    let mut dr = Tensor::zeros(vr.shape());
-                    let mut dw = w.map(|_| vec![0.0f32; members.len()]);
+                    let dr = tmp.refill_with(vr.shape(), 0.0);
+                    let mut dw = w.map(|_| tmp_w.refill_with(&[members.len()], 0.0));
                     if d > 0 {
                         for (seg, gs) in offsets.windows(2).zip(g.data().chunks_exact(d)) {
                             for (e, &m) in (seg[0]..).zip(&members[seg[0]..seg[1]]) {
                                 let a = w.map_or(1.0, |w| w[e]);
                                 if a != 0.0 {
-                                    for (o, &gv) in dr.row_mut(m).iter_mut().zip(gs) {
+                                    for (o, &gv) in dr[m * d..(m + 1) * d].iter_mut().zip(gs) {
                                         *o += a * gv;
                                     }
                                 }
@@ -624,103 +927,148 @@ impl Tape {
                             }
                         }
                     }
-                    accumulate(&mut grads, *rows, dr);
-                    if let (Some(wv), Some(dw)) = (weights, dw) {
-                        accumulate(&mut grads, *wv, Tensor::vector(dw));
+                    sink.put(rows, tmp);
+                    if let Some(wv) = weights {
+                        sink.put(wv, tmp_w);
                     }
                 }
-                Op::Sum(a) => {
-                    let va = self.value(*a);
-                    accumulate(&mut grads, *a, Tensor::full(va.shape(), g.item()));
-                }
+                Op::Sum(a) => sink.add(a, tmp, |d| {
+                    d.refill_with(v(a).shape(), g.item());
+                }),
                 Op::Mean(a) => {
-                    let va = self.value(*a);
-                    accumulate(
-                        &mut grads,
-                        *a,
-                        Tensor::full(va.shape(), g.item() / va.len() as f32),
-                    );
+                    let va = v(a);
+                    sink.add(a, tmp, |d| {
+                        d.refill_with(va.shape(), g.item() / va.len() as f32);
+                    });
                 }
                 Op::Concat(parts) => {
                     let mut off = 0;
-                    for &p in parts {
-                        let n = self.value(p).len();
-                        accumulate(&mut grads, p, Tensor::vector(g.data()[off..off + n].to_vec()));
+                    for &p in parts.of(index) {
+                        let n = v(Var(p)).len();
+                        let part = &g.data()[off..off + n];
+                        sink.add(Var(p), tmp, |d| d.refill(&[n]).extend_from_slice(part));
                         off += n;
                     }
                 }
                 Op::Stack(rows) => {
-                    let d = self.value(rows[0]).len();
+                    let rows = rows.of(index);
+                    let d = v(Var(rows[0])).len();
                     for (r, &p) in rows.iter().enumerate() {
-                        accumulate(
-                            &mut grads,
-                            p,
-                            Tensor::vector(g.data()[r * d..(r + 1) * d].to_vec()),
-                        );
+                        let row = &g.data()[r * d..(r + 1) * d];
+                        sink.add(Var(p), tmp, |t| t.refill(&[d]).extend_from_slice(row));
                     }
                 }
-                Op::Row(m, i) => {
-                    let vm = self.value(*m);
-                    let mut t = Tensor::zeros(vm.shape());
-                    t.row_mut(*i).copy_from_slice(g.data());
-                    accumulate(&mut grads, *m, t);
-                }
-                Op::Gather(m, indices) => {
-                    let vm = self.value(*m);
-                    let c = vm.cols();
-                    let mut t = Tensor::zeros(vm.shape());
-                    for (r, &i) in indices.iter().enumerate() {
-                        let row = t.row_mut(i);
-                        for (dst, src) in row.iter_mut().zip(&g.data()[r * c..(r + 1) * c]) {
-                            *dst += src;
+                Op::Row(m, i) => sink.add(m, tmp, |d| {
+                    d.refill_with(v(m).shape(), 0.0);
+                    d.row_mut(i).copy_from_slice(g.data());
+                }),
+                Op::Gather(m, rows) => {
+                    let c = v(m).cols();
+                    sink.add(m, tmp, |d| {
+                        d.refill_with(v(m).shape(), 0.0);
+                        for (r, &i) in rows.of(index).iter().enumerate() {
+                            let row = d.row_mut(i);
+                            for (dst, src) in row.iter_mut().zip(&g.data()[r * c..(r + 1) * c]) {
+                                *dst += src;
+                            }
                         }
-                    }
-                    accumulate(&mut grads, *m, t);
+                    });
                 }
-                Op::Index(x, i) => {
-                    let vx = self.value(*x);
-                    let mut t = Tensor::zeros(vx.shape());
-                    t.data_mut()[*i] = g.item();
-                    accumulate(&mut grads, *x, t);
-                }
-                Op::Transpose(a) => accumulate(&mut grads, *a, g.transpose()),
-                Op::Dropout(a, mask) => {
-                    let gd = g.data().iter().zip(mask).map(|(&gi, &m)| gi * m).collect();
-                    let va = self.value(*a);
-                    accumulate(&mut grads, *a, Tensor::matrix_or_vector(va.shape(), gd));
-                }
+                Op::Index(x, i) => sink.add(x, tmp, |d| {
+                    d.refill_with(v(x).shape(), 0.0)[i] = g.item();
+                }),
+                Op::Transpose(a) => sink.add(a, tmp, |d| g.transpose_into(d)),
+                Op::Dropout { input, keep, mask } => sink.add(input, tmp, |d| {
+                    let mask = mask.of(index).iter().map(|&kept| dropout_scale(kept, keep));
+                    d.refill(v(input).shape())
+                        .extend(g.data().iter().zip(mask).map(|(&gi, m)| gi * m))
+                }),
             }
+            // consumed: its storage serves the next gradient to go live
+            sink.spare.give(std::mem::take(g.storage()));
         }
-        // Hand the (now all-None) table back for the next pass.
-        scratch.grads = grads;
-    }
-
-    /// Accumulate `g * sign` into `target`'s gradient slot, collapsing a
-    /// broadcast (target was a one-element tensor) by summation.
-    fn bcast_back(&self, grads: &mut [Option<Tensor>], target: Var, g: &Tensor, sign: f32) {
-        self.bcast_back_tensor(grads, target, g.scale(sign));
-    }
-
-    fn bcast_back_tensor(&self, grads: &mut [Option<Tensor>], target: Var, g: Tensor) {
-        let vt = self.value(target);
-        let g = if vt.len() == 1 && g.len() != 1 { Tensor::scalar(g.sum()) } else { g };
-        accumulate(grads, target, g);
     }
 }
 
-/// Reusable node-gradient table for [`Tape::backward_into_with`].
+/// Where one backward step sends its contributions: the gradient slots of
+/// the nodes below it, which take their storage from the spares when they
+/// go live.
+struct Sink<'a> {
+    nodes: &'a [Node],
+    grads: &'a mut [Tensor],
+    live: &'a mut [bool],
+    spare: &'a mut Spare<f32>,
+}
+
+impl Sink<'_> {
+    /// Make `v`'s slot live with room for its gradient; `false` when it
+    /// already was.
+    fn go_live(&mut self, v: Var) -> bool {
+        if std::mem::replace(&mut self.live[v.0], true) {
+            return false;
+        }
+        *self.grads[v.0].storage() = self.spare.take(val(self.nodes, v).len());
+        true
+    }
+
+    /// Add a contribution to `v`'s gradient: `f` writes it straight into
+    /// the slot when it is the first, otherwise into `tmp`, which is then
+    /// added to the slot.
+    fn add(&mut self, v: Var, tmp: &mut Tensor, f: impl FnOnce(&mut Tensor)) {
+        if self.go_live(v) {
+            f(&mut self.grads[v.0]);
+        } else {
+            f(tmp);
+            self.grads[v.0].axpy(1.0, tmp);
+        }
+    }
+
+    /// [`Sink::add`], collapsing a broadcast by summation when `v` is a
+    /// one-element tensor.
+    fn add_bcast(&mut self, v: Var, tmp: &mut Tensor, f: impl FnOnce(&mut Tensor)) {
+        if val(self.nodes, v).len() != 1 {
+            return self.add(v, tmp, f);
+        }
+        f(tmp);
+        if tmp.len() != 1 {
+            let s = tmp.sum();
+            tmp.refill(&[1]).push(s);
+        }
+        self.put(v, tmp);
+    }
+
+    /// Add an already computed contribution `g` to `v`'s gradient.
+    fn put(&mut self, v: Var, g: &Tensor) {
+        if self.go_live(v) {
+            self.grads[v.0].refill(g.shape()).extend_from_slice(g.data());
+        } else {
+            self.grads[v.0].axpy(1.0, g);
+        }
+    }
+}
+
+/// Reusable gradient storage for [`Tape::backward_into_with`].
 ///
-/// Holds the per-node `Option<Tensor>` slots a backward pass walks; keeping
-/// one of these per worker thread (or per training loop) amortises the table
-/// allocation across samples. The pass drains every slot, so reuse carries no
-/// state between calls — only capacity.
+/// Holds a gradient slot per node position, the spare buffers a slot takes
+/// when its gradient goes live and hands back once the walk has consumed
+/// it, and the buffers later contributions are computed in before they are
+/// added. The spares settle at the most gradients one pass holds at once.
+/// Keeping one of these per worker thread (or per training loop) amortises
+/// the storage across samples. A pass leaves no gradient live, so reuse
+/// carries no state between calls — only capacity.
 #[derive(Debug, Default)]
 pub struct BackwardScratch {
-    grads: Vec<Option<Tensor>>,
+    grads: Vec<Tensor>,
+    live: Vec<bool>,
+    spare: Spare<f32>,
+    /// Where a node's second and later contributions are computed.
+    tmp: Tensor,
+    /// A segment sum's weight gradient, computed alongside its row gradient.
+    tmp_w: Tensor,
 }
 
 impl BackwardScratch {
-    /// An empty scratch; the table grows to the tape's size on first use.
+    /// An empty scratch; the storage grows to the tape's size on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -728,6 +1076,16 @@ impl BackwardScratch {
     /// Number of node slots currently allocated (capacity metric for tests).
     pub fn capacity(&self) -> usize {
         self.grads.capacity()
+    }
+}
+
+/// The factor a dropout node applied to an element: `1/keep` where the
+/// element was kept, `0` where it was dropped.
+fn dropout_scale(kept: usize, keep: f32) -> f32 {
+    if kept == 1 {
+        1.0 / keep
+    } else {
+        0.0
     }
 }
 
@@ -742,24 +1100,6 @@ fn check_segments(members: &[usize], offsets: &[usize], bound: usize) {
     );
     assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "segment offsets must not decrease");
     assert!(members.iter().all(|&m| m < bound), "segment member out of range (bound {bound})");
-}
-
-fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {
-    match &mut grads[v.0] {
-        Some(existing) => existing.axpy(1.0, &g),
-        slot @ None => *slot = Some(g),
-    }
-}
-
-impl Tensor {
-    /// Internal helper: rebuild a tensor with `shape` from raw `data`.
-    pub(crate) fn matrix_or_vector(shape: &[usize], data: Vec<f32>) -> Tensor {
-        match shape.len() {
-            1 => Tensor::vector(data),
-            2 => Tensor::matrix(shape[0], shape[1], data),
-            _ => unreachable!("rank limited to 1/2"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1218,6 +1558,118 @@ mod tests {
                 tape.sum(t)
             },
         );
+    }
+
+    /// Every op kind once, over inputs whose sizes depend on `n`, with a
+    /// parameter and a constant among the leaves; returns the loss.
+    fn every_op(tape: &mut Tape, store: &ParamStore, n: usize) -> Var {
+        use rand::SeedableRng;
+        let w = tape.param(store, store.get("w").unwrap());
+        let xs: Vec<f32> = (0..n * 3).map(|i| ((i * 37 % 19) as f32 - 9.0) / 7.0).collect();
+        let x = tape.constant(Tensor::matrix(n, 3, xs));
+        let s = tape.constant_with(&[1], |d| d.push(0.5));
+        let h = tape.matmul_nt(x, w);
+        let m = tape.matmul(h, w);
+        let t = tape.transpose(m);
+        let tt = tape.transpose(t);
+        let rows: Vec<usize> = (0..n).rev().chain(0..n).collect();
+        let g = tape.gather(tt, &rows);
+        let q = tape.row(g, 0);
+        let logits = tape.matvec(g, q);
+        let lr = tape.leaky_relu(logits, 0.2);
+        let offsets = [0, n, 2 * n];
+        let att = tape.segment_softmax(lr, &rows, &offsets);
+        let seg = tape.segment_sum(g, Some(att), &rows, &offsets);
+        let plain = tape.segment_sum(g, None, &rows, &offsets);
+        let both = tape.add(seg, plain);
+        let r0 = tape.row(both, 0);
+        let r1 = tape.row(both, 1);
+        let sm = tape.softmax(r0);
+        let v = tape.vecmat(sm, w);
+        let cat = tape.concat(&[v, r1]);
+        let st = tape.stack(&[v, r1]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let dr = tape.dropout(cat, 0.25, &mut rng);
+        let sg = tape.sigmoid(dr);
+        let th = tape.tanh(sg);
+        let rl = tape.relu(th);
+        let sc = tape.scale(rl, 1.5);
+        let sh = tape.add_scalar(sc, -0.1);
+        let sub = tape.sub(sh, s);
+        let mul = tape.mul(sub, s);
+        let dot = tape.dot(mul, cat);
+        let idx = tape.index(mul, 1);
+        let mean = tape.mean(st);
+        let total = tape.sum(mul);
+        let a = tape.add(dot, idx);
+        let b = tape.add(a, mean);
+        tape.add(b, total)
+    }
+
+    fn value_and_grad_bits(tape: &Tape, loss: Var, scratch: &mut BackwardScratch) -> Vec<u32> {
+        let mut buf = crate::GradBuffer::new();
+        tape.backward_into_with(loss, scratch, &mut buf);
+        let mut bits = vec![tape.value(loss).item().to_bits()];
+        bits.extend(buf.iter().flat_map(|(_, g)| g.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// A tape and a backward scratch reused across recordings of different
+    /// sizes compute exactly what fresh ones compute.
+    #[test]
+    fn recycled_storage_records_and_differentiates_the_same_bits() {
+        let (store, _) =
+            store_with("w", Tensor::matrix(3, 3, (0..9).map(|i| i as f32 / 9.0 - 0.4).collect()));
+        let mut tape = Tape::new();
+        let mut scratch = BackwardScratch::new();
+        for n in [4, 1, 7, 2, 7, 3] {
+            tape.reset();
+            let loss = every_op(&mut tape, &store, n);
+            let reused = value_and_grad_bits(&tape, loss, &mut scratch);
+            let mut fresh_tape = Tape::new();
+            let fresh_loss = every_op(&mut fresh_tape, &store, n);
+            let fresh = value_and_grad_bits(&fresh_tape, fresh_loss, &mut BackwardScratch::new());
+            assert_eq!(reused, fresh, "n = {n}");
+        }
+    }
+
+    /// Recording the same mix of samples again leaves the kept storage
+    /// exactly where the first round put it.
+    #[test]
+    fn retained_storage_plateaus() {
+        let (store, _) = store_with("w", Tensor::matrix(3, 3, vec![0.1; 9]));
+        let mut tape = Tape::new();
+        let round = |tape: &mut Tape| {
+            for n in [5, 2, 9, 1] {
+                every_op(tape, &store, n);
+                tape.reset();
+            }
+            tape.retained()
+        };
+        let first = round(&mut tape);
+        assert_eq!(first.slots, every_op(&mut Tape::new(), &store, 1).0 + 1);
+        assert!(first.buffers > first.slots, "values and index records are kept");
+        for _ in 0..3 {
+            assert_eq!(round(&mut tape), first);
+        }
+    }
+
+    #[test]
+    fn reset_releases_parameter_handles() {
+        let (store, w) = store_with("w", Tensor::vector(vec![1.0, 2.0]));
+        let mut tape = Tape::new();
+        let wv = tape.param(&store, w);
+        tape.param(&store, w);
+        assert_eq!(Arc::strong_count(store.shared(w)), 3, "two nodes read the store's value");
+        assert_eq!(tape.value(wv).data().as_ptr(), store.value(w).data().as_ptr(), "no copy");
+        tape.reset();
+        assert_eq!(Arc::strong_count(store.shared(w)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "filled with 2")]
+    fn constant_with_checks_its_fill() {
+        Tape::new().constant_with(&[2, 2], |d| d.extend([1.0, 2.0]));
     }
 
     #[test]

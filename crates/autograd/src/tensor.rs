@@ -3,41 +3,64 @@
 //! Shapes are validated eagerly with panics — in a training loop a shape
 //! mismatch is a programming error, never data-dependent, so failing fast is
 //! the right contract (matching ndarray/PyTorch semantics).
+//!
+//! The shape lives inline (two dimensions and a rank), so the only heap
+//! block a tensor owns is its data. Every op that produces a tensor has an
+//! `_into` form that writes into an existing tensor and reuses its buffer —
+//! the [`crate::Tape`] records into recycled node storage through those; the
+//! allocating forms are one-line wrappers over them, so both compute the
+//! same bits.
 
 use crate::counters;
 use crate::kernels::dot_chunked;
 use std::fmt;
 
-/// A dense tensor: `shape` (rank 1 or 2) and row-major `data`.
+/// A dense tensor: a rank-1 or rank-2 shape and row-major `data`.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    /// `[len, 0]` for a vector, `[rows, cols]` for a matrix.
+    dims: [usize; 2],
+    rank: u8,
     data: Vec<f32>,
+}
+
+impl Default for Tensor {
+    /// The empty vector (owns no allocation).
+    fn default() -> Self {
+        Tensor { dims: [0, 0], rank: 1, data: Vec::new() }
+    }
+}
+
+/// Inline `(dims, rank)` of a rank-1/2 `shape`.
+fn dims_of(shape: &[usize]) -> ([usize; 2], u8) {
+    match *shape {
+        [n] => ([n, 0], 1),
+        [r, c] => ([r, c], 2),
+        _ => panic!("only rank 1/2 supported, got {shape:?}"),
+    }
 }
 
 impl Tensor {
     /// Rank-1 tensor from raw data.
     pub fn vector(data: Vec<f32>) -> Self {
-        let n = data.len();
-        Tensor { shape: vec![n], data }
+        Tensor { dims: [data.len(), 0], rank: 1, data }
     }
 
     /// Rank-2 tensor from raw row-major data; `data.len()` must equal `rows * cols`.
     pub fn matrix(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "matrix data length {} != {rows}x{cols}", data.len());
-        Tensor { shape: vec![rows, cols], data }
+        Tensor { dims: [rows, cols], rank: 2, data }
     }
 
     /// All-zero tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        assert!(matches!(shape.len(), 1 | 2), "only rank 1/2 supported, got {shape:?}");
-        Tensor { shape: shape.to_vec(), data: vec![0.0; shape.iter().product()] }
+        Tensor::full(shape, 0.0)
     }
 
     /// Tensor of the given shape filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        assert!(matches!(shape.len(), 1 | 2), "only rank 1/2 supported, got {shape:?}");
-        Tensor { shape: shape.to_vec(), data: vec![value; shape.iter().product()] }
+        let (dims, rank) = dims_of(shape);
+        Tensor { dims, rank, data: vec![value; shape.iter().product()] }
     }
 
     /// A single-element rank-1 tensor (the representation used for scalars).
@@ -45,9 +68,44 @@ impl Tensor {
         Tensor::vector(vec![value])
     }
 
+    /// Rebuild a tensor with `shape` from raw `data`.
+    pub(crate) fn matrix_or_vector(shape: &[usize], data: Vec<f32>) -> Tensor {
+        match *shape {
+            [_] => Tensor::vector(data),
+            [r, c] => Tensor::matrix(r, c, data),
+            _ => unreachable!("rank limited to 1/2"),
+        }
+    }
+
+    /// Take `shape` and hand out the emptied data buffer (capacity kept); the
+    /// caller refills it with exactly `shape`'s element count.
+    pub(crate) fn refill(&mut self, shape: &[usize]) -> &mut Vec<f32> {
+        (self.dims, self.rank) = dims_of(shape);
+        self.data.clear();
+        &mut self.data
+    }
+
+    /// Take `shape` with every element `value`, reusing the data buffer.
+    pub(crate) fn refill_with(&mut self, shape: &[usize], value: f32) -> &mut [f32] {
+        let n = shape.iter().product();
+        let data = self.refill(shape);
+        data.resize(n, value);
+        data
+    }
+
+    /// Bytes of data storage this tensor holds (its capacity, not its length).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// The data buffer itself, for storage to be moved in and out.
+    pub(crate) fn storage(&mut self) -> &mut Vec<f32> {
+        &mut self.data
+    }
+
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        &self.dims[..self.rank as usize]
     }
 
     /// Total number of elements.
@@ -72,59 +130,62 @@ impl Tensor {
 
     /// The single element of a one-element tensor.
     pub fn item(&self) -> f32 {
-        assert_eq!(self.len(), 1, "item() on tensor of shape {:?}", self.shape);
+        assert_eq!(self.len(), 1, "item() on tensor of shape {:?}", self.shape());
         self.data[0]
     }
 
     /// Number of rows (rank-2) or elements (rank-1).
     pub fn rows(&self) -> usize {
-        self.shape[0]
+        self.dims[0]
     }
 
     /// Number of columns of a rank-2 tensor.
     pub fn cols(&self) -> usize {
-        assert_eq!(self.shape.len(), 2, "cols() on rank-{} tensor", self.shape.len());
-        self.shape[1]
+        assert_eq!(self.rank, 2, "cols() on rank-{} tensor", self.rank);
+        self.dims[1]
     }
 
     /// Element `(i, j)` of a rank-2 tensor.
     pub fn at(&self, i: usize, j: usize) -> f32 {
-        assert_eq!(self.shape.len(), 2);
-        self.data[i * self.shape[1] + j]
+        assert_eq!(self.rank, 2);
+        self.data[i * self.dims[1] + j]
     }
 
     /// Row `i` of a rank-2 tensor as a slice.
     pub fn row(&self, i: usize) -> &[f32] {
-        assert_eq!(self.shape.len(), 2);
-        let c = self.shape[1];
+        assert_eq!(self.rank, 2);
+        let c = self.dims[1];
         &self.data[i * c..(i + 1) * c]
     }
 
     /// Mutable row `i` of a rank-2 tensor.
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        assert_eq!(self.shape.len(), 2);
-        let c = self.shape[1];
+        assert_eq!(self.rank, 2);
+        let c = self.dims[1];
         &mut self.data[i * c..(i + 1) * c]
     }
 
     /// Elementwise addition (shapes must match).
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(
-            self.shape, other.shape,
+            self.shape(),
+            other.shape(),
             "add shape mismatch {:?} vs {:?}",
-            self.shape, other.shape
+            self.shape(),
+            other.shape()
         );
         counters::record(self.len() as u64, 12 * self.len() as u64);
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
-        Tensor { shape: self.shape.clone(), data }
+        self.zip_map(other, |a, b| a + b)
     }
 
     /// In-place elementwise `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(
-            self.shape, other.shape,
+            self.shape(),
+            other.shape(),
             "axpy shape mismatch {:?} vs {:?}",
-            self.shape, other.shape
+            self.shape(),
+            other.shape()
         );
         counters::record(2 * self.len() as u64, 12 * self.len() as u64);
         for (a, b) in self.data.iter_mut().zip(&other.data) {
@@ -135,71 +196,101 @@ impl Tensor {
     /// Elementwise subtraction.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(
-            self.shape, other.shape,
+            self.shape(),
+            other.shape(),
             "sub shape mismatch {:?} vs {:?}",
-            self.shape, other.shape
+            self.shape(),
+            other.shape()
         );
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
-        Tensor { shape: self.shape.clone(), data }
+        self.zip_map(other, |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
-            self.shape, other.shape,
+            self.shape(),
+            other.shape(),
             "mul shape mismatch {:?} vs {:?}",
-            self.shape, other.shape
+            self.shape(),
+            other.shape()
         );
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Tensor { shape: self.shape.clone(), data }
+        self.zip_map(other, |a, b| a * b)
+    }
+
+    fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let mut out = Tensor::default();
+        out.refill(self.shape()).extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        out
     }
 
     /// Multiply every element by `c`.
     pub fn scale(&self, c: f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|a| a * c).collect() }
+        self.map(|a| a * c)
     }
 
     /// Apply `f` elementwise.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&a| f(a)).collect() }
+        let mut out = Tensor::default();
+        self.map_into(f, &mut out);
+        out
+    }
+
+    /// [`Tensor::map`] into `out`'s storage.
+    pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) {
+        out.refill(self.shape()).extend(self.data.iter().map(|&a| f(a)));
     }
 
     /// Matrix product of two rank-2 tensors: `(m,k) x (k,n) -> (m,n)`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let mut out = Tensor::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] into `out`'s storage.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.rank, 2, "matmul lhs must be rank 2");
+        assert_eq!(other.rank, 2, "matmul rhs must be rank 2");
+        let ([m, k], [k2, n]) = (self.dims, other.dims);
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        crate::kernels::matmul_nn(m, k, n, &self.data, &other.data, &mut out);
-        Tensor { shape: vec![m, n], data: out }
+        let o = out.refill_with(&[m, n], 0.0);
+        crate::kernels::matmul_nn(m, k, n, &self.data, &other.data, o);
     }
 
     /// `self · otherᵀ` without materialising the transpose:
     /// `(m,k) x (n,k)ᵀ -> (m,n)`. This is the `grad_a = g·bᵀ` backward rule.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
+        let mut out = Tensor::default();
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_nt`] into `out`'s storage.
+    pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.rank, 2, "matmul_nt lhs must be rank 2");
+        assert_eq!(other.rank, 2, "matmul_nt rhs must be rank 2");
+        let ([m, k], [n, k2]) = (self.dims, other.dims);
         assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        crate::kernels::matmul_nt(m, k, n, &self.data, &other.data, &mut out);
-        Tensor { shape: vec![m, n], data: out }
+        let o = out.refill_with(&[m, n], 0.0);
+        crate::kernels::matmul_nt(m, k, n, &self.data, &other.data, o);
     }
 
     /// `selfᵀ · other` without materialising the transpose:
     /// `(k,m)ᵀ x (k,n) -> (m,n)`. This is the `grad_b = aᵀ·g` backward rule.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let mut out = Tensor::default();
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_tn`] into `out`'s storage.
+    pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.rank, 2, "matmul_tn lhs must be rank 2");
+        assert_eq!(other.rank, 2, "matmul_tn rhs must be rank 2");
+        let ([k, m], [k2, n]) = (self.dims, other.dims);
         assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        crate::kernels::matmul_tn(m, k, n, &self.data, &other.data, &mut out);
-        Tensor { shape: vec![m, n], data: out }
+        let o = out.refill_with(&[m, n], 0.0);
+        crate::kernels::matmul_tn(m, k, n, &self.data, &other.data, o);
     }
 
     /// Matrix-vector product: `(m,k) x [k] -> [m]`.
@@ -207,63 +298,81 @@ impl Tensor {
     /// Each output element is a multi-accumulator chunked dot of a contiguous
     /// matrix row against `x`.
     pub fn matvec(&self, x: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        assert_eq!(x.shape.len(), 1);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        assert_eq!(k, x.shape[0], "matvec inner dims {k} vs {}", x.shape[0]);
+        let mut out = Tensor::default();
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// [`Tensor::matvec`] into `out`'s storage.
+    pub(crate) fn matvec_into(&self, x: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.rank, 2);
+        assert_eq!(x.rank, 1);
+        let [m, k] = self.dims;
+        assert_eq!(k, x.dims[0], "matvec inner dims {k} vs {}", x.dims[0]);
         counters::record(2 * (m * k) as u64, 4 * (m * k + k + m) as u64);
-        let mut out = vec![0.0f32; m];
+        let o = out.refill_with(&[m], 0.0);
         if k > 0 {
-            for (o, row) in out.iter_mut().zip(self.data.chunks_exact(k)) {
+            for (o, row) in o.iter_mut().zip(self.data.chunks_exact(k)) {
                 *o = dot_chunked(row, &x.data);
             }
         }
-        Tensor::vector(out)
     }
 
     /// Vector-matrix product: `[k] x (k,n) -> [n]`.
     pub fn vecmat(&self, m: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 1);
-        assert_eq!(m.shape.len(), 2);
-        let k = self.shape[0];
-        assert_eq!(k, m.shape[0], "vecmat inner dims {k} vs {}", m.shape[0]);
-        let n = m.shape[1];
+        let mut out = Tensor::default();
+        self.vecmat_into(m, &mut out);
+        out
+    }
+
+    /// [`Tensor::vecmat`] into `out`'s storage.
+    pub(crate) fn vecmat_into(&self, m: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.rank, 1);
+        assert_eq!(m.rank, 2);
+        let k = self.dims[0];
+        assert_eq!(k, m.dims[0], "vecmat inner dims {k} vs {}", m.dims[0]);
+        let n = m.dims[1];
         counters::record(2 * (k * n) as u64, 4 * (k * n + k + n) as u64);
-        let mut out = vec![0.0f32; n];
+        let o = out.refill_with(&[n], 0.0);
         if n > 0 {
             for (&a, brow) in self.data.iter().zip(m.data.chunks_exact(n)) {
                 if a == 0.0 {
                     continue;
                 }
-                for (o, b) in out.iter_mut().zip(brow) {
+                for (o, b) in o.iter_mut().zip(brow) {
                     *o += a * b;
                 }
             }
         }
-        Tensor::vector(out)
     }
 
     /// Dot product of two rank-1 tensors (multi-accumulator chunked
     /// reduction: deterministic, reassociated relative to a strict left
     /// fold).
     pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape.len(), 1);
-        assert_eq!(self.shape, other.shape, "dot shape mismatch");
+        assert_eq!(self.rank, 1);
+        assert_eq!(self.shape(), other.shape(), "dot shape mismatch");
         counters::record(2 * self.len() as u64, 8 * self.len() as u64);
         dot_chunked(&self.data, &other.data)
     }
 
     /// Transpose of a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = Tensor::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::transpose`] into `out`'s storage.
+    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
+        assert_eq!(self.rank, 2);
+        let [m, n] = self.dims;
+        let o = out.refill_with(&[n, m], 0.0);
         for i in 0..m {
             for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+                o[j * m + i] = self.data[i * n + j];
             }
         }
-        Tensor { shape: vec![n, m], data: out }
     }
 
     /// Sum of all elements (chunked 8-lane reduction; deterministic,
@@ -312,7 +421,7 @@ impl Tensor {
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?}", self.shape)?;
+        write!(f, "Tensor{:?}", self.shape())?;
         if self.len() <= 8 {
             write!(f, "{:?}", self.data)
         } else {

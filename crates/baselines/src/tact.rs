@@ -147,7 +147,7 @@ impl ScoringModel for TactBaseModel {
         let sample = prepare_sample(graph, target, &self.cfg, mode, rng);
         let mut rels: Vec<RelationId> = sample.relview.nodes.iter().map(|n| n.relation).collect();
         rels.push(target.relation);
-        let h0 = self.encoder.encode_table(tape, &self.store, &rels);
+        let h0 = self.encoder.encode_table(tape, &self.store, rels);
         let h = correlate_target(
             tape,
             &self.store,
@@ -232,7 +232,7 @@ impl ScoringModel for TactModel {
         let rsample = prepare_sample(graph, target, &self.rmpi_cfg, mode, rng);
         let mut rels: Vec<RelationId> = rsample.relview.nodes.iter().map(|n| n.relation).collect();
         rels.push(target.relation);
-        let h0 = self.rel_encoder.encode_table(tape, &self.store, &rels);
+        let h0 = self.rel_encoder.encode_table(tape, &self.store, rels);
         let rt_corr = correlate_target(
             tape,
             &self.store,

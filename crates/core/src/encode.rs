@@ -70,41 +70,50 @@ impl RelationEncoder {
 
     /// Record the initial-feature table of one sample: one `h^0` row per
     /// *distinct* relation in `rels`, so relation nodes that share a label
-    /// share a row. Random init gathers the rows of the embedding parameter;
-    /// schema init projects the gathered schema vectors through
-    /// `sem · W2ᵀ · W1ᵀ` (Eq. 10) — per row the same chunked dots as
+    /// share a row. `rels` is sorted and deduplicated in place and becomes
+    /// the table's row order ([`RelationTable::into_rels`] hands its storage
+    /// back for the next sample). Random init gathers the rows of the
+    /// embedding parameter; schema init projects the gathered schema vectors
+    /// through `sem · W2ᵀ · W1ᵀ` (Eq. 10) — per row the same chunked dots as
     /// `W1 (W2 sem)`, so the features are bit-identical to projecting each
     /// relation on its own.
     pub fn encode_table(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        rels: &[RelationId],
+        mut rels: Vec<RelationId>,
     ) -> RelationTable {
-        let mut distinct: Vec<RelationId> = rels.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
+        rels.sort_unstable();
+        rels.dedup();
         let h0 = match self {
             RelationEncoder::Random { emb } => {
                 let table = tape.param(store, *emb);
-                let rows: Vec<usize> = distinct.iter().map(|r| r.index()).collect();
-                tape.gather(table, &rows)
+                rmpi_runtime::with_scratch(|rows: &mut TableRows| {
+                    rows.0.clear();
+                    rows.0.extend(rels.iter().map(|r| r.index()));
+                    tape.gather(table, &rows.0)
+                })
             }
             RelationEncoder::Schema { onto, w1, w2 } => {
-                let mut sem = Vec::with_capacity(distinct.len() * onto.cols());
-                for r in &distinct {
-                    sem.extend_from_slice(onto.row(r.index()));
-                }
-                let sem = tape.constant(Tensor::matrix(distinct.len(), onto.cols(), sem));
+                let sem = tape.constant_with(&[rels.len(), onto.cols()], |sem| {
+                    for r in &rels {
+                        sem.extend_from_slice(onto.row(r.index()));
+                    }
+                });
                 let w2v = tape.param(store, *w2);
                 let hidden = tape.matmul_nt(sem, w2v);
                 let w1v = tape.param(store, *w1);
                 tape.matmul_nt(hidden, w1v)
             }
         };
-        RelationTable { h0, rels: distinct }
+        RelationTable { h0, rels }
     }
 }
+
+/// The embedding-table rows one [`RelationEncoder::encode_table`] gathers,
+/// kept per thread.
+#[derive(Default)]
+struct TableRows(Vec<usize>);
 
 /// The `(distinct relations, dim)` initial-feature matrix of one sample, with
 /// the relation → row lookup.
@@ -132,6 +141,12 @@ impl RelationTable {
     pub fn is_empty(&self) -> bool {
         self.rels.is_empty()
     }
+
+    /// The row list, for its storage to be reused by the next
+    /// [`RelationEncoder::encode_table`].
+    pub fn into_rels(self) -> Vec<RelationId> {
+        self.rels
+    }
 }
 
 #[cfg(test)]
@@ -146,7 +161,8 @@ mod tests {
         let enc = RelationEncoder::new_random(&mut store, 5, 8, &mut rng);
         assert_eq!(enc.num_relations(&store), 5);
         let mut tape = Tape::new();
-        let t = enc.encode_table(&mut tape, &store, &[RelationId(2), RelationId(2), RelationId(0)]);
+        let t =
+            enc.encode_table(&mut tape, &store, vec![RelationId(2), RelationId(2), RelationId(0)]);
         assert_eq!(t.len(), 2);
         assert_eq!(tape.value(t.h0).shape(), &[2, 8]);
         let emb = store.get("rel_emb").unwrap();
@@ -167,7 +183,7 @@ mod tests {
         let enc = RelationEncoder::new_schema(&mut store, onto.clone(), &cfg, &mut rng);
         assert_eq!(enc.num_relations(&store), 3);
         let mut tape = Tape::new();
-        let t = enc.encode_table(&mut tape, &store, &[RelationId(1), RelationId(2)]);
+        let t = enc.encode_table(&mut tape, &store, vec![RelationId(1), RelationId(2)]);
         assert_eq!(tape.value(t.h0).shape(), &[2, 4]);
         // each row is bit-identical to projecting that relation on its own
         let w1 = tape.param(&store, store.get("onto_w1").unwrap());
@@ -190,7 +206,7 @@ mod tests {
         let cfg = RmpiConfig { dim: 3, ..Default::default() };
         let enc = RelationEncoder::new_schema(&mut store, onto, &cfg, &mut rng);
         let mut tape = Tape::new();
-        let t = enc.encode_table(&mut tape, &store, &[RelationId(0)]);
+        let t = enc.encode_table(&mut tape, &store, vec![RelationId(0)]);
         let loss = tape.sum(t.h0);
         tape.backward(loss, &mut store);
         let g1 = store.grad(store.get("onto_w1").unwrap()).norm();
@@ -204,7 +220,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let enc = RelationEncoder::new_random(&mut store, 4, 16, &mut rng);
         let mut tape = Tape::new();
-        let t = enc.encode_table(&mut tape, &store, &[RelationId(1), RelationId(0)]);
+        let t = enc.encode_table(&mut tape, &store, vec![RelationId(1), RelationId(0)]);
         let (r0, r1) = (t.row(RelationId(0)), t.row(RelationId(1)));
         assert_ne!(r0, r1);
         assert_ne!(tape.value(t.h0).row(r0), tape.value(t.h0).row(r1));

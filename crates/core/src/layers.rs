@@ -54,6 +54,28 @@ pub struct AttentionConfig {
 /// `row_of` entry of a node that has no row in the current layer's state.
 const NO_ROW: usize = usize::MAX;
 
+/// The bookkeeping of one [`relational_message_passing`] call, kept per
+/// thread so that a warm forward allocates none of it.
+#[derive(Default)]
+struct LayerScratch {
+    /// Node → row of the current layer's state.
+    row_of: Vec<usize>,
+    /// The nodes the current layer updates.
+    dests: Vec<usize>,
+    /// Per edge type: the source rows of every destination's incoming edges.
+    members: [Vec<usize>; NUM_EDGE_TYPES],
+    /// Per edge type: where each destination's segment of `members` starts.
+    offsets: [Vec<usize>; NUM_EDGE_TYPES],
+    /// Row → position in `distinct`; `NO_ROW` everywhere between edge types.
+    slot: Vec<usize>,
+    /// One edge type's distinct source rows, in first-seen order.
+    distinct: Vec<usize>,
+    /// One edge type's members as positions in `distinct`.
+    local: Vec<usize>,
+    /// The destinations' previous-layer rows.
+    dest_rows: Vec<usize>,
+}
+
 /// Run K layers of pruned relational message passing and return the target
 /// node's final representation `h_{r_t}^K` (rank 1, `dim` long).
 ///
@@ -89,90 +111,109 @@ pub fn relational_message_passing(
     assert_eq!(schedule.k, k_layers, "schedule depth must match layer count");
     assert_eq!(row_of.len(), rv.num_nodes(), "every relation node needs an initial row");
 
-    let mut h = h0;
-    let mut row_of = row_of.to_vec();
-    for layer in 1..=k_layers {
-        let is_final = layer == k_layers;
-        let dests = if is_final { vec![TARGET_NODE] } else { schedule.active_nodes(layer) };
-
-        // incoming edges of the destinations, bucketed by edge type: segment
-        // `d` of a bucket lists the previous-layer rows of `dests[d]`'s
-        // sources in `RelViewGraph`'s (ascending source) order
-        let mut members: [Vec<usize>; NUM_EDGE_TYPES] = Default::default();
-        let mut offsets: [Vec<usize>; NUM_EDGE_TYPES] = std::array::from_fn(|_| {
-            let mut o = Vec::with_capacity(dests.len() + 1);
-            o.push(0);
-            o
-        });
-        for &node in &dests {
-            for e in rv.incoming(node) {
-                let row = row_of[e.src];
-                assert_ne!(row, NO_ROW, "schedule dropped node {} one layer early", e.src);
-                members[e.etype.index()].push(row);
+    rmpi_runtime::with_scratch(|s: &mut LayerScratch| {
+        let LayerScratch {
+            row_of: rows,
+            dests,
+            members,
+            offsets,
+            slot,
+            distinct,
+            local,
+            dest_rows,
+        } = s;
+        rows.clear();
+        rows.extend_from_slice(row_of);
+        let mut h = h0;
+        for layer in 1..=k_layers {
+            let is_final = layer == k_layers;
+            if is_final {
+                dests.clear();
+                dests.push(TARGET_NODE);
+            } else {
+                schedule.active_nodes_into(layer, dests);
             }
-            for (o, m) in offsets.iter_mut().zip(&members) {
-                o.push(m.len());
-            }
-        }
 
-        // Eq. 7 logits LeakyReLU(h_rt^{k-1} · h_rj^{k-1}), one per row; the
-        // final layer aggregates with equal weights (Eq. 9)
-        let logits = (attention.enabled && !is_final).then(|| {
-            let h_target = tape.row(h, row_of[TARGET_NODE]);
-            let dots = tape.matvec(h, h_target);
-            tape.leaky_relu(dots, attention.leaky_slope)
-        });
-
-        let mut slot = vec![NO_ROW; tape.value(h).rows()];
-        let mut agg: Option<Var> = None;
-        for (etype, &w_id) in weights.w[layer - 1].iter().enumerate() {
-            let (members, offsets) = (&members[etype], &offsets[etype]);
-            if members.is_empty() {
-                continue;
+            // incoming edges of the destinations, bucketed by edge type:
+            // segment `d` of a bucket lists the previous-layer rows of
+            // `dests[d]`'s sources in `RelViewGraph`'s (ascending source) order
+            for (m, o) in members.iter_mut().zip(offsets.iter_mut()) {
+                m.clear();
+                o.clear();
+                o.push(0);
             }
-            // transformed messages W_e h_j, once per distinct source row
-            let mut distinct: Vec<usize> = Vec::new();
-            let local: Vec<usize> = members
-                .iter()
-                .map(|&row| {
+            for &node in dests.iter() {
+                for e in rv.incoming(node) {
+                    let row = rows[e.src];
+                    assert_ne!(row, NO_ROW, "schedule dropped node {} one layer early", e.src);
+                    members[e.etype.index()].push(row);
+                }
+                for (o, m) in offsets.iter_mut().zip(members.iter()) {
+                    o.push(m.len());
+                }
+            }
+
+            // Eq. 7 logits LeakyReLU(h_rt^{k-1} · h_rj^{k-1}), one per row;
+            // the final layer aggregates with equal weights (Eq. 9)
+            let logits = (attention.enabled && !is_final).then(|| {
+                let h_target = tape.row(h, rows[TARGET_NODE]);
+                let dots = tape.matvec(h, h_target);
+                tape.leaky_relu(dots, attention.leaky_slope)
+            });
+
+            let num_rows = tape.value(h).rows();
+            if slot.len() < num_rows {
+                slot.resize(num_rows, NO_ROW);
+            }
+            let mut agg: Option<Var> = None;
+            for (etype, &w_id) in weights.w[layer - 1].iter().enumerate() {
+                let (members, offsets) = (&members[etype], &offsets[etype]);
+                if members.is_empty() {
+                    continue;
+                }
+                // transformed messages W_e h_j, once per distinct source row
+                distinct.clear();
+                local.clear();
+                for &row in members {
                     if slot[row] == NO_ROW {
                         slot[row] = distinct.len();
                         distinct.push(row);
                     }
-                    slot[row]
-                })
-                .collect();
-            for &row in &distinct {
-                slot[row] = NO_ROW;
+                    local.push(slot[row]);
+                }
+                for &row in distinct.iter() {
+                    slot[row] = NO_ROW;
+                }
+                let sources = tape.gather(h, distinct);
+                let w = tape.param(store, w_id);
+                let msgs = tape.matmul_nt(sources, w);
+                let att = logits.map(|l| tape.segment_softmax(l, members, offsets));
+                let type_sum = tape.segment_sum(msgs, att, local, offsets);
+                agg = Some(match agg {
+                    Some(acc) => tape.add(acc, type_sum),
+                    None => type_sum,
+                });
             }
-            let sources = tape.gather(h, &distinct);
-            let w = tape.param(store, w_id);
-            let msgs = tape.matmul_nt(sources, w);
-            let att = logits.map(|l| tape.segment_softmax(l, members, offsets));
-            let type_sum = tape.segment_sum(msgs, att, &local, offsets);
-            agg = Some(match agg {
-                Some(acc) => tape.add(acc, type_sum),
-                None => type_sum,
-            });
-        }
 
-        // residual combine (Eq. 8 / Eq. 9); σ1 = ReLU in both
-        let dest_rows: Vec<usize> = dests.iter().map(|&node| row_of[node]).collect();
-        let h_prev = tape.gather(h, &dest_rows);
-        h = match agg {
-            Some(agg) => {
-                let activated = tape.relu(agg);
-                tape.add(activated, h_prev)
+            // residual combine (Eq. 8 / Eq. 9); σ1 = ReLU in both
+            dest_rows.clear();
+            dest_rows.extend(dests.iter().map(|&node| rows[node]));
+            let h_prev = tape.gather(h, dest_rows);
+            h = match agg {
+                Some(agg) => {
+                    let activated = tape.relu(agg);
+                    tape.add(activated, h_prev)
+                }
+                // no destination has an incoming edge: representations carry over
+                None => h_prev,
+            };
+            rows.fill(NO_ROW);
+            for (row, &node) in dests.iter().enumerate() {
+                rows[node] = row;
             }
-            // no destination has an incoming edge: representations carry over
-            None => h_prev,
-        };
-        row_of.fill(NO_ROW);
-        for (row, &node) in dests.iter().enumerate() {
-            row_of[node] = row;
         }
-    }
-    tape.row(h, row_of[TARGET_NODE])
+        tape.row(h, rows[TARGET_NODE])
+    })
 }
 
 #[cfg(test)]

@@ -13,6 +13,18 @@ use rmpi_kg::{GraphAccess, RelationId, Triple};
 use rmpi_subgraph::relview::NUM_EDGE_TYPES;
 use std::fmt;
 
+/// The forward pass's bookkeeping, kept per thread (see
+/// [`RmpiModel::score_sample_on_tape`]).
+#[derive(Default)]
+struct ForwardScratch {
+    /// Relations of the sample, then the table's row order.
+    rels: Vec<RelationId>,
+    /// Relation node → row of the initial-feature table.
+    row_of: Vec<usize>,
+    /// Table rows of the disclosing neighbours (NE).
+    neighbor_rows: Vec<usize>,
+}
+
 /// RMPI with all its variants (base / NE / TA / NE-TA, SUM / CONC fusion,
 /// random / schema initialisation) selected by [`RmpiConfig`].
 #[derive(Clone, Debug)]
@@ -231,6 +243,11 @@ impl RmpiModel {
     /// cache-hit scoring path. The forward pass past sample preparation is
     /// fully deterministic, so the result depends only on the sample and the
     /// parameters.
+    ///
+    /// This is the one forward: training, offline evaluation and the serving
+    /// engine all record through it. Its bookkeeping lives in per-thread
+    /// scratch and the tape recycles its node storage, so re-scoring on a
+    /// reset tape allocates nothing once both are warm.
     pub fn score_sample_on_tape(&self, tape: &mut Tape, sample: &SampleInput) -> Var {
         let target = sample.target;
         assert!(
@@ -239,15 +256,21 @@ impl RmpiModel {
             target.relation,
             self.num_relations
         );
+        rmpi_runtime::with_scratch(|s: &mut ForwardScratch| self.forward(tape, sample, s))
+    }
 
+    fn forward(&self, tape: &mut Tape, sample: &SampleInput, s: &mut ForwardScratch) -> Var {
+        let target = sample.target;
         // every relation whose h^0 the pass needs, one table row each
-        let mut rels: Vec<RelationId> = sample.relview.nodes.iter().map(|n| n.relation).collect();
+        let mut rels = std::mem::take(&mut s.rels);
+        rels.clear();
+        rels.extend(sample.relview.nodes.iter().map(|n| n.relation));
         rels.extend_from_slice(&sample.disclosing_rels);
         rels.push(target.relation);
-        let table = self.encoder.encode_table(tape, &self.store, &rels);
+        let table = self.encoder.encode_table(tape, &self.store, rels);
 
-        let row_of: Vec<usize> =
-            sample.relview.nodes.iter().map(|n| table.row(n.relation)).collect();
+        s.row_of.clear();
+        s.row_of.extend(sample.relview.nodes.iter().map(|n| table.row(n.relation)));
         let h_rt = relational_message_passing(
             tape,
             &self.store,
@@ -256,21 +279,21 @@ impl RmpiModel {
             &sample.relview,
             &sample.schedule,
             table.h0,
-            &row_of,
+            &s.row_of,
         );
 
         let w = tape.param(&self.store, self.score_w);
         let mut fused = match self.ne_weights {
             Some(ne) => {
-                let neighbor_rows: Vec<usize> =
-                    sample.disclosing_rels.iter().map(|&r| table.row(r)).collect();
+                s.neighbor_rows.clear();
+                s.neighbor_rows.extend(sample.disclosing_rels.iter().map(|&r| table.row(r)));
                 let h_d = disclosing_aggregate(
                     tape,
                     &self.store,
                     ne,
                     table.h0,
                     table.row(target.relation),
-                    &neighbor_rows,
+                    &s.neighbor_rows,
                     self.cfg.leaky_slope,
                 );
                 match self.cfg.fusion {
@@ -287,7 +310,8 @@ impl RmpiModel {
                             tape.param(&self.store, self.fuse_gate.expect("gated fusion weight"));
                         let logits = tape.matvec(wg, cat);
                         let g = tape.sigmoid(logits);
-                        let ones = tape.constant(Tensor::full(&[self.cfg.dim], 1.0));
+                        let dim = self.cfg.dim;
+                        let ones = tape.constant_with(&[dim], |ones| ones.resize(dim, 1.0));
                         let g_inv = tape.sub(ones, g);
                         let a = tape.mul(g, h_rt);
                         let b = tape.mul(g_inv, h_d);
@@ -298,13 +322,14 @@ impl RmpiModel {
             None => h_rt,
         };
         if let Some(ent_w) = self.ent_w {
-            let hist = sample.label_histogram.as_ref().expect("entity-clue histogram");
-            let hist_v = tape.constant(Tensor::vector(hist.clone()));
+            let hist = sample.label_histogram.as_deref().expect("entity-clue histogram");
+            let hist_v = tape.constant_with(&[hist.len()], |h| h.extend_from_slice(hist));
             let wv = tape.param(&self.store, ent_w);
             let lin = tape.matvec(wv, hist_v);
             let clue = tape.relu(lin);
             fused = tape.add(fused, clue);
         }
+        s.rels = table.into_rels();
         tape.dot(w, fused)
     }
 
@@ -599,6 +624,39 @@ mod tests {
         let a = model.score(&g, t, &mut StdRng::seed_from_u64(1));
         let b = rebuilt.score(&g, t, &mut StdRng::seed_from_u64(1));
         assert_eq!(a, b);
+    }
+
+    /// A cloned model and its original never see each other's updates,
+    /// whichever of the two steps.
+    #[test]
+    fn cloned_models_step_independently() {
+        use rmpi_autograd::optim::Adam;
+        let g = toy_graph();
+        let target = Triple::new(0u32, 5u32, 3u32);
+        let sample = |m: &RmpiModel| m.prepare_eval_sample(&g, target, 0);
+        let step = |m: &mut RmpiModel| {
+            let mut tape = Tape::new();
+            let s = m.score_sample_on_tape(&mut tape, &sample(m));
+            tape.backward(s, m.param_store_mut());
+            drop(tape);
+            let readout = m.score_w;
+            m.param_store_mut().value_mut(readout).data_mut()[0] += 1.0;
+            Adam::new(0.1).step(m.param_store_mut());
+        };
+        let mut original = RmpiModel::new(RmpiConfig { ne: true, ta: true, ..small_cfg() }, 6, 3);
+        let score = |m: &RmpiModel| m.score_sample(&sample(m)).to_bits();
+
+        let clone = original.clone();
+        let before = score(&clone);
+        step(&mut original);
+        assert_ne!(score(&original), before, "the original stepped");
+        assert_eq!(score(&clone), before, "the clone did not");
+
+        let mut clone = original.clone();
+        let before = score(&original);
+        step(&mut clone);
+        assert_ne!(score(&clone), before);
+        assert_eq!(score(&original), before);
     }
 
     #[test]

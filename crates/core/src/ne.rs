@@ -8,7 +8,7 @@
 //! *initial* embeddings of those neighbour relations.
 
 use rand::rngs::StdRng;
-use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
+use rmpi_autograd::{init, ParamId, ParamStore, Tape, Var};
 
 /// The NE module's single linear transform `W^d`.
 #[derive(Clone, Copy, Debug)]
@@ -44,7 +44,7 @@ pub fn disclosing_aggregate(
 ) -> Var {
     if neighbor_rows.is_empty() {
         let dim = tape.value(h0).cols();
-        return tape.constant(Tensor::zeros(&[dim]));
+        return tape.constant_with(&[dim], |zeros| zeros.resize(dim, 0.0));
     }
     let wd = tape.param(store, weights.wd);
     let h_target0 = tape.row(h0, target_row);
@@ -63,6 +63,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rmpi_autograd::gradcheck::check_gradients;
+    use rmpi_autograd::Tensor;
 
     #[test]
     fn empty_neighborhood_gives_zeros() {

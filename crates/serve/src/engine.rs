@@ -562,8 +562,9 @@ impl Engine {
         self.score_batch(&[target]).map(|scores| scores[0])
     }
 
-    /// Score a batch, sharded across the worker pool. Each worker reuses one
-    /// tape arena for its whole shard; results come back in request order.
+    /// Score a batch, sharded across the worker pool. Each worker thread
+    /// records on its own tape, kept across batches; results come back in
+    /// request order.
     /// A worker panic fails only this request, not the pool.
     pub fn score_batch(&self, targets: &[Triple]) -> Result<Vec<f32>, ServeError> {
         match self.run_one(BatchItem::Score(targets.to_vec()))? {
@@ -672,12 +673,17 @@ impl Engine {
         let pool_out = if flat.is_empty() {
             Ok(Vec::new())
         } else {
-            self.pool.try_map_init(flat.len(), Tape::new, |tape, i| {
+            self.pool.try_map_indexed(flat.len(), |i| {
                 failpoint::point(SCORE_FAILPOINT);
                 let sample = self.prepared(&state, flat[i])?;
-                tape.reset();
-                let v = state.model.score_sample_on_tape(tape, &sample);
-                Ok::<f32, ServeError>(tape.value(v).item())
+                // the worker thread's tape: its storage is kept across
+                // flushes, its parameter handles are released with the score
+                Ok::<f32, ServeError>(rmpi_runtime::with_scratch(|tape: &mut Tape| {
+                    let v = state.model.score_sample_on_tape(tape, &sample);
+                    let score = tape.value(v).item();
+                    tape.reset();
+                    score
+                }))
             })
         };
         match pool_out {

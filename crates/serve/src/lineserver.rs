@@ -69,7 +69,8 @@
 use crate::error::ServeError;
 use crate::lineio::{read_line_bounded, LineRead};
 use crate::protocol::{
-    format_error, format_tagged, parse_request, parse_tagged, split_deadline, wire_verb, Request,
+    format_error, format_tagged, parse_request, parse_tagged, split_deadline, wire_verb_index,
+    Request, WIRE_VERBS,
 };
 use rmpi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -77,7 +78,7 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -209,6 +210,9 @@ pub struct LineStats {
     sock_config_failures: Counter,
     queue_wait: Histogram,
     queue_depth: Gauge,
+    /// `<prefix>.wire.<verb>.us` at each [`WIRE_VERBS`] index, registered
+    /// when the verb is first seen.
+    wire: [OnceLock<Histogram>; WIRE_VERBS.len()],
 }
 
 impl LineStats {
@@ -229,12 +233,19 @@ impl LineStats {
             queue_depth: registry.gauge(&format!("{prefix}.queue_depth.count")),
             registry: Arc::clone(registry),
             prefix,
+            wire: Default::default(),
         }
     }
 
-    /// Per-verb wire latency histogram: `<prefix>.wire.<verb>.us`.
-    fn wire_latency(&self, verb: &str) -> Histogram {
-        self.registry.histogram(&format!("{}.wire.{verb}.us", self.prefix))
+    /// Wire latency histogram of `line`'s verb: `<prefix>.wire.<verb>.us`,
+    /// resolved once per verb, not per request.
+    fn wire_latency(&self, line: &str) -> Histogram {
+        let verb = wire_verb_index(line);
+        self.wire[verb]
+            .get_or_init(|| {
+                self.registry.histogram(&format!("{}.wire.{}.us", self.prefix, WIRE_VERBS[verb]))
+            })
+            .clone()
     }
 }
 
@@ -592,8 +603,7 @@ fn answer_line<H: Handler>(
         (None, line)
     };
     let (budget, inner) = split_deadline(inner);
-    let reply =
-        Reply { sink: sink.clone(), tag, arrival, latency: stats.wire_latency(wire_verb(inner)) };
+    let reply = Reply { sink: sink.clone(), tag, arrival, latency: stats.wire_latency(inner) };
     let mut upgrade = false;
     let outcome = catch_unwind(AssertUnwindSafe(|| match parse_request(inner)? {
         // renegotiating inside a v2 stream is harmlessly idempotent
@@ -651,6 +661,22 @@ mod tests {
                 _ => Answer::Now("ERR not served".to_owned()),
             }
         }
+    }
+
+    /// One histogram per verb, registered under its old name the first time
+    /// the verb is seen and shared by every later request with that verb.
+    #[test]
+    fn wire_histograms_register_once_per_verb_on_first_use() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let stats = LineStats::new(&registry, "toy");
+        assert!(WIRE_VERBS.iter().all(|v| !registry.contains(&format!("toy.wire.{v}.us"))));
+        stats.wire_latency("SCORE 1 2 3").record(5);
+        stats.wire_latency("SCORE 4 5 6").record(7);
+        stats.wire_latency("no such verb").record(1);
+        stats.wire_latency("").record(1);
+        assert_eq!(registry.histogram("toy.wire.score.us").count(), 2);
+        assert_eq!(registry.histogram("toy.wire.other.us").count(), 2, "unknown lines share one");
+        assert!(!registry.contains("toy.wire.rank.us"), "unseen verbs stay unregistered");
     }
 
     fn toy_server(cfg: ServerConfig) -> (ServerHandle, Arc<MetricsRegistry>) {

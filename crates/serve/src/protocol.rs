@@ -225,20 +225,25 @@ pub fn split_deadline(line: &str) -> (Option<Duration>, &str) {
     }
 }
 
-/// The metric label for a request line's verb (`<front end>.wire.<verb>.us`).
-/// Unknown or malformed commands share one `other` histogram so hostile
-/// input cannot grow the registry unboundedly.
-pub fn wire_verb(line: &str) -> &'static str {
+/// The metric labels of request verbs (`<front end>.wire.<verb>.us`), in
+/// [`wire_verb_index`] order. Unknown or malformed commands share one
+/// `other` histogram so hostile input cannot grow the registry unboundedly.
+pub const WIRE_VERBS: [&str; 9] =
+    ["ping", "score", "rank", "stats", "metrics", "health", "reload", "proto", "other"];
+
+/// Where a request line's verb label sits in [`WIRE_VERBS`] — a fixed table
+/// index, so a front end keeps one histogram per verb.
+pub fn wire_verb_index(line: &str) -> usize {
     match line.split_whitespace().next() {
-        Some("PING") => "ping",
-        Some("SCORE") => "score",
-        Some("RANK") => "rank",
-        Some("STATS") => "stats",
-        Some("METRICS") => "metrics",
-        Some("HEALTH") => "health",
-        Some("RELOAD") => "reload",
-        Some("PROTO") => "proto",
-        _ => "other",
+        Some("PING") => 0,
+        Some("SCORE") => 1,
+        Some("RANK") => 2,
+        Some("STATS") => 3,
+        Some("METRICS") => 4,
+        Some("HEALTH") => 5,
+        Some("RELOAD") => 6,
+        Some("PROTO") => 7,
+        _ => 8,
     }
 }
 

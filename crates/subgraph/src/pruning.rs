@@ -48,9 +48,18 @@ impl PruningSchedule {
     ///
     /// The final layer (`layer == k`) updates only the target node itself.
     pub fn active_nodes(&self, layer: usize) -> Vec<usize> {
+        let mut nodes = Vec::new();
+        self.active_nodes_into(layer, &mut nodes);
+        nodes
+    }
+
+    /// [`PruningSchedule::active_nodes`] into `out` (cleared first), reusing
+    /// its storage.
+    pub fn active_nodes_into(&self, layer: usize, out: &mut Vec<usize>) {
         assert!((1..=self.k).contains(&layer), "layer {layer} out of 1..={}", self.k);
         let budget = self.k - layer;
-        self.dist.iter().enumerate().filter(|(_, &d)| d <= budget).map(|(i, _)| i).collect()
+        out.clear();
+        out.extend(self.dist.iter().enumerate().filter(|(_, &d)| d <= budget).map(|(i, _)| i));
     }
 
     /// All nodes that participate in any layer (within `k` hops of target,

@@ -54,6 +54,9 @@ cargo test -q -p rmpi-subgraph --test relview_oracle
 echo "== zero-allocation steady state: counting allocator over warm extraction and the relation view =="
 cargo test -q -p rmpi-subgraph --test zero_alloc
 
+echo "== zero-allocation forward: warm re-score allocates nothing, tape storage plateaus, training copies no parameter =="
+cargo test -q -p rmpi-core --test zero_alloc
+
 echo "== kernel micro-bench smoke: matmuls, reductions, scratch backward (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 
