@@ -20,8 +20,11 @@
 //!   timed cooldown, half-open probe.
 //! - [`session`]: a persistent, pipelined protocol-v2 connection
 //!   ([`Session`]) — many requests in flight at once, demultiplexed by tag,
-//!   with a one-typed-error-per-in-flight-request death contract — plus a
-//!   small [`ClientPool`] of reusable sessions.
+//!   with a one-typed-error-per-in-flight-request death contract. Its
+//!   primitive is the non-blocking [`Session::submit`] (a responder called
+//!   once, a [`Submission`] handle whose drop deregisters the tag); the
+//!   blocking verbs wait on top of it. Plus a small [`ClientPool`] of
+//!   reusable sessions.
 //! - [`Client`]: one endpoint, timeouts on connect/read/write, retry loop.
 //!   Requests ride a cached [`Session`] (reopened transparently after
 //!   transport failures) — the one client transport.
@@ -50,5 +53,5 @@ pub use budget::{BudgetConfig, RetryBudget};
 pub use client::{Client, ClientConfig, ProtocolClient};
 pub use error::ClientError;
 pub use failover::{FailoverClient, FailoverConfig};
-pub use session::{ClientPool, PooledSession, Session};
+pub use session::{ClientPool, PooledSession, Session, Submission};
 pub use stats::ClientStats;

@@ -3,18 +3,33 @@
 //! A [`Session`] is one persistent TCP connection that keeps **many requests
 //! in flight at once**: each request is framed `ID <tag> <verb...>` and the
 //! server echoes the tag on the (possibly out-of-order) response line. A
-//! background reader thread demultiplexes response lines into per-request
-//! channels keyed by tag, so any number of threads can share one `&Session`
-//! — the write side is serialized by a mutex, the read side by the reader
-//! thread, and nothing else blocks anyone.
+//! background reader thread demultiplexes response lines to per-request
+//! responders keyed by tag, so any number of threads can share one
+//! `&Session` — the write side is serialized by a mutex, the read side by
+//! the reader thread, and nothing else blocks anyone.
+//!
+//! # Submissions
+//!
+//! The primitive is [`Session::submit`], the client twin of the serving
+//! batcher's `submit`: it writes one request and returns at once with a
+//! [`Submission`] handle; the reader thread later calls the responder
+//! exactly once, with the reply or with `SessionClosed` when the session
+//! dies. Dropping (or [`Submission::cancel`]ling) the handle deregisters the
+//! tag, so an abandoned request's late reply is dropped and a wedged peer
+//! cannot grow the in-flight table. The blocking verbs (`request`,
+//! `request_timeout`, `request_many`, `score_batch_deadline`, ...) are that
+//! primitive plus a wait on a channel; a caller juggling many requests (the
+//! router's scatter-gather) submits them all and waits on one channel of
+//! its own.
 //!
 //! # Failure semantics (the whole point)
 //!
 //! The tag framing is what makes pipelining safe under chaos:
 //!
-//! - A response is only ever delivered to the waiter registered under its
-//!   tag. A reply whose waiter already timed out finds no registration and
-//!   is **dropped** — late data is never mis-attributed to a newer request.
+//! - A response is only ever delivered to the responder registered under
+//!   its tag. A reply whose submission was dropped finds no registration
+//!   and is **dropped** — late data is never mis-attributed to a newer
+//!   request.
 //! - When the transport dies mid-pipeline (peer close, truncated line,
 //!   read/write error, or an untagged frame on a v2 stream), the session is
 //!   marked dead and every in-flight request receives **exactly one** typed
@@ -31,6 +46,8 @@
 //! overloaded` / `ERR too many connections` line a shedding server writes at
 //! accept time becomes that typed, retryable server error, and anything else
 //! is a protocol error. There is no second transport to fall back to.
+//! [`Session::connect_within`] bounds connect plus handshake by a caller's
+//! remaining budget.
 
 use crate::client::{classify_response, parse_ranked, parse_scores, score_line, ClientConfig};
 use crate::error::ClientError;
@@ -39,18 +56,20 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Where one in-flight request's outcome arrives.
-type Waiter = mpsc::Receiver<Result<String, ClientError>>;
+/// How one request's outcome leaves the session. Runs on the reader thread
+/// (or on the submitting thread when the session is already dead), so it
+/// must not block: send on a channel, don't wait on one.
+type Responder = Box<dyn FnOnce(Result<String, ClientError>) + Send + 'static>;
 
 /// State shared between a session's callers and its reader thread.
-#[derive(Debug)]
+#[derive(Default)]
 struct Core {
-    /// Waiters for in-flight requests, keyed by tag. A waiter is removed by
-    /// whichever side resolves it first: the reader (response or death) or
-    /// the caller (timeout deregistration).
-    inflight: Mutex<HashMap<u64, mpsc::SyncSender<Result<String, ClientError>>>>,
+    /// Responders for in-flight requests, keyed by tag. A responder is
+    /// removed by whichever side resolves it first: the reader (response or
+    /// death) or the caller (dropping its [`Submission`]).
+    inflight: Mutex<HashMap<u64, Responder>>,
     /// Once true the session never serves again.
     dead: AtomicBool,
     /// Why it died (read after `dead` is observed true).
@@ -58,20 +77,12 @@ struct Core {
 }
 
 impl Core {
-    fn new() -> Core {
-        Core {
-            inflight: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-            reason: Mutex::new(String::new()),
-        }
-    }
-
     fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Kill the session: first death wins, and every in-flight waiter gets
-    /// exactly one fresh `SessionClosed` carrying the reason.
+    /// Kill the session: first death wins, and every in-flight responder
+    /// runs exactly once with a fresh `SessionClosed` carrying the reason.
     fn die(&self, reason: &str) {
         {
             let mut r = self.reason.lock().expect("session reason lock");
@@ -80,19 +91,58 @@ impl Core {
             }
             *r = reason.to_owned();
         }
-        let drained: Vec<_> = {
-            let mut inflight = self.inflight.lock().expect("session inflight lock");
-            inflight.drain().collect()
-        };
-        for (_tag, tx) in drained {
-            let _ = tx.send(Err(ClientError::SessionClosed(reason.to_owned())));
+        let drained: Vec<_> = self.inflight().drain().collect();
+        for (_tag, respond) in drained {
+            respond(Err(ClientError::SessionClosed(reason.to_owned())));
         }
     }
 
     fn closed_error(&self) -> ClientError {
         ClientError::SessionClosed(self.reason.lock().expect("session reason lock").clone())
     }
+
+    fn inflight(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Responder>> {
+        self.inflight.lock().expect("session inflight lock")
+    }
 }
+
+impl std::fmt::Debug for Core {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Core {{ inflight: {}, dead: {} }}", self.inflight().len(), self.is_dead())
+    }
+}
+
+/// One submitted request's claim on its tag (see [`Session::submit`]).
+/// Dropping it — or calling [`Submission::cancel`] — deregisters the tag:
+/// a reply that arrives afterwards is dropped and the responder, if it has
+/// not run yet, never runs.
+#[derive(Debug)]
+#[must_use = "dropping a Submission cancels its request"]
+pub struct Submission {
+    tag: u64,
+    core: Arc<Core>,
+}
+
+impl Submission {
+    /// Stop waiting for this request (the same as dropping the handle).
+    pub fn cancel(self) {}
+}
+
+impl Drop for Submission {
+    fn drop(&mut self) {
+        self.core.inflight().remove(&self.tag);
+    }
+}
+
+/// A responder forwarding into a one-slot channel (whose waiter may have
+/// timed out and gone), and the channel's receiving end.
+fn reply_channel<T: Send + 'static>() -> (impl FnOnce(Result<T, ClientError>) + Send, Waiter<T>) {
+    let (tx, rx) = mpsc::sync_channel(1);
+    (move |result| drop(tx.send(result)), rx)
+}
+
+/// Where a blocking verb waits for its submission's outcome.
+type Waiter<T> = mpsc::Receiver<Result<T, ClientError>>;
 
 /// One persistent, pipelining connection to a server (see module docs).
 /// All request methods take `&self`: a `Session` is safe to share across
@@ -115,10 +165,27 @@ impl Session {
     /// transient server error — and an incomplete or missing frame fails as
     /// transport damage (retryable).
     pub fn connect(addr: SocketAddr, cfg: &ClientConfig) -> Result<Session, ClientError> {
-        let stream =
-            TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(ClientError::Connect)?;
+        Session::connect_within(addr, cfg, Duration::MAX)
+    }
+
+    /// [`Session::connect`] bounded by `budget`: the TCP connect waits at
+    /// most `min(connect_timeout, budget)` and the `PROTO 2` answer at most
+    /// what is left of `budget` (never more than `read_timeout`), so a peer
+    /// that accepts but never negotiates costs a caller its remaining
+    /// budget, not a socket timeout. The open session keeps `cfg`'s timeouts.
+    pub fn connect_within(
+        addr: SocketAddr,
+        cfg: &ClientConfig,
+        budget: Duration,
+    ) -> Result<Session, ClientError> {
+        // a zero timeout is an error to the socket API
+        let floor = Duration::from_millis(1);
+        let start = Instant::now();
+        let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout.min(budget).max(floor))
+            .map_err(ClientError::Connect)?;
+        let hello_wait = cfg.read_timeout.min(budget.saturating_sub(start.elapsed())).max(floor);
         stream
-            .set_read_timeout(Some(cfg.read_timeout))
+            .set_read_timeout(Some(hello_wait))
             .and_then(|()| stream.set_write_timeout(Some(cfg.write_timeout)))
             .map_err(ClientError::Io)?;
         let _ = stream.set_nodelay(true);
@@ -130,7 +197,8 @@ impl Session {
             classify_response(&hello)?;
             return Err(ClientError::Protocol(hello));
         }
-        let core = Arc::new(Core::new());
+        reader.get_ref().set_read_timeout(Some(cfg.read_timeout)).map_err(ClientError::Io)?;
+        let core = Arc::new(Core::default());
         let reader_core = Arc::clone(&core);
         let handle = std::thread::Builder::new()
             .name("rmpi-session-reader".into())
@@ -166,28 +234,62 @@ impl Session {
 
     /// Like [`Session::request`], but waits at most `timeout` for **this**
     /// request's response instead of the session-wide read timeout. A
-    /// timeout deregisters the waiter (a late reply is dropped) and does
+    /// timeout drops the submission (a late reply is dropped) and does
     /// not kill the session — exactly as with the session-wide clock.
     pub fn request_timeout(&self, line: &str, timeout: Duration) -> Result<String, ClientError> {
-        let (tag, rx) = self.submit(line)?;
-        self.wait_for(tag, rx, timeout)
+        let (respond, rx) = reply_channel();
+        let submission = self.submit(line, respond);
+        wait(&rx, submission, timeout)
     }
 
-    /// `DEADLINE <ms> SCORE h r t [...]` under a per-request wait of
-    /// `budget`: the server is told how much of the caller's end-to-end
-    /// budget remains — its micro-batcher flushes early rather than hold
-    /// the request past the deadline, and an expired item is answered
-    /// `ERR deadline expired` (transient, retryable) instead of a stale
-    /// score. The caller stops waiting after the same budget.
+    /// Write one request line and return without waiting: `responder` runs
+    /// exactly once — on the reader thread with the reply, or with
+    /// `SessionClosed` when the session dies (at once, on this thread and
+    /// with nothing written, if it is already dead) — unless the returned
+    /// [`Submission`] is dropped first, which deregisters the request. The
+    /// responder must not block.
+    pub fn submit(
+        &self,
+        line: &str,
+        responder: impl FnOnce(Result<String, ClientError>) + Send + 'static,
+    ) -> Submission {
+        let (submission, registered) = self.register(Box::new(responder));
+        if registered {
+            self.write(&format!("ID {} {line}\n", submission.tag));
+        }
+        submission
+    }
+
+    /// `DEADLINE <ms> SCORE h r t [...]` as a [`Session::submit`]: the
+    /// server is told that `budget` remains of the caller's end-to-end
+    /// budget — its micro-batcher flushes early rather than hold the
+    /// request past the deadline, and an expired item is answered `ERR
+    /// deadline expired` (transient, retryable) instead of a stale score.
+    /// The responder receives the parsed scores.
+    pub fn submit_scores(
+        &self,
+        triples: &[(u32, u32, u32)],
+        budget: Duration,
+        responder: impl FnOnce(Result<Vec<f32>, ClientError>) + Send + 'static,
+    ) -> Submission {
+        let ms = budget.as_millis().max(1);
+        let expected = triples.len();
+        let line = format!("DEADLINE {ms} {}", score_line(triples));
+        self.submit(&line, move |reply| {
+            responder(reply.and_then(|payload| parse_scores(&payload, expected)))
+        })
+    }
+
+    /// [`Session::submit_scores`], waiting at most the same `budget` for
+    /// the scores.
     pub fn score_batch_deadline(
         &self,
         triples: &[(u32, u32, u32)],
         budget: Duration,
     ) -> Result<Vec<f32>, ClientError> {
-        let ms = budget.as_millis().max(1);
-        let line = format!("DEADLINE {ms} {}", score_line(triples));
-        let payload = self.request_timeout(&line, budget)?;
-        parse_scores(&payload, triples.len())
+        let (respond, rx) = reply_channel();
+        let submission = self.submit_scores(triples, budget, respond);
+        wait(&rx, submission, budget)
     }
 
     /// Send many request lines and collect per-line results in submission
@@ -195,28 +297,27 @@ impl Session {
     /// sit in flight together — this is the client edge of the server's
     /// cross-connection micro-batcher.
     pub fn request_many(&self, lines: &[&str]) -> Vec<Result<String, ClientError>> {
-        // register every waiter, then push all frames in one write: the
+        // register every request, then push all frames in one write: the
         // server can start answering out of order while later frames are
         // still in the kernel buffer
         let mut buffer = String::new();
         let waiters: Vec<_> = lines
             .iter()
             .map(|line| {
-                let (tag, rx) = self.register()?;
-                buffer.push_str(&format!("ID {tag} {line}\n"));
-                Ok((tag, rx))
+                let (respond, rx) = reply_channel();
+                let (submission, registered) = self.register(Box::new(respond));
+                if registered {
+                    buffer.push_str(&format!("ID {} {line}\n", submission.tag));
+                }
+                (submission, rx)
             })
             .collect();
         if !buffer.is_empty() {
-            let mut w = self.writer.lock().expect("session writer lock");
-            if let Err(e) = w.write_all(buffer.as_bytes()) {
-                // die() hands every registered waiter its error
-                self.core.die(&format!("write failed: {e}"));
-            }
+            self.write(&buffer);
         }
         waiters
             .into_iter()
-            .map(|w| w.and_then(|(tag, rx)| self.wait_for(tag, rx, self.read_timeout)))
+            .map(|(submission, rx)| wait(&rx, submission, self.read_timeout))
             .collect()
     }
 
@@ -270,59 +371,49 @@ impl Session {
         self.request("HEALTH")
     }
 
-    /// Claim a tag and register its waiter, unless the session is dead.
-    fn register(&self) -> Result<(u64, Waiter), ClientError> {
-        if self.core.is_dead() {
-            return Err(self.core.closed_error());
-        }
+    /// Claim a tag and register its responder, and whether it was
+    /// registered. When the session is already dead the responder runs with
+    /// the death at once and nothing is registered: the caller must not put
+    /// the frame on the wire, where nobody would wait for its reply. The
+    /// check is made under the in-flight lock, so a death either sees this
+    /// registration in its drain or happened before it.
+    fn register(&self, responder: Responder) -> (Submission, bool) {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
-        Ok((tag, rx))
-    }
-
-    fn submit(&self, line: &str) -> Result<(u64, Waiter), ClientError> {
-        let (tag, rx) = self.register()?;
-        // the reader may have died between the liveness check and the
-        // insert; its drain has already run, so clean up our own slot
+        let submission = Submission { tag, core: Arc::clone(&self.core) };
+        let mut inflight = self.core.inflight();
         if self.core.is_dead() {
-            if self.core.inflight.lock().expect("session inflight lock").remove(&tag).is_some() {
-                return Err(self.core.closed_error());
-            }
-            // removed by the drain: the error is already in the channel
-            return Ok((tag, rx));
+            drop(inflight);
+            responder(Err(self.core.closed_error()));
+            return (submission, false);
         }
-        {
-            let mut w = self.writer.lock().expect("session writer lock");
-            if let Err(e) = w.write_all(format!("ID {tag} {line}\n").as_bytes()) {
-                self.core.inflight.lock().expect("session inflight lock").remove(&tag);
-                self.core.die(&format!("write failed: {e}"));
-                return Err(ClientError::Io(e));
-            }
-        }
-        Ok((tag, rx))
+        inflight.insert(tag, responder);
+        (submission, true)
     }
 
-    fn wait_for(&self, tag: u64, rx: Waiter, timeout: Duration) -> Result<String, ClientError> {
-        match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // deregister so a late reply to this tag is dropped by the
-                // reader instead of lingering (and so the channel cannot be
-                // written after we return)
-                self.core.inflight.lock().expect("session inflight lock").remove(&tag);
-                // the reader may have resolved the tag between the timeout
-                // and the removal — prefer that definitive answer
-                if let Ok(result) = rx.try_recv() {
-                    return result;
-                }
-                Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("no response to tag {tag} within {timeout:?}"),
-                )))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.core.closed_error()),
+    /// Put already-registered frames on the wire. A failed write kills the
+    /// session, which answers every registered responder.
+    fn write(&self, frames: &str) {
+        let result = self.writer.lock().expect("session writer lock").write_all(frames.as_bytes());
+        if let Err(e) = result {
+            self.core.die(&format!("write failed: {e}"));
         }
+    }
+}
+
+/// Wait at most `timeout` for a submission's outcome. A timeout drops the
+/// submission, so a late reply is dropped too and does not kill the session.
+fn wait<T>(rx: &Waiter<T>, submission: Submission, timeout: Duration) -> Result<T, ClientError> {
+    match rx.recv_timeout(timeout) {
+        Ok(result) => result,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            let message = format!("no response to tag {} within {timeout:?}", submission.tag);
+            submission.cancel();
+            // the reader may have resolved the tag between the timeout and
+            // the cancel — prefer that definitive answer
+            let timed_out = io::Error::new(io::ErrorKind::TimedOut, message);
+            rx.try_recv().unwrap_or(Err(ClientError::Io(timed_out)))
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(submission.core.closed_error()),
     }
 }
 
@@ -371,7 +462,7 @@ fn parse_tagged_response(line: &str) -> Option<(u64, &str)> {
 }
 
 /// The demultiplexer: one thread per session, routing tagged response
-/// lines into their waiters' channels, and converting every transport
+/// lines to their responders, and converting every transport
 /// failure into one `die()` that resolves all in-flight requests.
 fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
     let mut buf = String::new();
@@ -394,13 +485,12 @@ fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
                 let line = buf.trim_end();
                 match parse_tagged_response(line) {
                     Some((tag, frame)) => {
-                        let waiter =
-                            core.inflight.lock().expect("session inflight lock").remove(&tag);
-                        if let Some(tx) = waiter {
-                            let _ = tx.send(classify_response(frame));
+                        let responder = core.inflight().remove(&tag);
+                        if let Some(respond) = responder {
+                            respond(classify_response(frame));
                         }
-                        // no waiter: the reply outlived its request's
-                        // timeout — dropped, never delivered elsewhere
+                        // no responder: the reply outlived its submission —
+                        // dropped, never delivered elsewhere
                     }
                     None => {
                         // untagged frame on a v2 stream: nothing in flight
@@ -415,7 +505,7 @@ fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // idle socket (or a stalled partial line): any bytes read so
-                // far are still in `buf`, so just keep reading — waiters
+                // far are still in `buf`, so just keep reading — callers
                 // time out on their own clocks
                 if core.is_dead() {
                     return;
@@ -767,6 +857,80 @@ mod tests {
     }
 
     #[test]
+    fn a_responder_runs_exactly_once_on_a_reply_and_exactly_once_on_death() {
+        // answer the first request, swallow the second, hang up on the third
+        let (addr, server) = scripted_v2_server(|i, _tag, _inner| match i {
+            0 => Action::Answer("first".into()),
+            1 => Action::Swallow,
+            _ => Action::Hangup,
+        });
+        let session = Session::connect(addr, &cfg()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let submit = |name: &'static str| {
+            let tx = tx.clone();
+            session.submit("PING", move |result| tx.send((name, result)).unwrap())
+        };
+        let answered = submit("answered");
+        let (name, result) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!((name, result.unwrap().as_str()), ("answered", "first"));
+        let swallowed = submit("swallowed");
+        let cut = submit("cut");
+        let mut died: Vec<_> = (0..2)
+            .map(|_| {
+                let (name, result) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+                assert!(matches!(result, Err(ClientError::SessionClosed(_))), "{name}");
+                name
+            })
+            .collect();
+        died.sort_unstable();
+        assert_eq!(died, ["cut", "swallowed"]);
+        // a dead session answers a new submission at once, on this thread
+        let late = submit("late");
+        let (name, result) = rx.try_recv().unwrap();
+        assert_eq!(name, "late");
+        assert!(matches!(result, Err(ClientError::SessionClosed(_))));
+        // nothing runs twice: not on a second death, not on dropping handles
+        session.core.die("second death");
+        drop((answered, swallowed, cut, late, session));
+        drop(tx);
+        assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_submission_deregisters_and_its_late_reply_is_dropped() {
+        // swallow the first request; when the second arrives, answer the
+        // first tag (abandoned by then) and then the second
+        let first_tag = Arc::new(Mutex::new(None::<u64>));
+        let server_first = Arc::clone(&first_tag);
+        let (addr, server) = scripted_v2_server(move |i, tag, _inner| {
+            if i == 0 {
+                *server_first.lock().unwrap() = Some(tag);
+                Action::Swallow
+            } else {
+                let stale = server_first.lock().unwrap().take().unwrap();
+                Action::Raw(format!("ID {stale} OK stale\nID {tag} OK fresh"))
+            }
+        });
+        let session = Session::connect(addr, &cfg()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let abandoned = session.submit("PING", move |result| tx.send(result).unwrap());
+        // the tag is registered until the handle goes
+        while first_tag.lock().unwrap().is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(session.core.inflight().len(), 1);
+        drop(abandoned);
+        assert_eq!(session.core.inflight().len(), 0, "the dropped handle deregistered its tag");
+        assert_eq!(session.request("HEALTH").unwrap(), "fresh", "the next request's own answer");
+        // the stale reply reached no responder: it was dropped uncalled
+        assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+        assert!(session.is_alive());
+        drop(session);
+        server.join().unwrap();
+    }
+
+    #[test]
     fn untagged_frame_on_a_v2_stream_kills_the_session() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -792,6 +956,40 @@ mod tests {
         assert!(!session.is_alive());
         drop(session);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_request_on_a_dead_session_puts_no_bytes_on_the_wire() {
+        // an untagged frame kills the session while the socket stays
+        // writable; the server then records everything else it receives
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            let mut conn = conn;
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            writeln!(conn, "OK proto=2").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            writeln!(conn, "ERR bad request: untagged").unwrap();
+            let mut rest = String::new();
+            let _ = io::Read::read_to_string(&mut reader, &mut rest);
+            rest
+        });
+        let session = Session::connect(addr, &cfg()).unwrap();
+        let err = session.request("PING").unwrap_err();
+        assert!(matches!(err, ClientError::SessionClosed(_)), "{err}");
+        let (tx, rx) = mpsc::channel();
+        let _late = session.submit("PING", move |result| tx.send(result).unwrap());
+        assert!(matches!(rx.try_recv(), Ok(Err(ClientError::SessionClosed(_)))));
+        for result in session.request_many(&["PING", "HEALTH"]) {
+            assert!(matches!(result, Err(ClientError::SessionClosed(_))));
+        }
+        assert!(session.score_batch_deadline(&[(0, 0, 1)], Duration::from_secs(1)).is_err());
+        drop(session); // shuts the socket down: the server reads to its end
+        assert_eq!(server.join().unwrap(), "", "frames written after the session died");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   correctness argument lives there).
 //! - [`router`]: the scatter-gather core — per-shard sessions, breakers and
 //!   rescue budgets (reusing `rmpi-client`), an end-to-end deadline budget
-//!   decremented and propagated to each shard call as a `DEADLINE` hint,
-//!   hedged duplicates to a standby when a shard exceeds its latency p99,
-//!   and the `fail`/`partial` degradation policy.
+//!   that bounds each shard's connect and travels to each shard call as a
+//!   `DEADLINE` hint, hedged duplicates to a standby that race a primary
+//!   past its latency p99, and the `fail`/`partial` degradation policy. A
+//!   rank runs on its caller's thread and starts none: shard calls are
+//!   session submissions answered on one channel per rank.
 //! - [`server`]: the TCP front end — `RANK` scatter-gather, `SCORE`
 //!   pass-through with failover, router-level `HEALTH`/`STATS`/`METRICS`
 //!   (`router.shard_errors`, `router.hedges`, `router.partial_responses`,

@@ -8,22 +8,37 @@
 //! `DEADLINE`-hinted `SCORE` batch, and merging the parts with the engine's
 //! exact comparator ([`crate::merge::merge_ranked`]).
 //!
+//! # One thread per rank: the caller's
+//!
+//! A rank starts no thread. Every shard call is a
+//! [`Session::submit_scores`] whose responder sends the outcome into one
+//! channel per rank, and the calling thread runs one loop over that
+//! channel: a reply resolves its slice (or, on a primary failure, sends the
+//! slice to the standby), a due hedge timer submits the slice to the
+//! standby, and the deadline ends the loop — every slice still unresolved
+//! is lost. An abandoned call's submission is dropped with it, so its late
+//! reply is dropped by the session and nothing waits for it.
+//!
 //! # Deadline budget
 //!
 //! Every rank runs under one end-to-end deadline. Each shard call is given
-//! whatever remains of the budget at the moment it goes on the wire, both as
-//! the client-side wait and as a `DEADLINE <ms>` hint the backend batcher
-//! honors — so a request that cannot be answered in time is shed upstream
-//! (`ERR deadline expired`) instead of scored late.
+//! whatever remains of the budget at the moment it goes on the wire, and
+//! that travels as a `DEADLINE <ms>` hint the backend batcher honors — so a
+//! request that cannot be answered in time is shed upstream (`ERR deadline
+//! expired`) instead of scored late. Connects block the calling thread, so
+//! slices whose shard holds a live session are submitted first, and each
+//! connect plus `PROTO 2` handshake the dispatch makes gets an equal share
+//! of the remaining budget with the connects still to come: one shard that
+//! accepts but never negotiates costs only its own share.
 //!
 //! # Hedging
 //!
 //! Each shard's observed latency feeds a per-shard histogram; once warm, a
 //! primary call that exceeds the shard's p99 triggers a duplicate request to
-//! the standby (`router.hedges.count`), and whichever answer lands first
-//! wins — bit-identical scores make the race benign. Before the histogram
-//! warms up a configurable floor ([`RouterConfig::hedge_after`]) stands in
-//! for the p99.
+//! the standby (`router.hedges.count`). Both calls stay in flight and
+//! whichever answers first wins — bit-identical scores make the race
+//! benign. Before the histogram warms up a configurable floor
+//! ([`RouterConfig::hedge_after`]) stands in for the p99.
 //!
 //! # Losing a shard mid-rank
 //!
@@ -37,15 +52,18 @@
 
 use crate::merge;
 use rmpi_client::{
-    BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, ClientConfig, ClientError,
-    RetryBudget, Session,
+    BreakerConfig, BreakerState, CircuitBreaker, ClientConfig, ClientError, RetryBudget, Session,
+    Submission,
 };
 use rmpi_obs::json::JsonObject;
 use rmpi_obs::{Counter, Histogram, MetricsRegistry};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Samples a shard's histogram needs before its p99 replaces
+/// [`RouterConfig::hedge_after`] as the hedge threshold.
+const HEDGE_MIN_SAMPLES: u64 = 16;
 
 /// What to do when a shard's slice cannot be scored by anyone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,22 +91,14 @@ pub struct RouterConfig {
     pub deadline: Duration,
     /// Hedge threshold before a shard's latency histogram warms up.
     pub hedge_after: Duration,
-    /// Samples a shard's histogram needs before its p99 replaces
-    /// [`RouterConfig::hedge_after`] as the hedge threshold.
-    pub hedge_min_samples: u64,
-    /// Per-connection client tuning (timeouts apply to each shard call).
+    /// Per-connection client tuning. A shard session's connect and
+    /// handshake are further bounded by the rank's remaining budget, and
+    /// `client.budget` shapes each shard's rescue/hedge budget: every
+    /// standby attempt withdraws one token, every primary success deposits,
+    /// so a flapping shard cannot double the standby's traffic indefinitely.
     pub client: ClientConfig,
     /// Circuit-breaker shape applied to every shard and the standby.
     pub breaker: BreakerConfig,
-    /// Per-shard rescue/hedge budget: each standby attempt withdraws one
-    /// token, each primary success deposits, so a flapping shard cannot
-    /// double the standby's traffic indefinitely.
-    pub budget: BudgetConfig,
-    /// Cap on concurrent in-flight calls per shard (each holds one detached
-    /// worker thread until it resolves or its deadline lapses). A call
-    /// arriving at a saturated shard is routed straight to the standby, so
-    /// a wedged shard under load cannot grow threads without bound.
-    pub max_shard_inflight: usize,
 }
 
 impl RouterConfig {
@@ -103,11 +113,8 @@ impl RouterConfig {
             policy: PartialPolicy::Partial,
             deadline: Duration::from_secs(2),
             hedge_after: Duration::from_millis(250),
-            hedge_min_samples: 16,
             client: ClientConfig::default(),
             breaker: BreakerConfig::default(),
-            budget: BudgetConfig::default(),
-            max_shard_inflight: 32,
         }
     }
 
@@ -194,34 +201,12 @@ struct ShardControl {
     budget: RetryBudget,
 }
 
-/// RAII reservation of one in-flight call slot on a shard; freed on drop
-/// (in the dispatch path when the call never goes on the wire, otherwise by
-/// the worker thread when the call resolves).
-struct InflightSlot(Arc<AtomicUsize>);
-
-impl InflightSlot {
-    fn try_reserve(counter: &Arc<AtomicUsize>, cap: usize) -> Option<InflightSlot> {
-        counter
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < cap).then_some(n + 1))
-            .ok()
-            .map(|_| InflightSlot(Arc::clone(counter)))
-    }
-}
-
-impl Drop for InflightSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// One backend endpoint: cached session, breaker/budget, latency histogram.
 struct Shard {
     addr: SocketAddr,
     session: Mutex<Option<Arc<Session>>>,
     control: Mutex<ShardControl>,
     latency: Histogram,
-    /// Concurrent in-flight calls, bounded by `max_shard_inflight`.
-    inflight: Arc<AtomicUsize>,
 }
 
 impl Shard {
@@ -231,11 +216,19 @@ impl Shard {
             session: Mutex::new(None),
             control: Mutex::new(ShardControl {
                 breaker: CircuitBreaker::new(cfg.breaker.clone()),
-                budget: RetryBudget::new(cfg.budget.clone()),
+                budget: RetryBudget::new(cfg.client.budget.clone()),
             }),
             latency,
-            inflight: Arc::new(AtomicUsize::new(0)),
         }
+    }
+
+    fn control(&self) -> std::sync::MutexGuard<'_, ShardControl> {
+        self.control.lock().expect("shard control")
+    }
+
+    /// The cached session, if it can still serve.
+    fn live_session(&self) -> Option<Arc<Session>> {
+        self.session.lock().expect("shard session").clone().filter(|s| s.is_alive())
     }
 }
 
@@ -299,10 +292,7 @@ impl Router {
     /// Breaker state per shard, in configuration order (observability).
     pub fn shard_breaker_states(&self) -> Vec<BreakerState> {
         let now = Instant::now();
-        self.shards
-            .iter()
-            .map(|s| s.control.lock().expect("shard control").breaker.state(now))
-            .collect()
+        self.shards.iter().map(|s| s.control().breaker.state(now)).collect()
     }
 
     /// Whether a standby replica is configured.
@@ -340,36 +330,33 @@ impl Router {
     ) -> Result<RankOutcome, RouterError> {
         self.requests.inc();
         let t0 = Instant::now();
-        let deadline = t0 + budget;
-        let slices = merge::shard_slices(&self.cfg.candidates, self.shards.len());
-        let results: Vec<Result<Vec<f32>, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .enumerate()
-                .map(|(i, slice)| {
-                    scope.spawn(move || {
-                        if slice.is_empty() {
-                            return Ok(Vec::new());
-                        }
-                        let triples: Vec<(u32, u32, u32)> =
-                            slice.iter().map(|&t| (head, relation, t)).collect();
-                        self.call_shard(i, &triples, deadline)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+        let parts = merge::shard_slices(&self.cfg.candidates, self.shards.len());
+        let slices = parts.iter().map(|part| Slice {
+            triples: part.iter().map(|&t| (head, relation, t)).collect(),
+            // an empty slice (fewer candidates than shards) needs no call
+            outcome: part.is_empty().then(|| Ok(Vec::new())),
+            ..Slice::default()
         });
+        let (tx, rx) = mpsc::channel();
+        let mut gather = Gather {
+            router: self,
+            slices: slices.collect(),
+            deadline: t0 + budget,
+            tx,
+            connects: 0,
+        };
+        gather.run(&rx);
 
         let total = self.cfg.candidates.len();
         let mut entries: Vec<(u32, f32)> = Vec::with_capacity(total);
         let mut covered = 0usize;
         let mut lost = 0usize;
         let mut last_err = String::new();
-        for (slice, result) in slices.iter().zip(results) {
-            match result {
+        for (part, slice) in parts.iter().zip(gather.slices) {
+            match slice.outcome.expect("the gather loop resolves every slice") {
                 Ok(scores) => {
-                    covered += slice.len();
-                    entries.extend(slice.iter().copied().zip(scores));
+                    covered += part.len();
+                    entries.extend(part.iter().copied().zip(scores));
                 }
                 Err(reason) => {
                     lost += 1;
@@ -391,173 +378,24 @@ impl Router {
         Ok(RankOutcome { ranked, covered, total })
     }
 
-    /// Score one slice on its shard, hedging to the standby when the shard
-    /// is slow and rescuing through the standby when it fails outright.
-    fn call_shard(
-        &self,
-        idx: usize,
-        triples: &[(u32, u32, u32)],
-        deadline: Instant,
-    ) -> Result<Vec<f32>, String> {
-        let shard = &self.shards[idx];
-        let now = Instant::now();
-        // both cheap rejections come BEFORE the breaker check: `allows()` can
-        // consume the single half-open probe slot, and a probe admitted but
-        // never resolved with an outcome would wedge the breaker HalfOpen
-        // forever (every later call rejected until restart)
-        let remaining = deadline.saturating_duration_since(now);
-        if remaining.is_zero() {
-            return Err("deadline expired before dispatch".into());
-        }
-        let Some(slot) = InflightSlot::try_reserve(&shard.inflight, self.cfg.max_shard_inflight)
-        else {
-            // saturated: nothing was attempted, so the breaker is untouched
-            // (the deadline failures of whatever wedged the shard trip it);
-            // the standby may still cover the slice
-            return self.rescue(idx, triples, deadline, "shard at in-flight cap".into());
-        };
-        if !shard.control.lock().expect("shard control").breaker.allows(now) {
-            // open breaker: the shard is known-bad, skip the wire entirely
-            drop(slot);
-            return self.rescue(idx, triples, deadline, "circuit breaker open".into());
-        }
-        let session = match self.session_for(shard) {
-            Ok(s) => s,
-            Err(e) => {
-                self.note_shard_failure(shard);
-                drop(slot);
-                return self.rescue(idx, triples, deadline, format!("connect: {e}"));
-            }
-        };
-        let t0 = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let owned = triples.to_vec();
-        std::thread::spawn(move || {
-            // the slot rides with the worker: it frees when the call resolves
-            // (or its late reply is dropped), bounding detached threads per
-            // shard even when the shard is wedged and callers keep arriving
-            let _slot = slot;
-            let _ = tx.send(session.score_batch_deadline(&owned, remaining));
-        });
-        let hedge_wait = self.hedge_threshold(shard).min(remaining);
-        match rx.recv_timeout(hedge_wait) {
-            Ok(Ok(scores)) => {
-                self.note_shard_success(shard, t0);
-                return Ok(scores);
-            }
-            Ok(Err(e)) => {
-                self.note_shard_failure(shard);
-                return self.rescue(idx, triples, deadline, format!("shard: {e}"));
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.note_shard_failure(shard);
-                return self.rescue(idx, triples, deadline, "shard worker vanished".into());
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-        // the shard blew past its hedge threshold: fire the duplicate at the
-        // standby; the primary keeps racing and whichever lands first wins
-        if let Some(standby) = self.standby.as_ref().filter(|_| self.withdraw_rescue(idx)) {
-            self.hedges.inc();
-            let rem = deadline.saturating_duration_since(Instant::now());
-            if !rem.is_zero() {
-                if let Ok(scores) = self.call_standby(standby, triples, rem) {
-                    // the primary never answered inside its hedge window:
-                    // count that against its breaker so a wedged shard
-                    // eventually trips (and a half-open probe is never left
-                    // dangling) — but not as a wire error, the hedge covered
-                    // it; its late reply is dropped with the channel
-                    shard
-                        .control
-                        .lock()
-                        .expect("shard control")
-                        .breaker
-                        .record_failure(Instant::now());
-                    return Ok(scores);
-                }
-            }
-        }
-        // no standby (or the hedge failed too): wait out the primary up to
-        // the caller's deadline
-        let rem = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(rem) {
-            Ok(Ok(scores)) => {
-                self.note_shard_success(shard, t0);
-                Ok(scores)
-            }
-            Ok(Err(e)) => {
-                self.note_shard_failure(shard);
-                Err(format!("shard: {e}"))
-            }
-            Err(_) => {
-                self.note_shard_failure(shard);
-                Err("deadline expired waiting for shard".into())
-            }
+    /// The replica a call of slice `i` goes to: its shard, or the standby.
+    fn replica(&self, i: usize, leg: usize) -> &Shard {
+        if leg == PRIMARY {
+            &self.shards[i]
+        } else {
+            self.standby.as_ref().expect("a standby call needs a standby")
         }
     }
 
-    /// Cover a failed shard's slice through the standby, bounded by the
-    /// shard's rescue budget.
-    fn rescue(
-        &self,
-        idx: usize,
-        triples: &[(u32, u32, u32)],
-        deadline: Instant,
-        cause: String,
-    ) -> Result<Vec<f32>, String> {
-        let Some(standby) = &self.standby else {
-            return Err(cause);
-        };
-        if !self.withdraw_rescue(idx) {
-            return Err(format!("{cause}; rescue budget dry"));
+    /// The cached session for an endpoint, reconnecting when absent or dead
+    /// within `budget`. The connect runs outside the cache lock, so a rank
+    /// never waits on another rank's connect.
+    fn session_for(&self, shard: &Shard, budget: Duration) -> Result<Arc<Session>, ClientError> {
+        if let Some(live) = shard.live_session() {
+            return Ok(live);
         }
-        let rem = deadline.saturating_duration_since(Instant::now());
-        if rem.is_zero() {
-            return Err(format!("{cause}; deadline expired before rescue"));
-        }
-        self.call_standby(standby, triples, rem).map_err(|e| format!("{cause}; standby: {e}"))
-    }
-
-    /// One scoring attempt against the standby, under its own breaker.
-    fn call_standby(
-        &self,
-        standby: &Shard,
-        triples: &[(u32, u32, u32)],
-        budget: Duration,
-    ) -> Result<Vec<f32>, ClientError> {
-        if !standby.control.lock().expect("shard control").breaker.allows(Instant::now()) {
-            return Err(ClientError::NoHealthyEndpoint { last: None });
-        }
-        let session = match self.session_for(standby) {
-            Ok(s) => s,
-            Err(e) => {
-                self.note_shard_failure(standby);
-                return Err(e);
-            }
-        };
-        let t0 = Instant::now();
-        match session.score_batch_deadline(triples, budget) {
-            Ok(scores) => {
-                self.note_shard_success(standby, t0);
-                Ok(scores)
-            }
-            Err(e) => {
-                self.note_shard_failure(standby);
-                Err(e)
-            }
-        }
-    }
-
-    /// The cached session for an endpoint, reconnecting when absent or dead.
-    fn session_for(&self, shard: &Shard) -> Result<Arc<Session>, ClientError> {
-        let mut cached = shard.session.lock().expect("shard session");
-        if let Some(s) = cached.as_ref() {
-            if s.is_alive() {
-                return Ok(Arc::clone(s));
-            }
-        }
-        let fresh = Arc::new(Session::connect(shard.addr, &self.cfg.client)?);
-        *cached = Some(Arc::clone(&fresh));
+        let fresh = Arc::new(Session::connect_within(shard.addr, &self.cfg.client, budget)?);
+        *shard.session.lock().expect("shard session") = Some(Arc::clone(&fresh));
         Ok(fresh)
     }
 
@@ -565,7 +403,7 @@ impl Router {
     /// warm (floored at 1 ms), the configured floor before that.
     fn hedge_threshold(&self, shard: &Shard) -> Duration {
         let s = shard.latency.summary();
-        if s.count >= self.cfg.hedge_min_samples {
+        if s.count >= HEDGE_MIN_SAMPLES {
             Duration::from_micros(s.p99.max(1_000))
         } else {
             self.cfg.hedge_after
@@ -574,25 +412,238 @@ impl Router {
 
     fn note_shard_success(&self, shard: &Shard, t0: Instant) {
         shard.latency.record_duration(t0.elapsed());
-        let mut c = shard.control.lock().expect("shard control");
+        let mut c = shard.control();
         c.breaker.record_success();
         c.budget.record_success();
     }
 
+    /// A wire failure: counted in `router.shard_errors` and on the breaker.
     fn note_shard_failure(&self, shard: &Shard) {
         self.shard_errors.inc();
-        let mut c = shard.control.lock().expect("shard control");
-        c.breaker.record_failure(Instant::now());
+        shard.control().breaker.record_failure(Instant::now());
+    }
+}
+
+/// Index of a slice's call on its shard, in [`Slice::calls`] and replies.
+const PRIMARY: usize = 0;
+/// Index of a slice's call on the standby (a hedge or a rescue).
+const STANDBY: usize = 1;
+
+/// A shard call's outcome — slice, call index, scores — as its responder
+/// sends it to the rank's loop.
+type Reply = (usize, usize, Result<Vec<f32>, ClientError>);
+
+/// One shard call on the wire. Dropping it abandons the call: its
+/// submission deregisters, so a late reply is dropped by the session.
+struct Call {
+    _submission: Submission,
+    /// Keeps the session open while the call is out, even if the shard's
+    /// cache has moved on to a newer one.
+    _session: Arc<Session>,
+    t0: Instant,
+    /// Admitted as its breaker's half-open probe, so it must record an
+    /// outcome however it ends.
+    probe: bool,
+}
+
+/// One slice's progress through a rank.
+#[derive(Default)]
+struct Slice {
+    triples: Vec<(u32, u32, u32)>,
+    /// The calls out on the shard and on the standby.
+    calls: [Option<Call>; 2],
+    /// The standby has had its one attempt at this slice (hedge or rescue).
+    standby_tried: bool,
+    /// When the primary call gets hedged, while it is out and unhedged.
+    hedge_at: Option<Instant>,
+    /// What went wrong so far, for the lost-shard diagnostics.
+    cause: String,
+    outcome: Option<Result<Vec<f32>, String>>,
+}
+
+/// One rank in flight: its slices, its deadline and the channel every
+/// shard call answers on.
+struct Gather<'r> {
+    router: &'r Router,
+    slices: Vec<Slice>,
+    deadline: Instant,
+    tx: mpsc::Sender<Reply>,
+    /// Primary connects the dispatch has still to make after the one under
+    /// way. A connect blocks this thread, so it gets an equal share of the
+    /// remaining budget with those still to come: a peer that never
+    /// negotiates cannot spend the other slices' time.
+    connects: usize,
+}
+
+impl Gather<'_> {
+    /// Dispatch every slice, then wait for replies and hedge timers until
+    /// every slice is resolved or the deadline passes.
+    fn run(&mut self, rx: &mpsc::Receiver<Reply>) {
+        // slices whose shard holds a live session go on the wire first, so
+        // no connect holds them back
+        let (warm, cold): (Vec<usize>, Vec<usize>) = (0..self.slices.len())
+            .filter(|&i| self.slices[i].outcome.is_none())
+            .partition(|&i| self.router.shards[i].live_session().is_some());
+        self.connects = cold.len();
+        for i in warm {
+            self.start(i, PRIMARY);
+        }
+        for i in cold {
+            self.connects -= 1;
+            self.start(i, PRIMARY);
+        }
+        while self.slices.iter().any(|s| s.outcome.is_none()) {
+            let now = Instant::now();
+            for i in 0..self.slices.len() {
+                if now < self.deadline && self.slices[i].hedge_at.is_some_and(|at| at <= now) {
+                    // the primary blew past its hedge threshold: fire the
+                    // duplicate at the standby, the primary keeps racing
+                    let slice = &mut self.slices[i];
+                    slice.hedge_at = None;
+                    slice.standby_tried = true;
+                    self.start(i, STANDBY);
+                }
+            }
+            let wake =
+                self.slices.iter().filter_map(|s| s.hedge_at).fold(self.deadline, Instant::min);
+            // a reply already queued is taken even when the wait is zero
+            match rx.recv_timeout(wake.saturating_duration_since(now)) {
+                Ok(reply) => self.on_reply(reply),
+                Err(_) if Instant::now() >= self.deadline => break,
+                Err(_) => {}
+            }
+        }
+        // the deadline passed: every unresolved slice is lost, and each
+        // call still out is its replica's failure
+        let router = self.router;
+        for (i, slice) in self.slices.iter_mut().enumerate() {
+            if slice.outcome.is_none() {
+                for leg in [PRIMARY, STANDBY] {
+                    if slice.calls[leg].take().is_some() {
+                        router.note_shard_failure(router.replica(i, leg));
+                    }
+                }
+                slice.outcome = Some(Err("deadline expired waiting for shard".into()));
+            }
+        }
     }
 
-    fn withdraw_rescue(&self, idx: usize) -> bool {
-        self.shards[idx].control.lock().expect("shard control").budget.try_withdraw()
+    /// Put slice `i` on its shard's wire (`PRIMARY`) or the standby's; if
+    /// that is not possible, the slice fails over or is lost.
+    fn start(&mut self, i: usize, leg: usize) {
+        if let Err(cause) = self.try_start(i, leg) {
+            self.fail(i, cause);
+        }
+    }
+
+    fn try_start(&mut self, i: usize, leg: usize) -> Result<(), String> {
+        let router = self.router;
+        let replica = router.replica(i, leg);
+        let now = Instant::now();
+        // the spent budget is checked BEFORE the breaker: `allows()` can
+        // consume the single half-open probe slot, and a probe admitted but
+        // never resolved with an outcome would wedge the breaker HalfOpen
+        // forever (every later call rejected until restart)
+        if now >= self.deadline {
+            return Err("deadline expired before dispatch".into());
+        }
+        if leg == STANDBY {
+            if !router.shards[i].control().budget.try_withdraw() {
+                return Err("rescue budget dry".into());
+            }
+            if self.slices[i].calls[PRIMARY].is_some() {
+                router.hedges.inc();
+            }
+        }
+        let probe = {
+            let mut c = replica.control();
+            let probe = c.breaker.state(now) == BreakerState::HalfOpen;
+            // open breaker: the replica is known-bad, skip the wire entirely
+            c.breaker.allows(now).then_some(probe).ok_or("circuit breaker open")?
+        };
+        let share = (self.deadline - now) / (self.connects + 1) as u32;
+        let session = router.session_for(replica, share).map_err(|e| {
+            router.note_shard_failure(replica);
+            format!("connect: {e}")
+        })?;
+        // what remains of the budget travels as the `DEADLINE` hint
+        let t0 = Instant::now();
+        let tx = self.tx.clone();
+        let submission = session.submit_scores(
+            &self.slices[i].triples,
+            self.deadline.saturating_duration_since(t0),
+            // the rank may be over: then nobody needs the reply
+            move |scores| {
+                let _ = tx.send((i, leg, scores));
+            },
+        );
+        let slice = &mut self.slices[i];
+        if leg == PRIMARY && router.standby.is_some() {
+            let at = t0 + router.hedge_threshold(replica);
+            slice.hedge_at = (at < self.deadline).then_some(at);
+        }
+        slice.calls[leg] = Some(Call { _submission: submission, _session: session, t0, probe });
+        Ok(())
+    }
+
+    fn on_reply(&mut self, (i, leg, result): Reply) {
+        let router = self.router;
+        let replica = router.replica(i, leg);
+        let slice = &mut self.slices[i];
+        // no call: it was abandoned and its verdict already recorded
+        let Some(call) = slice.calls[leg].take() else { return };
+        if leg == PRIMARY {
+            slice.hedge_at = None;
+        }
+        let scores = match result {
+            Ok(scores) => scores,
+            Err(e) => {
+                router.note_shard_failure(replica);
+                let who = if leg == PRIMARY { "shard" } else { "standby" };
+                return self.fail(i, format!("{who}: {e}"));
+            }
+        };
+        router.note_shard_success(replica, call.t0);
+        let now = Instant::now();
+        // the race is over; the loser's late reply is dropped with its call
+        if slice.calls[PRIMARY].take().is_some() {
+            // the primary never answered inside its hedge window: count that
+            // against its breaker so a wedged shard eventually trips (and a
+            // half-open probe is never left dangling) — but not as a wire
+            // error, the hedge covered it
+            router.shards[i].control().breaker.record_failure(now);
+        }
+        if slice.calls[STANDBY].take().is_some_and(|loser| loser.probe) {
+            // a standby that merely lost the race is not penalised — but a
+            // half-open probe must still settle its breaker
+            router.replica(i, STANDBY).control().breaker.record_failure(now);
+        }
+        slice.outcome = Some(Ok(scores));
+    }
+
+    /// A call of slice `i` failed, or could not be made. Once no call of
+    /// the slice is out, the standby gets its one attempt, or the slice is
+    /// lost.
+    fn fail(&mut self, i: usize, cause: String) {
+        let slice = &mut self.slices[i];
+        slice.cause =
+            if slice.cause.is_empty() { cause } else { format!("{}; {cause}", slice.cause) };
+        if slice.calls.iter().any(Option::is_some) {
+            return; // the other call may still answer
+        }
+        if self.router.standby.is_some() && !slice.standby_tried {
+            slice.standby_tried = true;
+            return self.start(i, STANDBY);
+        }
+        slice.outcome = Some(Err(std::mem::take(&mut slice.cause)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
 
     #[test]
     fn config_builders_and_outcome_partiality() {
@@ -620,19 +671,6 @@ mod tests {
         assert_eq!(RouterError::DeadlineExpired.to_string(), "deadline expired");
         let e = RouterError::ShardsLost { lost: 1, total: 3, last: "connect: refused".into() };
         assert!(e.to_string().contains("1/3"), "{e}");
-    }
-
-    #[test]
-    fn inflight_slots_are_bounded_and_released_on_drop() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let a = InflightSlot::try_reserve(&counter, 2).expect("slot 1");
-        let b = InflightSlot::try_reserve(&counter, 2).expect("slot 2");
-        assert!(InflightSlot::try_reserve(&counter, 2).is_none(), "cap enforced");
-        drop(a);
-        let c = InflightSlot::try_reserve(&counter, 2).expect("freed slot reusable");
-        drop(b);
-        drop(c);
-        assert_eq!(counter.load(Ordering::Acquire), 0, "all slots returned");
     }
 
     /// Regression: a rank whose budget is already spent must fail *before*
@@ -691,5 +729,93 @@ mod tests {
         let router = Router::with_registry(cfg, Arc::new(MetricsRegistry::new()));
         let err = router.rank(0, 0, 3).unwrap_err();
         assert!(matches!(err, RouterError::ShardsLost { lost: 2, .. }), "{err}");
+    }
+
+    /// A fake v2 shard: answers each `SCORE` with the right number of
+    /// scores after `delay`, or never when `delay` is `None`.
+    fn fake_shard(delay: Option<Duration>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut conn) = conn else { return };
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(conn.try_clone().unwrap());
+                    let mut line = String::new();
+                    while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                        let words: Vec<&str> = line.split_whitespace().collect();
+                        let reply = match (words.as_slice(), delay) {
+                            (["PROTO", "2"], _) => "OK proto=2".to_owned(),
+                            (["ID", tag, ..], Some(delay)) => {
+                                std::thread::sleep(delay);
+                                let at = words.iter().position(|w| *w == "SCORE").unwrap();
+                                let n = (words.len() - at - 1) / 3;
+                                format!("ID {tag} OK {}", vec!["0.5"; n].join(" "))
+                            }
+                            _ => String::new(),
+                        };
+                        if !reply.is_empty() && writeln!(conn, "{reply}").is_err() {
+                            return;
+                        }
+                        line.clear();
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// A router over one shard plus a standby whose breaker has cooled
+    /// down after a trip: the next standby call is its half-open probe.
+    fn router_with_probing_standby(shard: SocketAddr, deadline: Duration) -> Router {
+        let mut cfg = RouterConfig::new(vec![shard], (0..4).collect())
+            .with_standby(fake_shard(None))
+            .with_deadline(deadline)
+            .with_hedge_after(Duration::from_millis(20));
+        cfg.breaker = BreakerConfig { trip_after: 1, cooldown: Duration::from_millis(150) };
+        let router = Router::with_registry(cfg, Arc::new(MetricsRegistry::new()));
+        let standby = router.standby.as_ref().unwrap();
+        standby.control().breaker.record_failure(Instant::now());
+        std::thread::sleep(Duration::from_millis(160));
+        assert_eq!(standby.control().breaker.state(Instant::now()), BreakerState::HalfOpen);
+        router
+    }
+
+    fn standby_state(router: &Router) -> BreakerState {
+        router.standby.as_ref().unwrap().control().breaker.state(Instant::now())
+    }
+
+    #[test]
+    fn an_abandoned_standby_probe_never_leaves_its_breaker_half_open() {
+        // the primary wins the race: the hedge was the standby's probe
+        let router = router_with_probing_standby(
+            fake_shard(Some(Duration::from_millis(100))),
+            Duration::from_secs(2),
+        );
+        let outcome = router.rank(0, 0, 2).expect("the primary answers");
+        assert!(!outcome.is_partial());
+        assert_eq!(router.hedges.get(), 1, "the slow primary was hedged");
+        assert_ne!(standby_state(&router), BreakerState::HalfOpen, "probe left dangling");
+
+        // the deadline passes with the probe still out
+        let router = router_with_probing_standby(fake_shard(None), Duration::from_millis(150));
+        let err = router.rank(0, 0, 2).unwrap_err();
+        assert!(matches!(err, RouterError::NoCoverage), "{err}");
+        assert_eq!(router.hedges.get(), 1);
+        assert_ne!(standby_state(&router), BreakerState::HalfOpen, "probe left dangling");
+    }
+
+    #[test]
+    fn a_standby_that_loses_the_race_is_not_penalised() {
+        let mut cfg =
+            RouterConfig::new(vec![fake_shard(Some(Duration::from_millis(60)))], (0..4).collect())
+                .with_standby(fake_shard(None))
+                .with_hedge_after(Duration::from_millis(10));
+        cfg.breaker = BreakerConfig { trip_after: 1, cooldown: Duration::from_secs(60) };
+        let router = Router::with_registry(cfg, Arc::new(MetricsRegistry::new()));
+        router.rank(0, 0, 2).expect("the primary answers");
+        assert_eq!(router.hedges.get(), 1);
+        assert_eq!(standby_state(&router), BreakerState::Closed, "one failure would trip it");
+        assert_eq!(router.shard_errors.get(), 0);
     }
 }

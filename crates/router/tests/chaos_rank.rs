@@ -7,6 +7,9 @@
 //! drives the hedging path: a black-hole shard (accepts, negotiates v2,
 //! never answers) forces a hedged duplicate to the standby, and the rank
 //! still comes back complete and bit-identical to the full offline ranking.
+//! Two timing tests pin that no wait outlives the rank's budget: a hedge
+//! races its primary instead of blocking it, and a shard that never
+//! negotiates costs the rank its deadline, not a socket timeout.
 
 use rmpi_client::BreakerConfig;
 use rmpi_obs::MetricsRegistry;
@@ -16,7 +19,7 @@ use rmpi_testutil::chaos::{ChaosConfig, ChaosProxy};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_kg::{KnowledgeGraph, Triple};
@@ -235,6 +238,104 @@ fn slow_shard_hedges_to_the_standby_and_the_rank_stays_complete() {
         registry.histogram("router.standby.us").summary().count >= 1,
         "the standby's latency was recorded"
     );
+}
+
+/// A fake v2 shard that answers every `SCORE` with the right number of
+/// scores, each answer `delay` after its request arrives.
+fn slow_shard(delay: Duration) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    let words: Vec<&str> = line.split_whitespace().collect();
+                    let reply = if words == ["PROTO", "2"] {
+                        "OK proto=2".to_owned()
+                    } else {
+                        std::thread::sleep(delay);
+                        let at = words.iter().position(|w| *w == "SCORE").expect("a SCORE");
+                        let scores = vec!["0.5"; (words.len() - at - 1) / 3];
+                        format!("ID {} OK {}", words[1], scores.join(" "))
+                    };
+                    if writeln!(conn, "{reply}").is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// The hedge races the primary instead of waiting on it: a primary that
+/// answers at 300 ms wins over a standby that never answers, and the rank
+/// returns then — not when the 3 s deadline gives up on the standby.
+#[test]
+fn a_hedge_races_the_primary_and_the_first_answer_ends_the_slice() {
+    let (hole_addr, _hole) = black_hole();
+    let cfg = RouterConfig::new(vec![slow_shard(Duration::from_millis(300))], candidates())
+        .with_standby(hole_addr)
+        .with_policy(PartialPolicy::Partial)
+        .with_deadline(Duration::from_secs(3))
+        .with_hedge_after(Duration::from_millis(50));
+    let registry = Arc::new(MetricsRegistry::new());
+    let router = Router::with_registry(cfg, Arc::clone(&registry));
+    let t0 = Instant::now();
+    let outcome = router.rank(0, 0, K).expect("the primary answers");
+    let elapsed = t0.elapsed();
+    assert!(!outcome.is_partial(), "the primary covered its slice");
+    assert!(elapsed < Duration::from_secs(1), "the hedge blocked the primary: {elapsed:?}");
+    assert_eq!(registry.counter("router.hedges.count").get(), 1);
+}
+
+/// Connect and handshake spend the rank's budget, not a socket timeout: a
+/// shard whose listener never accepts costs the rank its deadline.
+#[test]
+fn a_shard_that_never_accepts_costs_the_rank_its_deadline_not_a_socket_timeout() {
+    never_accepting_shard_at(1);
+}
+
+/// The same shard first in the fan-out: its connect blocks the dispatch,
+/// so it may spend only its share of the budget, and a healthy shard with
+/// a live session goes on the wire before any connect is tried.
+#[test]
+fn a_shard_that_never_accepts_first_in_the_fan_out_still_leaves_a_partial_answer() {
+    never_accepting_shard_at(0);
+}
+
+/// Two shards, the one at `silent_index` bound but never accepted (the
+/// kernel completes the TCP handshake, and the `PROTO 2` answer never
+/// comes): ranks under `partial` and a 200 ms deadline answer the healthy
+/// shard's slice within the deadline.
+fn never_accepting_shard_at(silent_index: usize) {
+    let engine = test_engine();
+    let good = replica(&engine);
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut shards = vec![good.addr()];
+    shards.insert(silent_index, silent.local_addr().expect("addr"));
+    let cands = candidates();
+    let deadline = Duration::from_millis(200);
+    let cfg = RouterConfig::new(shards, cands.clone())
+        .with_policy(PartialPolicy::Partial)
+        .with_deadline(deadline);
+    let router = Router::with_registry(cfg, Arc::new(MetricsRegistry::new()));
+    let survivors = &shard_slices(&cands, 2)[1 - silent_index];
+    // first rank: both shards connect; second: the healthy shard's session
+    // is live, and the silent one connects again (one failure does not trip
+    // the default breaker)
+    for rank in ["cold", "warm"] {
+        let t0 = Instant::now();
+        let outcome = router.rank(0, 0, K).unwrap_or_else(|e| panic!("{rank} rank: {e}"));
+        let elapsed = t0.elapsed();
+        assert!(elapsed < deadline + Duration::from_millis(100), "{rank} rank took {elapsed:?}");
+        assert_eq!((outcome.covered, outcome.total), (survivors.len(), cands.len()), "{rank}");
+        assert_eq!(outcome.ranked, offline_rank(&engine, 0, 0, survivors), "{rank}");
+    }
 }
 
 #[test]

@@ -39,6 +39,15 @@ echo "== benchmark smoke: traced store_cold — pin + extraction over the on-dis
 cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
   --workload store_cold --seed 1 --seconds 2 --trace 1 >/dev/null
 
+# the routed rank on the caller's thread: session submissions, one reply
+# channel per rank, merge; every answer checked against offline ranking.
+# 0.2 s is the shortest run whose answer check passes on one core (all 8
+# queries answered in both traced phases); 0.4 s doubles it. Writes only
+# under target/bench/
+echo "== benchmark smoke: traced router_rank — scatter-gather over three replicas, answer check =="
+cargo run --release -q -p rmpi-bench --bin rmpi_perf -- \
+  --workload router_rank --seed 1 --seconds 0.4 --trace 1 >/dev/null
+
 echo "== determinism: threads=1 vs threads=4 vs threads=0, in-memory source and store source =="
 cargo test -q -p rmpi-core --test parallel_determinism
 
