@@ -22,7 +22,7 @@
 //! computed together, never the order of the floating-point additions — so
 //! its results are bitwise independent of the tile sizes (pinned by
 //! `nn_matches_naive_on_all_shapes`). `matmul_nt` uses an 8-lane chunked dot
-//! ([`dot_chunked`]) that reassociates the reduction; its results differ from
+//! (`dot_chunked`) that reassociates the reduction; its results differ from
 //! the naive order only by rounding (tests compare at `1e-5`).
 //!
 //! Every kernel reports its algorithmic FLOP and byte traffic to
@@ -114,7 +114,7 @@ pub fn matmul_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 /// a dot product of two contiguous rows. This is the `grad_a = g·bᵀ` backward
 /// rule without ever materialising `bᵀ`. Tiled over `i` and `j` so a block of
 /// `b` rows stays in L1 while `BI` rows of `a` stream past it; each dot runs
-/// through the multi-accumulator [`dot_chunked`].
+/// through the multi-accumulator `dot_chunked`.
 pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);

@@ -1,9 +1,11 @@
-//! Replica failover: a multi-endpoint client with per-endpoint circuit
-//! breakers and `HEALTH`-probed recovery.
+//! The retrying client: one endpoint or a replica set, with per-endpoint
+//! circuit breakers and `HEALTH`-probed recovery. A single endpoint is
+//! `FailoverClient::new(vec![addr], cfg)`.
 //!
 //! The client is *sticky*: it keeps sending to the endpoint that last
 //! worked, over a cached pipelined [`Session`] per endpoint (reopened
-//! transparently when a transport failure invalidates it). On a retryable
+//! transparently when a transport failure invalidates it, so the retry loop
+//! doubles as the reconnect loop). On a retryable
 //! failure it records the failure against that endpoint's breaker, advances
 //! its preference to the next replica, and retries there (counted in
 //! `client.failovers`). An endpoint whose breaker
@@ -12,6 +14,10 @@
 //! probe — only a served `HEALTH` (the readiness verb, which exercises the
 //! full engine path) closes the breaker and readmits the replica.
 //!
+//! Under a deadline ([`FailoverClient::request_line_deadline`]) every wait
+//! of a request — TCP connect, the `PROTO 2` handshake, the probe's
+//! `HEALTH` answer, the response itself — is bounded by what is left of it.
+//!
 //! Fatal server answers (`ERR bad request`, unknown relation, ...) are
 //! returned immediately and do **not** count against the endpoint: a replica
 //! that correctly rejects a malformed request is healthy.
@@ -19,14 +25,14 @@
 use crate::backoff::Backoff;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::budget::RetryBudget;
-use crate::client::{attempt_over, ClientConfig, ProtocolClient};
+use crate::client::{parse_ranked, parse_scores, score_line, ClientConfig};
 use crate::error::ClientError;
 use crate::session::Session;
 use crate::stats::ClientStats;
 use rmpi_obs::MetricsRegistry;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Failover knobs: the per-attempt client config plus the breaker shape
 /// applied to every endpoint.
@@ -46,8 +52,53 @@ struct Endpoint {
     session: Option<Session>,
 }
 
-/// A client over a replica set. Same typed verbs as [`crate::Client`] via
-/// [`ProtocolClient`]; requests transparently fail over between replicas.
+impl Endpoint {
+    /// One attempt over the cached session, (re)connecting first if it is
+    /// absent or dead. A transport-level failure drops the session so the
+    /// next attempt reconnects — which is how the retry loop doubles as the
+    /// reconnect loop.
+    fn attempt(
+        &mut self,
+        cfg: &ClientConfig,
+        stats: &ClientStats,
+        line: &str,
+        deadline: Option<Instant>,
+    ) -> Result<String, ClientError> {
+        if !self.session.as_ref().is_some_and(Session::is_alive) {
+            let budget = left(deadline, Duration::MAX);
+            self.session = Some(Session::connect_within(self.addr, cfg, budget)?);
+            stats.sessions_opened.inc();
+        }
+        let session = self.session.as_ref().expect("just ensured");
+        let result = session.request_timeout(line, left(deadline, cfg.read_timeout));
+        if result.as_ref().is_err_and(is_transport_error) {
+            self.session = None;
+        }
+        result
+    }
+}
+
+/// What is left of `deadline`, or `otherwise` for a request without one.
+fn left(deadline: Option<Instant>, otherwise: Duration) -> Duration {
+    deadline.map_or(otherwise, |d| d.saturating_duration_since(Instant::now()))
+}
+
+/// Whether an error means the *connection* is suspect (as opposed to a
+/// server answer that happened to be an error) — these invalidate a cached
+/// session.
+fn is_transport_error(e: &ClientError) -> bool {
+    matches!(
+        e,
+        ClientError::Connect(_)
+            | ClientError::Io(_)
+            | ClientError::TruncatedResponse
+            | ClientError::Protocol(_)
+            | ClientError::SessionClosed(_)
+    )
+}
+
+/// The retrying client over one or more replicas (see module docs); the
+/// typed verbs send pure requests, which are retried and fail over.
 pub struct FailoverClient {
     endpoints: Vec<Endpoint>,
     cfg: ClientConfig,
@@ -104,11 +155,46 @@ impl FailoverClient {
         self.endpoints.iter().map(|e| e.breaker.state(now)).collect()
     }
 
+    /// `PING` → liveness.
+    pub fn ping(&mut self) -> Result<(), ClientError> {
+        self.request_line("PING", true).map(|_| ())
+    }
+
+    /// `SCORE h r t` → the served (bit-exact) score of one triple.
+    pub fn score(&mut self, head: u32, relation: u32, tail: u32) -> Result<f32, ClientError> {
+        Ok(self.score_batch(&[(head, relation, tail)])?[0])
+    }
+
+    /// `SCORE h r t [h r t ...]` → one score per triple, server-batched.
+    pub fn score_batch(&mut self, triples: &[(u32, u32, u32)]) -> Result<Vec<f32>, ClientError> {
+        let payload = self.request_line(&score_line(triples), true)?;
+        parse_scores(&payload, triples.len())
+    }
+
+    /// `RANK h r k` → up to `k` `(tail, score)` pairs, best first.
+    pub fn rank_tails(
+        &mut self,
+        head: u32,
+        relation: u32,
+        k: usize,
+    ) -> Result<Vec<(u32, f32)>, ClientError> {
+        let payload = self.request_line(&format!("RANK {head} {relation} {k}"), true)?;
+        parse_ranked(&payload)
+    }
+
+    /// Send one request line and return its `OK` payload. A retryable
+    /// failure of an `idempotent` request is retried, on the next replica,
+    /// within the attempt cap and the retry budget; any other request is
+    /// sent exactly once.
+    pub fn request_line(&mut self, line: &str, idempotent: bool) -> Result<String, ClientError> {
+        self.run(line, idempotent, None)
+    }
+
     /// Choose the next usable endpoint, starting from the preferred one. An
     /// endpoint coming out of cooldown is admitted only after a successful
     /// half-open `HEALTH` probe; a failed probe re-opens its breaker and the
     /// scan continues.
-    fn pick(&mut self) -> Option<usize> {
+    fn pick(&mut self, deadline: Option<Instant>) -> Option<usize> {
         let n = self.endpoints.len();
         for offset in 0..n {
             let idx = (self.current + offset) % n;
@@ -120,9 +206,13 @@ impl FailoverClient {
             if was_open {
                 // half-open: one probe decides. The probe opens a session of
                 // its own on purpose: it must judge the *endpoint*, not
-                // whatever state a cached session is in.
-                let probe = Session::connect(self.endpoints[idx].addr, &self.cfg)
-                    .and_then(|session| session.health());
+                // whatever state a cached session is in. Like any attempt,
+                // it waits no longer than the request's deadline allows.
+                let budget = left(deadline, Duration::MAX);
+                let probe = Session::connect_within(self.endpoints[idx].addr, &self.cfg, budget)
+                    .and_then(|s| {
+                        s.request_timeout("HEALTH", left(deadline, self.cfg.read_timeout))
+                    });
                 match probe {
                     Ok(_) => self.endpoints[idx].breaker.record_success(),
                     Err(_) => {
@@ -138,7 +228,7 @@ impl FailoverClient {
         None
     }
 
-    /// Like [`ProtocolClient::request_line`], but under an absolute
+    /// Like [`FailoverClient::request_line`], but under an absolute
     /// end-to-end deadline. Every attempt — the first and each failover
     /// retry — is sent with a fresh `DEADLINE <remaining-ms>` hint computed
     /// at that forward, so a backend serving a retry is granted only what
@@ -164,6 +254,8 @@ impl FailoverClient {
         self.stats.requests.inc();
         let t0 = Instant::now();
         let mut attempts: u32 = 0;
+        // the failure that ended the latest attempt, for `NoHealthyEndpoint`
+        let mut last = None;
         loop {
             // the remaining budget is re-derived per attempt: this is what a
             // forwarded DEADLINE hint decays by on each retry
@@ -172,7 +264,7 @@ impl FailoverClient {
                 self.stats.errors.inc();
                 return Err(ClientError::from_server_err("deadline expired"));
             }
-            let Some(idx) = self.pick() else {
+            let Some(idx) = self.pick(deadline) else {
                 // every breaker is open: rather than fail fast, a retryable
                 // request waits out the *shortest* cooldown (it counts as a
                 // retry against budget and attempt caps) and probes then —
@@ -185,7 +277,7 @@ impl FailoverClient {
                     && self.budget.try_withdraw();
                 if !may_retry {
                     self.stats.errors.inc();
-                    return Err(ClientError::NoHealthyEndpoint { last: None });
+                    return Err(ClientError::NoHealthyEndpoint { last: last.map(Box::new) });
                 }
                 self.stats.retries.inc();
                 attempts += 1;
@@ -226,17 +318,8 @@ impl FailoverClient {
                 None => line,
             };
             // with a deadline, the caller stops waiting for this attempt's
-            // response when the budget is spent
-            let endpoint = &mut self.endpoints[idx];
-            let attempt = attempt_over(
-                &mut endpoint.session,
-                endpoint.addr,
-                &self.cfg,
-                &self.stats,
-                attempt_line,
-                remaining.unwrap_or(self.cfg.read_timeout),
-            );
-            match attempt {
+            // connect and response when the budget is spent
+            match self.endpoints[idx].attempt(&self.cfg, &self.stats, attempt_line, deadline) {
                 Ok(payload) => {
                     self.endpoints[idx].breaker.record_success();
                     self.budget.record_success();
@@ -267,6 +350,7 @@ impl FailoverClient {
                             e
                         });
                     }
+                    last = Some(e);
                     self.stats.retries.inc();
                     let mut delay = self.backoff.next_delay();
                     if let Some(d) = deadline {
@@ -281,12 +365,6 @@ impl FailoverClient {
     }
 }
 
-impl ProtocolClient for FailoverClient {
-    fn request_line(&mut self, line: &str, idempotent: bool) -> Result<String, ClientError> {
-        self.run(line, idempotent, None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +372,6 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
 
     /// A controllable fake replica: negotiates protocol v2 and answers
     /// `OK pong` to every tagged line while `healthy`; when unhealthy it
@@ -532,13 +609,107 @@ mod tests {
             ..fast_cfg()
         };
         let mut c = client(vec![dead_addr(), dead_addr()], cfg);
+        // both breakers trip during the attempt sequence; the error names
+        // the connect failure that tripped the last one
         let err = c.ping().unwrap_err();
-        // both breakers trip during the attempt sequence; whichever shape the
-        // final error takes, it must be terminal and the breakers open
         assert!(!err.is_retryable(), "{err}");
+        let ClientError::NoHealthyEndpoint { last: Some(last) } = &err else {
+            panic!("the first call's attempts must be kept: {err}");
+        };
+        assert!(matches!(**last, ClientError::Connect(_)), "{last}");
+        let source = std::error::Error::source(&err).expect("the last attempt is the source");
+        assert!(
+            matches!(source.downcast_ref::<ClientError>(), Some(ClientError::Connect(_))),
+            "{source}"
+        );
         assert_eq!(c.breaker_states(), vec![BreakerState::Open, BreakerState::Open]);
+        // a call that makes no attempt has no failure to report
         let err = c.ping().unwrap_err();
         assert!(matches!(err, ClientError::NoHealthyEndpoint { last: None }), "{err}");
         assert_eq!(c.stats().errors.get(), 2);
+    }
+
+    #[test]
+    fn dead_endpoint_exhausts_retries_with_budgeted_attempts() {
+        let cfg = FailoverConfig {
+            client: ClientConfig {
+                max_retries: 2,
+                backoff: BackoffConfig {
+                    base: Duration::from_millis(1),
+                    ..BackoffConfig::default()
+                },
+                ..ClientConfig::default()
+            },
+            ..FailoverConfig::default()
+        };
+        let mut c = client(vec![dead_addr()], cfg);
+        let err = c.ping().unwrap_err();
+        assert!(
+            matches!(err, ClientError::RetriesExhausted { attempts: 3, .. }),
+            "initial + 2 retries: {err}"
+        );
+        assert_eq!(c.stats().retries.get(), 2);
+        assert_eq!(c.stats().errors.get(), 1);
+        assert_eq!(c.stats().requests.get(), 1, "retries are not new logical requests");
+    }
+
+    #[test]
+    fn non_idempotent_requests_are_never_retried() {
+        let mut c = client(vec![dead_addr()], FailoverConfig::default());
+        let err = c.request_line("RELOAD next.bundle", false).unwrap_err();
+        assert!(matches!(err, ClientError::Connect(_)), "no RetriesExhausted wrapper: {err}");
+        assert_eq!(c.stats().retries.get(), 0);
+    }
+
+    /// A listener that never accepts: the kernel completes TCP connects into
+    /// its backlog, so a client connects, sends `PROTO 2` and hears nothing.
+    fn silent_listener() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    fn assert_deadline_expired(err: &ClientError, t0: Instant, budget: Duration) {
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < budget + Duration::from_millis(100),
+            "{budget:?} budget took {elapsed:?}"
+        );
+        assert!(
+            matches!(err, ClientError::Server { message, transient: true }
+                if message == "deadline expired"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_fresh_connect_waits_no_longer_than_the_deadline() {
+        let (_silent, addr) = silent_listener();
+        let mut c = client(vec![addr], FailoverConfig::default());
+        let budget = Duration::from_millis(200);
+        let t0 = Instant::now();
+        let err = c.request_line_deadline("PING", true, t0 + budget).unwrap_err();
+        assert_deadline_expired(&err, t0, budget);
+    }
+
+    #[test]
+    fn a_half_open_probe_waits_no_longer_than_the_deadline() {
+        let (_silent, addr) = silent_listener();
+        let cfg = FailoverConfig {
+            breaker: BreakerConfig { trip_after: 1, cooldown: Duration::from_millis(50) },
+            ..FailoverConfig::default()
+        };
+        let cooldown = cfg.breaker.cooldown;
+        let mut c = client(vec![addr], cfg);
+        let budget = Duration::from_millis(200);
+        // the first request's failed handshake trips the breaker
+        let _ = c.request_line_deadline("PING", true, Instant::now() + budget);
+        assert_eq!(c.stats().breaker_open.get(), 1);
+        std::thread::sleep(cooldown + Duration::from_millis(10));
+        // past the cooldown the next request starts with the HEALTH probe
+        let t0 = Instant::now();
+        let err = c.request_line_deadline("PING", true, t0 + budget).unwrap_err();
+        assert_deadline_expired(&err, t0, budget);
+        assert_eq!(c.stats().breaker_open.get(), 2, "the failed probe re-trips");
     }
 }

@@ -23,19 +23,17 @@
 //!   with a one-typed-error-per-in-flight-request death contract. Its
 //!   primitive is the non-blocking [`Session::submit`] (a responder called
 //!   once, a [`Submission`] handle whose drop deregisters the tag); the
-//!   blocking verbs wait on top of it. Plus a small [`ClientPool`] of
-//!   reusable sessions.
-//! - [`Client`]: one endpoint, timeouts on connect/read/write, retry loop.
-//!   Requests ride a cached [`Session`] (reopened transparently after
-//!   transport failures) — the one client transport.
-//! - [`FailoverClient`]: a replica set with sticky endpoint preference,
-//!   breaker-gated failover and `HEALTH`-probed readmission, with one
-//!   cached session per endpoint.
+//!   blocking verbs wait on top of it. It is the one client transport.
+//! - [`FailoverClient`]: the retrying client, over one endpoint
+//!   (`FailoverClient::new(vec![addr], cfg)`) or a replica set — timeouts,
+//!   retry loop, sticky endpoint preference, breaker-gated failover and
+//!   `HEALTH`-probed readmission, with one cached session per endpoint
+//!   (reopened transparently after transport failures). Its verbs are
+//!   `ping` / `score` / `score_batch` / `rank_tails`, plus `request_line`
+//!   and `request_line_deadline` for any other line.
 //!
-//! Both clients expose the protocol verbs through [`ProtocolClient`]
-//! (`ping` / `health` / `score` / `score_batch` / `rank_tails` /
-//! `stats_json` / `metrics_json` / `reload`), and record `client.*` counters
-//! ([`ClientStats`]) into an `rmpi-obs` registry: `client.retries.count`,
+//! The retrying client records `client.*` counters ([`ClientStats`]) into
+//! an `rmpi-obs` registry: `client.retries.count`,
 //! `client.failovers.count`, `client.breaker_open.count`, and friends.
 
 pub mod backoff;
@@ -50,8 +48,8 @@ pub mod stats;
 pub use backoff::{Backoff, BackoffConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use budget::{BudgetConfig, RetryBudget};
-pub use client::{Client, ClientConfig, ProtocolClient};
+pub use client::ClientConfig;
 pub use error::ClientError;
 pub use failover::{FailoverClient, FailoverConfig};
-pub use session::{ClientPool, PooledSession, Session, Submission};
+pub use session::{Session, Submission};
 pub use stats::ClientStats;

@@ -1,4 +1,4 @@
-//! Pipelined sessions over protocol v2, and a small connection pool.
+//! Pipelined sessions over protocol v2.
 //!
 //! A [`Session`] is one persistent TCP connection that keeps **many requests
 //! in flight at once**: each request is framed `ID <tag> <verb...>` and the
@@ -35,9 +35,9 @@
 //!   marked dead and every in-flight request receives **exactly one** typed
 //!   [`ClientError::SessionClosed`]. No waiter is left hanging, and no
 //!   waiter receives another request's bytes.
-//! - A dead session stays dead; callers open a fresh one. The retry layers
-//!   ([`crate::Client`], [`crate::FailoverClient`]) do this automatically
-//!   because `SessionClosed` is retryable.
+//! - A dead session stays dead; callers open a fresh one. The retry layer
+//!   ([`crate::FailoverClient`]) does this automatically because
+//!   `SessionClosed` is retryable.
 //!
 //! # Handshake
 //!
@@ -519,106 +519,11 @@ fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
     }
 }
 
-/// A small pool of [`Session`]s to one endpoint: checkout returns an idle
-/// live session or opens a fresh one; check-in (on drop) returns live
-/// sessions and discards dead ones.
-///
-/// For most callers one shared `Session` is enough (it pipelines); the pool
-/// is for callers that want bounded head-of-line sharing.
-#[derive(Debug)]
-pub struct ClientPool {
-    addr: SocketAddr,
-    cfg: ClientConfig,
-    max_idle: usize,
-    idle: Mutex<Vec<Session>>,
-}
-
-impl ClientPool {
-    /// A pool for `addr` keeping at most 8 idle sessions.
-    pub fn new(addr: SocketAddr, cfg: ClientConfig) -> ClientPool {
-        ClientPool { addr, cfg, max_idle: 8, idle: Mutex::new(Vec::new()) }
-    }
-
-    /// Cap the number of idle sessions kept for reuse.
-    pub fn with_max_idle(mut self, max_idle: usize) -> ClientPool {
-        self.max_idle = max_idle;
-        self
-    }
-
-    /// The endpoint this pool connects to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Number of idle sessions currently pooled.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().expect("pool lock").len()
-    }
-
-    /// Check out a session: reuse an idle live one, or connect. Dead idle
-    /// sessions found on the way are discarded.
-    pub fn get(&self) -> Result<PooledSession<'_>, ClientError> {
-        loop {
-            let candidate = self.idle.lock().expect("pool lock").pop();
-            match candidate {
-                Some(session) if session.is_alive() => {
-                    return Ok(PooledSession { pool: self, session: Some(session) });
-                }
-                Some(_dead) => continue,
-                None => break,
-            }
-        }
-        let session = Session::connect(self.addr, &self.cfg)?;
-        Ok(PooledSession { pool: self, session: Some(session) })
-    }
-
-    fn check_in(&self, session: Session) {
-        if !session.is_alive() {
-            return;
-        }
-        let mut idle = self.idle.lock().expect("pool lock");
-        if idle.len() < self.max_idle {
-            idle.push(session);
-        }
-    }
-}
-
-/// A checked-out session; returns to its pool on drop (if still alive).
-#[derive(Debug)]
-pub struct PooledSession<'a> {
-    pool: &'a ClientPool,
-    session: Option<Session>,
-}
-
-impl PooledSession<'_> {
-    /// Take the session out of the pool's management for good.
-    pub fn detach(mut self) -> Session {
-        self.session.take().expect("session present until drop")
-    }
-}
-
-impl std::ops::Deref for PooledSession<'_> {
-    type Target = Session;
-
-    fn deref(&self) -> &Session {
-        self.session.as_ref().expect("session present until drop")
-    }
-}
-
-impl Drop for PooledSession<'_> {
-    fn drop(&mut self) {
-        if let Some(session) = self.session.take() {
-            self.pool.check_in(session);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufRead;
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicUsize;
 
     fn cfg() -> ClientConfig {
         ClientConfig { read_timeout: Duration::from_millis(500), ..ClientConfig::default() }
@@ -990,61 +895,5 @@ mod tests {
         assert!(session.score_batch_deadline(&[(0, 0, 1)], Duration::from_secs(1)).is_err());
         drop(session); // shuts the socket down: the server reads to its end
         assert_eq!(server.join().unwrap(), "", "frames written after the session died");
-    }
-
-    #[test]
-    fn pool_reuses_live_sessions_and_discards_dead_ones() {
-        let opened = Arc::new(AtomicUsize::new(0));
-        let server_opened = Arc::clone(&opened);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for conn in listener.incoming().take(2) {
-                server_opened.fetch_add(1, Ordering::SeqCst);
-                let conn = conn.unwrap();
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(conn.try_clone().unwrap());
-                    let mut conn = conn;
-                    let mut line = String::new();
-                    while reader.read_line(&mut line).map(|n| n > 0).unwrap_or(false) {
-                        let trimmed = line.trim_end();
-                        let reply = match parse_tagged_response(trimmed) {
-                            Some((tag, _)) => format!("ID {tag} OK pong"),
-                            None => "OK proto=2".to_owned(),
-                        };
-                        if writeln!(conn, "{reply}").is_err() {
-                            return;
-                        }
-                        line.clear();
-                    }
-                });
-            }
-        });
-
-        let pool = ClientPool::new(addr, cfg()).with_max_idle(2);
-        {
-            let s = pool.get().unwrap();
-            s.ping().unwrap();
-        } // checked back in
-        assert_eq!(pool.idle_count(), 1);
-        {
-            let s = pool.get().unwrap();
-            s.ping().unwrap();
-        }
-        assert_eq!(opened.load(Ordering::SeqCst), 1, "second checkout reused the session");
-
-        // kill the pooled session behind the pool's back, then check out:
-        // the dead one is discarded and a fresh one is opened
-        {
-            let s = pool.get().unwrap();
-            s.core.die("test kill");
-        }
-        assert_eq!(pool.idle_count(), 0, "dead session not checked back in");
-        let s = pool.get().unwrap();
-        s.ping().unwrap();
-        assert_eq!(opened.load(Ordering::SeqCst), 2);
-        drop(s);
-        drop(pool);
-        server.join().unwrap();
     }
 }

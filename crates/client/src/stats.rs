@@ -5,8 +5,8 @@
 use rmpi_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
-/// Counter handles shared by [`Client`](crate::Client) and
-/// [`FailoverClient`](crate::FailoverClient). Clones share storage.
+/// Counter handles of a [`FailoverClient`](crate::FailoverClient). Clones
+/// share storage.
 #[derive(Clone, Debug)]
 pub struct ClientStats {
     registry: Arc<MetricsRegistry>,

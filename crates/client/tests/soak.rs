@@ -16,7 +16,7 @@
 
 use rmpi_client::{
     BackoffConfig, BreakerConfig, BudgetConfig, ClientConfig, ClientError, FailoverClient,
-    FailoverConfig, ProtocolClient, Session,
+    FailoverConfig, Session,
 };
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_kg::{EntityId, KnowledgeGraph, RelationId, Triple};

@@ -542,7 +542,7 @@ impl<'cb> Trainer<'cb> {
 
     /// Continue bit-identically from the checkpoint directory `dir` (one
     /// `ckpt-NNNNNN` directory, e.g. from
-    /// [`latest_checkpoint`](crate::checkpoint::latest_checkpoint)).
+    /// [`latest_checkpoint`]).
     pub fn resume_from<P: AsRef<Path>>(mut self, dir: P) -> Result<Self, CheckpointError> {
         self.resume = Some(load_checkpoint(dir)?);
         Ok(self)

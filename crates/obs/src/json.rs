@@ -1,10 +1,10 @@
-//! The workspace's shared single-line JSON writer. Serve's STATS output,
-//! the registry's METRICS dump and the router's `STATS` line all route
-//! through this module so escaping and number formatting live in one place.
+//! The workspace's shared single-line JSON writer. The registry's `METRICS`
+//! dump routes through this module so escaping and number formatting live
+//! in one place.
 //!
 //! Output shape is fixed: `{"key": value, "other": value}` — `": "` after
-//! keys, `", "` between fields, no trailing newline. That matches the
-//! pre-existing STATS wire format byte for byte.
+//! keys, `", "` between fields, no trailing newline, so a dump fits one
+//! line of the wire protocol.
 
 /// Escape `s` for embedding inside a JSON string literal (no surrounding
 /// quotes). Handles quotes, backslashes, and control characters.
@@ -84,13 +84,6 @@ impl JsonObject {
         self
     }
 
-    /// Append a boolean field.
-    pub fn field_bool(&mut self, name: &str, v: bool) -> &mut Self {
-        self.key(name);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
     /// Append a string field (escaped and quoted).
     pub fn field_str(&mut self, name: &str, v: &str) -> &mut Self {
         self.key(name);
@@ -141,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn object_shape_matches_stats_wire_format() {
+    fn object_shape_is_one_line_with_fixed_separators() {
         let mut o = JsonObject::new();
         o.field_u64("scores", 12);
         o.field_f64("latency_us_mean", 33.449, 1);

@@ -19,7 +19,7 @@
 //!   rank runs on its caller's thread and starts none: shard calls are
 //!   session submissions answered on one channel per rank.
 //! - [`server`]: the TCP front end — `RANK` scatter-gather, `SCORE`
-//!   pass-through with failover, router-level `HEALTH`/`STATS`/`METRICS`
+//!   pass-through with failover, router-level `HEALTH`/`METRICS`
 //!   (`router.shard_errors`, `router.hedges`, `router.partial_responses`,
 //!   per-shard latency histograms), protocol v2 with `DEADLINE` hints.
 //!

@@ -55,7 +55,6 @@ use rmpi_client::{
     BreakerConfig, BreakerState, CircuitBreaker, ClientConfig, ClientError, RetryBudget, Session,
     Submission,
 };
-use rmpi_obs::json::JsonObject;
 use rmpi_obs::{Counter, Histogram, MetricsRegistry};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc, Mutex};
@@ -298,19 +297,6 @@ impl Router {
     /// Whether a standby replica is configured.
     pub fn has_standby(&self) -> bool {
         self.standby.is_some()
-    }
-
-    /// Router counters as a single-line JSON object (the `STATS` verb).
-    pub fn stats_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("requests", self.requests.get());
-        o.field_u64("shard_errors", self.shard_errors.get());
-        o.field_u64("hedges", self.hedges.get());
-        o.field_u64("partial_responses", self.partials.get());
-        o.field_u64("shards", self.shards.len() as u64);
-        o.field_bool("standby", self.standby.is_some());
-        o.field_u64("candidates", self.cfg.candidates.len() as u64);
-        o.finish()
     }
 
     /// Rank the configured candidate set for `(head, relation, ?)` under the

@@ -10,9 +10,9 @@
 //! RANK h r k                   -> scatter-gather over the shards:
 //!                                 OK tail:score ...                (full)
 //!                                 OK partial <covered>/<total> tail:score ...
-//! HEALTH                       -> OK healthy shards=N | OK degraded ... | ERR
-//! STATS                        -> OK {router counters}
-//! METRICS                      -> OK {full registry dump}
+//! HEALTH                       -> OK healthy shards=N candidates=C
+//!                                 | OK degraded ... | ERR
+//! METRICS                      -> OK {full registry dump, router.* included}
 //! ```
 //!
 //! A request may carry a `DEADLINE <ms>` hint: on `RANK` it caps the
@@ -25,7 +25,7 @@
 //! many requests in flight.
 
 use crate::router::{RankOutcome, Router};
-use rmpi_client::{BreakerState, ClientError, FailoverClient, FailoverConfig, ProtocolClient};
+use rmpi_client::{BreakerState, ClientError, FailoverClient, FailoverConfig};
 use rmpi_kg::EntityId;
 use rmpi_serve::protocol::format_ranked;
 use rmpi_serve::{
@@ -80,7 +80,6 @@ impl Handler for RouterHandler {
         Answer::Now(match call.request {
             Request::Ping => "OK pong".to_owned(),
             Request::Health => health_response(router),
-            Request::Stats => format!("OK {}", router.stats_json()),
             Request::Metrics => format!("OK {}", router.registry().to_json()),
             // a hinted `SCORE` becomes an absolute deadline anchored at the
             // request's arrival: the pass-through re-derives the *remaining*
@@ -223,14 +222,13 @@ mod tests {
         let (mut stream, mut reader) = connect(&handle);
         assert_eq!(query(&mut stream, &mut reader, "PING"), "OK pong");
         assert_eq!(query(&mut stream, &mut reader, "HEALTH"), "OK healthy shards=2 candidates=8");
-        let stats = query(&mut stream, &mut reader, "STATS");
-        assert!(stats.starts_with("OK {"), "{stats}");
-        for field in ["\"requests\"", "\"shard_errors\"", "\"hedges\"", "\"partial_responses\""] {
-            assert!(stats.contains(field), "STATS lost {field}: {stats}");
-        }
         let metrics = query(&mut stream, &mut reader, "METRICS");
-        assert!(metrics.contains("\"router.requests.count\""), "{metrics}");
-        for bad in ["FROB", "RANK 1 2", "RANK 1 2 3 4", "RANK x 2 3", "RELOAD /m.bundle"] {
+        assert!(metrics.starts_with("OK {"), "{metrics}");
+        for name in ["requests", "shard_errors", "hedges", "partial_responses"] {
+            let counter = format!("\"router.{name}.count\"");
+            assert!(metrics.contains(&counter), "METRICS lost {counter}: {metrics}");
+        }
+        for bad in ["FROB", "STATS", "RANK 1 2", "RANK 1 2 3 4", "RANK x 2 3", "RELOAD /m.bundle"] {
             let resp = query(&mut stream, &mut reader, bad);
             assert!(resp.starts_with("ERR bad request"), "{bad:?} -> {resp}");
         }

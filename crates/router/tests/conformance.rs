@@ -59,6 +59,10 @@ fn conformance(mut front: ServerHandle, overlong: rmpi_obs::Counter, score: f32)
     assert!(untagged.starts_with("ERR bad request"), "{untagged}");
     assert_eq!(query(&mut stream, &mut reader, "ID 5 PING"), "ID 5 OK pong", "and serves on");
 
+    // counters are read through METRICS alone: STATS is an unknown verb
+    let stats = query(&mut stream, &mut reader, "ID 8 STATS");
+    assert!(stats.starts_with("ID 8 ERR bad request"), "{stats}");
+
     // a spent budget is shed, not scored
     assert_eq!(
         query(&mut stream, &mut reader, "ID 7 DEADLINE 0 SCORE 0 0 1"),

@@ -150,7 +150,7 @@ impl ThreadPool {
     /// Map with per-worker scratch state: `init` runs once per worker and the
     /// resulting state is reused across that worker's whole shard.
     ///
-    /// This is what lets each worker reuse one [`Tape`]-like arena for a
+    /// This is what lets each worker reuse one `Tape`-like arena for a
     /// whole batch instead of reallocating per sample. Results still come
     /// back in index order and must not depend on how indices were sharded.
     /// Panics in `init`/`f` are re-raised on the calling thread after every

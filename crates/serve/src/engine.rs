@@ -429,13 +429,6 @@ impl Engine {
         self.snapshot().cache.lock().expect("cache lock").clear();
     }
 
-    /// All counters plus cache state and the sticky degraded flag as a
-    /// single-line JSON object.
-    pub fn stats_json(&self) -> String {
-        let (hits, misses, len) = self.cache_stats();
-        self.stats.to_json(hits, misses, len, self.is_degraded())
-    }
-
     /// Validate a candidate bundle and, if sound, atomically swap it (with a
     /// fresh cache) in as the served model. On any failure — unreadable or
     /// corrupt bundle, insufficient relation coverage, non-finite or panicking
@@ -875,15 +868,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_reflects_traffic() {
+    fn counters_reflect_traffic() {
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);
         engine.score(t).unwrap();
         engine.score(t).unwrap();
-        let json = engine.stats_json();
-        assert!(json.contains("\"score_requests\": 2"), "{json}");
-        assert!(json.contains("\"cache_hits\": 1"), "{json}");
-        assert!(json.contains("\"cache_misses\": 1"), "{json}");
+        assert_eq!(engine.stats().score_requests.get(), 2);
+        assert_eq!(engine.cache_stats(), (1, 1, 1), "(hits, misses, entries)");
     }
 
     #[test]

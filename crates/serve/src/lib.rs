@@ -23,11 +23,11 @@
 //!   `rmpi-router` instantiates it over its scatter-gather core.
 //!
 //! Throughput, latency and cache-hit metrics are registry-backed
-//! ([`ServeStats`] holds `rmpi-obs` counter/histogram handles): the legacy
-//! single-line JSON survives unchanged (`Engine::stats_json`, wire command
-//! `STATS`), and the full registry — per-verb latency percentiles, queue
-//! wait, cache gauges, plus trainer/pool metrics when they share the
-//! process — dumps via `Engine::metrics_json` / wire command `METRICS`.
+//! ([`ServeStats`] holds `rmpi-obs` counter/histogram handles), and one
+//! verb reads them: the full registry — counters, per-verb latency
+//! percentiles, queue wait, cache gauges, the `store.degraded` gauge, plus
+//! trainer/pool metrics when they share the process — dumps via
+//! `Engine::metrics_json` / wire command `METRICS`.
 //!
 //! The service is self-healing: request panics are isolated per line
 //! (`ERR internal`), `HEALTH` reports readiness, and `RELOAD <path>`

@@ -638,7 +638,7 @@ mod tests {
     use std::io::BufRead;
 
     /// `PING` answers now, `HEALTH` answers later from another thread,
-    /// `STATS` panics.
+    /// `METRICS` panics.
     struct Toy;
 
     impl Handler for Toy {
@@ -657,7 +657,7 @@ mod tests {
                     std::thread::spawn(move || reply.send("OK later".to_owned()));
                     Answer::Later
                 }
-                Request::Stats => panic!("toy handler blew up"),
+                Request::Metrics => panic!("toy handler blew up"),
                 _ => Answer::Now("ERR not served".to_owned()),
             }
         }
@@ -723,12 +723,12 @@ mod tests {
     fn a_panicking_handler_answers_err_internal_and_the_connection_keeps_serving() {
         let (mut server, registry) = toy_server(ServerConfig::default());
         let (mut stream, mut reader) = connect(&server);
-        let reply = query(&mut stream, &mut reader, "STATS");
+        let reply = query(&mut stream, &mut reader, "METRICS");
         assert_eq!(reply, "ERR internal: toy handler blew up");
         assert_eq!(query(&mut stream, &mut reader, "PING"), "OK pong 2");
         assert_eq!(query(&mut stream, &mut reader, "PROTO 2"), "OK proto=2");
         assert_eq!(
-            query(&mut stream, &mut reader, "ID 4 STATS"),
+            query(&mut stream, &mut reader, "ID 4 METRICS"),
             "ID 4 ERR internal: toy handler blew up"
         );
         assert_eq!(query(&mut stream, &mut reader, "ID 5 PING"), "ID 5 OK pong 4");

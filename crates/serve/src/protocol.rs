@@ -9,7 +9,6 @@
 //! HEALTH                        -> OK healthy ...
 //! SCORE h r t [h r t ...]       -> OK s1 [s2 ...]
 //! RANK h r k                    -> OK tail:score tail:score ...
-//! STATS                         -> OK {"scores": ..., ...}
 //! METRICS                       -> OK {"serve.score.us": {...}, ...}
 //! RELOAD /path/to/model.bundle  -> OK reloaded | ERR reload rejected: ...
 //! PROTO 2                       -> OK proto=2  (connection switches to v2)
@@ -67,8 +66,6 @@ pub enum Request {
         /// How many top entities to return.
         k: usize,
     },
-    /// Fetch the serving counters as JSON (legacy wire shape).
-    Stats,
     /// Dump the full metrics registry as JSON (`subsystem.metric.unit`
     /// names; histograms carry count/sum/mean/max/p50/p90/p99).
     Metrics,
@@ -104,7 +101,6 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
             }
             Ok(Request::Proto { version })
         }
-        "STATS" => Ok(Request::Stats),
         "METRICS" => Ok(Request::Metrics),
         "HEALTH" => Ok(Request::Health),
         "RELOAD" => {
@@ -228,8 +224,8 @@ pub fn split_deadline(line: &str) -> (Option<Duration>, &str) {
 /// The metric labels of request verbs (`<front end>.wire.<verb>.us`), in
 /// [`wire_verb_index`] order. Unknown or malformed commands share one
 /// `other` histogram so hostile input cannot grow the registry unboundedly.
-pub const WIRE_VERBS: [&str; 9] =
-    ["ping", "score", "rank", "stats", "metrics", "health", "reload", "proto", "other"];
+pub const WIRE_VERBS: [&str; 8] =
+    ["ping", "score", "rank", "metrics", "health", "reload", "proto", "other"];
 
 /// Where a request line's verb label sits in [`WIRE_VERBS`] — a fixed table
 /// index, so a front end keeps one histogram per verb.
@@ -238,12 +234,11 @@ pub fn wire_verb_index(line: &str) -> usize {
         Some("PING") => 0,
         Some("SCORE") => 1,
         Some("RANK") => 2,
-        Some("STATS") => 3,
-        Some("METRICS") => 4,
-        Some("HEALTH") => 5,
-        Some("RELOAD") => 6,
-        Some("PROTO") => 7,
-        _ => 8,
+        Some("METRICS") => 3,
+        Some("HEALTH") => 4,
+        Some("RELOAD") => 5,
+        Some("PROTO") => 6,
+        _ => 7,
     }
 }
 
@@ -254,7 +249,6 @@ mod tests {
     #[test]
     fn parses_every_command() {
         assert_eq!(parse_request("PING").unwrap(), Request::Ping);
-        assert_eq!(parse_request("STATS").unwrap(), Request::Stats);
         assert_eq!(parse_request("METRICS").unwrap(), Request::Metrics);
         assert_eq!(
             parse_request("SCORE 1 2 3").unwrap(),
@@ -286,6 +280,7 @@ mod tests {
         for bad in [
             "",
             "FROB",
+            "STATS",
             "SCORE",
             "SCORE 1 2",
             "SCORE 1 2 3 4",

@@ -12,8 +12,8 @@
 //! requests from N sockets. A `DEADLINE` hint tightens the batcher window
 //! for its item and sheds the item once expired.
 //!
-//! The cheap verbs answer inline: `HEALTH` is the readiness probe, `STATS` /
-//! `METRICS` dump counters, and `RELOAD <path>` hot-swaps the served bundle
+//! The cheap verbs answer inline: `HEALTH` is the readiness probe, `METRICS`
+//! dumps the counters, and `RELOAD <path>` hot-swaps the served bundle
 //! through [`Engine::reload_from`], which validates before swapping and
 //! keeps the old model on rejection.
 
@@ -55,7 +55,6 @@ impl Handler for EngineHandler {
             Request::Score(targets) => BatchItem::Score(targets),
             Request::Rank { head, relation, k } => BatchItem::Rank { head, relation, k },
             Request::Ping => return Answer::Now("OK pong".to_owned()),
-            Request::Stats => return Answer::Now(format!("OK {}", engine.stats_json())),
             Request::Metrics => return Answer::Now(format!("OK {}", engine.metrics_json())),
             Request::Health => {
                 let model = engine.model();
@@ -126,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn serves_ping_score_rank_stats_over_tcp() {
+    fn serves_ping_score_rank_metrics_over_tcp() {
         let engine = test_engine();
         let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
         let addr = server.addr();
@@ -145,17 +144,15 @@ mod tests {
         assert!(ranked.starts_with("OK "), "{ranked}");
         assert_eq!(ranked[3..].split(' ').count(), 2);
 
-        let stats = query(addr, "STATS");
-        assert!(stats.starts_with("OK {"), "{stats}");
-        assert!(stats.contains("\"wire_requests\""), "{stats}");
-
         let metrics = query(addr, "METRICS");
         assert!(metrics.starts_with("OK {"), "{metrics}");
+        assert!(metrics.contains("\"serve.wire_requests.count\""), "{metrics}");
         assert!(metrics.contains("\"serve.wire.score.us\""), "{metrics}");
         assert!(metrics.contains("\"serve.queue_wait.us\""), "{metrics}");
         assert!(metrics.contains("\"subgraph.cache_entries.count\""), "{metrics}");
 
         assert!(query(addr, "NOPE").starts_with("ERR bad request"));
+        assert!(query(addr, "STATS").starts_with("ERR bad request"), "METRICS is the one dump");
         server.shutdown();
     }
 

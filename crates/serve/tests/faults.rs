@@ -125,7 +125,7 @@ fn concurrent_reload_and_score_never_serves_a_torn_model() {
     }
     assert_eq!(engine.stats().reloads.get(), RELOADS);
     assert_eq!(engine.stats().reload_failures.get(), 0);
-    assert!(engine.stats_json().contains(&format!("\"reloads\": {RELOADS}")));
+    assert!(engine.metrics_json().contains(&format!("\"serve.reloads.count\": {RELOADS}")));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -178,9 +178,9 @@ fn wire_reload_swaps_model_validates_and_counts() {
     assert!(rejected.contains("byte"), "{rejected}");
     assert_eq!(query(&mut stream, &mut reader, "SCORE 0 1 2 2 3 3"), after);
 
-    let stats = query(&mut stream, &mut reader, "STATS");
-    assert!(stats.contains("\"reloads\": 1"), "{stats}");
-    assert!(stats.contains("\"reload_failures\": 2"), "{stats}");
+    let metrics = query(&mut stream, &mut reader, "METRICS");
+    assert!(metrics.contains("\"serve.reloads.count\": 1"), "{metrics}");
+    assert!(metrics.contains("\"serve.reload_failures.count\": 2"), "{metrics}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -249,8 +249,8 @@ fn wire_request_panic_answers_err_internal_and_connection_survives() {
     let ok = query(&mut stream, &mut reader, "SCORE 0 1 2");
     assert!(ok.starts_with("OK "), "{ok}");
     assert!(query(&mut stream, &mut reader, "HEALTH").starts_with("OK healthy"));
-    let stats = query(&mut stream, &mut reader, "STATS");
-    assert!(stats.contains("\"internal_errors\": 1"), "{stats}");
+    let metrics = query(&mut stream, &mut reader, "METRICS");
+    assert!(metrics.contains("\"serve.internal_errors.count\": 1"), "{metrics}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

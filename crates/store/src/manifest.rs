@@ -80,7 +80,7 @@ pub struct SegmentMeta {
     pub checksum: u64,
     /// FNV-1a 64 per 64 KiB block (v2; empty for a v1 manifest). Block
     /// geometry is `FWD_BLOCK_BYTES`/`INV_BLOCK_BYTES` from
-    /// [`crate::format`]; the final block covers the file tail.
+    /// the crate's `format` module; the final block covers the file tail.
     pub block_sums: Vec<u64>,
 }
 

@@ -4,10 +4,10 @@
 //! are generic over [`GraphAccess`], so they run identically over the
 //! Vec-of-Vecs [`rmpi_kg::KnowledgeGraph`] and the CSR arenas of
 //! [`rmpi_kg::CsrGraph`]. Internally they route through a per-thread
-//! [`ExtractScratch`](crate::ExtractScratch) of dense epoch-stamped arrays;
+//! [`ExtractScratch`] of dense epoch-stamped arrays;
 //! the `*_into` variants expose the scratch and output buffers directly so a
 //! caller owning both runs allocation-free in steady state. The original
-//! HashMap/HashSet formulation survives in [`reference`] as the oracle for
+//! HashMap/HashSet formulation survives in [`reference`](mod@reference) as the oracle for
 //! the equivalence property test.
 
 use crate::scratch::ExtractScratch;

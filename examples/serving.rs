@@ -66,17 +66,15 @@ fn main() {
     }
 
     // 5. The engine keeps serving counters; scoring the same queries again
-    //    hits the cache.
+    //    hits the cache. One registry holds them all — serve counters,
+    //    latency percentiles, cache gauges, and (in a combined process)
+    //    trainer/pool metrics too.
     for &target in test.targets.iter().take(3) {
         engine.rank_tails(target.head, target.relation, 5).expect("rank");
     }
-    println!("stats: {}", engine.stats_json());
-
-    // 6. The full metrics registry — per-verb latency percentiles, cache
-    //    gauges, and (in a combined process) trainer/pool metrics too.
     println!("metrics: {}", engine.metrics_json());
 
-    // 7. The same engine behind the TCP edge: a client session negotiates
+    // 6. The same engine behind the TCP edge: a client session negotiates
     //    protocol v2 and pipelines a burst of scores over one connection —
     //    the server's micro-batcher coalesces them into engine batch calls,
     //    and every answer is bit-identical to the in-process engine.

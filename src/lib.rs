@@ -18,10 +18,10 @@
 //! * [`serve`] — model bundles and the batched, subgraph-caching inference
 //!   service (in-process engine + TCP front end);
 //! * [`client`] — the resilient serving client: pipelined multiplexing
-//!   sessions (protocol v2 tagged responses) with a pooling layer, timeouts,
-//!   classified retryable-vs-fatal errors, seeded exponential backoff, retry
-//!   budgets, and multi-replica failover behind per-endpoint circuit
-//!   breakers;
+//!   sessions (protocol v2 tagged responses) and one retrying client over
+//!   them — timeouts, classified retryable-vs-fatal errors, seeded
+//!   exponential backoff, retry budgets, and failover across one or more
+//!   replicas behind per-endpoint circuit breakers;
 //! * [`router`] — the scatter-gather fleet router: sharded `RANK` across
 //!   replicas with bit-exact top-k merging, end-to-end deadline budgets,
 //!   hedged requests to a standby, and graceful `partial` degradation when

@@ -46,14 +46,10 @@ pub use rmpi_serve::{
     EngineConfig, GraphBackend, ServeStats,
 };
 
-// the resilient serving client (pipelined sessions, retries, backoff,
-// replica failover); `ProtocolClient` carries the verb methods for both
-// retrying client flavours, `Session`/`ClientPool` are the multiplexed
-// transport underneath them
-pub use rmpi_client::{
-    Client, ClientConfig, ClientError, ClientPool, FailoverClient, FailoverConfig, ProtocolClient,
-    Session,
-};
+// the resilient serving client: `FailoverClient` retries and fails over
+// (over one endpoint or a replica set) and carries the verb methods;
+// `Session` is the pipelined transport underneath it
+pub use rmpi_client::{ClientConfig, ClientError, FailoverClient, FailoverConfig, Session};
 
 // observability
 /// The process-wide metrics registry (see [`rmpi_obs::global`]).

@@ -1,10 +1,9 @@
 //! End-to-end observability: a short instrumented training run followed by a
 //! serve session, all recording into the process-global metrics registry, then
 //! assertions that every mandatory metric is present and nonzero — trainer
-//! phase timings, pool utilisation, cache hit rate, and per-verb latency
-//! percentiles — through both `METRICS` and the backward-compatible `STATS`
-//! wire commands. `scripts/verify.sh` runs this test as its observability
-//! gate.
+//! phase timings, pool utilisation, cache hit rate, the degraded gauge and
+//! per-verb latency percentiles — through the `METRICS` wire command.
+//! `scripts/verify.sh` runs this test as its observability gate.
 //!
 //! A second test exercises the resilience counters end to end: the server's
 //! connection-hardening counters (overlong lines, idle reaping, the
@@ -101,21 +100,14 @@ fn train_and_serve_populate_the_global_registry() {
     let rank_line = format!("RANK {} {} 3", t.head.0, t.relation.0);
     assert!(query(&mut stream, &mut reader, &rank_line).starts_with("OK "));
 
-    // STATS keeps the legacy single-line wire shape
-    let stats = query(&mut stream, &mut reader, "STATS");
-    assert!(stats.starts_with("OK {"), "{stats}");
-    for legacy in ["\"scores\": ", "\"cache_hit_rate\": ", "\"latency_us_mean\": "] {
-        assert!(stats.contains(legacy), "STATS lost legacy field {legacy}: {stats}");
-    }
-    assert!(field_u64(&stats[3..], "scores") >= 2);
-    // engine degraded state rides along in STATS so fleet monitors don't
-    // need a second HEALTH round trip — this healthy engine reports false
-    assert!(stats.contains("\"degraded\": false"), "STATS lost the degraded flag: {stats}");
-
     // METRICS dumps the whole registry: serve, trainer and pool together
     let line = query(&mut stream, &mut reader, "METRICS");
     assert!(line.starts_with("OK {"), "{line}");
     let metrics_json = &line[3..];
+    assert!(field_u64(metrics_json, "serve.scores.count") >= 2, "{metrics_json}");
+    // the engine's degraded state rides along as a gauge, so fleet monitors
+    // don't need a second HEALTH round trip — this healthy engine reports 0
+    assert_eq!(field_u64(metrics_json, "store.degraded"), 0, "{metrics_json}");
     for name in [
         "serve.wire.score.us",
         "serve.wire.rank.us",
