@@ -134,17 +134,21 @@ impl MakerLiteModel {
         let topo = tape.constant(Self::topo_features(rv, rel));
         let tw = tape.param(&self.store, self.topo_w);
         let projected = tape.matvec(tw, topo);
-        // mean embedding of *seen* relations neighbouring the target node
-        let neighbor_rels: Vec<RelationId> = rv
+        // mean embedding of *seen* relations neighbouring the target node,
+        // summed in ascending source order: `incoming` orders sources within
+        // each edge type only (the stable sort keeps a two-type source's
+        // entries together)
+        let mut neighbors: Vec<(usize, RelationId)> = rv
             .incoming(TARGET_NODE)
-            .map(|e| rv.nodes[e.src].relation)
-            .filter(|r| self.seen.contains(r) && *r != rel)
+            .map(|e| (e.src, rv.nodes[e.src].relation))
+            .filter(|(_, r)| self.seen.contains(r) && *r != rel)
             .collect();
-        if neighbor_rels.is_empty() {
+        neighbors.sort_by_key(|&(src, _)| src);
+        if neighbors.is_empty() {
             tape.relu(projected)
         } else {
             let embs: Vec<Var> =
-                neighbor_rels.iter().map(|r| tape.row(rel_table, r.index())).collect();
+                neighbors.iter().map(|&(_, r)| tape.row(rel_table, r.index())).collect();
             let stacked = tape.stack(&embs);
             let pool = tape.constant(Tensor::full(&[embs.len()], 1.0 / embs.len() as f32));
             let mean = tape.vecmat(pool, stacked);
@@ -291,6 +295,26 @@ mod tests {
         let s_seen = m2.score(&g, Triple::new(0u32, 7u32, 3u32), &mut rng);
         assert!(s_unseen.is_finite());
         assert_ne!(s_unseen, s_seen);
+    }
+
+    #[test]
+    fn structural_mean_sums_the_neighbours_in_source_order() {
+        // (4, r4, 0) into the target's head is a T-H source and (3, r5, 4)
+        // out of its tail an H-T one; both sort after the H-H and T-T
+        // sources, so per-type order differs from source order here; the
+        // score is the one the mean gave when it was summed in (source, type)
+        // order
+        let g = graph()
+            .with_extra_triples(&[Triple::new(4u32, 4u32, 0u32), Triple::new(3u32, 5u32, 4u32)]);
+        let m = MakerLiteModel::new(
+            BaselineConfig { dim: 8, edge_dropout: 0.0, ..Default::default() },
+            8,
+            (0..6).map(RelationId).collect(),
+            1,
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        let s = m.score(&g, Triple::new(0u32, 7u32, 3u32), &mut rng);
+        assert_eq!(s.to_bits(), 0x3e36_6c44, "{s}");
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Criterion bench: what the relation view costs one prepare + forward.
 //!
-//! The view is implicit — building it sorts the entity incidence list and
-//! stores no edges; edges are enumerated when read. So the timed unit is what
-//! a sample actually pays: build, the pruning schedule's BFS, and one
-//! enumeration of each layer's destination nodes' in-edges, at the paper's
-//! K = 2. Counting the whole line graph (`num_edges()`) is deliberately not
-//! in the loop: nothing on the scoring path does it.
+//! The view is implicit — building it places the entity incidence list with
+//! a counting pass and stores no edges; edges are enumerated when read. So
+//! the timed unit is what a sample actually pays: build, the pruning
+//! schedule's BFS, and one enumeration of each layer's destination nodes'
+//! in-edges, at the paper's K = 2. Each of the three has an arm of its own
+//! (`schedule` and `read` on prebuilt views and schedules) beside the
+//! combined `build_and_read`, so a change to one shows its own number.
+//! Counting the whole line graph (`num_edges()`) is deliberately not in the
+//! loop: nothing on the scoring path does it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
@@ -37,25 +40,48 @@ fn samples(family: Family) -> Vec<Subgraph> {
         .collect()
 }
 
+/// The in-edges a pruned K-layer forward reads: each layer's destinations',
+/// the final layer aggregating into the target alone.
+fn read(rv: &RelViewGraph, sched: &PruningSchedule) -> usize {
+    let mut edges_read = 0;
+    for layer in 1..LAYERS {
+        for node in sched.active_nodes(layer) {
+            edges_read += rv.incoming(node).count();
+        }
+    }
+    edges_read + rv.incoming(TARGET_NODE).count()
+}
+
 fn bench_transform(c: &mut Criterion) {
     let mut group = c.benchmark_group("relview_transform");
     for family in [Family::Wn, Family::Fb, Family::Nell] {
         let sgs = samples(family);
+        let views: Vec<RelViewGraph> = sgs.iter().map(RelViewGraph::from_subgraph).collect();
+        let schedules: Vec<PruningSchedule> =
+            views.iter().map(|rv| PruningSchedule::new(rv, LAYERS)).collect();
+        group.bench_with_input(BenchmarkId::new("build", family.tag()), &sgs, |b, sgs| {
+            b.iter(|| {
+                sgs.iter().map(|sg| RelViewGraph::from_subgraph(sg).num_nodes()).sum::<usize>()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("schedule", family.tag()), &views, |b, views| {
+            b.iter(|| {
+                views.iter().map(|rv| PruningSchedule::new(rv, LAYERS).dist.len()).sum::<usize>()
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("read", family.tag()), &views, |b, views| {
+            b.iter(|| {
+                views.iter().zip(&schedules).map(|(rv, sched)| read(rv, sched)).sum::<usize>()
+            })
+        });
         group.bench_with_input(BenchmarkId::new("build_and_read", family.tag()), &sgs, |b, sgs| {
             b.iter(|| {
-                let mut edges_read = 0usize;
-                for sg in sgs {
-                    let rv = RelViewGraph::from_subgraph(sg);
-                    let sched = PruningSchedule::new(&rv, LAYERS);
-                    for layer in 1..LAYERS {
-                        for node in sched.active_nodes(layer) {
-                            edges_read += rv.incoming(node).count();
-                        }
-                    }
-                    // the final layer aggregates into the target alone
-                    edges_read += rv.incoming(TARGET_NODE).count();
-                }
-                edges_read
+                sgs.iter()
+                    .map(|sg| {
+                        let rv = RelViewGraph::from_subgraph(sg);
+                        read(&rv, &PruningSchedule::new(&rv, LAYERS))
+                    })
+                    .sum::<usize>()
             })
         });
     }

@@ -66,12 +66,13 @@ struct LayerScratch {
     members: [Vec<usize>; NUM_EDGE_TYPES],
     /// Per edge type: where each destination's segment of `members` starts.
     offsets: [Vec<usize>; NUM_EDGE_TYPES],
-    /// Row → position in `distinct`; `NO_ROW` everywhere between edge types.
-    slot: Vec<usize>,
-    /// One edge type's distinct source rows, in first-seen order.
-    distinct: Vec<usize>,
-    /// One edge type's members as positions in `distinct`.
-    local: Vec<usize>,
+    /// Per edge type: row → position in `distinct`; `NO_ROW` everywhere
+    /// between layers.
+    slot: [Vec<usize>; NUM_EDGE_TYPES],
+    /// Per edge type: the distinct source rows, in first-seen order.
+    distinct: [Vec<usize>; NUM_EDGE_TYPES],
+    /// Per edge type: `members` as positions in `distinct`.
+    local: [Vec<usize>; NUM_EDGE_TYPES],
     /// The destinations' previous-layer rows.
     dest_rows: Vec<usize>,
 }
@@ -134,22 +135,42 @@ pub fn relational_message_passing(
                 schedule.active_nodes_into(layer, dests);
             }
 
-            // incoming edges of the destinations, bucketed by edge type:
-            // segment `d` of a bucket lists the previous-layer rows of
-            // `dests[d]`'s sources in `RelViewGraph`'s (ascending source) order
-            for (m, o) in members.iter_mut().zip(offsets.iter_mut()) {
-                m.clear();
-                o.clear();
-                o.push(0);
+            // incoming edges of the destinations, bucketed by edge type, each
+            // source row given its slot among the type's distinct rows as it
+            // arrives: segment `d` of a bucket lists the previous-layer rows
+            // of `dests[d]`'s sources in `RelViewGraph`'s per-type (ascending
+            // source) order
+            let num_rows = tape.value(h).rows();
+            for t in 0..NUM_EDGE_TYPES {
+                members[t].clear();
+                offsets[t].clear();
+                offsets[t].push(0);
+                distinct[t].clear();
+                local[t].clear();
+                if slot[t].len() < num_rows {
+                    slot[t].resize(num_rows, NO_ROW);
+                }
             }
             for &node in dests.iter() {
                 for e in rv.incoming(node) {
                     let row = rows[e.src];
                     assert_ne!(row, NO_ROW, "schedule dropped node {} one layer early", e.src);
-                    members[e.etype.index()].push(row);
+                    let t = e.etype.index();
+                    members[t].push(row);
+                    let s = &mut slot[t][row];
+                    if *s == NO_ROW {
+                        *s = distinct[t].len();
+                        distinct[t].push(row);
+                    }
+                    local[t].push(*s);
                 }
                 for (o, m) in offsets.iter_mut().zip(members.iter()) {
                     o.push(m.len());
+                }
+            }
+            for (slot, distinct) in slot.iter_mut().zip(distinct.iter()) {
+                for &row in distinct {
+                    slot[row] = NO_ROW;
                 }
             }
 
@@ -161,10 +182,6 @@ pub fn relational_message_passing(
                 tape.leaky_relu(dots, attention.leaky_slope)
             });
 
-            let num_rows = tape.value(h).rows();
-            if slot.len() < num_rows {
-                slot.resize(num_rows, NO_ROW);
-            }
             let mut agg: Option<Var> = None;
             for (etype, &w_id) in weights.w[layer - 1].iter().enumerate() {
                 let (members, offsets) = (&members[etype], &offsets[etype]);
@@ -172,23 +189,11 @@ pub fn relational_message_passing(
                     continue;
                 }
                 // transformed messages W_e h_j, once per distinct source row
-                distinct.clear();
-                local.clear();
-                for &row in members {
-                    if slot[row] == NO_ROW {
-                        slot[row] = distinct.len();
-                        distinct.push(row);
-                    }
-                    local.push(slot[row]);
-                }
-                for &row in distinct.iter() {
-                    slot[row] = NO_ROW;
-                }
-                let sources = tape.gather(h, distinct);
+                let sources = tape.gather(h, &distinct[etype]);
                 let w = tape.param(store, w_id);
                 let msgs = tape.matmul_nt(sources, w);
                 let att = logits.map(|l| tape.segment_softmax(l, members, offsets));
-                let type_sum = tape.segment_sum(msgs, att, local, offsets);
+                let type_sum = tape.segment_sum(msgs, att, &local[etype], offsets);
                 agg = Some(match agg {
                     Some(acc) => tape.add(acc, type_sum),
                     None => type_sum,

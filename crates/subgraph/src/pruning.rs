@@ -7,7 +7,6 @@
 //! exactly the nodes within `K - k` hops (steps 4–8).
 
 use crate::relview::{RelViewGraph, TARGET_NODE};
-use std::collections::VecDeque;
 
 /// Precomputed per-layer update sets for K-layer message passing on one
 /// relation-view graph.
@@ -22,21 +21,32 @@ pub struct PruningSchedule {
 }
 
 impl PruningSchedule {
-    /// Build the schedule for `k` layers on `rv`.
+    /// Build the schedule for `k` layers on `rv`: a BFS from the target over
+    /// the runs [`RelViewGraph::incoming`] reads, untyped. A node's
+    /// in-neighbours are the other members of its two runs; the node itself
+    /// and a member of both are met again, but are already visited, and hop
+    /// distances do not depend on the order the runs list them in.
     pub fn new(rv: &RelViewGraph, k: usize) -> Self {
         let mut dist = vec![usize::MAX; rv.num_nodes()];
         dist[TARGET_NODE] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(TARGET_NODE);
-        while let Some(cur) = q.pop_front() {
+        // a node is queued at most once, so the queue is never popped: a
+        // cursor walks it
+        let mut queue = Vec::with_capacity(rv.num_nodes());
+        queue.push(TARGET_NODE);
+        let mut next = 0;
+        while let Some(&cur) = queue.get(next) {
+            next += 1;
             let d = dist[cur];
             if d == k {
                 continue;
             }
-            for src in rv.in_neighbors(cur) {
-                if dist[src] == usize::MAX {
-                    dist[src] = d + 1;
-                    q.push_back(src);
+            for run in rv.runs(cur) {
+                for &(_, src) in run {
+                    let src = src as usize;
+                    if dist[src] == usize::MAX {
+                        dist[src] = d + 1;
+                        queue.push(src);
+                    }
                 }
             }
         }

@@ -20,7 +20,7 @@
 //! excluded from the subgraph's edge set — it is the node whose representation
 //! the model reads out.
 
-use crate::extraction::Subgraph;
+use crate::extraction::{with_thread_scratch, Subgraph};
 use rmpi_kg::{EntityId, RelationId, Triple};
 
 /// Number of distinct relation-view edge types.
@@ -68,8 +68,8 @@ impl RelEdgeType {
         ]
     }
 
-    /// Classify the directed connection `a → b`, or `None` when the edges
-    /// share no entity.
+    /// Classify the directed connection `a → b`: the applicable types in
+    /// index order, empty when the edges share no entity.
     pub fn classify(a: Triple, b: Triple) -> Vec<RelEdgeType> {
         let (types, n) = Self::classify_packed(a, b);
         types[..n].to_vec()
@@ -134,6 +134,9 @@ pub struct RelInEdge {
     pub etype: RelEdgeType,
 }
 
+/// An entry of [`RelViewGraph`]'s incidence list: `(entity, node)`.
+type Entry = (EntityId, u32);
+
 /// A `[start, end)` run of [`RelViewGraph`]'s incidence list: one entity's
 /// group.
 type Run = (u32, u32);
@@ -145,17 +148,18 @@ type Run = (u32, u32);
 /// degree and a pruned K-layer forward reads only the in-edges of nodes
 /// within K−1 hops of the target, so no edge is ever stored. A node's typed
 /// in-neighbours are exactly the other members of its head's and its tail's
-/// incidence groups; [`Self::incoming`] enumerates them from the sorted
-/// `(entity, node)` list on demand. Heap size is three arrays of one or two
-/// entries per node, whatever the degree distribution.
+/// incidence groups; [`Self::incoming`] enumerates them run by run on demand.
+/// Heap size is three arrays of one or two entries per node, whatever the
+/// degree distribution.
 #[derive(Clone, Debug)]
 pub struct RelViewGraph {
     /// Nodes (target first, then the subgraph edges in sorted order).
     pub nodes: Vec<RelNode>,
     /// `(entity, node)` for every node endpoint (a self-loop contributes one
-    /// entry), sorted: each entity's group is a contiguous run with its nodes
-    /// in ascending index order.
-    incidence: Vec<(EntityId, u32)>,
+    /// entry), grouped by entity: each entity's group is a contiguous run
+    /// with its nodes in ascending index order, the groups in ascending
+    /// entity order.
+    incidence: Vec<Entry>,
     /// Per node, the runs of its head's and its tail's group. The tail run
     /// is empty for a self-loop, whose only group is its head's.
     groups: Vec<[Run; 2]>,
@@ -164,51 +168,52 @@ pub struct RelViewGraph {
 /// Index of the target relation node.
 pub const TARGET_NODE: usize = 0;
 
-/// What an exhausted run compares as in [`InNeighbors`]' merge: above every
-/// node index (`from_subgraph` indexes nodes in `u32`).
-const EXHAUSTED: u32 = u32::MAX;
-
-/// Iterator over one node's distinct in-neighbours in ascending order; see
-/// [`RelViewGraph::in_neighbors`].
-#[derive(Clone, Debug)]
-pub struct InNeighbors<'a> {
-    dst: u32,
-    by_head: &'a [(EntityId, u32)],
-    by_tail: &'a [(EntityId, u32)],
+/// Working arrays of [`RelViewGraph::from_subgraph`]'s counting build, one
+/// entry per incidence group. They live in the thread's extraction scratch,
+/// so a warm build allocates only the view's own three arrays.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct GroupScratch {
+    /// `(entity, group)`, groups numbered in first-seen order.
+    entities: Vec<(u32, u32)>,
+    /// Per group: its endpoint count, then its placement cursor.
+    cursor: Vec<u32>,
+    /// Per group: its run of the incidence list.
+    runs: Vec<Run>,
 }
 
-impl Iterator for InNeighbors<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            // merge the two ascending runs; a source in both (parallel or
-            // anti-parallel to `dst`) is consumed from both and visited once
-            let a = self.by_head.first().map_or(EXHAUSTED, |p| p.1);
-            let b = self.by_tail.first().map_or(EXHAUSTED, |p| p.1);
-            let src = a.min(b);
-            if src == EXHAUSTED {
-                return None;
-            }
-            self.by_head = &self.by_head[usize::from(a == src)..];
-            self.by_tail = &self.by_tail[usize::from(b == src)..];
-            if src != self.dst {
-                return Some(src as usize);
-            }
-        }
-    }
+/// A node's endpoints with their side (0 = head, 1 = tail); a self-loop has
+/// only its head's.
+fn endpoints(t: Triple) -> impl Iterator<Item = (usize, EntityId)> {
+    [t.head, t.tail].into_iter().enumerate().take(if t.tail == t.head { 1 } else { 2 })
 }
 
-/// Iterator over one node's incoming edges, sorted by `(src, etype)`; see
-/// [`RelViewGraph::incoming`].
+/// Iterator over one node's incoming edges; see [`RelViewGraph::incoming`].
 #[derive(Clone, Debug)]
 pub struct Incoming<'a> {
-    sources: InNeighbors<'a>,
     nodes: &'a [RelNode],
+    dst: u32,
     dst_triple: Triple,
+    /// The unread rest of the destination's head run.
+    by_head: &'a [Entry],
+    /// The unread rest of its tail run (empty for a self-loop).
+    by_tail: &'a [Entry],
     /// Second type of the source just yielded (two basic patterns hold at
     /// once when one of the pair is a self-loop).
     pending: Option<RelInEdge>,
+}
+
+impl Incoming<'_> {
+    /// The edge from `src`, whose triple is `s`; a second type waits in
+    /// `pending`.
+    fn typed(&mut self, src: u32, s: Triple) -> RelInEdge {
+        let src = src as usize;
+        let (types, n) = RelEdgeType::classify_packed(s, self.dst_triple);
+        debug_assert!(n >= 1, "members of one incidence group share an entity");
+        if n == 2 {
+            self.pending = Some(RelInEdge { src, etype: types[1] });
+        }
+        RelInEdge { src, etype: types[0] }
+    }
 }
 
 impl Iterator for Incoming<'_> {
@@ -218,47 +223,96 @@ impl Iterator for Incoming<'_> {
         if let Some(e) = self.pending.take() {
             return Some(e);
         }
-        let src = self.sources.next()?;
-        let (types, n) = RelEdgeType::classify_packed(self.nodes[src].triple, self.dst_triple);
-        debug_assert!(n >= 1, "members of one incidence group share an entity");
-        if n == 2 {
-            self.pending = Some(RelInEdge { src, etype: types[1] });
+        // the head run holds every source of HH, TH, Para and Loop — and of
+        // HT and TT too when the destination is a self-loop, with no tail run
+        while let Some((&(_, src), rest)) = self.by_head.split_first() {
+            self.by_head = rest;
+            if src != self.dst {
+                let s = self.nodes[src as usize].triple;
+                return Some(self.typed(src, s));
+            }
         }
-        Some(RelInEdge { src, etype: types[0] })
+        // the tail run adds HT and TT; a member that shares the destination's
+        // head as well (the destination itself, a parallel or an anti-parallel
+        // edge) was typed in the head run
+        let head = self.dst_triple.head;
+        while let Some((&(_, src), rest)) = self.by_tail.split_first() {
+            self.by_tail = rest;
+            let s = self.nodes[src as usize].triple;
+            if s.head != head && s.tail != head {
+                return Some(self.typed(src, s));
+            }
+        }
+        None
     }
 }
 
 impl RelViewGraph {
-    /// Build R(G) for `sg`, inserting the target triple as node 0. Three
-    /// allocations and one sort of `2 · nodes` pairs, independent of how many
-    /// edges the view has.
+    /// Build R(G) for `sg`, inserting the target triple as node 0, in three
+    /// allocations. Nothing is sorted but the distinct entities: a counting
+    /// pass keyed by entity places the endpoints, through an entity → group
+    /// map borrowed from this thread's extraction scratch — so this must not
+    /// run inside [`crate::with_thread_scratch`]'s closure. Only `sg.triples`
+    /// and `sg.target` are read.
     pub fn from_subgraph(sg: &Subgraph) -> Self {
         let mut nodes = Vec::with_capacity(sg.triples.len() + 1);
         nodes.push(RelNode { triple: sg.target, relation: sg.target.relation });
         for &t in &sg.triples {
             nodes.push(RelNode { triple: t, relation: t.relation });
         }
+        let ids = nodes
+            .iter()
+            .map(|n| n.triple.head.index().max(n.triple.tail.index()) + 1)
+            .fold(0, usize::max);
 
-        let mut incidence: Vec<(EntityId, u32)> = Vec::with_capacity(2 * nodes.len());
-        for (i, n) in nodes.iter().enumerate() {
-            incidence.push((n.triple.head, i as u32));
-            if n.triple.tail != n.triple.head {
-                incidence.push((n.triple.tail, i as u32));
-            }
-        }
-        incidence.sort_unstable();
-
+        // holds each node's group ids until the groups' runs are known
         let mut groups = vec![[(0, 0); 2]; nodes.len()];
-        let mut g0 = 0;
-        while g0 < incidence.len() {
-            let entity = incidence[g0].0;
-            let g1 = g0 + incidence[g0..].iter().take_while(|p| p.0 == entity).count();
-            for &(_, i) in &incidence[g0..g1] {
-                let side = usize::from(nodes[i as usize].triple.head != entity);
-                groups[i as usize][side] = (g0 as u32, g1 as u32);
+        let incidence = with_thread_scratch(|scratch| {
+            let (mut group_of, s) = scratch.group_map(ids);
+            s.entities.clear();
+            s.cursor.clear();
+            // number the groups in first-seen order and count their endpoints
+            for (n, g) in nodes.iter().zip(groups.iter_mut()) {
+                for (side, e) in endpoints(n.triple) {
+                    g[side].0 = match group_of.get(e.0) {
+                        Some(group) => {
+                            s.cursor[group as usize] += 1;
+                            group
+                        }
+                        None => {
+                            let group = s.cursor.len() as u32;
+                            group_of.set(e.0, group);
+                            s.entities.push((e.0, group));
+                            s.cursor.push(1);
+                            group
+                        }
+                    };
+                }
             }
-            g0 = g1;
-        }
+            // the runs follow in ascending entity order, as a sort of the
+            // pairs would leave them
+            s.entities.sort_unstable();
+            s.runs.clear();
+            s.runs.resize(s.cursor.len(), (0, 0));
+            let mut end = 0;
+            for &(_, group) in &s.entities {
+                let (start, count) = (end, s.cursor[group as usize]);
+                end += count;
+                s.runs[group as usize] = (start, end);
+                s.cursor[group as usize] = start;
+            }
+            // endpoints in node order, so each group lists its nodes ascending
+            let mut incidence = vec![(EntityId(0), 0); end as usize];
+            for (i, (n, g)) in nodes.iter().zip(groups.iter_mut()).enumerate() {
+                for (side, e) in endpoints(n.triple) {
+                    let group = g[side].0 as usize;
+                    incidence[s.cursor[group] as usize] = (e, i as u32);
+                    s.cursor[group] += 1;
+                    g[side] = s.runs[group];
+                }
+            }
+            incidence
+        });
         RelViewGraph { nodes, incidence, groups }
     }
 
@@ -273,31 +327,40 @@ impl RelViewGraph {
         (0..self.num_nodes()).map(|dst| self.incoming(dst).count()).sum()
     }
 
-    /// The distinct nodes with an edge into `node` (those sharing an entity
-    /// with it, itself excluded) in ascending order, without allocating and
-    /// without classifying the connection — all a traversal needs.
-    pub fn in_neighbors(&self, node: usize) -> InNeighbors<'_> {
+    /// The two runs [`Self::incoming`] reads for `node`, untyped: every
+    /// member of its head's and its tail's group, `node` itself included and
+    /// a source sharing both of its entities in both — all a traversal that
+    /// tolerates repeats needs.
+    pub(crate) fn runs(&self, node: usize) -> [&[Entry]; 2] {
         let [(h0, h1), (t0, t1)] = self.groups[node];
-        InNeighbors {
-            dst: node as u32,
-            by_head: &self.incidence[h0 as usize..h1 as usize],
-            by_tail: &self.incidence[t0 as usize..t1 as usize],
-        }
+        [&self.incidence[h0 as usize..h1 as usize], &self.incidence[t0 as usize..t1 as usize]]
     }
 
-    /// Incoming edges of `node` in ascending `(src, etype)` order, without
-    /// allocating.
+    /// The incidence list and each node's `[head run, tail run]` — what the
+    /// construction oracle compares against the sort-based layout.
+    #[doc(hidden)]
+    pub fn layout(&self) -> (&[Entry], &[[Run; 2]]) {
+        (&self.incidence, &self.groups)
+    }
+
+    /// Incoming edges of `node`, without allocating: per edge type, ascending
+    /// source; one run per type. HH, TH, Para and Loop come from the head's
+    /// group, HT and TT from the tail's (from the head's too when `node` is a
+    /// self-loop, which has no tail run). Types interleave across sources; a
+    /// source with two types yields both back to back.
     ///
-    /// That order is what fixes the f32 aggregation order (and therefore
-    /// every score bit) downstream. It falls out of the layout: both runs
-    /// list their nodes in ascending index order, the merge visits each
-    /// distinct source once, and [`RelEdgeType::classify_packed`] emits a
-    /// pair's types in index order.
+    /// Per-type order is the contract: every consumer reads each edge type on
+    /// its own, so it fixes the f32 aggregation order (and therefore every
+    /// score bit) downstream. It falls out of the layout — a group lists its
+    /// nodes in ascending index order, and each type is read from one group.
     pub fn incoming(&self, node: usize) -> Incoming<'_> {
+        let [by_head, by_tail] = self.runs(node);
         Incoming {
-            sources: self.in_neighbors(node),
             nodes: &self.nodes,
+            dst: node as u32,
             dst_triple: self.nodes[node].triple,
+            by_head,
+            by_tail,
             pending: None,
         }
     }

@@ -13,6 +13,7 @@
 //! an extraction performs **zero heap allocations** — pinned by the
 //! counting-allocator test in `tests/zero_alloc.rs`.
 
+use crate::relview::GroupScratch;
 use rmpi_kg::{EntityId, GraphAccess};
 
 /// Dense epoch-stamped BFS + set state, reusable across extractions.
@@ -40,6 +41,28 @@ pub struct ExtractScratch {
     /// The retained entity set: in insertion order while it is being marked,
     /// ascending once the edge sweep has run.
     pub(crate) kept: Vec<u32>,
+    /// The relation view's per-group arrays (see `group_map`).
+    groups: GroupScratch,
+}
+
+/// An entity → `u32` map lent by `ExtractScratch::group_map`.
+pub(crate) struct EntityMap<'a> {
+    epoch: u32,
+    stamp: &'a mut [u32],
+    value: &'a mut [u32],
+}
+
+impl EntityMap<'_> {
+    /// The value set for `e` since the map was lent, if any.
+    pub(crate) fn get(&self, e: u32) -> Option<u32> {
+        (self.stamp[e as usize] == self.epoch).then(|| self.value[e as usize])
+    }
+
+    /// Set `e`'s value.
+    pub(crate) fn set(&mut self, e: u32, v: u32) {
+        self.stamp[e as usize] = self.epoch;
+        self.value[e as usize] = v;
+    }
 }
 
 impl ExtractScratch {
@@ -56,7 +79,21 @@ impl ExtractScratch {
         u: EntityId,
         v: EntityId,
     ) -> u32 {
-        let n = g.num_entities().max(u.index() + 1).max(v.index() + 1);
+        self.next_epoch(g.num_entities().max(u.index() + 1).max(v.index() + 1))
+    }
+
+    /// An entity-keyed map over ids `0..n` for the relation view's counting
+    /// build, which runs between extractions, plus that build's own
+    /// per-group arrays. The map is the head BFS's stamp and distance arrays
+    /// under a new epoch, so it costs no memory extraction does not already
+    /// hold; the next `begin` invalidates it.
+    pub(crate) fn group_map(&mut self, n: usize) -> (EntityMap<'_>, &mut GroupScratch) {
+        let epoch = self.next_epoch(n);
+        (EntityMap { epoch, stamp: &mut self.stamp_u, value: &mut self.dist_u }, &mut self.groups)
+    }
+
+    /// Grow the dense arrays to cover ids `0..n`, then start a new epoch.
+    fn next_epoch(&mut self, n: usize) -> u32 {
         if self.stamp_u.len() < n {
             self.stamp_u.resize(n, 0);
             self.dist_u.resize(n, 0);

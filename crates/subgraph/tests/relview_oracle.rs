@@ -1,12 +1,19 @@
-//! Differential oracle for the implicit relation view.
+//! Differential oracles for the implicit relation view.
 //!
 //! [`RelViewGraph`] stores no edges: `incoming()` enumerates a node's typed
-//! in-neighbours from the entity incidence list. The oracle below is the
-//! builder the library used before — it materialises every typed edge,
-//! groups them by destination with a counting sort and sorts each group by
-//! `(src, etype)` — kept here as the obviously-correct reference. The
-//! aggregation order of every forward pass (and so every score bit) is the
-//! order `incoming()` yields, so the comparison is on exact sequences.
+//! in-neighbours run by run from the entity incidence list. Two builders the
+//! library used before live on here as the obviously-correct references:
+//!
+//! * the sort-based construction of that list — sort the `(entity, node)`
+//!   pairs, read each entity's run off the sorted list — which the counting
+//!   build must reproduce entry for entry;
+//! * the materialised view, which builds every typed edge, groups them by
+//!   destination with a counting sort and sorts each group by `(src, etype)`.
+//!
+//! Every forward pass reads each edge type on its own, so what fixes every
+//! score bit is each type's source order: `incoming()` is compared with the
+//! materialised view per edge type, as exact sequences, and as the whole
+//! multiset of edges.
 
 use proptest::prelude::*;
 use rmpi_kg::{EntityId, Triple};
@@ -14,8 +21,40 @@ use rmpi_subgraph::relview::{RelInEdge, TARGET_NODE};
 use rmpi_subgraph::{PruningSchedule, RelEdgeType, RelViewGraph, Subgraph};
 use std::collections::VecDeque;
 
+/// The incidence list and each node's `[head run, tail run]`.
+type Layout = (Vec<(EntityId, u32)>, Vec<[(u32, u32); 2]>);
+
+/// The sort-based construction the counting build replaced, over the same
+/// node numbering as [`RelViewGraph`] (target first, then `sg.triples` in
+/// order).
+fn sorted_layout(sg: &Subgraph) -> Layout {
+    let mut triples = vec![sg.target];
+    triples.extend_from_slice(&sg.triples);
+    let mut incidence: Vec<(EntityId, u32)> = Vec::with_capacity(2 * triples.len());
+    for (i, t) in triples.iter().enumerate() {
+        incidence.push((t.head, i as u32));
+        if t.tail != t.head {
+            incidence.push((t.tail, i as u32));
+        }
+    }
+    incidence.sort_unstable();
+
+    let mut groups = vec![[(0, 0); 2]; triples.len()];
+    let mut g0 = 0;
+    while g0 < incidence.len() {
+        let entity = incidence[g0].0;
+        let g1 = g0 + incidence[g0..].iter().take_while(|p| p.0 == entity).count();
+        for &(_, i) in &incidence[g0..g1] {
+            let side = usize::from(triples[i as usize].head != entity);
+            groups[i as usize][side] = (g0 as u32, g1 as u32);
+        }
+        g0 = g1;
+    }
+    (incidence, groups)
+}
+
 /// The materialised relation view: CSR incoming adjacency over the same node
-/// numbering as [`RelViewGraph`] (target first, then `sg.triples` in order).
+/// numbering.
 struct MaterialisedView {
     edges: Vec<RelInEdge>,
     offsets: Vec<usize>,
@@ -39,15 +78,7 @@ impl MaterialisedView {
         triples.extend_from_slice(&sg.triples);
         let mut flat: Vec<(u32, RelInEdge)> = Vec::new();
 
-        let mut incidence: Vec<(EntityId, u32)> = Vec::with_capacity(2 * triples.len());
-        for (i, t) in triples.iter().enumerate() {
-            incidence.push((t.head, i as u32));
-            if t.tail != t.head {
-                incidence.push((t.tail, i as u32));
-            }
-        }
-        incidence.sort_unstable();
-
+        let (incidence, _) = sorted_layout(sg);
         let mut g0 = 0;
         while g0 < incidence.len() {
             let entity = incidence[g0].0;
@@ -117,11 +148,17 @@ impl MaterialisedView {
     }
 }
 
+/// The sources of `edges` of type `etype`, in order.
+fn sources_of(edges: &[RelInEdge], etype: RelEdgeType) -> Vec<usize> {
+    edges.iter().filter(|e| e.etype == etype).map(|e| e.src).collect()
+}
+
 /// A subgraph-shaped edge list over six entities and three relations: dense
 /// enough that self-loops, duplicate triples, parallel and anti-parallel
 /// edges all occur in most cases. `triples` is sorted like extraction output
 /// but, unlike it, keeps duplicates; the target either is arbitrary or
-/// duplicates one of the edges.
+/// duplicates one of the edges. `entities` stays empty: a build must read
+/// nothing but the triples and the target.
 fn arb_subgraph() -> impl Strategy<Value = Subgraph> {
     (
         prop::collection::vec((0u32..6, 0u32..3, 0u32..6), 0..40),
@@ -147,13 +184,34 @@ fn arb_subgraph() -> impl Strategy<Value = Subgraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
+    fn the_counting_build_lays_out_what_the_sort_did(sg in arb_subgraph()) {
+        let rv = RelViewGraph::from_subgraph(&sg);
+        let (incidence, groups) = sorted_layout(&sg);
+        let (got_incidence, got_groups) = rv.layout();
+        prop_assert_eq!(got_incidence, &incidence[..]);
+        prop_assert_eq!(got_groups, &groups[..]);
+    }
+
+    #[test]
     fn implicit_view_enumerates_the_materialised_edges(sg in arb_subgraph(), k in 0usize..5) {
         let rv = RelViewGraph::from_subgraph(&sg);
         let oracle = MaterialisedView::from_subgraph(&sg);
         prop_assert_eq!(rv.num_nodes(), sg.triples.len() + 1);
         for dst in 0..rv.num_nodes() {
             let got: Vec<RelInEdge> = rv.incoming(dst).collect();
-            prop_assert_eq!(&got[..], oracle.incoming(dst), "incoming({})", dst);
+            let want = oracle.incoming(dst);
+            for etype in RelEdgeType::all() {
+                prop_assert_eq!(
+                    sources_of(&got, etype),
+                    sources_of(want, etype),
+                    "incoming({}), {:?} sources",
+                    dst,
+                    etype
+                );
+            }
+            let mut all = got;
+            all.sort_unstable_by_key(|e| (e.src, e.etype.index()));
+            prop_assert_eq!(&all[..], want, "incoming({}) as a multiset", dst);
         }
         prop_assert_eq!(rv.num_edges(), oracle.edges.len());
         prop_assert_eq!(PruningSchedule::new(&rv, k).dist, oracle.dist(k));

@@ -32,6 +32,13 @@ cargo build --release
 echo "== cargo test -q (tier-1: root package) =="
 cargo test -q
 
+# tier-1 runs the root package only, and the steps below pick single suites,
+# so without this step no gate runs these crates' unit tests and proptests
+# (the relation view's and the pruning BFS's, the layers' gradcheck, ...)
+echo "== unit tests + proptests: subgraph and core libraries, baselines, autograd, kg, eval =="
+cargo test -q -p rmpi-subgraph -p rmpi-core --lib
+cargo test -q -p rmpi-baselines -p rmpi-autograd -p rmpi-kg -p rmpi-eval
+
 # 2 s is twice the shortest run in which all 16 rank queries are answered
 # (the answer check's coverage floor); writes only under target/bench/
 echo "== benchmark smoke: traced rank_cold — replay asserts, answer check, stage reconciliation =="
@@ -63,7 +70,7 @@ cargo test -q -p rmpi-core --test message_passing_oracle
 echo "== extraction equivalence: CSR + dense-scratch path vs reference (proptest) =="
 cargo test -q -p rmpi-subgraph --test proptests
 
-echo "== relation-view oracle: implicit incoming() vs the materialised line graph, exact order (proptest) =="
+echo "== relation-view oracle: counting build vs the sorted layout, implicit incoming() vs the materialised line graph, per-type order (proptest) =="
 cargo test -q -p rmpi-subgraph --test relview_oracle
 
 echo "== zero-allocation steady state: counting allocator over warm extraction and the relation view =="
@@ -74,6 +81,9 @@ cargo test -q -p rmpi-core --test zero_alloc
 
 echo "== kernel micro-bench smoke: matmuls, reductions, scratch backward (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
+
+echo "== relation-view micro-bench smoke: build, schedule, read, combined (10 ms window) =="
+RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench relview_transform >/dev/null
 
 echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
 cargo test -q -p rmpi-store
