@@ -1,13 +1,16 @@
 //! Criterion bench: Vec-of-Vecs adjacency vs CSR arenas for the
-//! adjacency-scan workload subgraph extraction is bound by, and the store's
-//! 2-hop pin on a fresh view vs the per-thread recycled one.
+//! adjacency-scan workload subgraph extraction is bound by; the store's
+//! 2-hop pin on a fresh view, on the per-thread recycled one, and through a
+//! one-block cache so every pin refills (and re-verifies) blocks; and the
+//! two block checksums over one 64 KiB forward block.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
 use rmpi_datasets::world::GraphGenConfig;
 use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph};
 use rmpi_store::{
-    build_from_sorted, with_thread_view, NeighborhoodView, ReadMode, StoreConfig, StoreReader,
+    build_from_sorted, fnv64, with_thread_view, xxh64, NeighborhoodView, ReadMode, StoreConfig,
+    StoreReader, FWD_BLOCK_BYTES,
 };
 
 fn bench_storage(c: &mut Criterion) {
@@ -87,8 +90,35 @@ fn bench_storage(c: &mut Criterion) {
             edges
         })
     });
+    // A one-block cache: nearly every block a pin touches is a refill, so
+    // this arm is dominated by `pread` plus block verification.
+    let cold = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 1 }).expect("open");
+    group.bench_with_input(BenchmarkId::new("pin_2hop", "cold"), &cold, |b, reader| {
+        b.iter(|| {
+            let mut edges = 0usize;
+            for &(u, v) in &pairs {
+                edges += with_thread_view(reader, |view| {
+                    view.pin(u, v, 2).expect("pin");
+                    view.pinned_edges()
+                });
+            }
+            edges
+        })
+    });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // What each cache fill pays to verify one forward block: manifest v1/v2
+    // sums with FNV-1a 64, v3 with XXH64.
+    let block: Vec<u8> = (0..FWD_BLOCK_BYTES).map(|i| (i * 31 % 251) as u8).collect();
+    let mut group = c.benchmark_group("block_checksum");
+    group.bench_with_input(BenchmarkId::from_parameter("fnv1a64"), &block, |b, block| {
+        b.iter(|| fnv64(black_box(block)))
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("xxh64"), &block, |b, block| {
+        b.iter(|| xxh64(black_box(block)))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_storage);

@@ -22,7 +22,7 @@
 //! refuses the directory instead of reading half a store.
 
 use crate::format::{
-    encode_fwd, encode_inv, Fnv64, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
+    encode_fwd, encode_inv, Xxh64, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
     INV_RECORD_BYTES,
 };
 use crate::manifest::{fwd_name, inv_name, Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
@@ -84,18 +84,12 @@ pub struct StoreSummary {
     pub transpose_passes: usize,
 }
 
-/// One segment file being written: bytes are hashed as they are handed to
-/// the `BufWriter` — both a whole-file sum and a rolling per-64 KiB-block
-/// sum — so closing a segment yields its full checksum table without a
-/// second read. `block_bytes` is a record multiple, so block boundaries
-/// always land between records.
+/// One segment file being written. Records go through a `BufWriter` onto
+/// a [`HashedFile`], so closing a segment yields its full checksum table
+/// without a second read or a buffer of its own.
 struct SegWriter {
     file: String,
-    out: BufWriter<File>,
-    hash: Fnv64,
-    block_hash: Fnv64,
-    block_bytes: u64,
-    block_sums: Vec<u64>,
+    out: BufWriter<HashedFile>,
     bytes: u64,
     records: u64,
 }
@@ -105,11 +99,14 @@ impl SegWriter {
         let f = File::create(dir.join(&file))?;
         Ok(SegWriter {
             file,
-            out: BufWriter::new(f),
-            hash: Fnv64::new(),
-            block_hash: Fnv64::new(),
-            block_bytes,
-            block_sums: Vec::new(),
+            out: BufWriter::new(HashedFile {
+                file: f,
+                hash: Xxh64::new(),
+                block_hash: Xxh64::new(),
+                block_bytes,
+                in_block: 0,
+                block_sums: Vec::new(),
+            }),
             bytes: 0,
             records: 0,
         })
@@ -117,33 +114,65 @@ impl SegWriter {
 
     fn write_record(&mut self, rec: &[u8]) -> Result<()> {
         failpoint::io(SEG_WRITE_FAILPOINT)?;
-        self.hash.update(rec);
-        self.block_hash.update(rec);
         self.out.write_all(rec)?;
         self.bytes += rec.len() as u64;
         self.records += 1;
-        if self.bytes % self.block_bytes == 0 {
-            self.block_sums.push(self.block_hash.finish());
-            self.block_hash = Fnv64::new();
-        }
         Ok(())
     }
 
-    fn close(mut self) -> Result<SegmentMeta> {
+    fn close(self) -> Result<SegmentMeta> {
         failpoint::io(SEG_CLOSE_FAILPOINT)?;
-        if self.bytes % self.block_bytes != 0 {
-            self.block_sums.push(self.block_hash.finish());
+        let mut hashed = self.out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
+        if hashed.in_block > 0 {
+            hashed.block_sums.push(hashed.block_hash.finish());
         }
-        let meta = SegmentMeta {
+        hashed.file.sync_all()?;
+        Ok(SegmentMeta {
             file: self.file,
             records: self.records,
             bytes: self.bytes,
-            checksum: self.hash.finish(),
-            block_sums: self.block_sums,
-        };
-        let file = self.out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
-        file.sync_all()?;
-        Ok(meta)
+            checksum: hashed.hash.finish(),
+            block_sums: hashed.block_sums,
+        })
+    }
+}
+
+/// The file under a segment's `BufWriter`: the bytes of every write that
+/// reaches the file are hashed (XXH64, manifest v3) into the whole-file sum
+/// and the rolling sum of their 64 KiB block. Hashing the buffer's flushes
+/// rather than each 12- or 16-byte record keeps XXH64 on its 32-byte
+/// stripes, where it is fast.
+struct HashedFile {
+    file: File,
+    hash: Xxh64,
+    block_hash: Xxh64,
+    block_bytes: u64,
+    /// Bytes of the current block hashed so far.
+    in_block: u64,
+    block_sums: Vec<u64>,
+}
+
+impl Write for HashedFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.file.write(buf)?;
+        let mut written = &buf[..n];
+        self.hash.update(written);
+        while !written.is_empty() {
+            let take = (self.block_bytes - self.in_block).min(written.len() as u64) as usize;
+            self.block_hash.update(&written[..take]);
+            self.in_block += take as u64;
+            written = &written[take..];
+            if self.in_block == self.block_bytes {
+                self.block_sums.push(self.block_hash.finish());
+                self.block_hash = Xxh64::new();
+                self.in_block = 0;
+            }
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
     }
 }
 
@@ -262,7 +291,7 @@ impl StoreBuilder {
 
         // Offsets index: out_off ++ in_off, u64 LE, hashed on the way out.
         failpoint::io(INDEX_WRITE_FAILPOINT)?;
-        let mut index_hash = Fnv64::new();
+        let mut index_hash = Xxh64::new();
         let mut index_bytes = 0u64;
         {
             let f = File::create(self.dir.join(INDEX_NAME))?;
@@ -278,7 +307,7 @@ impl StoreBuilder {
         }
 
         let manifest = Manifest {
-            version: 2,
+            version: 3,
             num_entities: n as u64,
             num_relations: self.max_relation,
             num_triples: self.total,

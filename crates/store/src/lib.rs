@@ -13,7 +13,8 @@
 //!
 //! ```text
 //! world.store/
-//!   MANIFEST          counts, per-file record counts + FNV-64 checksums
+//!   MANIFEST          counts, per-file record counts + XXH64 checksums
+//!                     (whole file and per 64 KiB block; v1/v2: FNV-1a 64)
 //!   index.bin         out_off[N+1] ++ in_off[N+1], u64 LE   (resident)
 //!   fwd-00000.seg     12-byte records (h,r,t) u32 LE, sorted by (h,r,t)
 //!   fwd-00001.seg     ...
@@ -51,8 +52,8 @@ pub use builder::{
     INDEX_WRITE_FAILPOINT, PUBLISH_FAILPOINT, SEG_CLOSE_FAILPOINT, SEG_WRITE_FAILPOINT,
 };
 pub use format::{
-    fnv64, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
-    INV_BLOCK_RECORDS, INV_RECORD_BYTES,
+    fnv64, xxh64, Checksum, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES,
+    INV_BLOCK_BYTES, INV_BLOCK_RECORDS, INV_RECORD_BYTES,
 };
 pub use manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 pub use reader::{ReadMode, RetryConfig, StoreOptions, StoreReader, PREAD_FAILPOINT};

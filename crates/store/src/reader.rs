@@ -23,8 +23,8 @@
 //! straddles two blocks and every point read is one cache probe.
 
 use crate::format::{
-    decode_fwd, decode_inv, fnv64, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES,
-    INV_BLOCK_BYTES, INV_BLOCK_RECORDS, INV_RECORD_BYTES,
+    decode_fwd, decode_inv, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
+    INV_BLOCK_RECORDS, INV_RECORD_BYTES,
 };
 use crate::manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 use crate::{io_error_is_transient, Result, StoreError};
@@ -264,10 +264,11 @@ impl StoreReader {
     ///
     /// Always verifies the index checksum (it is read anyway) and every
     /// file's byte length against the manifest; `Resident` mode also
-    /// verifies segment checksums since it reads the bytes. With a v2
-    /// manifest, `Stream` mode verifies every block's checksum at
+    /// verifies segment checksums since it reads the bytes. With a v2 or
+    /// v3 manifest, `Stream` mode verifies every block's checksum at
     /// cache-fill time; a v1 store defers segment checksums to
-    /// [`StoreReader::verify`].
+    /// [`StoreReader::verify`]. Every checksum is computed with the
+    /// manifest's function ([`Manifest::checksum`]).
     pub fn open_opts(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
@@ -284,6 +285,7 @@ impl StoreReader {
             Err(e) => return Err(e.into()),
         };
         let manifest = Manifest::parse(&text)?;
+        let sum = manifest.checksum();
 
         // Offsets index: read fully, hash inline, split into out/in halves.
         let index_raw = std::fs::read(dir.join(INDEX_NAME))?;
@@ -298,7 +300,7 @@ impl StoreReader {
                 ),
             });
         }
-        let got = crate::format::fnv64(&index_raw);
+        let got = sum.of(&index_raw);
         if got != manifest.index_checksum {
             return Err(StoreError::Corrupt {
                 file: INDEX_NAME.into(),
@@ -350,7 +352,7 @@ impl StoreReader {
                 let mut buf = Vec::with_capacity(meta.bytes as usize);
                 let mut r = BufReader::new(f);
                 r.read_to_end(&mut buf)?;
-                let got = crate::format::fnv64(&buf);
+                let got = sum.of(&buf);
                 if got != meta.checksum {
                     return Err(StoreError::Corrupt {
                         file: meta.file.clone(),
@@ -464,7 +466,7 @@ impl StoreReader {
     }
 
     /// Fetch one block through the cache, with bounded retry on transient
-    /// `pread` failures and (v2 manifests) checksum verification at
+    /// `pread` failures and (v2/v3 manifests) checksum verification at
     /// cache-fill time. A checksum mismatch is first re-read — a torn read
     /// heals — and only a mismatch that survives every attempt is declared
     /// corruption: the block is quarantined and every later read of it
@@ -532,7 +534,7 @@ impl StoreReader {
                     self.metrics.segment_reads.inc();
                     self.metrics.bytes_scanned.add(len as u64);
                     if let Some(want) = want {
-                        let got = fnv64(&buf);
+                        let got = self.manifest.checksum().of(&buf);
                         if got != want {
                             if attempt + 1 < attempts {
                                 self.metrics.checksum_retries.inc();
@@ -672,9 +674,10 @@ impl StoreReader {
     /// Stream every triple in ascending triple-index order with sequential
     /// segment reads (bypasses the block cache; does not disturb it).
     ///
-    /// With a v2 manifest, each 64 KiB block is checksum-verified **before**
-    /// its records are handed to `f` — a corrupt region stops the sweep at
-    /// the block boundary instead of first delivering damaged triples.
+    /// With a v2 or v3 manifest, each 64 KiB block is checksum-verified
+    /// **before** its records are handed to `f` — a corrupt region stops
+    /// the sweep at the block boundary instead of first delivering damaged
+    /// triples.
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) -> Result<()> {
         if !self.resident_fwd.is_empty() {
             for bytes in &self.resident_fwd {
@@ -684,6 +687,7 @@ impl StoreReader {
             }
             return Ok(());
         }
+        let sum = self.manifest.checksum();
         for meta in &self.manifest.fwd {
             let file = File::open(self.dir.join(&meta.file))?;
             let mut r = BufReader::with_capacity(FWD_BLOCK_BYTES as usize, file);
@@ -693,7 +697,7 @@ impl StoreReader {
                 let len = (meta.bytes - b * FWD_BLOCK_BYTES).min(FWD_BLOCK_BYTES) as usize;
                 r.read_exact(&mut buf[..len])?;
                 if let Some(&want) = meta.block_sums.get(b as usize) {
-                    let got = fnv64(&buf[..len]);
+                    let got = sum.of(&buf[..len]);
                     if got != want {
                         return Err(StoreError::Corrupt {
                             file: meta.file.clone(),
@@ -720,7 +724,7 @@ impl StoreReader {
         for meta in self.manifest.fwd.iter().chain(self.manifest.inv.iter()) {
             let file = File::open(self.dir.join(&meta.file))?;
             let mut r = BufReader::with_capacity(1 << 16, file);
-            let mut hash = Fnv64::new();
+            let mut hash = self.manifest.checksum().hasher();
             let mut buf = [0u8; 1 << 16];
             let mut total = 0u64;
             loop {

@@ -3,12 +3,13 @@
 //!
 //! [`scrub_store`] is the maintenance-window counterpart of the reader's
 //! cache-fill verification: it re-hashes the index and every segment
-//! against the manifest, checks per-block checksums when the manifest
-//! carries them (v2), and — unlike [`crate::StoreReader::verify`] — keeps
-//! going after the first problem so one pass reports *all* damage, with
-//! block-precise offsets where possible.
+//! against the manifest with the manifest's checksum function, checks
+//! per-block checksums when the manifest carries them (v2, v3), and —
+//! unlike [`crate::StoreReader::verify`] — keeps going after the first
+//! problem so one pass reports *all* damage, with block-precise offsets
+//! where possible.
 
-use crate::format::{fnv64, Fnv64, FWD_BLOCK_BYTES, INV_BLOCK_BYTES};
+use crate::format::{Checksum, FWD_BLOCK_BYTES, INV_BLOCK_BYTES};
 use crate::manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 use crate::{Result, StoreError};
 use std::fs::File;
@@ -96,7 +97,7 @@ pub fn scrub_store(dir: impl AsRef<Path>) -> Result<ScrubReport> {
                     format!("expected {} bytes, found {}", manifest.index_bytes, raw.len()),
                 ));
             } else {
-                let got = fnv64(&raw);
+                let got = manifest.checksum().of(&raw);
                 if got != manifest.index_checksum {
                     report.sections.push(ScrubSection::bad(
                         INDEX_NAME,
@@ -119,7 +120,7 @@ pub fn scrub_store(dir: impl AsRef<Path>) -> Result<ScrubReport> {
     for (segs, block_bytes) in [(&manifest.fwd, FWD_BLOCK_BYTES), (&manifest.inv, INV_BLOCK_BYTES)]
     {
         for meta in segs {
-            report.sections.push(scrub_segment(dir, meta, block_bytes));
+            report.sections.push(scrub_segment(dir, meta, block_bytes, manifest.checksum()));
         }
     }
     Ok(report)
@@ -128,7 +129,7 @@ pub fn scrub_store(dir: impl AsRef<Path>) -> Result<ScrubReport> {
 /// Stream one segment, verifying the whole-file hash and (when present)
 /// every block checksum. The first bad block is named with its byte range;
 /// RSS stays at one block buffer.
-fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64) -> ScrubSection {
+fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64, sum: Checksum) -> ScrubSection {
     let file = match File::open(dir.join(&meta.file)) {
         Ok(f) => f,
         Err(e) => return ScrubSection::bad(meta.file.clone(), meta.bytes, e.to_string()),
@@ -147,7 +148,7 @@ fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64) -> ScrubSecti
     let mut r = BufReader::with_capacity(block_bytes as usize, file);
     let blocks = SegmentMeta::block_count(meta.bytes, block_bytes);
     let mut buf = vec![0u8; block_bytes as usize];
-    let mut whole = Fnv64::new();
+    let mut whole = sum.hasher();
     for b in 0..blocks {
         let len = (meta.bytes - b * block_bytes).min(block_bytes) as usize;
         if let Err(e) = r.read_exact(&mut buf[..len]) {
@@ -159,7 +160,7 @@ fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64) -> ScrubSecti
         }
         whole.update(&buf[..len]);
         if let Some(&want) = meta.block_sums.get(b as usize) {
-            let got = fnv64(&buf[..len]);
+            let got = sum.of(&buf[..len]);
             if got != want {
                 let lo = b * block_bytes;
                 return ScrubSection::bad(

@@ -5,9 +5,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmpi_kg::{CsrGraph, EntityId, Triple};
 use rmpi_store::{
-    build_from_sorted, scrub_store, ReadMode, StoreBuilder, StoreConfig, StoreError, StoreReader,
+    build_from_sorted, fnv64, scrub_store, Checksum, Manifest, NeighborhoodView, ReadMode,
+    StoreBuilder, StoreConfig, StoreError, StoreReader, FWD_BLOCK_BYTES, FWD_RECORD_BYTES,
+    INDEX_NAME, INV_BLOCK_BYTES, MANIFEST_NAME,
 };
-use std::path::PathBuf;
+use rmpi_subgraph::enclosing_subgraph;
+use std::path::{Path, PathBuf};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rmpi-store-{tag}-{}", std::process::id()));
@@ -256,4 +259,90 @@ fn interrupted_build_leaves_no_store() {
     let err = StoreReader::open(&dir, ReadMode::default()).unwrap_err();
     assert!(matches!(err, StoreError::NotAStore(_)), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copy a store built today (manifest v3, XXH64) to `dst` and rewrite its
+/// manifest as v2, every sum recomputed with FNV-1a 64: the store an older
+/// build left on disk, byte for byte in its data files.
+fn rewrite_as_v2(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dst.join(path.file_name().unwrap())).unwrap();
+    }
+    let text = std::fs::read_to_string(dst.join(MANIFEST_NAME)).unwrap();
+    let mut m = Manifest::parse(&text).unwrap();
+    assert_eq!((m.version, m.checksum()), (3, Checksum::Xxh64), "the builder writes v3");
+    m.version = 2;
+    m.index_checksum = fnv64(&std::fs::read(dst.join(INDEX_NAME)).unwrap());
+    for (segs, block_bytes) in [(&mut m.fwd, FWD_BLOCK_BYTES), (&mut m.inv, INV_BLOCK_BYTES)] {
+        for seg in segs.iter_mut() {
+            let bytes = std::fs::read(dst.join(&seg.file)).unwrap();
+            seg.checksum = fnv64(&bytes);
+            seg.block_sums = bytes.chunks(block_bytes as usize).map(fnv64).collect();
+        }
+    }
+    let v2 = m.to_text();
+    assert!(v2.starts_with("rmpi-store v2\n"), "{v2}");
+    std::fs::write(dst.join(MANIFEST_NAME), v2).unwrap();
+}
+
+#[test]
+fn a_v2_store_with_fnv_sums_opens_reads_and_verifies_as_before() {
+    let v3_dir = temp_store("v3-for-v2");
+    let v2_dir = temp_store("v2");
+    let triples = random_triples(8, 12_000, 600, 8);
+    // Two forward segments of which the first spans two 64 KiB blocks.
+    let cfg = StoreConfig { seg_records: 8192, ..StoreConfig::default() };
+    build_from_sorted(&v3_dir, cfg, triples.iter().copied()).unwrap();
+    rewrite_as_v2(&v3_dir, &v2_dir);
+
+    let csr = CsrGraph::from_triples(triples.clone());
+    let v3 = StoreReader::open(&v3_dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
+    // Every block of the v3 build is read, and so checked, at least once.
+    assert_matches_csr(&v3, &csr);
+    for mode in [ReadMode::Stream { cache_blocks: 4 }, ReadMode::Resident] {
+        let v2 = StoreReader::open(&v2_dir, mode).unwrap();
+        assert_eq!(v2.manifest().checksum(), Checksum::Fnv1a64);
+        assert_matches_csr(&v2, &csr);
+        v2.verify().unwrap();
+        for t in triples.iter().step_by(997) {
+            for k in [1, 2] {
+                let mut old = NeighborhoodView::new(&v2);
+                old.pin(t.head, t.tail, k).unwrap();
+                let mut new = NeighborhoodView::new(&v3);
+                new.pin(t.head, t.tail, k).unwrap();
+                let (got, want) =
+                    (enclosing_subgraph(&old, *t, k), enclosing_subgraph(&new, *t, k));
+                assert_eq!(got.triples, want.triples, "{t} k={k}");
+                assert_eq!(got.entities, want.entities, "{t} k={k}");
+                assert_eq!(got.distance_rows(), want.distance_rows(), "{t} k={k}");
+            }
+        }
+    }
+    let report = scrub_store(&v2_dir).unwrap();
+    assert!(report.is_clean(), "{:?}", report.corrupt_sections());
+    assert!(report.sections.iter().any(|s| s.blocks_checked == 2), "block sums were checked");
+
+    // One flipped byte in the second block of fwd-00000.seg.
+    let victim = v2_dir.join("fwd-00000.seg");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let at = FWD_BLOCK_BYTES as usize + 100;
+    bytes[at] ^= 0x10;
+    std::fs::write(&victim, &bytes).unwrap();
+    let reader = StoreReader::open(&v2_dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
+    reader.triple_at(0).expect("the first block is intact");
+    let err = reader.triple_at((at / FWD_RECORD_BYTES) as u64).unwrap_err();
+    match err {
+        StoreError::Corrupt { ref file, offset, .. } => {
+            assert_eq!((file.as_str(), offset), ("fwd-00000.seg", FWD_BLOCK_BYTES));
+        }
+        other => panic!("unexpected: {other}"),
+    }
+    assert_eq!(reader.quarantined_blocks(), 1);
+    let report = scrub_store(&v2_dir).unwrap();
+    let bad: Vec<&str> = report.corrupt_sections().iter().map(|s| s.file.as_str()).collect();
+    assert_eq!(bad, ["fwd-00000.seg"]);
+    std::fs::remove_dir_all(&v3_dir).unwrap();
+    std::fs::remove_dir_all(&v2_dir).unwrap();
 }

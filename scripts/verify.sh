@@ -85,6 +85,9 @@ RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 echo "== relation-view micro-bench smoke: build, schedule, read, combined (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench relview_transform >/dev/null
 
+echo "== storage micro-bench smoke: adjacency scans, warm/recycled/cold pins, FNV-1a vs XXH64 per block (10 ms window) =="
+RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench graph_storage >/dev/null
+
 echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
 cargo test -q -p rmpi-store
 cargo test -q --test store_stack
