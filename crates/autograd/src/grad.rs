@@ -33,7 +33,7 @@ impl GradBuffer {
 
     /// Add `delta` into the slot for `id` (taking ownership avoids a copy
     /// for the first — usually only — contribution).
-    pub fn add_assign(&mut self, id: ParamId, mut delta: Tensor) {
+    fn add_assign(&mut self, id: ParamId, mut delta: Tensor) {
         self.add_from(id, &mut delta);
     }
 

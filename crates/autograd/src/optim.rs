@@ -53,8 +53,6 @@ pub struct Adam {
     pub beta2: f32,
     /// Numerical stabiliser.
     pub eps: f32,
-    /// L2 weight decay coefficient (0 disables).
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -63,22 +61,7 @@ pub struct Adam {
 impl Adam {
     /// Adam with standard betas (0.9 / 0.999) and eps 1e-8.
     pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Adam with L2 weight decay added to the gradient (the classic, not
-    /// decoupled, variant — matching `torch.optim.Adam(weight_decay=..)`).
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Adam { weight_decay, ..Adam::new(lr) }
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Number of steps taken so far.
@@ -110,7 +93,7 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (m, v) = (&mut self.m, &mut self.v);
         store.for_each_mut(|i, value, grad| {
             while m.len() <= i {
@@ -120,7 +103,7 @@ impl Adam {
             let mi = &mut m[i];
             let vi = &mut v[i];
             for k in 0..value.len() {
-                let g = grad.data()[k] + wd * value.data()[k];
+                let g = grad.data()[k];
                 let md = &mut mi.data_mut()[k];
                 *md = b1 * *md + (1.0 - b1) * g;
                 let vd = &mut vi.data_mut()[k];

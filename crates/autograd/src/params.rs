@@ -98,14 +98,6 @@ impl ParamStore {
         self.by_name.get(name).copied()
     }
 
-    /// Fetch an existing id or create the parameter from `init`.
-    pub fn get_or_create_with(&mut self, name: &str, init: impl FnOnce() -> Tensor) -> ParamId {
-        if let Some(id) = self.get(name) {
-            return id;
-        }
-        self.create(name, init())
-    }
-
     /// Current value of a parameter.
     pub fn value(&self, id: ParamId) -> &Tensor {
         &self.values[id.0]
@@ -224,15 +216,6 @@ mod tests {
         let mut s = ParamStore::new();
         s.create("w", Tensor::scalar(0.0));
         s.create("w", Tensor::scalar(1.0));
-    }
-
-    #[test]
-    fn get_or_create_runs_init_once() {
-        let mut s = ParamStore::new();
-        let a = s.get_or_create_with("e", || Tensor::scalar(5.0));
-        let b = s.get_or_create_with("e", || panic!("should not re-init"));
-        assert_eq!(a, b);
-        assert_eq!(s.value(a).item(), 5.0);
     }
 
     #[test]

@@ -39,42 +39,6 @@ impl Default for BaselineConfig {
 }
 
 impl BaselineConfig {
-    /// Set the hidden dimension.
-    pub fn with_dim(mut self, dim: usize) -> Self {
-        self.dim = dim;
-        self
-    }
-
-    /// Set the number of GNN layers.
-    pub fn with_num_layers(mut self, n: usize) -> Self {
-        self.num_layers = n;
-        self
-    }
-
-    /// Set the subgraph hop radius.
-    pub fn with_hop(mut self, hop: usize) -> Self {
-        self.hop = hop;
-        self
-    }
-
-    /// Set the edge dropout used during training.
-    pub fn with_edge_dropout(mut self, p: f64) -> Self {
-        self.edge_dropout = p;
-        self
-    }
-
-    /// Set the maximum distance for double-radius labels.
-    pub fn with_max_label_dist(mut self, d: usize) -> Self {
-        self.max_label_dist = d;
-        self
-    }
-
-    /// Set the safety cap on subgraph edges.
-    pub fn with_max_subgraph_edges(mut self, n: usize) -> Self {
-        self.max_subgraph_edges = n;
-        self
-    }
-
     /// Length of the initial one-hot double-radius features.
     pub fn label_dim(&self) -> usize {
         NodeLabel::one_hot_len(self.max_label_dist)
@@ -141,23 +105,6 @@ mod tests {
             Triple::new(0u32, 2u32, 2u32),
             Triple::new(2u32, 3u32, 3u32),
         ])
-    }
-
-    #[test]
-    fn builders_chain_over_default() {
-        let cfg = BaselineConfig::default()
-            .with_dim(64)
-            .with_num_layers(3)
-            .with_hop(1)
-            .with_edge_dropout(0.25)
-            .with_max_label_dist(2)
-            .with_max_subgraph_edges(100);
-        assert_eq!(cfg.dim, 64);
-        assert_eq!(cfg.num_layers, 3);
-        assert_eq!(cfg.hop, 1);
-        assert_eq!(cfg.edge_dropout, 0.25);
-        assert_eq!(cfg.max_label_dist, 2);
-        assert_eq!(cfg.max_subgraph_edges, 100);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum MinedRule {
 
 impl MinedRule {
     /// The rule's confidence.
-    pub fn confidence(&self) -> f32 {
+    fn confidence(&self) -> f32 {
         match *self {
             MinedRule::Composition { confidence, .. } => confidence,
             MinedRule::Inversion { confidence, .. } => confidence,
@@ -187,13 +187,13 @@ impl RuleNModel {
     }
 
     /// The mined rules for one head relation.
-    pub fn rules_for(&self, head: RelationId) -> &[MinedRule] {
+    fn rules_for(&self, head: RelationId) -> &[MinedRule] {
         self.rules.get(&head).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Noisy-or combined confidence of the rules firing for `target` in
     /// `graph`: `1 - Π (1 - conf_i)` over matching rules.
-    pub fn rule_score<G: GraphAccess + ?Sized>(&self, graph: &G, target: Triple) -> f32 {
+    fn rule_score<G: GraphAccess + ?Sized>(&self, graph: &G, target: Triple) -> f32 {
         let mut miss_prob = 1.0f32;
         let mut any = false;
         for rule in self.rules_for(target.relation) {

@@ -45,7 +45,7 @@ impl CorrelationWeights {
 }
 
 /// One-hop correlation aggregation: `h = ReLU(Σ_e Σ_j W_e h_j^0) + h_rt^0`.
-pub fn correlate_target(
+fn correlate_target(
     tape: &mut Tape,
     store: &ParamStore,
     weights: &CorrelationWeights,

@@ -133,7 +133,7 @@ impl Harness {
     }
 
     /// Parse flags from an explicit list (tests).
-    pub fn from_arg_list(args: &[String]) -> Self {
+    fn from_arg_list(args: &[String]) -> Self {
         let full = args.iter().any(|a| a == "--full");
         let get = |flag: &str| -> Option<String> {
             args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())

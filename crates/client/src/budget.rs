@@ -55,11 +55,6 @@ impl RetryBudget {
             false
         }
     }
-
-    /// Current balance (for metrics and tests).
-    pub fn balance(&self) -> f64 {
-        self.balance
-    }
 }
 
 #[cfg(test)]
@@ -94,6 +89,9 @@ mod tests {
         for _ in 0..100 {
             b.record_success();
         }
-        assert_eq!(b.balance(), 5.0);
+        for i in 0..5 {
+            assert!(b.try_withdraw(), "withdrawal {i} should succeed from the capped balance");
+        }
+        assert!(!b.try_withdraw(), "100 successes bank no more than the cap");
     }
 }

@@ -28,7 +28,6 @@
 //! have decayed below the configured value.
 
 use rmpi_autograd::io::{atomic_write_bytes, load_params_file, save_params_file, CheckpointError};
-use rmpi_autograd::optim::AdamState;
 use rmpi_autograd::{ParamStore, Tensor};
 use std::path::{Path, PathBuf};
 
@@ -78,13 +77,6 @@ pub struct TrainCheckpoint {
     pub params: ParamStore,
     /// Best-validation parameter snapshot.
     pub best_params: ParamStore,
-}
-
-impl TrainCheckpoint {
-    /// The Adam moment buffers as an [`AdamState`] (cloning the tensors).
-    pub fn adam_state(&self) -> AdamState {
-        AdamState { t: self.adam_t, m: self.adam_m.clone(), v: self.adam_v.clone() }
-    }
 }
 
 fn parse_err(line: usize, message: String) -> CheckpointError {

@@ -119,7 +119,7 @@ fn apply_edge_budget(sg: &mut Subgraph, cfg: &RmpiConfig, mode: Mode, rng: &mut 
 /// within one hop, hence inside the subgraph), without paying for a full
 /// K-hop extraction. At `hop == 0` the disclosing subgraph retains only the
 /// endpoints themselves, so edges leaving the pair are excluded.
-pub fn disclosing_one_hop_relations<G: GraphAccess + ?Sized>(
+fn disclosing_one_hop_relations<G: GraphAccess + ?Sized>(
     graph: &G,
     target: Triple,
     hop: usize,

@@ -41,7 +41,7 @@
 //!   [`crate::checkpoint::TrainCheckpoint`] at epoch boundaries.
 //!   Because every random draw is keyed by `(seed, stream, epoch, position)`,
 //!   an epoch boundary pins the *entire* RNG state: resuming via
-//!   [`Trainer::resume_from`] and replaying the interrupted epoch is
+//!   [`Trainer::resume_latest`] and replaying the interrupted epoch is
 //!   bit-identical to a run that never crashed, at any thread count.
 //! * **Divergence guards** — after folding each batch's gradients, the loop
 //!   checks the batch losses and the global gradient norm for non-finite
@@ -353,24 +353,6 @@ impl CheckpointConfig {
     pub fn new<P: Into<PathBuf>>(dir: P) -> Self {
         CheckpointConfig { dir: dir.into(), every_epochs: 1, keep: 2 }
     }
-
-    /// Set the checkpoint root directory.
-    pub fn with_dir<P: Into<PathBuf>>(mut self, dir: P) -> Self {
-        self.dir = dir.into();
-        self
-    }
-
-    /// Write a checkpoint every `n` epochs (values below 1 behave as 1).
-    pub fn with_every_epochs(mut self, n: usize) -> Self {
-        self.every_epochs = n;
-        self
-    }
-
-    /// Keep at most `n` checkpoint directories (0 = keep all).
-    pub fn with_keep(mut self, n: usize) -> Self {
-        self.keep = n;
-        self
-    }
 }
 
 impl Default for CheckpointConfig {
@@ -537,20 +519,6 @@ impl<'cb> Trainer<'cb> {
     /// Write crash-safe checkpoints while training (see [`CheckpointConfig`]).
     pub fn with_checkpointing(mut self, ck: CheckpointConfig) -> Self {
         self.checkpoint = Some(ck);
-        self
-    }
-
-    /// Continue bit-identically from the checkpoint directory `dir` (one
-    /// `ckpt-NNNNNN` directory, e.g. from
-    /// [`latest_checkpoint`]).
-    pub fn resume_from<P: AsRef<Path>>(mut self, dir: P) -> Result<Self, CheckpointError> {
-        self.resume = Some(load_checkpoint(dir)?);
-        Ok(self)
-    }
-
-    /// Continue from an already-loaded checkpoint.
-    pub fn resume_from_checkpoint(mut self, ckpt: TrainCheckpoint) -> Self {
-        self.resume = Some(ckpt);
         self
     }
 

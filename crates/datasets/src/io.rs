@@ -17,14 +17,13 @@
 //! model relation tables are indexed by world relation id.
 
 use crate::benchmark::{Benchmark, TestSet, TrainSet};
-use crate::world::World;
 use rmpi_kg::{io as kgio, KgError, KnowledgeGraph, RelationId, Triple, Vocab};
 use std::collections::HashSet;
 use std::fs;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// A benchmark loaded from disk: everything except the generating [`World`]
+/// A benchmark loaded from disk: everything except the generating [`World`](crate::world::World)
 /// (worlds are code + seed, not data; the file set is self-contained for
 /// training and evaluation).
 #[derive(Clone, Debug)]
@@ -188,15 +187,6 @@ impl SavedBenchmark {
     }
 }
 
-/// Save the benchmark generated by a world, keeping a reference note on how
-/// to regenerate it.
-pub fn regeneration_note(world: &World) -> String {
-    format!(
-        "regenerate with World::new(seed={:#x}) — see rmpi_datasets::registry",
-        world.config().seed
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,11 +236,5 @@ mod tests {
             other => panic!("expected parse error, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn regeneration_note_mentions_seed() {
-        let b = build_benchmark("wn.v1", Scale::Quick);
-        assert!(regeneration_note(&b.world).contains("0x574e"));
     }
 }

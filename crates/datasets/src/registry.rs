@@ -187,7 +187,7 @@ fn interleaved_groups(world: &World) -> Vec<usize> {
 }
 
 /// The active groups of one family version.
-pub fn version_groups(family: Family, version: usize) -> Vec<usize> {
+fn version_groups(family: Family, version: usize) -> Vec<usize> {
     let world = family.world();
     let order = interleaved_groups(&world);
     let n = ((order.len() as f64) * family.version_fraction(version)).ceil() as usize;

@@ -50,14 +50,14 @@ impl<'w> StreamingWorld<'w> {
     }
 
     /// Number of chunks (the last may be smaller).
-    pub fn num_chunks(&self) -> usize {
+    fn num_chunks(&self) -> usize {
         self.gen.num_entities.div_ceil(self.chunk_entities)
     }
 
     /// The generation config of chunk `c`: its entity sub-range, its
     /// proportional share of the base-triple and cap budgets, and a
     /// chunk-decorrelated seed.
-    pub fn chunk_config(&self, c: usize) -> GraphGenConfig {
+    fn chunk_config(&self, c: usize) -> GraphGenConfig {
         let n = self.num_chunks();
         assert!(c < n, "chunk {c} out of {n}");
         let lo = c * self.chunk_entities;
@@ -76,7 +76,7 @@ impl<'w> StreamingWorld<'w> {
 
     /// Generate chunk `c`'s triples (sorted, entities within the chunk's
     /// sub-range). This is the only allocation the stream makes.
-    pub fn chunk_triples(&self, c: usize) -> Vec<Triple> {
+    fn chunk_triples(&self, c: usize) -> Vec<Triple> {
         self.world.generate_triples(&self.active_groups, &self.chunk_config(c))
     }
 
@@ -94,12 +94,6 @@ impl<'w> StreamingWorld<'w> {
     /// generated lazily as the iterator crosses their boundary.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         (0..self.num_chunks()).flat_map(move |c| self.chunk_triples(c).into_iter())
-    }
-
-    /// Total triples the stream will emit. Generates every chunk (cheap
-    /// relative to consuming them twice; prefer counting while consuming).
-    pub fn count_triples(&self) -> usize {
-        (0..self.num_chunks()).map(|c| self.chunk_triples(c).len()).sum()
     }
 }
 
@@ -143,7 +137,6 @@ mod tests {
         sw.for_each_triple(|t| pushed.push(t));
         let pulled: Vec<Triple> = sw.iter().collect();
         assert_eq!(pushed, pulled);
-        assert_eq!(sw.count_triples(), pulled.len());
     }
 
     #[test]

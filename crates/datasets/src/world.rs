@@ -55,62 +55,6 @@ impl Default for WorldConfig {
     }
 }
 
-impl WorldConfig {
-    /// Set the number of concrete entity classes.
-    pub fn with_num_classes(mut self, n: usize) -> Self {
-        self.num_classes = n;
-        self
-    }
-
-    /// Set the number of archetypes.
-    pub fn with_num_archetypes(mut self, n: usize) -> Self {
-        self.num_archetypes = n;
-        self
-    }
-
-    /// Set the number of short composition groups.
-    pub fn with_comp_groups(mut self, n: usize) -> Self {
-        self.comp_groups = n;
-        self
-    }
-
-    /// Set the number of confusable long-chain pair groups.
-    pub fn with_long_groups(mut self, n: usize) -> Self {
-        self.long_groups = n;
-        self
-    }
-
-    /// Set the number of inverse pairs.
-    pub fn with_inv_groups(mut self, n: usize) -> Self {
-        self.inv_groups = n;
-        self
-    }
-
-    /// Set the number of symmetric relations.
-    pub fn with_sym_groups(mut self, n: usize) -> Self {
-        self.sym_groups = n;
-        self
-    }
-
-    /// Set the number of subsumption pairs.
-    pub fn with_sub_groups(mut self, n: usize) -> Self {
-        self.sub_groups = n;
-        self
-    }
-
-    /// Set the number of free relations with no rules.
-    pub fn with_noise_relations(mut self, n: usize) -> Self {
-        self.noise_relations = n;
-        self
-    }
-
-    /// Set the world seed (relation/class wiring).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// Typing and role metadata of one concrete relation.
 #[derive(Clone, Copy, Debug)]
 pub struct RelationSpec {
@@ -336,7 +280,7 @@ impl World {
     }
 
     /// Ids of the noise relations (active in every benchmark version).
-    pub fn noise_relation_ids(&self) -> Vec<RelationId> {
+    fn noise_relation_ids(&self) -> Vec<RelationId> {
         self.relations
             .iter()
             .enumerate()
@@ -617,29 +561,6 @@ mod tests {
 
     fn world() -> World {
         World::new(WorldConfig::default())
-    }
-
-    #[test]
-    fn builders_chain_over_default() {
-        let cfg = WorldConfig::default()
-            .with_num_classes(12)
-            .with_num_archetypes(3)
-            .with_comp_groups(4)
-            .with_long_groups(2)
-            .with_inv_groups(2)
-            .with_sym_groups(2)
-            .with_sub_groups(2)
-            .with_noise_relations(5)
-            .with_seed(99);
-        assert_eq!(cfg.num_classes, 12);
-        assert_eq!(cfg.num_archetypes, 3);
-        assert_eq!(cfg.comp_groups, 4);
-        assert_eq!(cfg.long_groups, 2);
-        assert_eq!(cfg.inv_groups, 2);
-        assert_eq!(cfg.sym_groups, 2);
-        assert_eq!(cfg.sub_groups, 2);
-        assert_eq!(cfg.noise_relations, 5);
-        assert_eq!(cfg.seed, 99);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub fn find_case(
 
 /// The distinct one-hop relations and the relations newly appearing at hop
 /// two, in the relation view of the enclosing subgraph.
-pub fn hop_relations(
+fn hop_relations(
     graph: &rmpi_kg::KnowledgeGraph,
     target: Triple,
     hop: usize,

@@ -25,8 +25,6 @@ mod stream {
     pub const ENTITY: u64 = 12;
     /// Paired entity prediction per-item scoring draws.
     pub const PAIRED: u64 = 13;
-    /// Relation-prediction scoring draws.
-    pub const RELATION: u64 = 14;
 }
 
 /// Protocol parameters.
@@ -202,43 +200,6 @@ pub fn entity_prediction_paired(
         .collect()
 }
 
-/// Relation prediction (TACT's original protocol): rank the ground-truth
-/// relation of each target against every other relation in `0..num_relations`.
-/// Returns `(mrr, hits1, hits10, num_targets)`, all ×100.
-pub fn relation_prediction<M: ScoringModel + Sync + ?Sized>(
-    model: &M,
-    test: &TestSet,
-    num_relations: usize,
-    cfg: &EvalConfig,
-) -> (f64, f64, f64, usize) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(2));
-    let targets = select_targets(test, cfg, &mut rng);
-    let pool = ThreadPool::new(cfg.threads);
-    let ranks: Vec<usize> = pool.map_indexed(targets.len(), |i| {
-        let pos = targets[i];
-        let mut rng = StdRng::seed_from_u64(mix_seed(cfg.seed, stream::RELATION, i as u64));
-        let gt = model.score(&test.graph, pos, &mut rng);
-        let scores: Vec<f32> = (0..num_relations as u32)
-            .filter(|&r| r != pos.relation.0)
-            .map(|r| {
-                let cand = pos.with_relation(rmpi_kg::RelationId(r));
-                if test.graph.contains(&cand) {
-                    f32::NEG_INFINITY // filtered setting
-                } else {
-                    model.score(&test.graph, cand, &mut rng)
-                }
-            })
-            .collect();
-        rank_of(gt, &scores)
-    });
-    (
-        mean_reciprocal_rank(&ranks) * 100.0,
-        hits_at(&ranks, 1) * 100.0,
-        hits_at(&ranks, 10) * 100.0,
-        targets.len(),
-    )
-}
-
 /// Run both protocols and collect an [`EvalMetrics`].
 pub fn evaluate<M: ScoringModel + Sync + ?Sized>(
     model: &M,
@@ -359,18 +320,6 @@ mod tests {
         assert_eq!(rrs[0], rrs[1]);
         // oracle ranks everything first
         assert!(rrs[0].iter().all(|&r| r > 0.99));
-    }
-
-    #[test]
-    fn relation_prediction_favors_oracle() {
-        let (test, all_facts) = test_set();
-        let model = Oracle { store: ParamStore::new(), facts: all_facts };
-        let cfg = EvalConfig { num_candidates: 10, max_targets: 15, seed: 3, ..Default::default() };
-        let (mrr, h1, h10, n) = relation_prediction(&model, &test, 5, &cfg);
-        assert!(mrr > 99.0, "relation MRR {mrr}");
-        assert_eq!(h1, 100.0);
-        assert_eq!(h10, 100.0);
-        assert_eq!(n, 15);
     }
 
     #[test]

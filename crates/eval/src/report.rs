@@ -65,11 +65,6 @@ pub fn fmt_metric(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Format `mean ± std`.
-pub fn fmt_mean_std(mean: f64, std: f64) -> String {
-    format!("{mean:.2}±{std:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,6 +93,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(fmt_metric(88.2), "88.20");
-        assert_eq!(fmt_mean_std(50.0, 1.25), "50.00±1.25");
     }
 }

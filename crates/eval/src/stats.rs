@@ -2,7 +2,6 @@
 //! for "method A beats method B" claims (the honest companion of a
 //! mean-of-5-runs table).
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Result of a paired bootstrap test on per-item metric differences.
@@ -69,20 +68,6 @@ pub fn sign_flip_test(a: &[f64], b: &[f64], resamples: usize, seed: u64) -> f64 
     at_least as f64 / resamples as f64
 }
 
-/// Convenience: shuffle-split a score list into `k` folds and return the
-/// per-fold means (for error bars without rerunning training).
-pub fn fold_means(scores: &[f64], k: usize, seed: u64) -> Vec<f64> {
-    assert!(k > 0 && k <= scores.len(), "need 1..=len folds");
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-    (0..k)
-        .map(|f| {
-            let fold: Vec<f64> = idx.iter().skip(f).step_by(k).map(|&i| scores[i]).collect();
-            fold.iter().sum::<f64>() / fold.len().max(1) as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +97,6 @@ mod tests {
         let b: Vec<f64> = (0..80).map(|i| if i % 2 == 1 { 1.0 } else { 0.0 }).collect();
         let r = paired_bootstrap(&a, &b, 500, 3);
         assert!(!r.significant(0.05), "p = {} diff = {}", r.p_value, r.mean_diff);
-    }
-
-    #[test]
-    fn fold_means_cover_all_items() {
-        let scores: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let folds = fold_means(&scores, 5, 0);
-        assert_eq!(folds.len(), 5);
-        let overall: f64 = folds.iter().sum::<f64>() / 5.0;
-        assert!((overall - 4.5).abs() < 1e-9, "fold means must average to the global mean");
     }
 
     #[test]

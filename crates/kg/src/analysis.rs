@@ -1,16 +1,16 @@
-//! Structural analysis utilities: connected components, degree histograms
-//! and relation co-occurrence — used by the dataset generators' validation
-//! and the experiment write-ups.
+//! Structural analysis utilities: connected components and degree
+//! histograms — used by the dataset generators' validation and the
+//! experiment write-ups.
 
 use crate::graph::KnowledgeGraph;
-use crate::ids::{EntityId, RelationId};
+use crate::ids::EntityId;
 use std::collections::HashMap;
 
 /// Undirected connected components over the present entities.
 ///
 /// Returns a map entity → component id (dense, 0-based, ordered by the
 /// smallest entity id in each component).
-pub fn connected_components(g: &KnowledgeGraph) -> HashMap<EntityId, usize> {
+fn connected_components(g: &KnowledgeGraph) -> HashMap<EntityId, usize> {
     let mut comp: HashMap<EntityId, usize> = HashMap::new();
     let mut next = 0usize;
     for e in g.present_entities() {
@@ -51,27 +51,6 @@ pub fn degree_histogram(g: &KnowledgeGraph, max_degree: usize) -> Vec<usize> {
         hist[g.degree(e).min(max_degree)] += 1;
     }
     hist
-}
-
-/// Count, for every ordered relation pair `(a, b)`, how many entities have
-/// an incident `a`-edge and an incident `b`-edge — the co-occurrence signal
-/// relational message passing consumes.
-pub fn relation_cooccurrence(g: &KnowledgeGraph) -> HashMap<(RelationId, RelationId), usize> {
-    let mut out: HashMap<(RelationId, RelationId), usize> = HashMap::new();
-    for e in g.present_entities() {
-        let mut rels: Vec<RelationId> =
-            g.out_edges(e).iter().chain(g.in_edges(e).iter()).map(|x| x.relation).collect();
-        rels.sort_unstable();
-        rels.dedup();
-        for i in 0..rels.len() {
-            for j in 0..rels.len() {
-                if i != j {
-                    *out.entry((rels[i], rels[j])).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Fraction of triples whose 2-hop enclosing neighbourhood is empty — the
@@ -147,19 +126,6 @@ mod tests {
         let g = KnowledgeGraph::from_triples(triples);
         let hist = degree_histogram(&g, 3);
         assert_eq!(hist[3], 1, "hub entity degree capped into the last bucket");
-    }
-
-    #[test]
-    fn cooccurrence_is_symmetric_and_counts_shared_entities() {
-        let g = KnowledgeGraph::from_triples(vec![
-            Triple::new(0u32, 0u32, 1u32),
-            Triple::new(1u32, 1u32, 2u32),
-        ]);
-        let co = relation_cooccurrence(&g);
-        // entity 1 touches r0 and r1
-        assert_eq!(co[&(RelationId(0), RelationId(1))], 1);
-        assert_eq!(co[&(RelationId(1), RelationId(0))], 1);
-        assert!(!co.contains_key(&(RelationId(0), RelationId(0))));
     }
 
     #[test]

@@ -145,18 +145,6 @@ impl KnowledgeGraph {
         all.extend_from_slice(extra);
         KnowledgeGraph::from_triples(all)
     }
-
-    /// A new graph with the triples at the given indices removed.
-    pub fn without_triples(&self, remove: &HashSet<usize>) -> KnowledgeGraph {
-        let kept = self
-            .triples
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !remove.contains(i))
-            .map(|(_, t)| *t)
-            .collect();
-        KnowledgeGraph::from_triples(kept)
-    }
 }
 
 #[cfg(test)]
@@ -233,16 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn with_extra_and_without() {
+    fn with_extra_triples_adds_them() {
         let g = toy();
         let g2 = g.with_extra_triples(&[Triple::new(0u32, 1u32, 2u32)]);
         assert_eq!(g2.num_triples(), 4);
         assert!(g2.contains(&Triple::new(0u32, 1u32, 2u32)));
-        let mut rm = HashSet::new();
-        rm.insert(0usize);
-        let g3 = g.without_triples(&rm);
-        assert_eq!(g3.num_triples(), 2);
-        assert!(!g3.contains(&Triple::new(0u32, 0u32, 1u32)));
     }
 
     #[test]

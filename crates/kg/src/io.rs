@@ -55,30 +55,6 @@ pub fn read_triples<R: BufRead>(r: R, vocab: &mut Vocab) -> Result<Vec<Triple>, 
     Ok(triples)
 }
 
-/// Parse TSV lines into triples using only names already present in `vocab`.
-pub fn read_triples_strict<R: BufRead>(r: R, vocab: &Vocab) -> Result<Vec<Triple>, KgError> {
-    let mut triples = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split('\t').collect();
-        if fields.len() != 3 {
-            return Err(KgError::Parse {
-                line: lineno + 1,
-                message: format!("expected 3 tab-separated fields, got {trimmed:?}"),
-            });
-        }
-        let head = vocab.entity_id(fields[0])?;
-        let relation = vocab.relation_id(fields[1])?;
-        let tail = vocab.entity_id(fields[2])?;
-        triples.push(Triple { head, relation, tail });
-    }
-    Ok(triples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,23 +95,5 @@ mod tests {
         let mut vocab = Vocab::new();
         let input = "a\tr\tb\textra\n";
         assert!(read_triples(Cursor::new(input), &mut vocab).is_err());
-    }
-
-    #[test]
-    fn strict_mode_rejects_unknown_names() {
-        let mut vocab = Vocab::new();
-        read_triples(Cursor::new("a\tr\tb\n"), &mut vocab).unwrap();
-        assert!(read_triples_strict(Cursor::new("a\tr\tb\n"), &vocab).is_ok());
-        assert!(read_triples_strict(Cursor::new("a\tr\tzzz\n"), &vocab).is_err());
-        assert!(read_triples_strict(Cursor::new("a\tnew_rel\tb\n"), &vocab).is_err());
-    }
-
-    #[test]
-    fn strict_mode_shares_ids_with_loose_mode() {
-        let mut vocab = Vocab::new();
-        let loose = read_triples(Cursor::new("a\tr\tb\n"), &mut vocab).unwrap();
-        let strict = read_triples_strict(Cursor::new("b\tr\ta\n"), &vocab).unwrap();
-        assert_eq!(loose[0].head, strict[0].tail);
-        assert_eq!(loose[0].relation, strict[0].relation);
     }
 }

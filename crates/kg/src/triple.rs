@@ -49,12 +49,6 @@ impl Triple {
         Triple { tail, ..self }
     }
 
-    /// Replace the relation.
-    #[inline]
-    pub fn with_relation(self, relation: RelationId) -> Self {
-        Triple { relation, ..self }
-    }
-
     /// Both endpoint entities, head first.
     #[inline]
     pub fn endpoints(self) -> [EntityId; 2] {
@@ -93,7 +87,6 @@ mod tests {
         let t = Triple::new(1u32, 2u32, 3u32);
         assert_eq!(t.with_head(EntityId(9)).head, EntityId(9));
         assert_eq!(t.with_tail(EntityId(9)).tail, EntityId(9));
-        assert_eq!(t.with_relation(RelationId(9)).relation, RelationId(9));
         // original untouched (Copy semantics)
         assert_eq!(t.head, EntityId(1));
     }

@@ -49,11 +49,6 @@ impl Clock {
             Inner::Real(_) => panic!("Clock::advance is only meaningful on a manual clock"),
         }
     }
-
-    /// `true` for a manual (test) clock.
-    pub fn is_manual(&self) -> bool {
-        matches!(self.inner, Inner::Manual(_))
-    }
 }
 
 impl Default for Clock {
@@ -72,7 +67,6 @@ mod tests {
         let a = c.now_us();
         let b = c.now_us();
         assert!(b >= a);
-        assert!(!c.is_manual());
     }
 
     #[test]

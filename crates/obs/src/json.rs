@@ -33,8 +33,7 @@ pub fn escape(s: &str) -> String {
 /// let mut o = JsonObject::new();
 /// o.field_u64("count", 3);
 /// o.field_f64("rate", 0.51234, 4);
-/// o.field_str("name", "p\"q");
-/// assert_eq!(o.finish(), r#"{"count": 3, "rate": 0.5123, "name": "p\"q"}"#);
+/// assert_eq!(o.finish(), r#"{"count": 3, "rate": 0.5123}"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonObject {
@@ -81,15 +80,6 @@ impl JsonObject {
         } else {
             self.buf.push_str("null");
         }
-        self
-    }
-
-    /// Append a string field (escaped and quoted).
-    pub fn field_str(&mut self, name: &str, v: &str) -> &mut Self {
-        self.key(name);
-        self.buf.push('"');
-        self.buf.push_str(&escape(v));
-        self.buf.push('"');
         self
     }
 

@@ -42,17 +42,6 @@ pub use clock::Clock;
 pub use metrics::{global, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use span::Span;
 
-/// Time `f`, recording its wall-clock duration into the histogram `name` of
-/// the **global** registry. The everyday one-liner for cold paths; hot loops
-/// should cache a [`Histogram`] handle and record explicitly.
-pub fn time_us<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    let hist = global().histogram(name);
-    let start = std::time::Instant::now();
-    let out = f();
-    hist.record_duration(start.elapsed());
-    out
-}
-
 /// Record a failed **directory** fsync after an atomic rename-publish.
 ///
 /// The rename itself succeeded, so callers keep going — but without the
@@ -91,14 +80,6 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_us_records_into_global() {
-        let before = global().histogram("obs.selftest.us").summary().count;
-        let out = time_us("obs.selftest.us", || 41 + 1);
-        assert_eq!(out, 42);
-        assert!(global().histogram("obs.selftest.us").summary().count > before);
-    }
 
     #[test]
     fn span_macro_scopes_a_timer() {

@@ -124,7 +124,7 @@ pub struct HistogramSummary {
 
 impl Histogram {
     /// A free-standing histogram with the given ascending bucket bounds.
-    pub fn with_bounds(bounds: &[u64]) -> Self {
+    fn with_bounds(bounds: &[u64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bucket bounds must be strictly ascending");
         let mut counts = Vec::with_capacity(bounds.len() + 1);
@@ -220,7 +220,7 @@ impl Histogram {
     }
 
     /// Render the summary as a single-line JSON object.
-    pub fn summary_json(&self) -> String {
+    fn summary_json(&self) -> String {
         let s = self.summary();
         let mut o = JsonObject::new();
         o.field_u64("count", s.count);
@@ -319,17 +319,11 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name` with the default latency buckets.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with_bounds(name, &DEFAULT_LATENCY_BOUNDS_US)
-    }
-
-    /// Get or create the histogram `name` with explicit bucket bounds
-    /// (ignored when the histogram already exists).
-    pub fn histogram_with_bounds(&self, name: &str, bounds: &[u64]) -> Histogram {
         self.get_or_insert(
             name,
             |m| if let Metric::Histogram(h) = m { Some(h.clone()) } else { None },
             || {
-                let h = Histogram::with_bounds(bounds);
+                let h = Histogram::detached();
                 (Metric::Histogram(h.clone()), h)
             },
         )

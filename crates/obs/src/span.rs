@@ -24,7 +24,7 @@ impl Span {
     }
 
     /// Microseconds elapsed so far without ending the span.
-    pub fn elapsed_us(&self) -> u64 {
+    fn elapsed_us(&self) -> u64 {
         self.clock.now_us().saturating_sub(self.start_us)
     }
 

@@ -155,7 +155,7 @@ impl ThreadPool {
     /// back in index order and must not depend on how indices were sharded.
     /// Panics in `init`/`f` are re-raised on the calling thread after every
     /// worker has been joined.
-    pub fn map_init<T, S, I, F>(&self, n: usize, init: I, f: F) -> Vec<T>
+    fn map_init<T, S, I, F>(&self, n: usize, init: I, f: F) -> Vec<T>
     where
         T: Send,
         I: Fn() -> S + Sync,
@@ -169,9 +169,10 @@ impl ThreadPool {
         }
     }
 
-    /// Panic-isolating variant of [`ThreadPool::map_init`]: a panic in any
-    /// worker closure is caught, all threads are joined, and the first panic
-    /// (by item index) is reported as a [`PoolError`]. Other workers'
+    /// Map with per-worker scratch state (`init` runs once per worker and its
+    /// state is reused across that worker's shard), isolating panics: a panic
+    /// in any worker closure is caught, all threads are joined, and the first
+    /// panic (by item index) is reported as a [`PoolError`]. Other workers'
     /// results are discarded, so a retry starts from a clean slate.
     pub fn try_map_init<T, S, I, F>(&self, n: usize, init: I, f: F) -> Result<Vec<T>, PoolError>
     where

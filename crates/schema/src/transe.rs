@@ -51,7 +51,7 @@ impl TransEModel {
     }
 
     /// Train TransE on an arbitrary triple graph with explicit table sizes.
-    pub fn train_on_graph(
+    fn train_on_graph(
         g: &KnowledgeGraph,
         num_entities: usize,
         num_relations: usize,

@@ -65,20 +65,6 @@ pub struct BatchConfig {
     pub max_batch: usize,
 }
 
-impl BatchConfig {
-    /// Set the batching window.
-    pub fn with_window(mut self, window: Duration) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Set the flat-target budget per flush.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-}
-
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig { window: Duration::from_millis(1), max_batch: 256 }

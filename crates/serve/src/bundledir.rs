@@ -432,7 +432,7 @@ mod tests {
         let names = vec!["a".into(), "b".into(), "c".into(), "d".into()];
         save_bundle_dir(&bdir, &model(), &names, Some(&store_dir)).unwrap();
 
-        let (bundle, reader) = load_bundle_dir(&bdir, ReadMode::Resident).unwrap();
+        let (bundle, reader) = load_bundle_dir(&bdir, ReadMode::default()).unwrap();
         assert_eq!(bundle.relation_names, names);
         assert_eq!(bundle.model.num_relations(), 4);
         let reader = reader.expect("graph sections must open a reader");
@@ -446,7 +446,7 @@ mod tests {
         let root = scratch("nograph");
         let bdir = root.join("model.bundled");
         save_bundle_dir(&bdir, &model(), &[], None).unwrap();
-        let (bundle, reader) = load_bundle_dir(&bdir, ReadMode::Resident).unwrap();
+        let (bundle, reader) = load_bundle_dir(&bdir, ReadMode::default()).unwrap();
         assert_eq!(bundle.model.num_relations(), 4);
         assert!(reader.is_none());
         std::fs::remove_dir_all(&root).unwrap();
@@ -467,7 +467,7 @@ mod tests {
         bytes[0] ^= 0xff;
         std::fs::write(&seg, bytes).unwrap();
 
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         match &err {
             ServeError::Checksum { section, expected, actual } => {
                 assert_eq!(section, "graph/fwd-00000.seg");
@@ -490,7 +490,7 @@ mod tests {
         bytes[last] ^= 0x01;
         std::fs::write(&path, bytes).unwrap();
 
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         assert!(
             matches!(&err, ServeError::Checksum { section, .. } if section == PARAMS_FILE),
             "{err}"
@@ -510,7 +510,7 @@ mod tests {
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() - 1]).unwrap();
 
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         match &err {
             ServeError::Manifest { line, message, .. } => {
                 assert!(message.contains("inv-00000.seg"), "{message}");
@@ -533,17 +533,17 @@ mod tests {
         // path traversal
         let hostile = original.replace(PARAMS_FILE, "../escape");
         std::fs::write(&manifest, &hostile).unwrap();
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         assert!(err.to_string().contains("unsafe section path"), "{err}");
 
         // truncation (no `end`)
         std::fs::write(&manifest, original.replace("end\n", "")).unwrap();
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
 
         // bad magic
         std::fs::write(&manifest, original.replace("v1", "v9")).unwrap();
-        let err = load_bundle_dir(&bdir, ReadMode::Resident).unwrap_err();
+        let err = load_bundle_dir(&bdir, ReadMode::default()).unwrap_err();
         assert!(matches!(err, ServeError::Manifest { line: 1, .. }), "{err}");
         std::fs::remove_dir_all(&root).unwrap();
     }

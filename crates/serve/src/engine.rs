@@ -979,30 +979,25 @@ mod tests {
             cfg,
             Arc::new(rmpi_obs::MetricsRegistry::new()),
         );
-        for mode in [ReadMode::Resident, ReadMode::Stream { cache_blocks: 4 }] {
-            let reader = Arc::new(rmpi_store::StoreReader::open(&dir, mode).unwrap());
-            let stored = Engine::with_backend(
-                mk_model(),
-                GraphBackend::Store(reader),
-                cfg,
-                Arc::new(rmpi_obs::MetricsRegistry::new()),
-            );
-            assert!(stored.graph().is_none());
-            assert_eq!(stored.num_entities(), memory.num_entities());
-            assert_eq!(stored.num_relations(), memory.num_relations());
-            let targets: Vec<Triple> =
-                (0..12u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
-            assert_eq!(
-                stored.score_batch(&targets).unwrap(),
-                memory.score_batch(&targets).unwrap(),
-                "{mode:?}"
-            );
-            assert_eq!(
-                stored.rank_tails(EntityId(0), RelationId(1), 4).unwrap(),
-                memory.rank_tails(EntityId(0), RelationId(1), 4).unwrap(),
-                "{mode:?}"
-            );
-        }
+        let reader = Arc::new(
+            rmpi_store::StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 4 }).unwrap(),
+        );
+        let stored = Engine::with_backend(
+            mk_model(),
+            GraphBackend::Store(reader),
+            cfg,
+            Arc::new(rmpi_obs::MetricsRegistry::new()),
+        );
+        assert!(stored.graph().is_none());
+        assert_eq!(stored.num_entities(), memory.num_entities());
+        assert_eq!(stored.num_relations(), memory.num_relations());
+        let targets: Vec<Triple> =
+            (0..12u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
+        assert_eq!(stored.score_batch(&targets).unwrap(), memory.score_batch(&targets).unwrap());
+        assert_eq!(
+            stored.rank_tails(EntityId(0), RelationId(1), 4).unwrap(),
+            memory.rank_tails(EntityId(0), RelationId(1), 4).unwrap()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

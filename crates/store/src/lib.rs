@@ -33,9 +33,8 @@
 //! # Reading
 //!
 //! [`StoreReader`] answers point queries through a small block cache
-//! ([`ReadMode::Stream`]) or from fully resident segment bytes
-//! ([`ReadMode::Resident`]); whole-graph sweeps stream segments
-//! sequentially either way. [`NeighborhoodView`] pins what a k-hop
+//! ([`ReadMode::Stream`]), checksum-verifying each block as it is read;
+//! whole-graph sweeps stream segments sequentially. [`NeighborhoodView`] pins what a k-hop
 //! extraction reads into RAM and then implements `GraphAccess`, which is how
 //! `ExtractScratch`-based subgraph extraction runs against disk unchanged;
 //! [`with_thread_view`] lends out one whose storage is recycled per thread.

@@ -2,22 +2,18 @@
 //!
 //! A [`StoreReader`] always keeps the offsets index in RAM — 16 bytes per
 //! entity, ~16 MiB at a million entities — because every adjacency query
-//! starts there. Segment data is served one of two ways:
-//!
-//! * [`ReadMode::Stream`] (default): point reads go through a small LRU
-//!   block cache of 64 KiB-aligned blocks fetched with positioned reads
-//!   (`pread`), so RSS is `index + cache` regardless of graph size. This is
-//!   the mode the acceptance criteria measure.
-//! * [`ReadMode::Resident`]: segment bytes are loaded (and checksum-verified)
-//!   up front. Same code paths, zero read syscalls after open — a
-//!   reasonable choice for graphs that fit in RAM.
+//! starts there. Segment data stays on disk: point reads go through a small
+//! LRU block cache of 64 KiB-aligned blocks fetched with positioned reads
+//! (`pread`) and checksum-verified as they fill it ([`ReadMode::Stream`]), so
+//! RSS is `index + cache` regardless of graph size. Whole-graph sweeps
+//! ([`StoreReader::for_each_triple`], [`StoreReader::verify`]) read segments
+//! sequentially on their own file handles.
 //!
 //! `mmap` was considered and rejected: it needs either a platform syscall
 //! shim or an external crate (the build is offline/dependency-free), makes
 //! checksum verification lazy (a bit flip faults at use time, far from
-//!   open), and its page cache is invisible to the `store.*` metrics. The
-//! explicit block cache keeps failure modes at `open`/`verify` time and
-//! every disk touch observable. See DESIGN.md §13.
+//! open), and its page cache is invisible to the `store.*` metrics. The
+//! explicit block cache keeps every disk touch observable. See DESIGN.md §13.
 //!
 //! Block sizes are multiples of the record sizes, so a record never
 //! straddles two blocks and every point read is one cache probe.
@@ -68,11 +64,11 @@ impl Default for RetryConfig {
 }
 
 /// Everything [`StoreReader::open_opts`] accepts beyond the directory:
-/// read mode, retry policy, and an optional seeded disk-fault injector for
-/// tests and benches.
+/// block-cache size, retry policy, and an optional seeded disk-fault injector
+/// for tests and benches.
 #[derive(Clone, Debug, Default)]
 pub struct StoreOptions {
-    /// How segment data reaches queries.
+    /// Block-cache size.
     pub mode: ReadMode,
     /// Transient-failure retry policy for positioned reads.
     pub retry: RetryConfig,
@@ -108,8 +104,6 @@ impl SegFile {
 /// How segment data reaches queries. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadMode {
-    /// Load all segment bytes into RAM at open (verifying checksums).
-    Resident,
     /// Keep segments on disk; cache up to `cache_blocks` 64 KiB blocks.
     Stream {
         /// LRU capacity in blocks (64 KiB each).
@@ -214,7 +208,6 @@ impl StoreMetrics {
 pub struct StoreReader {
     dir: PathBuf,
     manifest: Manifest,
-    mode: ReadMode,
     retry: RetryConfig,
     /// `out_off[e] .. out_off[e+1]` = e's forward-record (triple-index) run.
     out_off: Vec<u64>,
@@ -222,9 +215,6 @@ pub struct StoreReader {
     in_off: Vec<u64>,
     fwd_files: Vec<SegFile>,
     inv_files: Vec<SegFile>,
-    /// Per-segment bytes when fully resident.
-    resident_fwd: Vec<Arc<Vec<u8>>>,
-    resident_inv: Vec<Arc<Vec<u8>>>,
     cache: Mutex<BlockCache>,
     /// Blocks whose checksum mismatch survived every re-read. Reads that
     /// land here fail fast with `Corrupt` instead of re-touching bad media.
@@ -236,7 +226,6 @@ impl std::fmt::Debug for StoreReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreReader")
             .field("dir", &self.dir)
-            .field("mode", &self.mode)
             .field("entities", &self.manifest.num_entities)
             .field("triples", &self.manifest.num_triples)
             .finish()
@@ -246,35 +235,25 @@ impl std::fmt::Debug for StoreReader {
 impl StoreReader {
     /// Open a store with metrics on the global registry.
     pub fn open(dir: impl AsRef<Path>, mode: ReadMode) -> Result<StoreReader> {
-        StoreReader::open_with_registry(dir, mode, rmpi_obs::global())
-    }
-
-    /// Open a store, registering `store.*` instruments on `registry`.
-    pub fn open_with_registry(
-        dir: impl AsRef<Path>,
-        mode: ReadMode,
-        registry: &MetricsRegistry,
-    ) -> Result<StoreReader> {
-        StoreReader::open_opts(dir, StoreOptions::from(mode), registry)
+        StoreReader::open_opts(dir, StoreOptions::from(mode), rmpi_obs::global())
     }
 
     /// Open a store with full [`StoreOptions`] control (retry policy,
     /// optional chaos injection), registering `store.*` instruments on
     /// `registry`.
     ///
-    /// Always verifies the index checksum (it is read anyway) and every
-    /// file's byte length against the manifest; `Resident` mode also
-    /// verifies segment checksums since it reads the bytes. With a v2 or
-    /// v3 manifest, `Stream` mode verifies every block's checksum at
-    /// cache-fill time; a v1 store defers segment checksums to
-    /// [`StoreReader::verify`]. Every checksum is computed with the
+    /// Verifies the index checksum (it is read anyway), that each offsets
+    /// half starts at 0, never decreases and ends at the triple count, and
+    /// every file's byte length against the manifest. Segment bytes are not
+    /// read here: with a v2 or v3 manifest every block's checksum is
+    /// verified at cache-fill time, and a v1 store defers segment checksums
+    /// to [`StoreReader::verify`]. Every checksum is computed with the
     /// manifest's function ([`Manifest::checksum`]).
     pub fn open_opts(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
         registry: &MetricsRegistry,
     ) -> Result<StoreReader> {
-        let mode = opts.mode;
         let dir = dir.as_ref().to_path_buf();
         let manifest_path = dir.join(MANIFEST_NAME);
         let text = match std::fs::read_to_string(&manifest_path) {
@@ -329,6 +308,24 @@ impl StoreReader {
             |i: usize| u64::from_le_bytes(index_raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
         let out_off: Vec<u64> = (0..=n).map(word).collect();
         let in_off: Vec<u64> = (n + 1..=2 * n + 1).map(word).collect();
+        // A run past the data or running backwards would make every read
+        // of it wrong (or never finish), so the offsets are checked here,
+        // not trusted at query time.
+        for (half, offs) in [("out", &out_off), ("in", &in_off)] {
+            let bad = offs.first() != Some(&0)
+                || offs.last() != Some(&manifest.num_triples)
+                || offs.windows(2).any(|w| w[0] > w[1]);
+            if bad {
+                return Err(StoreError::Corrupt {
+                    file: INDEX_NAME.into(),
+                    offset: 0,
+                    message: format!(
+                        "{half}_off must start at 0, never decrease and end at {} triples",
+                        manifest.num_triples
+                    ),
+                });
+            }
+        }
 
         let open_seg = |meta: &crate::manifest::SegmentMeta| -> Result<File> {
             let path = dir.join(&meta.file);
@@ -346,63 +343,33 @@ impl StoreReader {
         let fwd_plain: Vec<File> = manifest.fwd.iter().map(open_seg).collect::<Result<_>>()?;
         let inv_plain: Vec<File> = manifest.inv.iter().map(open_seg).collect::<Result<_>>()?;
 
-        let (mut resident_fwd, mut resident_inv) = (Vec::new(), Vec::new());
-        if mode == ReadMode::Resident {
-            let slurp = |meta: &SegmentMeta, f: &File| -> Result<Arc<Vec<u8>>> {
-                let mut buf = Vec::with_capacity(meta.bytes as usize);
-                let mut r = BufReader::new(f);
-                r.read_to_end(&mut buf)?;
-                let got = sum.of(&buf);
-                if got != meta.checksum {
-                    return Err(StoreError::Corrupt {
-                        file: meta.file.clone(),
-                        offset: 0,
-                        message: format!(
-                            "checksum mismatch: manifest {:016x}, file {got:016x}",
-                            meta.checksum
-                        ),
-                    });
-                }
-                Ok(Arc::new(buf))
-            };
-            for (m, f) in manifest.fwd.iter().zip(&fwd_plain) {
-                resident_fwd.push(slurp(m, f)?);
-            }
-            for (m, f) in manifest.inv.iter().zip(&inv_plain) {
-                resident_inv.push(slurp(m, f)?);
-            }
-        }
-
-        // Fault injection applies only to the positioned-read (`pread`)
-        // path; resident bytes were already read and verified above.
+        // Fault injection applies only to the positioned-read (`pread`) path.
         let wrap = |files: Vec<File>| -> Vec<SegFile> {
             files
                 .into_iter()
-                .map(|f| match (mode, opts.chaos) {
-                    (ReadMode::Stream { .. }, Some(cfg)) => SegFile::Chaos(ChaosFile::wrap(f, cfg)),
-                    _ => SegFile::Plain(f),
+                .map(|f| match opts.chaos {
+                    Some(cfg) => SegFile::Chaos(ChaosFile::wrap(f, cfg)),
+                    None => SegFile::Plain(f),
                 })
                 .collect()
         };
         let fwd_files = wrap(fwd_plain);
         let inv_files = wrap(inv_plain);
 
-        let cache_blocks = match mode {
-            ReadMode::Resident => 1,
-            ReadMode::Stream { cache_blocks } => cache_blocks.max(1),
-        };
+        let ReadMode::Stream { cache_blocks } = opts.mode;
         Ok(StoreReader {
             dir,
             manifest,
-            mode,
             retry: opts.retry,
             out_off,
             in_off,
             fwd_files,
             inv_files,
-            resident_fwd,
-            resident_inv,
-            cache: Mutex::new(BlockCache { cap: cache_blocks, tick: 0, map: HashMap::new() }),
+            cache: Mutex::new(BlockCache {
+                cap: cache_blocks.max(1),
+                tick: 0,
+                map: HashMap::new(),
+            }),
             quarantine: Mutex::new(HashSet::new()),
             metrics: StoreMetrics::from_registry(registry),
         })
@@ -416,11 +383,6 @@ impl StoreReader {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The mode this reader was opened in.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
     }
 
     /// Entity id-space capacity.
@@ -472,14 +434,6 @@ impl StoreReader {
     /// corruption: the block is quarantined and every later read of it
     /// fails fast.
     fn block(&self, kind: Kind, seg: usize, block: u64) -> Result<Arc<Vec<u8>>> {
-        let resident = match kind {
-            Kind::Fwd => &self.resident_fwd,
-            Kind::Inv => &self.resident_inv,
-        };
-        if let Some(bytes) = resident.get(seg) {
-            // Resident mode: the "block" is the whole segment.
-            return Ok(Arc::clone(bytes));
-        }
         let key = (kind, seg as u32, block as u32);
         if let Some(hit) = self.cache.lock().expect("cache lock").get(key) {
             self.metrics.index_hits.inc();
@@ -582,14 +536,6 @@ impl StoreReader {
             Kind::Fwd => (FWD_BLOCK_RECORDS, FWD_RECORD_BYTES),
             Kind::Inv => (INV_BLOCK_RECORDS, INV_RECORD_BYTES),
         };
-        let resident = match kind {
-            Kind::Fwd => !self.resident_fwd.is_empty(),
-            Kind::Inv => !self.resident_inv.is_empty(),
-        };
-        if resident {
-            let data = self.block(kind, seg, 0)?;
-            return Ok((data, local as usize * rec_bytes));
-        }
         let block = local / block_records;
         let data = self.block(kind, seg, block)?;
         Ok((data, (local % block_records) as usize * rec_bytes))
@@ -612,8 +558,8 @@ impl StoreReader {
         let mut idx = lo;
         while idx < hi {
             let (data, off) = self.record_block(Kind::Fwd, idx)?;
-            // Consume the rest of this block (or segment when resident)
-            // without re-probing the cache per record.
+            // Consume the rest of this block without re-probing the cache
+            // per record.
             let in_block = ((data.len() - off) / FWD_RECORD_BYTES) as u64;
             let run = in_block.min(hi - idx);
             for k in 0..run {
@@ -679,14 +625,6 @@ impl StoreReader {
     /// the sweep at the block boundary instead of first delivering damaged
     /// triples.
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) -> Result<()> {
-        if !self.resident_fwd.is_empty() {
-            for bytes in &self.resident_fwd {
-                for rec in bytes.chunks_exact(FWD_RECORD_BYTES) {
-                    f(decode_fwd(rec));
-                }
-            }
-            return Ok(());
-        }
         let sum = self.manifest.checksum();
         for meta in &self.manifest.fwd {
             let file = File::open(self.dir.join(&meta.file))?;

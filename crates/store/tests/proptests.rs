@@ -160,18 +160,16 @@ proptest! {
         bytes[at] ^= 1u8 << bit;
         std::fs::write(victim, &bytes).unwrap();
 
-        for mode in [ReadMode::Resident, ReadMode::Stream { cache_blocks: 2 }] {
-            match observe_everything(&dir, mode) {
-                Ok(digest) => prop_assert_eq!(
-                    digest, pristine,
-                    "flip {:?}[{at}] bit {bit} in {mode:?} read back silently different data",
-                    victim.file_name().unwrap()
-                ),
-                // Any error is acceptable — a flipped MANIFEST byte can even
-                // break UTF-8 — as long as it is permanent (never classified
-                // retryable: the damage is on disk, not in flight).
-                Err(e) => prop_assert!(!e.is_transient(), "flip classified transient: {e}"),
-            }
+        match observe_everything(&dir, ReadMode::Stream { cache_blocks: 2 }) {
+            Ok(digest) => prop_assert_eq!(
+                digest, pristine,
+                "flip {:?}[{at}] bit {bit} read back silently different data",
+                victim.file_name().unwrap()
+            ),
+            // Any error is acceptable — a flipped MANIFEST byte can even
+            // break UTF-8 — as long as it is permanent (never classified
+            // retryable: the damage is on disk, not in flight).
+            Err(e) => prop_assert!(!e.is_transient(), "flip classified transient: {e}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

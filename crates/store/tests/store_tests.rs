@@ -73,7 +73,7 @@ fn assert_matches_csr(reader: &StoreReader, csr: &CsrGraph) {
 }
 
 #[test]
-fn roundtrip_matches_csr_both_modes() {
+fn roundtrip_matches_csr() {
     let dir = temp_store("roundtrip");
     let triples = random_triples(1, 4000, 300, 12);
     // Tiny segments + tiny transpose budget: forces segment rolling and
@@ -85,11 +85,9 @@ fn roundtrip_matches_csr_both_modes() {
     assert!(summary.transpose_passes > 1, "expected multi-pass transpose");
 
     let csr = CsrGraph::from_triples(triples);
-    for mode in [ReadMode::Resident, ReadMode::Stream { cache_blocks: 4 }] {
-        let reader = StoreReader::open(&dir, mode).unwrap();
-        assert_matches_csr(&reader, &csr);
-        reader.verify().unwrap();
-    }
+    let reader = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
+    assert_matches_csr(&reader, &csr);
+    reader.verify().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -162,16 +160,20 @@ fn corrupted_segment_rejected_with_file_name() {
     bytes[mid] ^= 0xff;
     std::fs::write(&victim, &bytes).unwrap();
 
-    // Stream open succeeds (sizes match) but verify() names the file…
+    // Open succeeds (sizes match), but verify(), the sequential sweep and a
+    // point read in the flipped block each name the file.
     let reader = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
-    let err = reader.verify().unwrap_err();
-    match err {
-        StoreError::Corrupt { ref file, .. } => assert_eq!(file, "fwd-00001.seg"),
-        other => panic!("unexpected: {other}"),
+    let in_flipped_block = 512 + (mid / FWD_RECORD_BYTES) as u64;
+    for err in [
+        reader.verify().unwrap_err(),
+        reader.for_each_triple(|_| {}).unwrap_err(),
+        reader.triple_at(in_flipped_block).unwrap_err(),
+    ] {
+        match err {
+            StoreError::Corrupt { ref file, .. } => assert_eq!(file, "fwd-00001.seg"),
+            other => panic!("unexpected: {other}"),
+        }
     }
-    // …and resident open refuses outright.
-    let err = StoreReader::open(&dir, ReadMode::Resident).unwrap_err();
-    assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -247,6 +249,47 @@ fn corrupted_index_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Build a 10-entity store, let `tamper` rewrite the words of its index
+/// (`out_off[0..=10] ++ in_off[0..=10]`), re-sum the index into the manifest
+/// so the checksum passes, and return the open's error.
+fn open_with_tampered_offsets(tag: &str, tamper: impl FnOnce(&mut [u64])) -> StoreError {
+    let dir = temp_store(tag);
+    let triples: Vec<Triple> = (0..10u32).map(|e| Triple::new(e, 0u32, (e + 1) % 10)).collect();
+    build_from_sorted(&dir, StoreConfig::default(), triples).unwrap();
+    let path = dir.join(INDEX_NAME);
+    let mut words: Vec<u64> = std::fs::read(&path)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    assert_eq!(words.len(), 22, "10 entities: two halves of 11 offsets");
+    tamper(&mut words);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    std::fs::write(&path, &bytes).unwrap();
+    let mut m =
+        Manifest::parse(&std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap()).unwrap();
+    m.index_checksum = m.checksum().of(&bytes);
+    std::fs::write(dir.join(MANIFEST_NAME), m.to_text()).unwrap();
+    let err = StoreReader::open(&dir, ReadMode::default()).unwrap_err();
+    std::fs::remove_dir_all(&dir).unwrap();
+    err
+}
+
+#[test]
+fn index_offset_past_the_data_rejected_at_open() {
+    // Unchecked, entity 4's run walks off the end of the data and
+    // `for_each_out_edge(EntityId(4))` never finishes.
+    let err = open_with_tampered_offsets("offpast", |w| w[5] = 1_000_000);
+    assert!(matches!(err, StoreError::Corrupt { ref file, .. } if file == INDEX_NAME), "{err}");
+}
+
+#[test]
+fn decreasing_index_offset_rejected_at_open() {
+    // in_off[3] > in_off[4]: a run that ends before it starts.
+    let err = open_with_tampered_offsets("offback", |w| w[11 + 3] = 9);
+    assert!(matches!(err, StoreError::Corrupt { ref file, .. } if file == INDEX_NAME), "{err}");
+}
+
 #[test]
 fn interrupted_build_leaves_no_store() {
     let dir = temp_store("interrupted");
@@ -301,23 +344,20 @@ fn a_v2_store_with_fnv_sums_opens_reads_and_verifies_as_before() {
     let v3 = StoreReader::open(&v3_dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
     // Every block of the v3 build is read, and so checked, at least once.
     assert_matches_csr(&v3, &csr);
-    for mode in [ReadMode::Stream { cache_blocks: 4 }, ReadMode::Resident] {
-        let v2 = StoreReader::open(&v2_dir, mode).unwrap();
-        assert_eq!(v2.manifest().checksum(), Checksum::Fnv1a64);
-        assert_matches_csr(&v2, &csr);
-        v2.verify().unwrap();
-        for t in triples.iter().step_by(997) {
-            for k in [1, 2] {
-                let mut old = NeighborhoodView::new(&v2);
-                old.pin(t.head, t.tail, k).unwrap();
-                let mut new = NeighborhoodView::new(&v3);
-                new.pin(t.head, t.tail, k).unwrap();
-                let (got, want) =
-                    (enclosing_subgraph(&old, *t, k), enclosing_subgraph(&new, *t, k));
-                assert_eq!(got.triples, want.triples, "{t} k={k}");
-                assert_eq!(got.entities, want.entities, "{t} k={k}");
-                assert_eq!(got.distance_rows(), want.distance_rows(), "{t} k={k}");
-            }
+    let v2 = StoreReader::open(&v2_dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
+    assert_eq!(v2.manifest().checksum(), Checksum::Fnv1a64);
+    assert_matches_csr(&v2, &csr);
+    v2.verify().unwrap();
+    for t in triples.iter().step_by(997) {
+        for k in [1, 2] {
+            let mut old = NeighborhoodView::new(&v2);
+            old.pin(t.head, t.tail, k).unwrap();
+            let mut new = NeighborhoodView::new(&v3);
+            new.pin(t.head, t.tail, k).unwrap();
+            let (got, want) = (enclosing_subgraph(&old, *t, k), enclosing_subgraph(&new, *t, k));
+            assert_eq!(got.triples, want.triples, "{t} k={k}");
+            assert_eq!(got.entities, want.entities, "{t} k={k}");
+            assert_eq!(got.distance_rows(), want.distance_rows(), "{t} k={k}");
         }
     }
     let report = scrub_store(&v2_dir).unwrap();

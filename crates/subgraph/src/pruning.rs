@@ -72,12 +72,6 @@ impl PruningSchedule {
         out.extend(self.dist.iter().enumerate().filter(|(_, &d)| d <= budget).map(|(i, _)| i));
     }
 
-    /// All nodes that participate in any layer (within `k` hops of target,
-    /// including the target).
-    pub fn relevant_nodes(&self) -> Vec<usize> {
-        self.dist.iter().enumerate().filter(|(_, &d)| d != usize::MAX).map(|(i, _)| i).collect()
-    }
-
     /// How many node updates the pruned schedule performs in total,
     /// versus the unpruned `k * |V|` cost — the efficiency win of Alg. 1.
     pub fn update_counts(&self) -> (usize, usize) {
@@ -166,7 +160,6 @@ mod tests {
                 for l in 1..=2 {
                     assert!(!sched.active_nodes(l).contains(&i));
                 }
-                assert!(!sched.relevant_nodes().contains(&i));
             }
         }
     }

@@ -79,7 +79,7 @@ impl RelEdgeType {
     /// in a fixed array, in index order, plus the valid count. This is the
     /// form [`RelViewGraph::incoming`] calls once per enumerated source.
     #[inline]
-    pub fn classify_packed(a: Triple, b: Triple) -> ([RelEdgeType; 2], usize) {
+    fn classify_packed(a: Triple, b: Triple) -> ([RelEdgeType; 2], usize) {
         let hh = a.head == b.head;
         let ht = a.head == b.tail;
         let th = a.tail == b.head;

@@ -79,12 +79,12 @@ impl ChaosFileStats {
     }
 
     /// Injected EIO failures.
-    pub fn eio(&self) -> u64 {
+    fn eio(&self) -> u64 {
         self.eio.load(Ordering::Relaxed)
     }
 
     /// Injected short reads.
-    pub fn short_reads(&self) -> u64 {
+    fn short_reads(&self) -> u64 {
         self.short_reads.load(Ordering::Relaxed)
     }
 
@@ -94,12 +94,12 @@ impl ChaosFileStats {
     }
 
     /// Reads handed back with one silently flipped bit.
-    pub fn bit_flips(&self) -> u64 {
+    fn bit_flips(&self) -> u64 {
         self.bit_flips.load(Ordering::Relaxed)
     }
 
     /// Reads refused because they touched the truncated tail.
-    pub fn truncated_reads(&self) -> u64 {
+    fn truncated_reads(&self) -> u64 {
         self.truncated_reads.load(Ordering::Relaxed)
     }
 

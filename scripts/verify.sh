@@ -17,6 +17,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# a grep floor under the compiler's dead-code check: no library `pub fn`
+# whose name no other file mentions (see the script's header for its limits)
+echo "== no public function without a caller outside its own file =="
+uncalled="$(scripts/uncalled_pub.sh)"
+if [ -n "$uncalled" ]; then
+  echo "verify.sh: public functions that nothing outside their file names:" >&2
+  echo "$uncalled" >&2
+  exit 1
+fi
+
 # every intra-doc link resolves (a deleted or private item fails here); the
 # vendored stand-ins for external crates are not ours to document
 echo "== cargo doc -D warnings (rmpi crates) =="
@@ -38,6 +48,14 @@ cargo test -q
 echo "== unit tests + proptests: subgraph and core libraries, baselines, autograd, kg, eval =="
 cargo test -q -p rmpi-subgraph -p rmpi-core --lib
 cargo test -q -p rmpi-baselines -p rmpi-autograd -p rmpi-kg -p rmpi-eval
+
+# the remaining suites no other step runs: the generators', the metrics
+# registry's, the schema's and the test utilities' own tests, the bench
+# harness's argument parsing, and the model's proptests
+echo "== unit tests + proptests: datasets, obs, schema, testutil, bench harness, core proptests =="
+cargo test -q -p rmpi-datasets -p rmpi-obs -p rmpi-schema -p rmpi-testutil
+cargo test -q -p rmpi-bench --lib
+cargo test -q -p rmpi-core --test proptests
 
 # 2 s is twice the shortest run in which all 16 rank queries are answered
 # (the answer check's coverage floor); writes only under target/bench/

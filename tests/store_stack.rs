@@ -69,7 +69,7 @@ fn generate_train_bundle_and_serve_from_disk() {
     // Package the trained params together with the graph it was trained on.
     let bdir = root.join("model.bundled");
     save_bundle_dir(&bdir, &model, &[], Some(&store_dir)).unwrap();
-    let (bundle, graph_reader) = load_bundle_dir(&bdir, ReadMode::Resident).unwrap();
+    let (bundle, graph_reader) = load_bundle_dir(&bdir, ReadMode::default()).unwrap();
     let graph_reader = graph_reader.expect("bundle dir must carry the graph");
     assert_eq!(graph_reader.num_triples(), summary.num_triples);
 
