@@ -2,7 +2,7 @@
 //! bytes moved by the dense kernels in [`crate::kernels`] and
 //! [`crate::tensor`].
 //!
-//! The bench harness brackets a phase with [`reset`]/[`snapshot`] and reports
+//! The bench harness brackets a phase with two [`snapshot`]s and reports
 //! achieved FLOP/s and effective bandwidth next to wall-clock numbers, which
 //! turns "this phase got faster" into "this phase now moves N bytes per
 //! sample". Counting is two relaxed atomic adds per *kernel call* (not per
@@ -51,13 +51,6 @@ pub fn param_copies() -> u64 {
 /// Current cumulative counters.
 pub fn snapshot() -> KernelCounters {
     KernelCounters { flops: FLOPS.load(Ordering::Relaxed), bytes: BYTES.load(Ordering::Relaxed) }
-}
-
-/// Zero both counters (bench-phase bracket; racing kernels may slip between
-/// the two stores, which is harmless for reporting).
-pub fn reset() {
-    FLOPS.store(0, Ordering::Relaxed);
-    BYTES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

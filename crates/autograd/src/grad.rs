@@ -31,15 +31,9 @@ impl GradBuffer {
         Self::default()
     }
 
-    /// Add `delta` into the slot for `id` (taking ownership avoids a copy
-    /// for the first — usually only — contribution).
-    fn add_assign(&mut self, id: ParamId, mut delta: Tensor) {
-        self.add_from(id, &mut delta);
-    }
-
-    /// [`GradBuffer::add_assign`] that takes `delta`'s storage only for a
-    /// first contribution (leaving `delta` empty) and reads it otherwise —
-    /// the backward pass's recycled gradient slots lose a buffer once per
+    /// Add `delta` into the slot for `id`. A first contribution takes
+    /// `delta`'s storage (leaving `delta` empty), later ones read it — the
+    /// backward pass's recycled gradient slots lose a buffer once per
     /// parameter, not once per use.
     pub(crate) fn add_from(&mut self, id: ParamId, delta: &mut Tensor) {
         let i = id.index();
@@ -70,27 +64,11 @@ impl GradBuffer {
             .filter_map(|(i, slot)| slot.as_ref().map(|t| (ParamId::from_index(i), t)))
     }
 
-    /// Merge `other` into `self`, slot by slot in parameter-index order.
-    pub fn merge(&mut self, other: GradBuffer) {
-        for (i, slot) in other.slots.into_iter().enumerate() {
-            if let Some(g) = slot {
-                self.add_assign(ParamId::from_index(i), g);
-            }
-        }
-    }
-
     /// Add every recorded gradient into the store's accumulators, in
     /// parameter-index order (the ordered-reduce step).
     pub fn add_to(&self, store: &mut ParamStore) {
         for (id, g) in self.iter() {
             store.accumulate_grad(id, g);
-        }
-    }
-
-    /// Drop all recorded gradients but keep the slot table's capacity.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
         }
     }
 }
@@ -108,17 +86,17 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_and_merges_in_index_order() {
+    fn accumulates_in_index_order() {
         let (_, a, _, c) = store3();
         let mut x = GradBuffer::new();
-        x.add_assign(a, Tensor::vector(vec![1.0, 2.0]));
-        x.add_assign(a, Tensor::vector(vec![0.5, 0.5]));
+        assert!(x.is_empty());
+        x.add_from(c, &mut Tensor::vector(vec![1.0, 1.0, 1.0]));
+        x.add_from(a, &mut Tensor::vector(vec![1.0, 2.0]));
+        let mut second = Tensor::vector(vec![0.5, 0.5]);
+        x.add_from(a, &mut second);
+        assert!(!x.is_empty());
         assert_eq!(x.get(a).unwrap().data(), &[1.5, 2.5]);
-        assert!(x.get(c).is_none());
-
-        let mut y = GradBuffer::new();
-        y.add_assign(c, Tensor::vector(vec![1.0, 1.0, 1.0]));
-        x.merge(y);
+        assert_eq!(second.data(), &[0.5, 0.5], "a later contribution is read, not taken");
         assert_eq!(x.get(c).unwrap().data(), &[1.0, 1.0, 1.0]);
         let ids: Vec<usize> = x.iter().map(|(id, _)| id.index()).collect();
         assert_eq!(ids, vec![a.index(), c.index()], "iteration is index-ordered");
@@ -128,23 +106,11 @@ mod tests {
     fn add_to_matches_direct_accumulation() {
         let (mut store, a, b, _) = store3();
         let mut buf = GradBuffer::new();
-        buf.add_assign(b, Tensor::scalar(3.0));
-        buf.add_assign(a, Tensor::vector(vec![1.0, -1.0]));
+        buf.add_from(b, &mut Tensor::scalar(3.0));
+        buf.add_from(a, &mut Tensor::vector(vec![1.0, -1.0]));
         buf.add_to(&mut store);
         buf.add_to(&mut store);
         assert_eq!(store.grad(a).data(), &[2.0, -2.0]);
         assert_eq!(store.grad(b).data(), &[6.0]);
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_empties() {
-        let (_, a, _, _) = store3();
-        let mut buf = GradBuffer::new();
-        assert!(buf.is_empty());
-        buf.add_assign(a, Tensor::scalar(1.0));
-        assert!(!buf.is_empty());
-        buf.clear();
-        assert!(buf.is_empty());
-        assert!(buf.get(a).is_none());
     }
 }

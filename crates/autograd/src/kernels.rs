@@ -74,7 +74,7 @@ pub(crate) fn dot_chunked(x: &[f32], y: &[f32]) -> f32 {
 /// `out` is *accumulated into*, not overwritten — callers that want a plain
 /// product pass a zeroed buffer. Tiled i-k-j: the inner loop is an `axpy`
 /// over a contiguous row of `b` into a contiguous row of `out`. Rows of the
-/// left operand that are exactly zero (ReLU/dropout masks) are skipped; this
+/// left operand that are exactly zero (ReLU masks) are skipped; this
 /// cannot change the result because `0 · x` contributes nothing to a sum that
 /// is accumulated in the same order either way.
 pub fn matmul_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {

@@ -3,32 +3,6 @@
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 
-/// Plain stochastic gradient descent with optional weight decay.
-#[derive(Clone, Copy, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight decay coefficient (0 disables).
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate, no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, weight_decay: 0.0 }
-    }
-
-    /// Apply one step using the store's accumulated gradients.
-    pub fn step(&self, store: &mut ParamStore) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        store.for_each_mut(|_, value, grad| {
-            for (v, g) in value.data_mut().iter_mut().zip(grad.data()) {
-                *v -= lr * (g + wd * *v);
-            }
-        });
-    }
-}
-
 /// A checkpointable snapshot of [`Adam`]'s internal state: the step count
 /// and the first/second moment buffers, indexed by parameter index.
 #[derive(Clone, Debug, Default)]
@@ -62,11 +36,6 @@ impl Adam {
     /// Adam with standard betas (0.9 / 0.999) and eps 1e-8.
     pub fn new(lr: f32) -> Self {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Snapshot the optimiser's internal state (step count + moment buffers)
@@ -133,21 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        store.create("x", Tensor::scalar(0.0));
-        let opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            store.zero_grad();
-            let (tape, loss) = quadratic_loss(&store);
-            tape.backward(loss, &mut store);
-            opt.step(&mut store);
-        }
-        let x = store.value(store.get("x").unwrap()).item();
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut store = ParamStore::new();
         store.create("x", Tensor::scalar(0.0));
@@ -160,7 +114,6 @@ mod tests {
         }
         let x = store.value(store.get("x").unwrap()).item();
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-        assert_eq!(opt.steps(), 300);
     }
 
     #[test]
@@ -190,17 +143,5 @@ mod tests {
         }
         assert!(store.value(store.get("a").unwrap()).item().abs() < 0.05);
         assert!(store.value(store.get("b").unwrap()).item().abs() < 0.15);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut store = ParamStore::new();
-        store.create("x", Tensor::scalar(5.0));
-        let opt = Sgd { lr: 0.1, weight_decay: 1.0 };
-        // zero gradient, decay only
-        store.zero_grad();
-        opt.step(&mut store);
-        let x = store.value(store.get("x").unwrap()).item();
-        assert!((x - 4.5).abs() < 1e-6);
     }
 }

@@ -18,7 +18,7 @@
 //! while the tape is alive). [`Tape::reset`] ends a recording but keeps its
 //! storage: the node table; the index record, one `Vec` every node appends
 //! its integer operands to (gather rows, segment members and offsets,
-//! concat/stack parts, dropout flags); and every value buffer, handed back
+//! concat/stack parts); and every value buffer, handed back
 //! to spares sorted into power-of-two size classes that the next recording's
 //! nodes draw from. Each class settles at the most buffers of its size one
 //! recording holds at once, so what a tape keeps is bounded by a recording's
@@ -99,14 +99,6 @@ enum Op {
     Stack(Span),
     Row(Var, usize),
     Gather(Var, Span),
-    Index(Var, usize),
-    Transpose(Var),
-    /// One keep flag (1) or drop flag (0) per element.
-    Dropout {
-        input: Var,
-        keep: f32,
-        mask: Span,
-    },
 }
 
 /// One recorded node. Its slot outlives the recording: the next one
@@ -205,7 +197,7 @@ pub struct Tape {
     /// Value buffers between recordings.
     spare: Spare<f32>,
     /// The recording's integer operands, appended node by node: gather
-    /// rows, segment members and offsets, concat/stack parts, dropout flags.
+    /// rows, segment members and offsets, concat/stack parts.
     index: Vec<usize>,
 }
 
@@ -436,14 +428,6 @@ impl Tape {
         })
     }
 
-    /// Transpose of a rank-2 variable.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        self.record(self.len_of(a), |n, node| {
-            val(n, a).transpose_into(&mut node.value);
-            Op::Transpose(a)
-        })
-    }
-
     // ---------------------------------------------------------------- activations
 
     /// Rectified linear unit.
@@ -659,34 +643,6 @@ impl Tape {
             }
             Op::Gather(m, span)
         })
-    }
-
-    /// Select element `i` of a rank-1 variable, as a one-element tensor.
-    pub fn index(&mut self, x: Var, i: usize) -> Var {
-        self.record(1, |n, node| {
-            let v = val(n, x).data()[i];
-            node.value.refill(&[1]).push(v);
-            Op::Index(x, i)
-        })
-    }
-
-    /// Inverted dropout: elements are zeroed with probability `rate` and the
-    /// survivors scaled by `1/(1-rate)`. The mask is sampled here and stored
-    /// for the backward pass. `rate == 0` records a pass-through node.
-    pub fn dropout<R: rand::Rng>(&mut self, a: Var, rate: f32, rng: &mut R) -> Var {
-        assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0,1)");
-        let (len, keep) = (self.len_of(a), 1.0 - rate);
-        let mask = self
-            .push_index((0..len).map(|_| usize::from(!(rate > 0.0 && rng.gen::<f32>() < rate))));
-        let out = self.record(len, |n, node| {
-            val(n, a).map_into(|x| x, &mut node.value);
-            Op::Dropout { input: a, keep, mask }
-        });
-        let Tape { nodes, index, .. } = self;
-        for (x, &kept) in nodes[out.0].value.data_mut().iter_mut().zip(mask.of(index)) {
-            *x *= dropout_scale(kept, keep);
-        }
-        out
     }
 
     // ------------------------------------------------------------------ backward
@@ -974,15 +930,6 @@ impl Tape {
                         }
                     });
                 }
-                Op::Index(x, i) => sink.add(x, tmp, |d| {
-                    d.refill_with(v(x).shape(), 0.0)[i] = g.item();
-                }),
-                Op::Transpose(a) => sink.add(a, tmp, |d| g.transpose_into(d)),
-                Op::Dropout { input, keep, mask } => sink.add(input, tmp, |d| {
-                    let mask = mask.of(index).iter().map(|&kept| dropout_scale(kept, keep));
-                    d.refill(v(input).shape())
-                        .extend(g.data().iter().zip(mask).map(|(&gi, m)| gi * m))
-                }),
             }
             // consumed: its storage serves the next gradient to go live
             sink.spare.give(std::mem::take(g.storage()));
@@ -1071,21 +1018,6 @@ impl BackwardScratch {
     /// An empty scratch; the storage grows to the tape's size on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of node slots currently allocated (capacity metric for tests).
-    pub fn capacity(&self) -> usize {
-        self.grads.capacity()
-    }
-}
-
-/// The factor a dropout node applied to an element: `1/keep` where the
-/// element was kept, `0` where it was dropped.
-fn dropout_scale(kept: usize, keep: f32) -> f32 {
-    if kept == 1 {
-        1.0 / keep
-    } else {
-        0.0
     }
 }
 
@@ -1222,8 +1154,7 @@ mod tests {
                 let r2 = tape.row(m, 2);
                 let cat = tape.concat(&[r0, r2]);
                 let g = tape.gather(m, &[1, 1, 2]);
-                let t = tape.transpose(g);
-                let flat = tape.sum(t);
+                let flat = tape.sum(g);
                 let s = tape.sum(cat);
                 let both = tape.add(flat, s);
                 tape.mean(both)
@@ -1232,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_stack_index_dot() {
+    fn gradcheck_stack_dot() {
         check_gradients(
             &[("x", Tensor::vector(vec![0.4, -0.3])), ("y", Tensor::vector(vec![0.2, 0.9]))],
             |tape, store| {
@@ -1240,10 +1171,8 @@ mod tests {
                 let y = tape.param(store, store.get("y").unwrap());
                 let st = tape.stack(&[x, y]);
                 let d = tape.dot(x, y);
-                let i = tape.index(x, 1);
                 let sm = tape.sum(st);
-                let a = tape.add(d, i);
-                let b = tape.add(a, sm);
+                let b = tape.add(d, sm);
                 let sc = tape.scale(b, 0.5);
                 tape.add_scalar(sc, 1.0)
             },
@@ -1263,44 +1192,6 @@ mod tests {
                 tape.sum(sg)
             },
         );
-    }
-
-    #[test]
-    fn dropout_zero_rate_is_identity() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut tape = Tape::new();
-        let a = tape.constant(Tensor::vector(vec![1.0, 2.0]));
-        let d = tape.dropout(a, 0.0, &mut rng);
-        assert_eq!(tape.value(d).data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let n = 20_000;
-        let mut tape = Tape::new();
-        let a = tape.constant(Tensor::vector(vec![1.0; n]));
-        let d = tape.dropout(a, 0.5, &mut rng);
-        let mean = tape.value(d).sum() / n as f32;
-        assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
-    }
-
-    #[test]
-    fn backward_through_dropout_respects_mask() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let (mut store, w) = store_with("w", Tensor::vector(vec![1.0; 8]));
-        let mut tape = Tape::new();
-        let wv = tape.param(&store, w);
-        let d = tape.dropout(wv, 0.5, &mut rng);
-        let loss = tape.sum(d);
-        tape.backward(loss, &mut store);
-        // gradient equals the mask: zeros where dropped, 2.0 where kept
-        for (&g, &v) in store.grad(w).data().iter().zip(tape.value(d).data()) {
-            assert_eq!(g, v); // input was all ones
-        }
     }
 
     #[test]
@@ -1563,17 +1454,14 @@ mod tests {
     /// Every op kind once, over inputs whose sizes depend on `n`, with a
     /// parameter and a constant among the leaves; returns the loss.
     fn every_op(tape: &mut Tape, store: &ParamStore, n: usize) -> Var {
-        use rand::SeedableRng;
         let w = tape.param(store, store.get("w").unwrap());
         let xs: Vec<f32> = (0..n * 3).map(|i| ((i * 37 % 19) as f32 - 9.0) / 7.0).collect();
         let x = tape.constant(Tensor::matrix(n, 3, xs));
         let s = tape.constant_with(&[1], |d| d.push(0.5));
         let h = tape.matmul_nt(x, w);
         let m = tape.matmul(h, w);
-        let t = tape.transpose(m);
-        let tt = tape.transpose(t);
         let rows: Vec<usize> = (0..n).rev().chain(0..n).collect();
-        let g = tape.gather(tt, &rows);
+        let g = tape.gather(m, &rows);
         let q = tape.row(g, 0);
         let logits = tape.matvec(g, q);
         let lr = tape.leaky_relu(logits, 0.2);
@@ -1588,9 +1476,7 @@ mod tests {
         let v = tape.vecmat(sm, w);
         let cat = tape.concat(&[v, r1]);
         let st = tape.stack(&[v, r1]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
-        let dr = tape.dropout(cat, 0.25, &mut rng);
-        let sg = tape.sigmoid(dr);
+        let sg = tape.sigmoid(cat);
         let th = tape.tanh(sg);
         let rl = tape.relu(th);
         let sc = tape.scale(rl, 1.5);
@@ -1598,11 +1484,9 @@ mod tests {
         let sub = tape.sub(sh, s);
         let mul = tape.mul(sub, s);
         let dot = tape.dot(mul, cat);
-        let idx = tape.index(mul, 1);
         let mean = tape.mean(st);
         let total = tape.sum(mul);
-        let a = tape.add(dot, idx);
-        let b = tape.add(a, mean);
+        let b = tape.add(dot, mean);
         tape.add(b, total)
     }
 

@@ -145,12 +145,6 @@ impl Tensor {
         self.dims[1]
     }
 
-    /// Element `(i, j)` of a rank-2 tensor.
-    pub fn at(&self, i: usize, j: usize) -> f32 {
-        assert_eq!(self.rank, 2);
-        self.data[i * self.dims[1] + j]
-    }
-
     /// Row `i` of a rank-2 tensor as a slice.
     pub fn row(&self, i: usize) -> &[f32] {
         assert_eq!(self.rank, 2);
@@ -193,49 +187,13 @@ impl Tensor {
         }
     }
 
-    /// Elementwise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "sub shape mismatch {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        self.zip_map(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "mul shape mismatch {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        self.zip_map(other, |a, b| a * b)
-    }
-
     fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let mut out = Tensor::default();
         out.refill(self.shape()).extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         out
     }
 
-    /// Multiply every element by `c`.
-    pub fn scale(&self, c: f32) -> Tensor {
-        self.map(|a| a * c)
-    }
-
-    /// Apply `f` elementwise.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut out = Tensor::default();
-        self.map_into(f, &mut out);
-        out
-    }
-
-    /// [`Tensor::map`] into `out`'s storage.
+    /// Apply `f` elementwise, into `out`'s storage.
     pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Tensor) {
         out.refill(self.shape()).extend(self.data.iter().map(|&a| f(a)));
     }
@@ -257,15 +215,9 @@ impl Tensor {
         crate::kernels::matmul_nn(m, k, n, &self.data, &other.data, o);
     }
 
-    /// `self · otherᵀ` without materialising the transpose:
-    /// `(m,k) x (n,k)ᵀ -> (m,n)`. This is the `grad_a = g·bᵀ` backward rule.
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.matmul_nt_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt`] into `out`'s storage.
+    /// `self · otherᵀ` into `out`'s storage, without materialising the
+    /// transpose: `(m,k) x (n,k)ᵀ -> (m,n)`. This is the `grad_a = g·bᵀ`
+    /// backward rule.
     pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.rank, 2, "matmul_nt lhs must be rank 2");
         assert_eq!(other.rank, 2, "matmul_nt rhs must be rank 2");
@@ -275,15 +227,9 @@ impl Tensor {
         crate::kernels::matmul_nt(m, k, n, &self.data, &other.data, o);
     }
 
-    /// `selfᵀ · other` without materialising the transpose:
-    /// `(k,m)ᵀ x (k,n) -> (m,n)`. This is the `grad_b = aᵀ·g` backward rule.
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] into `out`'s storage.
+    /// `selfᵀ · other` into `out`'s storage, without materialising the
+    /// transpose: `(k,m)ᵀ x (k,n) -> (m,n)`. This is the `grad_b = aᵀ·g`
+    /// backward rule.
     pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.rank, 2, "matmul_tn lhs must be rank 2");
         assert_eq!(other.rank, 2, "matmul_tn rhs must be rank 2");
@@ -358,21 +304,16 @@ impl Tensor {
 
     /// Transpose of a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::default();
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::transpose`] into `out`'s storage.
-    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
         assert_eq!(self.rank, 2);
         let [m, n] = self.dims;
+        let mut out = Tensor::default();
         let o = out.refill_with(&[n, m], 0.0);
         for i in 0..m {
             for j in 0..n {
                 o[j * m + i] = self.data[i * n + j];
             }
         }
+        out
     }
 
     /// Sum of all elements (chunked 8-lane reduction; deterministic,
@@ -414,7 +355,7 @@ impl Tensor {
     }
 
     /// Set all elements to zero (reuse allocation).
-    pub fn zero_(&mut self) {
+    pub(crate) fn zero_(&mut self) {
         self.data.iter_mut().for_each(|a| *a = 0.0);
     }
 }
@@ -440,7 +381,6 @@ mod tests {
         assert_eq!(v.shape(), &[3]);
         assert_eq!(v.len(), 3);
         let m = Tensor::matrix(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.at(1, 0), 3.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
         assert_eq!(Tensor::scalar(7.0).item(), 7.0);
         assert_eq!(Tensor::zeros(&[2, 3]).len(), 6);
@@ -458,10 +398,9 @@ mod tests {
         let a = Tensor::vector(vec![1.0, 2.0]);
         let b = Tensor::vector(vec![3.0, 5.0]);
         assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[3.0, 10.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-        assert_eq!(a.map(|x| x + 1.0).data(), &[2.0, 3.0]);
+        let mut m = Tensor::default();
+        a.map_into(|x| x + 1.0, &mut m);
+        assert_eq!(m.data(), &[2.0, 3.0]);
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c.data(), &[7.0, 12.0]);
@@ -490,9 +429,12 @@ mod tests {
     fn matmul_nt_tn_match_explicit_transpose() {
         let a = Tensor::matrix(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Tensor::matrix(4, 3, (1..=12).map(|x| x as f32).collect());
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
+        let mut out = Tensor::default();
+        a.matmul_nt_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b.transpose()));
         let c = Tensor::matrix(2, 4, (1..=8).map(|x| x as f32).collect());
-        assert_eq!(a.matmul_tn(&c), a.transpose().matmul(&c));
+        a.matmul_tn_into(&c, &mut out);
+        assert_eq!(out, a.transpose().matmul(&c));
     }
 
     #[test]
@@ -500,7 +442,7 @@ mod tests {
         let a = Tensor::matrix(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let t = a.transpose();
         assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.at(0, 1), 4.0);
+        assert_eq!(t.row(0), &[1.0, 4.0]);
         assert_eq!(t.transpose(), a);
     }
 

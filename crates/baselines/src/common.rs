@@ -1,8 +1,7 @@
 //! Shared machinery for the entity-view baselines.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use rmpi_core::sample::apply_edge_budget;
 use rmpi_core::Mode;
 use rmpi_kg::{EntityId, GraphAccess, Triple};
 use rmpi_subgraph::{double_radius_labels, enclosing_subgraph, NodeLabel, Subgraph};
@@ -40,7 +39,7 @@ impl Default for BaselineConfig {
 
 impl BaselineConfig {
     /// Length of the initial one-hot double-radius features.
-    pub fn label_dim(&self) -> usize {
+    pub(crate) fn label_dim(&self) -> usize {
         NodeLabel::one_hot_len(self.max_label_dist)
     }
 }
@@ -60,7 +59,7 @@ pub struct EntitySample {
 }
 
 /// Extract and label the enclosing subgraph for `target`.
-pub fn prepare_entity_sample<G: GraphAccess + ?Sized>(
+pub(crate) fn prepare_entity_sample<G: GraphAccess + ?Sized>(
     graph: &G,
     target: Triple,
     cfg: &BaselineConfig,
@@ -68,14 +67,7 @@ pub fn prepare_entity_sample<G: GraphAccess + ?Sized>(
     rng: &mut StdRng,
 ) -> EntitySample {
     let mut sg = enclosing_subgraph(graph, target, cfg.hop);
-    if mode == Mode::Train && cfg.edge_dropout > 0.0 {
-        sg.triples.retain(|_| !rng.gen_bool(cfg.edge_dropout));
-    }
-    if sg.triples.len() > cfg.max_subgraph_edges {
-        sg.triples.shuffle(rng);
-        sg.triples.truncate(cfg.max_subgraph_edges);
-        sg.triples.sort_unstable();
-    }
+    apply_edge_budget(&mut sg, cfg.edge_dropout, cfg.max_subgraph_edges, mode, rng);
     // entities may have shrunk after dropout; recompute the present set but
     // always keep the target endpoints
     let mut entities: Vec<EntityId> = sg

@@ -34,7 +34,7 @@ pub struct GrailEncoderWeights {
 
 impl GrailEncoderWeights {
     /// Register all encoder parameters under `prefix`.
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         prefix: &str,
         cfg: &BaselineConfig,
@@ -94,7 +94,7 @@ pub struct GrailEncoding {
 }
 
 /// Run the GraIL encoder (Eq. 1–3, 5) over a prepared entity sample.
-pub fn grail_encode(
+pub(crate) fn grail_encode(
     tape: &mut Tape,
     store: &ParamStore,
     weights: &GrailEncoderWeights,
@@ -177,11 +177,6 @@ impl GrailModel {
         );
         let score_w = store.create("grail_score_w", init::xavier_uniform(&[4 * cfg.dim], &mut rng));
         GrailModel { cfg, store, encoder, rel_emb, score_w, num_relations }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.cfg
     }
 }
 

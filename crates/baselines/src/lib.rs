@@ -19,6 +19,8 @@
 //! * [`RuleNModel`] — a statistical rule-mining baseline (the rule-learning
 //!   line of §V that the paper reports GraIL dominating).
 
+#![warn(missing_docs)]
+
 pub mod common;
 pub mod compile;
 pub mod grail;

@@ -11,7 +11,7 @@
 //!
 //! Scoring a candidate triple checks each mined rule for `r` against the
 //! *test* graph and returns the best (noisy-or combined) confidence. The
-//! model is non-parametric — [`rmpi_core::train_model`] is a no-op for it —
+//! model is non-parametric — training it with [`rmpi_core::Trainer`] is a no-op —
 //! which is itself a faithful property of this method family.
 
 use rand::rngs::StdRng;

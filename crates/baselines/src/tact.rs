@@ -34,7 +34,7 @@ pub struct CorrelationWeights {
 
 impl CorrelationWeights {
     /// Register the six pattern transforms under `prefix`.
-    pub fn new(store: &mut ParamStore, prefix: &str, dim: usize, rng: &mut StdRng) -> Self {
+    fn new(store: &mut ParamStore, prefix: &str, dim: usize, rng: &mut StdRng) -> Self {
         let w = (0..NUM_EDGE_TYPES)
             .map(|e| {
                 store.create(&format!("{prefix}_corr_e{e}"), init::xavier_uniform(&[dim, dim], rng))

@@ -6,7 +6,7 @@
 //! pure wall-clock scaling of the sharded minibatch pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rmpi_core::{train_model, RmpiConfig, RmpiModel, TrainConfig};
+use rmpi_core::{RmpiConfig, RmpiModel, TrainConfig, Trainer};
 use rmpi_datasets::{build_benchmark, Scale};
 
 fn bench_train_epoch(c: &mut Criterion) {
@@ -32,7 +32,8 @@ fn bench_train_epoch(c: &mut Criterion) {
                     };
                     let mut model =
                         RmpiModel::new(RmpiConfig { dim: 12, ..RmpiConfig::base() }, num_rel, 1);
-                    train_model(&mut model, &b.train.graph, &b.train.targets, &b.train.valid, &cfg)
+                    Trainer::new(cfg)
+                        .train(&mut model, &b.train.graph, &b.train.targets, &b.train.valid)
                         .epoch_losses
                         .len()
                 })

@@ -6,7 +6,7 @@
 //! ```
 
 use rmpi_bench::{method_factory, Harness, MethodSpec};
-use rmpi_core::{train_model, ScoringModel};
+use rmpi_core::{ScoringModel, Trainer};
 use rmpi_datasets::build_benchmark;
 use rmpi_eval::cases::{build_case, find_case};
 use rmpi_kg::RelationId;
@@ -45,7 +45,7 @@ fn run_case(h: &Harness, dataset: &str, test_set: &str, want_unseen: bool, title
         eprintln!("[fig4] training {} on {dataset}", m.name());
         let factory = method_factory(m, &b, h);
         let mut model = factory(0, &b);
-        train_model(&mut model, &b.train.graph, &b.train.targets, &b.train.valid, &h.train);
+        Trainer::new(h.train).train(&mut model, &b.train.graph, &b.train.targets, &b.train.valid);
         models.push(model);
     }
     let refs: Vec<&dyn ScoringModel> = models.iter().map(|m| m as &dyn ScoringModel).collect();

@@ -16,6 +16,8 @@
 //! tables, and [`method_factory`] builds the per-seed model factory
 //! (precomputing schema TransE vectors or seen-relation sets where needed).
 
+#![warn(missing_docs)]
+
 pub mod drivers;
 
 use rmpi_core::config::{Fusion, RelationInit, RmpiConfig};
@@ -171,7 +173,7 @@ impl Harness {
     }
 
     /// The fast profile (default).
-    pub fn quick() -> Self {
+    fn quick() -> Self {
         Harness {
             scale: Scale::Quick,
             seeds: vec![0],
@@ -197,7 +199,7 @@ impl Harness {
     }
 
     /// The paper-scale profile (`--full`).
-    pub fn full() -> Self {
+    fn full() -> Self {
         Harness {
             scale: Scale::Full,
             seeds: vec![0, 1, 2, 3, 4],

@@ -18,7 +18,7 @@ pub(crate) struct SplitMix64 {
 }
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
@@ -67,7 +67,7 @@ impl Default for BackoffConfig {
 /// Stateful delay sequence: one [`next_delay`](Backoff::next_delay) per
 /// retry, [`reset`](Backoff::reset) after a success.
 #[derive(Clone, Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     cfg: BackoffConfig,
     rng: SplitMix64,
     attempt: u32,
@@ -75,14 +75,14 @@ pub struct Backoff {
 
 impl Backoff {
     /// A fresh sequence at attempt 0.
-    pub fn new(cfg: BackoffConfig) -> Self {
+    pub(crate) fn new(cfg: BackoffConfig) -> Self {
         let rng = SplitMix64::new(cfg.seed);
         Backoff { cfg, rng, attempt: 0 }
     }
 
     /// The delay to sleep before the next retry; advances the attempt
     /// counter and the jitter stream.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.cfg.multiplier.powi(self.attempt.min(30) as i32);
         let raw = self.cfg.base.as_secs_f64() * exp;
         let capped = raw.min(self.cfg.max.as_secs_f64());
@@ -94,7 +94,7 @@ impl Backoff {
 
     /// Back to attempt 0 (the jitter stream keeps advancing, by design —
     /// resetting it would re-correlate clients after every success).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 }

@@ -123,7 +123,7 @@ impl CircuitBreaker {
     /// When an `Open` breaker will next admit a probe (`None` unless open).
     /// Lets a caller with every endpoint open *wait out* the shortest
     /// cooldown instead of failing fast.
-    pub fn retry_at(&self) -> Option<Instant> {
+    pub(crate) fn retry_at(&self) -> Option<Instant> {
         match self.inner {
             Inner::Open { until } => Some(until),
             _ => None,

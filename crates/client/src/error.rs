@@ -83,7 +83,7 @@ impl ClientError {
     /// Classify an `ERR <message>` reply. The transient set mirrors the
     /// server's load-shedding answers in `rmpi-serve` (`ServeError`
     /// `Overloaded` / `ConnLimit` / `DeadlineExpired` display strings).
-    pub fn from_server_err(message: &str) -> ClientError {
+    pub(crate) fn from_server_err(message: &str) -> ClientError {
         let transient =
             matches!(message, "server overloaded" | "too many connections" | "deadline expired");
         ClientError::Server { message: message.to_owned(), transient }

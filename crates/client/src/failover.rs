@@ -137,7 +137,7 @@ impl FailoverClient {
             endpoints,
             backoff: Backoff::new(cfg.client.backoff.clone()),
             budget: RetryBudget::new(cfg.client.budget.clone()),
-            stats: ClientStats::with_registry(registry),
+            stats: ClientStats::with_registry(&registry),
             cfg: cfg.client,
             current: 0,
             last_used: None,

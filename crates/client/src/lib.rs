@@ -21,7 +21,7 @@
 //! - [`session`]: a persistent, pipelined protocol-v2 connection
 //!   ([`Session`]) — many requests in flight at once, demultiplexed by tag,
 //!   with a one-typed-error-per-in-flight-request death contract. Its
-//!   primitive is the non-blocking [`Session::submit`] (a responder called
+//!   primitive is the non-blocking `Session::submit` (a responder called
 //!   once, a [`Submission`] handle whose drop deregisters the tag); the
 //!   blocking verbs wait on top of it. It is the one client transport.
 //! - [`FailoverClient`]: the retrying client, over one endpoint
@@ -36,6 +36,8 @@
 //! an `rmpi-obs` registry: `client.retries.count`,
 //! `client.failovers.count`, `client.breaker_open.count`, and friends.
 
+#![warn(missing_docs)]
+
 pub mod backoff;
 pub mod breaker;
 pub mod budget;
@@ -45,7 +47,7 @@ pub mod failover;
 pub mod session;
 pub mod stats;
 
-pub use backoff::{Backoff, BackoffConfig};
+pub use backoff::BackoffConfig;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use budget::{BudgetConfig, RetryBudget};
 pub use client::ClientConfig;

@@ -10,11 +10,11 @@
 //!
 //! # Submissions
 //!
-//! The primitive is [`Session::submit`], the client twin of the serving
+//! The primitive is `Session::submit`, the client twin of the serving
 //! batcher's `submit`: it writes one request and returns at once with a
 //! [`Submission`] handle; the reader thread later calls the responder
 //! exactly once, with the reply or with `SessionClosed` when the session
-//! dies. Dropping (or [`Submission::cancel`]ling) the handle deregisters the
+//! dies. Dropping (or `Submission::cancel`ling) the handle deregisters the
 //! tag, so an abandoned request's late reply is dropped and a wedged peer
 //! cannot grow the in-flight table. The blocking verbs (`request`,
 //! `request_timeout`, `request_many`, `score_batch_deadline`, ...) are that
@@ -112,8 +112,8 @@ impl std::fmt::Debug for Core {
     }
 }
 
-/// One submitted request's claim on its tag (see [`Session::submit`]).
-/// Dropping it — or calling [`Submission::cancel`] — deregisters the tag:
+/// One submitted request's claim on its tag (see `Session::submit`).
+/// Dropping it — or calling `Submission::cancel` — deregisters the tag:
 /// a reply that arrives afterwards is dropped and the responder, if it has
 /// not run yet, never runs.
 #[derive(Debug)]
@@ -125,7 +125,7 @@ pub struct Submission {
 
 impl Submission {
     /// Stop waiting for this request (the same as dropping the handle).
-    pub fn cancel(self) {}
+    fn cancel(self) {}
 }
 
 impl Drop for Submission {
@@ -150,7 +150,6 @@ type Waiter<T> = mpsc::Receiver<Result<T, ClientError>>;
 /// server's micro-batches.
 #[derive(Debug)]
 pub struct Session {
-    addr: SocketAddr,
     read_timeout: Duration,
     core: Arc<Core>,
     writer: Mutex<TcpStream>,
@@ -205,18 +204,12 @@ impl Session {
             .spawn(move || reader_loop(reader, reader_core))
             .map_err(ClientError::Io)?;
         Ok(Session {
-            addr,
             read_timeout: cfg.read_timeout,
             core,
             writer: Mutex::new(writer),
             next_tag: AtomicU64::new(1),
             reader: Some(handle),
         })
-    }
-
-    /// The endpoint this session is connected to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Whether the session can still serve requests. A dead session never
@@ -228,7 +221,7 @@ impl Session {
     /// Send one request line and wait for its response payload. Safe to
     /// call from many threads at once; the requests share the wire
     /// concurrently.
-    pub fn request(&self, line: &str) -> Result<String, ClientError> {
+    fn request(&self, line: &str) -> Result<String, ClientError> {
         self.request_timeout(line, self.read_timeout)
     }
 
@@ -236,7 +229,11 @@ impl Session {
     /// request's response instead of the session-wide read timeout. A
     /// timeout drops the submission (a late reply is dropped) and does
     /// not kill the session — exactly as with the session-wide clock.
-    pub fn request_timeout(&self, line: &str, timeout: Duration) -> Result<String, ClientError> {
+    pub(crate) fn request_timeout(
+        &self,
+        line: &str,
+        timeout: Duration,
+    ) -> Result<String, ClientError> {
         let (respond, rx) = reply_channel();
         let submission = self.submit(line, respond);
         wait(&rx, submission, timeout)
@@ -248,7 +245,7 @@ impl Session {
     /// with nothing written, if it is already dead) — unless the returned
     /// [`Submission`] is dropped first, which deregisters the request. The
     /// responder must not block.
-    pub fn submit(
+    fn submit(
         &self,
         line: &str,
         responder: impl FnOnce(Result<String, ClientError>) + Send + 'static,
@@ -260,7 +257,7 @@ impl Session {
         submission
     }
 
-    /// `DEADLINE <ms> SCORE h r t [...]` as a [`Session::submit`]: the
+    /// `DEADLINE <ms> SCORE h r t [...]` as a `Session::submit`: the
     /// server is told that `budget` remains of the caller's end-to-end
     /// budget — its micro-batcher flushes early rather than hold the
     /// request past the deadline, and an expired item is answered `ERR
@@ -364,11 +361,6 @@ impl Session {
     /// `PING` → liveness.
     pub fn ping(&self) -> Result<(), ClientError> {
         self.request("PING").map(|_| ())
-    }
-
-    /// `HEALTH` → readiness text.
-    pub fn health(&self) -> Result<String, ClientError> {
-        self.request("HEALTH")
     }
 
     /// Claim a tag and register its responder, and whether it was

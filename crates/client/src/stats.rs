@@ -3,13 +3,11 @@
 //! the client process shows what the retry layer is doing.
 
 use rmpi_obs::{Counter, Histogram, MetricsRegistry};
-use std::sync::Arc;
 
 /// Counter handles of a [`FailoverClient`](crate::FailoverClient). Clones
 /// share storage.
 #[derive(Clone, Debug)]
 pub struct ClientStats {
-    registry: Arc<MetricsRegistry>,
     /// `client.requests.count` — logical requests issued (retries excluded).
     pub requests: Counter,
     /// `client.retries.count` — retry attempts after a retryable failure.
@@ -32,12 +30,12 @@ pub struct ClientStats {
 
 impl ClientStats {
     /// Handles into the process-global registry.
-    pub fn new() -> Self {
-        Self::with_registry(Arc::clone(rmpi_obs::global()))
+    fn new() -> Self {
+        Self::with_registry(rmpi_obs::global())
     }
 
     /// Handles into an explicit registry (tests pass a fresh one).
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_registry(registry: &MetricsRegistry) -> Self {
         ClientStats {
             requests: registry.counter("client.requests.count"),
             retries: registry.counter("client.retries.count"),
@@ -46,13 +44,7 @@ impl ClientStats {
             errors: registry.counter("client.errors.count"),
             request_latency: registry.histogram("client.request.us"),
             sessions_opened: registry.counter("client.sessions.count"),
-            registry,
         }
-    }
-
-    /// The registry these handles record into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 }
 
@@ -68,10 +60,11 @@ mod tests {
 
     #[test]
     fn counters_register_under_client_names() {
-        let stats = ClientStats::with_registry(Arc::new(MetricsRegistry::new()));
+        let registry = MetricsRegistry::new();
+        let stats = ClientStats::with_registry(&registry);
         stats.retries.inc();
         stats.failovers.add(2);
-        let dump = stats.registry().to_json();
+        let dump = registry.to_json();
         for name in [
             "\"client.requests.count\": 0",
             "\"client.retries.count\": 1",

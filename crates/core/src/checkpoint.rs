@@ -300,7 +300,7 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
 /// Delete the oldest complete checkpoints so at most `keep` remain (the one
 /// `LATEST` points at is never deleted). Best-effort: I/O failures here must
 /// never interrupt training.
-pub fn prune_checkpoints<P: AsRef<Path>>(root: P, keep: usize) {
+pub(crate) fn prune_checkpoints<P: AsRef<Path>>(root: P, keep: usize) {
     let root = root.as_ref();
     let keep = keep.max(1);
     let latest = latest_checkpoint(root).ok().flatten();

@@ -103,7 +103,7 @@ impl RmpiConfig {
     }
 
     /// Effective hidden width of the schema projection.
-    pub fn schema_hidden_dim(&self) -> usize {
+    pub(crate) fn schema_hidden_dim(&self) -> usize {
         if self.schema_hidden == 0 {
             self.dim
         } else {

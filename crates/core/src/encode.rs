@@ -53,26 +53,18 @@ impl RelationEncoder {
     }
 
     /// The fixed schema TransE vectors, when this is the schema encoder.
-    pub fn schema_vectors(&self) -> Option<&Tensor> {
+    pub(crate) fn schema_vectors(&self) -> Option<&Tensor> {
         match self {
             RelationEncoder::Random { .. } => None,
             RelationEncoder::Schema { onto, .. } => Some(onto),
         }
     }
 
-    /// Number of relations covered.
-    pub fn num_relations(&self, store: &ParamStore) -> usize {
-        match self {
-            RelationEncoder::Random { emb } => store.value(*emb).rows(),
-            RelationEncoder::Schema { onto, .. } => onto.rows(),
-        }
-    }
-
     /// Record the initial-feature table of one sample: one `h^0` row per
     /// *distinct* relation in `rels`, so relation nodes that share a label
     /// share a row. `rels` is sorted and deduplicated in place and becomes
-    /// the table's row order ([`RelationTable::into_rels`] hands its storage
-    /// back for the next sample). Random init gathers the rows of the
+    /// the table's row order (the table hands its storage back for the next
+    /// sample). Random init gathers the rows of the
     /// embedding parameter; schema init projects the gathered schema vectors
     /// through `sem · W2ᵀ · W1ᵀ` (Eq. 10) — per row the same chunked dots as
     /// `W1 (W2 sem)`, so the features are bit-identical to projecting each
@@ -144,7 +136,7 @@ impl RelationTable {
 
     /// The row list, for its storage to be reused by the next
     /// [`RelationEncoder::encode_table`].
-    pub fn into_rels(self) -> Vec<RelationId> {
+    pub(crate) fn into_rels(self) -> Vec<RelationId> {
         self.rels
     }
 }
@@ -159,13 +151,13 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let enc = RelationEncoder::new_random(&mut store, 5, 8, &mut rng);
-        assert_eq!(enc.num_relations(&store), 5);
         let mut tape = Tape::new();
         let t =
             enc.encode_table(&mut tape, &store, vec![RelationId(2), RelationId(2), RelationId(0)]);
         assert_eq!(t.len(), 2);
         assert_eq!(tape.value(t.h0).shape(), &[2, 8]);
         let emb = store.get("rel_emb").unwrap();
+        assert_eq!(store.value(emb).rows(), 5);
         for r in [0u32, 2] {
             assert_eq!(
                 tape.value(t.h0).row(t.row(RelationId(r))),
@@ -181,7 +173,6 @@ mod tests {
         let onto = Tensor::matrix(3, 10, (0..30).map(|i| i as f32 * 0.1).collect());
         let cfg = RmpiConfig { dim: 4, ..Default::default() };
         let enc = RelationEncoder::new_schema(&mut store, onto.clone(), &cfg, &mut rng);
-        assert_eq!(enc.num_relations(&store), 3);
         let mut tape = Tape::new();
         let t = enc.encode_table(&mut tape, &store, vec![RelationId(1), RelationId(2)]);
         assert_eq!(tape.value(t.h0).shape(), &[2, 4]);

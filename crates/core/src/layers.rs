@@ -37,7 +37,7 @@ impl MessagePassingWeights {
     }
 
     /// Number of layers.
-    pub fn num_layers(&self) -> usize {
+    fn num_layers(&self) -> usize {
         self.w.len()
     }
 }

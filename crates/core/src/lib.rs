@@ -15,8 +15,10 @@
 //!    (Eq. 11/15/16, inside [`model`]).
 //!
 //! Everything trainable is expressed through [`rmpi_autograd`], so one
-//! [`trainer::train_model`] loop (margin ranking loss Eq. 12 + Adam) serves
+//! [`Trainer`] loop (margin ranking loss Eq. 12 + Adam) serves
 //! RMPI and all baselines via the [`ScoringModel`] trait.
+
+#![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod config;
@@ -42,8 +44,7 @@ pub use checkpoint::{latest_checkpoint, load_checkpoint, save_checkpoint, TrainC
 pub use config::{Fusion, RelationInit, RmpiConfig};
 pub use model::{ModelAssemblyError, RmpiModel};
 pub use sample::SampleInput;
-pub use stream::{train_streaming, IndexPermutation};
 pub use trainer::{
-    train_model, CheckpointConfig, DivergencePolicy, TrainConfig, TrainEvent, TrainReport, Trainer,
+    CheckpointConfig, DivergencePolicy, TrainConfig, TrainEvent, TrainReport, Trainer,
 };
 pub use traits::{Mode, ScoringModel};

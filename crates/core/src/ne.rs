@@ -19,7 +19,7 @@ pub struct NeWeights {
 
 impl NeWeights {
     /// Register `W^d`.
-    pub fn new(store: &mut ParamStore, dim: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(store: &mut ParamStore, dim: usize, rng: &mut StdRng) -> Self {
         NeWeights { wd: store.create("ne_wd", init::xavier_uniform(&[dim, dim], rng)) }
     }
 }
@@ -33,7 +33,7 @@ impl NeWeights {
 /// All neighbours go through `W^d` in one `X · W^dᵀ` product and their logits
 /// through one `matvec` — per neighbour the same chunked dots as transforming
 /// and scoring each on its own.
-pub fn disclosing_aggregate(
+pub(crate) fn disclosing_aggregate(
     tape: &mut Tape,
     store: &ParamStore,
     weights: NeWeights,

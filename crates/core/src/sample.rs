@@ -60,7 +60,7 @@ pub fn prepare_sample<G: GraphAccess + ?Sized>(
         .get_or_init(|| rmpi_obs::global().counter("core.extract.entities"))
         .add(sg.num_entities() as u64);
     let enclosing_empty = sg.is_empty();
-    apply_edge_budget(&mut sg, cfg, mode, rng);
+    apply_edge_budget(&mut sg, cfg.edge_dropout, cfg.max_subgraph_edges, mode, rng);
     let relview = RelViewGraph::from_subgraph(&sg);
     let schedule = PruningSchedule::new(&relview, cfg.num_layers);
 
@@ -74,14 +74,14 @@ pub fn prepare_sample<G: GraphAccess + ?Sized>(
 }
 
 /// Length of the entity-clue histogram for a given maximum label distance.
-pub fn label_histogram_len(max_dist: usize) -> usize {
+pub(crate) fn label_histogram_len(max_dist: usize) -> usize {
     2 * (max_dist + 1)
 }
 
 /// Normalised histogram of double-radius labels over the subgraph entities:
 /// counts of each `d(i,u)` value followed by counts of each `d(i,v)` value,
 /// both divided by the number of entities.
-pub fn label_histogram(sg: &Subgraph, max_dist: usize) -> Vec<f32> {
+fn label_histogram(sg: &Subgraph, max_dist: usize) -> Vec<f32> {
     let labels = double_radius_labels(sg, max_dist);
     let w = max_dist + 1;
     let mut hist = vec![0f32; 2 * w];
@@ -96,14 +96,24 @@ pub fn label_histogram(sg: &Subgraph, max_dist: usize) -> Vec<f32> {
     hist
 }
 
-/// Edge dropout (training) and the hard size cap (both modes).
-fn apply_edge_budget(sg: &mut Subgraph, cfg: &RmpiConfig, mode: Mode, rng: &mut StdRng) {
-    if mode == Mode::Train && cfg.edge_dropout > 0.0 {
-        sg.triples.retain(|_| !rng.gen_bool(cfg.edge_dropout));
+/// Edge dropout and the hard size cap, shared by RMPI and the entity-view
+/// baselines: in [`Mode::Train`] each edge of `sg` is dropped independently
+/// with probability `edge_dropout`; then, in both modes, a subgraph over
+/// `max_edges` edges is uniformly downsampled to `max_edges` (edges stay
+/// sorted).
+pub fn apply_edge_budget(
+    sg: &mut Subgraph,
+    edge_dropout: f64,
+    max_edges: usize,
+    mode: Mode,
+    rng: &mut StdRng,
+) {
+    if mode == Mode::Train && edge_dropout > 0.0 {
+        sg.triples.retain(|_| !rng.gen_bool(edge_dropout));
     }
-    if sg.triples.len() > cfg.max_subgraph_edges {
+    if sg.triples.len() > max_edges {
         sg.triples.shuffle(rng);
-        sg.triples.truncate(cfg.max_subgraph_edges);
+        sg.triples.truncate(max_edges);
         sg.triples.sort_unstable();
     }
 }

@@ -8,12 +8,12 @@
 //!   a training target, addressed by its record index. Shuffling a
 //!   ten-million-element index vector per epoch would cost 80 MB, so the
 //!   epoch order comes from a seeded *format-preserving permutation*
-//!   ([`IndexPermutation`]: a four-round Feistel network over the smallest
+//!   (`IndexPermutation`: a four-round Feistel network over the smallest
 //!   even-bit domain covering the index range, cycle-walked back into
 //!   `[0, n)`). O(1) memory, deterministic in `(seed, epoch)`, and every
 //!   index appears exactly once per epoch.
 //! * **Pin — adjacency is loaded per score.** Before each of a sample's two
-//!   scores the source pins the [`ScoringModel::context_radius`]-hop
+//!   scores the source pins the [`crate::ScoringModel::context_radius`]-hop
 //!   neighbourhood of that triple's endpoints into the worker thread's
 //!   recycled view ([`with_thread_view`]), so `score_on_tape` sees exactly
 //!   the subgraph it would have read from an in-memory CSR. Peak memory is
@@ -31,8 +31,7 @@
 //! store read that fails in a worker panics with the store's error and so
 //! fails that batch ([`crate::TrainEvent::BatchFailed`]), not the run.
 
-use crate::trainer::{trainer_metrics, TrainConfig, TrainReport, TrainSource, Trainer};
-use crate::traits::ScoringModel;
+use crate::trainer::{trainer_metrics, TrainSource};
 use rand::rngs::StdRng;
 use rmpi_kg::{GraphAccess, Triple};
 use rmpi_store::{with_thread_view, StoreReader};
@@ -55,7 +54,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// stays inside one cycle of a finite permutation that contains its in-range
 /// starting point.
 #[derive(Clone, Copy, Debug)]
-pub struct IndexPermutation {
+pub(crate) struct IndexPermutation {
     n: u64,
     half_bits: u32,
     half_mask: u64,
@@ -64,7 +63,7 @@ pub struct IndexPermutation {
 
 impl IndexPermutation {
     /// The permutation of `[0, n)` selected by `seed`. `n` must be positive.
-    pub fn new(n: u64, seed: u64) -> Self {
+    pub(crate) fn new(n: u64, seed: u64) -> Self {
         assert!(n > 0, "empty index range");
         let bits = (64 - (n.max(2) - 1).leading_zeros()).max(2);
         let half_bits = bits.div_ceil(2);
@@ -78,7 +77,7 @@ impl IndexPermutation {
     }
 
     /// Where index `i` lands; `i` must be below `n`.
-    pub fn apply(&self, i: u64) -> u64 {
+    pub(crate) fn apply(&self, i: u64) -> u64 {
         debug_assert!(i < self.n, "index {i} outside [0, {})", self.n);
         let mut x = i;
         loop {
@@ -141,26 +140,14 @@ impl TrainSource for StoreReader {
     }
 }
 
-/// Train `model` on every triple of the store; `valid` steers early stopping
-/// and the best-snapshot restore exactly as in [`crate::trainer::train_model`].
-///
-/// Equivalent to `Trainer::new(*cfg).train_store(...)` — no checkpointing, no
-/// callback. Bit-identical across `threads` values.
-pub fn train_streaming<M: ScoringModel + Sync>(
-    model: &mut M,
-    reader: &StoreReader,
-    valid: &[Triple],
-    cfg: &TrainConfig,
-) -> TrainReport {
-    Trainer::new(*cfg).train_store(model, reader, valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RmpiConfig;
     use crate::model::RmpiModel;
     use crate::test_common::{tiny_data, tiny_store};
+    use crate::traits::ScoringModel;
+    use crate::{TrainConfig, Trainer};
     use rmpi_autograd::ParamStore;
 
     #[test]
@@ -203,9 +190,10 @@ mod tests {
         };
 
         let mut m1 = mk();
-        let r1 = train_streaming(&mut m1, &reader, &valid, &cfg);
+        let r1 = Trainer::new(cfg).train_store(&mut m1, &reader, &valid);
         let mut m4 = mk();
-        let r4 = train_streaming(&mut m4, &reader, &valid, &TrainConfig { threads: 4, ..cfg });
+        let r4 =
+            Trainer::new(TrainConfig { threads: 4, ..cfg }).train_store(&mut m4, &reader, &valid);
 
         assert_eq!(r1.epoch_losses, r4.epoch_losses, "losses must be bit-identical");
         assert_eq!(r1.valid_accuracy, r4.valid_accuracy);

@@ -470,21 +470,8 @@ impl TrainSource for MemorySource<'_> {
     }
 }
 
-/// Train `model` on `targets` against `graph`; `valid` steers early stopping.
-///
-/// Equivalent to `Trainer::new(*cfg).train(...)` — no checkpointing, no
-/// callback. With `cfg.threads > 1` each minibatch is sharded across a scoped
-/// worker pool; the result is bit-identical to `threads == 1` (see module
-/// docs).
-pub fn train_model<M: ScoringModel + Sync>(
-    model: &mut M,
-    graph: &KnowledgeGraph,
-    targets: &[Triple],
-    valid: &[Triple],
-    cfg: &TrainConfig,
-) -> TrainReport {
-    Trainer::new(*cfg).train(model, graph, targets, valid)
-}
+/// The boxed observer invoked by [`Trainer`] on every [`TrainEvent`].
+pub type EventCallback<'cb> = Box<dyn FnMut(&TrainEvent) + 'cb>;
 
 /// The crash-safe training driver: checkpointing, resume, divergence guards
 /// and a [`TrainEvent`] callback around the data-parallel loop.
@@ -500,9 +487,6 @@ pub fn train_model<M: ScoringModel + Sync>(
 ///     .unwrap()
 ///     .train(&mut model, &graph, &targets, &valid);
 /// ```
-/// The boxed observer invoked by [`Trainer`] on every [`TrainEvent`].
-pub type EventCallback<'cb> = Box<dyn FnMut(&TrainEvent) + 'cb>;
-
 pub struct Trainer<'cb> {
     cfg: TrainConfig,
     checkpoint: Option<CheckpointConfig>,
@@ -537,8 +521,11 @@ impl<'cb> Trainer<'cb> {
         self
     }
 
-    /// Train on `targets` against the in-memory `graph`. See [`train_model`]
-    /// for the algorithm and the module docs for the fault-tolerance layers.
+    /// Train `model` on `targets` against the in-memory `graph`; `valid`
+    /// steers early stopping. With `threads > 1` each minibatch is sharded
+    /// across a scoped worker pool; the result is bit-identical to
+    /// `threads == 1`. The module docs describe the algorithm and the
+    /// fault-tolerance layers.
     pub fn train<M: ScoringModel + Sync>(
         self,
         model: &mut M,
@@ -973,7 +960,7 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let report = train_model(&mut model, &graph, &targets, &valid, &cfg);
+        let report = Trainer::new(cfg).train(&mut model, &graph, &targets, &valid);
         assert_eq!(report.epoch_losses.len(), 4);
         assert!(
             report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap(),
@@ -1001,7 +988,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let report = train_model(&mut model, &graph, &targets, &valid, &cfg);
+        let report = Trainer::new(cfg).train(&mut model, &graph, &targets, &valid);
         assert!(report.epoch_losses.len() < 50, "patience should stop early");
     }
 
@@ -1017,7 +1004,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let report = train_model(&mut model, &graph, &targets, &valid, &cfg);
+        let report = Trainer::new(cfg).train(&mut model, &graph, &targets, &valid);
         // re-evaluating with restored params reproduces the best epoch's accuracy signal
         let source =
             MemorySource { graph: &graph, csr: CsrGraph::from_graph(&graph), targets: &targets };
@@ -1043,7 +1030,7 @@ mod tests {
     fn empty_targets_rejected() {
         let (graph, _, _) = tiny_data();
         let mut model = RmpiModel::new(RmpiConfig::default(), 8, 0);
-        train_model(&mut model, &graph, &[], &[], &TrainConfig::default());
+        Trainer::new(TrainConfig::default()).train(&mut model, &graph, &[], &[]);
     }
 
     #[test]

@@ -62,14 +62,14 @@ impl Benchmark {
 /// Split one generated triple pool into a [`TrainSet`] following the paper's
 /// protocol: 80% context+targets, 10% validation, 10% reserved (folded into
 /// validation candidates here — the paper leaves it as extra targets).
-pub fn make_train_set(triples: Vec<Triple>, seed: u64) -> TrainSet {
+pub(crate) fn make_train_set(triples: Vec<Triple>, seed: u64) -> TrainSet {
     let split = split_triples(&triples, 0.1, 0.1, seed);
     let graph = KnowledgeGraph::from_triples(split.train.clone());
     TrainSet { graph, targets: split.train, valid: split.valid }
 }
 
 /// Split a generated test-graph pool into context (90%) and targets (10%).
-pub fn make_test_set(name: &str, triples: Vec<Triple>, seed: u64) -> TestSet {
+pub(crate) fn make_test_set(name: &str, triples: Vec<Triple>, seed: u64) -> TestSet {
     let split = split_triples(&triples, 0.0, 0.1, seed);
     let mut context = split.train;
     context.extend(split.valid);

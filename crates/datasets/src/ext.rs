@@ -19,7 +19,7 @@ use std::collections::HashSet;
 /// Build an Ext-style benchmark. `train_groups ⊂ test_groups` as in
 /// [`crate::fully::fully_inductive_benchmark`]; `extra_entities` is the count
 /// of new (unseen) entities added for the testing graph.
-pub fn ext_benchmark(
+pub(crate) fn ext_benchmark(
     name: &str,
     world: World,
     train_groups: &[usize],

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 ///
 /// `train_groups` must be a subset of `test_groups`; the difference supplies
 /// the unseen relations.
-pub fn fully_inductive_benchmark(
+pub(crate) fn fully_inductive_benchmark(
     name: &str,
     world: World,
     train_groups: &[usize],

@@ -20,12 +20,14 @@
 //! Builders:
 //! * [`benchmark::partial_benchmark`] — GraIL-style partially inductive
 //!   splits (disjoint entities, shared relations);
-//! * [`fully::fully_inductive_benchmark`] — `XXX.vi.vj` recombination with
+//! * `fully::fully_inductive_benchmark` — `XXX.vi.vj` recombination with
 //!   `TE(semi)` and `TE(fully)` testing graphs;
-//! * [`ext::ext_benchmark`] — MaKEr-style splits with `u_ent` / `u_rel` /
+//! * `ext::ext_benchmark` — MaKEr-style splits with `u_ent` / `u_rel` /
 //!   `u_both` target buckets;
 //! * [`registry`] — the named dataset catalogue with fixed seeds and the
 //!   paper-vs-generated statistics used by Table I.
+
+#![warn(missing_docs)]
 
 pub mod benchmark;
 pub mod ext;

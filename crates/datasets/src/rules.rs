@@ -50,30 +50,6 @@ pub enum Rule {
     },
 }
 
-impl Rule {
-    /// The relation the rule derives facts for.
-    pub fn conclusion(&self) -> RelationId {
-        match *self {
-            Rule::Composition { conclusion, .. } => conclusion,
-            Rule::LongComposition { conclusion, .. } => conclusion,
-            Rule::Inverse { inverse, .. } => inverse,
-            Rule::Symmetric { relation } => relation,
-            Rule::Subsumption { parent, .. } => parent,
-        }
-    }
-
-    /// Every relation the rule mentions.
-    pub fn relations(&self) -> Vec<RelationId> {
-        match *self {
-            Rule::Composition { p1, p2, conclusion } => vec![p1, p2, conclusion],
-            Rule::LongComposition { p1, mid, p3, conclusion } => vec![p1, mid, p3, conclusion],
-            Rule::Inverse { of, inverse } => vec![of, inverse],
-            Rule::Symmetric { relation } => vec![relation],
-            Rule::Subsumption { child, parent } => vec![child, parent],
-        }
-    }
-}
-
 /// The archetype of a rule group — what bundle of relations and rules it
 /// instantiates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,22 +122,6 @@ impl RuleGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conclusion_and_relations_consistent() {
-        let r =
-            Rule::Composition { p1: RelationId(0), p2: RelationId(1), conclusion: RelationId(2) };
-        assert_eq!(r.conclusion(), RelationId(2));
-        assert_eq!(r.relations().len(), 3);
-        let l = Rule::LongComposition {
-            p1: RelationId(0),
-            mid: RelationId(1),
-            p3: RelationId(2),
-            conclusion: RelationId(3),
-        };
-        assert!(l.relations().contains(&l.conclusion()));
-        assert_eq!(Rule::Symmetric { relation: RelationId(7) }.conclusion(), RelationId(7));
-    }
 
     #[test]
     fn group_relation_ids() {

@@ -80,18 +80,9 @@ impl<'w> StreamingWorld<'w> {
         self.world.generate_triples(&self.active_groups, &self.chunk_config(c))
     }
 
-    /// Visit every triple of the world in ascending `(head, relation,
-    /// tail)` order, holding at most one chunk in memory.
-    pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) {
-        for c in 0..self.num_chunks() {
-            for t in self.chunk_triples(c) {
-                f(t);
-            }
-        }
-    }
-
-    /// Iterator form of [`StreamingWorld::for_each_triple`]; chunks are
-    /// generated lazily as the iterator crosses their boundary.
+    /// Every triple of the world in ascending `(head, relation, tail)`
+    /// order, holding at most one chunk in memory: chunks are generated
+    /// lazily as the iterator crosses their boundary.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         (0..self.num_chunks()).flat_map(move |c| self.chunk_triples(c).into_iter())
     }
@@ -122,21 +113,9 @@ mod tests {
         let active: Vec<usize> = (0..w.groups().len()).collect();
         let sw = StreamingWorld::new(&w, &active, gen(900), 200);
         assert_eq!(sw.num_chunks(), 5);
-        let mut out = Vec::new();
-        sw.for_each_triple(|t| out.push(t));
+        let out: Vec<Triple> = sw.iter().collect();
         assert!(!out.is_empty());
         assert!(out.windows(2).all(|p| p[0] <= p[1]), "stream must be sorted");
-    }
-
-    #[test]
-    fn iterator_matches_for_each() {
-        let w = world();
-        let active: Vec<usize> = (0..w.groups().len()).collect();
-        let sw = StreamingWorld::new(&w, &active, gen(400), 150);
-        let mut pushed = Vec::new();
-        sw.for_each_triple(|t| pushed.push(t));
-        let pulled: Vec<Triple> = sw.iter().collect();
-        assert_eq!(pushed, pulled);
     }
 
     #[test]

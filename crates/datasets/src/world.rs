@@ -254,11 +254,6 @@ impl World {
         World { config, relations, groups, abstract_parents, class_parent }
     }
 
-    /// The construction parameters.
-    pub fn config(&self) -> &WorldConfig {
-        &self.config
-    }
-
     /// Number of concrete relations (usable in triples).
     pub fn num_relations(&self) -> usize {
         self.relations.len()
@@ -267,11 +262,6 @@ impl World {
     /// Number of schema relation nodes (concrete + abstract parents).
     pub fn num_schema_relations(&self) -> usize {
         self.relations.len() + self.abstract_parents.len()
-    }
-
-    /// Typing/role metadata for a concrete relation.
-    pub fn relation(&self, r: RelationId) -> &RelationSpec {
-        &self.relations[r.index()]
     }
 
     /// The rule groups.
@@ -290,7 +280,7 @@ impl World {
     }
 
     /// Concrete relations of the given groups, plus the noise relations.
-    pub fn active_relations(&self, active_groups: &[usize]) -> Vec<RelationId> {
+    pub(crate) fn active_relations(&self, active_groups: &[usize]) -> Vec<RelationId> {
         let mut out: Vec<RelationId> =
             active_groups.iter().flat_map(|&g| self.groups[g].relation_ids()).collect();
         out.extend(self.noise_relation_ids());
@@ -650,8 +640,10 @@ mod tests {
             .groups()
             .iter()
             .find(|gr| gr.kind == GroupKind::Symmetric)
-            .and_then(|gr| gr.rules.first())
-            .map(|r| r.conclusion())
+            .and_then(|gr| match gr.rules.first() {
+                Some(&Rule::Symmetric { relation }) => Some(relation),
+                _ => None,
+            })
             .unwrap();
         let pairs: Vec<Triple> =
             g.triples().iter().filter(|t| t.relation == sym_rel).copied().collect();

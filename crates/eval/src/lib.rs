@@ -13,6 +13,8 @@
 //! * [`report`] — plain-text table rendering for the experiment binaries;
 //! * [`cases`] — the Fig. 4-style case-study extraction.
 
+#![warn(missing_docs)]
+
 pub mod cases;
 pub mod metrics;
 pub mod onto;

@@ -27,11 +27,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -80,7 +75,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         // header + separator + 2 rows + title
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

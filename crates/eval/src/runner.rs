@@ -3,7 +3,7 @@
 //! reports the mean of 5 runs).
 
 use crate::protocol::{evaluate, EvalConfig, EvalMetrics};
-use rmpi_core::{train_model, ScoringModel, TrainConfig};
+use rmpi_core::{ScoringModel, TrainConfig, Trainer};
 use rmpi_datasets::Benchmark;
 use rmpi_runtime::{resolve_threads, ThreadPool};
 use std::collections::HashMap;
@@ -88,12 +88,11 @@ pub fn run_experiment(
             threads: train_threads,
             ..*train_cfg
         };
-        train_model(
+        Trainer::new(tc).train(
             &mut model,
             &benchmark.train.graph,
             &benchmark.train.targets,
             &benchmark.train.valid,
-            &tc,
         );
         let mut out = HashMap::new();
         for &name in test_names {

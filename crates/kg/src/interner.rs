@@ -55,11 +55,6 @@ impl Interner {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Iterate `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.names.iter().enumerate().map(|(i, n)| (i as u32, n.as_str()))
-    }
 }
 
 /// Entity and relation vocabularies for one knowledge graph (or one family of
@@ -136,15 +131,6 @@ mod tests {
         assert_eq!(i.get("z"), Some(2));
         assert_eq!(i.get("w"), None);
         assert_eq!(i.name(3), None);
-    }
-
-    #[test]
-    fn iter_yields_in_id_order() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let v: Vec<_> = i.iter().collect();
-        assert_eq!(v, vec![(0, "a"), (1, "b")]);
     }
 
     #[test]

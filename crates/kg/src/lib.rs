@@ -32,6 +32,8 @@
 //! assert_eq!(reach[&EntityId(2)], 2); // two undirected hops away
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod access;
 pub mod analysis;
 pub mod csr;

@@ -48,12 +48,6 @@ impl Triple {
     pub fn with_tail(self, tail: EntityId) -> Self {
         Triple { tail, ..self }
     }
-
-    /// Both endpoint entities, head first.
-    #[inline]
-    pub fn endpoints(self) -> [EntityId; 2] {
-        [self.head, self.tail]
-    }
 }
 
 impl fmt::Display for Triple {

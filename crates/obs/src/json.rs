@@ -8,7 +8,7 @@
 
 /// Escape `s` for embedding inside a JSON string literal (no surrounding
 /// quotes). Handles quotes, backslashes, and control characters.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -27,23 +27,15 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Incremental builder for one single-line JSON object.
-///
-/// ```
-/// use rmpi_obs::json::JsonObject;
-/// let mut o = JsonObject::new();
-/// o.field_u64("count", 3);
-/// o.field_f64("rate", 0.51234, 4);
-/// assert_eq!(o.finish(), r#"{"count": 3, "rate": 0.5123}"#);
-/// ```
 #[derive(Debug, Default)]
-pub struct JsonObject {
+pub(crate) struct JsonObject {
     buf: String,
     fields: usize,
 }
 
 impl JsonObject {
     /// Start an empty object.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JsonObject { buf: String::from("{"), fields: 0 }
     }
 
@@ -58,14 +50,14 @@ impl JsonObject {
     }
 
     /// Append an unsigned integer field.
-    pub fn field_u64(&mut self, name: &str, v: u64) -> &mut Self {
+    pub(crate) fn field_u64(&mut self, name: &str, v: u64) -> &mut Self {
         self.key(name);
         self.buf.push_str(&v.to_string());
         self
     }
 
     /// Append a signed integer field.
-    pub fn field_i64(&mut self, name: &str, v: i64) -> &mut Self {
+    pub(crate) fn field_i64(&mut self, name: &str, v: i64) -> &mut Self {
         self.key(name);
         self.buf.push_str(&v.to_string());
         self
@@ -73,7 +65,7 @@ impl JsonObject {
 
     /// Append a float field rendered with `precision` decimal places
     /// (non-finite values are rendered as `null`).
-    pub fn field_f64(&mut self, name: &str, v: f64, precision: usize) -> &mut Self {
+    pub(crate) fn field_f64(&mut self, name: &str, v: f64, precision: usize) -> &mut Self {
         self.key(name);
         if v.is_finite() {
             self.buf.push_str(&format!("{v:.precision$}"));
@@ -85,30 +77,17 @@ impl JsonObject {
 
     /// Append pre-rendered JSON verbatim (a nested object or array the
     /// caller already serialized).
-    pub fn field_raw(&mut self, name: &str, json: &str) -> &mut Self {
+    pub(crate) fn field_raw(&mut self, name: &str, json: &str) -> &mut Self {
         self.key(name);
         self.buf.push_str(json);
         self
     }
 
     /// Close the object and return the single-line string.
-    pub fn finish(mut self) -> String {
+    pub(crate) fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
     }
-}
-
-/// Render a sequence of pre-serialized JSON values as an array.
-pub fn array(items: &[String]) -> String {
-    let mut buf = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            buf.push_str(", ");
-        }
-        buf.push_str(item);
-    }
-    buf.push(']');
-    buf
 }
 
 #[cfg(test)]
@@ -151,11 +130,5 @@ mod tests {
         o.field_f64("bad", f64::NAN, 2);
         o.field_f64("inf", f64::INFINITY, 2);
         assert_eq!(o.finish(), "{\"bad\": null, \"inf\": null}");
-    }
-
-    #[test]
-    fn array_joins_items() {
-        assert_eq!(array(&[]), "[]");
-        assert_eq!(array(&["1".into(), "{\"a\": 2}".into()]), "[1, {\"a\": 2}]");
     }
 }

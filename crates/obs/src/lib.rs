@@ -6,11 +6,12 @@
 //! * [`Counter`] — monotone relaxed-atomic event counts;
 //! * [`Gauge`] — last-value instruments (queue depth, cache entries);
 //! * [`Histogram`] — fixed-bucket latency distributions with `p50`/`p90`/
-//!   `p99` summaries, safe to hammer from any number of threads;
-//! * [`Span`] — scoped timers that record into a histogram on drop, driven
-//!   by a [`Clock`] that is either real (monotonic) or manual (tests);
-//! * [`json`] — the shared single-line JSON writer every stats/metrics
-//!   emitter in the workspace routes through.
+//!   `p99` summaries, safe to hammer from any number of threads. Timed
+//!   sites measure with `std::time::Instant` and record the elapsed time
+//!   with [`Histogram::record_duration`].
+//!
+//! [`MetricsRegistry::to_json`] renders the registry as the single-line
+//! JSON object the `METRICS` verb returns.
 //!
 //! # Naming scheme
 //!
@@ -29,18 +30,14 @@
 //! # Determinism
 //!
 //! Metrics observe; they never feed back into computation. Training remains
-//! bit-identical across thread counts with instrumentation on. The
-//! [`Clock::manual`] variant makes span timing itself deterministic in
-//! tests.
+//! bit-identical across thread counts with instrumentation on.
 
-pub mod clock;
-pub mod json;
+#![warn(missing_docs)]
+
+mod json;
 pub mod metrics;
-pub mod span;
 
-pub use clock::Clock;
 pub use metrics::{global, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
-pub use span::Span;
 
 /// Record a failed **directory** fsync after an atomic rename-publish.
 ///
@@ -62,31 +59,4 @@ pub fn note_dir_fsync_failure(dir: &std::path::Path, err: &std::io::Error) {
             dir.display()
         );
     });
-}
-
-/// Scope a span on the given registry: `span!(registry, "serve.score.us")`
-/// expands to a guard that records the elapsed microseconds into that
-/// histogram when it leaves scope.
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:expr) => {
-        $crate::Span::enter(&$registry.histogram($name), $crate::Clock::real())
-    };
-    ($registry:expr, $name:expr, $clock:expr) => {
-        $crate::Span::enter(&$registry.histogram($name), $clock)
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_macro_scopes_a_timer() {
-        let reg = MetricsRegistry::new();
-        {
-            let _guard = span!(reg, "obs.macro.us");
-        }
-        assert_eq!(reg.histogram("obs.macro.us").summary().count, 1);
-    }
 }

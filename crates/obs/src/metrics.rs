@@ -19,7 +19,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A free-standing counter (not registered anywhere).
-    pub fn detached() -> Self {
+    fn detached() -> Self {
         Counter(Arc::new(AtomicU64::new(0)))
     }
 
@@ -37,10 +37,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-value instrument (queue depth, cache entries, worker count).
@@ -49,7 +45,7 @@ pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// A free-standing gauge (not registered anywhere).
-    pub fn detached() -> Self {
+    fn detached() -> Self {
         Gauge(Arc::new(AtomicI64::new(0)))
     }
 
@@ -58,18 +54,9 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Shift the value by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -139,7 +126,7 @@ impl Histogram {
     }
 
     /// A free-standing histogram with [`DEFAULT_LATENCY_BOUNDS_US`].
-    pub fn detached() -> Self {
+    fn detached() -> Self {
         Histogram::with_bounds(&DEFAULT_LATENCY_BOUNDS_US)
     }
 
@@ -177,7 +164,7 @@ impl Histogram {
     /// The `q`-quantile (`0.0..=1.0`): the upper bound of the bucket holding
     /// the rank-`ceil(q·count)` sample, clamped to the observed maximum.
     /// Returns 0 for an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
+    fn percentile(&self, q: f64) -> u64 {
         let c = &self.0;
         let total = c.count.load(Ordering::Relaxed);
         if total == 0 {
@@ -208,15 +195,6 @@ impl Histogram {
             p90: self.percentile(0.90),
             p99: self.percentile(0.99),
         }
-    }
-
-    fn reset(&self) {
-        for slot in &self.0.counts {
-            slot.store(0, Ordering::Relaxed);
-        }
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
-        self.0.max.store(0, Ordering::Relaxed);
     }
 
     /// Render the summary as a single-line JSON object.
@@ -334,23 +312,6 @@ impl MetricsRegistry {
         self.metrics.read().expect("metrics lock").contains_key(name)
     }
 
-    /// All registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.metrics.read().expect("metrics lock").keys().cloned().collect()
-    }
-
-    /// Zero every instrument, keeping registrations (and handles) alive.
-    /// Bench harnesses call this between measured configurations.
-    pub fn reset(&self) {
-        for metric in self.metrics.read().expect("metrics lock").values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
-
     /// The whole registry as one single-line JSON object, names sorted.
     /// Counters and gauges dump as numbers, histograms as
     /// `{"count":…,"sum":…,"mean":…,"max":…,"p50":…,"p90":…,"p99":…}`.
@@ -392,9 +353,8 @@ mod tests {
 
         let g = reg.gauge("t.depth.count");
         g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
-        assert_eq!(reg.gauge("t.depth.count").get(), 4);
+        assert_eq!(g.get(), 7);
+        assert_eq!(reg.gauge("t.depth.count").get(), 7);
     }
 
     #[test]
@@ -446,19 +406,6 @@ mod tests {
         assert_eq!(DEFAULT_LATENCY_BOUNDS_US[0], 1);
         assert_eq!(DEFAULT_LATENCY_BOUNDS_US[26], 1 << 26);
         assert!(DEFAULT_LATENCY_BOUNDS_US.windows(2).all(|w| w[1] == w[0] * 2));
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("t.c.count");
-        let h = reg.histogram("t.h.us");
-        c.add(9);
-        h.record(100);
-        reg.reset();
-        assert_eq!(c.get(), 0, "existing handles see the reset");
-        assert_eq!(h.summary(), HistogramSummary::default());
-        assert!(reg.contains("t.c.count"));
     }
 
     #[test]

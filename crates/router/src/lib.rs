@@ -27,6 +27,8 @@
 //! tail:score ...` — and its merged top-k is bit-identical to ranking the
 //! surviving candidate subset offline: no wrong entries, no duplicates.
 
+#![warn(missing_docs)]
+
 pub mod merge;
 pub mod router;
 pub mod server;

@@ -246,12 +246,7 @@ pub struct Router {
 }
 
 impl Router {
-    /// A router recording metrics into the process-global registry.
-    pub fn new(cfg: RouterConfig) -> Router {
-        Router::with_registry(cfg, Arc::clone(rmpi_obs::global()))
-    }
-
-    /// Same, recording into an explicit registry (tests, benches).
+    /// A router recording metrics into `registry`.
     pub fn with_registry(cfg: RouterConfig, registry: Arc<MetricsRegistry>) -> Router {
         assert!(!cfg.shards.is_empty(), "Router needs at least one shard");
         assert!(!cfg.candidates.is_empty(), "Router needs a candidate set");
@@ -279,7 +274,7 @@ impl Router {
     }
 
     /// The router's configuration.
-    pub fn config(&self) -> &RouterConfig {
+    pub(crate) fn config(&self) -> &RouterConfig {
         &self.cfg
     }
 
@@ -289,13 +284,13 @@ impl Router {
     }
 
     /// Breaker state per shard, in configuration order (observability).
-    pub fn shard_breaker_states(&self) -> Vec<BreakerState> {
+    pub(crate) fn shard_breaker_states(&self) -> Vec<BreakerState> {
         let now = Instant::now();
         self.shards.iter().map(|s| s.control().breaker.state(now)).collect()
     }
 
     /// Whether a standby replica is configured.
-    pub fn has_standby(&self) -> bool {
+    pub(crate) fn has_standby(&self) -> bool {
         self.standby.is_some()
     }
 
@@ -307,7 +302,7 @@ impl Router {
 
     /// Rank under an explicit end-to-end budget (the front end uses this to
     /// honor a client's `DEADLINE` hint, capped at the configured deadline).
-    pub fn rank_deadline(
+    pub(crate) fn rank_deadline(
         &self,
         head: u32,
         relation: u32,

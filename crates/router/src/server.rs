@@ -174,7 +174,7 @@ mod tests {
         Arc::new(Engine::new(
             model,
             graph,
-            EngineConfig::default().with_seed(7).with_cache_capacity(64).with_threads(1),
+            EngineConfig { seed: 7, cache_capacity: 64, threads: 1 },
         ))
     }
 

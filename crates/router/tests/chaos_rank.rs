@@ -40,11 +40,7 @@ fn test_engine() -> Arc<Engine> {
         Triple::new(2u32, 0u32, 6u32),
     ]);
     let model = RmpiModel::new(RmpiConfig { dim: 8, ..RmpiConfig::base() }, 4, 0);
-    Arc::new(Engine::new(
-        model,
-        graph,
-        EngineConfig::default().with_seed(13).with_cache_capacity(128).with_threads(1),
-    ))
+    Arc::new(Engine::new(model, graph, EngineConfig { seed: 13, cache_capacity: 128, threads: 1 }))
 }
 
 fn replica(engine: &Arc<Engine>) -> ServerHandle {

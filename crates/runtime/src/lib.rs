@@ -17,6 +17,8 @@
 //! * [`threads_from_env`] — the `RMPI_THREADS` knob used by the experiment
 //!   binaries.
 
+#![warn(missing_docs)]
+
 pub mod pool;
 pub mod scratch;
 

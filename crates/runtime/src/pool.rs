@@ -118,11 +118,6 @@ impl ThreadPool {
         ThreadPool { workers: 1 }
     }
 
-    /// Number of workers parallel maps will use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Map `f` over `0..n`, returning results in index order.
     ///
     /// Work is split into at most `workers` contiguous shards. `f` must be
@@ -281,15 +276,15 @@ mod tests {
     #[test]
     fn workers_capped_by_items() {
         let pool = ThreadPool::new(16);
-        assert_eq!(pool.workers(), 16);
+        assert_eq!(pool.workers, 16);
         let out = pool.map_indexed(2, |i| i);
         assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
     fn zero_resolves_to_available_cores() {
-        assert!(ThreadPool::new(0).workers() >= 1);
-        assert_eq!(ThreadPool::sequential().workers(), 1);
+        assert!(ThreadPool::new(0).workers >= 1);
+        assert_eq!(ThreadPool::sequential().workers, 1);
     }
 
     #[test]

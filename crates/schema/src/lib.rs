@@ -14,6 +14,8 @@
 //! * [`transe`] — a from-scratch TransE trainer (closed-form gradients, no
 //!   autograd needed) producing the semantic vectors `h^onto`.
 
+#![warn(missing_docs)]
+
 pub mod ontology;
 pub mod transe;
 

@@ -71,11 +71,6 @@ impl SchemaGraph {
         self.num_kg_relations
     }
 
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Total schema nodes (relations + classes).
     pub fn num_nodes(&self) -> usize {
         self.num_kg_relations + self.num_classes
@@ -167,16 +162,6 @@ impl SchemaBuilder {
         self
     }
 
-    /// Number of assertions so far.
-    pub fn len(&self) -> usize {
-        self.triples.len()
-    }
-
-    /// `true` when no assertions have been made.
-    pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
-    }
-
     /// Finish construction.
     pub fn build(self) -> SchemaGraph {
         let mut triples = self.triples;
@@ -236,7 +221,6 @@ mod tests {
         let mut b = SchemaBuilder::new(2, 1);
         b.domain(RelationId(0), ClassId(0));
         b.domain(RelationId(0), ClassId(0));
-        assert_eq!(b.len(), 2);
         let s = b.build();
         assert_eq!(s.num_triples(), 1);
     }

@@ -131,11 +131,6 @@ impl TransEModel {
         let tt = &self.entity_emb[t.tail.index()];
         (0..self.dim).map(|k| (h[k] + r[k] - tt[k]).powi(2)).sum::<f32>().sqrt()
     }
-
-    /// Cosine similarity between two schema nodes' vectors.
-    pub fn similarity(&self, a: EntityId, b: EntityId) -> f32 {
-        cosine(&self.entity_emb[a.index()], &self.entity_emb[b.index()])
-    }
 }
 
 fn normalize(v: &mut [f32]) {
@@ -144,17 +139,6 @@ fn normalize(v: &mut [f32]) {
         for x in v.iter_mut() {
             *x /= n;
         }
-    }
-}
-
-fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
     }
 }
 
@@ -201,6 +185,17 @@ mod tests {
     use super::*;
     use crate::ontology::{ClassId, SchemaBuilder};
     use rand::SeedableRng;
+
+    fn cosine(a: &[f32], b: &[f32]) -> f32 {
+        let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+        let na = a.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let nb = b.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if na < 1e-12 || nb < 1e-12 {
+            0.0
+        } else {
+            dot / (na * nb)
+        }
+    }
 
     fn family_schema() -> SchemaGraph {
         // relations 0..4: husband_of, wife_of, spouse_of, works_for
@@ -258,8 +253,9 @@ mod tests {
         let husband = schema.relation_node(RelationId(0));
         let wife = schema.relation_node(RelationId(1));
         let works = schema.relation_node(RelationId(3));
-        let sib = model.similarity(husband, wife);
-        let far = model.similarity(husband, works);
+        let similarity = |a, b| cosine(model.node_vector(a), model.node_vector(b));
+        let sib = similarity(husband, wife);
+        let far = similarity(husband, works);
         assert!(
             sib > far,
             "siblings under spouse_of should embed closer: sib {sib} vs unrelated {far}"

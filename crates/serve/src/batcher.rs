@@ -103,7 +103,7 @@ struct Inner {
 }
 
 /// Handle to the batching thread. Dropping it (or calling
-/// [`Batcher::shutdown`]) drains and answers every queued item, then joins
+/// `Batcher::shutdown`) drains and answers every queued item, then joins
 /// the thread.
 pub struct Batcher {
     inner: Arc<Inner>,
@@ -131,15 +131,10 @@ impl Batcher {
         Batcher { inner, thread: Mutex::new(Some(thread)) }
     }
 
-    /// The engine this batcher flushes into.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.inner.engine
-    }
-
     /// Enqueue one item; `responder` is called exactly once with its result
     /// — possibly before `submit` returns (after shutdown), usually from the
     /// batcher thread after a flush.
-    pub fn submit(
+    fn submit(
         &self,
         item: BatchItem,
         responder: impl FnOnce(Result<BatchOutcome, ServeError>) + Send + 'static,
@@ -153,7 +148,7 @@ impl Batcher {
     /// when its deadline passes is answered `ERR deadline expired` rather
     /// than scored late. This is the engine side of the wire `DEADLINE`
     /// hint.
-    pub fn submit_with_deadline(
+    pub(crate) fn submit_with_deadline(
         &self,
         item: BatchItem,
         deadline: Option<Instant>,
@@ -195,7 +190,7 @@ impl Batcher {
 
     /// Drain and answer everything queued, then stop the thread. Idempotent;
     /// also runs on drop.
-    pub fn shutdown(&self) {
+    fn shutdown(&self) {
         self.inner.queue.lock().expect("batcher queue").shutdown = true;
         self.inner.available.notify_all();
         if let Some(thread) = self.thread.lock().expect("batcher thread").take() {

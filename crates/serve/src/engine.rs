@@ -33,7 +33,7 @@
 //! A store-backed engine that hits **confirmed corruption** (a block whose
 //! checksum mismatch survived every re-read, or a truncated segment) stops
 //! trusting the disk: it flips into degraded mode — sticky for the life of
-//! the process, surfaced through [`Engine::is_degraded`], `HEALTH`, and the
+//! the process, surfaced through `Engine::is_degraded`, `HEALTH`, and the
 //! `store.degraded` gauge. While degraded, cache hits keep serving normally
 //! (those subgraphs were extracted from verified bytes), but a request that
 //! would need fresh disk reads is answered [`ServeError::Degraded`]
@@ -85,7 +85,7 @@ impl BatchItem {
     /// How many flat scoring targets this item contributes to a coalesced
     /// batch: rank items expand over every ranking candidate
     /// ([`Engine::rank_width`]).
-    pub fn cost(&self, rank_width: usize) -> usize {
+    pub(crate) fn cost(&self, rank_width: usize) -> usize {
         match self {
             BatchItem::Score(targets) => targets.len(),
             BatchItem::Rank { .. } => rank_width,
@@ -113,26 +113,6 @@ pub struct EngineConfig {
     /// Worker threads for batch scoring (`0` = one per available core).
     /// Scores are bit-identical for every value.
     pub threads: usize,
-}
-
-impl EngineConfig {
-    /// Set the extraction seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the subgraph-cache capacity (0 disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Set the batch-scoring worker count (`0` = one per available core).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 impl Default for EngineConfig {
@@ -323,7 +303,7 @@ impl Engine {
     /// Whether confirmed store corruption has flipped this engine into
     /// degraded (cache-only) serving. Sticky: a degraded engine stays
     /// degraded until the process is restarted over a repaired store.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Relaxed)
     }
 
@@ -368,8 +348,7 @@ impl Engine {
     }
 
     /// The immutable in-memory context graph, when this engine has one.
-    /// Store-backed engines return `None` — use [`Engine::num_entities`] /
-    /// [`Engine::num_relations`] for the counts either backend answers.
+    /// Store-backed engines return `None`.
     pub fn graph(&self) -> Option<&KnowledgeGraph> {
         match &self.backend {
             GraphBackend::Memory { graph, .. } => Some(graph),
@@ -378,13 +357,8 @@ impl Engine {
     }
 
     /// Entities in the context graph's id space.
-    pub fn num_entities(&self) -> usize {
+    pub(crate) fn num_entities(&self) -> usize {
         self.backend.num_entities()
-    }
-
-    /// Relations in the context graph's id space.
-    pub fn num_relations(&self) -> usize {
-        self.backend.num_relations()
     }
 
     /// The engine's counters (the TCP front end adds its own through this).
@@ -591,7 +565,7 @@ impl Engine {
     /// How many candidates one [`BatchItem::Rank`] expands into — every
     /// entity present in the context graph. The micro-batcher budgets rank
     /// items by this width.
-    pub fn rank_width(&self) -> usize {
+    pub(crate) fn rank_width(&self) -> usize {
         self.candidates.len()
     }
 
@@ -990,7 +964,6 @@ mod tests {
         );
         assert!(stored.graph().is_none());
         assert_eq!(stored.num_entities(), memory.num_entities());
-        assert_eq!(stored.num_relations(), memory.num_relations());
         let targets: Vec<Triple> =
             (0..12u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
         assert_eq!(stored.score_batch(&targets).unwrap(), memory.score_batch(&targets).unwrap());

@@ -36,6 +36,8 @@
 //! errors carry byte offsets ([`ServeError::Manifest`],
 //! [`ServeError::Checkpoint`]).
 
+#![warn(missing_docs)]
+
 pub mod batcher;
 pub mod bundle;
 pub mod bundledir;

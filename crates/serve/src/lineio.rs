@@ -3,7 +3,7 @@
 //! parser — from buffering an attacker-sized "line" into memory.
 //!
 //! `BufRead::read_line` happily grows its buffer until the peer sends a
-//! newline or the process runs out of memory. [`read_line_bounded`] instead
+//! newline or the process runs out of memory. `read_line_bounded` instead
 //! enforces a caller-chosen cap: once a line exceeds it, the function stops
 //! accumulating (it keeps *consuming* the buffered bytes it inspected, so the
 //! stream position stays deterministic) and reports [`LineRead::TooLong`].
@@ -37,7 +37,7 @@ pub enum LineRead {
 /// excluded) into `out`. I/O errors — including read timeouts surfacing as
 /// `WouldBlock`/`TimedOut` — propagate untouched so callers can classify
 /// them.
-pub fn read_line_bounded<R: BufRead>(
+pub(crate) fn read_line_bounded<R: BufRead>(
     reader: &mut R,
     out: &mut String,
     max_len: usize,

@@ -38,7 +38,7 @@
 //!
 //! A misbehaving or hostile peer cannot pin resources:
 //!
-//! - request lines are read through [`crate::lineio::read_line_bounded`], so
+//! - request lines are read through `crate::lineio::read_line_bounded`, so
 //!   a line over `max_line_len` is answered `ERR request too long` and the
 //!   connection closed (`<prefix>.rejected_overlong.count`) instead of
 //!   buffering without bound;
@@ -184,7 +184,7 @@ pub struct Reply {
 impl Reply {
     /// Deliver the complete response line (`OK ...` / `ERR ...`). A
     /// connection that has gone away drops it.
-    pub fn send(self, response: String) {
+    pub(crate) fn send(self, response: String) {
         self.latency.record_duration(self.arrival.elapsed());
         let framed = match self.tag {
             Some(tag) => format_tagged(tag, &response),

@@ -42,7 +42,7 @@
 //! them). [`parse_tagged`] / [`format_tagged`] implement the framing.
 //!
 //! In either framing a request may start with `DEADLINE <ms>`, the caller's
-//! remaining end-to-end budget ([`split_deadline`]): routers decrement it
+//! remaining end-to-end budget (`split_deadline`): routers decrement it
 //! hop by hop, the micro-batcher flushes early for it and sheds the request
 //! once it has expired.
 
@@ -166,7 +166,7 @@ pub fn format_ranked(ranked: &[(EntityId, f32)]) -> String {
 }
 
 /// `ERR <reason>` (single line, whatever the error was).
-pub fn format_error(err: &ServeError) -> String {
+pub(crate) fn format_error(err: &ServeError) -> String {
     let msg = err.to_string().replace('\n', " ");
     format!("ERR {msg}")
 }
@@ -204,7 +204,7 @@ pub fn format_tagged(tag: u64, response: &str) -> String {
 /// Split an optional `DEADLINE <ms> ` prefix off a request line. The hint is
 /// advisory budget propagation: a missing or malformed hint leaves the line
 /// untouched, so the normal parser reports malformed requests.
-pub fn split_deadline(line: &str) -> (Option<Duration>, &str) {
+pub(crate) fn split_deadline(line: &str) -> (Option<Duration>, &str) {
     let Some(rest) = line.strip_prefix("DEADLINE") else {
         return (None, line);
     };
@@ -222,14 +222,14 @@ pub fn split_deadline(line: &str) -> (Option<Duration>, &str) {
 }
 
 /// The metric labels of request verbs (`<front end>.wire.<verb>.us`), in
-/// [`wire_verb_index`] order. Unknown or malformed commands share one
+/// `wire_verb_index` order. Unknown or malformed commands share one
 /// `other` histogram so hostile input cannot grow the registry unboundedly.
 pub const WIRE_VERBS: [&str; 8] =
     ["ping", "score", "rank", "metrics", "health", "reload", "proto", "other"];
 
 /// Where a request line's verb label sits in [`WIRE_VERBS`] — a fixed table
 /// index, so a front end keeps one histogram per verb.
-pub fn wire_verb_index(line: &str) -> usize {
+pub(crate) fn wire_verb_index(line: &str) -> usize {
     match line.split_whitespace().next() {
         Some("PING") => 0,
         Some("SCORE") => 1,

@@ -63,13 +63,13 @@ pub struct ServeStats {
 impl ServeStats {
     /// Handles into the process-global registry (production default: one
     /// `METRICS` dump covers every subsystem).
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::with_registry(Arc::clone(rmpi_obs::global()))
     }
 
     /// Handles into an explicit registry — tests pass a fresh one so
     /// per-engine counts stay exact under concurrent test execution.
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         ServeStats {
             scores: registry.counter("serve.scores.count"),
             score_requests: registry.counter("serve.score_requests.count"),
@@ -92,13 +92,13 @@ impl ServeStats {
     }
 
     /// The registry these handles record into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
     /// Record one `score`/`score_batch` engine call that scored `scored`
     /// triples in `elapsed`.
-    pub fn record_score_call(&self, scored: u64, elapsed: Duration) {
+    pub(crate) fn record_score_call(&self, scored: u64, elapsed: Duration) {
         self.score_requests.inc();
         self.scores.add(scored);
         self.score_latency.record_duration(elapsed);
@@ -106,7 +106,7 @@ impl ServeStats {
 
     /// Record one `rank_tails` engine call that scored `scored` candidates
     /// in `elapsed`.
-    pub fn record_rank_call(&self, scored: u64, elapsed: Duration) {
+    pub(crate) fn record_rank_call(&self, scored: u64, elapsed: Duration) {
         self.rank_requests.inc();
         self.scores.add(scored);
         self.rank_latency.record_duration(elapsed);

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rmpi_core::{train_model, RmpiConfig, RmpiModel, ScoringModel, TrainConfig};
+use rmpi_core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, Trainer};
 use rmpi_datasets::{build_benchmark, Scale};
 use rmpi_serve::{load_bundle_file, save_bundle_file, serve, Engine, EngineConfig, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -24,7 +24,7 @@ fn trained_model() -> (RmpiModel, rmpi_datasets::Benchmark) {
         max_valid_samples: 4,
         ..TrainConfig::default()
     };
-    train_model(&mut model, &b.train.graph, &b.train.targets, &b.train.valid, &cfg);
+    Trainer::new(cfg).train(&mut model, &b.train.graph, &b.train.targets, &b.train.valid);
     (model, b)
 }
 

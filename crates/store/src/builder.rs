@@ -196,7 +196,7 @@ pub struct StoreBuilder {
 impl StoreBuilder {
     /// Start a build in `dir` (created if absent). Existing segment files
     /// are overwritten; the directory only becomes a valid store when
-    /// [`StoreBuilder::finish`] publishes the manifest.
+    /// `StoreBuilder::finish` publishes the manifest.
     pub fn create(dir: impl AsRef<Path>, cfg: StoreConfig) -> Result<StoreBuilder> {
         assert!(cfg.seg_records > 0, "seg_records must be positive");
         let dir = dir.as_ref().to_path_buf();
@@ -266,7 +266,7 @@ impl StoreBuilder {
     }
 
     /// Transpose, write the offsets index, publish the manifest.
-    pub fn finish(mut self) -> Result<StoreSummary> {
+    fn finish(mut self) -> Result<StoreSummary> {
         if let Some(seg) = self.cur.take() {
             self.fwd.push(seg.close()?);
         }

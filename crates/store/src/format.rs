@@ -36,7 +36,7 @@ pub const INV_BLOCK_BYTES: u64 = INV_BLOCK_RECORDS * INV_RECORD_BYTES as u64;
 
 /// Encode a forward record.
 #[inline]
-pub fn encode_fwd(t: Triple, out: &mut [u8; FWD_RECORD_BYTES]) {
+pub(crate) fn encode_fwd(t: Triple, out: &mut [u8; FWD_RECORD_BYTES]) {
     out[0..4].copy_from_slice(&t.head.0.to_le_bytes());
     out[4..8].copy_from_slice(&t.relation.0.to_le_bytes());
     out[8..12].copy_from_slice(&t.tail.0.to_le_bytes());
@@ -44,7 +44,7 @@ pub fn encode_fwd(t: Triple, out: &mut [u8; FWD_RECORD_BYTES]) {
 
 /// Decode a forward record.
 #[inline]
-pub fn decode_fwd(b: &[u8]) -> Triple {
+pub(crate) fn decode_fwd(b: &[u8]) -> Triple {
     debug_assert!(b.len() >= FWD_RECORD_BYTES);
     Triple {
         head: EntityId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
@@ -56,7 +56,7 @@ pub fn decode_fwd(b: &[u8]) -> Triple {
 /// Encode an inverse record. `fwd_idx` is the global index of the forward
 /// record this edge mirrors (the triple index).
 #[inline]
-pub fn encode_inv(
+pub(crate) fn encode_inv(
     tail: EntityId,
     rel: RelationId,
     head: EntityId,
@@ -71,7 +71,7 @@ pub fn encode_inv(
 
 /// Decode an inverse record as `(tail, relation, head, fwd_idx)`.
 #[inline]
-pub fn decode_inv(b: &[u8]) -> (EntityId, RelationId, EntityId, u32) {
+pub(crate) fn decode_inv(b: &[u8]) -> (EntityId, RelationId, EntityId, u32) {
     debug_assert!(b.len() >= INV_RECORD_BYTES);
     (
         EntityId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),

@@ -39,6 +39,8 @@
 //! `ExtractScratch`-based subgraph extraction runs against disk unchanged;
 //! [`with_thread_view`] lends out one whose storage is recycled per thread.
 
+#![warn(missing_docs)]
+
 mod builder;
 mod format;
 mod manifest;

@@ -99,12 +99,12 @@ fn checksum_of_version(version: u32) -> Checksum {
 pub const INDEX_NAME: &str = "index.bin";
 
 /// File name of forward segment `i`.
-pub fn fwd_name(i: usize) -> String {
+pub(crate) fn fwd_name(i: usize) -> String {
     format!("fwd-{i:05}.seg")
 }
 
 /// File name of inverse segment `i`.
-pub fn inv_name(i: usize) -> String {
+pub(crate) fn inv_name(i: usize) -> String {
     format!("inv-{i:05}.seg")
 }
 
@@ -128,7 +128,7 @@ pub struct SegmentMeta {
 
 impl SegmentMeta {
     /// How many checksum blocks a segment of `bytes` length has.
-    pub fn block_count(bytes: u64, block_bytes: u64) -> u64 {
+    pub(crate) fn block_count(bytes: u64, block_bytes: u64) -> u64 {
         bytes.div_ceil(block_bytes)
     }
 }

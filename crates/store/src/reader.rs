@@ -380,11 +380,6 @@ impl StoreReader {
         &self.manifest
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Entity id-space capacity.
     pub fn num_entities(&self) -> usize {
         self.manifest.num_entities as usize

@@ -141,11 +141,6 @@ impl<'s> NeighborhoodView<'s> {
         NeighborhoodView { reader, storage: ViewStorage::default() }
     }
 
-    /// The reader this view pins from.
-    pub fn reader(&self) -> &'s StoreReader {
-        self.reader
-    }
-
     /// Load what a `k`-hop extraction around `(u, v)` reads, replacing any
     /// previous pin: both directions of every entity within `k - 1`
     /// undirected hops of `u` or `v` (and of `u` and `v` themselves),

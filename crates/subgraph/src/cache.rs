@@ -117,11 +117,6 @@ impl<V> LruCache<V> {
         self.entries.is_empty()
     }
 
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lookups that found an entry.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -18,7 +18,7 @@ use std::cell::RefCell;
 ///
 /// The hop distances (in the *full* graph, capped at K+1) of every retained
 /// entity from the target head/tail are available through
-/// [`Subgraph::dist_u`] / [`Subgraph::dist_v`]; the target endpoints
+/// [`Subgraph::distance_rows`]; the target endpoints
 /// themselves are always retained, even when the subgraph has no edges (the
 /// "empty subgraph" case §III-F addresses).
 #[derive(Clone, Debug)]
@@ -54,24 +54,6 @@ impl Subgraph {
     /// Number of retained entities.
     pub fn num_entities(&self) -> usize {
         self.entities.len()
-    }
-
-    /// Hop distance of `e` from the target head (capped at K+1 when
-    /// unreachable within K), or `None` if `e` was not retained.
-    pub fn dist_u(&self, e: EntityId) -> Option<usize> {
-        self.dists
-            .binary_search_by_key(&e, |&(ent, _, _)| ent)
-            .ok()
-            .map(|i| self.dists[i].1 as usize)
-    }
-
-    /// Hop distance of `e` from the target tail (capped at K+1 when
-    /// unreachable within K), or `None` if `e` was not retained.
-    pub fn dist_v(&self, e: EntityId) -> Option<usize> {
-        self.dists
-            .binary_search_by_key(&e, |&(ent, _, _)| ent)
-            .ok()
-            .map(|i| self.dists[i].2 as usize)
     }
 
     /// All `(entity, dist_u, dist_v)` rows, ascending by entity id.
@@ -327,6 +309,11 @@ mod tests {
     use rmpi_kg::KnowledgeGraph;
     use std::collections::HashSet;
 
+    /// `e`'s `(dist from head, dist from tail)`, if `sg` retained it.
+    fn dists(sg: &Subgraph, e: u32) -> Option<(u32, u32)> {
+        sg.distance_rows().iter().find(|r| r.0 == EntityId(e)).map(|&(_, du, dv)| (du, dv))
+    }
+
     /// Diamond: u=0, v=3; paths 0->1->3 and 0->2->3, plus a pendant 3->4 and
     /// a far chain 4->5.
     fn diamond() -> (KnowledgeGraph, Triple) {
@@ -348,11 +335,10 @@ mod tests {
         // entities on u-v paths: 0,1,2,3 (4 is within 2 hops of v but 3 hops of u via... 4: du=3? 0->1->3->4 = 3 hops -> excluded)
         assert_eq!(sg.entities, vec![EntityId(0), EntityId(1), EntityId(2), EntityId(3)]);
         assert_eq!(sg.num_edges(), 4);
-        assert_eq!(sg.dist_u(EntityId(1)), Some(1));
-        assert_eq!(sg.dist_v(EntityId(1)), Some(1));
-        assert_eq!(sg.dist_u(EntityId(3)), Some(2));
-        assert_eq!(sg.dist_v(EntityId(0)), Some(2));
-        assert_eq!(sg.dist_u(EntityId(77)), None, "unretained entity has no distance");
+        assert_eq!(dists(&sg, 1), Some((1, 1)));
+        assert_eq!(dists(&sg, 3), Some((2, 0)));
+        assert_eq!(dists(&sg, 0), Some((0, 2)));
+        assert_eq!(dists(&sg, 77), None, "unretained entity has no distance");
     }
 
     #[test]
@@ -393,7 +379,7 @@ mod tests {
         assert!(sg.entities.contains(&EntityId(0)));
         assert!(sg.entities.contains(&EntityId(2)));
         // unreachable distances are capped at k+1
-        assert_eq!(sg.dist_v(EntityId(0)), Some(3));
+        assert_eq!(dists(&sg, 0), Some((0, 3)));
     }
 
     #[test]
@@ -412,8 +398,8 @@ mod tests {
         let di = disclosing_subgraph(&g, target, 2);
         // 5 is 2 hops from v (3->4->5): included in the union
         assert!(di.entities.contains(&EntityId(5)));
-        assert_eq!(di.dist_v(EntityId(5)), Some(2));
-        assert_eq!(di.dist_u(EntityId(5)), Some(3)); // capped unreachable-at-k marker
+        // 3 from u: the capped unreachable-at-k marker
+        assert_eq!(dists(&di, 5), Some((3, 2)));
     }
 
     #[test]
@@ -425,8 +411,7 @@ mod tests {
         let target = Triple::new(0u32, 1u32, 0u32);
         let sg = enclosing_subgraph(&g, target, 2);
         assert_eq!(sg.num_edges(), 2);
-        assert_eq!(sg.dist_u(EntityId(0)), Some(0));
-        assert_eq!(sg.dist_v(EntityId(0)), Some(0));
+        assert_eq!(dists(&sg, 0), Some((0, 0)));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * [`cache`] — cache-keyable extraction: [`SubgraphKey`] and an LRU cache
 //!   the serving layer uses to amortise per-triple extraction cost.
 
+#![warn(missing_docs)]
+
 pub mod cache;
 pub mod extraction;
 pub mod labeling;

@@ -27,11 +27,6 @@ impl NegativeSampler {
         NegativeSampler { pool }
     }
 
-    /// The candidate entity pool.
-    pub fn pool(&self) -> &[EntityId] {
-        &self.pool
-    }
-
     /// One corrupted triple: with probability 1/2 replace the head, else the
     /// tail, resampling until the result is not in `known` (up to a bounded
     /// number of attempts, after which the last candidate is returned — on

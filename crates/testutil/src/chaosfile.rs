@@ -26,7 +26,6 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Chaos-file knobs. `transient_rate` is the probability that a read draws
@@ -60,55 +59,6 @@ impl Default for ChaosFileConfig {
     }
 }
 
-/// Relaxed-atomic fault tallies, shared by clones of one [`ChaosFile`]'s
-/// stats handle.
-#[derive(Debug, Default)]
-pub struct ChaosFileStats {
-    reads: AtomicU64,
-    eio: AtomicU64,
-    short_reads: AtomicU64,
-    delays: AtomicU64,
-    bit_flips: AtomicU64,
-    truncated_reads: AtomicU64,
-}
-
-impl ChaosFileStats {
-    /// Positioned reads attempted (faulted or not).
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Injected EIO failures.
-    fn eio(&self) -> u64 {
-        self.eio.load(Ordering::Relaxed)
-    }
-
-    /// Injected short reads.
-    fn short_reads(&self) -> u64 {
-        self.short_reads.load(Ordering::Relaxed)
-    }
-
-    /// Reads that succeeded after an injected latency.
-    pub fn delays(&self) -> u64 {
-        self.delays.load(Ordering::Relaxed)
-    }
-
-    /// Reads handed back with one silently flipped bit.
-    fn bit_flips(&self) -> u64 {
-        self.bit_flips.load(Ordering::Relaxed)
-    }
-
-    /// Reads refused because they touched the truncated tail.
-    fn truncated_reads(&self) -> u64 {
-        self.truncated_reads.load(Ordering::Relaxed)
-    }
-
-    /// Total disturbed reads of any kind.
-    pub fn faults_injected(&self) -> u64 {
-        self.eio() + self.short_reads() + self.delays() + self.bit_flips() + self.truncated_reads()
-    }
-}
-
 /// A [`File`] whose positioned reads inject seeded faults. See the module
 /// docs for the fault matrix.
 #[derive(Debug)]
@@ -116,45 +66,21 @@ pub struct ChaosFile {
     file: File,
     cfg: ChaosFileConfig,
     calls: AtomicU64,
-    stats: Arc<ChaosFileStats>,
 }
 
 impl ChaosFile {
     /// Wrap an open file with fault injection.
     pub fn wrap(file: File, cfg: ChaosFileConfig) -> ChaosFile {
-        ChaosFile {
-            file,
-            cfg,
-            calls: AtomicU64::new(0),
-            stats: Arc::new(ChaosFileStats::default()),
-        }
-    }
-
-    /// The fault tallies, readable while reads are in flight.
-    pub fn stats(&self) -> Arc<ChaosFileStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The underlying file's metadata length (truncation-fault aware).
-    pub fn len(&self) -> io::Result<u64> {
-        let real = self.file.metadata()?.len();
-        Ok(self.cfg.truncate_at.map_or(real, |t| real.min(t)))
-    }
-
-    /// Whether [`ChaosFile::len`] reports zero bytes.
-    pub fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
+        ChaosFile { file, cfg, calls: AtomicU64::new(0) }
     }
 
     /// `pread`-style exact read at `offset`, with fault injection. On `Ok`
     /// the whole buffer is filled — possibly with one flipped bit.
     pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
 
         if let Some(t) = self.cfg.truncate_at {
             if offset + buf.len() as u64 > t {
-                self.stats.truncated_reads.fetch_add(1, Ordering::Relaxed);
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     format!("chaosfile: injected truncation at byte {t}"),
@@ -165,21 +91,14 @@ impl ChaosFile {
         let mut state = splitmix_seed(self.cfg.seed, call);
         if u01(&mut state) < self.cfg.transient_rate {
             match splitmix(&mut state) % 3 {
-                0 => {
-                    self.stats.eio.fetch_add(1, Ordering::Relaxed);
-                    return Err(io::Error::other("chaosfile: injected EIO"));
-                }
+                0 => return Err(io::Error::other("chaosfile: injected EIO")),
                 1 => {
-                    self.stats.short_reads.fetch_add(1, Ordering::Relaxed);
                     return Err(io::Error::new(
                         io::ErrorKind::Interrupted,
                         "chaosfile: injected short read",
-                    ));
+                    ))
                 }
-                _ => {
-                    self.stats.delays.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.cfg.delay);
-                }
+                _ => std::thread::sleep(self.cfg.delay),
             }
         }
 
@@ -188,7 +107,6 @@ impl ChaosFile {
         if !buf.is_empty() && u01(&mut state) < self.cfg.corrupt_rate {
             let bit = (splitmix(&mut state) % (buf.len() as u64 * 8)) as usize;
             buf[bit / 8] ^= 1 << (bit % 8);
-            self.stats.bit_flips.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -238,8 +156,6 @@ mod tests {
         let mut buf = [0u8; 16];
         cf.read_exact_at(&mut buf, 32).unwrap();
         assert_eq!(&buf[..], &data[32..48]);
-        assert_eq!(cf.stats().faults_injected(), 0);
-        assert_eq!(cf.stats().reads(), 1);
         let _ = std::fs::remove_file(path);
     }
 
@@ -277,7 +193,6 @@ mod tests {
         let mut buf = [0u8; 128];
         cf.read_exact_at(&mut buf, 0).unwrap();
         assert_eq!(buf.iter().map(|b| b.count_ones()).sum::<u32>(), 1, "exactly one bit flipped");
-        assert_eq!(cf.stats().bit_flips(), 1);
         let _ = std::fs::remove_file(path);
     }
 
@@ -293,8 +208,6 @@ mod tests {
         cf.read_exact_at(&mut buf, 0).unwrap();
         let err = cf.read_exact_at(&mut buf, 100).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert_eq!(cf.len().unwrap(), 128);
-        assert_eq!(cf.stats().truncated_reads(), 1);
         let _ = std::fs::remove_file(path);
     }
 }

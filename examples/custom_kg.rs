@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmpi::core::config::RelationInit;
-use rmpi::core::{train_model, RmpiConfig, RmpiModel, ScoringModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, Trainer};
 use rmpi::kg::{io, KnowledgeGraph, Triple, Vocab};
 use rmpi::schema::{ClassId, SchemaBuilder, TransEConfig, TransEModel};
 use rmpi_autograd::Tensor;
@@ -77,7 +77,8 @@ fn main() {
     let mut model = RmpiModel::with_schema_vectors(cfg, onto, 0);
     let train_cfg =
         TrainConfig { epochs: 10, max_samples_per_epoch: 480, patience: 0, ..Default::default() };
-    let report = train_model(&mut model, &train_graph, train_graph.triples(), &[], &train_cfg);
+    let report =
+        Trainer::new(train_cfg).train(&mut model, &train_graph, train_graph.triples(), &[]);
     println!(
         "trained {}: final epoch loss {:.3}",
         model.name(),

@@ -6,7 +6,7 @@
 //! ```
 
 use rmpi::core::config::RelationInit;
-use rmpi::core::{train_model, RmpiConfig, RmpiModel, ScoringModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, Trainer};
 use rmpi::datasets::{build_benchmark, Scale};
 use rmpi::eval::onto::schema_vectors;
 use rmpi::eval::protocol::{evaluate, EvalConfig};
@@ -33,12 +33,11 @@ fn main() {
     // only the message passing over neighbouring seen relations helps.
     let cfg = RmpiConfig { dim: 16, ne: true, ..Default::default() };
     let mut random_model = RmpiModel::new(cfg, benchmark.num_relations(), 0);
-    train_model(
+    Trainer::new(train_cfg).train(
         &mut random_model,
         &benchmark.train.graph,
         &benchmark.train.targets,
         &benchmark.train.valid,
-        &train_cfg,
     );
 
     // Schema Enhanced: initial relation features are projections of TransE
@@ -46,12 +45,11 @@ fn main() {
     let onto = schema_vectors(&benchmark, 32, 60, 17);
     let cfg_s = RmpiConfig { init: RelationInit::Schema, ..cfg };
     let mut schema_model = RmpiModel::with_schema_vectors(cfg_s, onto, 0);
-    train_model(
+    Trainer::new(train_cfg).train(
         &mut schema_model,
         &benchmark.train.graph,
         &benchmark.train.targets,
         &benchmark.train.valid,
-        &train_cfg,
     );
 
     for (label, model) in

@@ -30,12 +30,11 @@ fn main() {
 
     // 3. Train with the paper's margin ranking loss and Adam.
     let train_cfg = TrainConfig { epochs: 3, max_samples_per_epoch: 400, ..Default::default() };
-    let report = train_model(
+    let report = Trainer::new(train_cfg).train(
         &mut model,
         &benchmark.train.graph,
         &benchmark.train.targets,
         &benchmark.train.valid,
-        &train_cfg,
     );
     println!(
         "training: losses per epoch {:?}, best validation accuracy {:.3}",

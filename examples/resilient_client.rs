@@ -35,7 +35,7 @@ fn main() {
     let engine = Arc::new(Engine::new(
         model,
         test.graph.clone(),
-        EngineConfig::default().with_seed(7).with_cache_capacity(4096).with_threads(1),
+        EngineConfig { seed: 7, cache_capacity: 4096, threads: 1 },
     ));
 
     // 2. Two replica servers over the same engine — interchangeable: the

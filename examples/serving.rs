@@ -17,12 +17,11 @@ fn main() {
     let cfg = RmpiConfig { dim: 16, ne: true, ..Default::default() };
     let mut model = RmpiModel::new(cfg, benchmark.num_relations(), 0);
     let train_cfg = TrainConfig { epochs: 2, max_samples_per_epoch: 200, ..Default::default() };
-    let report = train_model(
+    let report = Trainer::new(train_cfg).train(
         &mut model,
         &benchmark.train.graph,
         &benchmark.train.targets,
         &benchmark.train.valid,
-        &train_cfg,
     );
     println!(
         "trained: {} epochs, best validation accuracy {:.3}",
@@ -52,7 +51,7 @@ fn main() {
     let engine = Arc::new(Engine::new(
         bundle.model,
         test.graph.clone(),
-        EngineConfig::default().with_seed(7).with_cache_capacity(4096).with_threads(0),
+        EngineConfig { seed: 7, cache_capacity: 4096, threads: 0 },
     ));
 
     for &target in test.targets.iter().take(3) {

@@ -6,7 +6,7 @@
 //! cargo run --release --example significance
 //! ```
 
-use rmpi::core::{train_model, RmpiConfig, RmpiModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, TrainConfig, Trainer};
 use rmpi::datasets::{build_benchmark, Scale};
 use rmpi::eval::protocol::{entity_prediction_paired, EvalConfig};
 use rmpi::eval::stats::{paired_bootstrap, sign_flip_test};
@@ -21,12 +21,11 @@ fn main() {
         RmpiModel::new(RmpiConfig { dim: 16, ..RmpiConfig::ne() }, benchmark.num_relations(), 0);
     for (name, model) in [("RMPI-base", &mut base), ("RMPI-NE", &mut ne)] {
         eprintln!("training {name}...");
-        train_model(
+        Trainer::new(train_cfg).train(
             model,
             &benchmark.train.graph,
             &benchmark.train.targets,
             &benchmark.train.valid,
-            &train_cfg,
         );
     }
 

@@ -42,6 +42,8 @@
 //! `examples/resilient_client.rs` for retrying + failover against live
 //! servers.
 
+#![warn(missing_docs)]
+
 pub mod error;
 pub mod prelude;
 

@@ -8,12 +8,11 @@
 //!
 //! let benchmark = build_benchmark("nell.v1", Scale::Quick);
 //! let mut model = RmpiModel::new(RmpiConfig::default(), benchmark.num_relations(), 0);
-//! let report = train_model(
+//! let report = Trainer::new(TrainConfig { epochs: 1, ..Default::default() }).train(
 //!     &mut model,
 //!     &benchmark.train.graph,
 //!     &benchmark.train.targets,
 //!     &benchmark.train.valid,
-//!     &TrainConfig { epochs: 1, ..Default::default() },
 //! );
 //! let _ = report.best_accuracy();
 //! ```
@@ -25,15 +24,13 @@ pub use rmpi_kg::{EntityId, KnowledgeGraph, RelationId, Triple};
 
 // model + training
 pub use rmpi_core::{
-    train_model, CheckpointConfig, RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport,
-    Trainer,
+    CheckpointConfig, RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport, Trainer,
 };
 
 // benchmarks
 pub use rmpi_datasets::{build_benchmark, Benchmark, Scale, StreamingWorld};
 
-// the out-of-core graph store and the streaming trainer over it
-pub use rmpi_core::train_streaming;
+// the out-of-core graph store (`Trainer::train_store` trains over it)
 pub use rmpi_store::{build_from_sorted, NeighborhoodView, ReadMode, StoreConfig, StoreReader};
 
 // evaluation

@@ -3,7 +3,7 @@
 
 use rmpi::baselines::common::BaselineConfig;
 use rmpi::baselines::{CompileModel, GrailModel, MakerLiteModel, TactBaseModel, TactModel};
-use rmpi::core::{train_model, RmpiConfig, RmpiModel, ScoringModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, Trainer};
 use rmpi::datasets::{build_benchmark, Benchmark, Scale};
 
 fn benchmark() -> Benchmark {
@@ -24,7 +24,7 @@ fn train_epochs<M: ScoringModel + Sync>(
         seed,
         ..Default::default()
     };
-    let report = train_model(model, &b.train.graph, &b.train.targets, &b.train.valid, &cfg);
+    let report = Trainer::new(cfg).train(model, &b.train.graph, &b.train.targets, &b.train.valid);
     report.best_accuracy()
 }
 

@@ -3,7 +3,7 @@
 //! fully-unseen test graphs (the paper's headline claim).
 
 use rmpi::core::config::RelationInit;
-use rmpi::core::{train_model, RmpiConfig, RmpiModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, TrainConfig, Trainer};
 use rmpi::datasets::{build_benchmark, Scale};
 use rmpi::eval::onto::schema_vectors;
 use rmpi::eval::protocol::{evaluate, EvalConfig};
@@ -24,13 +24,13 @@ fn schema_enhancement_beats_random_init_on_fully_unseen() {
 
     let cfg = RmpiConfig { dim: 12, ..RmpiConfig::base() };
     let mut random = RmpiModel::new(cfg, b.num_relations(), 0);
-    train_model(&mut random, &b.train.graph, &b.train.targets, &b.train.valid, &train_cfg);
+    Trainer::new(train_cfg).train(&mut random, &b.train.graph, &b.train.targets, &b.train.valid);
     let m_random = evaluate(&random, fully, &eval_cfg);
 
     let onto = schema_vectors(&b, 24, 60, 17);
     let cfg_s = RmpiConfig { init: RelationInit::Schema, ..cfg };
     let mut schema = RmpiModel::with_schema_vectors(cfg_s, onto, 0);
-    train_model(&mut schema, &b.train.graph, &b.train.targets, &b.train.valid, &train_cfg);
+    Trainer::new(train_cfg).train(&mut schema, &b.train.graph, &b.train.targets, &b.train.valid);
     let m_schema = evaluate(&schema, fully, &eval_cfg);
 
     assert!(

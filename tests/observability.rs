@@ -55,7 +55,7 @@ fn train_and_serve_populate_the_global_registry() {
         threads: 2,
         ..Default::default()
     };
-    train_model(&mut model, &b.train.graph, &b.train.targets, &b.train.valid, &cfg);
+    Trainer::new(cfg).train(&mut model, &b.train.graph, &b.train.targets, &b.train.valid);
 
     // trainer phase timings: every phase must have fired
     for phase in [
@@ -86,7 +86,7 @@ fn train_and_serve_populate_the_global_registry() {
     let engine = Arc::new(Engine::new(
         model,
         test.graph.clone(),
-        EngineConfig::default().with_seed(5).with_cache_capacity(256).with_threads(1),
+        EngineConfig { seed: 5, cache_capacity: 256, threads: 1 },
     ));
     let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
@@ -162,7 +162,7 @@ fn hardening_and_retry_layers_populate_the_resilience_counters() {
         Arc::new(Engine::new(
             model.clone(),
             graph.clone(),
-            EngineConfig::default().with_seed(11).with_cache_capacity(32).with_threads(1),
+            EngineConfig { seed: 11, cache_capacity: 32, threads: 1 },
         ))
     };
 

@@ -4,7 +4,7 @@
 //! store-backed engine — with store-backed scores pinned bit-identical to
 //! the in-memory engine the whole way.
 
-use rmpi::core::{train_streaming, RmpiConfig, RmpiModel, TrainConfig};
+use rmpi::core::{RmpiConfig, RmpiModel, TrainConfig, Trainer};
 use rmpi::datasets::world::GraphGenConfig;
 use rmpi::datasets::{StreamingWorld, World, WorldConfig};
 use rmpi::kg::{KnowledgeGraph, Triple};
@@ -62,7 +62,7 @@ fn generate_train_bundle_and_serve_from_disk() {
         threads: 2,
         ..Default::default()
     };
-    let report = train_streaming(&mut model, &reader, &valid, &cfg);
+    let report = Trainer::new(cfg).train_store(&mut model, &reader, &valid);
     assert_eq!(report.epoch_losses.len(), 2);
     assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
 
