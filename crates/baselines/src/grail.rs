@@ -15,21 +15,21 @@ use rmpi_kg::{GraphAccess, Triple};
 
 /// The parameters of GraIL's entity encoder (Eq. 1–3), reusable by TACT.
 #[derive(Clone, Debug)]
-pub struct GrailEncoderWeights {
+pub(crate) struct GrailEncoderWeights {
     /// `w_rel[k][r]`: per-layer, per-relation transform.
-    pub w_rel: Vec<Vec<ParamId>>,
+    pub(crate) w_rel: Vec<Vec<ParamId>>,
     /// `w_self[k]`: per-layer self transform.
-    pub w_self: Vec<ParamId>,
+    pub(crate) w_self: Vec<ParamId>,
     /// Attention MLP inner matrix per layer (`A_2^k`).
-    pub att_a2: Vec<ParamId>,
+    pub(crate) att_a2: Vec<ParamId>,
     /// Attention MLP inner bias per layer (`b_2^k`).
-    pub att_b2: Vec<ParamId>,
+    pub(crate) att_b2: Vec<ParamId>,
     /// Attention readout vector per layer (`A_1^k`).
-    pub att_a1: Vec<ParamId>,
+    pub(crate) att_a1: Vec<ParamId>,
     /// Attention readout bias per layer (`b_1^k`).
-    pub att_b1: Vec<ParamId>,
+    pub(crate) att_b1: Vec<ParamId>,
     /// Attention embeddings `r^a` for every relation.
-    pub att_emb: ParamId,
+    pub(crate) att_emb: ParamId,
 }
 
 impl GrailEncoderWeights {
@@ -84,13 +84,13 @@ impl GrailEncoderWeights {
 }
 
 /// Output of the GraIL encoder: pooled subgraph and endpoint representations.
-pub struct GrailEncoding {
+pub(crate) struct GrailEncoding {
     /// Mean-pooled subgraph representation (Eq. 5).
-    pub h_graph: Var,
+    pub(crate) h_graph: Var,
     /// Target head representation after K layers.
-    pub h_u: Var,
+    pub(crate) h_u: Var,
     /// Target tail representation after K layers.
-    pub h_v: Var,
+    pub(crate) h_v: Var,
 }
 
 /// Run the GraIL encoder (Eq. 1–3, 5) over a prepared entity sample.

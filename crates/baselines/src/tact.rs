@@ -27,9 +27,9 @@ use rmpi_subgraph::relview::{RelViewGraph, NUM_EDGE_TYPES, TARGET_NODE};
 /// The shared correlation-module parameters: one transform per topological
 /// pattern.
 #[derive(Clone, Debug)]
-pub struct CorrelationWeights {
+pub(crate) struct CorrelationWeights {
     /// `w[e]`: `(dim, dim)` transform for pattern `e`.
-    pub w: Vec<ParamId>,
+    pub(crate) w: Vec<ParamId>,
 }
 
 impl CorrelationWeights {

@@ -1,24 +1,23 @@
-//! Shared harness for the experiment binaries (one binary per paper table /
-//! figure) and the criterion micro-benchmarks.
+//! The experiment harness: the paper's tables and figures as one catalogue
+//! ([`tables`], run by the `rmpi_tables` binary) and the flags every entry
+//! shares ([`Harness`]), plus the criterion micro-benchmarks.
 //!
-//! Every binary accepts:
+//! `rmpi_tables [<entry>] [flags]` accepts:
 //!
 //! * `--quick` (default) — scaled-down graphs, 1 seed, reduced epochs:
 //!   finishes in minutes and reproduces the tables' *shape*;
 //! * `--full` — paper-scale graphs, 5 seeds, full training budget;
-//! * `--seeds N`, `--epochs N`, `--dim N`, `--max-targets N` — overrides;
-//! * `--methods a,b,c` / `--datasets x,y` — row/column filters;
+//! * `--seeds N`, `--epochs N`, `--max-samples N`, `--dim N`,
+//!   `--max-targets N` — overrides;
+//! * `--methods a,b,c` / `--datasets x,y` — row/column filters (a method
+//!   name also selects its `+schema` twin);
 //! * `--threads N` / env `RMPI_THREADS` — worker threads for training and
 //!   candidate scoring (`0` = all cores; results are bit-identical for every
 //!   value). The flag wins over the environment variable.
-//!
-//! The [`MethodSpec`] enum names every method that appears in the paper's
-//! tables, and [`method_factory`] builds the per-seed model factory
-//! (precomputing schema TransE vectors or seen-relation sets where needed).
 
 #![warn(missing_docs)]
 
-pub mod drivers;
+pub mod tables;
 
 use rmpi_core::config::{Fusion, RelationInit, RmpiConfig};
 use rmpi_core::{RmpiModel, TrainConfig};
@@ -71,7 +70,7 @@ impl MethodSpec {
         MethodSpec::Rmpi { ne: true, ta: true, concat: false, schema: false };
 
     /// Display name, matching the paper's rows.
-    pub fn name(&self) -> String {
+    fn name(&self) -> String {
         match *self {
             MethodSpec::Grail => "GraIL".into(),
             MethodSpec::Tact => "TACT".into(),
@@ -102,6 +101,17 @@ impl MethodSpec {
             }
         }
     }
+
+    /// The same method with random relation initialisation.
+    fn random_init(self) -> MethodSpec {
+        match self {
+            MethodSpec::TactBase { .. } => MethodSpec::TactBase { schema: false },
+            MethodSpec::Rmpi { ne, ta, concat, .. } => {
+                MethodSpec::Rmpi { ne, ta, concat, schema: false }
+            }
+            other => other,
+        }
+    }
 }
 
 /// Harness-wide configuration derived from CLI flags.
@@ -121,9 +131,9 @@ pub struct Harness {
     pub schema_dim: usize,
     /// Schema TransE epochs.
     pub schema_epochs: usize,
-    /// Dataset filter (empty = all the binary's defaults).
+    /// Dataset filter (empty = all the table's defaults).
     pub datasets: Vec<String>,
-    /// Method filter (empty = all the binary's defaults).
+    /// Method filter (empty = all the table's defaults).
     pub methods: Vec<String>,
 }
 
@@ -225,7 +235,7 @@ impl Harness {
     }
 
     /// Apply the dataset filter to a default list.
-    pub fn filter_datasets<'a>(&self, defaults: &[&'a str]) -> Vec<&'a str> {
+    fn filter_datasets<'a>(&self, defaults: &[&'a str]) -> Vec<&'a str> {
         if self.datasets.is_empty() {
             defaults.to_vec()
         } else {
@@ -233,23 +243,18 @@ impl Harness {
         }
     }
 
-    /// Apply the method filter to a default list.
-    pub fn filter_methods(&self, defaults: &[MethodSpec]) -> Vec<MethodSpec> {
-        if self.methods.is_empty() {
-            defaults.to_vec()
-        } else {
-            defaults
-                .iter()
-                .copied()
-                .filter(|m| self.methods.iter().any(|f| m.name().eq_ignore_ascii_case(f)))
-                .collect()
-        }
+    /// Apply the method filter to a default list: a method passes if its
+    /// own name or its random-init name is named.
+    fn filter_methods(&self, defaults: &[MethodSpec]) -> Vec<MethodSpec> {
+        let named = |m: MethodSpec| self.methods.iter().any(|f| m.name().eq_ignore_ascii_case(f));
+        let pass = |m: &MethodSpec| self.methods.is_empty() || named(*m) || named(m.random_init());
+        defaults.iter().copied().filter(pass).collect()
     }
 }
 
 /// Build the per-seed model factory for `method` on `benchmark`,
 /// precomputing schema vectors / seen-relation sets as needed.
-pub fn method_factory(method: MethodSpec, benchmark: &Benchmark, h: &Harness) -> ModelFactory {
+fn method_factory(method: MethodSpec, benchmark: &Benchmark, h: &Harness) -> ModelFactory {
     use rmpi_baselines::common::BaselineConfig;
     use rmpi_baselines::{CompileModel, GrailModel, MakerLiteModel, TactBaseModel, TactModel};
 
@@ -303,7 +308,7 @@ pub fn method_factory(method: MethodSpec, benchmark: &Benchmark, h: &Harness) ->
 }
 
 /// Train + evaluate one `(method, benchmark)` cell over the harness seeds.
-pub fn run_cell(
+fn run_cell(
     method: MethodSpec,
     benchmark: &Benchmark,
     test_names: &[&str],
@@ -352,6 +357,9 @@ mod tests {
         assert_eq!(h.filter_datasets(&["nell.v1", "nell.v2"]), vec!["nell.v1"]);
         let ms = h.filter_methods(&[MethodSpec::Grail, MethodSpec::Tact, MethodSpec::RMPI_BASE]);
         assert_eq!(ms.len(), 2);
+        // a random-init name also selects the method's schema twin
+        let twin = MethodSpec::Rmpi { ne: false, ta: false, concat: false, schema: true };
+        assert_eq!(h.filter_methods(&[twin, MethodSpec::TactBase { schema: true }]), vec![twin]);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::session::Session;
 use crate::stats::ClientStats;
 use rmpi_obs::MetricsRegistry;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Failover knobs: the per-attempt client config plus the breaker shape
@@ -115,14 +114,14 @@ impl FailoverClient {
     /// A failover client over `addrs` (tried in order from the preferred
     /// endpoint), recording metrics into the process-global registry.
     pub fn new(addrs: Vec<SocketAddr>, cfg: FailoverConfig) -> Self {
-        Self::with_registry(addrs, cfg, Arc::clone(rmpi_obs::global()))
+        Self::with_registry(addrs, cfg, rmpi_obs::global())
     }
 
     /// Same, recording into an explicit registry (tests).
     pub fn with_registry(
         addrs: Vec<SocketAddr>,
         cfg: FailoverConfig,
-        registry: Arc<MetricsRegistry>,
+        registry: &MetricsRegistry,
     ) -> Self {
         assert!(!addrs.is_empty(), "FailoverClient needs at least one endpoint");
         let endpoints = addrs
@@ -137,7 +136,7 @@ impl FailoverClient {
             endpoints,
             backoff: Backoff::new(cfg.client.backoff.clone()),
             budget: RetryBudget::new(cfg.client.budget.clone()),
-            stats: ClientStats::with_registry(&registry),
+            stats: ClientStats::with_registry(registry),
             cfg: cfg.client,
             current: 0,
             last_used: None,
@@ -372,6 +371,7 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// A controllable fake replica: negotiates protocol v2 and answers
     /// `OK pong` to every tagged line while `healthy`; when unhealthy it
@@ -458,7 +458,7 @@ mod tests {
     }
 
     fn client(addrs: Vec<SocketAddr>, cfg: FailoverConfig) -> FailoverClient {
-        FailoverClient::with_registry(addrs, cfg, Arc::new(MetricsRegistry::new()))
+        FailoverClient::with_registry(addrs, cfg, &MetricsRegistry::new())
     }
 
     fn dead_addr() -> SocketAddr {

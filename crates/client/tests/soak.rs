@@ -148,7 +148,7 @@ fn chaos_soak_zero_wrong_scores_bounded_errors_and_failover() {
                         cooldown: Duration::from_millis(150),
                     },
                 };
-                let mut client = FailoverClient::with_registry(endpoints, cfg, registry);
+                let mut client = FailoverClient::with_registry(endpoints, cfg, &registry);
                 let mut transient_failures = 0u64;
                 for query in query_plan(thread) {
                     match query {
@@ -258,7 +258,7 @@ fn chaos_soak_zero_wrong_scores_bounded_errors_and_failover() {
     // the soak itself. Exercise the trip path deterministically instead: a
     // fresh client pointed only at the dead replica must trip its breaker
     // within one logical request's retry loop.
-    let trip_registry = Arc::new(rmpi_obs::MetricsRegistry::new());
+    let trip_registry = rmpi_obs::MetricsRegistry::new();
     let mut dead_client = FailoverClient::with_registry(
         vec![proxy_a.addr()],
         FailoverConfig {
@@ -273,7 +273,7 @@ fn chaos_soak_zero_wrong_scores_bounded_errors_and_failover() {
             },
             breaker: BreakerConfig { trip_after: 3, cooldown: Duration::from_millis(150) },
         },
-        Arc::clone(&trip_registry),
+        &trip_registry,
     );
     let err = dead_client.ping().expect_err("the dead replica cannot serve");
     assert!(transient(&err), "failures against a dead replica stay transient: {err}");

@@ -71,7 +71,7 @@ impl Handler for RouterHandler {
         FailoverClient::with_registry(
             cfg.shards.iter().copied().chain(cfg.standby).collect(),
             FailoverConfig { client: cfg.client.clone(), breaker: cfg.breaker.clone() },
-            Arc::clone(self.router.registry()),
+            self.router.registry(),
         )
     }
 

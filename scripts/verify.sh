@@ -40,6 +40,13 @@ cargo test -q -p rmpi-bench --bin rmpi_perf
 echo "== cargo build --release =="
 cargo build --release
 
+# Table I and the structure report only run the generators (~0.2 s, no
+# training); the rmpi-bench lib step below compares both, and one trained
+# row, with the committed results/tables.txt
+echo "== experiment tables: rmpi_tables table1_stats + dataset_report =="
+cargo run --release -q -p rmpi-bench --bin rmpi_tables -- table1_stats >/dev/null
+cargo run --release -q -p rmpi-bench --bin rmpi_tables -- dataset_report >/dev/null
+
 echo "== cargo test -q (tier-1: root package) =="
 cargo test -q
 
@@ -52,7 +59,8 @@ cargo test -q -p rmpi-baselines -p rmpi-autograd -p rmpi-kg -p rmpi-eval
 
 # the remaining suites no other step runs: the generators', the metrics
 # registry's, the schema's and the test utilities' own tests, the bench
-# harness's argument parsing, and the model's proptests
+# harness's argument parsing and its check against results/tables.txt, and
+# the model's proptests
 echo "== unit tests + proptests: datasets, obs, schema, testutil, bench harness, core proptests =="
 cargo test -q -p rmpi-datasets -p rmpi-obs -p rmpi-schema -p rmpi-testutil
 cargo test -q -p rmpi-bench --lib
