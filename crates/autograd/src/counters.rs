@@ -1,6 +1,6 @@
 //! Process-wide kernel traffic counters: floating-point operations issued and
 //! bytes moved by the dense kernels in [`crate::kernels`] and
-//! [`crate::tensor`].
+//! [`crate::Tensor`].
 //!
 //! The bench harness brackets a phase with two [`snapshot`]s and reports
 //! achieved FLOP/s and effective bandwidth next to wall-clock numbers, which

@@ -11,9 +11,9 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
 /// Default perturbation size for finite differences.
-pub const DEFAULT_EPS: f32 = 1e-2;
+pub(crate) const DEFAULT_EPS: f32 = 1e-2;
 /// Default tolerance on the combined relative/absolute error.
-pub const DEFAULT_TOL: f32 = 2e-2;
+pub(crate) const DEFAULT_TOL: f32 = 2e-2;
 
 /// Compare analytic gradients with central finite differences and panic with
 /// a diagnostic on mismatch.

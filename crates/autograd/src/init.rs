@@ -31,7 +31,7 @@ pub fn normal<R: Rng>(shape: &[usize], std: f32, rng: &mut R) -> Tensor {
 mod rand_distr_shim {
     use rand::Rng;
 
-    pub struct StandardNormalShim;
+    pub(crate) struct StandardNormalShim;
 
     impl StandardNormalShim {
         pub(crate) fn sample<R: Rng>(rng: &mut R) -> f32 {

@@ -47,15 +47,15 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod grad;
+pub(crate) mod grad;
 pub mod gradcheck;
 pub mod init;
 pub mod io;
 pub mod kernels;
 pub mod optim;
-pub mod params;
-pub mod tape;
-pub mod tensor;
+pub(crate) mod params;
+pub(crate) mod tape;
+pub(crate) mod tensor;
 
 pub use grad::GradBuffer;
 pub use io::{

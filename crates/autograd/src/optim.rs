@@ -15,18 +15,19 @@ pub struct AdamState {
     pub v: Vec<Tensor>,
 }
 
+/// Adam's exponential decay for the first moment.
+const BETA1: f32 = 0.9;
+/// Adam's exponential decay for the second moment.
+const BETA2: f32 = 0.999;
+/// Adam's numerical stabiliser.
+const EPS: f32 = 1e-8;
+
 /// Adam (Kingma & Ba, 2015) with bias correction — the paper's optimiser
 /// (lr 1e-3).
 #[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical stabiliser.
-    pub eps: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -35,7 +36,7 @@ pub struct Adam {
 impl Adam {
     /// Adam with standard betas (0.9 / 0.999) and eps 1e-8.
     pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+        Adam { lr, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Snapshot the optimiser's internal state (step count + moment buffers)
@@ -46,7 +47,7 @@ impl Adam {
     }
 
     /// Replace the optimiser's internal state with a snapshot taken by
-    /// [`Adam::export_state`] (hyper-parameters are kept as configured).
+    /// [`Adam::export_state`] (the learning rate is kept as configured).
     pub fn restore_state(&mut self, state: AdamState) {
         self.t = state.t;
         self.m = state.m;
@@ -60,9 +61,9 @@ impl Adam {
     /// fresh zero moments.
     pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
+        let lr = self.lr;
         let (m, v) = (&mut self.m, &mut self.v);
         store.for_each_mut(|i, value, grad| {
             while m.len() <= i {
@@ -74,12 +75,12 @@ impl Adam {
             for k in 0..value.len() {
                 let g = grad.data()[k];
                 let md = &mut mi.data_mut()[k];
-                *md = b1 * *md + (1.0 - b1) * g;
+                *md = BETA1 * *md + (1.0 - BETA1) * g;
                 let vd = &mut vi.data_mut()[k];
-                *vd = b2 * *vd + (1.0 - b2) * g * g;
+                *vd = BETA2 * *vd + (1.0 - BETA2) * g * g;
                 let mhat = *md / bc1;
                 let vhat = *vd / bc2;
-                value.data_mut()[k] -= lr * mhat / (vhat.sqrt() + eps);
+                value.data_mut()[k] -= lr * mhat / (vhat.sqrt() + EPS);
             }
         });
     }

@@ -130,9 +130,9 @@ pub struct Retained {
     /// Node slots: the longest recording's node count.
     pub slots: usize,
     /// Heap buffers kept: the values (in use or spare) and the index record.
-    pub buffers: usize,
+    pub(crate) buffers: usize,
     /// Bytes held: node table, spare lists and buffer capacities.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
 }
 
 /// Free buffers by size class: class `c` holds buffers of at least `2^c`

@@ -7,6 +7,9 @@ use rmpi_kg::{EntityId, GraphAccess, Triple};
 use rmpi_subgraph::{double_radius_labels, enclosing_subgraph, NodeLabel, Subgraph};
 use std::collections::HashMap;
 
+/// Maximum distance for double-radius labels.
+pub(crate) const MAX_LABEL_DIST: usize = 3;
+
 /// Hyper-parameters shared by the entity-view baselines.
 #[derive(Clone, Copy, Debug)]
 pub struct BaselineConfig {
@@ -18,8 +21,6 @@ pub struct BaselineConfig {
     pub hop: usize,
     /// Edge dropout during training.
     pub edge_dropout: f64,
-    /// Maximum distance for double-radius labels.
-    pub max_label_dist: usize,
     /// Safety cap on subgraph edges.
     pub max_subgraph_edges: usize,
 }
@@ -31,7 +32,6 @@ impl Default for BaselineConfig {
             num_layers: 2,
             hop: 2,
             edge_dropout: 0.5,
-            max_label_dist: 3,
             max_subgraph_edges: 300,
         }
     }
@@ -40,22 +40,22 @@ impl Default for BaselineConfig {
 impl BaselineConfig {
     /// Length of the initial one-hot double-radius features.
     pub(crate) fn label_dim(&self) -> usize {
-        NodeLabel::one_hot_len(self.max_label_dist)
+        NodeLabel::one_hot_len(MAX_LABEL_DIST)
     }
 }
 
 /// An entity-view forward-pass input: the (possibly edge-dropped) enclosing
 /// subgraph, its double-radius labels, and a dense entity index.
 #[derive(Clone, Debug)]
-pub struct EntitySample {
+pub(crate) struct EntitySample {
     /// The enclosing subgraph.
-    pub sg: Subgraph,
+    pub(crate) sg: Subgraph,
     /// Double-radius label per entity.
-    pub labels: HashMap<EntityId, NodeLabel>,
+    pub(crate) labels: HashMap<EntityId, NodeLabel>,
     /// Dense index of each entity (stable ordering).
-    pub entity_index: HashMap<EntityId, usize>,
+    pub(crate) entity_index: HashMap<EntityId, usize>,
     /// Entities in dense-index order.
-    pub entities: Vec<EntityId>,
+    pub(crate) entities: Vec<EntityId>,
 }
 
 /// Extract and label the enclosing subgraph for `target`.
@@ -79,7 +79,7 @@ pub(crate) fn prepare_entity_sample<G: GraphAccess + ?Sized>(
     entities.sort_unstable();
     entities.dedup();
     sg.entities = entities.clone();
-    let labels = double_radius_labels(&sg, cfg.max_label_dist);
+    let labels = double_radius_labels(&sg, MAX_LABEL_DIST);
     let entity_index = entities.iter().enumerate().map(|(i, &e)| (e, i)).collect();
     EntitySample { sg, labels, entity_index, entities }
 }
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn label_dim_matches_config() {
-        let cfg = BaselineConfig { max_label_dist: 3, ..Default::default() };
+        let cfg = BaselineConfig::default();
         assert_eq!(cfg.label_dim(), 8);
     }
 }

@@ -6,7 +6,7 @@
 //! neighbour features. This implementation keeps that node–edge interaction
 //! while simplifying CoMPILE's gating details to a ReLU MLP.
 
-use crate::common::{prepare_entity_sample, BaselineConfig};
+use crate::common::{prepare_entity_sample, BaselineConfig, MAX_LABEL_DIST};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
@@ -98,9 +98,7 @@ impl ScoringModel for CompileModel {
         let mut h: Vec<Var> = sample
             .entities
             .iter()
-            .map(|e| {
-                tape.constant(Tensor::vector(sample.labels[e].one_hot(self.cfg.max_label_dist)))
-            })
+            .map(|e| tape.constant(Tensor::vector(sample.labels[e].one_hot(MAX_LABEL_DIST))))
             .collect();
 
         for k in 0..self.cfg.num_layers {

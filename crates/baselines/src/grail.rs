@@ -6,7 +6,7 @@
 //! representation, the endpoint embeddings and the target relation's
 //! embedding (Eq. 4). The encoder half is exposed so TACT can reuse it.
 
-use crate::common::{prepare_entity_sample, BaselineConfig, EntitySample};
+use crate::common::{prepare_entity_sample, BaselineConfig, EntitySample, MAX_LABEL_DIST};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
@@ -109,7 +109,7 @@ pub(crate) fn grail_encode(
     let mut h: Vec<Var> = sample
         .entities
         .iter()
-        .map(|e| tape.constant(Tensor::vector(sample.labels[e].one_hot(cfg.max_label_dist))))
+        .map(|e| tape.constant(Tensor::vector(sample.labels[e].one_hot(MAX_LABEL_DIST))))
         .collect();
 
     for k in 0..cfg.num_layers {

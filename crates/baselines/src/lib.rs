@@ -22,11 +22,11 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod compile;
-pub mod grail;
-pub mod maker;
+pub(crate) mod compile;
+pub(crate) mod grail;
+pub(crate) mod maker;
 pub mod rulen;
-pub mod tact;
+pub(crate) mod tact;
 
 pub use compile::CompileModel;
 pub use grail::GrailModel;

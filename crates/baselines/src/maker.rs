@@ -17,7 +17,7 @@
 //! The entity GNN half mirrors GraIL's labelled message passing with shared
 //! (relation-agnostic) weights, so unseen relations do not break the layers.
 
-use crate::common::{prepare_entity_sample, BaselineConfig};
+use crate::common::{prepare_entity_sample, BaselineConfig, MAX_LABEL_DIST};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmpi_autograd::{init, ParamId, ParamStore, Tape, Tensor, Var};
@@ -38,9 +38,10 @@ pub struct MakerLiteModel {
     score_w: ParamId,
     num_relations: usize,
     seen: HashSet<RelationId>,
-    /// Probability of masking the target relation during training episodes.
-    pub episode_mask_prob: f64,
 }
+
+/// Probability of masking the target relation during training episodes.
+const EPISODE_MASK_PROB: f64 = 0.3;
 
 /// Dimension of the structural feature vector: 6 pattern counts + log degree
 /// + bias.
@@ -80,18 +81,7 @@ impl MakerLiteModel {
             ));
         }
         let score_w = store.create("maker_score_w", init::xavier_uniform(&[4 * cfg.dim], &mut rng));
-        MakerLiteModel {
-            cfg,
-            store,
-            rel_emb,
-            topo_w,
-            w_self,
-            w_msg,
-            score_w,
-            num_relations,
-            seen,
-            episode_mask_prob: 0.3,
-        }
+        MakerLiteModel { cfg, store, rel_emb, topo_w, w_self, w_msg, score_w, num_relations, seen }
     }
 
     /// Structural feature of `rel` in the sample's relation view: normalised
@@ -185,9 +175,7 @@ impl MakerLiteModel {
         let mut h: Vec<Var> = sample
             .entities
             .iter()
-            .map(|e| {
-                tape.constant(Tensor::vector(sample.labels[e].one_hot(self.cfg.max_label_dist)))
-            })
+            .map(|e| tape.constant(Tensor::vector(sample.labels[e].one_hot(MAX_LABEL_DIST))))
             .collect();
         for k in 0..self.cfg.num_layers {
             let ws = tape.param(&self.store, self.w_self[k]);
@@ -239,7 +227,7 @@ impl ScoringModel for MakerLiteModel {
     ) -> Var {
         assert!(target.relation.index() < self.num_relations, "relation outside id space");
         let sample = prepare_entity_sample(graph, target, &self.cfg, mode, rng);
-        let mask = mode == Mode::Train && rng.gen_bool(self.episode_mask_prob);
+        let mask = mode == Mode::Train && rng.gen_bool(EPISODE_MASK_PROB);
         self.encode_and_score(tape, &sample, target, mask)
     }
 

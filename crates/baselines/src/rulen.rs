@@ -61,16 +61,17 @@ impl MinedRule {
 #[derive(Clone, Copy, Debug)]
 pub struct MiningConfig {
     /// Minimum body matches for a rule to be considered.
-    pub min_support: usize,
+    pub(crate) min_support: usize,
     /// Minimum confidence (head matches / body matches).
-    pub min_confidence: f32,
-    /// Keep at most this many rules per head relation (best first).
-    pub max_rules_per_head: usize,
+    pub(crate) min_confidence: f32,
 }
+
+/// Keep at most this many rules per head relation (best first).
+const MAX_RULES_PER_HEAD: usize = 25;
 
 impl Default for MiningConfig {
     fn default() -> Self {
-        MiningConfig { min_support: 3, min_confidence: 0.3, max_rules_per_head: 25 }
+        MiningConfig { min_support: 3, min_confidence: 0.3 }
     }
 }
 
@@ -173,7 +174,7 @@ impl RuleNModel {
                 }
             }
             mined.sort_by(|a, b| b.confidence().partial_cmp(&a.confidence()).unwrap());
-            mined.truncate(cfg.max_rules_per_head);
+            mined.truncate(MAX_RULES_PER_HEAD);
             if !mined.is_empty() {
                 rules.insert(head, mined);
             }

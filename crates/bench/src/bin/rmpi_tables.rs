@@ -8,7 +8,8 @@
 //!
 //! Entries: `table1_stats` … `table8_schema_partial`, `fig4_case_study`,
 //! `supp_rulen`, `ablation_extensions`, `dataset_report`. Flags are the
-//! harness's (see the `rmpi_bench` crate docs).
+//! harness's (see the `rmpi_bench` crate docs); `fig4_case_study` and
+//! `ablation_extensions` ignore `--methods`.
 
 use rmpi_bench::{tables, Harness};
 

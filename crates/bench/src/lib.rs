@@ -10,7 +10,9 @@
 //! * `--seeds N`, `--epochs N`, `--max-samples N`, `--dim N`,
 //!   `--max-targets N` — overrides;
 //! * `--methods a,b,c` / `--datasets x,y` — row/column filters (a method
-//!   name also selects its `+schema` twin);
+//!   name also selects its `+schema` twin; `fig4_case_study` and
+//!   `ablation_extensions` train models of their own and ignore
+//!   `--methods`);
 //! * `--threads N` / env `RMPI_THREADS` — worker threads for training and
 //!   candidate scoring (`0` = all cores; results are bit-identical for every
 //!   value). The flag wins over the environment variable.
@@ -28,7 +30,7 @@ use rmpi_eval::EvalConfig;
 
 /// All methods appearing in the paper's tables.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MethodSpec {
+pub(crate) enum MethodSpec {
     /// GraIL (entity-view baseline).
     Grail,
     /// Full TACT.
@@ -57,16 +59,16 @@ pub enum MethodSpec {
 
 impl MethodSpec {
     /// RMPI-base, random init.
-    pub const RMPI_BASE: MethodSpec =
+    pub(crate) const RMPI_BASE: MethodSpec =
         MethodSpec::Rmpi { ne: false, ta: false, concat: false, schema: false };
     /// RMPI-NE (SUM), random init.
-    pub const RMPI_NE: MethodSpec =
+    pub(crate) const RMPI_NE: MethodSpec =
         MethodSpec::Rmpi { ne: true, ta: false, concat: false, schema: false };
     /// RMPI-TA, random init.
-    pub const RMPI_TA: MethodSpec =
+    pub(crate) const RMPI_TA: MethodSpec =
         MethodSpec::Rmpi { ne: false, ta: true, concat: false, schema: false };
     /// RMPI-NE-TA (SUM), random init.
-    pub const RMPI_NE_TA: MethodSpec =
+    pub(crate) const RMPI_NE_TA: MethodSpec =
         MethodSpec::Rmpi { ne: true, ta: true, concat: false, schema: false };
 
     /// Display name, matching the paper's rows.
@@ -118,23 +120,23 @@ impl MethodSpec {
 #[derive(Clone, Debug)]
 pub struct Harness {
     /// Graph generation scale.
-    pub scale: Scale,
+    pub(crate) scale: Scale,
     /// Seeds to average over.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// Training hyper-parameters.
-    pub train: TrainConfig,
+    pub(crate) train: TrainConfig,
     /// Evaluation protocol parameters.
-    pub eval: EvalConfig,
+    pub(crate) eval: EvalConfig,
     /// Model dimension.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Schema TransE vector dimension.
-    pub schema_dim: usize,
+    pub(crate) schema_dim: usize,
     /// Schema TransE epochs.
-    pub schema_epochs: usize,
+    pub(crate) schema_epochs: usize,
     /// Dataset filter (empty = all the table's defaults).
-    pub datasets: Vec<String>,
+    pub(crate) datasets: Vec<String>,
     /// Method filter (empty = all the table's defaults).
-    pub methods: Vec<String>,
+    pub(crate) methods: Vec<String>,
 }
 
 impl Harness {
@@ -313,7 +315,7 @@ fn run_cell(
     benchmark: &Benchmark,
     test_names: &[&str],
     h: &Harness,
-) -> std::collections::HashMap<String, rmpi_eval::RunSummary> {
+) -> std::collections::HashMap<String, rmpi_eval::EvalMetrics> {
     let factory = method_factory(method, benchmark, h);
     rmpi_eval::run_experiment(&factory, benchmark, test_names, &h.train, &h.eval, &h.seeds)
 }

@@ -247,10 +247,10 @@ fn run_grid(g: &Grid, h: &Harness, out: &mut String) {
             }
             let mut table =
                 Table::new(title, &headers.iter().map(String::as_str).collect::<Vec<_>>());
-            for (d, m, summaries) in &cells {
+            for (d, m, means) in &cells {
                 let mut row: Vec<String> = keys.iter().map(|k| (k.1)(d, m)).collect();
                 for t in g.tests {
-                    row.extend(metrics.iter().map(|(_, f)| fmt_metric(f(&summaries[*t].mean))));
+                    row.extend(metrics.iter().map(|(_, f)| fmt_metric(f(&means[*t]))));
                 }
                 table.add_row(row);
             }
@@ -261,10 +261,8 @@ fn run_grid(g: &Grid, h: &Harness, out: &mut String) {
             .map(|(title, f)| {
                 let mut table = Table::new(title, &[&["method"], &datasets[..]].concat());
                 for m in h.filter_methods(g.groups[0]) {
-                    let values = cells
-                        .iter()
-                        .filter(|c| c.1 == m)
-                        .map(|c| fmt_metric(f(&c.2[g.tests[0]].mean)));
+                    let values =
+                        cells.iter().filter(|c| c.1 == m).map(|c| fmt_metric(f(&c.2[g.tests[0]])));
                     table.add_row([m.name()].into_iter().chain(values).collect());
                 }
                 table
@@ -314,13 +312,23 @@ fn table1_stats(h: &Harness, out: &mut String) {
 }
 
 /// Fig. 4 — case studies: two positive targets, the relations around them
-/// and each model's score. The DOT exports go to `target/tables/`.
+/// and each model's score. `--datasets` picks the cases; `--methods` does
+/// not apply (every case trains the same five models). The DOT exports go
+/// to `target/tables/`.
 fn fig4_case_study(h: &Harness, out: &mut String) {
-    // Case 1 (paper: NELL-995.v4.v3, unseen relation `coach won trophy`)
-    fig4_case(h, out, "nell.v4.v3", true, "Case 1: target with UNSEEN relation");
+    // Case 1 (paper: NELL-995.v4.v3, unseen relation `coach won trophy`);
     // Case 2 (paper: FB15k-237.v1.v4, seen relation `/music/genre/artists`),
     // where one-hop context suffices
-    fig4_case(h, out, "fb.v1.v4", false, "Case 2: target with SEEN relation");
+    let cases = [
+        ("nell.v4.v3", true, "Case 1: target with UNSEEN relation"),
+        ("fb.v1.v4", false, "Case 2: target with SEEN relation"),
+    ];
+    let datasets = h.filter_datasets(&cases.map(|(dataset, ..)| dataset));
+    for (dataset, want_unseen, title) in cases {
+        if datasets.contains(&dataset) {
+            fig4_case(h, out, dataset, want_unseen, title);
+        }
+    }
 }
 
 fn fig4_case(h: &Harness, out: &mut String, dataset: &str, want_unseen: bool, title: &str) {
@@ -347,7 +355,7 @@ fn fig4_case(h: &Harness, out: &mut String, dataset: &str, want_unseen: bool, ti
     let sg = enclosing_subgraph(&test.graph, target, 2);
     let rv = RelViewGraph::from_subgraph(&sg);
     let tag = dataset.replace('.', "_");
-    let dir = std::path::Path::new("target/tables");
+    let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tables"));
     let _ = std::fs::create_dir_all(dir);
     for (kind, dot) in [("subgraph", subgraph_to_dot(&sg)), ("relview", relview_to_dot(&rv))] {
         let path = dir.join(format!("fig4_{tag}_{kind}.dot"));
@@ -390,7 +398,7 @@ fn supp_rulen(h: &Harness, out: &mut String) {
         table.add_row(metric_row(name, "RuleN".into(), &evaluate(&rulen, test, &h.eval)));
         for method in h.filter_methods(&[MethodSpec::Grail, MethodSpec::RMPI_BASE]) {
             eprintln!("[rmpi_tables] {} on {name}", method.name());
-            table.add_row(metric_row(name, method.name(), &run_cell(method, &b, TE, h)["TE"].mean));
+            table.add_row(metric_row(name, method.name(), &run_cell(method, &b, TE, h)["TE"]));
         }
     }
     let _ = writeln!(out, "{}", table.render());
@@ -401,7 +409,8 @@ fn supp_rulen(h: &Harness, out: &mut String) {
 }
 
 /// Ablation of the extensions beyond the paper (§VI future work): gated
-/// fusion and entity-clue features on RMPI-NE.
+/// fusion and entity-clue features on RMPI-NE. `--methods` does not apply
+/// (the variants are this entry's own).
 fn ablation_extensions(h: &Harness, out: &mut String) {
     let mut table = Table::new(
         "Extension ablation: fusion function and entity clues (RMPI-NE)",
@@ -419,7 +428,7 @@ fn ablation_extensions(h: &Harness, out: &mut String) {
                     Box::new(move |seed, _b| Box::new(RmpiModel::new(cfg, num_rel, seed)));
                 eprintln!("[rmpi_tables] {label} on {name}");
                 let s = &run_experiment(&factory, &b, TE, &h.train, &h.eval, &h.seeds)["TE"];
-                table.add_row(metric_row(name, label, &s.mean));
+                table.add_row(metric_row(name, label, s));
             }
         }
     }
@@ -502,6 +511,14 @@ mod tests {
         for row in &fresh {
             assert!(committed.contains(row), "{row:?} is not a row of results/tables.txt");
         }
+    }
+
+    #[test]
+    fn fig4_runs_only_the_cases_the_dataset_filter_names() {
+        let h = harness("--datasets nell.v4.v3 --epochs 1 --max-samples 8 --dim 4 --seeds 1");
+        let text = run("fig4_case_study", &h).unwrap();
+        assert!(text.contains("dataset: nell.v4.v3"), "{text}");
+        assert!(!text.contains("Case 2") && !text.contains("fb.v1.v4"), "{text}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic seeded exponential backoff with downward jitter.
 //!
 //! Delay for attempt *n* (0-based) is
-//! `min(max, base · multiplier^n) · (1 − jitter · u)` with `u ∈ [0, 1)`
+//! `min(max, base · 2^n) · (1 − jitter · u)` with `u ∈ [0, 1)`
 //! drawn from a seeded SplitMix64 stream. Jitter is *downward only*: the
 //! configured ceiling is a hard bound (useful for test determinism and for
 //! reasoning about worst-case latency), while the randomness still
@@ -36,14 +36,15 @@ impl SplitMix64 {
     }
 }
 
+/// Growth factor of the delay per attempt.
+const MULTIPLIER: f64 = 2.0;
+
 /// Backoff shape. The defaults suit an in-process or same-host replica set:
 /// first retry after ≤10 ms, doubling to a 500 ms ceiling.
 #[derive(Clone, Debug)]
 pub struct BackoffConfig {
     /// Delay before the first retry (pre-jitter).
     pub base: Duration,
-    /// Growth factor per attempt.
-    pub multiplier: f64,
     /// Hard ceiling on any single delay.
     pub max: Duration,
     /// Fraction of the delay that jitter may remove, in `[0, 1]`.
@@ -56,7 +57,6 @@ impl Default for BackoffConfig {
     fn default() -> Self {
         BackoffConfig {
             base: Duration::from_millis(10),
-            multiplier: 2.0,
             max: Duration::from_millis(500),
             jitter: 0.5,
             seed: 0,
@@ -83,7 +83,7 @@ impl Backoff {
     /// The delay to sleep before the next retry; advances the attempt
     /// counter and the jitter stream.
     pub(crate) fn next_delay(&mut self) -> Duration {
-        let exp = self.cfg.multiplier.powi(self.attempt.min(30) as i32);
+        let exp = MULTIPLIER.powi(self.attempt.min(30) as i32);
         let raw = self.cfg.base.as_secs_f64() * exp;
         let capped = raw.min(self.cfg.max.as_secs_f64());
         let u = self.rng.next_f64();
@@ -117,7 +117,6 @@ mod tests {
     fn delays_grow_to_the_cap_and_respect_jitter_bounds() {
         let cfg = BackoffConfig {
             base: Duration::from_millis(10),
-            multiplier: 2.0,
             max: Duration::from_millis(100),
             jitter: 0.5,
             seed: 7,

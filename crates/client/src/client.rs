@@ -13,29 +13,24 @@ use crate::budget::BudgetConfig;
 use crate::error::ClientError;
 use std::time::Duration;
 
-/// Client knobs: per-socket timeouts plus the retry policy.
+/// Client knobs: the read timeout plus the retry policy.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Socket read timeout (covers the whole response wait).
     pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
     /// Retries after the initial attempt (per logical request).
     pub max_retries: u32,
     /// Backoff shape between attempts.
     pub backoff: BackoffConfig,
-    /// Retry budget shape (caps retries fleet-wide, see [`crate::budget`]).
+    /// Retry budget shape (caps retries fleet-wide, see
+    /// [`crate::RetryBudget`]).
     pub budget: BudgetConfig,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(1),
             max_retries: 3,
             backoff: BackoffConfig::default(),
             budget: BudgetConfig::default(),

@@ -7,20 +7,20 @@
 //! crate builds the retry stack on that fact, in layers that are each
 //! independently testable:
 //!
-//! - [`error`]: failures classified **retryable vs fatal** — transport
+//! - [`ClientError`]: failures classified **retryable vs fatal** — transport
 //!   damage and server load shedding retry; definitive server rejections do
 //!   not. A response missing its trailing newline is always treated as
 //!   damage ([`ClientError::TruncatedResponse`]), which is what guarantees a
 //!   chaos-disturbed reply is *retried*, never misparsed.
-//! - [`backoff`]: deterministic seeded exponential backoff with downward
-//!   jitter — a fixed seed reproduces the exact delay sequence.
-//! - [`budget`]: a Finagle-style retry budget (token bucket) so retries are
-//!   capped as a fraction of successful traffic, not just per request.
-//! - [`breaker`]: a per-endpoint circuit breaker — consecutive-failure trip,
-//!   timed cooldown, half-open probe.
-//! - [`session`]: a persistent, pipelined protocol-v2 connection
-//!   ([`Session`]) — many requests in flight at once, demultiplexed by tag,
-//!   with a one-typed-error-per-in-flight-request death contract. Its
+//! - [`BackoffConfig`]: deterministic seeded exponential backoff with
+//!   downward jitter — a fixed seed reproduces the exact delay sequence.
+//! - [`RetryBudget`]: a Finagle-style retry budget (token bucket) so retries
+//!   are capped as a fraction of successful traffic, not just per request.
+//! - [`CircuitBreaker`]: a per-endpoint circuit breaker — consecutive-failure
+//!   trip, timed cooldown, half-open probe.
+//! - [`Session`]: a persistent, pipelined protocol-v2 connection — many
+//!   requests in flight at once, demultiplexed by tag, with a
+//!   one-typed-error-per-in-flight-request death contract. Its
 //!   primitive is the non-blocking `Session::submit` (a responder called
 //!   once, a [`Submission`] handle whose drop deregisters the tag); the
 //!   blocking verbs wait on top of it. It is the one client transport.
@@ -38,14 +38,14 @@
 
 #![warn(missing_docs)]
 
-pub mod backoff;
-pub mod breaker;
-pub mod budget;
-pub mod client;
-pub mod error;
-pub mod failover;
-pub mod session;
-pub mod stats;
+pub(crate) mod backoff;
+pub(crate) mod breaker;
+pub(crate) mod budget;
+pub(crate) mod client;
+pub(crate) mod error;
+pub(crate) mod failover;
+pub(crate) mod session;
+pub(crate) mod stats;
 
 pub use backoff::BackoffConfig;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};

@@ -58,6 +58,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// TCP connect timeout (a caller's budget can shorten it).
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// How one request's outcome leaves the session. Runs on the reader thread
 /// (or on the submitting thread when the session is already dead), so it
 /// must not block: send on a channel, don't wait on one.
@@ -168,10 +173,11 @@ impl Session {
     }
 
     /// [`Session::connect`] bounded by `budget`: the TCP connect waits at
-    /// most `min(connect_timeout, budget)` and the `PROTO 2` answer at most
+    /// most `min(500 ms, budget)` and the `PROTO 2` answer at most
     /// what is left of `budget` (never more than `read_timeout`), so a peer
     /// that accepts but never negotiates costs a caller its remaining
-    /// budget, not a socket timeout. The open session keeps `cfg`'s timeouts.
+    /// budget, not a socket timeout. The open session keeps `cfg`'s read
+    /// timeout.
     pub fn connect_within(
         addr: SocketAddr,
         cfg: &ClientConfig,
@@ -180,12 +186,12 @@ impl Session {
         // a zero timeout is an error to the socket API
         let floor = Duration::from_millis(1);
         let start = Instant::now();
-        let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout.min(budget).max(floor))
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT.min(budget).max(floor))
             .map_err(ClientError::Connect)?;
         let hello_wait = cfg.read_timeout.min(budget.saturating_sub(start.elapsed())).max(floor);
         stream
             .set_read_timeout(Some(hello_wait))
-            .and_then(|()| stream.set_write_timeout(Some(cfg.write_timeout)))
+            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
             .map_err(ClientError::Io)?;
         let _ = stream.set_nodelay(true);
         let mut writer = stream.try_clone().map_err(ClientError::Io)?;

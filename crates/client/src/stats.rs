@@ -22,7 +22,7 @@ pub struct ClientStats {
     pub errors: Counter,
     /// `client.request.us` — end-to-end latency of successful logical
     /// requests, retries and backoff included.
-    pub request_latency: Histogram,
+    pub(crate) request_latency: Histogram,
     /// `client.sessions.count` — pipelined sessions opened (a low number
     /// relative to requests means connection reuse is working).
     pub sessions_opened: Counter,

@@ -47,7 +47,7 @@ pub struct TrainCheckpoint {
     pub next_epoch: usize,
     /// The `TrainConfig::seed` of the run that wrote this checkpoint; resume
     /// refuses to continue under a different seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Adam learning rate in effect (divergence rollback may have decayed it
     /// below the configured value).
     pub adam_lr: f32,
@@ -58,25 +58,25 @@ pub struct TrainCheckpoint {
     /// Adam second moments, by parameter index.
     pub adam_v: Vec<Tensor>,
     /// Epoch whose parameters are the best-so-far snapshot.
-    pub best_epoch: usize,
+    pub(crate) best_epoch: usize,
     /// Best validation accuracy seen so far (`-inf` before any validation).
-    pub best_acc: f32,
+    pub(crate) best_acc: f32,
     /// Epochs since the best accuracy improved (early-stopping state).
-    pub since_best: usize,
+    pub(crate) since_best: usize,
     /// Mean margin loss per completed epoch.
-    pub epoch_losses: Vec<f32>,
+    pub(crate) epoch_losses: Vec<f32>,
     /// Validation accuracy per completed epoch.
-    pub valid_accuracy: Vec<f32>,
+    pub(crate) valid_accuracy: Vec<f32>,
     /// Batches dropped by the divergence guard so far.
-    pub skipped_batches: usize,
+    pub(crate) skipped_batches: usize,
     /// Batches whose gradients were sanitised by the divergence guard.
-    pub sanitized_batches: usize,
+    pub(crate) sanitized_batches: usize,
     /// Divergence rollbacks performed so far.
-    pub rollbacks: usize,
+    pub(crate) rollbacks: usize,
     /// Live parameters at the epoch boundary.
-    pub params: ParamStore,
+    pub(crate) params: ParamStore,
     /// Best-validation parameter snapshot.
-    pub best_params: ParamStore,
+    pub(crate) best_params: ParamStore,
 }
 
 fn parse_err(line: usize, message: String) -> CheckpointError {
@@ -297,12 +297,13 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
     Ok(ckpt)
 }
 
-/// Delete the oldest complete checkpoints so at most `keep` remain (the one
-/// `LATEST` points at is never deleted). Best-effort: I/O failures here must
-/// never interrupt training.
-pub(crate) fn prune_checkpoints<P: AsRef<Path>>(root: P, keep: usize) {
-    let root = root.as_ref();
-    let keep = keep.max(1);
+/// How many checkpoint directories training keeps under its root.
+const KEEP_CHECKPOINTS: usize = 2;
+
+/// Delete the oldest complete checkpoints so at most [`KEEP_CHECKPOINTS`]
+/// remain (the one `LATEST` points at is never deleted). Best-effort: I/O
+/// failures here must never interrupt training.
+pub(crate) fn prune_checkpoints(root: &Path) {
     let latest = latest_checkpoint(root).ok().flatten();
     let Ok(entries) = std::fs::read_dir(root) else { return };
     let mut dirs: Vec<PathBuf> = entries
@@ -314,10 +315,10 @@ pub(crate) fn prune_checkpoints<P: AsRef<Path>>(root: P, keep: usize) {
         })
         .collect();
     dirs.sort();
-    if dirs.len() <= keep {
+    if dirs.len() <= KEEP_CHECKPOINTS {
         return;
     }
-    let excess = dirs.len() - keep;
+    let excess = dirs.len() - KEEP_CHECKPOINTS;
     for dir in dirs.into_iter().take(excess) {
         if Some(&dir) == latest.as_ref() {
             continue;
@@ -461,7 +462,7 @@ mod tests {
             ckpt.valid_accuracy = vec![0.5; epoch];
             save_checkpoint(&root, &ckpt).unwrap();
         }
-        prune_checkpoints(&root, 2);
+        prune_checkpoints(&root);
         let mut names: Vec<String> = std::fs::read_dir(&root)
             .unwrap()
             .flatten()

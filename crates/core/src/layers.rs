@@ -9,7 +9,7 @@ use rmpi_subgraph::PruningSchedule;
 #[derive(Clone, Debug)]
 pub struct MessagePassingWeights {
     /// `w[k][e]` is the `(dim, dim)` matrix for edge type `e` at layer `k`.
-    pub w: Vec<Vec<ParamId>>,
+    pub(crate) w: Vec<Vec<ParamId>>,
 }
 
 impl MessagePassingWeights {

@@ -10,9 +10,9 @@
 //! 3. run K pruned relational message passing layers with per-edge-type
 //!    transforms and optional target-aware attention (Eq. 6–9, [`layers`]);
 //! 4. optionally aggregate the one-hop disclosing neighbourhood to rescue
-//!    empty subgraphs (Eq. 13–14, [`ne`]);
+//!    empty subgraphs (Eq. 13–14, the NE module, on with [`RmpiConfig::ne`]);
 //! 5. score through a linear readout with SUM or CONC fusion
-//!    (Eq. 11/15/16, inside [`model`]).
+//!    (Eq. 11/15/16, inside [`RmpiModel`]).
 //!
 //! Everything trainable is expressed through [`rmpi_autograd`], so one
 //! [`Trainer`] loop (margin ranking loss Eq. 12 + Adam) serves
@@ -20,17 +20,17 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod config;
 pub mod encode;
 pub mod layers;
 pub mod loss;
-pub mod model;
-pub mod ne;
+pub(crate) mod model;
+pub(crate) mod ne;
 pub mod sample;
-pub mod stream;
+pub(crate) mod stream;
 pub mod trainer;
-pub mod traits;
+pub(crate) mod traits;
 
 // The integration suites' fixtures, shared with the unit tests; they name
 // this crate as an outside caller would.
@@ -44,7 +44,5 @@ pub use checkpoint::{latest_checkpoint, load_checkpoint, save_checkpoint, TrainC
 pub use config::{Fusion, RelationInit, RmpiConfig};
 pub use model::{ModelAssemblyError, RmpiModel};
 pub use sample::SampleInput;
-pub use trainer::{
-    CheckpointConfig, DivergencePolicy, TrainConfig, TrainEvent, TrainReport, Trainer,
-};
+pub use trainer::{DivergencePolicy, TrainConfig, TrainEvent, TrainReport, Trainer};
 pub use traits::{Mode, ScoringModel};

@@ -12,9 +12,9 @@ use rmpi_autograd::{init, ParamId, ParamStore, Tape, Var};
 
 /// The NE module's single linear transform `W^d`.
 #[derive(Clone, Copy, Debug)]
-pub struct NeWeights {
+pub(crate) struct NeWeights {
     /// `(dim, dim)` transform applied to every node.
-    pub wd: ParamId,
+    pub(crate) wd: ParamId,
 }
 
 impl NeWeights {

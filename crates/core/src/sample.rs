@@ -23,11 +23,9 @@ pub struct SampleInput {
     pub disclosing_rels: Vec<RelationId>,
     /// The target triple.
     pub target: Triple,
-    /// Whether the enclosing subgraph had no edges before transformation.
-    pub enclosing_empty: bool,
     /// Normalised histogram of the subgraph entities' double-radius labels
     /// (present only when `cfg.entity_clues` is on).
-    pub label_histogram: Option<Vec<f32>>,
+    pub(crate) label_histogram: Option<Vec<f32>>,
 }
 
 /// Build the forward-pass input for `target` against `graph`.
@@ -59,7 +57,6 @@ pub fn prepare_sample<G: GraphAccess + ?Sized>(
     EXTRACT_ENTITIES
         .get_or_init(|| rmpi_obs::global().counter("core.extract.entities"))
         .add(sg.num_entities() as u64);
-    let enclosing_empty = sg.is_empty();
     apply_edge_budget(&mut sg, cfg.edge_dropout, cfg.max_subgraph_edges, mode, rng);
     let relview = RelViewGraph::from_subgraph(&sg);
     let schedule = PruningSchedule::new(&relview, cfg.num_layers);
@@ -70,7 +67,7 @@ pub fn prepare_sample<G: GraphAccess + ?Sized>(
     let label_histogram = cfg.entity_clues.then(|| label_histogram(&sg, cfg.hop + 1));
 
     extract_us.record_duration(extract_start.elapsed());
-    SampleInput { relview, schedule, disclosing_rels, target, enclosing_empty, label_histogram }
+    SampleInput { relview, schedule, disclosing_rels, target, label_histogram }
 }
 
 /// Length of the entity-clue histogram for a given maximum label distance.
@@ -186,7 +183,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let s = prepare_sample(&g, t, &cfg(), Mode::Eval, &mut rng);
         assert_eq!(s.relview.num_nodes(), 5); // 4 enclosing edges + target
-        assert!(!s.enclosing_empty);
+        assert!(!enclosing_subgraph(&g, t, cfg().hop).is_empty());
         assert_eq!(s.target, t);
     }
 
@@ -230,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_enclosing_flag_set() {
+    fn empty_enclosing_subgraph_leaves_only_the_target() {
         let g = KnowledgeGraph::from_triples(vec![
             Triple::new(0u32, 0u32, 1u32),
             Triple::new(5u32, 0u32, 6u32),
@@ -238,7 +235,7 @@ mod tests {
         let t = Triple::new(0u32, 9u32, 5u32);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let s = prepare_sample(&g, t, &cfg(), Mode::Eval, &mut rng);
-        assert!(s.enclosing_empty);
+        assert!(enclosing_subgraph(&g, t, cfg().hop).is_empty());
         assert_eq!(s.relview.num_nodes(), 1);
         // disclosing still sees the pendant edges at both endpoints
         assert!(!s.disclosing_rels.is_empty());

@@ -14,10 +14,10 @@
 //! of an epoch, the negative sampler, and the graph one sample is scored
 //! against. [`Trainer::train`] feeds it a [`KnowledgeGraph`] and a target
 //! slice (seeded shuffle in RAM, one [`CsrGraph`] for every sample);
-//! [`Trainer::train_store`] feeds it a [`StoreReader`] (see
-//! [`crate::stream`]). Batching, RNG keying, the ordered fold, the optimiser
-//! step, validation, early stopping and every layer under "Fault tolerance"
-//! below cannot differ between the two, because they exist once.
+//! [`Trainer::train_store`] feeds it a [`StoreReader`]. Batching, RNG
+//! keying, the ordered fold, the optimiser step, validation, early stopping
+//! and every layer under "Fault tolerance" below cannot differ between the
+//! two, because they exist once.
 //!
 //! # Data parallelism
 //!
@@ -38,7 +38,7 @@
 //! [`Trainer`] wraps the loop with three safety layers (`DESIGN.md` §9):
 //!
 //! * **Crash-safe checkpoints** — [`Trainer::with_checkpointing`] writes a
-//!   [`crate::checkpoint::TrainCheckpoint`] at epoch boundaries.
+//!   [`crate::TrainCheckpoint`] at epoch boundaries.
 //!   Because every random draw is keyed by `(seed, stream, epoch, position)`,
 //!   an epoch boundary pins the *entire* RNG state: resuming via
 //!   [`Trainer::resume_latest`] and replaying the interrupted epoch is
@@ -84,13 +84,13 @@ pub const GRAD_FAILPOINT: &str = "trainer::grad";
 /// so draws in one stream can never alias draws in another.
 mod rng_stream {
     /// Per-epoch shuffling of the training targets.
-    pub const SHUFFLE: u64 = 1;
+    pub(crate) const SHUFFLE: u64 = 1;
     /// Per-sample training randomness (negative sampling + dropout).
-    pub const TRAIN: u64 = 2;
+    pub(crate) const TRAIN: u64 = 2;
     /// Per-epoch shuffling of the validation subset.
-    pub const VALID_SHUFFLE: u64 = 3;
+    pub(crate) const VALID_SHUFFLE: u64 = 3;
     /// Per-sample validation randomness (negative sampling).
-    pub const VALID: u64 = 4;
+    pub(crate) const VALID: u64 = 4;
 }
 
 /// Pack `(epoch, position)` into one 64-bit per-sample key. Positions are
@@ -336,33 +336,6 @@ impl Default for TrainConfig {
     }
 }
 
-/// Where and how often [`Trainer`] writes checkpoints.
-#[derive(Clone, Debug)]
-pub struct CheckpointConfig {
-    /// Root directory; checkpoints land in `<dir>/ckpt-NNNNNN/` with a
-    /// `LATEST` pointer file alongside.
-    pub dir: PathBuf,
-    /// Write every N epochs (values below 1 behave as 1).
-    pub every_epochs: usize,
-    /// Keep at most this many checkpoint directories (0 = keep all).
-    pub keep: usize,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint into `dir` every epoch, keeping the two newest.
-    pub fn new<P: Into<PathBuf>>(dir: P) -> Self {
-        CheckpointConfig { dir: dir.into(), every_epochs: 1, keep: 2 }
-    }
-}
-
-impl Default for CheckpointConfig {
-    /// Checkpoints under `./checkpoints`, every epoch, keeping the two
-    /// newest — equivalent to `CheckpointConfig::new("checkpoints")`.
-    fn default() -> Self {
-        CheckpointConfig::new("checkpoints")
-    }
-}
-
 /// What happened during training.
 #[derive(Clone, Debug, Default)]
 pub struct TrainReport {
@@ -471,25 +444,25 @@ impl TrainSource for MemorySource<'_> {
 }
 
 /// The boxed observer invoked by [`Trainer`] on every [`TrainEvent`].
-pub type EventCallback<'cb> = Box<dyn FnMut(&TrainEvent) + 'cb>;
+pub(crate) type EventCallback<'cb> = Box<dyn FnMut(&TrainEvent) + 'cb>;
 
 /// The crash-safe training driver: checkpointing, resume, divergence guards
 /// and a [`TrainEvent`] callback around the data-parallel loop.
 ///
 /// ```no_run
-/// # use rmpi_core::trainer::{CheckpointConfig, Trainer, TrainConfig};
+/// # use rmpi_core::{Trainer, TrainConfig};
 /// # let (model, graph, targets, valid): (rmpi_core::RmpiModel, rmpi_kg::KnowledgeGraph, Vec<rmpi_kg::Triple>, Vec<rmpi_kg::Triple>) = unimplemented!();
 /// # let mut model = model;
 /// let cfg = TrainConfig::default();
 /// let report = Trainer::new(cfg)
-///     .with_checkpointing(CheckpointConfig::new("run/checkpoints"))
+///     .with_checkpointing("run/checkpoints")
 ///     .resume_latest("run/checkpoints")  // no-op on a fresh directory
 ///     .unwrap()
 ///     .train(&mut model, &graph, &targets, &valid);
 /// ```
 pub struct Trainer<'cb> {
     cfg: TrainConfig,
-    checkpoint: Option<CheckpointConfig>,
+    checkpoint: Option<PathBuf>,
     resume: Option<TrainCheckpoint>,
     callback: Option<EventCallback<'cb>>,
 }
@@ -500,9 +473,11 @@ impl<'cb> Trainer<'cb> {
         Trainer { cfg, checkpoint: None, resume: None, callback: None }
     }
 
-    /// Write crash-safe checkpoints while training (see [`CheckpointConfig`]).
-    pub fn with_checkpointing(mut self, ck: CheckpointConfig) -> Self {
-        self.checkpoint = Some(ck);
+    /// Write a crash-safe checkpoint into `dir` after every epoch, as
+    /// `<dir>/ckpt-NNNNNN/` with a `LATEST` pointer file alongside; the two
+    /// newest are kept.
+    pub fn with_checkpointing<P: Into<PathBuf>>(mut self, dir: P) -> Self {
+        self.checkpoint = Some(dir.into());
         self
     }
 
@@ -540,8 +515,9 @@ impl<'cb> Trainer<'cb> {
 
     /// Train on every triple of the on-disk store behind `reader` — the same
     /// loop as [`Trainer::train`], checkpoints, resume, divergence policies
-    /// and events included (see [`crate::stream`] for what the store source
-    /// does differently). Peak memory is bounded by the pinned neighbourhoods,
+    /// and events included; only the epoch order (a seeded permutation of
+    /// record indices) and the graph (a neighbourhood pinned from disk per
+    /// score) differ. Peak memory is bounded by the pinned neighbourhoods,
     /// the block cache and the model, never by graph size.
     pub fn train_store<M: ScoringModel + Sync>(
         self,
@@ -782,41 +758,35 @@ impl<'cb> Trainer<'cb> {
                 last_good = Some((model.param_store().clone(), adam.export_state(), epoch + 1));
             }
 
-            if let Some(ck) = &self.checkpoint {
-                if (epoch + 1) % ck.every_epochs.max(1) == 0 {
-                    let checkpoint_start = Instant::now();
-                    let state = adam.export_state();
-                    let snapshot = TrainCheckpoint {
-                        next_epoch: epoch + 1,
-                        seed: cfg.seed,
-                        adam_lr: adam.lr,
-                        adam_t: state.t,
-                        adam_m: state.m,
-                        adam_v: state.v,
-                        best_epoch: report.best_epoch,
-                        best_acc,
-                        since_best,
-                        epoch_losses: report.epoch_losses.clone(),
-                        valid_accuracy: report.valid_accuracy.clone(),
-                        skipped_batches: report.skipped_batches,
-                        sanitized_batches: report.sanitized_batches,
-                        rollbacks: report.rollbacks,
-                        params: model.param_store().clone(),
-                        best_params: best_store.clone(),
-                    };
-                    match save_checkpoint(&ck.dir, &snapshot) {
-                        Ok(path) => {
-                            emit(TrainEvent::CheckpointSaved { epoch, path });
-                            if ck.keep > 0 {
-                                crate::checkpoint::prune_checkpoints(&ck.dir, ck.keep);
-                            }
-                        }
-                        Err(e) => {
-                            emit(TrainEvent::CheckpointFailed { epoch, message: e.to_string() })
-                        }
+            if let Some(dir) = &self.checkpoint {
+                let checkpoint_start = Instant::now();
+                let state = adam.export_state();
+                let snapshot = TrainCheckpoint {
+                    next_epoch: epoch + 1,
+                    seed: cfg.seed,
+                    adam_lr: adam.lr,
+                    adam_t: state.t,
+                    adam_m: state.m,
+                    adam_v: state.v,
+                    best_epoch: report.best_epoch,
+                    best_acc,
+                    since_best,
+                    epoch_losses: report.epoch_losses.clone(),
+                    valid_accuracy: report.valid_accuracy.clone(),
+                    skipped_batches: report.skipped_batches,
+                    sanitized_batches: report.sanitized_batches,
+                    rollbacks: report.rollbacks,
+                    params: model.param_store().clone(),
+                    best_params: best_store.clone(),
+                };
+                match save_checkpoint(dir, &snapshot) {
+                    Ok(path) => {
+                        emit(TrainEvent::CheckpointSaved { epoch, path });
+                        crate::checkpoint::prune_checkpoints(dir);
                     }
-                    metrics.checkpoint_write.record_duration(checkpoint_start.elapsed());
+                    Err(e) => emit(TrainEvent::CheckpointFailed { epoch, message: e.to_string() }),
                 }
+                metrics.checkpoint_write.record_duration(checkpoint_start.elapsed());
             }
 
             metrics.epochs.inc();

@@ -13,7 +13,7 @@
 mod common;
 
 use common::{for_each_source, tiny_data};
-use rmpi_core::trainer::{CheckpointConfig, Trainer};
+use rmpi_core::trainer::Trainer;
 use rmpi_core::{
     latest_checkpoint, load_checkpoint, RmpiConfig, RmpiModel, ScoringModel, TrainConfig,
     TrainEvent, TrainReport,
@@ -85,7 +85,7 @@ fn kill_mid_epoch_then_resume_is_bit_identical() {
             let full_root = tmp_dir(&format!("full-{}-{threads}", source.name()));
             let mut reference = fresh_model();
             let full = source.train(
-                Trainer::new(cfg).with_checkpointing(CheckpointConfig::new(&full_root)),
+                Trainer::new(cfg).with_checkpointing(&full_root),
                 &mut reference,
                 valid,
             );
@@ -96,13 +96,11 @@ fn kill_mid_epoch_then_resume_is_bit_identical() {
             let root = tmp_dir(&format!("mid-{}-{threads}", source.name()));
             let mut victim = fresh_model();
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                let trainer = Trainer::new(cfg)
-                    .with_checkpointing(CheckpointConfig::new(&root))
-                    .on_event(|ev| {
-                        if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
-                            panic!("simulated crash mid-epoch");
-                        }
-                    });
+                let trainer = Trainer::new(cfg).with_checkpointing(&root).on_event(|ev| {
+                    if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
+                        panic!("simulated crash mid-epoch");
+                    }
+                });
                 source.train(trainer, &mut victim, valid)
             }));
             assert!(crashed.is_err(), "the injected crash must unwind out of train()");
@@ -115,10 +113,7 @@ fn kill_mid_epoch_then_resume_is_bit_identical() {
             // then continue from the newest checkpoint.
             let mut survivor = fresh_model();
             let resumed = source.train(
-                Trainer::new(cfg)
-                    .with_checkpointing(CheckpointConfig::new(&root))
-                    .resume_latest(&root)
-                    .unwrap(),
+                Trainer::new(cfg).with_checkpointing(&root).resume_latest(&root).unwrap(),
                 &mut survivor,
                 valid,
             );
@@ -143,7 +138,7 @@ fn sigkill_child_entry() {
     let Ok(root) = std::env::var(CHILD_ENV) else { return };
     let (graph, targets, valid) = tiny_data();
     Trainer::new(train_cfg(2))
-        .with_checkpointing(CheckpointConfig::new(&root))
+        .with_checkpointing(&root)
         .on_event(|ev| {
             if let TrainEvent::BatchEnd { epoch: 1, batch: 1 } = ev {
                 // a genuine SIGKILL: no unwinding, no Drop, no flushes
@@ -202,7 +197,7 @@ fn crash_before_first_checkpoint_resumes_from_scratch() {
     let mut victim = fresh_model();
     let crashed = catch_unwind(AssertUnwindSafe(|| {
         Trainer::new(cfg)
-            .with_checkpointing(CheckpointConfig::new(&root))
+            .with_checkpointing(&root)
             .on_event(|ev| {
                 if let TrainEvent::BatchEnd { epoch: 0, batch: 0 } = ev {
                     panic!("simulated crash before any checkpoint");
@@ -243,12 +238,8 @@ fn resume_preserves_early_stopping_decision() {
     // Checkpointed run (uninterrupted) leaves its final checkpoint behind...
     let root = tmp_dir("patience");
     let mut victim = fresh_model();
-    let checkpointed = Trainer::new(cfg).with_checkpointing(CheckpointConfig::new(&root)).train(
-        &mut victim,
-        &graph,
-        &targets,
-        &valid,
-    );
+    let checkpointed =
+        Trainer::new(cfg).with_checkpointing(&root).train(&mut victim, &graph, &targets, &valid);
     assert_eq!(checkpointed.epoch_losses.len(), ran);
 
     // ...and a resume from it must refuse to run more epochs.
@@ -271,9 +262,7 @@ fn resume_under_wrong_seed_is_refused() {
     let cfg = train_cfg(1);
     let root = tmp_dir("seed");
     let mut model = fresh_model();
-    Trainer::new(cfg)
-        .with_checkpointing(CheckpointConfig::new(&root))
-        .train(&mut model, &graph, &targets, &valid);
+    Trainer::new(cfg).with_checkpointing(&root).train(&mut model, &graph, &targets, &valid);
 
     let bad = TrainConfig { seed: 99, ..cfg };
     let mut other = fresh_model();

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{for_each_source, tiny_data, tiny_store};
-use rmpi_core::trainer::{CheckpointConfig, Trainer, GRAD_FAILPOINT, LOSS_FAILPOINT};
+use rmpi_core::trainer::{Trainer, GRAD_FAILPOINT, LOSS_FAILPOINT};
 use rmpi_core::{
     latest_checkpoint, load_checkpoint, DivergencePolicy, RmpiConfig, RmpiModel, ScoringModel,
     TrainConfig, TrainEvent,
@@ -285,7 +285,7 @@ fn checkpoint_write_failure_keeps_training_and_previous_checkpoint() {
     let events: RefCell<Vec<TrainEvent>> = RefCell::new(Vec::new());
     // let epoch 0's checkpoint land, then fail every write during epoch 1's
     let report = Trainer::new(train_cfg(DivergencePolicy::SkipBatch))
-        .with_checkpointing(CheckpointConfig::new(&root))
+        .with_checkpointing(&root)
         .on_event(|ev| {
             match ev {
                 TrainEvent::CheckpointSaved { .. } => {

@@ -35,7 +35,7 @@ pub struct SavedBenchmark {
     /// Training side.
     pub train: TrainSet,
     /// Test sets, in saved order.
-    pub tests: Vec<TestSet>,
+    pub(crate) tests: Vec<TestSet>,
     /// Size of the relation id space.
     pub num_relations: usize,
 }

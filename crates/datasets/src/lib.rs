@@ -30,12 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod benchmark;
-pub mod ext;
-pub mod fully;
+pub(crate) mod ext;
+pub(crate) mod fully;
 pub mod io;
 pub mod registry;
-pub mod rules;
-pub mod stream;
+pub(crate) mod rules;
+pub(crate) mod stream;
 pub mod world;
 
 pub use benchmark::{Benchmark, TestSet, TrainSet};

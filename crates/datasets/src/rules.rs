@@ -107,7 +107,7 @@ pub struct RuleGroup {
     /// What kind of group this is.
     pub kind: GroupKind,
     /// The instantiated rules.
-    pub rules: Vec<Rule>,
+    pub(crate) rules: Vec<Rule>,
     /// `(relation, role)` pairs owned by this group.
     pub relations: Vec<(RelationId, Role)>,
 }

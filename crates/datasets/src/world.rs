@@ -57,15 +57,15 @@ impl Default for WorldConfig {
 
 /// Typing and role metadata of one concrete relation.
 #[derive(Clone, Copy, Debug)]
-pub struct RelationSpec {
+pub(crate) struct RelationSpec {
     /// Head entity class.
-    pub domain: ClassId,
+    pub(crate) domain: ClassId,
     /// Tail entity class.
-    pub range: ClassId,
+    pub(crate) range: ClassId,
     /// Role within its rule group.
-    pub role: Role,
+    pub(crate) role: Role,
     /// Owning group index (None for noise relations).
-    pub group: Option<usize>,
+    pub(crate) group: Option<usize>,
 }
 
 /// Graph generation parameters (per graph, not per world).

@@ -25,4 +25,4 @@ pub mod stats;
 
 pub use metrics::{average_precision, hits_at, mean_reciprocal_rank};
 pub use protocol::{entity_prediction, triple_classification, EvalConfig, EvalMetrics};
-pub use runner::{run_experiment, ModelFactory, RunSummary};
+pub use runner::{run_experiment, ModelFactory};

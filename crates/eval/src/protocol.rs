@@ -20,11 +20,11 @@ use rmpi_subgraph::NegativeSampler;
 /// trainer's streams by convention — trainer uses 1..=4).
 mod stream {
     /// Triple classification negatives + scoring draws.
-    pub const CLASSIFY: u64 = 11;
+    pub(crate) const CLASSIFY: u64 = 11;
     /// Entity-prediction candidates + scoring draws.
-    pub const ENTITY: u64 = 12;
+    pub(crate) const ENTITY: u64 = 12;
     /// Paired entity prediction per-item scoring draws.
-    pub const PAIRED: u64 = 13;
+    pub(crate) const PAIRED: u64 = 13;
 }
 
 /// Protocol parameters.

@@ -1,6 +1,6 @@
 //! Multi-seed experiment runner: train a model per seed, evaluate on the
-//! requested test sets, aggregate mean and standard deviation (the paper
-//! reports the mean of 5 runs).
+//! requested test sets, and average over seeds (the paper reports the mean
+//! of 5 runs).
 
 use crate::protocol::{evaluate, EvalConfig, EvalMetrics};
 use rmpi_core::{ScoringModel, TrainConfig, Trainer};
@@ -15,47 +15,23 @@ use std::collections::HashMap;
 pub type ModelFactory =
     Box<dyn Fn(u64, &Benchmark) -> Box<dyn ScoringModel + Send + Sync> + Send + Sync>;
 
-/// Per-test-set aggregation over seeds.
-#[derive(Clone, Debug, Default)]
-pub struct RunSummary {
-    /// Metrics of each seed's run.
-    pub per_seed: Vec<EvalMetrics>,
-    /// Mean over seeds.
-    pub mean: EvalMetrics,
-    /// Standard deviation over seeds.
-    pub std: EvalMetrics,
-}
-
-impl RunSummary {
-    fn from_runs(per_seed: Vec<EvalMetrics>) -> Self {
-        let n = per_seed.len().max(1) as f64;
-        let mut mean = EvalMetrics::default();
-        for m in &per_seed {
-            mean.auc_pr += m.auc_pr / n;
-            mean.mrr += m.mrr / n;
-            mean.hits1 += m.hits1 / n;
-            mean.hits10 += m.hits10 / n;
-            mean.num_targets += m.num_targets / per_seed.len().max(1);
-        }
-        let mut std = EvalMetrics::default();
-        if per_seed.len() > 1 {
-            for m in &per_seed {
-                std.auc_pr += (m.auc_pr - mean.auc_pr).powi(2) / (n - 1.0);
-                std.mrr += (m.mrr - mean.mrr).powi(2) / (n - 1.0);
-                std.hits1 += (m.hits1 - mean.hits1).powi(2) / (n - 1.0);
-                std.hits10 += (m.hits10 - mean.hits10).powi(2) / (n - 1.0);
-            }
-            std.auc_pr = std.auc_pr.sqrt();
-            std.mrr = std.mrr.sqrt();
-            std.hits1 = std.hits1.sqrt();
-            std.hits10 = std.hits10.sqrt();
-        }
-        RunSummary { per_seed, mean, std }
+/// The mean of the per-seed metrics (the paper reports the mean of 5 runs).
+fn mean_over_seeds(per_seed: &[EvalMetrics]) -> EvalMetrics {
+    let n = per_seed.len().max(1) as f64;
+    let mut mean = EvalMetrics::default();
+    for m in per_seed {
+        mean.auc_pr += m.auc_pr / n;
+        mean.mrr += m.mrr / n;
+        mean.hits1 += m.hits1 / n;
+        mean.hits10 += m.hits10 / n;
+        mean.num_targets += m.num_targets / per_seed.len().max(1);
     }
+    mean
 }
 
 /// Train and evaluate `factory`'s model on `benchmark` for each seed, on
-/// every test set named in `test_names`. Seeds run on parallel threads.
+/// every test set named in `test_names`, and return each test set's metrics
+/// averaged over the seeds. Seeds run on parallel threads.
 pub fn run_experiment(
     factory: &ModelFactory,
     benchmark: &Benchmark,
@@ -63,7 +39,7 @@ pub fn run_experiment(
     train_cfg: &TrainConfig,
     eval_cfg: &EvalConfig,
     seeds: &[u64],
-) -> HashMap<String, RunSummary> {
+) -> HashMap<String, EvalMetrics> {
     for &name in test_names {
         assert!(
             benchmark.test(name).is_some(),
@@ -109,12 +85,12 @@ pub fn run_experiment(
         out
     });
 
-    let mut summaries = HashMap::new();
+    let mut means = HashMap::new();
     for &name in test_names {
         let per_seed: Vec<EvalMetrics> = runs.iter().map(|r| r[name]).collect();
-        summaries.insert(name.to_owned(), RunSummary::from_runs(per_seed));
+        means.insert(name.to_owned(), mean_over_seeds(&per_seed));
     }
-    summaries
+    means
 }
 
 #[cfg(test)]
@@ -141,10 +117,13 @@ mod tests {
             EvalConfig { num_candidates: 9, max_targets: 25, seed: 5, ..Default::default() };
         let out = run_experiment(&factory, &b, &["TE"], &train_cfg, &eval_cfg, &[0, 1]);
         let s = &out["TE"];
-        assert_eq!(s.per_seed.len(), 2);
-        assert!(s.mean.auc_pr > 0.0 && s.mean.auc_pr <= 100.0);
-        assert!(s.mean.hits10 >= s.mean.hits1);
-        assert!(s.std.auc_pr >= 0.0);
+        // both seeds ran, and the result is their mean
+        let one = |seed| run_experiment(&factory, &b, &["TE"], &train_cfg, &eval_cfg, &[seed]);
+        let (a, c) = (one(0)["TE"], one(1)["TE"]);
+        assert!((s.auc_pr - (a.auc_pr / 2.0 + c.auc_pr / 2.0)).abs() < 1e-9);
+        assert!(s.auc_pr > 0.0 && s.auc_pr <= 100.0);
+        assert!(s.hits10 >= s.hits1);
+        assert!((s.hits10 - (a.hits10 / 2.0 + c.hits10 / 2.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub struct BootstrapResult {
     /// Fraction of bootstrap resamples where the mean difference was `<= 0`
     /// — a one-sided p-value for "A > B".
     pub p_value: f64,
-    /// Bootstrap resamples drawn.
-    pub resamples: usize,
 }
 
 impl BootstrapResult {
@@ -42,7 +40,7 @@ pub fn paired_bootstrap(a: &[f64], b: &[f64], resamples: usize, seed: u64) -> Bo
             worse += 1;
         }
     }
-    BootstrapResult { mean_diff, p_value: worse as f64 / resamples as f64, resamples }
+    BootstrapResult { mean_diff, p_value: worse as f64 / resamples as f64 }
 }
 
 /// A permutation test on the same pairing (sign-flip test): the p-value is

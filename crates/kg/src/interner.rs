@@ -62,7 +62,7 @@ impl Interner {
 #[derive(Clone, Debug, Default)]
 pub struct Vocab {
     /// Entity name space.
-    pub entities: Interner,
+    pub(crate) entities: Interner,
     /// Relation name space.
     pub relations: Interner,
 }

@@ -12,7 +12,7 @@
 //!   [`khop_neighborhood`]),
 //! * a line-oriented TSV codec for persisting graphs ([`io`]),
 //! * summary statistics matching the paper's Table I columns ([`GraphStats`]),
-//! * deterministic splitting utilities ([`split`]).
+//! * deterministic splitting utilities ([`split_triples`]).
 //!
 //! The design goal is the classic database trade-off: build the indexes once
 //! (`KnowledgeGraph::from_triples` is O(|T|)), then answer the traversal
@@ -34,18 +34,18 @@
 
 #![warn(missing_docs)]
 
-pub mod access;
+pub(crate) mod access;
 pub mod analysis;
-pub mod csr;
-pub mod error;
-pub mod graph;
-pub mod ids;
-pub mod interner;
+pub(crate) mod csr;
+pub(crate) mod error;
+pub(crate) mod graph;
+pub(crate) mod ids;
+pub(crate) mod interner;
 pub mod io;
-pub mod neighborhood;
-pub mod split;
-pub mod stats;
-pub mod triple;
+pub(crate) mod neighborhood;
+pub(crate) mod split;
+pub(crate) mod stats;
+pub(crate) mod triple;
 
 pub use access::GraphAccess;
 pub use csr::CsrGraph;

@@ -15,7 +15,7 @@ pub struct GraphStats {
     /// Mean (in+out) degree over present entities.
     pub avg_degree: f64,
     /// Maximum (in+out) degree.
-    pub max_degree: usize,
+    pub(crate) max_degree: usize,
 }
 
 impl GraphStats {

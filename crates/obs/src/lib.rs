@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 
 mod json;
-pub mod metrics;
+pub(crate) mod metrics;
 
 pub use metrics::{global, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 

@@ -63,7 +63,7 @@ impl Gauge {
 /// Upper bucket bounds used when a histogram is created without explicit
 /// bounds: powers of two from 1 µs to ~67 s. Values above the last bound
 /// land in an implicit overflow bucket.
-pub const DEFAULT_LATENCY_BOUNDS_US: [u64; 27] = {
+pub(crate) const DEFAULT_LATENCY_BOUNDS_US: [u64; 27] = {
     let mut b = [0u64; 27];
     let mut i = 0;
     while i < 27 {
@@ -98,13 +98,13 @@ pub struct HistogramSummary {
     /// Sum of all samples.
     pub sum: u64,
     /// Mean sample (0 when empty).
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Largest sample.
     pub max: u64,
     /// Median estimate.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// 90th-percentile estimate.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th-percentile estimate.
     pub p99: u64,
 }

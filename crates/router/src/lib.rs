@@ -9,16 +9,16 @@
 //! not depend on which replica computes it, and merging with the engine's
 //! exact tie-break reproduces the single-machine ranking byte for byte.
 //!
-//! - [`merge`]: candidate sharding and the exact top-k merge (the
-//!   correctness argument lives there).
-//! - [`router`]: the scatter-gather core — per-shard sessions, breakers and
+//! - [`shard_slices`] and [`merge_ranked`]: candidate sharding and the exact
+//!   top-k merge (the correctness argument lives with them).
+//! - [`Router`]: the scatter-gather core — per-shard sessions, breakers and
 //!   rescue budgets (reusing `rmpi-client`), an end-to-end deadline budget
 //!   that bounds each shard's connect and travels to each shard call as a
 //!   `DEADLINE` hint, hedged duplicates to a standby that race a primary
 //!   past its latency p99, and the `fail`/`partial` degradation policy. A
 //!   rank runs on its caller's thread and starts none: shard calls are
 //!   session submissions answered on one channel per rank.
-//! - [`server`]: the TCP front end — `RANK` scatter-gather, `SCORE`
+//! - [`serve_router`]: the TCP front end — `RANK` scatter-gather, `SCORE`
 //!   pass-through with failover, router-level `HEALTH`/`METRICS`
 //!   (`router.shard_errors`, `router.hedges`, `router.partial_responses`,
 //!   per-shard latency histograms), protocol v2 with `DEADLINE` hints.
@@ -29,9 +29,9 @@
 
 #![warn(missing_docs)]
 
-pub mod merge;
-pub mod router;
-pub mod server;
+pub(crate) mod merge;
+pub(crate) mod router;
+pub(crate) mod server;
 
 pub use merge::{merge_ranked, shard_slices};
 pub use router::{PartialPolicy, RankOutcome, Router, RouterConfig, RouterError};

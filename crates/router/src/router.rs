@@ -4,9 +4,9 @@
 //! A [`Router`] owns one cached pipelined [`Session`] and one circuit
 //! breaker per backend shard (plus an optional standby). A `RANK` is served
 //! by splitting the configured candidate list into per-shard slices
-//! ([`crate::merge::shard_slices`]), scoring each slice on its shard as one
+//! ([`crate::shard_slices`]), scoring each slice on its shard as one
 //! `DEADLINE`-hinted `SCORE` batch, and merging the parts with the engine's
-//! exact comparator ([`crate::merge::merge_ranked`]).
+//! exact comparator ([`crate::merge_ranked`]).
 //!
 //! # One thread per rank: the caller's
 //!
@@ -78,24 +78,24 @@ pub enum PartialPolicy {
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Backend replicas, one candidate slice each (fan-out width).
-    pub shards: Vec<SocketAddr>,
+    pub(crate) shards: Vec<SocketAddr>,
     /// Optional standby replica: target of hedged duplicates and of rescue
     /// retries for failed shards. Must hold the same model as the shards.
-    pub standby: Option<SocketAddr>,
+    pub(crate) standby: Option<SocketAddr>,
     /// The global candidate set a `RANK` ranks over, split across shards.
-    pub candidates: Vec<u32>,
+    pub(crate) candidates: Vec<u32>,
     /// Degradation policy when a slice is lost mid-rank.
-    pub policy: PartialPolicy,
+    pub(crate) policy: PartialPolicy,
     /// End-to-end budget per rank; shard calls get whatever remains.
-    pub deadline: Duration,
+    pub(crate) deadline: Duration,
     /// Hedge threshold before a shard's latency histogram warms up.
-    pub hedge_after: Duration,
+    pub(crate) hedge_after: Duration,
     /// Per-connection client tuning. A shard session's connect and
     /// handshake are further bounded by the rank's remaining budget, and
     /// `client.budget` shapes each shard's rescue/hedge budget: every
     /// standby attempt withdraws one token, every primary success deposits,
     /// so a flapping shard cannot double the standby's traffic indefinitely.
-    pub client: ClientConfig,
+    pub(crate) client: ClientConfig,
     /// Circuit-breaker shape applied to every shard and the standby.
     pub breaker: BreakerConfig,
 }

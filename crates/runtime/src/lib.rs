@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod scratch;
+pub(crate) mod scratch;
 
 pub use pool::{panic_message, PoolError, ThreadPool};
 pub use scratch::with_scratch;

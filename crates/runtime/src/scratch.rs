@@ -10,7 +10,7 @@
 //! #[derive(Default)]
 //! struct MyScratch { buf: Vec<u64> }
 //!
-//! let n = rmpi_runtime::scratch::with_scratch(|s: &mut MyScratch| {
+//! let n = rmpi_runtime::with_scratch(|s: &mut MyScratch| {
 //!     s.buf.clear();
 //!     s.buf.extend(0..4u64);
 //!     s.buf.len()

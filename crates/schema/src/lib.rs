@@ -11,13 +11,13 @@
 //! * [`SchemaGraph`] — the schema graph, stored as a [`rmpi_kg::KnowledgeGraph`]
 //!   over a dedicated node id space (KG relations first, then classes);
 //! * [`SchemaBuilder`] — incremental construction from vocabulary assertions;
-//! * [`transe`] — a from-scratch TransE trainer (closed-form gradients, no
+//! * [`TransEModel`] — a from-scratch TransE trainer (closed-form gradients, no
 //!   autograd needed) producing the semantic vectors `h^onto`.
 
 #![warn(missing_docs)]
 
-pub mod ontology;
-pub mod transe;
+pub(crate) mod ontology;
+pub(crate) mod transe;
 
 pub use ontology::{ClassId, SchemaBuilder, SchemaGraph, SchemaVocab};
 pub use transe::{TransEConfig, TransEModel};

@@ -59,10 +59,10 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// How long the first item of a batch may wait for company before the
     /// batch flushes. The per-request latency floor under light load.
-    pub window: Duration,
+    pub(crate) window: Duration,
     /// Flat-target budget per flush (scores count one per triple, ranks one
     /// per ranking candidate): a full batch flushes before its deadline.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
 }
 
 impl Default for BatchConfig {
@@ -73,7 +73,7 @@ impl Default for BatchConfig {
 
 /// How a finished item's result leaves the batcher. Runs on the batcher
 /// thread, so it must not block: send on a channel, don't write a socket.
-pub type Responder = Box<dyn FnOnce(Result<BatchOutcome, ServeError>) + Send + 'static>;
+pub(crate) type Responder = Box<dyn FnOnce(Result<BatchOutcome, ServeError>) + Send + 'static>;
 
 struct Pending {
     item: BatchItem,

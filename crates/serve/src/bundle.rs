@@ -191,7 +191,7 @@ impl At {
 /// one relation name each, so even generous names fit in a fraction of this;
 /// a "line" longer than 4 MiB is a corrupt or hostile artifact and is
 /// rejected with a manifest error instead of buffering it unbounded.
-pub const MAX_MANIFEST_LINE: usize = 1 << 22;
+pub(crate) const MAX_MANIFEST_LINE: usize = 1 << 22;
 
 /// Parse a bundle and reassemble the model.
 pub fn load_bundle<R: Read>(r: R) -> Result<Bundle, ServeError> {

@@ -52,10 +52,10 @@ pub const DIR_MANIFEST_NAME: &str = "BUNDLE";
 const DIR_MAGIC: &str = "rmpi-bundle-dir v1";
 
 /// File name of the model-bundle section.
-pub const PARAMS_FILE: &str = "params.bundle";
+pub(crate) const PARAMS_FILE: &str = "params.bundle";
 
 /// Subdirectory holding the graph store sections.
-pub const GRAPH_DIR: &str = "graph";
+pub(crate) const GRAPH_DIR: &str = "graph";
 
 /// One section of a bundle directory, as recorded in `BUNDLE`.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -63,7 +63,7 @@ use std::time::Instant;
 pub const SCORE_FAILPOINT: &str = "engine::score";
 
 /// One logical request inside a coalesced engine batch — what the
-/// cross-connection micro-batcher ([`crate::batcher`]) collects from
+/// cross-connection micro-batcher ([`crate::Batcher`]) collects from
 /// concurrent wire requests and hands to [`Engine::run_batch`] as a unit.
 #[derive(Clone, PartialEq, Debug)]
 pub enum BatchItem {

@@ -3,23 +3,23 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! - [`bundle`]: a self-describing artifact format (`rmpi-bundle v1`) that
+//! - [`Bundle`]: a self-describing artifact format (`rmpi-bundle v1`) that
 //!   packages a model's configuration, relation vocabulary, optional schema
 //!   vectors and the `rmpi-params v1` tensor payload into one file, with
 //!   bit-exact round-tripping ([`save_bundle`] / [`load_bundle`]).
-//! - [`engine`]: an in-process [`Engine`] that binds a loaded model to an
+//! - [`Engine`]: an in-process engine that binds a loaded model to an
 //!   immutable context graph and answers `score` / `score_batch` /
 //!   `rank_tails` queries through a seeded LRU cache of extracted subgraphs,
 //!   sharding batches across an `rmpi-runtime` thread pool. Served scores
 //!   are bit-identical to offline `RmpiModel::score` with the same seed.
-//! - [`lineserver`]: the one dependency-free TCP connection loop, speaking a
+//! - [`serve_lines`]: the one dependency-free TCP connection loop, speaking a
 //!   line-delimited protocol ([`protocol`]) on behalf of a [`Handler`]:
 //!   bounded queue (backpressure via `ERR server overloaded`), per-request
 //!   deadlines, prompt shutdown, per-line panic isolation and hardened
-//!   connection handling — bounded request lines ([`lineio`]), `TCP_NODELAY`,
+//!   connection handling — bounded request lines, `TCP_NODELAY`,
 //!   read/write socket timeouts, idle-connection reaping and a
-//!   concurrent-connection cap. [`server`] instantiates it over an
-//!   [`Engine`] behind the cross-connection micro-batcher ([`batcher`]);
+//!   concurrent-connection cap. [`serve`] instantiates it over an
+//!   [`Engine`] behind the cross-connection micro-batcher ([`Batcher`]);
 //!   `rmpi-router` instantiates it over its scatter-gather core.
 //!
 //! Throughput, latency and cache-hit metrics are registry-backed
@@ -38,16 +38,16 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
-pub mod bundle;
-pub mod bundledir;
-pub mod engine;
-pub mod error;
-pub mod lineio;
-pub mod lineserver;
+pub(crate) mod batcher;
+pub(crate) mod bundle;
+pub(crate) mod bundledir;
+pub(crate) mod engine;
+pub(crate) mod error;
+pub(crate) mod lineio;
+pub(crate) mod lineserver;
 pub mod protocol;
-pub mod server;
-pub mod stats;
+pub(crate) mod server;
+pub(crate) mod stats;
 
 pub use batcher::{BatchConfig, Batcher};
 pub use bundle::{load_bundle, load_bundle_file, save_bundle, save_bundle_file, Bundle};

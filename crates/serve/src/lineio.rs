@@ -18,7 +18,7 @@ use std::io::BufRead;
 
 /// Outcome of one bounded line read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LineRead {
+pub(crate) enum LineRead {
     /// A complete newline-terminated line is in the caller's buffer
     /// (terminator and any trailing `\r` stripped).
     Line,

@@ -1,6 +1,6 @@
 //! The one connection loop: a std-only TCP line server parameterised by a
 //! [`Handler`]. `rmpi-serve` instantiates it with the engine handler
-//! ([`crate::server::serve`]) and `rmpi-router` with its scatter-gather
+//! ([`crate::serve`]) and `rmpi-router` with its scatter-gather
 //! handler, so both front ends share every line of connection handling —
 //! socket options, limits, framing, fault isolation and shutdown are set in
 //! exactly one place.
@@ -82,6 +82,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Socket write timeout: a peer that stops draining responses for this long
+/// has its connection closed.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// TCP front-end knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -100,18 +104,12 @@ pub struct ServerConfig {
     /// Socket read timeout: a connection that sends nothing for this long is
     /// closed and counted in `idle_closed`.
     pub idle_timeout: Duration,
-    /// Socket write timeout: a peer that stops draining responses for this
-    /// long has its connection closed.
-    pub write_timeout: Duration,
     /// Concurrent-connection cap (queued + being served). Connections beyond
     /// it are answered `ERR too many connections`.
     pub max_connections: usize,
     /// Micro-batcher window: how long the first queued request may wait for
     /// company before its batch flushes (the latency floor under light load).
     pub batch_window: Duration,
-    /// Micro-batcher flat-target budget per flush (scores count one per
-    /// triple, ranks one per ranking candidate).
-    pub batch_max: usize,
 }
 
 impl Default for ServerConfig {
@@ -123,10 +121,8 @@ impl Default for ServerConfig {
             request_timeout: Duration::from_secs(5),
             max_line_len: 64 * 1024,
             idle_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             max_connections: 256,
             batch_window: Duration::from_millis(1),
-            batch_max: 256,
         }
     }
 }
@@ -459,7 +455,7 @@ fn handle_connection<H: Handler>(core: &Core, handler: &H, job: Job) {
     // instead (and counted, so the condition is visible in METRICS).
     if stream
         .set_read_timeout(Some(core.cfg.idle_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(core.cfg.write_timeout)))
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
         .is_err()
     {
         stats.sock_config_failures.inc();

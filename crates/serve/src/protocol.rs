@@ -17,7 +17,7 @@
 //!
 //! `SCORE` accepts any number of triples on one line — that is the batched
 //! entry point: the whole line becomes one item of a micro-batch
-//! ([`crate::batcher`]). Scores are formatted with Rust's
+//! ([`crate::Batcher`]). Scores are formatted with Rust's
 //! shortest-round-trip `f32` formatting, so a client parsing them back gets
 //! the bit-exact served value.
 //!
@@ -224,7 +224,7 @@ pub(crate) fn split_deadline(line: &str) -> (Option<Duration>, &str) {
 /// The metric labels of request verbs (`<front end>.wire.<verb>.us`), in
 /// `wire_verb_index` order. Unknown or malformed commands share one
 /// `other` histogram so hostile input cannot grow the registry unboundedly.
-pub const WIRE_VERBS: [&str; 8] =
+pub(crate) const WIRE_VERBS: [&str; 8] =
     ["ping", "score", "rank", "metrics", "health", "reload", "proto", "other"];
 
 /// Where a request line's verb label sits in [`WIRE_VERBS`] — a fixed table

@@ -32,7 +32,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Ser
     let stats = LineStats::new(engine.stats().registry(), "serve");
     let batcher = Batcher::new(
         Arc::clone(&engine),
-        BatchConfig { window: cfg.batch_window, max_batch: cfg.batch_max },
+        BatchConfig { window: cfg.batch_window, ..BatchConfig::default() },
     );
     Ok(serve_lines(EngineHandler { engine, batcher }, &cfg, stats)?)
 }
@@ -124,6 +124,12 @@ mod tests {
         response.trim_end().to_string()
     }
 
+    /// A connection-loop counter, `serve.<name>.count`, read through the
+    /// engine's registry (the line server registers it there).
+    fn line_counter(engine: &Engine, name: &str) -> u64 {
+        engine.stats().registry().counter(&format!("serve.{name}.count")).get()
+    }
+
     #[test]
     fn serves_ping_score_rank_metrics_over_tcp() {
         let engine = test_engine();
@@ -201,7 +207,7 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).expect("recv");
         assert_eq!(line.trim_end(), "ERR server overloaded");
-        assert!(engine.stats().rejected_overload.get() >= 1);
+        assert!(line_counter(&engine, "rejected_overload") >= 1);
 
         drop(wedge);
         server.shutdown();
@@ -218,7 +224,7 @@ mod tests {
         let long = format!("SCORE {}", "0 1 2 ".repeat(64));
         let reply = query(server.addr(), &long);
         assert_eq!(reply, "ERR request too long (over 64 bytes)");
-        assert_eq!(engine.stats().rejected_overlong.get(), 1);
+        assert_eq!(line_counter(&engine, "rejected_overlong"), 1);
         // a line exactly at the cap still parses (and gets a normal answer)
         assert_eq!(query(server.addr(), "PING"), "OK pong");
         server.shutdown();
@@ -238,7 +244,7 @@ mod tests {
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read to eof");
         assert_eq!(n, 0, "server should close the idle connection, got {line:?}");
-        assert_eq!(engine.stats().idle_closed.get(), 1);
+        assert_eq!(line_counter(&engine, "idle_closed"), 1);
         server.shutdown();
     }
 
@@ -265,7 +271,7 @@ mod tests {
         let mut reply = String::new();
         BufReader::new(shed).read_line(&mut reply).expect("recv");
         assert_eq!(reply.trim_end(), "ERR too many connections");
-        assert!(engine.stats().rejected_conn_limit.get() >= 1);
+        assert!(line_counter(&engine, "rejected_conn_limit") >= 1);
         drop(wedge);
         // slot released after the wedge closes: service resumes
         std::thread::sleep(Duration::from_millis(50));

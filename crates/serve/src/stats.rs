@@ -14,27 +14,23 @@ use std::time::Duration;
 
 /// Counters and histograms shared by the engine and the TCP front end. The
 /// front end's counters are the line server's own
-/// ([`crate::lineserver::LineStats`] under the `serve` prefix); the ones
+/// ([`crate::LineStats`] under the `serve` prefix); the ones
 /// callers read through [`crate::Engine::stats`] are mirrored here by name.
 /// Clones share the same underlying storage.
 #[derive(Clone, Debug)]
 pub struct ServeStats {
     registry: Arc<MetricsRegistry>,
     /// `serve.scores.count` — individual triple scores computed.
-    pub scores: Counter,
+    pub(crate) scores: Counter,
     /// `serve.score_requests.count` — `score`/`score_batch` engine calls.
-    pub score_requests: Counter,
+    pub(crate) score_requests: Counter,
     /// `serve.rank_requests.count` — `rank_tails` engine calls.
-    pub rank_requests: Counter,
-    /// `serve.wire_requests.count` — protocol requests answered.
-    pub wire_requests: Counter,
+    pub(crate) rank_requests: Counter,
     /// `serve.rejected_overload.count` — connections shed at a full queue.
     pub rejected_overload: Counter,
     /// `serve.rejected_deadline.count` — requests shed after queue-wait
     /// exceeded the deadline.
     pub rejected_deadline: Counter,
-    /// `serve.bad_requests.count` — malformed lines answered `ERR`.
-    pub bad_requests: Counter,
     /// `serve.reloads.count` — successful hot bundle reloads.
     pub reloads: Counter,
     /// `serve.reload_failures.count` — reloads rejected before the swap.
@@ -44,20 +40,14 @@ pub struct ServeStats {
     pub internal_errors: Counter,
     /// `serve.degraded_rejects.count` — requests answered `ERR degraded`
     /// because they needed fresh disk reads from a corrupt store.
-    pub degraded_rejects: Counter,
-    /// `serve.rejected_overlong.count` — request lines over the configured
-    /// byte cap, answered `ERR request too long` and disconnected.
-    pub rejected_overlong: Counter,
-    /// `serve.idle_closed.count` — connections closed because the peer sent
-    /// nothing for the idle timeout.
-    pub idle_closed: Counter,
+    pub(crate) degraded_rejects: Counter,
     /// `serve.rejected_conn_limit.count` — connections shed at the
     /// concurrent-connection cap.
     pub rejected_conn_limit: Counter,
     /// `serve.score.us` — per-call scoring latency (`score`/`score_batch`).
-    pub score_latency: Histogram,
+    pub(crate) score_latency: Histogram,
     /// `serve.rank.us` — per-call ranking latency.
-    pub rank_latency: Histogram,
+    pub(crate) rank_latency: Histogram,
 }
 
 impl ServeStats {
@@ -74,16 +64,12 @@ impl ServeStats {
             scores: registry.counter("serve.scores.count"),
             score_requests: registry.counter("serve.score_requests.count"),
             rank_requests: registry.counter("serve.rank_requests.count"),
-            wire_requests: registry.counter("serve.wire_requests.count"),
             rejected_overload: registry.counter("serve.rejected_overload.count"),
             rejected_deadline: registry.counter("serve.rejected_deadline.count"),
-            bad_requests: registry.counter("serve.bad_requests.count"),
             reloads: registry.counter("serve.reloads.count"),
             reload_failures: registry.counter("serve.reload_failures.count"),
             internal_errors: registry.counter("serve.internal_errors.count"),
             degraded_rejects: registry.counter("serve.degraded_rejects.count"),
-            rejected_overlong: registry.counter("serve.rejected_overlong.count"),
-            idle_closed: registry.counter("serve.idle_closed.count"),
             rejected_conn_limit: registry.counter("serve.rejected_conn_limit.count"),
             score_latency: registry.histogram("serve.score.us"),
             rank_latency: registry.histogram("serve.rank.us"),
@@ -142,10 +128,10 @@ mod tests {
     fn clones_share_storage_and_registry_sees_metrics() {
         let s = fresh();
         let clone = s.clone();
-        clone.wire_requests.inc();
-        assert_eq!(s.wire_requests.get(), 1);
+        clone.scores.inc();
+        assert_eq!(s.scores.get(), 1);
         let dump = s.registry().to_json();
-        assert!(dump.contains("\"serve.wire_requests.count\": 1"), "{dump}");
+        assert!(dump.contains("\"serve.scores.count\": 1"), "{dump}");
         assert!(dump.contains("\"serve.score.us\""), "{dump}");
     }
 }

@@ -70,16 +70,10 @@ impl Default for StoreConfig {
 /// What a finished build produced, for logs and benches.
 #[derive(Clone, Debug)]
 pub struct StoreSummary {
-    /// Entity id-space capacity.
-    pub num_entities: usize,
-    /// Relation id-space capacity.
-    pub num_relations: usize,
     /// Total triples stored.
     pub num_triples: usize,
     /// Forward + inverse segment files written.
     pub segments: usize,
-    /// Total bytes across all data files (segments + index).
-    pub bytes: u64,
     /// Scan passes the transpose needed.
     pub transpose_passes: usize,
 }
@@ -319,13 +313,9 @@ impl StoreBuilder {
         };
         atomic_publish(&self.dir, MANIFEST_NAME, manifest.to_text().as_bytes())?;
 
-        let data_bytes: u64 = manifest.fwd.iter().chain(manifest.inv.iter()).map(|s| s.bytes).sum();
         Ok(StoreSummary {
-            num_entities: n,
-            num_relations: manifest.num_relations as usize,
             num_triples: self.total as usize,
             segments: manifest.fwd.len() + manifest.inv.len(),
-            bytes: data_bytes + index_bytes,
             transpose_passes: passes,
         })
     }

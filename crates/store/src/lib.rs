@@ -168,4 +168,4 @@ impl From<io::Error> for StoreError {
 }
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, StoreError>;
+pub(crate) type Result<T> = std::result::Result<T, StoreError>;

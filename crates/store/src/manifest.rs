@@ -77,13 +77,13 @@ use std::fmt::Write as _;
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Magic first line of a version-1 manifest (still accepted).
-pub const MAGIC: &str = "rmpi-store v1";
+pub(crate) const MAGIC: &str = "rmpi-store v1";
 
 /// Magic first line of a version-2 manifest (still accepted).
-pub const MAGIC_V2: &str = "rmpi-store v2";
+pub(crate) const MAGIC_V2: &str = "rmpi-store v2";
 
 /// Magic first line of a version-3 manifest (what the builder writes).
-pub const MAGIC_V3: &str = "rmpi-store v3";
+pub(crate) const MAGIC_V3: &str = "rmpi-store v3";
 
 /// The checksum function of manifest `version`: the one place the version
 /// picks it.
@@ -114,9 +114,9 @@ pub struct SegmentMeta {
     /// File name relative to the store directory.
     pub file: String,
     /// Fixed-width records in the file.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Byte length (always `records * record_size`).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// [`Manifest::checksum`] of the raw file bytes.
     pub checksum: u64,
     /// [`Manifest::checksum`] per 64 KiB block (v2, v3; empty for a v1
@@ -140,16 +140,16 @@ pub struct Manifest {
     /// `parse` demanded, and the checksum function.
     pub version: u32,
     /// Entity id-space capacity (max id + 1).
-    pub num_entities: u64,
+    pub(crate) num_entities: u64,
     /// Relation id-space capacity (max id + 1).
-    pub num_relations: u64,
+    pub(crate) num_relations: u64,
     /// Total triples across all forward segments.
-    pub num_triples: u64,
+    pub(crate) num_triples: u64,
     /// Records per full segment (the last segment of each kind may be
     /// shorter).
-    pub seg_records: u64,
+    pub(crate) seg_records: u64,
     /// Byte length of `index.bin`.
-    pub index_bytes: u64,
+    pub(crate) index_bytes: u64,
     /// [`Manifest::checksum`] of `index.bin`.
     pub index_checksum: u64,
     /// Forward segments in order.

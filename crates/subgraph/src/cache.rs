@@ -18,13 +18,13 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SubgraphKey {
     /// The target triple packed as `(head, relation, tail)` raw ids.
-    pub head: u32,
+    pub(crate) head: u32,
     /// Relation id.
-    pub relation: u32,
+    pub(crate) relation: u32,
     /// Tail id.
-    pub tail: u32,
+    pub(crate) tail: u32,
     /// Extraction hop depth K.
-    pub hop: u8,
+    pub(crate) hop: u8,
 }
 
 impl SubgraphKey {

@@ -8,24 +8,24 @@
 //!   isolated / too-distant nodes;
 //! * [`disclosing_subgraph`] — the K-hop *disclosing* subgraph: the union of
 //!   the neighbourhoods (used to rescue empty enclosing subgraphs);
-//! * [`labeling`] — GraIL's double-radius entity labelling;
+//! * [`double_radius_labels`] — GraIL's double-radius entity labelling;
 //! * [`RelViewGraph`] — the relation-view (directed line-graph) transform
 //!   with the six edge types of Fig. 3c;
-//! * [`pruning`] — the target-relation-guided pruning of Algorithm 1;
-//! * [`negative`] — head/tail-corruption negative sampling;
-//! * [`cache`] — cache-keyable extraction: [`SubgraphKey`] and an LRU cache
+//! * [`PruningSchedule`] — the target-relation-guided pruning of Algorithm 1;
+//! * [`NegativeSampler`] — head/tail-corruption negative sampling;
+//! * [`LruCache`] — cache-keyable extraction: [`SubgraphKey`] and an LRU cache
 //!   the serving layer uses to amortise per-triple extraction cost.
 
 #![warn(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod extraction;
-pub mod labeling;
-pub mod negative;
-pub mod pruning;
+pub(crate) mod labeling;
+pub(crate) mod negative;
+pub(crate) mod pruning;
 pub mod relview;
-pub mod scratch;
-pub mod viz;
+pub(crate) mod scratch;
+pub(crate) mod viz;
 
 pub use cache::{LruCache, SubgraphKey};
 pub use extraction::{

@@ -41,7 +41,7 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc;
+pub(crate) mod alloc;
 pub mod chaos;
 pub mod chaosfile;
 

@@ -17,13 +17,67 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-# the compiler decides the library surface: every `pub fn` is made
-# crate-private on a copy of the tree (under target/) and `cargo check`
-# restores `pub` where another crate, bin, example, bench or test needs it
-echo "== no public function that no other compiled target needs =="
+# prose and code that name a deleted item describe something that is gone
+# (searched: code, scripts and the user-facing docs, not the history and
+# plan documents);
+# each name is listed with the change that deleted it (a commit, or `knobs`
+# for the change that turned one-value config fields into constants); names
+# that live code still uses, such as std's `connect_timeout`, cannot be
+# listed
+deleted_names() {
+  cat <<'EOF'
+with_weight_decay 2787769
+get_or_create_with 2787769
+regeneration_note 2787769
+relation_cooccurrence 2787769
+without_triples 2787769
+read_triples_strict 2787769
+histogram_with_bounds 2787769
+open_with_registry 2787769
+relevant_nodes 2787769
+fmt_mean_std 2787769
+fold_means 2787769
+Resident 2787769
+resident_fwd 2787769
+resume_from_checkpoint 2787769
+is_killed 2787769
+field_str 2787769
+is_manual 2787769
+Sgd bee8a5e
+train_model bee8a5e
+train_streaming bee8a5e
+ChaosFileStats bee8a5e
+dropout_scale bee8a5e
+CheckpointConfig knobs
+every_epochs knobs
+batch_max knobs
+episode_mask_prob knobs
+max_label_dist knobs
+max_rules_per_head knobs
+enclosing_empty knobs
+beta1 knobs
+beta2 knobs
+RunSummary knobs
+EOF
+}
+echo "== no file names a deleted item =="
+stale="$(deleted_names | awk '{ print $1 }' |
+  git grep --untracked -nwF -f - -- crates src tests examples scripts \
+    README.md DESIGN.md EXPERIMENTS.md ':!scripts/verify.sh' || true)"
+if [ -n "$stale" ]; then
+  echo "verify.sh: these lines name deleted items (see deleted_names in scripts/verify.sh):" >&2
+  echo "$stale" >&2
+  exit 1
+fi
+
+# the compiler decides the library surface: every public fn, type, const,
+# module and named field is made crate-private on a copy of the tree (under
+# target/) and `cargo check` restores `pub` where another crate, bin,
+# example, bench or test needs it
+echo "== no public item that no other compiled target needs =="
 uncalled="$(scripts/uncalled_pub.sh)"
 if [ -n "$uncalled" ]; then
-  echo "verify.sh: public functions that no compiled target outside their crate calls:" >&2
+  echo "verify.sh: public items that no compiled target outside their crate needs:" >&2
   echo "$uncalled" >&2
   exit 1
 fi

@@ -26,9 +26,9 @@
 //!   replicas with bit-exact top-k merging, end-to-end deadline budgets,
 //!   hedged requests to a standby, and graceful `partial` degradation when
 //!   a shard is lost mid-rank;
-//! * [`obs`] — the observability layer: process-wide metrics registry
-//!   (counters, gauges, latency histograms with percentiles), scoped timing
-//!   spans, and a manual clock for deterministic tests;
+//! * [`obs`] — the observability layer: the process-wide metrics registry
+//!   (counters, gauges, latency histograms with percentiles) and the
+//!   single-line JSON writer its dump uses;
 //! * [`runtime`] — the scoped data-parallel thread pool.
 //!
 //! Two facade conveniences tie the workspace together:
@@ -44,7 +44,7 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
+pub(crate) mod error;
 pub mod prelude;
 
 pub use error::{Error, Result};

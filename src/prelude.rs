@@ -23,9 +23,7 @@ pub use crate::error::{Error, Result};
 pub use rmpi_kg::{EntityId, KnowledgeGraph, RelationId, Triple};
 
 // model + training
-pub use rmpi_core::{
-    CheckpointConfig, RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport, Trainer,
-};
+pub use rmpi_core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, TrainReport, Trainer};
 
 // benchmarks
 pub use rmpi_datasets::{build_benchmark, Benchmark, Scale, StreamingWorld};

@@ -19,6 +19,11 @@ fn saved_benchmark_supports_identical_scoring() {
     let dir = tmpdir("score");
     save_benchmark(&dir, &b).unwrap();
     let loaded = load_benchmark(&dir).unwrap();
+    assert_eq!(loaded.name, b.name);
+    assert_eq!(loaded.num_relations, b.num_relations());
+    assert_eq!(loaded.train.graph.triples(), b.train.graph.triples());
+    assert_eq!(loaded.train.targets, b.train.targets);
+    assert_eq!(loaded.train.valid, b.train.valid);
 
     let model = RmpiModel::new(RmpiConfig { dim: 8, ..Default::default() }, b.num_relations(), 0);
     let orig_test = b.test("TE").unwrap();
