@@ -176,22 +176,6 @@ impl ParamStore {
             *x *= c;
         }
     }
-
-    /// Zero every non-finite gradient entry, returning how many were zeroed.
-    /// This is the clip-and-warn divergence policy's repair step: finite
-    /// gradient components still step, poisoned ones are dropped.
-    pub fn sanitize_grads(&mut self) -> usize {
-        let mut zeroed = 0;
-        for g in &mut self.grads {
-            for x in g.data_mut() {
-                if !x.is_finite() {
-                    *x = 0.0;
-                    zeroed += 1;
-                }
-            }
-        }
-        zeroed
-    }
 }
 
 #[cfg(test)]
@@ -285,17 +269,5 @@ mod tests {
         assert!(counters::param_copies() > before, "a shared value is copied before a write");
         assert_eq!(tape.value(wv).data(), &[1.0, 2.0]);
         assert_eq!(s.value(w).data(), &[5.0, 2.0]);
-    }
-
-    #[test]
-    fn sanitize_zeroes_only_non_finite_entries() {
-        let mut s = ParamStore::new();
-        let w = s.create("w", Tensor::vector(vec![0.0; 4]));
-        s.accumulate_grad(w, &Tensor::vector(vec![1.0, f32::NAN, f32::INFINITY, -2.0]));
-        assert!(!s.grad_norm().is_finite());
-        assert_eq!(s.sanitize_grads(), 2);
-        assert_eq!(s.grad(w).data(), &[1.0, 0.0, 0.0, -2.0]);
-        assert!(s.grad_norm().is_finite());
-        assert_eq!(s.sanitize_grads(), 0, "second pass finds nothing");
     }
 }

@@ -3,8 +3,8 @@
 //! Points at either a graph store directory (`MANIFEST` + `index.bin` +
 //! segments) or a bundle directory (`BUNDLE` + `params.bundle` + `graph/`)
 //! and re-verifies every section against its manifest: sizes, whole-file
-//! checksums, and — for v2 store manifests — every per-block checksum,
-//! reporting block-precise byte ranges for damage. Unlike the serving
+//! checksums, and — for a store — every per-block checksum, reporting
+//! block-precise byte ranges for damage. Unlike the serving
 //! reader, the scrub keeps going after the first problem so one pass lists
 //! *all* bad sections.
 //!

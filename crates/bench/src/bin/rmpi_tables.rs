@@ -13,17 +13,27 @@
 
 use rmpi_bench::{tables, Harness};
 
+/// Print `problem`, the usage line and the entry names, and exit 2.
+fn refuse(problem: &str) -> ! {
+    eprintln!(
+        "rmpi_tables: {problem}\n\
+         usage: rmpi_tables [<entry>] [--quick | --full] [--seeds N] [--epochs N] \
+         [--max-samples N] [--dim N] [--max-targets N] [--methods a,b] [--datasets x,y] \
+         [--threads N]\n\
+         entries: {}",
+        tables::names().join(", ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let h = Harness::from_args();
+    let h = Harness::from_args().unwrap_or_else(|problem| refuse(&problem));
     let Some(name) = std::env::args().nth(1).filter(|a| !a.starts_with("--")) else {
         for name in tables::names() {
             print!("### {name}\n{}", tables::run(name, &h).expect("catalogue entry"));
         }
         return;
     };
-    let Some(text) = tables::run(&name, &h) else {
-        eprintln!("rmpi_tables: no entry {name:?}; entries: {}", tables::names().join(", "));
-        std::process::exit(2);
-    };
+    let Some(text) = tables::run(&name, &h) else { refuse(&format!("no entry {name:?}")) };
     print!("{text}");
 }

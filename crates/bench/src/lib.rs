@@ -140,14 +140,41 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Parse flags from `std::env::args`.
-    pub fn from_args() -> Self {
+    /// Parse `std::env::args`: an optional leading entry name (the first
+    /// argument, when it is not a flag) and the flags the crate docs list.
+    /// Anything else, or a value flag without its value, is an error naming
+    /// the argument.
+    pub fn from_args() -> Result<Self, String> {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_arg_list(&args)
     }
 
-    /// Parse flags from an explicit list (tests).
-    fn from_arg_list(args: &[String]) -> Self {
+    /// [`Harness::from_args`] over an explicit list (tests).
+    fn from_arg_list(args: &[String]) -> Result<Self, String> {
+        const SWITCHES: [&str; 2] = ["--full", "--quick"];
+        const VALUED: [&str; 8] = [
+            "--threads",
+            "--seeds",
+            "--epochs",
+            "--dim",
+            "--max-targets",
+            "--max-samples",
+            "--datasets",
+            "--methods",
+        ];
+        let mut i = usize::from(args.first().is_some_and(|a| !a.starts_with("--")));
+        while let Some(arg) = args.get(i) {
+            if SWITCHES.contains(&arg.as_str()) {
+                i += 1;
+            } else if VALUED.contains(&arg.as_str()) {
+                if args.get(i + 1).map_or(true, |v| v.starts_with("--")) {
+                    return Err(format!("{arg} needs a value"));
+                }
+                i += 2;
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
         let full = args.iter().any(|a| a == "--full");
         let get = |flag: &str| -> Option<String> {
             args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
@@ -181,7 +208,7 @@ impl Harness {
         if let Some(v) = get("--methods") {
             h.methods = v.split(',').map(str::to_owned).collect();
         }
-        h
+        Ok(h)
     }
 
     /// The fast profile (default).
@@ -326,14 +353,14 @@ mod tests {
 
     #[test]
     fn arg_parsing_defaults_to_quick() {
-        let h = Harness::from_arg_list(&[]);
+        let h = Harness::from_arg_list(&[]).unwrap();
         assert_eq!(h.scale, Scale::Quick);
         assert_eq!(h.seeds.len(), 1);
     }
 
     #[test]
     fn full_flag_switches_profile() {
-        let h = Harness::from_arg_list(&["--full".into()]);
+        let h = Harness::from_arg_list(&["--full".into()]).unwrap();
         assert_eq!(h.scale, Scale::Full);
         assert_eq!(h.seeds.len(), 5);
         assert_eq!(h.dim, 32);
@@ -343,7 +370,8 @@ mod tests {
     #[test]
     fn overrides_apply() {
         let h =
-            Harness::from_arg_list(&["--seeds".into(), "3".into(), "--dim".into(), "24".into()]);
+            Harness::from_arg_list(&["--seeds".into(), "3".into(), "--dim".into(), "24".into()])
+                .unwrap();
         assert_eq!(h.seeds, vec![0, 1, 2]);
         assert_eq!(h.dim, 24);
     }
@@ -355,13 +383,50 @@ mod tests {
             "nell.v1".into(),
             "--methods".into(),
             "rmpi-base,GraIL".into(),
-        ]);
+        ])
+        .unwrap();
         assert_eq!(h.filter_datasets(&["nell.v1", "nell.v2"]), vec!["nell.v1"]);
         let ms = h.filter_methods(&[MethodSpec::Grail, MethodSpec::Tact, MethodSpec::RMPI_BASE]);
         assert_eq!(ms.len(), 2);
         // a random-init name also selects the method's schema twin
         let twin = MethodSpec::Rmpi { ne: false, ta: false, concat: false, schema: true };
         assert_eq!(h.filter_methods(&[twin, MethodSpec::TactBase { schema: true }]), vec![twin]);
+    }
+
+    #[test]
+    fn unknown_arguments_and_valueless_flags_are_refused() {
+        let parse = |args: &str| {
+            Harness::from_arg_list(&args.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+        };
+        for (args, problem) in [
+            ("--help", "unknown argument \"--help\""),
+            ("dataset_report --dataset wn.v1", "unknown argument \"--dataset\""),
+            ("table1_stats extra", "unknown argument \"extra\""),
+            ("--datasets", "--datasets needs a value"),
+            ("table2_semi_unseen --methods --full", "--methods needs a value"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), problem, "{args}");
+        }
+        // every input `filters_apply` uses, with and without an entry name
+        for args in
+            ["--datasets nell.v1 --methods rmpi-base,GraIL", "dataset_report --datasets nell.v1"]
+        {
+            assert!(parse(args).is_ok(), "{args}");
+        }
+        let h = parse(
+            "table6_partial --full --quick --threads 2 --seeds 2 --epochs 3 --dim 8 \
+             --max-targets 5 --max-samples 40 --datasets nell.v1 --methods GraIL",
+        )
+        .unwrap();
+        assert_eq!((h.scale, h.seeds.len(), h.train.epochs, h.dim), (Scale::Full, 2, 3, 8));
+        assert_eq!(
+            (h.train.threads, h.eval.max_targets, h.train.max_samples_per_epoch),
+            (2, 5, 40)
+        );
+        assert_eq!(
+            (h.datasets.as_slice(), h.methods.as_slice()),
+            (&["nell.v1".to_owned()][..], &["GraIL".to_owned()][..])
+        );
     }
 
     #[test]

@@ -479,6 +479,7 @@ mod tests {
 
     fn harness(args: &str) -> Harness {
         Harness::from_arg_list(&args.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+            .unwrap()
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! All randomness in the trainer is derived from `(cfg.seed, stream, epoch,
 //! position)` via [`rmpi_runtime::mix_seed`], so the RNG "stream state" a
 //! resume needs is exactly `seed` + `next_epoch` — both in the manifest. The
-//! manifest also pins the Adam learning rate, which divergence rollback may
-//! have decayed below the configured value.
+//! manifest also pins the Adam learning rate, which resume restores.
 
 use rmpi_autograd::io::{atomic_write_bytes, load_params_file, save_params_file, CheckpointError};
 use rmpi_autograd::{ParamStore, Tensor};
@@ -48,8 +47,8 @@ pub struct TrainCheckpoint {
     /// The `TrainConfig::seed` of the run that wrote this checkpoint; resume
     /// refuses to continue under a different seed.
     pub(crate) seed: u64,
-    /// Adam learning rate in effect (divergence rollback may have decayed it
-    /// below the configured value).
+    /// Adam learning rate in effect when the checkpoint was written; resume
+    /// restores it.
     pub adam_lr: f32,
     /// Adam step count.
     pub adam_t: u64,
@@ -69,10 +68,6 @@ pub struct TrainCheckpoint {
     pub(crate) valid_accuracy: Vec<f32>,
     /// Batches dropped by the divergence guard so far.
     pub(crate) skipped_batches: usize,
-    /// Batches whose gradients were sanitised by the divergence guard.
-    pub(crate) sanitized_batches: usize,
-    /// Divergence rollbacks performed so far.
-    pub(crate) rollbacks: usize,
     /// Live parameters at the epoch boundary.
     pub(crate) params: ParamStore,
     /// Best-validation parameter snapshot.
@@ -142,8 +137,6 @@ fn render_manifest(ckpt: &TrainCheckpoint) -> String {
     kv("best_acc", ckpt.best_acc.to_string());
     kv("since_best", ckpt.since_best.to_string());
     kv("skipped_batches", ckpt.skipped_batches.to_string());
-    kv("sanitized_batches", ckpt.sanitized_batches.to_string());
-    kv("rollbacks", ckpt.rollbacks.to_string());
     let join = |xs: &[f32]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(" ");
     kv("epoch_losses", join(&ckpt.epoch_losses));
     kv("valid_accuracy", join(&ckpt.valid_accuracy));
@@ -238,8 +231,6 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
         epoch_losses: Vec::new(),
         valid_accuracy: Vec::new(),
         skipped_batches: 0,
-        sanitized_batches: 0,
-        rollbacks: 0,
         params,
         best_params,
     };
@@ -273,8 +264,6 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
             "best_acc" => ckpt.best_acc = scalar!("best_acc"),
             "since_best" => ckpt.since_best = scalar!("since_best"),
             "skipped_batches" => ckpt.skipped_batches = scalar!("skipped_batches"),
-            "sanitized_batches" => ckpt.sanitized_batches = scalar!("sanitized_batches"),
-            "rollbacks" => ckpt.rollbacks = scalar!("rollbacks"),
             "epoch_losses" => ckpt.epoch_losses = floats("epoch_losses")?,
             "valid_accuracy" => ckpt.valid_accuracy = floats("valid_accuracy")?,
             other => return Err(parse_err(lineno, format!("unknown manifest key {other:?}"))),
@@ -363,8 +352,6 @@ mod tests {
             epoch_losses: vec![0.5, 0.375, 0.25],
             valid_accuracy: vec![0.5, 0.8125, 0.75],
             skipped_batches: 2,
-            sanitized_batches: 1,
-            rollbacks: 0,
             params,
             best_params,
         }
@@ -387,7 +374,7 @@ mod tests {
         assert_eq!(loaded.since_best, 1);
         assert_eq!(loaded.epoch_losses, ckpt.epoch_losses);
         assert_eq!(loaded.valid_accuracy, ckpt.valid_accuracy);
-        assert_eq!((loaded.skipped_batches, loaded.sanitized_batches, loaded.rollbacks), (2, 1, 0));
+        assert_eq!(loaded.skipped_batches, 2);
         for (id, lid) in ckpt.params.ids().zip(loaded.params.ids()) {
             assert_eq!(ckpt.params.name(id), loaded.params.name(lid), "parameter order preserved");
             assert_eq!(ckpt.params.value(id), loaded.params.value(lid));
@@ -486,6 +473,12 @@ mod tests {
         let err = load_checkpoint(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Parse { .. }), "{err}");
         assert!(err.to_string().contains("adam_t"), "{err}");
+
+        // An unknown key, such as one a different build wrote, names its line.
+        std::fs::write(&manifest, text.replace("adam_t 42", "adam_t 42\nrollbacks 0")).unwrap();
+        let err = load_checkpoint(&dir).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse { line: 6, .. }), "{err}");
+        assert!(err.to_string().contains("unknown manifest key \"rollbacks\""), "{err}");
 
         std::fs::write(&manifest, "not a manifest\n").unwrap();
         assert!(matches!(load_checkpoint(&dir).unwrap_err(), CheckpointError::BadMagic(_)));

@@ -134,12 +134,8 @@ pub(crate) struct TrainerMetrics {
     /// `trainer.batches_failed.count` — batches dropped because a worker
     /// panicked or a store read failed.
     batches_failed: Counter,
-    /// `trainer.batches_sanitized.count` — clip-and-warn sanitisations.
-    batches_sanitized: Counter,
     /// `trainer.nonfinite.count` — non-finite loss/grad-norm detections.
     nonfinite: Counter,
-    /// `trainer.rollbacks.count` — divergence rollbacks performed.
-    rollbacks: Counter,
 }
 
 pub(crate) fn trainer_metrics() -> &'static TrainerMetrics {
@@ -159,9 +155,7 @@ pub(crate) fn trainer_metrics() -> &'static TrainerMetrics {
             samples: reg.counter("trainer.samples.count"),
             batches_skipped: reg.counter("trainer.batches_skipped.count"),
             batches_failed: reg.counter("trainer.batches_failed.count"),
-            batches_sanitized: reg.counter("trainer.batches_sanitized.count"),
             nonfinite: reg.counter("trainer.nonfinite.count"),
-            rollbacks: reg.counter("trainer.rollbacks.count"),
         }
     })
 }
@@ -172,15 +166,6 @@ pub enum DivergencePolicy {
     /// Drop the poisoned batch's gradients and move on (default).
     #[default]
     SkipBatch,
-    /// Zero the non-finite gradient entries, then step with what remains.
-    ClipAndWarn,
-    /// Restore parameters and optimiser state from the last epoch boundary
-    /// (the start of the run, before the first) and multiply the learning
-    /// rate by `lr_decay`.
-    Rollback {
-        /// Multiplied into the Adam learning rate on every rollback.
-        lr_decay: f32,
-    },
     /// Stop training immediately; the best snapshot so far is restored.
     Abort,
 }
@@ -193,7 +178,7 @@ pub enum TrainEvent {
         /// First epoch the resumed run executes.
         epoch: usize,
     },
-    /// A batch finished (stepped, skipped, sanitised or rolled back).
+    /// A batch finished (stepped, skipped or failed).
     BatchEnd {
         /// Epoch index.
         epoch: usize,
@@ -237,26 +222,6 @@ pub enum TrainEvent {
         batch: usize,
         /// The worker's panic message (a store failure names its error).
         message: String,
-    },
-    /// The clip-and-warn policy zeroed non-finite gradient entries.
-    GradSanitized {
-        /// Epoch index.
-        epoch: usize,
-        /// Batch index within the epoch.
-        batch: usize,
-        /// Number of gradient entries zeroed.
-        zeroed: usize,
-    },
-    /// The rollback policy restored the last epoch-boundary snapshot.
-    RolledBack {
-        /// Epoch in which the divergence occurred.
-        epoch: usize,
-        /// Batch index within the epoch.
-        batch: usize,
-        /// Epoch boundary the parameters were restored to.
-        restored_epoch: usize,
-        /// Learning rate after decay.
-        lr: f32,
     },
     /// A checkpoint was written and `LATEST` now points at it.
     CheckpointSaved {
@@ -348,10 +313,6 @@ pub struct TrainReport {
     pub best_epoch: usize,
     /// Batches dropped by the divergence guard or by worker panics.
     pub skipped_batches: usize,
-    /// Batches whose gradients were sanitised (clip-and-warn policy).
-    pub sanitized_batches: usize,
-    /// Divergence rollbacks performed.
-    pub rollbacks: usize,
     /// `true` when the abort policy stopped training early.
     pub aborted: bool,
     /// First epoch executed when training resumed from a checkpoint.
@@ -574,20 +535,11 @@ impl<'cb> Trainer<'cb> {
             report.epoch_losses = ck.epoch_losses;
             report.valid_accuracy = ck.valid_accuracy;
             report.skipped_batches = ck.skipped_batches;
-            report.sanitized_batches = ck.sanitized_batches;
-            report.rollbacks = ck.rollbacks;
             *model.param_store_mut() = ck.params;
             start_epoch = ck.next_epoch;
             report.resumed_from = Some(start_epoch);
             emit(TrainEvent::Resumed { epoch: start_epoch });
         }
-
-        // Epoch-boundary snapshot for the rollback policy: (params, optimiser
-        // state, boundary epoch). Only maintained when the policy needs it —
-        // it costs a full parameter clone per epoch.
-        let track_rollback = matches!(cfg.divergence, DivergencePolicy::Rollback { .. });
-        let mut last_good: Option<(ParamStore, AdamState, usize)> =
-            track_rollback.then(|| (model.param_store().clone(), adam.export_state(), start_epoch));
 
         let metrics = trainer_metrics();
         'epochs: for epoch in start_epoch..cfg.epochs {
@@ -686,34 +638,6 @@ impl<'cb> Trainer<'cb> {
                             model.param_store_mut().zero_grad();
                             emit(TrainEvent::BatchSkipped { epoch, batch: batch_idx });
                         }
-                        DivergencePolicy::ClipAndWarn => {
-                            let zeroed = model.param_store_mut().sanitize_grads();
-                            report.sanitized_batches += 1;
-                            metrics.batches_sanitized.inc();
-                            emit(TrainEvent::GradSanitized { epoch, batch: batch_idx, zeroed });
-                            for (l, _) in &results {
-                                if l.is_finite() {
-                                    epoch_loss += *l as f64;
-                                    counted += 1;
-                                }
-                            }
-                            step(model, &mut adam, &cfg, batch_len);
-                        }
-                        DivergencePolicy::Rollback { lr_decay } => {
-                            let (params, state, boundary) =
-                                last_good.as_ref().expect("kept under the rollback policy");
-                            *model.param_store_mut() = params.clone();
-                            adam.restore_state(state.clone());
-                            adam.lr *= lr_decay;
-                            report.rollbacks += 1;
-                            metrics.rollbacks.inc();
-                            emit(TrainEvent::RolledBack {
-                                epoch,
-                                batch: batch_idx,
-                                restored_epoch: *boundary,
-                                lr: adam.lr,
-                            });
-                        }
                         DivergencePolicy::Abort => {
                             report.aborted = true;
                             emit(TrainEvent::Aborted { epoch, batch: batch_idx });
@@ -754,10 +678,6 @@ impl<'cb> Trainer<'cb> {
                 since_best += 1;
             }
 
-            if track_rollback {
-                last_good = Some((model.param_store().clone(), adam.export_state(), epoch + 1));
-            }
-
             if let Some(dir) = &self.checkpoint {
                 let checkpoint_start = Instant::now();
                 let state = adam.export_state();
@@ -774,8 +694,6 @@ impl<'cb> Trainer<'cb> {
                     epoch_losses: report.epoch_losses.clone(),
                     valid_accuracy: report.valid_accuracy.clone(),
                     skipped_batches: report.skipped_batches,
-                    sanitized_batches: report.sanitized_batches,
-                    rollbacks: report.rollbacks,
                     params: model.param_store().clone(),
                     best_params: best_store.clone(),
                 };

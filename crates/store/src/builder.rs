@@ -301,7 +301,6 @@ impl StoreBuilder {
         }
 
         let manifest = Manifest {
-            version: 3,
             num_entities: n as u64,
             num_relations: self.max_relation,
             num_triples: self.total,

@@ -6,9 +6,9 @@
 //! the crate are chosen as multiples of these record sizes so a record
 //! never straddles a block boundary.
 //!
-//! A store's checksums are XXH64 (manifest v3, what the builder writes) or
-//! FNV-1a 64 (manifest v1/v2, still readable); [`Checksum`] names the one a
-//! manifest records.
+//! Every store checksum is XXH64 ([`xxh64`]). FNV-1a 64 ([`fnv64`]) lives
+//! here too because serve bundle directories checksum their sections with
+//! it.
 
 use rmpi_kg::{EntityId, RelationId, Triple};
 
@@ -20,7 +20,7 @@ pub const INV_RECORD_BYTES: usize = 16;
 
 /// Forward records per checksum/cache block (× 12 bytes ≈ 64 KiB).
 ///
-/// Shared by the builder (per-block checksum table in manifest v2) and the
+/// Shared by the builder (per-block checksum table in the manifest) and the
 /// reader (block cache + cache-fill verification): both sides must agree on
 /// block geometry or the sums are meaningless.
 pub const FWD_BLOCK_RECORDS: u64 = 5461;
@@ -83,8 +83,8 @@ pub(crate) fn decode_inv(b: &[u8]) -> (EntityId, RelationId, EntityId, u32) {
 
 /// Incremental FNV-1a 64 hasher. Dependency-free and byte-order
 /// independent, but one multiply chain per byte: about 3.4 cycles/byte,
-/// 105 µs per 64 KiB block on a quiet host. Kept to read v1/v2 stores and
-/// for serve bundles; stores are written with XXH64 ([`xxh64`]).
+/// 105 µs per 64 KiB block on a quiet host. Serve bundles use it; stores
+/// use XXH64 ([`xxh64`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 
@@ -155,7 +155,7 @@ fn xxh_merge(acc: u64, v: u64) -> u64 {
 
 /// Incremental XXH64 hasher, seed 0 (the xxHash spec's `XXH64`). Four
 /// independent lanes per 32-byte stripe instead of one multiply per byte:
-/// a 64 KiB block hashes in about 7 µs, which is why manifest v3 uses it.
+/// a 64 KiB block hashes in about 7 µs, which is why store manifests use it.
 /// Any split of the input into `update` calls gives the one-shot digest.
 #[derive(Clone, Debug)]
 pub(crate) struct Xxh64 {
@@ -253,61 +253,6 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The checksum function a store manifest records; chosen from the
-/// manifest's version by [`crate::Manifest::checksum`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Checksum {
-    /// FNV-1a 64 (manifest v1 and v2).
-    Fnv1a64,
-    /// XXH64, seed 0 (manifest v3).
-    Xxh64,
-}
-
-impl Checksum {
-    /// One-shot digest of `bytes`.
-    pub fn of(self, bytes: &[u8]) -> u64 {
-        match self {
-            Checksum::Fnv1a64 => fnv64(bytes),
-            Checksum::Xxh64 => xxh64(bytes),
-        }
-    }
-
-    /// A fresh streaming hasher for this function.
-    pub(crate) fn hasher(self) -> Hasher {
-        match self {
-            Checksum::Fnv1a64 => Hasher::Fnv1a64(Fnv64::new()),
-            Checksum::Xxh64 => Hasher::Xxh64(Xxh64::new()),
-        }
-    }
-}
-
-/// A streaming hasher of either [`Checksum`] function.
-#[derive(Clone, Debug)]
-pub(crate) enum Hasher {
-    /// FNV-1a 64.
-    Fnv1a64(Fnv64),
-    /// XXH64.
-    Xxh64(Xxh64),
-}
-
-impl Hasher {
-    /// Absorb bytes.
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        match self {
-            Hasher::Fnv1a64(h) => h.update(bytes),
-            Hasher::Xxh64(h) => h.update(bytes),
-        }
-    }
-
-    /// The digest so far.
-    pub(crate) fn finish(&self) -> u64 {
-        match self {
-            Hasher::Fnv1a64(h) => h.finish(),
-            Hasher::Xxh64(h) => h.finish(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,17 +316,5 @@ mod tests {
             bytewise.update(std::slice::from_ref(b));
         }
         assert_eq!(bytewise.finish(), xxh64(&data));
-    }
-
-    #[test]
-    fn checksum_dispatches_to_the_named_function() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for (sum, want) in [(Checksum::Fnv1a64, fnv64(data)), (Checksum::Xxh64, xxh64(data))] {
-            assert_eq!(sum.of(data), want);
-            let mut h = sum.hasher();
-            h.update(&data[..5]);
-            h.update(&data[5..]);
-            assert_eq!(h.finish(), want);
-        }
     }
 }

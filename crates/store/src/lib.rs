@@ -14,7 +14,7 @@
 //! ```text
 //! world.store/
 //!   MANIFEST          counts, per-file record counts + XXH64 checksums
-//!                     (whole file and per 64 KiB block; v1/v2: FNV-1a 64)
+//!                     (whole file and per 64 KiB block)
 //!   index.bin         out_off[N+1] ++ in_off[N+1], u64 LE   (resident)
 //!   fwd-00000.seg     12-byte records (h,r,t) u32 LE, sorted by (h,r,t)
 //!   fwd-00001.seg     ...
@@ -53,11 +53,11 @@ pub use builder::{
     INDEX_WRITE_FAILPOINT, PUBLISH_FAILPOINT, SEG_CLOSE_FAILPOINT, SEG_WRITE_FAILPOINT,
 };
 pub use format::{
-    fnv64, xxh64, Checksum, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES,
-    INV_BLOCK_BYTES, INV_BLOCK_RECORDS, INV_RECORD_BYTES,
+    fnv64, xxh64, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
+    INV_BLOCK_RECORDS, INV_RECORD_BYTES,
 };
 pub use manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
-pub use reader::{ReadMode, RetryConfig, StoreOptions, StoreReader, PREAD_FAILPOINT};
+pub use reader::{ReadMode, RetryConfig, StoreOptions, StoreReader};
 pub use scrub::{scrub_store, ScrubReport, ScrubSection};
 pub use view::{with_thread_view, NeighborhoodView};
 

@@ -6,40 +6,11 @@
 //! directory without a manifest — recognisably not a store — rather than a
 //! plausible-looking broken one. Every data file is listed with its record
 //! count, byte length, and checksum, which is what lets
-//! [`crate::StoreReader::verify`] detect truncation and bit-rot and name
-//! the offending file.
+//! [`crate::scrub_store`] detect truncation and bit-rot and name the
+//! offending file.
 //!
-//! Version 1 format (all one-line records, FNV-1a 64 checksums as 16 hex
-//! digits):
-//!
-//! ```text
-//! rmpi-store v1
-//! entities <n>
-//! relations <n>
-//! triples <n>
-//! seg_records <n>
-//! index index.bin <bytes> <fnv64>
-//! fwd fwd-00000.seg <records> <bytes> <fnv64>
-//! inv inv-00000.seg <records> <bytes> <fnv64>
-//! end
-//! ```
-//!
-//! Version 2 adds two durability features:
-//!
-//! * After each segment line, a `blocks <file> <fnv64>...` line carries one
-//!   checksum per 64 KiB block (geometry from [`crate::format`]), so a
-//!   streaming reader can verify each block at cache-fill time instead of
-//!   trusting whole-file sums it never recomputes.
-//! * A `sum <fnv64>` line just before `end` is the FNV-64 of every manifest
-//!   byte above it, making the manifest itself tamper-evident: any byte
-//!   flip in the metadata — a digit of `seg_records`, a hex digit of a
-//!   checksum — is caught at parse time instead of silently re-mapping
-//!   records to the wrong segment.
-//!
-//! Version 3 (what the builder writes; v1 and v2 stay readable) has the
-//! v2 grammar with every checksum — `index`, each whole segment, every
-//! `blocks` entry and the `sum` line — computed with XXH64 (seed 0)
-//! instead of FNV-1a 64:
+//! The format is version 3, the only one this crate reads or writes. Every
+//! checksum is XXH64 (seed 0, [`crate::xxh64`]) as 16 hex digits:
 //!
 //! ```text
 //! rmpi-store v3
@@ -56,44 +27,31 @@
 //! end
 //! ```
 //!
-//! FNV-1a is one dependent multiply per byte (about 105 µs per 64 KiB
-//! block); XXH64 hashes four independent lanes per 32-byte stripe (about
-//! 7 µs), and a streaming reader re-hashes a block on every cache fill.
-//! [`Manifest::checksum`] maps the version to the function, and every
-//! verifier (reader, sweep, `verify`, scrub) asks it.
+//! * The `blocks` line after each segment line carries one checksum per
+//!   64 KiB block (geometry from the crate's `format` module), so a
+//!   streaming reader verifies each block at cache-fill time instead of
+//!   trusting whole-file sums it never recomputes.
+//! * The `sum` line just before `end` makes the manifest itself
+//!   tamper-evident: any byte flip in the metadata — a digit of
+//!   `seg_records`, a hex digit of a checksum — is caught at parse time
+//!   instead of silently re-mapping records to the wrong segment.
 //!
-//! Parsing also cross-checks structure in every version: segment byte
-//! lengths must equal `records × record_size`, every segment but the last
-//! of each kind must hold exactly `seg_records` records, and (v2, v3) each
-//! segment's block-checksum count must match its length.
+//! Both lines are mandatory. Parsing also cross-checks structure: segment
+//! byte lengths must equal `records × record_size`, every segment but the
+//! last of each kind must hold exactly `seg_records` records, and each
+//! segment's block-checksum count must match its length. Manifests of the
+//! older `rmpi-store v1` and `v2` formats (FNV-1a 64 sums, optional block
+//! sums) are refused as unsupported.
 
-use crate::format::{
-    Checksum, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES, INV_RECORD_BYTES,
-};
+use crate::format::{xxh64, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES, INV_RECORD_BYTES};
 use crate::{Result, StoreError};
 use std::fmt::Write as _;
 
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
-/// Magic first line of a version-1 manifest (still accepted).
-pub(crate) const MAGIC: &str = "rmpi-store v1";
-
-/// Magic first line of a version-2 manifest (still accepted).
-pub(crate) const MAGIC_V2: &str = "rmpi-store v2";
-
-/// Magic first line of a version-3 manifest (what the builder writes).
+/// Magic first line of a manifest: version 3, the only one read or written.
 pub(crate) const MAGIC_V3: &str = "rmpi-store v3";
-
-/// The checksum function of manifest `version`: the one place the version
-/// picks it.
-fn checksum_of_version(version: u32) -> Checksum {
-    if version >= 3 {
-        Checksum::Xxh64
-    } else {
-        Checksum::Fnv1a64
-    }
-}
 
 /// Name of the resident offsets index file.
 pub const INDEX_NAME: &str = "index.bin";
@@ -117,13 +75,12 @@ pub struct SegmentMeta {
     pub(crate) records: u64,
     /// Byte length (always `records * record_size`).
     pub(crate) bytes: u64,
-    /// [`Manifest::checksum`] of the raw file bytes.
-    pub checksum: u64,
-    /// [`Manifest::checksum`] per 64 KiB block (v2, v3; empty for a v1
-    /// manifest). Block
-    /// geometry is `FWD_BLOCK_BYTES`/`INV_BLOCK_BYTES` from
-    /// the crate's `format` module; the final block covers the file tail.
-    pub block_sums: Vec<u64>,
+    /// XXH64 of the raw file bytes.
+    pub(crate) checksum: u64,
+    /// XXH64 per 64 KiB block, one per block of a parsed manifest. Block
+    /// geometry is `FWD_BLOCK_BYTES`/`INV_BLOCK_BYTES` from the crate's
+    /// `format` module; the final block covers the file tail.
+    pub(crate) block_sums: Vec<u64>,
 }
 
 impl SegmentMeta {
@@ -136,9 +93,6 @@ impl SegmentMeta {
 /// Parsed contents of a store MANIFEST.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version (1, 2 or 3) — decides what `to_text` emits, what
-    /// `parse` demanded, and the checksum function.
-    pub version: u32,
     /// Entity id-space capacity (max id + 1).
     pub(crate) num_entities: u64,
     /// Relation id-space capacity (max id + 1).
@@ -150,7 +104,7 @@ pub struct Manifest {
     pub(crate) seg_records: u64,
     /// Byte length of `index.bin`.
     pub(crate) index_bytes: u64,
-    /// [`Manifest::checksum`] of `index.bin`.
+    /// XXH64 of `index.bin`.
     pub index_checksum: u64,
     /// Forward segments in order.
     pub fwd: Vec<SegmentMeta>,
@@ -159,21 +113,10 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// The function every checksum of this manifest was computed with:
-    /// FNV-1a 64 for v1/v2, XXH64 for v3.
-    pub fn checksum(&self) -> Checksum {
-        checksum_of_version(self.version)
-    }
-
-    /// Serialise to the text format of `self.version`.
+    /// Serialise to the v3 text format.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        let magic = match self.version {
-            1 => MAGIC,
-            2 => MAGIC_V2,
-            _ => MAGIC_V3,
-        };
-        let _ = writeln!(s, "{magic}");
+        let _ = writeln!(s, "{MAGIC_V3}");
         let _ = writeln!(s, "entities {}", self.num_entities);
         let _ = writeln!(s, "relations {}", self.num_relations);
         let _ = writeln!(s, "triples {}", self.num_triples);
@@ -185,7 +128,7 @@ impl Manifest {
                 "{kind} {} {} {} {:016x}",
                 seg.file, seg.records, seg.bytes, seg.checksum
             );
-            if self.version >= 2 && !seg.block_sums.is_empty() {
+            if !seg.block_sums.is_empty() {
                 let _ = write!(s, "blocks {}", seg.file);
                 for sum in &seg.block_sums {
                     let _ = write!(s, " {sum:016x}");
@@ -199,32 +142,30 @@ impl Manifest {
         for seg in &self.inv {
             seg_line(&mut s, "inv", seg);
         }
-        if self.version >= 2 {
-            let sum = self.checksum().of(s.as_bytes());
-            let _ = writeln!(s, "sum {sum:016x}");
-        }
+        let sum = xxh64(s.as_bytes());
+        let _ = writeln!(s, "sum {sum:016x}");
         let _ = writeln!(s, "end");
         s
     }
 
-    /// Parse the text format (v1, v2 or v3), reporting the offending line
-    /// on error. A v2 or v3 manifest must carry a valid `sum` self-checksum
-    /// and one `blocks` line per segment.
+    /// Parse the v3 text format, reporting the offending line on error.
+    /// The manifest must carry a valid `sum` self-checksum and one `blocks`
+    /// line per segment; any other magic line, an older `rmpi-store`
+    /// version's included, is refused.
     pub fn parse(text: &str) -> Result<Manifest> {
         let bad = |line: usize, message: String| StoreError::Manifest { line, message };
         let mut lines = text.lines().enumerate();
-        let version = match lines.next() {
-            Some((_, l)) if l == MAGIC => 1,
-            Some((_, l)) if l == MAGIC_V2 => 2,
-            Some((_, l)) if l == MAGIC_V3 => 3,
-            Some((i, l)) => {
+        match lines.next() {
+            Some((_, MAGIC_V3)) => {}
+            Some((i, l)) if l.starts_with("rmpi-store ") => {
                 return Err(bad(
                     i + 1,
-                    format!("expected `{MAGIC}`, `{MAGIC_V2}` or `{MAGIC_V3}`, found `{l}`"),
+                    format!("unsupported manifest version `{l}`: only `{MAGIC_V3}` is read"),
                 ))
             }
+            Some((i, l)) => return Err(bad(i + 1, format!("expected `{MAGIC_V3}`, found `{l}`"))),
             None => return Err(bad(1, "empty manifest".into())),
-        };
+        }
         let mut num_entities = None;
         let mut num_relations = None;
         let mut num_triples = None;
@@ -319,7 +260,7 @@ impl Manifest {
                     // `line` is a subslice of `text`, so its offset is the
                     // pointer distance from the start.
                     let line_start = line.as_ptr() as usize - text.as_ptr() as usize;
-                    let got = checksum_of_version(version).of(&text.as_bytes()[..line_start]);
+                    let got = xxh64(&text.as_bytes()[..line_start]);
                     if got != expect {
                         return Err(bad(
                             lineno,
@@ -339,11 +280,8 @@ impl Manifest {
             return Err(bad(text.lines().count(), "missing `end` (truncated manifest)".into()));
         }
         let last_line = text.lines().count();
-        if version >= 2 && !saw_sum {
-            return Err(bad(
-                last_line,
-                format!("v{version} manifest missing `sum` self-checksum line"),
-            ));
+        if !saw_sum {
+            return Err(bad(last_line, "manifest missing `sum` self-checksum line".into()));
         }
         let require = |v: Option<u64>, what: &str| {
             v.ok_or_else(|| bad(last_line, format!("missing `{what}` line")))
@@ -351,7 +289,6 @@ impl Manifest {
         let (index_bytes, index_checksum) =
             index.ok_or_else(|| bad(last_line, "missing `index` line".into()))?;
         let m = Manifest {
-            version,
             num_entities: require(num_entities, "entities")?,
             num_relations: require(num_relations, "relations")?,
             num_triples: require(num_triples, "triples")?,
@@ -408,16 +345,14 @@ impl Manifest {
                         seg.file, seg.records, self.seg_records
                     ));
                 }
-                if self.version >= 2 {
-                    let want = SegmentMeta::block_count(seg.bytes, block_bytes);
-                    if seg.block_sums.len() as u64 != want {
-                        return Err(format!(
-                            "{kind} segment {} has {} block checksums, {} bytes need {want}",
-                            seg.file,
-                            seg.block_sums.len(),
-                            seg.bytes
-                        ));
-                    }
+                let want = SegmentMeta::block_count(seg.bytes, block_bytes);
+                if seg.block_sums.len() as u64 != want {
+                    return Err(format!(
+                        "{kind} segment {} has {} block checksums, {} bytes need {want}",
+                        seg.file,
+                        seg.block_sums.len(),
+                        seg.bytes
+                    ));
                 }
             }
         }
@@ -443,9 +378,9 @@ fn parse_hex(tok: Option<&str>, line: usize, what: &str) -> Result<u64> {
 mod tests {
     use super::*;
 
+    // Segments are far below one block, so one checksum each.
     fn sample() -> Manifest {
         Manifest {
-            version: 1,
             num_entities: 10,
             num_relations: 3,
             num_triples: 7,
@@ -458,14 +393,14 @@ mod tests {
                     records: 4,
                     bytes: 48,
                     checksum: 1,
-                    block_sums: vec![],
+                    block_sums: vec![0xabcd],
                 },
                 SegmentMeta {
                     file: fwd_name(1),
                     records: 3,
                     bytes: 36,
                     checksum: 2,
-                    block_sums: vec![],
+                    block_sums: vec![0xabcd],
                 },
             ],
             inv: vec![
@@ -474,81 +409,50 @@ mod tests {
                     records: 4,
                     bytes: 64,
                     checksum: 3,
-                    block_sums: vec![],
+                    block_sums: vec![0xabcd],
                 },
                 SegmentMeta {
                     file: inv_name(1),
                     records: 3,
                     bytes: 48,
                     checksum: 4,
-                    block_sums: vec![],
+                    block_sums: vec![0xabcd],
                 },
             ],
         }
     }
 
-    fn sample_v2() -> Manifest {
-        let mut m = sample();
-        m.version = 2;
-        // Segments are far below one block, so one checksum each.
-        for seg in m.fwd.iter_mut().chain(m.inv.iter_mut()) {
-            seg.block_sums = vec![0xabcd];
-        }
-        m
-    }
-
-    fn sample_v3() -> Manifest {
-        Manifest { version: 3, ..sample_v2() }
-    }
-
     #[test]
     fn roundtrip() {
         let m = sample();
-        assert_eq!(Manifest::parse(&m.to_text()).unwrap(), m);
-    }
-
-    #[test]
-    fn roundtrip_v2() {
-        let m = sample_v2();
         let text = m.to_text();
-        assert!(text.starts_with(MAGIC_V2), "{text}");
+        assert!(text.starts_with(MAGIC_V3), "{text}");
         assert!(text.contains("blocks fwd-00000.seg 000000000000abcd"), "{text}");
         assert!(text.contains("\nsum "), "{text}");
         assert_eq!(Manifest::parse(&text).unwrap(), m);
     }
 
     #[test]
-    fn roundtrip_v3_sums_itself_with_xxh64() {
-        let m = sample_v3();
+    fn roundtrip_sums_itself_with_xxh64() {
+        let m = sample();
         let text = m.to_text();
         assert!(text.starts_with(MAGIC_V3), "{text}");
         assert_eq!(Manifest::parse(&text).unwrap(), m);
         let sum_at = text.find("\nsum ").unwrap() + 1;
         let recorded = text[sum_at + 4..sum_at + 20].to_string();
         let above = &text.as_bytes()[..sum_at];
-        assert_eq!(recorded, format!("{:016x}", crate::format::xxh64(above)));
-        // The v2 text of the same manifest is summed with FNV-1a instead.
-        let v2 = sample_v2().to_text();
-        let v2_sum_at = v2.find("\nsum ").unwrap() + 1;
-        let v2_recorded = &v2[v2_sum_at + 4..v2_sum_at + 20];
-        assert_eq!(
-            v2_recorded,
-            format!("{:016x}", crate::format::fnv64(&v2.as_bytes()[..v2_sum_at]))
-        );
+        assert_eq!(recorded, format!("{:016x}", xxh64(above)));
     }
 
     #[test]
-    fn checksum_follows_the_version() {
-        assert_eq!(sample().checksum(), Checksum::Fnv1a64);
-        assert_eq!(sample_v2().checksum(), Checksum::Fnv1a64);
-        assert_eq!(sample_v3().checksum(), Checksum::Xxh64);
-    }
-
-    #[test]
-    fn a_v3_body_under_a_v2_magic_fails_its_self_checksum() {
-        let text = sample_v3().to_text().replacen(MAGIC_V3, MAGIC_V2, 1);
-        let err = Manifest::parse(&text).unwrap_err();
-        assert!(err.to_string().contains("self-checksum"), "{err}");
+    fn a_v3_body_under_an_older_magic_is_refused_as_unsupported() {
+        for old in ["rmpi-store v1", "rmpi-store v2"] {
+            let text = sample().to_text().replacen(MAGIC_V3, old, 1);
+            let err = Manifest::parse(&text).unwrap_err();
+            assert!(matches!(err, StoreError::Manifest { line: 1, .. }), "{err}");
+            assert!(err.to_string().contains("unsupported"), "{err}");
+            assert!(err.to_string().contains(MAGIC_V3), "{err}");
+        }
     }
 
     #[test]
@@ -593,8 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_requires_self_checksum() {
-        let mut text = sample_v2().to_text();
+    fn requires_self_checksum() {
+        let mut text = sample().to_text();
         let sum_start = text.find("\nsum ").unwrap();
         let end_start = text.rfind("end\n").unwrap();
         text.replace_range(sum_start + 1..end_start, "");
@@ -603,8 +507,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_requires_block_sums() {
-        let m = sample_v2();
+    fn requires_block_sums() {
+        let m = sample();
         let text = m.to_text().replace("blocks fwd-00001.seg 000000000000abcd\n", "");
         let err = Manifest::parse(&text).unwrap_err();
         // Dropping a line invalidates the self-checksum first — also a
@@ -622,13 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn any_single_byte_flip_in_v2_or_v3_text_is_detected() {
-        for m in [sample_v2(), sample_v3()] {
-            assert_every_flip_is_detected(&m);
-        }
-    }
-
-    fn assert_every_flip_is_detected(m: &Manifest) {
+    fn any_single_byte_flip_is_detected() {
+        let m = &sample();
         let text = m.to_text();
         let bytes = text.as_bytes();
         for pos in (0..bytes.len()).step_by(7) {

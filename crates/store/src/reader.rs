@@ -5,9 +5,9 @@
 //! starts there. Segment data stays on disk: point reads go through a small
 //! LRU block cache of 64 KiB-aligned blocks fetched with positioned reads
 //! (`pread`) and checksum-verified as they fill it ([`ReadMode::Stream`]), so
-//! RSS is `index + cache` regardless of graph size. Whole-graph sweeps
-//! ([`StoreReader::for_each_triple`], [`StoreReader::verify`]) read segments
-//! sequentially on their own file handles.
+//! RSS is `index + cache` regardless of graph size. The whole-graph sweep
+//! ([`StoreReader::for_each_triple`]) reads segments sequentially on its own
+//! file handles, verifying each block the same way.
 //!
 //! `mmap` was considered and rejected: it needs either a platform syscall
 //! shim or an external crate (the build is offline/dependency-free), makes
@@ -19,15 +19,14 @@
 //! straddles two blocks and every point read is one cache probe.
 
 use crate::format::{
-    decode_fwd, decode_inv, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
-    INV_BLOCK_RECORDS, INV_RECORD_BYTES,
+    decode_fwd, decode_inv, xxh64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES,
+    INV_BLOCK_BYTES, INV_BLOCK_RECORDS, INV_RECORD_BYTES,
 };
 use crate::manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 use crate::{io_error_is_transient, Result, StoreError};
 use rmpi_kg::{Edge, EntityId, Triple};
 use rmpi_obs::{Counter, Gauge, MetricsRegistry};
 use rmpi_testutil::chaosfile::{ChaosFile, ChaosFileConfig};
-use rmpi_testutil::failpoint;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{BufReader, Read};
@@ -35,11 +34,6 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Failpoint hit before every positioned segment read (the `pread` path
-/// behind the block cache). Arm with an `io_error` action to exercise the
-/// retry loop without a chaos file.
-pub const PREAD_FAILPOINT: &str = "store::pread";
 
 /// Bounded-retry policy for transient `pread` failures. Attempt `k`
 /// (0-based, after the first) sleeps `backoff << (k - 1)` before re-reading;
@@ -73,9 +67,9 @@ pub struct StoreOptions {
     /// Transient-failure retry policy for positioned reads.
     pub retry: RetryConfig,
     /// When set, every segment file's `pread` path goes through a
-    /// [`ChaosFile`] with this configuration. Sequential sweeps
-    /// ([`StoreReader::for_each_triple`], [`StoreReader::verify`]) open
-    /// fresh file handles and are not disturbed.
+    /// [`ChaosFile`] with this configuration. The sequential sweep
+    /// ([`StoreReader::for_each_triple`]) opens fresh file handles and is
+    /// not disturbed.
     pub chaos: Option<ChaosFileConfig>,
 }
 
@@ -245,10 +239,8 @@ impl StoreReader {
     /// Verifies the index checksum (it is read anyway), that each offsets
     /// half starts at 0, never decreases and ends at the triple count, and
     /// every file's byte length against the manifest. Segment bytes are not
-    /// read here: with a v2 or v3 manifest every block's checksum is
-    /// verified at cache-fill time, and a v1 store defers segment checksums
-    /// to [`StoreReader::verify`]. Every checksum is computed with the
-    /// manifest's function ([`Manifest::checksum`]).
+    /// read here: every block's XXH64 is verified when a read first fills
+    /// the cache with it.
     pub fn open_opts(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
@@ -264,7 +256,6 @@ impl StoreReader {
             Err(e) => return Err(e.into()),
         };
         let manifest = Manifest::parse(&text)?;
-        let sum = manifest.checksum();
 
         // Offsets index: read fully, hash inline, split into out/in halves.
         let index_raw = std::fs::read(dir.join(INDEX_NAME))?;
@@ -279,7 +270,7 @@ impl StoreReader {
                 ),
             });
         }
-        let got = sum.of(&index_raw);
+        let got = xxh64(&index_raw);
         if got != manifest.index_checksum {
             return Err(StoreError::Corrupt {
                 file: INDEX_NAME.into(),
@@ -375,11 +366,6 @@ impl StoreReader {
         })
     }
 
-    /// The parsed manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
     /// Entity id-space capacity.
     pub fn num_entities(&self) -> usize {
         self.manifest.num_entities as usize
@@ -423,8 +409,7 @@ impl StoreReader {
     }
 
     /// Fetch one block through the cache, with bounded retry on transient
-    /// `pread` failures and (v2/v3 manifests) checksum verification at
-    /// cache-fill time. A checksum mismatch is first re-read — a torn read
+    /// `pread` failures and checksum verification at cache-fill time. A checksum mismatch is first re-read — a torn read
     /// heals — and only a mismatch that survives every attempt is declared
     /// corruption: the block is quarantined and every later read of it
     /// fails fast.
@@ -450,16 +435,14 @@ impl StoreReader {
         }
         let off = block * block_bytes;
         let len = (meta.bytes - off).min(block_bytes) as usize;
-        let want = meta.block_sums.get(block as usize).copied();
+        let want = meta.block_sums[block as usize];
         let attempts = self.retry.attempts.max(1);
         let mut buf = vec![0u8; len];
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(self.retry.backoff * (1 << (attempt - 1)));
             }
-            match failpoint::io(PREAD_FAILPOINT)
-                .and_then(|()| files[seg].read_exact_at(&mut buf, off))
-            {
+            match files[seg].read_exact_at(&mut buf, off) {
                 Err(e) if io_error_is_transient(&e) && attempt + 1 < attempts => {
                     self.metrics.read_retries.inc();
                     continue;
@@ -482,22 +465,20 @@ impl StoreReader {
                 Ok(()) => {
                     self.metrics.segment_reads.inc();
                     self.metrics.bytes_scanned.add(len as u64);
-                    if let Some(want) = want {
-                        let got = self.manifest.checksum().of(&buf);
-                        if got != want {
-                            if attempt + 1 < attempts {
-                                self.metrics.checksum_retries.inc();
-                                continue;
-                            }
-                            self.quarantine_block(key);
-                            return Err(StoreError::Corrupt {
-                                file: meta.file.clone(),
-                                offset: off,
-                                message: format!(
-                                    "block {block} checksum mismatch: manifest {want:016x}, read {got:016x} (after {attempts} attempts)"
-                                ),
-                            });
+                    let got = xxh64(&buf);
+                    if got != want {
+                        if attempt + 1 < attempts {
+                            self.metrics.checksum_retries.inc();
+                            continue;
                         }
+                        self.quarantine_block(key);
+                        return Err(StoreError::Corrupt {
+                            file: meta.file.clone(),
+                            offset: off,
+                            message: format!(
+                                "block {block} checksum mismatch: manifest {want:016x}, read {got:016x} (after {attempts} attempts)"
+                            ),
+                        });
                     }
                     let data = Arc::new(buf);
                     self.cache.lock().expect("cache lock").insert(key, Arc::clone(&data));
@@ -615,12 +596,10 @@ impl StoreReader {
     /// Stream every triple in ascending triple-index order with sequential
     /// segment reads (bypasses the block cache; does not disturb it).
     ///
-    /// With a v2 or v3 manifest, each 64 KiB block is checksum-verified
-    /// **before** its records are handed to `f` — a corrupt region stops
-    /// the sweep at the block boundary instead of first delivering damaged
-    /// triples.
+    /// Each 64 KiB block is checksum-verified **before** its records are
+    /// handed to `f` — a corrupt region stops the sweep at the block
+    /// boundary instead of first delivering damaged triples.
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) -> Result<()> {
-        let sum = self.manifest.checksum();
         for meta in &self.manifest.fwd {
             let file = File::open(self.dir.join(&meta.file))?;
             let mut r = BufReader::with_capacity(FWD_BLOCK_BYTES as usize, file);
@@ -629,17 +608,16 @@ impl StoreReader {
             for b in 0..blocks {
                 let len = (meta.bytes - b * FWD_BLOCK_BYTES).min(FWD_BLOCK_BYTES) as usize;
                 r.read_exact(&mut buf[..len])?;
-                if let Some(&want) = meta.block_sums.get(b as usize) {
-                    let got = sum.of(&buf[..len]);
-                    if got != want {
-                        return Err(StoreError::Corrupt {
-                            file: meta.file.clone(),
-                            offset: b * FWD_BLOCK_BYTES,
-                            message: format!(
-                                "block {b} checksum mismatch during sweep: manifest {want:016x}, read {got:016x}"
-                            ),
-                        });
-                    }
+                let want = meta.block_sums[b as usize];
+                let got = xxh64(&buf[..len]);
+                if got != want {
+                    return Err(StoreError::Corrupt {
+                        file: meta.file.clone(),
+                        offset: b * FWD_BLOCK_BYTES,
+                        message: format!(
+                            "block {b} checksum mismatch during sweep: manifest {want:016x}, read {got:016x}"
+                        ),
+                    });
                 }
                 for rec in buf[..len].chunks_exact(FWD_RECORD_BYTES) {
                     f(decode_fwd(rec));
@@ -647,46 +625,6 @@ impl StoreReader {
             }
             self.metrics.segment_reads.inc();
             self.metrics.bytes_scanned.add(meta.bytes);
-        }
-        Ok(())
-    }
-
-    /// Full integrity check: re-hash every data file and compare with the
-    /// manifest. Streams; RSS stays at one IO buffer.
-    pub fn verify(&self) -> Result<()> {
-        for meta in self.manifest.fwd.iter().chain(self.manifest.inv.iter()) {
-            let file = File::open(self.dir.join(&meta.file))?;
-            let mut r = BufReader::with_capacity(1 << 16, file);
-            let mut hash = self.manifest.checksum().hasher();
-            let mut buf = [0u8; 1 << 16];
-            let mut total = 0u64;
-            loop {
-                let n = r.read(&mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                hash.update(&buf[..n]);
-                total += n as u64;
-            }
-            self.metrics.bytes_scanned.add(total);
-            if total != meta.bytes {
-                return Err(StoreError::Corrupt {
-                    file: meta.file.clone(),
-                    offset: total,
-                    message: format!("expected {} bytes, found {total}", meta.bytes),
-                });
-            }
-            let got = hash.finish();
-            if got != meta.checksum {
-                return Err(StoreError::Corrupt {
-                    file: meta.file.clone(),
-                    offset: 0,
-                    message: format!(
-                        "checksum mismatch: manifest {:016x}, file {got:016x}",
-                        meta.checksum
-                    ),
-                });
-            }
         }
         Ok(())
     }

@@ -2,14 +2,12 @@
 //! health without opening a reader.
 //!
 //! [`scrub_store`] is the maintenance-window counterpart of the reader's
-//! cache-fill verification: it re-hashes the index and every segment
-//! against the manifest with the manifest's checksum function, checks
-//! per-block checksums when the manifest carries them (v2, v3), and —
-//! unlike [`crate::StoreReader::verify`] — keeps going after the first
-//! problem so one pass reports *all* damage, with block-precise offsets
-//! where possible.
+//! cache-fill verification: it re-hashes the index, every segment and every
+//! segment block against the manifest's XXH64 sums, and keeps going after
+//! the first problem so one pass reports *all* damage, with block-precise
+//! offsets where possible.
 
-use crate::format::{Checksum, FWD_BLOCK_BYTES, INV_BLOCK_BYTES};
+use crate::format::{xxh64, Xxh64, FWD_BLOCK_BYTES, INV_BLOCK_BYTES};
 use crate::manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 use crate::{Result, StoreError};
 use std::fs::File;
@@ -24,8 +22,8 @@ pub struct ScrubSection {
     pub file: String,
     /// Bytes the manifest declares for this file (0 for the manifest).
     pub bytes: u64,
-    /// Checksum blocks verified (0 when the manifest carries no block
-    /// table for this file).
+    /// Checksum blocks verified (0 for the manifest, the index and a
+    /// damaged file).
     pub blocks_checked: u64,
     /// `None` when the section is healthy; otherwise what is wrong.
     pub error: Option<String>,
@@ -97,7 +95,7 @@ pub fn scrub_store(dir: impl AsRef<Path>) -> Result<ScrubReport> {
                     format!("expected {} bytes, found {}", manifest.index_bytes, raw.len()),
                 ));
             } else {
-                let got = manifest.checksum().of(&raw);
+                let got = xxh64(&raw);
                 if got != manifest.index_checksum {
                     report.sections.push(ScrubSection::bad(
                         INDEX_NAME,
@@ -120,16 +118,16 @@ pub fn scrub_store(dir: impl AsRef<Path>) -> Result<ScrubReport> {
     for (segs, block_bytes) in [(&manifest.fwd, FWD_BLOCK_BYTES), (&manifest.inv, INV_BLOCK_BYTES)]
     {
         for meta in segs {
-            report.sections.push(scrub_segment(dir, meta, block_bytes, manifest.checksum()));
+            report.sections.push(scrub_segment(dir, meta, block_bytes));
         }
     }
     Ok(report)
 }
 
-/// Stream one segment, verifying the whole-file hash and (when present)
-/// every block checksum. The first bad block is named with its byte range;
-/// RSS stays at one block buffer.
-fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64, sum: Checksum) -> ScrubSection {
+/// Stream one segment, verifying the whole-file hash and every block
+/// checksum. The first bad block is named with its byte range; RSS stays at
+/// one block buffer.
+fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64) -> ScrubSection {
     let file = match File::open(dir.join(&meta.file)) {
         Ok(f) => f,
         Err(e) => return ScrubSection::bad(meta.file.clone(), meta.bytes, e.to_string()),
@@ -148,7 +146,7 @@ fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64, sum: Checksum
     let mut r = BufReader::with_capacity(block_bytes as usize, file);
     let blocks = SegmentMeta::block_count(meta.bytes, block_bytes);
     let mut buf = vec![0u8; block_bytes as usize];
-    let mut whole = sum.hasher();
+    let mut whole = Xxh64::new();
     for b in 0..blocks {
         let len = (meta.bytes - b * block_bytes).min(block_bytes) as usize;
         if let Err(e) = r.read_exact(&mut buf[..len]) {
@@ -159,19 +157,18 @@ fn scrub_segment(dir: &Path, meta: &SegmentMeta, block_bytes: u64, sum: Checksum
             );
         }
         whole.update(&buf[..len]);
-        if let Some(&want) = meta.block_sums.get(b as usize) {
-            let got = sum.of(&buf[..len]);
-            if got != want {
-                let lo = b * block_bytes;
-                return ScrubSection::bad(
-                    meta.file.clone(),
-                    meta.bytes,
-                    format!(
-                        "block {b} (bytes {lo}..{}) checksum mismatch: manifest {want:016x}, file {got:016x}",
-                        lo + len as u64
-                    ),
-                );
-            }
+        let want = meta.block_sums[b as usize];
+        let got = xxh64(&buf[..len]);
+        if got != want {
+            let lo = b * block_bytes;
+            return ScrubSection::bad(
+                meta.file.clone(),
+                meta.bytes,
+                format!(
+                    "block {b} (bytes {lo}..{}) checksum mismatch: manifest {want:016x}, file {got:016x}",
+                    lo + len as u64
+                ),
+            );
         }
     }
     let got = whole.finish();

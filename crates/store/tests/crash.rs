@@ -6,8 +6,8 @@
 
 use rmpi_kg::Triple;
 use rmpi_store::{
-    build_from_sorted, ReadMode, StoreConfig, StoreError, StoreReader, INDEX_WRITE_FAILPOINT,
-    PUBLISH_FAILPOINT, SEG_CLOSE_FAILPOINT, SEG_WRITE_FAILPOINT,
+    build_from_sorted, scrub_store, ReadMode, StoreConfig, StoreError, StoreReader,
+    INDEX_WRITE_FAILPOINT, PUBLISH_FAILPOINT, SEG_CLOSE_FAILPOINT, SEG_WRITE_FAILPOINT,
 };
 use rmpi_testutil::failpoint::{self, Action};
 use std::path::{Path, PathBuf};
@@ -44,7 +44,8 @@ fn assert_not_a_store(dir: &Path) {
 fn assert_complete_store(dir: &Path, n: u32) {
     let reader = StoreReader::open(dir, ReadMode::default()).unwrap();
     assert_eq!(reader.num_triples(), n as usize);
-    reader.verify().unwrap();
+    let report = scrub_store(dir).unwrap();
+    assert!(report.is_clean(), "{:?}", report.corrupt_sections());
 }
 
 #[test]

@@ -20,8 +20,10 @@ cargo fmt --check
 # prose and code that name a deleted item describe something that is gone
 # (searched: code, scripts and the user-facing docs, not the history and
 # plan documents);
-# each name is listed with the change that deleted it (a commit, or `knobs`
-# for the change that turned one-value config fields into constants); names
+# each name is listed with the change that deleted it (a commit, `knobs`
+# for the change that turned one-value config fields into constants, or
+# `one-path` for the change that deleted the divergence policies and store
+# manifest versions nothing but their own tests selected); names
 # that live code still uses, such as std's `connect_timeout`, cannot be
 # listed
 deleted_names() {
@@ -58,6 +60,22 @@ enclosing_empty knobs
 beta1 knobs
 beta2 knobs
 RunSummary knobs
+ClipAndWarn one-path
+Rollback one-path
+lr_decay one-path
+sanitize_grads one-path
+GradSanitized one-path
+RolledBack one-path
+restored_epoch one-path
+sanitized_batches one-path
+batches_sanitized one-path
+track_rollback one-path
+last_good one-path
+MAGIC_V2 one-path
+Fnv1a64 one-path
+checksum_of_version one-path
+PREAD_FAILPOINT one-path
+rewrite_as_v2 one-path
 EOF
 }
 echo "== no file names a deleted item =="
@@ -185,7 +203,7 @@ cargo test -q -p rmpi-serve --lib
 echo "== serve smoke test: ephemeral-port server, scripted query batch, offline parity =="
 cargo test -q -p rmpi-serve --test serving
 
-echo "== fault suite: divergence guards (rollback + abort on both sources), worker panics, store read faults, checkpoint write failures =="
+echo "== fault suite: divergence guards (skip + abort on both sources), worker panics, store read faults, checkpoint write failures =="
 cargo test -q -p rmpi-core --test fault_injection
 
 echo "== crash-resume suite: panic mid-epoch on both sources and real SIGKILL, resume, bit-identical at every thread count =="
