@@ -16,16 +16,16 @@
 //! with it) and shape/value-count mismatches are all rejected with the
 //! offending line number.
 //!
-//! File-level helpers are **crash-safe**: [`save_params_file`] (and the
-//! general [`atomic_write_bytes`]) serialise to a temp file in the target's
-//! directory, fsync it, and atomically rename it over the destination — so a
-//! failure or kill mid-write can never leave a truncated checkpoint behind;
-//! the previous file, if any, survives untouched.
+//! Files are written **crash-safely** with [`atomic_write_bytes`]: the bytes
+//! go to a temp file in the target's directory, are fsynced, and are
+//! atomically renamed over the destination — so a failure or kill mid-write
+//! can never leave a truncated checkpoint behind; the previous file, if any,
+//! survives untouched.
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint header line.
@@ -143,23 +143,6 @@ pub fn atomic_write_bytes<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Res
             Err(e)
         }
     }
-}
-
-/// Save a checkpoint to `path` with atomic write-to-temp + fsync + rename
-/// semantics: on failure the previous file at `path` is untouched.
-pub fn save_params_file<P: AsRef<Path>>(
-    path: P,
-    store: &ParamStore,
-) -> Result<(), CheckpointError> {
-    let mut buf = Vec::new();
-    save_params(&mut buf, store)?;
-    atomic_write_bytes(path, &buf)?;
-    Ok(())
-}
-
-/// Load a checkpoint from `path`.
-pub fn load_params_file<P: AsRef<Path>>(path: P) -> Result<ParamStore, CheckpointError> {
-    load_params(BufReader::new(std::fs::File::open(path)?))
 }
 
 /// Parse a checkpoint into a fresh store (creation order = file order).
@@ -322,6 +305,17 @@ mod tests {
         assert!(load_params(Cursor::new(input)).is_err());
     }
 
+    fn save_file(path: &Path, store: &ParamStore) -> Result<(), CheckpointError> {
+        let mut buf = Vec::new();
+        save_params(&mut buf, store)?;
+        atomic_write_bytes(path, &buf)?;
+        Ok(())
+    }
+
+    fn load_file(path: &Path) -> Result<ParamStore, CheckpointError> {
+        load_params(std::io::BufReader::new(std::fs::File::open(path)?))
+    }
+
     #[test]
     fn file_roundtrip_via_atomic_write() {
         let _lock = rmpi_testutil::failpoint::exclusive();
@@ -330,8 +324,8 @@ mod tests {
         let path = dir.join("params.ckpt");
         let mut store = ParamStore::new();
         store.create("w", Tensor::vector(vec![1.0, -2.5, 0.125]));
-        save_params_file(&path, &store).unwrap();
-        let loaded = load_params_file(&path).unwrap();
+        save_file(&path, &store).unwrap();
+        let loaded = load_file(&path).unwrap();
         assert_eq!(loaded.value(loaded.get("w").unwrap()).data(), &[1.0, -2.5, 0.125]);
         // no temp litter left behind
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
@@ -347,14 +341,14 @@ mod tests {
         let path = dir.join("params.ckpt");
         let mut store = ParamStore::new();
         store.create("w", Tensor::vector(vec![3.0, 4.0]));
-        save_params_file(&path, &store).unwrap();
+        save_file(&path, &store).unwrap();
         let original = std::fs::read(&path).unwrap();
 
         let mut bigger = ParamStore::new();
         bigger.create("w", Tensor::vector(vec![9.0; 64]));
         for action in [Action::IoError("disk full".into()), Action::Truncate(10)] {
             failpoint::arm(WRITE_FAILPOINT, action);
-            let err = save_params_file(&path, &bigger).unwrap_err();
+            let err = save_file(&path, &bigger).unwrap_err();
             failpoint::disarm(WRITE_FAILPOINT);
             assert!(matches!(err, CheckpointError::Io(_)), "{err}");
             assert_eq!(
@@ -365,7 +359,7 @@ mod tests {
             // and the aborted temp file is cleaned up
             assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
             // the surviving file still parses
-            assert!(load_params_file(&path).is_ok());
+            assert!(load_file(&path).is_ok());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -58,10 +58,7 @@ pub(crate) mod tape;
 pub(crate) mod tensor;
 
 pub use grad::GradBuffer;
-pub use io::{
-    atomic_write_bytes, load_params, load_params_file, save_params, save_params_file,
-    CheckpointError,
-};
+pub use io::{atomic_write_bytes, load_params, save_params, CheckpointError};
 pub use params::{ParamId, ParamStore};
 pub use tape::{BackwardScratch, Retained, Tape, Var};
 pub use tensor::Tensor;

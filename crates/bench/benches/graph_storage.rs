@@ -2,14 +2,14 @@
 //! adjacency-scan workload subgraph extraction is bound by; the store's
 //! 2-hop pin on a fresh view, on the per-thread recycled one, and through a
 //! one-block cache so every pin refills (and re-verifies) blocks; and the
-//! two block checksums over one 64 KiB forward block.
+//! block checksum over one 64 KiB forward block.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
 use rmpi_datasets::world::GraphGenConfig;
 use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph};
 use rmpi_store::{
-    build_from_sorted, fnv64, with_thread_view, xxh64, NeighborhoodView, ReadMode, StoreConfig,
+    build_from_sorted, with_thread_view, xxh64, NeighborhoodView, ReadMode, StoreConfig,
     StoreReader, FWD_BLOCK_BYTES,
 };
 
@@ -108,13 +108,9 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // What each cache fill pays to verify one forward block: manifest v1/v2
-    // sums with FNV-1a 64, v3 with XXH64.
+    // What each cache fill pays to verify one forward block with XXH64.
     let block: Vec<u8> = (0..FWD_BLOCK_BYTES).map(|i| (i * 31 % 251) as u8).collect();
     let mut group = c.benchmark_group("block_checksum");
-    group.bench_with_input(BenchmarkId::from_parameter("fnv1a64"), &block, |b, block| {
-        b.iter(|| fnv64(black_box(block)))
-    });
     group.bench_with_input(BenchmarkId::from_parameter("xxh64"), &block, |b, block| {
         b.iter(|| xxh64(black_box(block)))
     });

@@ -1,10 +1,11 @@
 //! Offline integrity scrub for on-disk artifacts.
 //!
 //! Points at either a graph store directory (`MANIFEST` + `index.bin` +
-//! segments) or a bundle directory (`BUNDLE` + `params.bundle` + `graph/`)
-//! and re-verifies every section against its manifest: sizes, whole-file
-//! checksums, and — for a store — every per-block checksum, reporting
-//! block-precise byte ranges for damage. Unlike the serving
+//! segments) or a bundle directory (`BUNDLE` + `params` + `graph/`) and
+//! re-verifies every section against its manifest: the manifest's own seal,
+//! sizes, whole-file checksums, and — for a store, a bundle's graph
+//! included — every per-block checksum, reporting block-precise byte ranges
+//! for damage. Unlike the serving
 //! reader, the scrub keeps going after the first problem so one pass lists
 //! *all* bad sections.
 //!
@@ -42,8 +43,8 @@ fn main() -> ExitCode {
     };
     let dir = Path::new(path);
 
-    let (kind, outcome) = if dir.join(rmpi_serve::DIR_MANIFEST_NAME).is_file() {
-        ("bundle", rmpi_serve::scrub_bundle_dir(dir).map_err(|e| e.to_string()))
+    let (kind, outcome) = if dir.join(rmpi_serve::BUNDLE_MANIFEST).is_file() {
+        ("bundle", rmpi_serve::scrub_bundle(dir).map_err(|e| e.to_string()))
     } else {
         ("store", rmpi_store::scrub_store(dir).map_err(|e| e.to_string()))
     };

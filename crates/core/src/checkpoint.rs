@@ -1,4 +1,4 @@
-//! Crash-safe training checkpoints (`rmpi-ckpt v1`).
+//! Crash-safe training checkpoints (`rmpi-ckpt v2`).
 //!
 //! A checkpoint is a **directory** holding everything needed to continue a
 //! training run bit-identically:
@@ -7,7 +7,8 @@
 //! <root>/
 //!   LATEST                 # name of the newest complete checkpoint dir
 //!   ckpt-000003/           # written at the end of epoch 2 (next_epoch = 3)
-//!     manifest.txt         # rmpi-ckpt v1: counters, RNG seed, Adam scalars
+//!     manifest.txt         # rmpi-ckpt v2: counters, RNG seed, Adam scalars,
+//!                          # one `file` line per tensor file, then the seal
 //!     params.ckpt          # live parameters        (rmpi-params v1)
 //!     best.ckpt            # best-validation snapshot
 //!     adam_m.ckpt          # Adam first moments, named like the parameters
@@ -25,13 +26,27 @@
 //! position)` via [`rmpi_runtime::mix_seed`], so the RNG "stream state" a
 //! resume needs is exactly `seed` + `next_epoch` — both in the manifest. The
 //! manifest also pins the Adam learning rate, which resume restores.
+//!
+//! Integrity: the manifest lists each tensor file as `file <name> <bytes>
+//! <xxh64>` and ends with the seal shared with store and bundle manifests
+//! ([`rmpi_store::seal`]: `sum <xxh64 of every byte above>`, `end`). Load
+//! checks the seal before it reads a key and each tensor file's length and
+//! hash before it parses a value, so a flipped bit anywhere — a digit of
+//! `adam_lr`, a digit of a weight that still parses as a finite float — is
+//! refused with an error naming the file, never resumed from.
 
-use rmpi_autograd::io::{atomic_write_bytes, load_params_file, save_params_file, CheckpointError};
+use rmpi_autograd::io::{atomic_write_bytes, load_params, save_params, CheckpointError};
 use rmpi_autograd::{ParamStore, Tensor};
+use rmpi_store::{seal, unseal, xxh64};
 use std::path::{Path, PathBuf};
 
 /// Manifest header line.
-const MAGIC: &str = "rmpi-ckpt v1";
+const MAGIC: &str = "rmpi-ckpt v2";
+/// File name of the manifest inside a checkpoint directory.
+const MANIFEST: &str = "manifest.txt";
+/// The tensor files, in write order: live parameters, the best-validation
+/// snapshot, Adam's first and second moments.
+const TENSOR_FILES: [&str; 4] = ["params.ckpt", "best.ckpt", "adam_m.ckpt", "adam_v.ckpt"];
 /// Name of the pointer file selecting the newest complete checkpoint.
 const LATEST: &str = "LATEST";
 /// Prefix of checkpoint directory names.
@@ -155,12 +170,19 @@ pub fn save_checkpoint<P: AsRef<Path>>(
     let tmp = root.join(format!(".tmp-{DIR_PREFIX}{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp)?;
+    let adam_m = moments_to_store(&ckpt.params, &ckpt.adam_m);
+    let adam_v = moments_to_store(&ckpt.params, &ckpt.adam_v);
     let written = (|| -> Result<(), CheckpointError> {
-        save_params_file(tmp.join("params.ckpt"), &ckpt.params)?;
-        save_params_file(tmp.join("best.ckpt"), &ckpt.best_params)?;
-        save_params_file(tmp.join("adam_m.ckpt"), &moments_to_store(&ckpt.params, &ckpt.adam_m))?;
-        save_params_file(tmp.join("adam_v.ckpt"), &moments_to_store(&ckpt.params, &ckpt.adam_v))?;
-        atomic_write_bytes(tmp.join("manifest.txt"), render_manifest(ckpt).as_bytes())?;
+        let mut manifest = render_manifest(ckpt);
+        let stores = [&ckpt.params, &ckpt.best_params, &adam_m, &adam_v];
+        for (name, store) in TENSOR_FILES.into_iter().zip(stores) {
+            let mut bytes = Vec::new();
+            save_params(&mut bytes, store)?;
+            atomic_write_bytes(tmp.join(name), &bytes)?;
+            manifest.push_str(&format!("file {name} {} {:016x}\n", bytes.len(), xxh64(&bytes)));
+        }
+        seal(&mut manifest);
+        atomic_write_bytes(tmp.join(MANIFEST), manifest.as_bytes())?;
         Ok(())
     })();
     if let Err(e) = written {
@@ -201,42 +223,41 @@ pub fn latest_checkpoint<P: AsRef<Path>>(root: P) -> Result<Option<PathBuf>, Che
 }
 
 /// Load one checkpoint directory (as returned by [`latest_checkpoint`]).
+/// The manifest's seal and every tensor file's length and XXH64 are checked
+/// before anything is parsed.
 pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, CheckpointError> {
     let dir = dir.as_ref();
-    let manifest = std::fs::read_to_string(dir.join("manifest.txt"))?;
-    let mut lines = manifest.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err(CheckpointError::BadMagic(
-            manifest.lines().next().unwrap_or_default().to_owned(),
-        ));
+    let raw = std::fs::read(dir.join(MANIFEST))?;
+    let header = raw.split(|&b| b == b'\n').next().unwrap_or_default();
+    if header != MAGIC.as_bytes() {
+        return Err(CheckpointError::BadMagic(String::from_utf8_lossy(header).into_owned()));
     }
-
-    let params = load_params_file(dir.join("params.ckpt"))?;
-    let best_params = load_params_file(dir.join("best.ckpt"))?;
-    let adam_m =
-        store_to_moments(&params, &load_params_file(dir.join("adam_m.ckpt"))?, "adam_m.ckpt")?;
-    let adam_v =
-        store_to_moments(&params, &load_params_file(dir.join("adam_v.ckpt"))?, "adam_v.ckpt")?;
+    let in_manifest =
+        |line: usize, message: String| parse_err(line, format!("{MANIFEST}: {message}"));
+    let body = unseal(&raw).map_err(|(line, message)| in_manifest(line, message))?;
+    let body = std::str::from_utf8(body).map_err(|e| in_manifest(0, e.to_string()))?;
 
     let mut ckpt = TrainCheckpoint {
         next_epoch: 0,
         seed: 0,
         adam_lr: 0.0,
         adam_t: 0,
-        adam_m,
-        adam_v,
+        adam_m: Vec::new(),
+        adam_v: Vec::new(),
         best_epoch: 0,
         best_acc: f32::NEG_INFINITY,
         since_best: 0,
         epoch_losses: Vec::new(),
         valid_accuracy: Vec::new(),
         skipped_batches: 0,
-        params,
-        best_params,
+        params: ParamStore::new(),
+        best_params: ParamStore::new(),
     };
+    // `file` lines: (name, manifest line, bytes, xxh64)
+    let mut files: Vec<(&str, usize, usize, u64)> = Vec::new();
     let mut seen_next_epoch = false;
-    for (i, line) in lines.enumerate() {
-        let lineno = i + 2;
+    for (i, line) in body.lines().enumerate().skip(1) {
+        let lineno = i + 1;
         if line.trim().is_empty() {
             continue;
         }
@@ -266,6 +287,19 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
             "skipped_batches" => ckpt.skipped_batches = scalar!("skipped_batches"),
             "epoch_losses" => ckpt.epoch_losses = floats("epoch_losses")?,
             "valid_accuracy" => ckpt.valid_accuracy = floats("valid_accuracy")?,
+            "file" => {
+                let mut parts = rest.split_whitespace();
+                let (Some(name), Some(bytes), Some(sum), None) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
+                else {
+                    return Err(parse_err(lineno, "file needs a name, a length and a sum".into()));
+                };
+                let bytes =
+                    bytes.parse().map_err(|e| parse_err(lineno, format!("bad length: {e}")))?;
+                let sum = u64::from_str_radix(sum, 16)
+                    .map_err(|e| parse_err(lineno, format!("bad sum: {e}")))?;
+                files.push((name, lineno, bytes, sum));
+            }
             other => return Err(parse_err(lineno, format!("unknown manifest key {other:?}"))),
         }
     }
@@ -283,6 +317,29 @@ pub fn load_checkpoint<P: AsRef<Path>>(dir: P) -> Result<TrainCheckpoint, Checkp
             ),
         ));
     }
+    let load = |name: &str| -> Result<ParamStore, CheckpointError> {
+        let &(_, line, len, sum) = files
+            .iter()
+            .find(|f| f.0 == name)
+            .ok_or_else(|| in_manifest(0, format!("no `file {name}` line")))?;
+        let bytes = std::fs::read(dir.join(name))?;
+        let got = xxh64(&bytes);
+        if bytes.len() != len || got != sum {
+            return Err(parse_err(
+                line,
+                format!(
+                    "{name} is {} bytes hashing to {got:016x}, the manifest says {len} bytes \
+                     hashing to {sum:016x}",
+                    bytes.len()
+                ),
+            ));
+        }
+        load_params(&bytes[..])
+    };
+    ckpt.params = load(TENSOR_FILES[0])?;
+    ckpt.best_params = load(TENSOR_FILES[1])?;
+    ckpt.adam_m = store_to_moments(&ckpt.params, &load(TENSOR_FILES[2])?, TENSOR_FILES[2])?;
+    ckpt.adam_v = store_to_moments(&ckpt.params, &load(TENSOR_FILES[3])?, TENSOR_FILES[3])?;
     Ok(ckpt)
 }
 
@@ -462,6 +519,15 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// Replace `from` with `to` in a sealed manifest and seal it again, the
+    /// way a hand edit would have to in order to reach the key checks.
+    fn reseal(text: &str, from: &str, to: &str) -> String {
+        let body = std::str::from_utf8(unseal(text.as_bytes()).unwrap()).unwrap();
+        let mut edited = body.replace(from, to);
+        seal(&mut edited);
+        edited
+    }
+
     #[test]
     fn corrupt_manifest_is_rejected_with_line_numbers() {
         let _lock = rmpi_testutil::failpoint::exclusive();
@@ -469,19 +535,56 @@ mod tests {
         let dir = save_checkpoint(&root, &sample_checkpoint()).unwrap();
         let manifest = dir.join("manifest.txt");
         let text = std::fs::read_to_string(&manifest).unwrap();
-        std::fs::write(&manifest, text.replace("adam_t 42", "adam_t forty-two")).unwrap();
+        std::fs::write(&manifest, reseal(&text, "adam_t 42", "adam_t forty-two")).unwrap();
         let err = load_checkpoint(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Parse { .. }), "{err}");
         assert!(err.to_string().contains("adam_t"), "{err}");
 
         // An unknown key, such as one a different build wrote, names its line.
-        std::fs::write(&manifest, text.replace("adam_t 42", "adam_t 42\nrollbacks 0")).unwrap();
+        std::fs::write(&manifest, reseal(&text, "adam_t 42", "adam_t 42\nrollbacks 0")).unwrap();
         let err = load_checkpoint(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Parse { line: 6, .. }), "{err}");
         assert!(err.to_string().contains("unknown manifest key \"rollbacks\""), "{err}");
 
         std::fs::write(&manifest, "not a manifest\n").unwrap();
         assert!(matches!(load_checkpoint(&dir).unwrap_err(), CheckpointError::BadMagic(_)));
+
+        // an unsealed edit is refused at the seal, naming the manifest file
+        std::fs::write(&manifest, text.replace("adam_t 42", "adam_t 43")).unwrap();
+        let err = load_checkpoint(&dir).unwrap_err();
+        assert!(err.to_string().contains("manifest.txt: manifest self-checksum mismatch"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn one_flipped_bit_in_any_checkpoint_file_is_refused_by_resume() {
+        let _lock = rmpi_testutil::failpoint::exclusive();
+        let root = tmp_root("flip");
+        let dir = save_checkpoint(&root, &sample_checkpoint()).unwrap();
+        let resume = || crate::Trainer::new(crate::TrainConfig::default()).resume_latest(&root);
+        assert!(resume().is_ok());
+        // the digit right after each needle, inside a value: still a finite
+        // float after the flip, so only the recorded sums can tell
+        for (name, needle) in [
+            ("manifest.txt", "adam_lr 0.000"),
+            ("params.ckpt", " 0."),
+            ("best.ckpt", " 0."),
+            ("adam_m.ckpt", "w 2 3 4 "),
+            ("adam_v.ckpt", "w 2 3 4 0.2"),
+        ] {
+            let path = dir.join(name);
+            let pristine = std::fs::read(&path).unwrap();
+            let text = String::from_utf8(pristine.clone()).unwrap();
+            let at = text.find(needle).unwrap() + needle.len();
+            assert!(pristine[at].is_ascii_digit(), "{name}: {text}");
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 1; // one digit to its neighbour: '0' <-> '1', '4' <-> '5'
+            std::fs::write(&path, &flipped).unwrap();
+            let err = resume().err().unwrap_or_else(|| panic!("{name}: a flipped bit resumed"));
+            assert!(err.to_string().contains(name), "{name}: {err}");
+            std::fs::write(&path, &pristine).unwrap();
+        }
+        assert!(resume().is_ok());
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

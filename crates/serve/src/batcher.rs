@@ -424,7 +424,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("next.bundle");
         let next = RmpiModel::new(RmpiConfig { dim: 8, ne: true, ..RmpiConfig::base() }, 6, 7);
-        crate::bundle::save_bundle_file(&path, &next, &[]).unwrap();
+        crate::bundle::save_bundle(&path, &next, &[], None).unwrap();
 
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(Arc::clone(&registry));

@@ -423,21 +423,14 @@ impl Engine {
     }
 
     fn try_reload(&self, path: &Path) -> Result<(), ServeError> {
-        let model = if path.join(crate::bundledir::DIR_MANIFEST_NAME).is_file() {
-            // A bundle directory: every section — params AND the graph store,
-            // when present — is size- and checksum-verified before the swap,
-            // so a corrupt graph rejects the reload instead of being
-            // discovered mid-query later. Only the model is swapped; the
-            // engine keeps its own backend, so the validation reader is
-            // dropped here.
-            let (bundle, _reader) = crate::bundledir::load_bundle_dir(
-                path,
-                rmpi_store::ReadMode::Stream { cache_blocks: 1 },
-            )?;
-            bundle.model
-        } else {
-            crate::bundle::load_bundle_file(path)?.model
-        };
+        // `BUNDLE`, `params` and the graph store, when present, are all
+        // verified before the swap, so a corrupt graph rejects the reload
+        // instead of being discovered mid-query later. Only the model is
+        // swapped; the engine keeps its own backend, so the validation
+        // reader is dropped here.
+        let (bundle, _reader) =
+            crate::bundle::load_bundle(path, rmpi_store::ReadMode::Stream { cache_blocks: 1 })?;
+        let model = bundle.model;
         self.validate_candidate(&model).map_err(ServeError::Reload)?;
         let state = ModelState::new(model, self.cache_capacity);
         *self.state.write().expect("model lock") = state;
@@ -899,7 +892,7 @@ mod tests {
         let path = dir.join("narrow.bundle");
         // 2 relations < the 6-relation graph space (graph relations are 0..=4)
         let narrow = RmpiModel::new(RmpiConfig { dim: 8, ..RmpiConfig::base() }, 2, 1);
-        crate::bundle::save_bundle_file(&path, &narrow, &[]).unwrap();
+        crate::bundle::save_bundle(&path, &narrow, &[], None).unwrap();
 
         let engine = setup(1, 8);
         let err = engine.reload_from(&path).unwrap_err();
@@ -916,7 +909,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("next.bundle");
         let next = RmpiModel::new(RmpiConfig { dim: 8, ne: true, ..RmpiConfig::base() }, 6, 7);
-        crate::bundle::save_bundle_file(&path, &next, &[]).unwrap();
+        crate::bundle::save_bundle(&path, &next, &[], None).unwrap();
 
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);

@@ -1,8 +1,8 @@
 //! One error type for the whole serving layer.
 //!
-//! Bundle-parsing variants carry the **byte offset** into the bundle stream
-//! and name the section (`manifest` vs `parameter section`) so a corrupt
-//! artifact can be inspected with `dd`/`head -c` instead of a debugger.
+//! Bundle errors name what is at fault: a `BUNDLE` manifest line, the
+//! `params` file, or a file whose bytes disagree with what its manifest
+//! recorded.
 
 use rmpi_autograd::io::CheckpointError;
 use rmpi_core::ModelAssemblyError;
@@ -12,34 +12,25 @@ use std::fmt;
 /// Errors from bundle IO, engine queries and the TCP front end.
 #[derive(Debug)]
 pub enum ServeError {
-    /// A malformed bundle manifest line.
+    /// A malformed, unsealed or unsupported `BUNDLE` manifest.
     Manifest {
-        /// 1-based line number within the bundle.
+        /// 1-based line number within `BUNDLE` (0: the manifest as a whole).
         line: usize,
-        /// Byte offset of the offending line's start within the bundle.
-        offset: u64,
         /// What was wrong.
         message: String,
     },
-    /// The parameter section failed to parse.
-    Checkpoint {
-        /// Byte offset into the bundle at which parsing stopped.
-        offset: u64,
-        /// The underlying parser error.
-        source: CheckpointError,
-    },
+    /// The bundle's `params` file matched its recorded checksum but does not
+    /// parse as `rmpi-params v1`.
+    Checkpoint(CheckpointError),
     /// The parameters do not match the manifest's configuration.
     Assembly(ModelAssemblyError),
-    /// A bundle section's bytes do not hash to the checksum its manifest
-    /// recorded — bit-rot or tampering between save and load.
-    Checksum {
-        /// Which section failed (`"params"` for the in-file parameter
-        /// section, or a file's bundle-relative path for directory bundles).
-        section: String,
-        /// The checksum the manifest promised.
-        expected: u64,
-        /// The checksum the bytes actually hash to.
-        actual: u64,
+    /// A bundle file's bytes disagree with the length or checksum its
+    /// manifest recorded — bit-rot or tampering between save and load.
+    Corrupt {
+        /// The file's path inside the bundle (`params`, `graph/<file>`).
+        file: String,
+        /// What disagrees.
+        message: String,
     },
     /// An on-disk graph section failed the store's own validation.
     Store(rmpi_store::StoreError),
@@ -75,18 +66,14 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Manifest { line, offset, message } => {
-                write!(f, "bundle manifest error at line {line} (byte {offset}): {message}")
+            ServeError::Manifest { line, message } => {
+                write!(f, "bundle manifest error at line {line}: {message}")
             }
-            ServeError::Checkpoint { offset, source } => {
-                write!(f, "bundle parameter section at byte {offset}: {source}")
-            }
+            ServeError::Checkpoint(e) => write!(f, "bundle params file: {e}"),
             ServeError::Assembly(e) => write!(f, "bundle does not assemble: {e}"),
-            ServeError::Checksum { section, expected, actual } => write!(
-                f,
-                "bundle section {section:?} checksum mismatch: manifest says {expected:016x}, \
-                 bytes hash to {actual:016x}"
-            ),
+            ServeError::Corrupt { file, message } => {
+                write!(f, "bundle file {file} is corrupt: {message}")
+            }
             ServeError::Store(e) => write!(f, "bundle graph section: {e}"),
             ServeError::UnknownRelation(r) => write!(f, "unknown relation id {r}"),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
@@ -107,7 +94,7 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Checkpoint { source, .. } => Some(source),
+            ServeError::Checkpoint(e) => Some(e),
             ServeError::Assembly(e) => Some(e),
             ServeError::Store(e) => Some(e),
             ServeError::Io(e) => Some(e),
@@ -147,18 +134,12 @@ impl From<PoolError> for ServeError {
 
 impl From<CheckpointError> for ServeError {
     fn from(e: CheckpointError) -> Self {
-        // the save path has no meaningful stream offset
-        checkpoint_at(0, e)
-    }
-}
-
-/// Attach a byte offset to a [`CheckpointError`], flattening plain I/O
-/// failures to [`ServeError::Io`] (an Io failure mid-params is an Io failure
-/// of the bundle, not a format problem).
-pub(crate) fn checkpoint_at(offset: u64, e: CheckpointError) -> ServeError {
-    match e {
-        CheckpointError::Io(io) => ServeError::Io(io),
-        other => ServeError::Checkpoint { offset, source: other },
+        // an Io failure under the tensor format is an Io failure of the
+        // bundle, not a format problem
+        match e {
+            CheckpointError::Io(io) => ServeError::Io(io),
+            other => ServeError::Checkpoint(other),
+        }
     }
 }
 
@@ -168,24 +149,26 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = ServeError::Manifest { line: 3, offset: 41, message: "bad dim".into() };
+        let e = ServeError::Manifest { line: 3, message: "bad dim".into() };
         assert!(e.to_string().contains("line 3"));
-        assert!(e.to_string().contains("byte 41"));
         assert!(std::error::Error::source(&e).is_none());
 
         let io = ServeError::from(std::io::Error::other("boom"));
         assert!(std::error::Error::source(&io).is_some());
 
-        let ck = checkpoint_at(120, CheckpointError::BadMagic("x".into()));
-        assert!(matches!(ck, ServeError::Checkpoint { offset: 120, .. }));
-        assert!(ck.to_string().contains("parameter section at byte 120"), "{ck}");
+        let ck = ServeError::from(CheckpointError::BadMagic("x".into()));
+        assert!(matches!(ck, ServeError::Checkpoint(_)));
+        assert!(ck.to_string().contains("bundle params file"), "{ck}");
         assert!(std::error::Error::source(&ck).is_some());
 
+        let corrupt = ServeError::Corrupt { file: "params".into(), message: "short".into() };
+        assert_eq!(corrupt.to_string(), "bundle file params is corrupt: short");
+
         // checkpoint Io failures flatten to ServeError::Io
-        let flat = checkpoint_at(
-            7,
-            CheckpointError::Io(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof")),
-        );
+        let flat = ServeError::from(CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "eof",
+        )));
         assert!(matches!(flat, ServeError::Io(_)));
 
         let internal =

@@ -3,10 +3,11 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! - [`Bundle`]: a self-describing artifact format (`rmpi-bundle v1`) that
-//!   packages a model's configuration, relation vocabulary, optional schema
-//!   vectors and the `rmpi-params v1` tensor payload into one file, with
-//!   bit-exact round-tripping ([`save_bundle`] / [`load_bundle`]).
+//! - [`Bundle`]: the one model artifact, a directory (`rmpi-bundle v2`)
+//!   whose sealed `BUNDLE` manifest holds a model's configuration, relation
+//!   vocabulary and optional schema vectors beside an `rmpi-params v1`
+//!   tensor file and, optionally, the graph store it serves, with bit-exact
+//!   round-tripping ([`save_bundle`] / [`load_bundle`], [`scrub_bundle`]).
 //! - [`Engine`]: an in-process engine that binds a loaded model to an
 //!   immutable context graph and answers `score` / `score_batch` /
 //!   `rank_tails` queries through a seeded LRU cache of extracted subgraphs,
@@ -32,15 +33,14 @@
 //! The service is self-healing: request panics are isolated per line
 //! (`ERR internal`), `HEALTH` reports readiness, and `RELOAD <path>`
 //! hot-swaps the served bundle with validation-before-swap and rollback —
-//! see [`Engine::reload_from`]. Bundles are written atomically, and parse
-//! errors carry byte offsets ([`ServeError::Manifest`],
-//! [`ServeError::Checkpoint`]).
+//! see [`Engine::reload_from`]. Bundles are committed by their last write,
+//! and a damaged one is refused naming its file and line
+//! ([`ServeError::Manifest`], [`ServeError::Corrupt`]).
 
 #![warn(missing_docs)]
 
 pub(crate) mod batcher;
 pub(crate) mod bundle;
-pub(crate) mod bundledir;
 pub(crate) mod engine;
 pub(crate) mod error;
 pub(crate) mod lineio;
@@ -50,8 +50,7 @@ pub(crate) mod server;
 pub(crate) mod stats;
 
 pub use batcher::{BatchConfig, Batcher};
-pub use bundle::{load_bundle, load_bundle_file, save_bundle, save_bundle_file, Bundle};
-pub use bundledir::{load_bundle_dir, save_bundle_dir, scrub_bundle_dir, DIR_MANIFEST_NAME};
+pub use bundle::{load_bundle, save_bundle, scrub_bundle, Bundle, BUNDLE_MANIFEST};
 pub use engine::{
     rank_top_k, BatchItem, BatchOutcome, Engine, EngineConfig, GraphBackend, ModelSnapshot,
     SCORE_FAILPOINT,

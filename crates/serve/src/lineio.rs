@@ -1,14 +1,13 @@
-//! Bounded line reading: the building block that keeps every line-oriented
-//! parser in the serving layer — the TCP front end and the bundle manifest
-//! parser — from buffering an attacker-sized "line" into memory.
+//! Bounded line reading: the building block that keeps the TCP front end
+//! ([`crate::lineserver`]) from buffering an attacker-sized "line" into
+//! memory.
 //!
 //! `BufRead::read_line` happily grows its buffer until the peer sends a
 //! newline or the process runs out of memory. `read_line_bounded` instead
 //! enforces a caller-chosen cap: once a line exceeds it, the function stops
 //! accumulating (it keeps *consuming* the buffered bytes it inspected, so the
 //! stream position stays deterministic) and reports [`LineRead::TooLong`].
-//! Callers decide how to answer — the server replies `ERR request too long`
-//! and closes, the bundle parser fails with a manifest error.
+//! The server answers `ERR request too long` and closes the connection.
 //!
 //! Bytes are converted with `from_utf8_lossy`, so hostile binary input parses
 //! as garbage text (and is rejected by the protocol layer with a normal
@@ -23,8 +22,8 @@ pub(crate) enum LineRead {
     /// (terminator and any trailing `\r` stripped).
     Line,
     /// The stream ended with unterminated bytes; they are in the caller's
-    /// buffer. Line-oriented *network* callers should treat this as a
-    /// damaged exchange (a cut connection), file parsers as a final line.
+    /// buffer. The server treats this as a damaged exchange (a cut
+    /// connection).
     Partial,
     /// The stream ended cleanly with no pending bytes.
     Eof,

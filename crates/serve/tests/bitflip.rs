@@ -1,15 +1,20 @@
-//! Bundle-directory durability property: flip one bit anywhere in a
-//! finished bundle directory — `BUNDLE` manifest, params, or any graph
-//! store file — and loading must either fail with a diagnostic naming the
-//! damage, or (for a semantically invisible flip, e.g. manifest trailing
-//! whitespace) serve scores bit-identical to the pristine artifact. A
-//! silently different score is the one impossible outcome.
+//! Bundle durability under single-bit flips.
+//!
+//! - `BUNDLE` and `params`, exhaustively: every flip of every bit is refused
+//!   by `load_bundle` and by an engine's reload (the previous model keeps
+//!   serving), and reported by `scrub_bundle`. The seal covers every byte
+//!   of `BUNDLE`, and `BUNDLE` records the length and XXH64 of `params`.
+//! - The graph store, sampled: a flip anywhere in `graph/` either fails
+//!   loading with a diagnostic naming the damage or serves results
+//!   bit-identical to the pristine artifact. A silently different score is
+//!   the one impossible outcome.
 
 use proptest::prelude::*;
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_kg::{KnowledgeGraph, Triple};
-use rmpi_serve::{load_bundle_dir, save_bundle_dir, scrub_bundle_dir};
+use rmpi_serve::{load_bundle, save_bundle, scrub_bundle, Engine, EngineConfig};
 use rmpi_store::ReadMode;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,8 +34,8 @@ fn fresh_bundle_dir() -> PathBuf {
     let store = root.join("world.store");
     rmpi_store::build_from_graph(&store, rmpi_store::StoreConfig::default(), &toy_graph()).unwrap();
     let model = RmpiModel::new(RmpiConfig { dim: 8, ne: true, ..RmpiConfig::base() }, 6, 3);
-    let bdir = root.join("model.bundled");
-    save_bundle_dir(&bdir, &model, &[], Some(&store)).unwrap();
+    let bdir = root.join("model.bundle");
+    save_bundle(&bdir, &model, &[], Some(&store)).unwrap();
     bdir
 }
 
@@ -58,8 +63,8 @@ fn load_and_observe(
     dir: &std::path::Path,
     mode: ReadMode,
 ) -> Result<(f32, usize), rmpi_serve::ServeError> {
-    let (bundle, reader) = load_bundle_dir(dir, mode)?;
-    let reader = reader.expect("bundle dir carries a graph");
+    let (bundle, reader) = load_bundle(dir, mode)?;
+    let reader = reader.expect("the bundle carries a graph");
     let mut n = 0usize;
     reader.for_each_triple(|_| n += 1).map_err(rmpi_serve::ServeError::from)?;
     let mut view = rmpi_store::NeighborhoodView::new(&reader);
@@ -70,11 +75,49 @@ fn load_and_observe(
     Ok((bundle.model.score_sample(&sample), n))
 }
 
+#[test]
+fn every_single_bit_flip_of_bundle_and_params_is_refused_and_reported() {
+    let bdir = fresh_bundle_dir();
+    let mode = ReadMode::Stream { cache_blocks: 2 };
+    let (base, _) = load_bundle(&bdir, mode).unwrap();
+    let engine = Engine::new(
+        base.model,
+        toy_graph(),
+        EngineConfig { seed: 9, cache_capacity: 8, threads: 1 },
+    );
+    let probe = Triple::new(0u32, 1u32, 1u32);
+    let before = engine.score(probe).unwrap();
+    let mut flips = 0usize;
+    for name in ["BUNDLE", "params"] {
+        let path = bdir.join(name);
+        let pristine = std::fs::read(&path).unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for at in 0..pristine.len() {
+            for bit in 0..8 {
+                file.write_at(&[pristine[at] ^ (1 << bit)], at as u64).unwrap();
+                let what = format!("{name}[{at}] bit {bit}");
+                assert!(load_bundle(&bdir, mode).is_err(), "{what}: load accepted the flip");
+                assert!(engine.reload_from(&bdir).is_err(), "{what}: reload accepted the flip");
+                let report = scrub_bundle(&bdir).unwrap();
+                assert!(!report.is_clean(), "{what}: scrub reported nothing");
+                flips += 1;
+            }
+            file.write_at(&pristine[at..=at], at as u64).unwrap();
+        }
+    }
+    assert_eq!(engine.stats().reload_failures.get(), flips as u64);
+    assert_eq!(engine.stats().reloads.get(), 0);
+    assert_eq!(engine.score(probe).unwrap(), before, "the old model keeps serving");
+    assert!(scrub_bundle(&bdir).unwrap().is_clean(), "every flip was restored");
+    load_and_observe(&bdir, mode).unwrap();
+    std::fs::remove_dir_all(bdir.parent().unwrap()).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn any_single_bit_flip_in_a_bundle_dir_is_never_silently_wrong(
+    fn any_single_bit_flip_in_the_graph_is_never_silently_wrong(
         file_sel in 0usize..10_000,
         byte_sel in 0usize..10_000_000,
         bit in 0u8..8,
@@ -83,7 +126,7 @@ proptest! {
         let mode = ReadMode::Stream { cache_blocks: 2 };
         let pristine = load_and_observe(&bdir, mode).unwrap();
 
-        let files = all_files(&bdir);
+        let files = all_files(&bdir.join("graph"));
         let victim = &files[file_sel % files.len()];
         let mut bytes = std::fs::read(victim).unwrap();
         prop_assert!(!bytes.is_empty(), "no bundle file is empty");
@@ -100,9 +143,9 @@ proptest! {
         }
 
         // the scrub walk agrees: either every section is clean (invisible
-        // flip), the report names damaged sections, or the manifest itself
-        // became unreadable (e.g. a flip broke its UTF-8)
-        if let Ok(report) = scrub_bundle_dir(&bdir) {
+        // flip), the report names damaged sections, or the store manifest
+        // itself became unreadable (e.g. a flip broke its UTF-8)
+        if let Ok(report) = scrub_bundle(&bdir) {
             if !report.is_clean() {
                 prop_assert!(!report.corrupt_sections().is_empty());
             }

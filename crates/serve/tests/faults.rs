@@ -1,5 +1,6 @@
 //! Self-healing serving under injected faults: hot reload atomicity,
-//! panic-isolated request handling, and byte-offset bundle diagnostics.
+//! panic-isolated request handling, bundle diagnostics that name the file
+//! and line, and bundle saves that a crash cannot leave half-committed.
 //!
 //! Every test holds `failpoint::exclusive()` for its whole body — some arm
 //! global failpoints and the others drive concurrent scoring that must not
@@ -10,9 +11,10 @@
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_kg::{KnowledgeGraph, Triple};
 use rmpi_serve::{
-    load_bundle_file, save_bundle_file, serve, BatchItem, Engine, EngineConfig, ServeError,
-    ServerConfig, SCORE_FAILPOINT,
+    load_bundle, save_bundle, serve, BatchItem, Engine, EngineConfig, ServeError, ServerConfig,
+    SCORE_FAILPOINT,
 };
+use rmpi_store::ReadMode;
 use rmpi_testutil::failpoint::{self, Action};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -42,7 +44,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn engine_for_bundle(path: &Path) -> Engine {
-    let bundle = load_bundle_file(path).unwrap();
+    let (bundle, _) = load_bundle(path, ReadMode::default()).unwrap();
     // a fresh registry per engine: these tests assert exact counter values,
     // and the process-global registry is shared across the whole binary
     Engine::with_registry(
@@ -83,8 +85,8 @@ fn concurrent_reload_and_score_never_serves_a_torn_model() {
     let _lock = failpoint::exclusive();
     let dir = tmp_dir("torn");
     let (path_a, path_b) = (dir.join("a.bundle"), dir.join("b.bundle"));
-    save_bundle_file(&path_a, &model(1), &[]).unwrap();
-    save_bundle_file(&path_b, &model(2), &[]).unwrap();
+    save_bundle(&path_a, &model(1), &[], None).unwrap();
+    save_bundle(&path_b, &model(2), &[], None).unwrap();
 
     // ground truth: what a batch scores under each bundle, exclusively
     let expect_a = engine_for_bundle(&path_a).score_batch(&PROBES).unwrap();
@@ -141,14 +143,18 @@ fn wire_reload_swaps_model_validates_and_counts() {
     let _lock = failpoint::exclusive();
     let dir = tmp_dir("wire-reload");
     let (path_a, path_b) = (dir.join("a.bundle"), dir.join("b.bundle"));
-    save_bundle_file(&path_a, &model(1), &[]).unwrap();
-    save_bundle_file(&path_b, &model(2), &[]).unwrap();
-    // a corrupt bundle: valid header, poisoned parameter section
+    save_bundle(&path_a, &model(1), &[], None).unwrap();
+    save_bundle(&path_b, &model(2), &[], None).unwrap();
+    // two corrupt bundles: a changed weight in `params` (still a finite
+    // float of the same length), an edited BUNDLE
     let corrupt = dir.join("corrupt.bundle");
-    let text = std::fs::read_to_string(&path_b).unwrap();
-    let idx = text.find("rmpi-params v1").unwrap();
-    std::fs::write(&corrupt, format!("{}{}", &text[..idx], text[idx..].replacen("0.", "NaN ", 1)))
-        .unwrap();
+    save_bundle(&corrupt, &model(2), &[], None).unwrap();
+    let params = std::fs::read_to_string(corrupt.join("params")).unwrap();
+    std::fs::write(corrupt.join("params"), params.replacen(" 0.", " 1.", 1)).unwrap();
+    let edited = dir.join("edited.bundle");
+    save_bundle(&edited, &model(2), &[], None).unwrap();
+    let manifest = std::fs::read_to_string(edited.join("BUNDLE")).unwrap();
+    std::fs::write(edited.join("BUNDLE"), manifest.replacen("hop 2", "hop 0", 1)).unwrap();
 
     let engine = Arc::new(engine_for_bundle(&path_a));
     let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
@@ -171,16 +177,19 @@ fn wire_reload_swaps_model_validates_and_counts() {
     // a missing bundle is refused; the swapped-in model keeps serving
     let missing = query(&mut stream, &mut reader, "RELOAD /nonexistent/x.bundle");
     assert!(missing.starts_with("ERR "), "{missing}");
-    // a corrupt bundle is refused with a byte-offset diagnostic
+    // corrupt bundles are refused with diagnostics naming the file and line
     let rejected = query(&mut stream, &mut reader, &format!("RELOAD {}", corrupt.display()));
     assert!(rejected.starts_with("ERR "), "{rejected}");
-    assert!(rejected.contains("parameter section"), "{rejected}");
-    assert!(rejected.contains("byte"), "{rejected}");
+    assert!(rejected.contains("bundle file params is corrupt: checksum mismatch"), "{rejected}");
+    let rejected = query(&mut stream, &mut reader, &format!("RELOAD {}", edited.display()));
+    assert!(rejected.starts_with("ERR "), "{rejected}");
+    let sum_line = manifest.lines().count() - 1;
+    assert!(rejected.contains(&format!("line {sum_line}: manifest self-checksum")), "{rejected}");
     assert_eq!(query(&mut stream, &mut reader, "SCORE 0 1 2 2 3 3"), after);
 
     let metrics = query(&mut stream, &mut reader, "METRICS");
     assert!(metrics.contains("\"serve.reloads.count\": 1"), "{metrics}");
-    assert!(metrics.contains("\"serve.reload_failures.count\": 2"), "{metrics}");
+    assert!(metrics.contains("\"serve.reload_failures.count\": 3"), "{metrics}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -194,10 +203,10 @@ fn reload_rejects_bundle_directory_with_corrupt_graph_section() {
     rmpi_store::build_from_graph(&store_dir, rmpi_store::StoreConfig::default(), &toy_graph())
         .unwrap();
 
-    let good = dir.join("good.bundled");
-    rmpi_serve::save_bundle_dir(&good, &model(2), &[], Some(&store_dir)).unwrap();
-    let bad = dir.join("bad.bundled");
-    rmpi_serve::save_bundle_dir(&bad, &model(2), &[], Some(&store_dir)).unwrap();
+    let good = dir.join("good.bundle");
+    save_bundle(&good, &model(2), &[], Some(&store_dir)).unwrap();
+    let bad = dir.join("bad.bundle");
+    save_bundle(&bad, &model(2), &[], Some(&store_dir)).unwrap();
     // one flipped byte inside the bad copy's graph store
     let seg = bad.join("graph").join("fwd-00000.seg");
     let mut bytes = std::fs::read(&seg).unwrap();
@@ -205,12 +214,12 @@ fn reload_rejects_bundle_directory_with_corrupt_graph_section() {
     std::fs::write(&seg, bytes).unwrap();
 
     let base = dir.join("base.bundle");
-    save_bundle_file(&base, &model(1), &[]).unwrap();
+    save_bundle(&base, &model(1), &[], None).unwrap();
     let engine = engine_for_bundle(&base);
     let before = engine.score_batch(&PROBES).unwrap();
 
-    // validate-before-swap: the corrupt graph section is caught by the
-    // BUNDLE checksum pass and named; the old model keeps serving
+    // validate-before-swap: the store scrub catches the corrupt graph file
+    // and names it; the old model keeps serving
     let err = engine.reload_from(&bad).unwrap_err();
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
     assert!(err.to_string().contains("fwd-00000.seg"), "{err}");
@@ -226,11 +235,46 @@ fn reload_rejects_bundle_directory_with_corrupt_graph_section() {
 }
 
 #[test]
+fn a_resave_cut_at_its_bundle_write_leaves_no_bundle() {
+    let _lock = failpoint::exclusive();
+    let dir = tmp_dir("resave-cut");
+    let store_dir = dir.join("world.store");
+    rmpi_store::build_from_graph(&store_dir, rmpi_store::StoreConfig::default(), &toy_graph())
+        .unwrap();
+    let path = dir.join("m.bundle");
+    save_bundle(&path, &model(1), &[], Some(&store_dir)).unwrap();
+    load_bundle(&path, ReadMode::default()).unwrap();
+
+    // the re-save's atomic writes are `params`, then `BUNDLE`: fail the second
+    failpoint::arm_after(
+        rmpi_autograd::io::WRITE_FAILPOINT,
+        Action::IoError("power cut".into()),
+        1,
+    );
+    let err = save_bundle(&path, &model(2), &[], Some(&store_dir)).unwrap_err();
+    failpoint::disarm_all();
+    assert!(err.to_string().contains("power cut"), "{err}");
+
+    // the new params sit beside no manifest: not a bundle, never old BUNDLE
+    // over new files
+    let err = load_bundle(&path, ReadMode::default()).unwrap_err();
+    assert!(err.to_string().contains("is not a bundle"), "{err}");
+    let engine = toy_engine();
+    let err = engine.reload_from(&path).unwrap_err();
+    assert!(err.to_string().contains("is not a bundle"), "{err}");
+
+    // a save that completes commits the bundle again
+    save_bundle(&path, &model(2), &[], Some(&store_dir)).unwrap();
+    engine.reload_from(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn wire_request_panic_answers_err_internal_and_connection_survives() {
     let _lock = failpoint::exclusive();
     let dir = tmp_dir("wire-panic");
     let path = dir.join("m.bundle");
-    save_bundle_file(&path, &model(3), &[]).unwrap();
+    save_bundle(&path, &model(3), &[], None).unwrap();
     let engine = Arc::new(engine_for_bundle(&path));
     let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");

@@ -7,7 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmpi_core::{RmpiConfig, RmpiModel, ScoringModel, TrainConfig, Trainer};
 use rmpi_datasets::{build_benchmark, Scale};
-use rmpi_serve::{load_bundle_file, save_bundle_file, serve, Engine, EngineConfig, ServerConfig};
+use rmpi_serve::{load_bundle, save_bundle, serve, Engine, EngineConfig, ServerConfig};
+use rmpi_store::ReadMode;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -33,12 +34,12 @@ fn bundled_engine_scores_bit_identical_to_offline_model() {
     let (model, b) = trained_model();
     let test = b.test("TE").expect("TE split");
 
-    // round-trip the trained model through a bundle file
+    // round-trip the trained model through a bundle
     let path = std::env::temp_dir().join(format!("rmpi-serve-it-{}.bundle", std::process::id()));
     let names: Vec<String> = (0..b.num_relations()).map(|r| format!("rel_{r}")).collect();
-    save_bundle_file(&path, &model, &names).expect("save bundle");
-    let bundle = load_bundle_file(&path).expect("load bundle");
-    std::fs::remove_file(&path).ok();
+    save_bundle(&path, &model, &names, None).expect("save bundle");
+    let (bundle, _) = load_bundle(&path, ReadMode::default()).expect("load bundle");
+    std::fs::remove_dir_all(&path).ok();
     assert_eq!(bundle.relation_names, names);
 
     let engine = Engine::new(

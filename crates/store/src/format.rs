@@ -1,4 +1,4 @@
-//! Fixed-width record encodings and the two store checksums.
+//! Fixed-width record encodings, the one checksum and the manifest seal.
 //!
 //! Records are little-endian `u32` fields, no padding, no varints: the
 //! reader computes a record's file offset by multiplication, and a block of
@@ -6,9 +6,10 @@
 //! the crate are chosen as multiples of these record sizes so a record
 //! never straddles a block boundary.
 //!
-//! Every store checksum is XXH64 ([`xxh64`]). FNV-1a 64 ([`fnv64`]) lives
-//! here too because serve bundle directories checksum their sections with
-//! it.
+//! Every checksum in the workspace is XXH64 ([`xxh64`]): store blocks and
+//! files, and the [`seal`] that closes each text manifest (the store's
+//! `MANIFEST`, a model bundle's `BUNDLE`, a training checkpoint's
+//! `manifest.txt`).
 
 use rmpi_kg::{EntityId, RelationId, Triple};
 
@@ -81,53 +82,6 @@ pub(crate) fn decode_inv(b: &[u8]) -> (EntityId, RelationId, EntityId, u32) {
     )
 }
 
-/// Incremental FNV-1a 64 hasher. Dependency-free and byte-order
-/// independent, but one multiply chain per byte: about 3.4 cycles/byte,
-/// 105 µs per 64 KiB block on a quiet host. Serve bundles use it; stores
-/// use XXH64 ([`xxh64`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Absorb bytes.
-    #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The digest so far.
-    #[inline]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-/// One-shot FNV-1a 64 of a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
-
 // The XXH64 primes (xxHash spec, "XXH64 algorithm description").
 const P1: u64 = 0x9e37_79b1_85eb_ca87;
 const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -158,7 +112,7 @@ fn xxh_merge(acc: u64, v: u64) -> u64 {
 /// a 64 KiB block hashes in about 7 µs, which is why store manifests use it.
 /// Any split of the input into `update` calls gives the one-shot digest.
 #[derive(Clone, Debug)]
-pub(crate) struct Xxh64 {
+pub struct Xxh64 {
     acc: [u64; 4],
     /// Bytes of an unfinished stripe (the first `buf_len` are valid).
     buf: [u8; STRIPE],
@@ -168,7 +122,7 @@ pub(crate) struct Xxh64 {
 
 impl Xxh64 {
     /// A fresh hasher with seed 0.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Xxh64 {
             acc: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
             buf: [0; STRIPE],
@@ -187,7 +141,7 @@ impl Xxh64 {
 
     /// Absorb bytes.
     #[inline]
-    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+    pub fn update(&mut self, mut bytes: &[u8]) {
         self.total += bytes.len() as u64;
         if self.buf_len > 0 {
             let take = (STRIPE - self.buf_len).min(bytes.len());
@@ -212,7 +166,7 @@ impl Xxh64 {
     }
 
     /// The digest so far.
-    pub(crate) fn finish(&self) -> u64 {
+    pub fn finish(&self) -> u64 {
         let [a, b, c, d] = self.acc;
         let mut h = if self.total >= STRIPE as u64 {
             let h = a
@@ -246,11 +200,56 @@ impl Xxh64 {
     }
 }
 
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Xxh64::new()
+    }
+}
+
 /// One-shot XXH64 (seed 0) of a byte slice.
 pub fn xxh64(bytes: &[u8]) -> u64 {
     let mut h = Xxh64::new();
     h.update(bytes);
     h.finish()
+}
+
+/// Close a text manifest: append `sum <xxh64 of every byte of body>` and
+/// `end`. `body` must be empty or end with a newline.
+pub fn seal(body: &mut String) {
+    let sum = xxh64(body.as_bytes());
+    body.push_str(&format!("sum {sum:016x}\nend\n"));
+}
+
+/// Check the seal [`seal`] wrote and return the body above it. The last two
+/// lines must be exactly `sum <16 lowercase hex digits>` and `end`, and the
+/// sum must be the XXH64 of every byte before the `sum` line, so a flipped
+/// bit anywhere in the text, the seal included, is refused. On failure:
+/// the 1-based line at fault and what is wrong with it.
+pub fn unseal(text: &[u8]) -> Result<&[u8], (usize, String)> {
+    let lines = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
+    let Some(above_end) =
+        text.strip_suffix(b"end\n").filter(|r| r.is_empty() || r.ends_with(b"\n"))
+    else {
+        return Err((lines(text).max(1), "missing `end` (truncated manifest)".into()));
+    };
+    let sum_at = above_end[..above_end.len().saturating_sub(1)]
+        .iter()
+        .rposition(|&c| c == b'\n')
+        .map_or(0, |i| i + 1);
+    let (body, sum_line) = above_end.split_at(sum_at);
+    let line = lines(body) + 1;
+    let Some(recorded) = sum_line.strip_prefix(b"sum ").and_then(|r| r.strip_suffix(b"\n")) else {
+        return Err((line, "manifest missing `sum` self-checksum line".into()));
+    };
+    let computed = format!("{:016x}", xxh64(body));
+    if recorded != computed.as_bytes() {
+        let recorded = String::from_utf8_lossy(recorded);
+        return Err((
+            line,
+            format!("manifest self-checksum mismatch: recorded {recorded}, computed {computed} — the manifest was altered after it was written"),
+        ));
+    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -273,20 +272,26 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data = b"the quick brown fox";
-        let mut h = Fnv64::new();
-        h.update(&data[..7]);
-        h.update(&data[7..]);
-        assert_eq!(h.finish(), fnv64(data));
+    fn unseal_returns_the_body_and_refuses_every_single_bit_flip() {
+        let mut text = String::from("kind demo\nvalue 42\n");
+        seal(&mut text);
+        assert_eq!(unseal(text.as_bytes()).unwrap(), b"kind demo\nvalue 42\n");
+        let mut empty = String::new();
+        seal(&mut empty);
+        assert_eq!(unseal(empty.as_bytes()).unwrap(), b"");
+        for at in 0..text.len() {
+            for bit in 0..8 {
+                let mut flipped = text.clone().into_bytes();
+                flipped[at] ^= 1 << bit;
+                assert!(unseal(&flipped).is_err(), "byte {at} bit {bit}");
+            }
+        }
+        // the line above `end` is where the `sum` line belongs
+        let (line, message) = unseal(b"kind demo\nend\n").unwrap_err();
+        assert_eq!(line, 1);
+        assert!(message.contains("missing `sum`"), "{message}");
+        let cut = text.strip_suffix("end\n").unwrap();
+        assert!(unseal(cut.as_bytes()).unwrap_err().1.contains("truncated"));
     }
 
     #[test]

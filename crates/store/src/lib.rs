@@ -53,8 +53,8 @@ pub use builder::{
     INDEX_WRITE_FAILPOINT, PUBLISH_FAILPOINT, SEG_CLOSE_FAILPOINT, SEG_WRITE_FAILPOINT,
 };
 pub use format::{
-    fnv64, xxh64, Fnv64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES, INV_BLOCK_BYTES,
-    INV_BLOCK_RECORDS, INV_RECORD_BYTES,
+    seal, unseal, xxh64, Xxh64, FWD_BLOCK_BYTES, FWD_BLOCK_RECORDS, FWD_RECORD_BYTES,
+    INV_BLOCK_BYTES, INV_BLOCK_RECORDS, INV_RECORD_BYTES,
 };
 pub use manifest::{Manifest, SegmentMeta, INDEX_NAME, MANIFEST_NAME};
 pub use reader::{ReadMode, RetryConfig, StoreOptions, StoreReader};

@@ -31,19 +31,23 @@
 //!   64 KiB block (geometry from the crate's `format` module), so a
 //!   streaming reader verifies each block at cache-fill time instead of
 //!   trusting whole-file sums it never recomputes.
-//! * The `sum` line just before `end` makes the manifest itself
+//! * The `sum` and `end` lines are the seal ([`crate::seal`], shared with
+//!   model bundles and training checkpoints). They make the manifest itself
 //!   tamper-evident: any byte flip in the metadata — a digit of
 //!   `seg_records`, a hex digit of a checksum — is caught at parse time
-//!   instead of silently re-mapping records to the wrong segment.
+//!   instead of silently re-mapping records to the wrong segment. A line
+//!   that does not parse is reported first, with its line number; then
+//!   [`crate::unseal`] checks the seal.
 //!
-//! Both lines are mandatory. Parsing also cross-checks structure: segment
+//! Both are mandatory. Parsing also cross-checks structure: segment
 //! byte lengths must equal `records × record_size`, every segment but the
 //! last of each kind must hold exactly `seg_records` records, and each
 //! segment's block-checksum count must match its length. Manifests of the
-//! older `rmpi-store v1` and `v2` formats (FNV-1a 64 sums, optional block
-//! sums) are refused as unsupported.
+//! older `rmpi-store v1` and `v2` formats are refused as unsupported.
 
-use crate::format::{xxh64, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES, INV_RECORD_BYTES};
+use crate::format::{
+    seal, unseal, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INV_BLOCK_BYTES, INV_RECORD_BYTES,
+};
 use crate::{Result, StoreError};
 use std::fmt::Write as _;
 
@@ -142,9 +146,7 @@ impl Manifest {
         for seg in &self.inv {
             seg_line(&mut s, "inv", seg);
         }
-        let sum = xxh64(s.as_bytes());
-        let _ = writeln!(s, "sum {sum:016x}");
-        let _ = writeln!(s, "end");
+        seal(&mut s);
         s
     }
 
@@ -176,18 +178,10 @@ impl Manifest {
         // Which vec got the most recent segment line — a `blocks` line must
         // immediately follow its segment's own line.
         let mut last_seg: Option<(bool, usize)> = None;
-        let mut saw_end = false;
-        let mut saw_sum = false;
         for (i, line) in lines {
             let lineno = i + 1;
-            if saw_end {
-                return Err(bad(lineno, "content after `end`".into()));
-            }
             let mut parts = line.split_whitespace();
             let key = parts.next().unwrap_or("");
-            if saw_sum && key != "end" {
-                return Err(bad(lineno, "content between `sum` and `end`".into()));
-            }
             let mut next_u64 = |what: &str| -> Result<u64> {
                 let tok = parts.next().ok_or_else(|| bad(lineno, format!("missing {what}")))?;
                 tok.parse::<u64>().map_err(|_| bad(lineno, format!("bad {what} `{tok}`")))
@@ -254,35 +248,16 @@ impl Manifest {
                         return Err(bad(lineno, format!("`blocks {file}` lists no checksums")));
                     }
                 }
-                "sum" => {
-                    let expect = parse_hex(parts.next(), lineno, "manifest checksum")?;
-                    // The sum covers every manifest byte before this line.
-                    // `line` is a subslice of `text`, so its offset is the
-                    // pointer distance from the start.
-                    let line_start = line.as_ptr() as usize - text.as_ptr() as usize;
-                    let got = xxh64(&text.as_bytes()[..line_start]);
-                    if got != expect {
-                        return Err(bad(
-                            lineno,
-                            format!("manifest self-checksum mismatch: recorded {expect:016x}, computed {got:016x} — the manifest was altered after it was written"),
-                        ));
-                    }
-                    saw_sum = true;
-                }
-                "end" => saw_end = true,
+                // the seal, checked by `unseal` once every line has parsed
+                "sum" | "end" => continue,
                 other => return Err(bad(lineno, format!("unknown key `{other}`"))),
             }
-            if parts.next().is_some() && key != "end" {
+            if parts.next().is_some() {
                 return Err(bad(lineno, "trailing tokens".into()));
             }
         }
-        if !saw_end {
-            return Err(bad(text.lines().count(), "missing `end` (truncated manifest)".into()));
-        }
+        unseal(text.as_bytes()).map_err(|(line, message)| bad(line, message))?;
         let last_line = text.lines().count();
-        if !saw_sum {
-            return Err(bad(last_line, "manifest missing `sum` self-checksum line".into()));
-        }
         let require = |v: Option<u64>, what: &str| {
             v.ok_or_else(|| bad(last_line, format!("missing `{what}` line")))
         };
@@ -441,7 +416,7 @@ mod tests {
         let sum_at = text.find("\nsum ").unwrap() + 1;
         let recorded = text[sum_at + 4..sum_at + 20].to_string();
         let above = &text.as_bytes()[..sum_at];
-        assert_eq!(recorded, format!("{:016x}", xxh64(above)));
+        assert_eq!(recorded, format!("{:016x}", crate::xxh64(above)));
     }
 
     #[test]

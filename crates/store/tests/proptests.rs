@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use rmpi_kg::{CsrGraph, EntityId, GraphAccess, KnowledgeGraph, Triple};
 use rmpi_store::{
-    build_from_sorted, fnv64, Fnv64, NeighborhoodView, ReadMode, StoreConfig, StoreError,
-    StoreReader,
+    build_from_sorted, xxh64, NeighborhoodView, ReadMode, StoreConfig, StoreError, StoreReader,
+    Xxh64,
 };
 use rmpi_subgraph::{disclosing_subgraph, enclosing_subgraph};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -230,17 +230,17 @@ fn observe_everything(dir: &std::path::Path, mode: ReadMode) -> Result<u64, Stor
 }
 
 fn observe_everything_via(reader: StoreReader) -> Result<u64, StoreError> {
-    fn note(h: &mut Fnv64, t: Triple) {
+    fn note(h: &mut Xxh64, t: Triple) {
         h.update(&t.head.0.to_le_bytes());
         h.update(&t.relation.0.to_le_bytes());
         h.update(&t.tail.0.to_le_bytes());
     }
-    fn note_edge(h: &mut Fnv64, e: rmpi_kg::Edge) {
+    fn note_edge(h: &mut Xxh64, e: rmpi_kg::Edge) {
         h.update(&e.neighbor.0.to_le_bytes());
         h.update(&e.relation.0.to_le_bytes());
         h.update(&(e.triple_idx as u64).to_le_bytes());
     }
-    let mut h = Fnv64::new();
+    let mut h = Xxh64::new();
     for e in 0..reader.num_entities() as u32 {
         reader.for_each_out_edge(EntityId(e), |edge| note_edge(&mut h, edge))?;
         reader.for_each_in_edge(EntityId(e), |edge| note_edge(&mut h, edge))?;
@@ -249,6 +249,6 @@ fn observe_everything_via(reader: StoreReader) -> Result<u64, StoreError> {
         note(&mut h, reader.triple_at(idx)?);
     }
     reader.for_each_triple(|t| note(&mut h, t))?;
-    let head = fnv64(&(reader.num_entities() as u64).to_le_bytes());
-    Ok(h.finish() ^ head ^ fnv64(&(reader.num_triples() as u64).to_le_bytes()))
+    let head = xxh64(&(reader.num_entities() as u64).to_le_bytes());
+    Ok(h.finish() ^ head ^ xxh64(&(reader.num_triples() as u64).to_le_bytes()))
 }

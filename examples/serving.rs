@@ -29,20 +29,22 @@ fn main() {
         report.best_accuracy()
     );
 
-    // 2. Package it: config + relation vocabulary + weights in one artifact.
+    // 2. Package it: config + relation vocabulary + weights in one artifact,
+    //    a directory whose sealed BUNDLE manifest sits beside the weights.
     let path = std::env::temp_dir().join("rmpi-serving-example.bundle");
     let names: Vec<String> =
         (0..benchmark.num_relations()).map(|r| format!("relation_{r}")).collect();
-    save_bundle_file(&path, &model, &names).expect("save bundle");
+    save_bundle(&path, &model, &names, None).expect("save bundle");
     println!(
-        "bundle: wrote {} ({} bytes)",
+        "bundle: wrote {} ({} bytes of parameters)",
         path.display(),
-        std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0)
+        std::fs::metadata(path.join("params")).map(|m| m.len()).unwrap_or(0)
     );
 
     // 3. Reload the bundle — this is what a serving process would do; it
     //    never needs the trainer, only the artifact and a context graph.
-    let bundle = load_bundle_file(&path).expect("load bundle");
+    //    The bundle carries no graph here, so no store reader comes back.
+    let (bundle, _) = load_bundle(&path, ReadMode::default()).expect("load bundle");
     println!("bundle: reloaded model with {} relations", bundle.relation_names.len());
 
     // 4. Serve: bind the model to the unseen-entity test graph and answer
@@ -88,5 +90,5 @@ fn main() {
     }
     println!("wire: {} pipelined scores over one connection at {}", scores.len(), server.addr());
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }

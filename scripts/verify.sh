@@ -21,9 +21,11 @@ cargo fmt --check
 # (searched: code, scripts and the user-facing docs, not the history and
 # plan documents);
 # each name is listed with the change that deleted it (a commit, `knobs`
-# for the change that turned one-value config fields into constants, or
+# for the change that turned one-value config fields into constants,
 # `one-path` for the change that deleted the divergence policies and store
-# manifest versions nothing but their own tests selected); names
+# manifest versions nothing but their own tests selected, or `one-bundle`
+# for the change that left one sealed bundle directory and one checksum
+# algorithm); names
 # that live code still uses, such as std's `connect_timeout`, cannot be
 # listed
 deleted_names() {
@@ -76,6 +78,22 @@ Fnv1a64 one-path
 checksum_of_version one-path
 PREAD_FAILPOINT one-path
 rewrite_as_v2 one-path
+save_bundle_file one-bundle
+load_bundle_file one-bundle
+save_bundle_dir one-bundle
+load_bundle_dir one-bundle
+scrub_bundle_dir one-bundle
+DIR_MANIFEST_NAME one-bundle
+DIR_MAGIC one-bundle
+CountingReader one-bundle
+params_checksum one-bundle
+copy_hashed one-bundle
+Fnv64 one-bundle
+fnv64 one-bundle
+checkpoint_at one-bundle
+MAX_MANIFEST_LINE one-bundle
+save_params_file one-bundle
+load_params_file one-bundle
 EOF
 }
 echo "== no file names a deleted item =="
@@ -184,7 +202,7 @@ RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 echo "== relation-view micro-bench smoke: build, schedule, read, combined (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench relview_transform >/dev/null
 
-echo "== storage micro-bench smoke: adjacency scans, warm/recycled/cold pins, FNV-1a vs XXH64 per block (10 ms window) =="
+echo "== storage micro-bench smoke: adjacency scans, warm/recycled/cold pins, XXH64 per block (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench graph_storage >/dev/null
 
 echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
@@ -209,10 +227,10 @@ cargo test -q -p rmpi-core --test fault_injection
 echo "== crash-resume suite: panic mid-epoch on both sources and real SIGKILL, resume, bit-identical at every thread count =="
 cargo test -q -p rmpi-core --test crash_resume
 
-echo "== serve fault suite: hot reload atomicity, panic isolation, byte-offset diagnostics =="
+echo "== serve fault suite: hot reload atomicity, panic isolation, diagnostics naming file and line, cut re-saves =="
 cargo test -q -p rmpi-serve --test faults
 
-echo "== bundle durability: single-bit flips never serve silently wrong scores (proptest) =="
+echo "== bundle durability: every bit flip of BUNDLE and params refused and reported, graph flips never served silently (proptest) =="
 cargo test -q -p rmpi-serve --test bitflip
 
 echo "== protocol fuzz: garbage, binary, overlong lines, interleaved v1/v2 tagged pipelining =="

@@ -37,8 +37,7 @@ pub use rmpi_eval::{EvalConfig, EvalMetrics};
 
 // serving
 pub use rmpi_serve::{
-    load_bundle_dir, load_bundle_file, save_bundle_dir, save_bundle_file, Bundle, Engine,
-    EngineConfig, GraphBackend, ServeStats,
+    load_bundle, save_bundle, Bundle, Engine, EngineConfig, GraphBackend, ServeStats,
 };
 
 // the resilient serving client: `FailoverClient` retries and fails over

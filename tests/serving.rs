@@ -1,4 +1,4 @@
-//! The serving layer through the facade crate: bundle round trip in memory,
+//! The serving layer through the facade crate: bundle round trip on disk,
 //! engine parity with offline scoring, and one TCP query — the downstream
 //! user's view of `rmpi::serve`.
 
@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use rmpi::core::{RmpiConfig, RmpiModel, ScoringModel};
 use rmpi::kg::{KnowledgeGraph, Triple};
 use rmpi::serve::{load_bundle, save_bundle, serve, Engine, EngineConfig, ServerConfig};
+use rmpi::store::ReadMode;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -25,10 +26,12 @@ fn bundle_engine_and_server_through_facade() {
     let model = RmpiModel::new(RmpiConfig { dim: 8, ..Default::default() }, 5, 2);
     let names: Vec<String> = (0..5).map(|r| format!("r{r}")).collect();
 
-    // bundle round trip in memory
-    let mut buf = Vec::new();
-    save_bundle(&mut buf, &model, &names).unwrap();
-    let bundle = load_bundle(std::io::Cursor::new(buf)).unwrap();
+    // bundle round trip on disk
+    let dir = std::env::temp_dir().join(format!("rmpi-facade-bundle-{}", std::process::id()));
+    save_bundle(&dir, &model, &names, None).unwrap();
+    let (bundle, graph) = load_bundle(&dir, ReadMode::default()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(graph.is_none());
     assert_eq!(bundle.relation_names, names);
 
     // engine parity with offline scoring

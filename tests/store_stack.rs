@@ -8,7 +8,7 @@ use rmpi::core::{RmpiConfig, RmpiModel, TrainConfig, Trainer};
 use rmpi::datasets::world::GraphGenConfig;
 use rmpi::datasets::{StreamingWorld, World, WorldConfig};
 use rmpi::kg::{KnowledgeGraph, Triple};
-use rmpi::serve::{load_bundle_dir, save_bundle_dir, Engine, EngineConfig};
+use rmpi::serve::{load_bundle, save_bundle, Engine, EngineConfig};
 use rmpi::store::{build_from_sorted, ReadMode, StoreConfig, StoreReader};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -67,10 +67,10 @@ fn generate_train_bundle_and_serve_from_disk() {
     assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
 
     // Package the trained params together with the graph it was trained on.
-    let bdir = root.join("model.bundled");
-    save_bundle_dir(&bdir, &model, &[], Some(&store_dir)).unwrap();
-    let (bundle, graph_reader) = load_bundle_dir(&bdir, ReadMode::default()).unwrap();
-    let graph_reader = graph_reader.expect("bundle dir must carry the graph");
+    let bdir = root.join("model.bundle");
+    save_bundle(&bdir, &model, &[], Some(&store_dir)).unwrap();
+    let (bundle, graph_reader) = load_bundle(&bdir, ReadMode::default()).unwrap();
+    let graph_reader = graph_reader.expect("the bundle must carry the graph");
     assert_eq!(graph_reader.num_triples(), summary.num_triples);
 
     // Serve from the bundle's own graph — and pin bit-identity against an
