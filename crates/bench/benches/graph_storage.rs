@@ -1,13 +1,13 @@
-//! Criterion bench: Vec-of-Vecs adjacency vs CSR arenas for the
-//! adjacency-scan workload subgraph extraction is bound by; the store's
-//! 2-hop pin on a fresh view, on the per-thread recycled one, and through a
+//! Criterion bench: a full adjacency scan of the in-memory graph's CSR
+//! arenas, the workload subgraph extraction is bound by; the store's 2-hop
+//! pin on a fresh view, on the per-thread recycled one, and through a
 //! one-block cache so every pin refills (and re-verifies) blocks; and the
 //! block checksum over one 64 KiB forward block.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
 use rmpi_datasets::world::GraphGenConfig;
-use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph};
+use rmpi_kg::{EntityId, KnowledgeGraph};
 use rmpi_store::{
     build_from_sorted, with_thread_view, xxh64, NeighborhoodView, ReadMode, StoreConfig,
     StoreReader, FWD_BLOCK_BYTES,
@@ -25,26 +25,11 @@ fn bench_storage(c: &mut Criterion) {
             ..Default::default()
         },
     );
-    let vecg = KnowledgeGraph::from_triples(triples.clone());
-    let csrg = CsrGraph::from_graph(&vecg);
-    let n = vecg.num_entities() as u32;
+    let graph = KnowledgeGraph::from_triples(triples.clone());
+    let n = graph.num_entities() as u32;
 
     let mut group = c.benchmark_group("graph_storage");
-    group.bench_with_input(BenchmarkId::new("full_scan", "vec"), &vecg, |b, g| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for e in 0..n {
-                for edge in g.out_edges(EntityId(e)) {
-                    acc = acc.wrapping_add(edge.neighbor.index() + edge.relation.index());
-                }
-                for edge in g.in_edges(EntityId(e)) {
-                    acc = acc.wrapping_add(edge.neighbor.index());
-                }
-            }
-            acc
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("full_scan", "csr"), &csrg, |b, g| {
+    group.bench_with_input(BenchmarkId::new("full_scan", "in_memory"), &graph, |b, g| {
         b.iter(|| {
             let mut acc = 0usize;
             for e in 0..n {

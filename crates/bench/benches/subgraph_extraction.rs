@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rmpi_datasets::registry::Family;
 use rmpi_datasets::world::GraphGenConfig;
 use rmpi_datasets::{World, WorldConfig};
-use rmpi_kg::{CsrGraph, KnowledgeGraph};
+use rmpi_kg::KnowledgeGraph;
 use rmpi_subgraph::{disclosing_subgraph, enclosing_subgraph};
 
 fn bench_extraction(c: &mut Criterion) {
@@ -50,7 +50,7 @@ fn bench_extraction(c: &mut Criterion) {
 }
 
 /// One island of the world `rmpi_perf`'s `score_cold` scores against (its
-/// 20 000 entities are eight of these side by side), through the CSR the
+/// 20 000 entities are eight of these side by side), through the graph the
 /// engine extracts from. A 2-hop enclosing subgraph here is most of the
 /// island — the edge sweep, not the BFS, is the cost — long before
 /// `prepare_sample` cuts it to 300 edges.
@@ -67,19 +67,19 @@ fn bench_dense_world(c: &mut Criterion) {
             ..Default::default()
         },
     );
-    let csr = CsrGraph::from_triples(triples);
+    let dense = KnowledgeGraph::from_triples(triples);
     let targets: Vec<_> =
-        csr.triples().iter().step_by(csr.num_triples() / 32 + 1).copied().collect();
+        dense.triples().iter().step_by(dense.num_triples() / 32 + 1).copied().collect();
     let mean_edges =
-        targets.iter().map(|&t| enclosing_subgraph(&csr, t, 2).num_edges()).sum::<usize>()
+        targets.iter().map(|&t| enclosing_subgraph(&dense, t, 2).num_edges()).sum::<usize>()
             / targets.len();
     assert!(mean_edges >= 10_000, "dense arm extracts only {mean_edges} edges per target");
 
     let mut group = c.benchmark_group("subgraph_extraction");
-    group.bench_with_input(BenchmarkId::new("enclosing_2hop", "dense"), &csr, |b, g| {
+    group.bench_with_input(BenchmarkId::new("enclosing_2hop", "dense"), &dense, |b, g| {
         b.iter(|| targets.iter().map(|&t| enclosing_subgraph(g, t, 2).num_edges()).sum::<usize>())
     });
-    group.bench_with_input(BenchmarkId::new("disclosing_2hop", "dense"), &csr, |b, g| {
+    group.bench_with_input(BenchmarkId::new("disclosing_2hop", "dense"), &dense, |b, g| {
         b.iter(|| targets.iter().map(|&t| disclosing_subgraph(g, t, 2).num_edges()).sum::<usize>())
     });
     group.finish();

@@ -13,7 +13,7 @@
 //! differ in: how many targets there are, which target sits at position `i`
 //! of an epoch, the negative sampler, and the graph one sample is scored
 //! against. [`Trainer::train`] feeds it a [`KnowledgeGraph`] and a target
-//! slice (seeded shuffle in RAM, one [`CsrGraph`] for every sample);
+//! slice (seeded shuffle in RAM, the graph itself lent to every sample);
 //! [`Trainer::train_store`] feeds it a [`StoreReader`]. Batching, RNG
 //! keying, the ordered fold, the optimiser step, validation, early stopping
 //! and every layer under "Fault tolerance" below cannot differ between the
@@ -63,7 +63,7 @@ use rand::SeedableRng;
 use rmpi_autograd::io::CheckpointError;
 use rmpi_autograd::optim::{Adam, AdamState};
 use rmpi_autograd::{BackwardScratch, GradBuffer, ParamStore, Tape, Tensor};
-use rmpi_kg::{CsrGraph, GraphAccess, KnowledgeGraph, Triple};
+use rmpi_kg::{GraphAccess, KnowledgeGraph, Triple};
 use rmpi_obs::{Counter, Histogram};
 use rmpi_runtime::{mix_seed, PoolError, ThreadPool};
 use rmpi_store::StoreReader;
@@ -361,11 +361,10 @@ pub(crate) trait TrainSource: Sync {
     ) -> R;
 }
 
-/// A graph and a target slice in RAM: targets shuffled per epoch, the one
-/// CSR lent to every sample as it is.
+/// A graph and a target slice in RAM: targets shuffled per epoch, the graph
+/// lent to every sample as it is.
 struct MemorySource<'a> {
     graph: &'a KnowledgeGraph,
-    csr: CsrGraph,
     targets: &'a [Triple],
 }
 
@@ -400,7 +399,7 @@ impl TrainSource for MemorySource<'_> {
         _radius: usize,
         f: impl FnOnce(&dyn GraphAccess) -> R,
     ) -> R {
-        f(&self.csr)
+        f(self.graph)
     }
 }
 
@@ -469,9 +468,7 @@ impl<'cb> Trainer<'cb> {
         targets: &[Triple],
         valid: &[Triple],
     ) -> TrainReport {
-        // All per-sample scoring walks adjacency through the CSR arenas
-        // (contiguous, no per-entity Vec indirection); built once per run.
-        self.run(model, &MemorySource { graph, csr: CsrGraph::from_graph(graph), targets }, valid)
+        self.run(model, &MemorySource { graph, targets }, valid)
     }
 
     /// Train on every triple of the on-disk store behind `reader` — the same
@@ -894,8 +891,7 @@ mod tests {
         };
         let report = Trainer::new(cfg).train(&mut model, &graph, &targets, &valid);
         // re-evaluating with restored params reproduces the best epoch's accuracy signal
-        let source =
-            MemorySource { graph: &graph, csr: CsrGraph::from_graph(&graph), targets: &targets };
+        let source = MemorySource { graph: &graph, targets: &targets };
         let acc = validation_accuracy(
             &model,
             &source,
@@ -995,11 +991,7 @@ mod tests {
         let (dir, reader) = tiny_store("oracle");
         let mut records = graph.triples().to_vec();
         records.sort_unstable();
-        let memory = RecordOrder(MemorySource {
-            graph: &graph,
-            csr: CsrGraph::from_graph(&graph),
-            targets: &records,
-        });
+        let memory = RecordOrder(MemorySource { graph: &graph, targets: &records });
         let cfg = TrainConfig {
             epochs: 2,
             max_samples_per_epoch: 64,

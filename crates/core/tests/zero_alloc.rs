@@ -25,7 +25,7 @@ use rmpi_core::sample::prepare_sample;
 use rmpi_core::{
     Fusion, Mode, RmpiConfig, RmpiModel, SampleInput, ScoringModel, TrainConfig, Trainer,
 };
-use rmpi_kg::{CsrGraph, KnowledgeGraph, Triple};
+use rmpi_kg::{KnowledgeGraph, Triple};
 use rmpi_testutil::failpoint::exclusive;
 use rmpi_testutil::CountingAllocator;
 
@@ -53,8 +53,7 @@ fn paper_model(graph: &KnowledgeGraph) -> RmpiModel {
 
 /// Eval-mode samples of `model` for every target.
 fn eval_samples(model: &RmpiModel, graph: &KnowledgeGraph, targets: &[Triple]) -> Vec<SampleInput> {
-    let csr = CsrGraph::from_graph(graph);
-    targets.iter().map(|&t| model.prepare_eval_sample(&csr, t, 1)).collect()
+    targets.iter().map(|&t| model.prepare_eval_sample(graph, t, 1)).collect()
 }
 
 /// Record `sample`'s score on `tape` after a reset; returns the score.
@@ -102,12 +101,11 @@ fn a_training_pair_allocates_only_the_gradients_it_hands_out() {
     let _turn = exclusive();
     let (graph, targets, _) = tiny_data();
     let model = paper_model(&graph);
-    let csr = CsrGraph::from_graph(&graph);
     let mut rng = StdRng::seed_from_u64(3);
     let cfg = *model.config();
     let (pos, neg) = (targets[0], Triple { tail: targets[1].tail, ..targets[0] });
-    let pos = prepare_sample(&csr, pos, &cfg, Mode::Train, &mut rng);
-    let neg = prepare_sample(&csr, neg, &cfg, Mode::Train, &mut rng);
+    let pos = prepare_sample(&graph, pos, &cfg, Mode::Train, &mut rng);
+    let neg = prepare_sample(&graph, neg, &cfg, Mode::Train, &mut rng);
 
     let mut tape = Tape::new();
     let mut scratch = BackwardScratch::new();

@@ -1,13 +1,13 @@
-//! Read-only graph access shared by [`KnowledgeGraph`], [`CsrGraph`] and
+//! Read-only graph access shared by the in-memory [`KnowledgeGraph`] and
 //! out-of-core backends (`rmpi-store`).
 //!
 //! Subgraph extraction, sampling, and scoring only ever *read* adjacency:
 //! out-edge / in-edge scans, triple lookups by index, and membership tests.
-//! [`GraphAccess`] captures exactly that surface so the hot paths can run
-//! over the CSR arenas while tests, tooling, and graph construction keep the
-//! flexible Vec-of-Vecs representation. The trait is object-safe on purpose:
-//! model scoring is dispatched through `&dyn ScoringModel`, which forces the
-//! graph parameter to be a trait object as well.
+//! [`GraphAccess`] captures exactly that surface, so the hot paths run over
+//! the in-memory graph's CSR arenas and over a store's pinned neighbourhood
+//! alike. The trait is object-safe on purpose: model scoring is dispatched
+//! through `&dyn ScoringModel`, which forces the graph parameter to be a
+//! trait object as well.
 //!
 //! The trait deliberately has **no** "give me all triples as one slice"
 //! method: a disk-backed graph (`rmpi_store::StoreReader`) answers every
@@ -15,13 +15,12 @@
 //! set in memory. Whole-graph sweeps go through [`GraphAccess::for_each_triple`],
 //! which a RAM backend serves from its slice and a store backend serves by
 //! streaming segments. Code that genuinely needs the slice (analysis,
-//! serialisation) uses the concrete types' inherent `triples()` methods.
+//! serialisation) uses [`KnowledgeGraph::triples`].
 //!
 //! All implementations enumerate a given entity's edges in the same order —
 //! ascending triple index — so code routed over any backend sees identical
 //! iteration order, not merely identical sets.
 
-use crate::csr::CsrGraph;
 use crate::graph::{Edge, KnowledgeGraph};
 use crate::ids::EntityId;
 use crate::triple::Triple;
@@ -91,35 +90,6 @@ impl GraphAccess for KnowledgeGraph {
     }
 }
 
-impl GraphAccess for CsrGraph {
-    fn out_edges(&self, e: EntityId) -> &[Edge] {
-        CsrGraph::out_edges(self, e)
-    }
-    fn in_edges(&self, e: EntityId) -> &[Edge] {
-        CsrGraph::in_edges(self, e)
-    }
-    fn triple(&self, idx: usize) -> Triple {
-        CsrGraph::triple(self, idx)
-    }
-    fn for_each_triple(&self, f: &mut dyn FnMut(Triple)) {
-        for &t in CsrGraph::triples(self) {
-            f(t);
-        }
-    }
-    fn num_entities(&self) -> usize {
-        CsrGraph::num_entities(self)
-    }
-    fn num_triples(&self) -> usize {
-        CsrGraph::num_triples(self)
-    }
-    fn num_relations(&self) -> usize {
-        CsrGraph::num_relations(self)
-    }
-    fn contains(&self, t: &Triple) -> bool {
-        CsrGraph::contains(self, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,39 +103,31 @@ mod tests {
         ]
     }
 
-    /// Exercises dynamic dispatch: both backends must answer identically
-    /// through `&dyn GraphAccess`, including edge *order*.
+    /// Exercises dynamic dispatch: the graph must answer through
+    /// `&dyn GraphAccess` exactly as through its inherent methods, edge
+    /// *order* included.
     #[test]
-    fn backends_agree_through_trait_object() {
-        let vec_graph = KnowledgeGraph::from_triples(toy());
-        let csr_graph = CsrGraph::from_graph(&vec_graph);
-        let backends: [&dyn GraphAccess; 2] = [&vec_graph, &csr_graph];
-        for g in backends {
-            assert_eq!(g.num_triples(), 4);
-            assert_eq!(g.num_entities(), 3);
-            assert_eq!(g.num_relations(), 2);
-            assert!(g.contains(&Triple::new(0u32, 0u32, 1u32)));
-            assert!(!g.contains(&Triple::new(2u32, 1u32, 0u32)));
-            let mut swept = Vec::new();
-            g.for_each_triple(&mut |t| swept.push(t));
-            assert_eq!(swept, toy(), "for_each_triple streams in triple-index order");
+    fn trait_object_agrees_with_inherent_methods() {
+        let graph = KnowledgeGraph::from_triples(toy());
+        let g: &dyn GraphAccess = &graph;
+        assert_eq!(g.num_triples(), 4);
+        assert_eq!(g.num_entities(), 3);
+        assert_eq!(g.num_relations(), 2);
+        assert!(g.contains(&Triple::new(0u32, 0u32, 1u32)));
+        assert!(!g.contains(&Triple::new(2u32, 1u32, 0u32)));
+        let mut swept = Vec::new();
+        g.for_each_triple(&mut |t| swept.push(t));
+        assert_eq!(swept, toy(), "for_each_triple streams in triple-index order");
+        for idx in 0..graph.num_triples() {
+            assert_eq!(g.triple(idx), graph.triple(idx));
         }
-        for e in 0..3u32 {
+        for e in 0..4u32 {
             let e = EntityId(e);
-            assert_eq!(
-                GraphAccess::out_edges(&vec_graph, e),
-                GraphAccess::out_edges(&csr_graph, e)
-            );
-            assert_eq!(GraphAccess::in_edges(&vec_graph, e), GraphAccess::in_edges(&csr_graph, e));
-        }
-    }
-
-    #[test]
-    fn edge_order_is_ascending_triple_index() {
-        let csr_graph = CsrGraph::from_triples(toy());
-        for e in 0..csr_graph.num_entities() as u32 {
-            let edges = GraphAccess::out_edges(&csr_graph, EntityId(e));
-            assert!(edges.windows(2).all(|w| w[0].triple_idx < w[1].triple_idx));
+            assert_eq!(g.out_edges(e), graph.out_edges(e));
+            assert_eq!(g.in_edges(e), graph.in_edges(e));
+            assert_eq!(g.degree(e), graph.degree(e));
+            assert!(g.out_edges(e).windows(2).all(|w| w[0].triple_idx < w[1].triple_idx));
+            assert!(g.in_edges(e).windows(2).all(|w| w[0].triple_idx < w[1].triple_idx));
         }
     }
 }

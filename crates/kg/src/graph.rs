@@ -4,6 +4,11 @@
 //! triple set with the adjacency indexes subgraph extraction needs. Built
 //! once in O(|T|), it answers out-edge / in-edge scans in O(degree) and
 //! membership in O(1).
+//!
+//! Adjacency is compressed sparse row (CSR): all out-edges (and separately
+//! all in-edges) share one contiguous arena, and each entity owns the range
+//! between two offsets. A scan is one slice, and an entity costs two `u32`
+//! offsets however many edges it has.
 
 use crate::ids::{EntityId, RelationId};
 use crate::triple::Triple;
@@ -21,6 +26,51 @@ pub struct Edge {
     pub triple_idx: usize,
 }
 
+/// The name `rmpi_perf` still uses for [`KnowledgeGraph`]; ROADMAP item 3
+/// lists it for deletion once the benchmark stops naming it.
+pub type CsrGraph = KnowledgeGraph;
+
+/// One direction of adjacency: entity `e`'s edges are
+/// `edges[off[e]..off[e + 1]]`, ascending by triple index.
+#[derive(Clone, Debug, Default)]
+struct Arena {
+    off: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Arena {
+    /// A counting pass sizes each entity's run, a prefix sum turns the
+    /// counts into offsets, and one fill in triple-index order places every
+    /// edge. `ends` maps a triple to (owning entity, far end).
+    fn build(triples: &[Triple], n: usize, ends: impl Fn(&Triple) -> (EntityId, EntityId)) -> Self {
+        let mut off = vec![0u32; n + 1];
+        for t in triples {
+            off[ends(t).0.index() + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut cursor = off.clone();
+        let blank = Edge { neighbor: EntityId(0), relation: RelationId(0), triple_idx: 0 };
+        let mut edges = vec![blank; triples.len()];
+        for (triple_idx, t) in triples.iter().enumerate() {
+            let (owner, neighbor) = ends(t);
+            let slot = &mut cursor[owner.index()];
+            edges[*slot as usize] = Edge { neighbor, relation: t.relation, triple_idx };
+            *slot += 1;
+        }
+        Arena { off, edges }
+    }
+
+    fn run(&self, e: EntityId) -> &[Edge] {
+        let i = e.index();
+        if i + 1 >= self.off.len() {
+            return &[];
+        }
+        &self.edges[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
 /// Immutable indexed snapshot of a set of triples.
 ///
 /// Entity ids and relation ids need not be dense: the graph sizes its index
@@ -32,10 +82,9 @@ pub struct Edge {
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeGraph {
     triples: Vec<Triple>,
-    out: Vec<Vec<Edge>>,
-    inc: Vec<Vec<Edge>>,
+    out: Arena,
+    inc: Arena,
     members: HashSet<Triple>,
-    num_relations: usize,
     relation_counts: Vec<usize>,
 }
 
@@ -43,27 +92,22 @@ impl KnowledgeGraph {
     /// Build the indexed graph from a triple list. Duplicate triples are kept
     /// in the edge lists (multigraph) but counted once for membership.
     pub fn from_triples(triples: Vec<Triple>) -> Self {
-        let max_e = triples.iter().map(|t| t.head.0.max(t.tail.0) as usize + 1).max().unwrap_or(0);
+        let n = triples.iter().map(|t| t.head.0.max(t.tail.0) as usize + 1).max().unwrap_or(0);
         let max_r = triples.iter().map(|t| t.relation.0 as usize + 1).max().unwrap_or(0);
-        let mut out = vec![Vec::new(); max_e];
-        let mut inc = vec![Vec::new(); max_e];
-        let mut members = HashSet::with_capacity(triples.len());
         let mut relation_counts = vec![0usize; max_r];
-        for (idx, t) in triples.iter().enumerate() {
-            out[t.head.index()].push(Edge {
-                neighbor: t.tail,
-                relation: t.relation,
-                triple_idx: idx,
-            });
-            inc[t.tail.index()].push(Edge {
-                neighbor: t.head,
-                relation: t.relation,
-                triple_idx: idx,
-            });
-            members.insert(*t);
+        for t in &triples {
             relation_counts[t.relation.index()] += 1;
         }
-        KnowledgeGraph { triples, out, inc, members, num_relations: max_r, relation_counts }
+        let out = Arena::build(&triples, n, |t| (t.head, t.tail));
+        let inc = Arena::build(&triples, n, |t| (t.tail, t.head));
+        let members = triples.iter().copied().collect();
+        KnowledgeGraph { triples, out, inc, members, relation_counts }
+    }
+
+    /// A fresh build from `g`'s triples. `rmpi_perf` times a graph build
+    /// through it (`kg.csr_build_ms`); ROADMAP item 3 lists it for deletion.
+    pub fn from_graph(g: &KnowledgeGraph) -> Self {
+        Self::from_triples(g.triples.clone())
     }
 
     /// All triples, in insertion order.
@@ -83,22 +127,24 @@ impl KnowledgeGraph {
 
     /// Capacity of the entity id space (max id + 1).
     pub fn num_entities(&self) -> usize {
-        self.out.len()
+        self.out.off.len().saturating_sub(1)
     }
 
     /// Capacity of the relation id space (max id + 1).
     pub fn num_relations(&self) -> usize {
-        self.num_relations
+        self.relation_counts.len()
     }
 
-    /// Outgoing edges of `e` (edges where `e` is the head).
+    /// Outgoing edges of `e` (edges where `e` is the head), ascending by
+    /// triple index, as one contiguous slice.
     pub fn out_edges(&self, e: EntityId) -> &[Edge] {
-        self.out.get(e.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.out.run(e)
     }
 
-    /// Incoming edges of `e` (edges where `e` is the tail).
+    /// Incoming edges of `e` (edges where `e` is the tail), ascending by
+    /// triple index, as one contiguous slice.
     pub fn in_edges(&self, e: EntityId) -> &[Edge] {
-        self.inc.get(e.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.inc.run(e)
     }
 
     /// Out-degree plus in-degree of `e`.
@@ -123,7 +169,7 @@ impl KnowledgeGraph {
 
     /// Relations used by at least one triple, ascending.
     pub fn present_relations(&self) -> Vec<RelationId> {
-        (0..self.num_relations as u32)
+        (0..self.num_relations() as u32)
             .map(RelationId)
             .filter(|&r| self.relation_count(r) > 0)
             .collect()
@@ -208,6 +254,11 @@ mod tests {
         assert_eq!(g.num_entities(), 0);
         assert_eq!(g.num_relations(), 0);
         assert!(g.present_entities().is_empty());
+        assert!(g.out_edges(EntityId(0)).is_empty());
+        assert!(g.in_edges(EntityId(0)).is_empty());
+        let default = KnowledgeGraph::default();
+        assert_eq!(default.num_entities(), 0);
+        assert!(default.out_edges(EntityId(0)).is_empty());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The on-disk format mirrors the GraIL benchmark files: one triple per line,
 //! `head \t relation \t tail`, names resolved through a [`Vocab`]. Reading
-//! can either extend a vocabulary (training graphs) or require all names to
-//! exist already (strict mode, used when a testing graph must share relation
-//! ids with its training graph).
+//! interns every name it has not seen into the vocabulary, so a testing graph
+//! read through its training graph's vocabulary shares that graph's ids.
 
 use crate::error::KgError;
 use crate::interner::Vocab;

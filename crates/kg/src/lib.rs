@@ -7,7 +7,7 @@
 //!   [`RelationId`]),
 //! * a string interner and bidirectional vocabulary ([`Vocab`]),
 //! * an indexed directed multigraph of triples ([`KnowledgeGraph`]) with
-//!   out/in adjacency, relation-filtered edge access and O(1) membership,
+//!   out/in adjacency in CSR arenas, relation counts and O(1) membership,
 //! * breadth-first K-hop neighbourhood computation ([`khop_distances`],
 //!   [`khop_neighborhood`]),
 //! * a line-oriented TSV codec for persisting graphs ([`io`]),
@@ -36,7 +36,6 @@
 
 pub(crate) mod access;
 pub mod analysis;
-pub(crate) mod csr;
 pub(crate) mod error;
 pub(crate) mod graph;
 pub(crate) mod ids;
@@ -48,9 +47,8 @@ pub(crate) mod stats;
 pub(crate) mod triple;
 
 pub use access::GraphAccess;
-pub use csr::CsrGraph;
 pub use error::KgError;
-pub use graph::{Edge, KnowledgeGraph};
+pub use graph::{CsrGraph, Edge, KnowledgeGraph};
 pub use ids::{EntityId, RelationId};
 pub use interner::{Interner, Vocab};
 pub use neighborhood::{khop_distances, khop_neighborhood};

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use rmpi_kg::{
-    io, khop_distances, split_triples, EntityId, Interner, KnowledgeGraph, Triple, Vocab,
+    io, khop_distances, split_triples, Edge, EntityId, Interner, KnowledgeGraph, RelationId,
+    Triple, Vocab,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::io::Cursor;
 
 fn arb_triples(max_e: u32, max_r: u32, max_n: usize) -> impl Strategy<Value = Vec<Triple>> {
@@ -99,27 +100,56 @@ proptest! {
 }
 
 proptest! {
-    /// CSR and Vec-of-Vecs storage answer every query identically.
+    /// The CSR graph against a naive reference: every query recomputed by a
+    /// scan of the input. Small id ranges make duplicate triples (a
+    /// multigraph) and unused ids (holes) likely.
     #[test]
-    fn csr_equivalent_to_vec_graph(triples in arb_triples(30, 5, 100)) {
-        use rmpi_kg::CsrGraph;
+    fn graph_matches_naive_reference(triples in arb_triples(12, 4, 120)) {
         let g = KnowledgeGraph::from_triples(triples.clone());
-        let c = CsrGraph::from_triples(triples.clone());
-        prop_assert_eq!(g.num_triples(), c.num_triples());
-        prop_assert_eq!(g.num_entities(), c.num_entities());
-        prop_assert_eq!(g.num_relations(), c.num_relations());
-        for e in 0..g.num_entities() as u32 {
+        let n = triples.iter().map(|t| t.head.0.max(t.tail.0) as usize + 1).max().unwrap_or(0);
+        let m = triples.iter().map(|t| t.relation.0 as usize + 1).max().unwrap_or(0);
+        prop_assert_eq!(g.num_triples(), triples.len());
+        prop_assert_eq!(g.num_entities(), n);
+        prop_assert_eq!(g.num_relations(), m);
+        for e in 0..n as u32 + 2 {
             let e = EntityId(e);
-            let key = |x: &rmpi_kg::Edge| (x.neighbor, x.relation, x.triple_idx);
-            let mut a: Vec<_> = g.out_edges(e).to_vec();
-            let mut b: Vec<_> = c.out_edges(e).to_vec();
-            a.sort_by_key(key);
-            b.sort_by_key(key);
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(g.degree(e), c.degree(e));
+            // edges in ascending triple index, as (neighbour, relation, index)
+            let out: Vec<_> = triples
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.head == e)
+                .map(|(i, t)| (t.tail, t.relation, i))
+                .collect();
+            let inc: Vec<_> = triples
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.tail == e)
+                .map(|(i, t)| (t.head, t.relation, i))
+                .collect();
+            let run = |edges: &[Edge]| -> Vec<_> {
+                edges.iter().map(|x| (x.neighbor, x.relation, x.triple_idx)).collect()
+            };
+            prop_assert_eq!(run(g.out_edges(e)), out.clone(), "out_edges({})", e);
+            prop_assert_eq!(run(g.in_edges(e)), inc.clone(), "in_edges({})", e);
+            prop_assert_eq!(g.degree(e), out.len() + inc.len());
         }
+        for r in 0..m as u32 + 2 {
+            let r = RelationId(r);
+            prop_assert_eq!(g.relation_count(r), triples.iter().filter(|t| t.relation == r).count());
+        }
+        let entities: BTreeSet<EntityId> = triples.iter().flat_map(|t| [t.head, t.tail]).collect();
+        let relations: BTreeSet<RelationId> = triples.iter().map(|t| t.relation).collect();
+        prop_assert_eq!(g.present_entities(), entities.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(g.present_relations(), relations.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(g.num_present_entities(), entities.len());
+        prop_assert_eq!(g.num_present_relations(), relations.len());
         for t in &triples {
-            prop_assert!(c.contains(t));
+            prop_assert!(g.contains(t));
         }
+        let absent = (0..n as u32 + 1)
+            .flat_map(|h| (0..m as u32 + 1).map(move |r| Triple::new(h, r, 0u32)))
+            .find(|t| !triples.contains(t))
+            .expect("the id space one past the input always holds an absent triple");
+        prop_assert!(!g.contains(&absent));
     }
 }

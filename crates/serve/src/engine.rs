@@ -45,7 +45,7 @@ use crate::error::ServeError;
 use crate::stats::ServeStats;
 use rmpi_autograd::Tape;
 use rmpi_core::{RmpiModel, SampleInput, ScoringModel};
-use rmpi_kg::{CsrGraph, EntityId, KnowledgeGraph, RelationId, Triple};
+use rmpi_kg::{EntityId, KnowledgeGraph, RelationId, Triple};
 use rmpi_obs::MetricsRegistry;
 use rmpi_runtime::{panic_message, ThreadPool};
 use rmpi_store::{StoreError, StoreReader};
@@ -149,18 +149,19 @@ impl Deref for ModelSnapshot {
 /// Where the engine's context graph lives. Both backends answer every query
 /// bit-identically — the store backend pins the target's
 /// [`ScoringModel::context_radius`]-hop neighbourhood in RAM before
-/// extraction, which reproduces exactly the adjacency the CSR would serve.
+/// extraction, which reproduces exactly the adjacency the in-memory graph
+/// serves.
 // one instance per engine, and boxing would put a pointer chase in front of
-// every CSR access on the scoring hot path — the size gap is intentional
+// every adjacency access on the scoring hot path — the size gap is intentional
 #[allow(clippy::large_enum_variant)]
 pub enum GraphBackend {
-    /// The whole graph resident in memory, scored through a CSR mirror.
+    /// The whole graph resident in memory, scored directly.
     Memory {
-        /// The context graph.
+        /// The context graph: every scoring query walks its CSR arenas.
         graph: KnowledgeGraph,
-        /// CSR mirror of `graph`: the adjacency layout scoring queries walk.
-        /// Built once at bind time — sound because the graph is immutable.
-        csr: CsrGraph,
+        /// Unread. `rmpi_perf` still fills it; ROADMAP item 3 lists it for
+        /// deletion, and [`Engine::with_registry`] passes an empty graph.
+        csr: KnowledgeGraph,
     },
     /// An on-disk `rmpi-store` directory; adjacency is read through the
     /// reader's block cache and pinned per query. RSS stays bounded by the
@@ -212,7 +213,9 @@ impl GraphBackend {
         seed: u64,
     ) -> Result<SampleInput, StoreError> {
         match self {
-            GraphBackend::Memory { csr, .. } => Ok(model.prepare_eval_sample(csr, target, seed)),
+            GraphBackend::Memory { graph, .. } => {
+                Ok(model.prepare_eval_sample(graph, target, seed))
+            }
             // the view's storage is this worker thread's, kept across
             // flushes and handed back even when the pin fails half-way
             GraphBackend::Store(reader) => rmpi_store::with_thread_view(reader, |view| {
@@ -259,8 +262,8 @@ impl Engine {
         cfg: EngineConfig,
         registry: Arc<MetricsRegistry>,
     ) -> Self {
-        let csr = CsrGraph::from_graph(&graph);
-        Engine::with_backend(model, GraphBackend::Memory { graph, csr }, cfg, registry)
+        let backend = GraphBackend::Memory { graph, csr: KnowledgeGraph::default() };
+        Engine::with_backend(model, backend, cfg, registry)
     }
 
     /// Bind `model` to an on-disk store: same query surface and bit-identical

@@ -1,6 +1,6 @@
 //! `rmpi-store` — an out-of-core knowledge-graph store.
 //!
-//! The in-memory [`rmpi_kg::CsrGraph`] caps world size at what one process
+//! The in-memory [`rmpi_kg::KnowledgeGraph`] caps world size at what one process
 //! can hold. This crate keeps the same *access pattern* — CSR-style
 //! out-edge/in-edge runs, triple lookup by index, membership tests — but
 //! moves the triple data to disk, leaving only an offsets index resident

@@ -1,12 +1,12 @@
 //! The satellite equivalence property: `StoreReader`-backed `GraphAccess`
 //! (through a pinned [`NeighborhoodView`]) must be observationally
-//! identical to `CsrGraph` and to the naive reference extractor on random
+//! identical to `KnowledgeGraph` and to the naive reference extractor on random
 //! worlds. Because every `Subgraph` field is sorted, equality here is
 //! bit-equality — the same property the serve-path bit-identity test
 //! builds on.
 
 use proptest::prelude::*;
-use rmpi_kg::{CsrGraph, EntityId, GraphAccess, KnowledgeGraph, Triple};
+use rmpi_kg::{EntityId, GraphAccess, KnowledgeGraph, Triple};
 use rmpi_store::{
     build_from_sorted, xxh64, NeighborhoodView, ReadMode, StoreConfig, StoreError, StoreReader,
     Xxh64,
@@ -46,15 +46,14 @@ proptest! {
         k in 0usize..4,
     ) {
         let (dir, reader) = store_for(&triples);
-        let graph = KnowledgeGraph::from_triples(triples.clone());
-        let csr = CsrGraph::from_triples(triples);
+        let graph = KnowledgeGraph::from_triples(triples);
 
         let want_en = rmpi_subgraph::extraction::reference::enclosing_subgraph(&graph, target, k);
         let want_di = rmpi_subgraph::extraction::reference::disclosing_subgraph(&graph, target, k);
-        let csr_en = enclosing_subgraph(&csr, target, k);
-        let csr_di = disclosing_subgraph(&csr, target, k);
-        prop_assert_eq!(&csr_en.triples, &want_en.triples);
-        prop_assert_eq!(&csr_di.triples, &want_di.triples);
+        let graph_en = enclosing_subgraph(&graph, target, k);
+        let graph_di = disclosing_subgraph(&graph, target, k);
+        prop_assert_eq!(&graph_en.triples, &want_en.triples);
+        prop_assert_eq!(&graph_di.triples, &want_di.triples);
 
         let mut view = NeighborhoodView::new(&reader);
         view.pin(target.head, target.tail, k).unwrap();
@@ -74,7 +73,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The pin contract, against the CSR: out-edges of every entity within
+    /// The pin contract, against the in-memory graph: out-edges of every entity within
     /// `k` undirected hops of a source, in-edges of those within `k - 1` and
     /// of the sources themselves, and nothing else.
     #[test]
@@ -83,35 +82,35 @@ proptest! {
         k in 0usize..4,
     ) {
         let (dir, reader) = store_for(&triples);
-        let csr = CsrGraph::from_triples(triples);
+        let graph = KnowledgeGraph::from_triples(triples);
         let (u, v) = (target.head, target.tail);
         let mut view = NeighborhoodView::new(&reader);
         view.pin(u, v, k).unwrap();
 
-        let depth = depths_from(&csr, &[u, v], k);
+        let depth = depths_from(&graph, &[u, v], k);
         let (mut entities, mut edges) = (0usize, 0usize);
         for (&e, &d) in &depth {
             entities += 1;
-            prop_assert_eq!(view.out_edges(e), csr.out_edges(e), "out({}) at depth {}", e, d);
-            edges += csr.out_edges(e).len();
+            prop_assert_eq!(view.out_edges(e), graph.out_edges(e), "out({}) at depth {}", e, d);
+            edges += graph.out_edges(e).len();
             if d < k || e == u || e == v {
-                prop_assert_eq!(view.in_edges(e), csr.in_edges(e), "in({}) at depth {}", e, d);
-                edges += csr.in_edges(e).len();
+                prop_assert_eq!(view.in_edges(e), graph.in_edges(e), "in({}) at depth {}", e, d);
+                edges += graph.in_edges(e).len();
             }
         }
         prop_assert_eq!(view.pinned_entities(), entities, "pinned exactly the k-hop ball");
         prop_assert_eq!(view.pinned_edges(), edges, "shell in-edges are not loaded");
 
         // Scalars, degrees and triple look-ups agree regardless of the pin.
-        prop_assert_eq!(GraphAccess::num_entities(&view), GraphAccess::num_entities(&csr));
-        prop_assert_eq!(GraphAccess::num_triples(&view), GraphAccess::num_triples(&csr));
-        prop_assert_eq!(GraphAccess::num_relations(&view), GraphAccess::num_relations(&csr));
+        prop_assert_eq!(GraphAccess::num_entities(&view), GraphAccess::num_entities(&graph));
+        prop_assert_eq!(GraphAccess::num_triples(&view), GraphAccess::num_triples(&graph));
+        prop_assert_eq!(GraphAccess::num_relations(&view), GraphAccess::num_relations(&graph));
         // every id the worlds draw from, and two past the id space
         for e in (0..26u32).map(EntityId) {
-            prop_assert_eq!(GraphAccess::degree(&view, e), GraphAccess::degree(&csr, e), "{}", e);
+            prop_assert_eq!(GraphAccess::degree(&view, e), GraphAccess::degree(&graph, e), "{}", e);
         }
-        for idx in 0..GraphAccess::num_triples(&csr) {
-            prop_assert_eq!(GraphAccess::triple(&view, idx), GraphAccess::triple(&csr, idx));
+        for idx in 0..GraphAccess::num_triples(&graph) {
+            prop_assert_eq!(GraphAccess::triple(&view, idx), GraphAccess::triple(&graph, idx));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -121,8 +120,8 @@ proptest! {
         (triples, probe) in arb_world(),
     ) {
         let (dir, reader) = store_for(&triples);
-        let csr = CsrGraph::from_triples(triples.clone());
-        prop_assert_eq!(reader.contains(&probe).unwrap(), csr.contains(&probe));
+        let graph = KnowledgeGraph::from_triples(triples.clone());
+        prop_assert_eq!(reader.contains(&probe).unwrap(), graph.contains(&probe));
         for t in triples.iter().take(30) {
             prop_assert!(reader.contains(t).unwrap());
         }
@@ -177,13 +176,17 @@ proptest! {
 
 /// Undirected hop distance from the nearer of `sources`, for every entity
 /// within `k` hops — the plain-BFS statement of which entities a pin covers.
-fn depths_from(csr: &CsrGraph, sources: &[EntityId], k: usize) -> BTreeMap<EntityId, usize> {
+fn depths_from(
+    graph: &KnowledgeGraph,
+    sources: &[EntityId],
+    k: usize,
+) -> BTreeMap<EntityId, usize> {
     let mut depth: BTreeMap<EntityId, usize> = sources.iter().map(|&s| (s, 0)).collect();
     let mut frontier: Vec<EntityId> = depth.keys().copied().collect();
     for d in 1..=k {
         let mut next = Vec::new();
         for &e in &frontier {
-            for edge in csr.out_edges(e).iter().chain(csr.in_edges(e)) {
+            for edge in graph.out_edges(e).iter().chain(graph.in_edges(e)) {
                 if let Entry::Vacant(unseen) = depth.entry(edge.neighbor) {
                     unseen.insert(d);
                     next.push(edge.neighbor);

@@ -1,9 +1,9 @@
 //! Integration tests: build → open → query equivalence against the
-//! in-memory CSR backend, plus corruption rejection.
+//! in-memory graph, plus corruption rejection.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rmpi_kg::{CsrGraph, EntityId, Triple};
+use rmpi_kg::{EntityId, KnowledgeGraph, Triple};
 use rmpi_store::{
     build_from_sorted, scrub_store, xxh64, Manifest, ReadMode, StoreBuilder, StoreConfig,
     StoreError, StoreReader, FWD_BLOCK_BYTES, FWD_RECORD_BYTES, INDEX_NAME, MANIFEST_NAME,
@@ -31,31 +31,32 @@ fn random_triples(seed: u64, n: usize, entities: u32, relations: u32) -> Vec<Tri
     triples
 }
 
-/// Exhaustive cross-check of one reader against the CSR built from the same
-/// sorted triple list (identical triple indices by construction).
-fn assert_matches_csr(reader: &StoreReader, csr: &CsrGraph) {
-    assert_eq!(reader.num_triples(), csr.num_triples());
-    assert_eq!(reader.num_relations(), csr.num_relations());
-    // CSR may have a smaller entity space if the max id has no edges; the
-    // builder sizes by max id seen, which matches from_triples.
-    assert_eq!(reader.num_entities(), csr.num_entities());
+/// Exhaustive cross-check of one reader against the in-memory graph built
+/// from the same sorted triple list (identical triple indices by
+/// construction).
+fn assert_matches_graph(reader: &StoreReader, graph: &KnowledgeGraph) {
+    assert_eq!(reader.num_triples(), graph.num_triples());
+    assert_eq!(reader.num_relations(), graph.num_relations());
+    // the builder sizes the entity space by the max id seen, as
+    // from_triples does
+    assert_eq!(reader.num_entities(), graph.num_entities());
     for e in 0..reader.num_entities() as u32 {
         let e = EntityId(e);
         let mut out = Vec::new();
         reader.for_each_out_edge(e, |edge| out.push(edge)).unwrap();
-        assert_eq!(out.as_slice(), csr.out_edges(e), "out_edges({e})");
+        assert_eq!(out.as_slice(), graph.out_edges(e), "out_edges({e})");
         let mut inn = Vec::new();
         reader.for_each_in_edge(e, |edge| inn.push(edge)).unwrap();
-        assert_eq!(inn.as_slice(), csr.in_edges(e), "in_edges({e})");
-        assert_eq!(reader.out_degree(e), csr.out_edges(e).len());
-        assert_eq!(reader.in_degree(e), csr.in_edges(e).len());
+        assert_eq!(inn.as_slice(), graph.in_edges(e), "in_edges({e})");
+        assert_eq!(reader.out_degree(e), graph.out_edges(e).len());
+        assert_eq!(reader.in_degree(e), graph.in_edges(e).len());
     }
     for idx in 0..reader.num_triples() {
-        assert_eq!(reader.triple_at(idx as u64).unwrap(), csr.triple(idx), "triple({idx})");
+        assert_eq!(reader.triple_at(idx as u64).unwrap(), graph.triple(idx), "triple({idx})");
     }
     let mut swept = Vec::new();
     reader.for_each_triple(|t| swept.push(t)).unwrap();
-    assert_eq!(swept.as_slice(), csr.triples());
+    assert_eq!(swept.as_slice(), graph.triples());
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..200 {
         let probe = Triple::new(
@@ -63,9 +64,9 @@ fn assert_matches_csr(reader: &StoreReader, csr: &CsrGraph) {
             rng.gen_range(0..reader.num_relations().max(1) as u32),
             rng.gen_range(0..reader.num_entities().max(1) as u32),
         );
-        assert_eq!(reader.contains(&probe).unwrap(), csr.contains(&probe), "contains({probe})");
+        assert_eq!(reader.contains(&probe).unwrap(), graph.contains(&probe), "contains({probe})");
     }
-    for &t in csr.triples().iter().take(50) {
+    for &t in graph.triples().iter().take(50) {
         assert!(reader.contains(&t).unwrap());
     }
 }
@@ -82,9 +83,9 @@ fn roundtrip_matches_csr() {
     assert!(summary.segments > 4, "expected rolled segments, got {}", summary.segments);
     assert!(summary.transpose_passes > 1, "expected multi-pass transpose");
 
-    let csr = CsrGraph::from_triples(triples);
+    let graph = KnowledgeGraph::from_triples(triples);
     let reader = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
-    assert_matches_csr(&reader, &csr);
+    assert_matches_graph(&reader, &graph);
     let report = scrub_store(&dir).unwrap();
     assert!(report.is_clean(), "{:?}", report.corrupt_sections());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -313,10 +314,10 @@ fn a_flipped_byte_fails_only_its_block_on_read_and_scrub() {
     // Two forward segments of which the first spans two 64 KiB blocks.
     let cfg = StoreConfig { seg_records: 8192, ..StoreConfig::default() };
     build_from_sorted(&dir, cfg, triples.iter().copied()).unwrap();
-    let csr = CsrGraph::from_triples(triples);
+    let graph = KnowledgeGraph::from_triples(triples);
     let reader = StoreReader::open(&dir, ReadMode::Stream { cache_blocks: 4 }).unwrap();
     // Every block is read, and so checked, at least once.
-    assert_matches_csr(&reader, &csr);
+    assert_matches_graph(&reader, &graph);
     let report = scrub_store(&dir).unwrap();
     assert!(report.is_clean(), "{:?}", report.corrupt_sections());
     assert!(report.sections.iter().any(|s| s.blocks_checked == 2), "block sums were checked");

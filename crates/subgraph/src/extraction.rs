@@ -1,9 +1,9 @@
 //! Enclosing and disclosing subgraph extraction (paper §III-B, §III-F).
 //!
 //! The public entry points ([`enclosing_subgraph`], [`disclosing_subgraph`])
-//! are generic over [`GraphAccess`], so they run identically over the
-//! Vec-of-Vecs [`rmpi_kg::KnowledgeGraph`] and the CSR arenas of
-//! [`rmpi_kg::CsrGraph`]. Internally they route through a per-thread
+//! are generic over [`GraphAccess`], so they run identically over the CSR
+//! arenas of [`rmpi_kg::KnowledgeGraph`] and a store's pinned
+//! neighbourhood. Internally they route through a per-thread
 //! [`ExtractScratch`] of dense epoch-stamped arrays;
 //! the `*_into` variants expose the scratch and output buffers directly so a
 //! caller owning both runs allocation-free in steady state. The original
@@ -414,18 +414,20 @@ mod tests {
         assert_eq!(dists(&sg, 0), Some((0, 0)));
     }
 
+    /// Scoring reaches extraction through `&dyn GraphAccess`; it must
+    /// retain exactly what the statically dispatched call retains.
     #[test]
-    fn csr_backend_matches_vec_backend() {
+    fn trait_object_extraction_matches_concrete_graph() {
         let (g, target) = diamond();
-        let csr = rmpi_kg::CsrGraph::from_graph(&g);
+        let dynamic: &dyn GraphAccess = &g;
         for k in 0..=3 {
             let a = enclosing_subgraph(&g, target, k);
-            let b = enclosing_subgraph(&csr, target, k);
+            let b = enclosing_subgraph(dynamic, target, k);
             assert_eq!(a.triples, b.triples);
             assert_eq!(a.entities, b.entities);
             assert_eq!(a.distance_rows(), b.distance_rows());
             let a = disclosing_subgraph(&g, target, k);
-            let b = disclosing_subgraph(&csr, target, k);
+            let b = disclosing_subgraph(dynamic, target, k);
             assert_eq!(a.triples, b.triples);
             assert_eq!(a.entities, b.entities);
             assert_eq!(a.distance_rows(), b.distance_rows());

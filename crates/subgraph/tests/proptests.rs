@@ -114,18 +114,17 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------- CSR/dense-
+// ---------------------------------------------------------------- dense-
 // scratch extraction vs the legacy HashMap/HashSet reference. The rewrite
 // must be observationally identical: same retained triples, same entities,
-// same (entity, dist_u, dist_v) rows — on the Vec-of-Vecs backend AND on the
-// CSR arenas, across random graphs, targets and hop counts. `k in 0..4`
-// deliberately includes the hop-0 degenerate case.
+// same (entity, dist_u, dist_v) rows, across random graphs, targets and hop
+// counts. `k in 0..4` deliberately includes the hop-0 degenerate case.
 
 /// Worlds that make the edge sweep's per-head sort do real work: a few
 /// distinct triples over a small id space, each repeated up to four times,
 /// in an input order shuffled by sort keys drawn alongside. Adjacency is in
-/// input order on both backends, so a head's run arrives neither sorted nor
-/// free of duplicates.
+/// input order, so a head's run arrives neither sorted nor free of
+/// duplicates.
 fn arb_shuffled_duplicate_heavy_world() -> impl Strategy<Value = (KnowledgeGraph, Triple)> {
     let copies = prop::collection::vec(any::<u32>(), 1..5);
     (
@@ -145,45 +144,27 @@ fn arb_shuffled_duplicate_heavy_world() -> impl Strategy<Value = (KnowledgeGraph
         })
 }
 
-/// Both extractions of `target` at radius `k`, on both RAM backends, equal
-/// the reference field for field, and come out sorted.
+/// Both extractions of `target` at radius `k` equal the reference field for
+/// field, and come out sorted.
 fn assert_matches_reference(
     g: &KnowledgeGraph,
     target: Triple,
     k: usize,
 ) -> Result<(), TestCaseError> {
-    let csr = rmpi_kg::CsrGraph::from_graph(g);
     let want_en = rmpi_subgraph::extraction::reference::enclosing_subgraph(g, target, k);
     let want_di = rmpi_subgraph::extraction::reference::disclosing_subgraph(g, target, k);
+    let got_en = enclosing_subgraph(g, target, k);
+    let got_di = disclosing_subgraph(g, target, k);
 
-    for (label, got_en, got_di) in [
-        ("vec", enclosing_subgraph(g, target, k), disclosing_subgraph(g, target, k)),
-        ("csr", enclosing_subgraph(&csr, target, k), disclosing_subgraph(&csr, target, k)),
-    ] {
-        prop_assert_eq!(&got_en.triples, &want_en.triples, "enclosing triples ({})", label);
-        prop_assert_eq!(&got_en.entities, &want_en.entities, "enclosing entities ({})", label);
-        prop_assert_eq!(
-            got_en.distance_rows(),
-            want_en.distance_rows(),
-            "enclosing distances ({})",
-            label
-        );
-        prop_assert_eq!(&got_di.triples, &want_di.triples, "disclosing triples ({})", label);
-        prop_assert_eq!(&got_di.entities, &want_di.entities, "disclosing entities ({})", label);
-        prop_assert_eq!(
-            got_di.distance_rows(),
-            want_di.distance_rows(),
-            "disclosing distances ({})",
-            label
-        );
-        for sg in [&got_en, &got_di] {
-            prop_assert!(sg.triples.windows(2).all(|w| w[0] <= w[1]), "triples sorted ({})", label);
-            prop_assert!(
-                sg.entities.windows(2).all(|w| w[0] < w[1]),
-                "entities strictly ascending ({})",
-                label
-            );
-        }
+    prop_assert_eq!(&got_en.triples, &want_en.triples, "enclosing triples");
+    prop_assert_eq!(&got_en.entities, &want_en.entities, "enclosing entities");
+    prop_assert_eq!(got_en.distance_rows(), want_en.distance_rows(), "enclosing distances");
+    prop_assert_eq!(&got_di.triples, &want_di.triples, "disclosing triples");
+    prop_assert_eq!(&got_di.entities, &want_di.entities, "disclosing entities");
+    prop_assert_eq!(got_di.distance_rows(), want_di.distance_rows(), "disclosing distances");
+    for sg in [&got_en, &got_di] {
+        prop_assert!(sg.triples.windows(2).all(|w| w[0] <= w[1]), "triples sorted");
+        prop_assert!(sg.entities.windows(2).all(|w| w[0] < w[1]), "entities strictly ascending");
     }
     Ok(())
 }

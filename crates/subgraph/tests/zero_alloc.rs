@@ -11,7 +11,7 @@
 //! The implicit relation view makes the same kind of promise — nothing per
 //! edge, nothing per node — and its guards live here too.
 
-use rmpi_kg::{CsrGraph, KnowledgeGraph, Triple};
+use rmpi_kg::{KnowledgeGraph, Triple};
 use rmpi_subgraph::{
     disclosing_subgraph_into, enclosing_subgraph_into, ExtractScratch, RelViewGraph, Subgraph,
 };
@@ -24,18 +24,20 @@ use rmpi_testutil::CountingAllocator;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Allocation events of one run of `f`, as the minimum over a few runs: `f`
+/// Allocation events of each of five runs of `f`.
+fn allocations_per_run(mut f: impl FnMut()) -> [u64; 5] {
+    std::array::from_fn(|_| {
+        let before = ALLOC.allocations();
+        f();
+        ALLOC.allocations() - before
+    })
+}
+
+/// Allocation events of one run of `f`, as the minimum over five runs: `f`
 /// is deterministic, and whatever else the process does meanwhile (the
 /// harness starting the next test's thread) can only add to a reading.
-fn allocations_of(mut f: impl FnMut()) -> u64 {
-    (0..5)
-        .map(|_| {
-            let before = ALLOC.allocations();
-            f();
-            ALLOC.allocations() - before
-        })
-        .min()
-        .expect("at least one run")
+fn allocations_of(f: impl FnMut()) -> u64 {
+    allocations_per_run(f).into_iter().min().expect("five runs")
 }
 
 /// Deterministic pseudo-random multigraph: `n_triples` edges over
@@ -67,7 +69,6 @@ fn steady_state_extraction_is_allocation_free() {
     // adjacency is in `build_graph`'s random input order, so the edge sweep's
     // in-place sorts (the kept ids, then each head's run) all have work to do
     let g = build_graph(300, 12, 2400, 1);
-    let csr = CsrGraph::from_graph(&g);
     let ts = targets(300, 64, 2);
 
     let mut scratch = ExtractScratch::new();
@@ -78,38 +79,36 @@ fn steady_state_extraction_is_allocation_free() {
     // grow past what this pass established.
     for &t in &ts {
         for k in 0..=2usize {
-            enclosing_subgraph_into(&csr, t, k, &mut scratch, &mut out);
-            disclosing_subgraph_into(&csr, t, k, &mut scratch, &mut out);
             enclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
             disclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
         }
     }
 
-    let before = ALLOC.allocations();
     let mut checksum = 0usize;
     let mut sorted = true;
-    for &t in &ts {
-        for k in 0..=2usize {
-            enclosing_subgraph_into(&csr, t, k, &mut scratch, &mut out);
-            checksum += out.num_edges() + out.num_entities();
-            disclosing_subgraph_into(&csr, t, k, &mut scratch, &mut out);
-            checksum += out.num_edges() + out.num_entities();
-            enclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
-            checksum += out.num_edges();
-            disclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
-            checksum += out.num_edges();
-            sorted &= out.triples.windows(2).all(|w| w[0] <= w[1]);
+    let runs = allocations_per_run(|| {
+        for &t in &ts {
+            for k in 0..=2usize {
+                enclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
+                checksum += out.num_edges() + out.num_entities();
+                sorted &= out.triples.windows(2).all(|w| w[0] <= w[1]);
+                disclosing_subgraph_into(&g, t, k, &mut scratch, &mut out);
+                checksum += out.num_edges() + out.num_entities();
+                sorted &= out.triples.windows(2).all(|w| w[0] <= w[1]);
+            }
         }
-    }
-    let allocations = ALLOC.allocations() - before;
+    });
 
     assert!(checksum > 0, "extractions produced no output — workload degenerate");
     assert!(sorted, "the sweep's output must come out sorted");
-    assert_eq!(
-        allocations,
-        0,
-        "steady-state extraction allocated {allocations} times over {} calls",
-        ts.len() * 3 * 4
+    // Every run must read 0, save at most one: the harness starting the next
+    // test's thread lands in one run. A buffer that keeps growing across
+    // calls reallocates in more than one of the five, so no minimum is taken.
+    let allocating = runs.iter().filter(|&&n| n > 0).count();
+    assert!(
+        allocating <= 1,
+        "steady-state extraction allocated in {allocating} of 5 runs ({runs:?} events) of {} calls each",
+        ts.len() * 3 * 2
     );
 }
 

@@ -23,9 +23,10 @@ cargo fmt --check
 # each name is listed with the change that deleted it (a commit, `knobs`
 # for the change that turned one-value config fields into constants,
 # `one-path` for the change that deleted the divergence policies and store
-# manifest versions nothing but their own tests selected, or `one-bundle`
+# manifest versions nothing but their own tests selected, `one-bundle`
 # for the change that left one sealed bundle directory and one checksum
-# algorithm); names
+# algorithm, or `one-graph` for the change that gave the in-memory graph
+# its CSR layout and retired the per-entity Vec layout); names
 # that live code still uses, such as std's `connect_timeout`, cannot be
 # listed
 deleted_names() {
@@ -94,6 +95,7 @@ checkpoint_at one-bundle
 MAX_MANIFEST_LINE one-bundle
 save_params_file one-bundle
 load_params_file one-bundle
+Vec-of-Vecs one-graph
 EOF
 }
 echo "== no file names a deleted item =="
@@ -184,7 +186,7 @@ cargo test -q -p rmpi-core --test parallel_determinism
 echo "== message-passing oracle: batched forward vs per-message reference, scores bit-identical =="
 cargo test -q -p rmpi-core --test message_passing_oracle
 
-echo "== extraction equivalence: CSR + dense-scratch path vs reference (proptest) =="
+echo "== extraction equivalence: dense-scratch path over the CSR graph vs reference (proptest) =="
 cargo test -q -p rmpi-subgraph --test proptests
 
 echo "== relation-view oracle: counting build vs the sorted layout, implicit incoming() vs the materialised line graph, per-type order (proptest) =="
@@ -202,7 +204,7 @@ RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench bench_kernels >/dev/null
 echo "== relation-view micro-bench smoke: build, schedule, read, combined (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench relview_transform >/dev/null
 
-echo "== storage micro-bench smoke: adjacency scans, warm/recycled/cold pins, XXH64 per block (10 ms window) =="
+echo "== storage micro-bench smoke: in-memory adjacency scan, warm/recycled/cold pins, XXH64 per block (10 ms window) =="
 RMPI_BENCH_MS=10 cargo bench -q -p rmpi-bench --bench graph_storage >/dev/null
 
 echo "== store: tiny on-disk world, pin contract + extraction equivalence (proptest), warm pins allocate nothing, corruption rejection, scrub =="
